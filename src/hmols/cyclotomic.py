@@ -18,6 +18,7 @@ count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -74,6 +75,7 @@ class TemplateMatrix:
         return self.h ** self.d
 
 
+@functools.lru_cache(maxsize=8)
 def template(h: int, d: int, size_bound: int = DEFAULT_SIZE_BOUND) -> TemplateMatrix:
     """entries[u][v] = u.v over GF(h) for all h^d lex-ordered vectors."""
     f = gf.field_new(h)  # raises NotPrimePower
@@ -84,12 +86,8 @@ def template(h: int, d: int, size_bound: int = DEFAULT_SIZE_BOUND) -> TemplateMa
         raise SizeBound(f"template would have {size} rows (bound {size_bound})")
     vecs = list(itertools.product(range(h), repeat=d))
     entries = np.zeros((size, size), dtype=np.int32)
-    for i, u in enumerate(vecs):
-        for j, v in enumerate(vecs):
-            acc = 0
-            for x, y in zip(u, v):
-                acc = f.add(acc, f.mul(x, y))
-            entries[i, j] = acc
+    for c in np.array(vecs, dtype=np.int32).T:
+        entries = f.add_arr(entries, f.mul_arr(c[:, None], c[None, :]))
     entries.setflags(write=False)
     return TemplateMatrix(h=h, d=d, field=f, cols=tuple(vecs), entries=entries)
 
@@ -107,15 +105,10 @@ def td_projection(h: int, d: int, k: int, cols=None,
     cols = _check_cols(t, cols)
     if k != len(cols):
         raise BadColumns("column selection does not match k")
-    f = t.field
-    rows = t.entries[:, cols]
-    blocks = np.empty((h * t.size, k), dtype=np.int32)
-    idx = 0
-    for a in range(h):
-        shifted = f.add_arr(rows, np.full_like(rows, a))
-        blocks[idx:idx + t.size] = shifted
-        idx += t.size
-    return BlockDesign.new(k=k, group_size=h, index=t.lam, blocks=blocks)
+    # blocks a + rows for a = 0, 1, ..., h-1 in turn
+    blocks = t.field.add_arr(np.arange(h)[:, None, None], t.entries[None, :, cols])
+    return BlockDesign.new(k=k, group_size=h, index=t.lam,
+                           blocks=blocks.reshape(-1, k))
 
 
 # ---------------------------------------------------------------------------
@@ -155,26 +148,29 @@ class AllowedCosetTable:
         return frozenset((-c) % self.lam for c in base)
 
 
+def _excluded_classes(t: TemplateMatrix, c1: int, c2: int) -> dict:
+    """(i, j) -> the classes excluded for row blocks i < j on template
+    columns c1, c2: the offsets e' - e mod lam of rows e of block i and e'
+    of block j with equal column differences."""
+    blocks = t.field.sub_arr(t.entries[:, c1], t.entries[:, c2]).reshape(t.h, t.lam)
+    out = {}
+    for i, j in itertools.combinations(range(t.h), 2):
+        e1, e2 = np.nonzero(blocks[i][:, None] == blocks[j][None, :])
+        out[(i, j)] = frozenset(((e2 - e1) % t.lam).tolist())
+    return out
+
+
 def allowed_cosets(t: TemplateMatrix, cols) -> AllowedCosetTable:
     """Scan all row pairs across the h row blocks of lam consecutive rows."""
     cols = _check_cols(t, cols)
     if len(cols) < 2:
         raise BadColumns("need at least two columns")
-    f, lam, h = t.field, t.lam, t.h
+    full = frozenset(range(t.lam))
     allowed = {}
-    full = frozenset(range(lam))
-    for r in range(len(cols)):
-        for s in range(r + 1, len(cols)):
-            dcol = f.sub_arr(t.entries[:, cols[r]], t.entries[:, cols[s]])
-            for i in range(h):
-                di = dcol[i * lam:(i + 1) * lam]
-                for j in range(i + 1, h):
-                    dj = dcol[j * lam:(j + 1) * lam]
-                    equal = di[:, None] == dj[None, :]
-                    excluded = {(e2 - e1) % lam
-                                for e1, e2 in zip(*np.nonzero(equal))}
-                    allowed[(i, j, r, s)] = full - excluded
-    return AllowedCosetTable(h=h, d=t.d, lam=lam,
+    for r, s in itertools.combinations(range(len(cols)), 2):
+        for (i, j), excluded in _excluded_classes(t, cols[r], cols[s]).items():
+            allowed[(i, j, r, s)] = full - excluded
+    return AllowedCosetTable(h=t.h, d=t.d, lam=t.lam,
                              col_selection=tuple(cols), allowed=allowed)
 
 
@@ -205,32 +201,25 @@ class UVectorSolution:
                 "u_vectors": [list(v) for v in self.u], "seed": self.seed}
 
 
-def _quotient_class(ctx, fq, d_i, d_j):
-    return gf.class_of(ctx, fq.mul(d_i, fq.inv(d_j)))
-
-
 def _uvector_violations(table: AllowedCosetTable, ctx: gf.CyclotomyContext, u):
     """All broken constraints of a full assignment: repeated entries within
     a vector, or a cross-block quotient in a forbidden class."""
     fq = ctx.field
     k = len(table.col_selection)
     bad = []
+    pairs = list(itertools.combinations(range(k), 2))
     for i, vec in enumerate(u):
-        for r in range(k):
-            for s in range(r + 1, k):
-                if vec[r] == vec[s]:
-                    bad.append(("EqualEntries", (i, r, s)))
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            for r in range(k):
-                for s in range(r + 1, k):
-                    d_i = fq.sub(u[i][r], u[i][s])
-                    d_j = fq.sub(u[j][r], u[j][s])
-                    if d_i == 0 or d_j == 0:
-                        continue  # reported as EqualEntries above
-                    if _quotient_class(ctx, fq, d_i, d_j) not in \
-                            table.allowed[(i, j, r, s)]:
-                        bad.append(("ForbiddenCoset", (i, j, r, s)))
+        for r, s in pairs:
+            if vec[r] == vec[s]:
+                bad.append(("EqualEntries", (i, r, s)))
+    for i, j in itertools.combinations(range(len(u)), 2):
+        for r, s in pairs:
+            d_i = fq.sub(u[i][r], u[i][s])
+            d_j = fq.sub(u[j][r], u[j][s])
+            if d_i == 0 or d_j == 0:
+                continue  # reported as EqualEntries above
+            if ctx.quotient_class(d_i, d_j) not in table.allowed[(i, j, r, s)]:
+                bad.append(("ForbiddenCoset", (i, j, r, s)))
     return bad
 
 
@@ -247,17 +236,49 @@ def verify_uvectors(h: int, d: int, cols, q: int, u, omega: int | None = None,
     if omega is not None and omega != ctx.omega:
         raise MalformedSolution(f"certificate omega {omega} is not the "
                                 f"canonical primitive root {ctx.omega}")
+    return _checked_solution(table, ctx, u, seed)
+
+
+def _checked_solution(table: AllowedCosetTable, ctx: gf.CyclotomyContext, u,
+                      seed) -> UVectorSolution:
+    q, k = ctx.field.q, len(table.col_selection)
     u = tuple(tuple(int(x) for x in vec) for vec in u)
-    if len(u) != h or any(len(vec) != len(table.col_selection) for vec in u):
-        raise MalformedSolution(f"need {h} vectors of width "
-                                f"{len(table.col_selection)}")
+    if len(u) != table.h or any(len(vec) != k for vec in u):
+        raise MalformedSolution(f"need {table.h} vectors of width {k}")
     if any(not 0 <= x < q for vec in u for x in vec):
         raise MalformedSolution("vector entry outside GF(q)")
     bad = _uvector_violations(table, ctx, u)
     if bad:
         raise MalformedSolution(f"constraints violated: {bad[:4]}")
-    return UVectorSolution(h=h, d=d, q=q, col_selection=table.col_selection,
-                           u=u, omega=ctx.omega, seed=seed)
+    return UVectorSolution(h=table.h, d=table.d, q=q,
+                           col_selection=table.col_selection, u=u,
+                           omega=ctx.omega, seed=seed)
+
+
+def _allowed_masks(table: AllowedCosetTable) -> dict:
+    """The allowed classes of every constraint as a boolean array over 0..lam-1."""
+    classes = np.arange(table.lam)
+    return {key: np.isin(classes, list(allowed))
+            for key, allowed in table.allowed.items()}
+
+
+def _candidate_mask(ctx: gf.CyclotomyContext, allowed: dict, u, i: int,
+                    r: int) -> np.ndarray:
+    """Which x in GF(q) may stand at u[i][r]: x repeats no u[i][s], s < r,
+    and each quotient (u[j][s] - u[j][r]) / (u[i][s] - x), j < i, s < r,
+    lies in a class allowed for blocks (j, i) and columns (s, r)."""
+    fq = ctx.field
+    xs = np.arange(fq.q)
+    mask = np.ones(fq.q, dtype=bool)
+    for s in range(r):
+        mask[u[i][s]] = False
+        d_i = fq.sub_arr(u[i][s], xs)
+        for j in range(i):
+            d_j = fq.sub(u[j][s], u[j][r])
+            if d_j == 0:
+                return np.zeros(fq.q, dtype=bool)
+            mask &= allowed[(j, i, s, r)][ctx.quotient_class(d_j, d_i)]
+    return mask
 
 
 class _RestartAbandoned(Exception):
@@ -269,12 +290,15 @@ def search_uvectors(h: int, d: int, cols, q: int, seed: int = 0,
                     restart_nodes: int = 4096) -> UVectorSolution:
     """Seeded randomized search for the h free vectors.
 
-    Entries are chosen left to right, one vector after another, drawing
-    candidate values in seeded-random order and pruning against the
-    allowed-coset table; dead prefixes are backtracked, and a restart
-    with fresh random orders begins once a restart has spent
-    restart_nodes candidate evaluations.  The budget caps evaluations
-    over all restarts; Exhausted is a retry signal, never a disproof.
+    Entries are chosen left to right, one vector after another.  Each
+    position shuffles all q values with the seeded stream and tries, in
+    that order, the values one array pass over the allowed-coset table
+    admits; dead prefixes are backtracked, and a restart with fresh orders
+    begins once a restart has spent restart_nodes candidate evaluations.
+    Every value of an order up to the one taken counts as an evaluation,
+    admitted or not, so the budget caps evaluations over all restarts and
+    a seed gives the certificate that testing values one by one would.
+    Exhausted is a retry signal, never a disproof.
     """
     t = template(h, d)
     table = allowed_cosets(t, cols)
@@ -287,25 +311,21 @@ def search_uvectors(h: int, d: int, cols, q: int, seed: int = 0,
     ctx = gf.cyclotomy_new(fq, t.lam)
     if k > q:
         raise Exhausted(f"entries must be distinct: k = {k} > q = {q}")
+    allowed = _allowed_masks(table)
     rng = random.Random(seed)
     values = list(range(q))
     state = {"budget": budget, "nodes": 0}
 
-    def feasible(u, i, r, x):
-        for s in range(r):
-            if u[i][s] == x:
-                return False
-        for j in range(i):
-            for s in range(r):
-                # columns (s, r) with s < r; constraint on block pair (j, i)
-                d_i = fq.sub(u[i][s], x)
-                d_j = fq.sub(u[j][s], u[j][r])
-                if d_i == 0 or d_j == 0:
-                    return False
-                if _quotient_class(ctx, fq, d_j, d_i) not in \
-                        table.allowed[(j, i, s, r)]:
-                    return False
-        return True
+    def spend(n):
+        # as n evaluations one by one: each checks the budget, then the
+        # restart cap; those made before a restart stay charged
+        if n > min(state["budget"], state["nodes"]):
+            if state["budget"] <= state["nodes"]:
+                raise Exhausted(f"budget {budget} consumed")
+            state["budget"] -= state["nodes"]
+            raise _RestartAbandoned
+        state["budget"] -= n
+        state["nodes"] -= n
 
     def extend(u, pos):
         if pos == h * k:
@@ -313,18 +333,15 @@ def search_uvectors(h: int, d: int, cols, q: int, seed: int = 0,
         i, r = divmod(pos, k)
         order = values[:]
         rng.shuffle(order)
-        for x in order:
-            if state["budget"] <= 0:
-                raise Exhausted(f"budget {budget} consumed")
-            if state["nodes"] <= 0:
-                raise _RestartAbandoned
-            state["budget"] -= 1
-            state["nodes"] -= 1
-            if feasible(u, i, r, x):
-                u[i][r] = x
-                if extend(u, pos + 1):
-                    return True
-                u[i][r] = None
+        mask = _candidate_mask(ctx, allowed, u, i, r)
+        last = -1
+        for p in np.flatnonzero(mask[order]).tolist():
+            spend(p - last)
+            last = p
+            u[i][r] = order[p]
+            if extend(u, pos + 1):
+                return True
+        spend(q - 1 - last)
         return False
 
     while True:
@@ -339,7 +356,7 @@ def search_uvectors(h: int, d: int, cols, q: int, seed: int = 0,
             # other value orders cannot help, but callers treat Exhausted
             # as a retry hint anyway
             raise Exhausted(f"search space refuted or budget spent at q = {q}")
-        sol = verify_uvectors(h, d, cols, q, u, seed=seed)
+        sol = _checked_solution(table, ctx, u, seed)
         # double-check by the independent difference count
         rep = verify_rdm(assemble_rdf(sol))
         if not rep.valid:
@@ -369,7 +386,7 @@ def match_columns(t: TemplateMatrix, u_raw, q: int):
     if (q - 1) % t.lam != 0:
         raise IndexMismatch(f"q = {q} is not 1 mod {t.lam}")
     ctx = gf.cyclotomy_new(fq, t.lam)
-    lam, h = t.lam, t.h
+    h = t.h
 
     # all quotients are well-defined once no vector repeats an entry
     u_vals = [[int(vec[p]) for p in positions] for vec in u_rows]
@@ -377,26 +394,17 @@ def match_columns(t: TemplateMatrix, u_raw, q: int):
         if len(set(vec)) != len(vec):
             raise Exhausted("a vector repeats an entry; no assignment exists")
     qclass = {}
-    for i in range(h):
-        for j in range(i + 1, h):
-            for a in range(k):
-                for b in range(a + 1, k):
-                    d_i = fq.sub(u_vals[i][a], u_vals[i][b])
-                    d_j = fq.sub(u_vals[j][a], u_vals[j][b])
-                    qclass[(i, j, a, b)] = _quotient_class(ctx, fq, d_i, d_j)
+    for i, j in itertools.combinations(range(h), 2):
+        for a, b in itertools.combinations(range(k), 2):
+            d_i = fq.sub(u_vals[i][a], u_vals[i][b])
+            d_j = fq.sub(u_vals[j][a], u_vals[j][b])
+            qclass[(i, j, a, b)] = ctx.quotient_class(d_i, d_j)
 
     # precompute exclusion sets for every template column pair
     excl = {}
-    for c1 in range(t.size):
-        for c2 in range(c1 + 1, t.size):
-            dcol = t.field.sub_arr(t.entries[:, c1], t.entries[:, c2])
-            for i in range(h):
-                di = dcol[i * lam:(i + 1) * lam]
-                for j in range(i + 1, h):
-                    dj = dcol[j * lam:(j + 1) * lam]
-                    equal = di[:, None] == dj[None, :]
-                    excl[(i, j, c1, c2)] = frozenset(
-                        (e2 - e1) % lam for e1, e2 in zip(*np.nonzero(equal)))
+    for c1, c2 in itertools.combinations(range(t.size), 2):
+        for (i, j), excluded in _excluded_classes(t, c1, c2).items():
+            excl[(i, j, c1, c2)] = excluded
 
     assignment = [None] * k
     used = [False] * t.size
@@ -473,29 +481,24 @@ def assemble_rdf(sol: UVectorSolution) -> RelativeDifferenceFamily:
     t = template(sol.h, sol.d)
     if len(sol.col_selection) != len(sol.u[0]) or len(sol.u) != sol.h:
         raise MalformedSolution("vector widths do not match the columns")
-    fh, fq = t.field, gf.field_new(sol.q)
-    lam = t.lam
-    if (sol.q - 1) % lam != 0:
-        raise MalformedSolution(f"q = {sol.q} is not 1 mod {lam}")
-    ctx = gf.cyclotomy_new(fq, lam)
+    fq = gf.field_new(sol.q)
+    if (sol.q - 1) % t.lam != 0:
+        raise MalformedSolution(f"q = {sol.q} is not 1 mod {t.lam}")
+    ctx = gf.cyclotomy_new(fq, t.lam)
     if ctx.omega != sol.omega:
         raise MalformedSolution("solution omega differs from the canonical root")
-    cols = list(sol.col_selection)
-    c0 = ctx.coset_zero()
-    k = len(cols)
-    blocks = np.empty((t.size * len(c0), k), dtype=np.int64)
-    idx = 0
-    for m in range(t.size):
-        i, e = divmod(m, lam)
-        w = ctx.omega_pow(e)
-        u_m = [fq.mul(w, sol.u[i][r]) for r in range(k)]
-        t_row = [int(t.entries[m, c]) for c in cols]
-        for x in c0:
-            for r in range(k):
-                blocks[idx, r] = fq.mul(x, u_m[r]) * sol.h + t_row[r]
-            idx += 1
-    return RelativeDifferenceFamily(h_field=fh, q_field=fq, k=k,
-                                    base_blocks=blocks.astype(np.int32))
+    # block (m, x) has entries x * omega^e * u[i][r] paired with t[m, col_r],
+    # where m = i*lam + e, rows ordered by m and then by x in C_0
+    k = len(sol.col_selection)
+    w = np.array([ctx.omega_pow(e) for e in range(t.lam)], dtype=np.int64)
+    u = np.array(sol.u, dtype=np.int64)
+    u_m = fq.mul_arr(w[None, :, None], u[:, None, :]).reshape(t.size, k)
+    c0 = np.array(ctx.coset_zero(), dtype=np.int64)
+    z = fq.mul_arr(c0[None, :, None], u_m[:, None, :])
+    t_rows = t.entries[:, list(sol.col_selection)]
+    blocks = z * sol.h + t_rows[:, None, :]
+    return RelativeDifferenceFamily(h_field=t.field, q_field=fq, k=k,
+                                    base_blocks=blocks.reshape(-1, k).astype(np.int32))
 
 
 def verify_rdm(fam: RelativeDifferenceFamily) -> VerificationReport:

@@ -452,14 +452,9 @@ def td_from_field(k: int, q: int) -> BlockDesign:
         raise TooManyGroups(f"TD({k},{q}) needs k <= q + 1")
     if k < 2:
         raise MalformedInput("need at least two groups")
-    blocks = np.empty((q * q, k), dtype=np.int32)
-    idx = 0
-    for a in range(q):
-        for u in range(q):
-            for i in range(k):
-                blocks[idx, i] = u if i == q else f.add(a, f.mul(u, i))
-            idx += 1
-    return BlockDesign.new(k=k, group_size=q, index=1, blocks=blocks)
+    a, u = np.divmod(np.arange(q * q), q)
+    cols = [u if i == q else f.add_arr(a, f.mul_arr(u, i)) for i in range(k)]
+    return BlockDesign.new(k=k, group_size=q, index=1, blocks=np.stack(cols, axis=1))
 
 
 def unit_hole_htd(k: int, q: int) -> BlockDesign:
@@ -472,18 +467,14 @@ def unit_hole_htd(k: int, q: int) -> BlockDesign:
         raise TooManyGroups(f"HTD({k},1^{q}) supports at most q groups")
     if k < 3:
         raise MalformedInput("need at least three groups")
-    mults = list(range(2, k))  # the k-2 chosen values of a
-    blocks = []
-    for x in range(q):
-        for y in range(q):
-            if x == y:
-                continue
-            row = [x, y]
-            for a in mults:
-                row.append(f.add(f.mul(a, x), f.mul(f.sub(1, a), y)))
-            blocks.append(row)
+    x, y = np.divmod(np.arange(q * q), q)
+    off_diagonal = x != y
+    x, y = x[off_diagonal], y[off_diagonal]
+    cols = [x, y] + [f.add_arr(f.mul_arr(a, x), f.mul_arr(f.sub(1, a), y))
+                     for a in range(2, k)]  # the k-2 chosen values of a
     holes = tuple((t,) for t in range(q))
-    return BlockDesign.new(k=k, group_size=q, index=1, blocks=np.array(blocks),
+    return BlockDesign.new(k=k, group_size=q, index=1,
+                           blocks=np.stack(cols, axis=1),
                            hole_kind=HOLE_UNIFORM, holes=holes)
 
 

@@ -178,21 +178,48 @@ class FieldSpec:
             return (a - b) % self.p
         return self.sub_table[a, b]
 
-    @functools.cached_property
-    def add_table(self) -> np.ndarray:
-        t = np.empty((self.q, self.q), dtype=np.int32)
-        for a in range(self.q):
-            for b in range(self.q):
-                t[a, b] = self.add(a, b)
+    def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.e == 1:
+            return (a * b) % self.p
+        return self.mul_table[a, b]
+
+    def _digitwise_table(self, sign: int) -> np.ndarray:
+        """Table of a + sign*b, computed digit by digit in base p."""
+        x = np.arange(self.q, dtype=np.int32)
+        t = np.zeros((self.q, self.q), dtype=np.int32)
+        for i in range(self.e):
+            d = x // self.p ** i % self.p
+            t += (d[:, None] + sign * d[None, :]) % self.p * self.p ** i
         t.setflags(write=False)
         return t
 
     @functools.cached_property
+    def add_table(self) -> np.ndarray:
+        return self._digitwise_table(1)
+
+    @functools.cached_property
     def sub_table(self) -> np.ndarray:
-        t = np.empty((self.q, self.q), dtype=np.int32)
-        for a in range(self.q):
-            for b in range(self.q):
-                t[a, b] = self.sub(a, b)
+        return self._digitwise_table(-1)
+
+    @functools.cached_property
+    def dlog_table(self) -> np.ndarray:
+        """dlog_table[x] = t with x = omega^t for the canonical primitive
+        root omega, and -1 at x = 0."""
+        dlog = np.full(self.q, -1, dtype=np.int64)
+        x, omega = 1, primitive_root(self)
+        for t in range(self.q - 1):
+            dlog[x] = t
+            x = self.mul(x, omega)
+        dlog.setflags(write=False)
+        return dlog
+
+    @functools.cached_property
+    def mul_table(self) -> np.ndarray:
+        """Products by adding discrete logs; read by extension fields only."""
+        log = self.dlog_table.astype(np.int32)
+        exp = np.argsort(log)[1:].astype(np.int32)  # exp[t] = omega^t
+        t = exp[(log[:, None] + log[None, :]) % (self.q - 1)]
+        t[0, :] = t[:, 0] = 0
         t.setflags(write=False)
         return t
 
@@ -273,22 +300,21 @@ class CyclotomyContext:
     def omega_pow(self, t: int) -> int:
         return self.field.pow(self.omega, t % (self.field.q - 1))
 
+    def quotient_class(self, a, b):
+        """Class of a/b for nonzero a and b, which may be index arrays:
+        (dlog a - dlog b) mod lam."""
+        return (self.dlog_table[a] - self.dlog_table[b]) % self.lam
 
+
+@functools.lru_cache(maxsize=None)
 def cyclotomy_new(f: FieldSpec, lam: int) -> CyclotomyContext:
     """Full cyclotomic class table of index lam; class_of(omega^t) = t mod lam."""
     if lam < 1 or (f.q - 1) % lam != 0:
         raise IndexNotDividing(f"index {lam} does not divide q-1 = {f.q - 1}")
-    omega = primitive_root(f)
-    class_table = np.full(f.q, -1, dtype=np.int32)
-    dlog = np.full(f.q, -1, dtype=np.int64)
-    x = 1
-    for t in range(f.q - 1):
-        class_table[x] = t % lam
-        dlog[x] = t
-        x = f.mul(x, omega)
+    dlog = f.dlog_table
+    class_table = np.where(dlog < 0, -1, dlog % lam).astype(np.int32)
     class_table.setflags(write=False)
-    dlog.setflags(write=False)
-    return CyclotomyContext(field=f, lam=lam, omega=omega,
+    return CyclotomyContext(field=f, lam=lam, omega=primitive_root(f),
                             class_table=class_table, dlog_table=dlog)
 
 
