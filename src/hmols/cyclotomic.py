@@ -300,6 +300,9 @@ def search_uvectors(h: int, d: int, cols, q: int, seed: int = 0,
     a seed gives the certificate that testing values one by one would.
     Exhausted is a retry signal, never a disproof.
     """
+    if restart_nodes < 1:
+        # a restart would be abandoned before its first evaluation, forever
+        raise ValueError(f"restart_nodes must be at least 1, got {restart_nodes}")
     t = template(h, d)
     table = allowed_cosets(t, cols)
     k = len(table.col_selection)

@@ -42,7 +42,8 @@ COUNT_MISMATCH = "CountMismatch"
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.int32)
+    """A read-only int32 copy: the caller's array stays theirs to change."""
+    a = np.array(a, dtype=np.int32, order="C", copy=True)
     a.setflags(write=False)
     return a
 
@@ -297,6 +298,9 @@ class BlockDesign:
             raise MalformedInput(f"blocks must be ({arr.shape[0]}, {k}), got {arr.shape}")
         if k < 2:
             raise MalformedInput("a block design needs at least two groups")
+        if group_size < 1 or index < 1:
+            raise MalformedInput(f"group size {group_size} and index {index} "
+                                 f"must be at least 1")
         if hole_kind == HOLE_NONE:
             norm = ()
             if holes:
@@ -331,9 +335,20 @@ class BlockDesign:
         return _hole_of_array(self.holes, self.group_size)
 
     def sorted_blocks(self) -> np.ndarray:
-        """Blocks in canonical (lexicographic) order."""
-        order = np.lexsort(self.blocks.T[::-1])
-        return self.blocks[order]
+        """Blocks in canonical (lexicographic) order.
+
+        Sorting on the first two coordinates alone gives that order when
+        they tell all blocks apart, as they do for the HTD of any HMOLS
+        set; the full sort runs only when they do not.
+        """
+        b = self.blocks
+        if len(b) > 1 and 0 <= b[:, 1].min() and b[:, 1].max() < self.group_size:
+            key = b[:, 0].astype(np.int64) * self.group_size + b[:, 1]
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            if (key[1:] != key[:-1]).all():
+                return b[order]
+        return b[np.lexsort(b.T[::-1])]
 
 
 def expected_block_count(d: BlockDesign) -> int:

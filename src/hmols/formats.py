@@ -5,11 +5,18 @@ Grid files carry 1-based symbols with "." for blanks, matching how the
 squares are usually printed; everything else is 0-based JSON.  Both
 printers emit a canonical form (sorted holes, lexicographically sorted
 blocks, fixed whitespace) so that parse-then-print is byte-identical.
+
+Design and grid bodies are printed and parsed as arrays: each distinct
+value is formatted once and rows are assembled by table lookups, and the
+readers check the body's grammar and convert its numbers in numpy
+passes.  A design file written with the developed GF(401) certificate
+has 641,600 blocks, so per-entry Python objects would dominate its cost.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 
@@ -26,28 +33,50 @@ from .designs import (
 from .errors import MalformedInput
 
 # ---------------------------------------------------------------------------
+# array text
+# ---------------------------------------------------------------------------
+
+
+def _render_rows(arr, cell, head: str, sep: str, tail: str) -> str:
+    """One line per row of the 2-D integer array arr:
+    head + sep.join(cell(v) for v in row) + tail.
+
+    Every cell is looked up in a table of NUL-padded tokens, one per
+    value, which already carries the row's head or its separator; the
+    padding is dropped in one pass.
+    """
+    arr = np.asarray(arr)
+    rows, cols = arr.shape
+    if arr.size == 0:
+        return (head + tail) * rows
+    lo, hi = int(arr.min()), int(arr.max())
+    if hi - lo < arr.size:  # the value range is no larger than the array
+        values = range(lo, hi + 1)
+        idx = np.subtract(arr, lo, dtype=np.intp)
+    else:
+        values, idx = np.unique(arr, return_inverse=True)
+        idx = idx.reshape(arr.shape)
+    words = [cell(int(v)) for v in values]
+    first = [head + w + (tail if cols == 1 else sep) for w in words]
+    middle = [w + sep for w in words]
+    last = [w + tail for w in words]
+    width = max(len(w) for w in first + last)
+    out = np.empty((rows, cols), dtype=f"S{width}")
+    out[:, 0] = np.array(first, dtype=out.dtype)[idx[:, 0]]
+    if cols > 1:
+        out[:, 1:-1] = np.array(middle, dtype=out.dtype)[idx[:, 1:-1]]
+        out[:, -1] = np.array(last, dtype=out.dtype)[idx[:, -1]]
+    buf = out.view(np.uint8)
+    return buf[buf != 0].tobytes().decode("ascii")
+
+
+# ---------------------------------------------------------------------------
 # grid files
 # ---------------------------------------------------------------------------
 
 
 def _cell_str(x: int) -> str:
-    return "." if x == BLANK else str(int(x) + 1)
-
-
-def _cell_val(tok: str, size: int) -> int:
-    if tok == ".":
-        return BLANK
-    try:
-        v = int(tok) - 1
-    except ValueError:
-        raise MalformedInput(f"bad cell token {tok!r}") from None
-    if not 0 <= v < size:
-        raise MalformedInput(f"symbol {tok} out of range 1..{size}")
-    return v
-
-
-def _rows_str(arr) -> list[str]:
-    return [" ".join(_cell_str(x) for x in row) for row in arr]
+    return "." if x == BLANK else str(x + 1)
 
 
 def _holes_str(holes) -> str:
@@ -64,44 +93,72 @@ def _parse_holes(text: str) -> tuple:
 def grid_dumps(obj) -> str:
     """Canonical grid text for a latin square, HMOLS set, or IMOLS set."""
     if isinstance(obj, LatinSquare):
-        lines = [f"latin {obj.n}"] + _rows_str(obj.cells)
+        head = f"latin {obj.n}\n"
+        squares = [obj.cells]
     elif isinstance(obj, HoleyLatinSquareSet):
-        lines = [f"hmols {obj.k} {obj.h} {obj.n}", f"holes {_holes_str(obj.holes)}"]
-        for t in range(obj.k):
-            if t:
-                lines.append("")
-            lines.extend(_rows_str(obj.squares[t]))
+        head = f"hmols {obj.k} {obj.h} {obj.n}\nholes {_holes_str(obj.holes)}\n"
+        squares = obj.squares
     elif isinstance(obj, IncompleteMolsSet):
         hole = ",".join(str(x + 1) for x in obj.hole) if obj.hole else "-"
-        lines = [f"imols {obj.k} {obj.n}", f"hole {hole}"]
-        for t in range(obj.k):
-            if t:
-                lines.append("")
-            lines.extend(_rows_str(obj.squares[t]))
+        head = f"imols {obj.k} {obj.n}\nhole {hole}\n"
+        squares = obj.squares
     else:
         raise MalformedInput(f"cannot serialize {type(obj).__name__} as a grid")
-    return "\n".join(lines) + "\n"
+    return head + "\n".join(_render_rows(sq, _cell_str, "", " ", "\n")
+                            for sq in squares)
 
 
-def _parse_blocks(lines, count, side, size):
-    squares = np.full((count, side, side), BLANK, dtype=np.int32)
+def _parse_cells(rows: list[str], size: int) -> np.ndarray:
+    """The cells of rows of space-separated tokens, 0-based with BLANK.
+
+    A token is "." or a decimal symbol 1..size without sign or leading
+    zero; any other token raises MalformedInput, naming the first one.
+    """
+    digits = len(str(size))
+    b = np.frombuffer((" " + " ".join(rows) + " ").encode(), np.uint8)
+    spaces = np.flatnonzero(b == 32)  # token t lies between spaces t and t + 1
+    length = np.diff(spaces) - 1
+    first = b[spaces[:-1] + 1]
+    number = (length > 0) & (length <= digits) & (first != ord("0"))
+    value = np.zeros(len(length), dtype=np.int32 if digits <= 9 else np.int64)
+    for j in range(digits):  # right to left; reads left of a token are masked
+        more = length > j
+        digit = b[spaces[1:] - 1 - j] - 48  # wraps above 9 for a non-digit
+        number &= ~more | (digit <= 9)
+        value += np.multiply(digit * more, 10 ** j, dtype=value.dtype)
+    number &= value <= size
+    blank = (first == ord(".")) & (length == 1)
+    bad = ~(blank | number)
+    if bad.any():
+        t = int(np.argmax(bad))
+        tok = b[spaces[t] + 1:spaces[t + 1]].tobytes().decode("utf-8", "replace")
+        if re.fullmatch(r"[1-9][0-9]*", tok):
+            raise MalformedInput(f"symbol {tok} out of range 1..{size}")
+        raise MalformedInput(f"bad cell token {tok!r}")
+    return np.where(blank, BLANK, value - 1)
+
+
+def _parse_squares(lines, count, side, size):
+    rows = []
     pos = 0
     for t in range(count):
         if t:
             if pos >= len(lines) or lines[pos] != "":
                 raise MalformedInput("expected a blank line between squares")
             pos += 1
-        for r in range(side):
+        for _ in range(side):
             if pos >= len(lines):
                 raise MalformedInput("grid body ended early")
-            toks = lines[pos].split(" ")
-            if len(toks) != side:
-                raise MalformedInput(f"row has {len(toks)} cells, expected {side}")
-            squares[t, r] = [_cell_val(x, size) for x in toks]
+            cells = lines[pos].count(" ") + 1
+            if cells != side:
+                raise MalformedInput(f"row has {cells} cells, expected {side}")
+            rows.append(lines[pos])
             pos += 1
     if pos != len(lines):
         raise MalformedInput("trailing content after grid body")
-    return squares
+    if not rows:
+        return np.full((count, side, side), BLANK, dtype=np.int32)
+    return _parse_cells(rows, size).astype(np.int32).reshape(count, side, side)
 
 
 def grid_loads(text: str):
@@ -115,14 +172,14 @@ def grid_loads(text: str):
         if len(head) != 2:
             raise MalformedInput("latin header is 'latin n'")
         n = int(head[1])
-        squares = _parse_blocks(lines[1:], 1, n, n)
+        squares = _parse_squares(lines[1:], 1, n, n)
         return LatinSquare.from_array(squares[0])
     if head[0] == "hmols":
         if len(head) != 4 or len(lines) < 2 or not lines[1].startswith("holes "):
             raise MalformedInput("hmols header is 'hmols k h n' + holes line")
         k, h, n = (int(x) for x in head[1:])
         holes = _parse_holes(lines[1][len("holes "):])
-        squares = _parse_blocks(lines[2:], k, h * n, h * n)
+        squares = _parse_squares(lines[2:], k, h * n, h * n)
         return HoleyLatinSquareSet.from_arrays(h=h, n=n, holes=holes, squares=squares)
     if head[0] == "imols":
         if len(head) != 3 or len(lines) < 2 or not lines[1].startswith("hole "):
@@ -130,7 +187,7 @@ def grid_loads(text: str):
         k, n = int(head[1]), int(head[2])
         hole_txt = lines[1][len("hole "):]
         hole = () if hole_txt == "-" else tuple(int(x) - 1 for x in hole_txt.split(","))
-        squares = _parse_blocks(lines[2:], k, n, n)
+        squares = _parse_squares(lines[2:], k, n, n)
         return IncompleteMolsSet.from_arrays(n=n, hole=hole, squares=squares)
     raise MalformedInput(f"unknown grid kind {head[0]!r}")
 
@@ -143,20 +200,134 @@ _KIND_BY_HOLES = {HOLE_NONE: "TD", HOLE_UNIFORM: "HTD", HOLE_SINGLE: "ITD"}
 _HOLES_BY_KIND = {v: k for k, v in _KIND_BY_HOLES.items()}
 
 
+def _json_rows(rows) -> str:
+    """A JSON array of integer arrays, one inner array per line."""
+    if len(rows) == 0:
+        return "[]"
+    body = _render_rows(np.asarray(rows), str, "  [", ", ", "],\n")
+    return "[\n" + body[:-2] + "\n ]"
+
+
 def design_dumps(d: BlockDesign) -> str:
-    doc = {
-        "kind": _KIND_BY_HOLES[d.hole_kind],
-        "k": d.k,
-        "group_size": d.group_size,
-        "index": d.index,
-        "holes": [list(c) for c in d.holes],
-        "blocks": [[int(x) for x in row] for row in d.sorted_blocks()],
+    """Canonical design JSON: sorted keys, blocks in lexicographic order,
+    one block (and one hole) per line."""
+    fields = {
+        "blocks": _json_rows(d.sorted_blocks()),
+        "group_size": json.dumps(d.group_size),
+        "holes": _json_rows(d.holes),
+        "index": json.dumps(d.index),
+        "k": json.dumps(d.k),
+        "kind": json.dumps(_KIND_BY_HOLES[d.hole_kind]),
     }
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    return "{\n" + ",\n".join(f' "{key}": {fields[key]}'
+                              for key in sorted(fields)) + "\n}\n"
+
+
+# byte classes of a JSON array of integer arrays, as a bytes.translate table
+_WS, _OPEN, _CLOSE, _COMMA, _DIGIT, _MINUS, _OTHER = range(7)
+_CLASS_OF = {**dict.fromkeys(b" \t\n\r", _WS), **dict.fromkeys(b"0123456789", _DIGIT),
+             ord("["): _OPEN, ord("]"): _CLOSE, ord(","): _COMMA, ord("-"): _MINUS}
+_CLASS = bytes(_CLASS_OF.get(c, _OTHER) for c in range(256))
+_MAX_DIGITS = 18  # longer numbers may not fit int64; json.loads takes those
+_BLOCKS_KEY = re.compile(r'"blocks"[ \t\n\r]*:[ \t\n\r]*\[')
+_SENTINEL = '"\\u0000"'  # a JSON string no unescaped document can contain
+
+
+def _int_matrix(body: bytes):
+    """body as an (R, C) integer array when it is exactly a JSON array of
+    R >= 1 arrays of C >= 1 integers of at most _MAX_DIGITS digits, with
+    JSON whitespace anywhere between tokens; None otherwise."""
+    classes = body.translate(_CLASS)
+    if bytes([_OTHER]) in classes:
+        return None
+    cls = np.frombuffer(classes, dtype=np.uint8)
+    number = cls >= _DIGIT
+    start = number.copy()
+    start[1:] &= ~number[:-1]
+    # the token sequence, each number one _DIGIT token; (cls - 1) wraps
+    tokens = np.minimum(cls[start | ((cls - 1) < 3)], _DIGIT)
+    cols = tokens.tobytes().find(bytes([_CLOSE])) // 2
+    if cols < 1:
+        return None
+    row = np.array([_OPEN] + [_DIGIT, _COMMA] * (cols - 1) + [_DIGIT, _CLOSE, _COMMA],
+                   dtype=np.uint8)
+    rows, extra = divmod(len(tokens) - 1, len(row))
+    if rows < 1 or extra or tokens[0] != _OPEN or tokens[-1] != _CLOSE:
+        return None
+    inner = tokens[1:-1]  # the rows, less the last row's comma
+    tail = len(row) - 1
+    if not ((inner[:-tail].reshape(rows - 1, len(row)) == row).all()
+            and (inner[-tail:] == row[:-1]).all()):
+        return None
+    del tokens, inner
+    b = np.frombuffer(body, dtype=np.uint8)
+    starts = np.flatnonzero(start)
+    stops = np.flatnonzero(number[:-1] & ~number[1:]) + 1
+    digits = stops - starts
+    negative = None
+    if b"-" in body:
+        if ((cls == _MINUS) & ~start).any():
+            return None
+        negative = b[starts] == ord("-")
+        digits -= negative
+    most = int(digits.max())
+    if digits.min() < 1 or most > _MAX_DIGITS or \
+            ((b[stops - digits] == ord("0")) & (digits > 1)).any():
+        return None
+    # right to left; reads left of a number (negative indices included)
+    # are masked out by digits > j
+    at = stops - 1
+    value = (b[at] - 48).astype(np.int32 if most <= 9 else np.int64)
+    for j in range(1, most):
+        at -= 1
+        value += np.multiply((b[at] - 48) * (digits > j), 10 ** j, dtype=value.dtype)
+    if negative is not None:
+        value[negative] *= -1
+    return value.reshape(rows, cols)
+
+
+def _fast_design_doc(text: str):
+    """The design document with its "blocks" value parsed by _int_matrix,
+    or None when the fast reading cannot prove it equals json.loads(text).
+
+    The blocks array is cut out and replaced by a sentinel string that
+    only an escape can spell; the rest goes to json.loads.  A text
+    without backslashes whose top-level "blocks" then reads back as the
+    sentinel had the cut array exactly as that value.
+    """
+    at = text.rfind('"blocks"')
+    if at < 0 or "\\" in text:
+        return None
+    key = _BLOCKS_KEY.match(text, at)
+    if key is None:
+        return None
+    start = key.end() - 1
+    stop = text.find('"', start)
+    stop = len(text) if stop < 0 else stop
+    close = text.find("}", start, stop)
+    stop = close if close >= 0 else stop
+    end = text.rfind("]", start, stop) + 1
+    body = text[start:end]
+    if not body.isascii():
+        return None
+    blocks = _int_matrix(body.encode("ascii"))
+    if blocks is None:
+        return None
+    try:
+        doc = json.loads(text[:start] + _SENTINEL + text[end:])
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(doc, dict) or doc.get("blocks") != "\0":
+        return None
+    doc["blocks"] = blocks
+    return doc
 
 
 def design_loads(text: str) -> BlockDesign:
-    doc = json.loads(text)
+    """Read a design file in any JSON layout."""
+    doc = _fast_design_doc(text)
+    if doc is None:
+        doc = json.loads(text)
     try:
         kind = _HOLES_BY_KIND[doc["kind"]]
         return BlockDesign.new(k=doc["k"], group_size=doc["group_size"],

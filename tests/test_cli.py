@@ -91,6 +91,14 @@ def test_search_verify_recovers_columns(tmp_path, capsys):
     assert doc["col_selection"] is not None and len(doc["col_selection"]) == 11
 
 
+def test_verify_degenerate_design_exits_two(tmp_path, capsys):
+    path = tmp_path / "index0.json"
+    path.write_text('{"kind":"TD","k":3,"group_size":4,"index":0,'
+                    '"holes":[],"blocks":[]}')
+    assert run(["verify", str(path)]) == 2
+    assert "valid" not in capsys.readouterr().out
+
+
 def test_search_exhausted_exit_code(tmp_path):
     assert run(["search", "2", "2", "5", "--cols", "0", "1", "2", "3",
                 "--budget", "0"]) == 3

@@ -176,6 +176,15 @@ def test_search_deterministic_given_seed():
     assert a.u == b.u
 
 
+@pytest.mark.parametrize("restart_nodes", [0, -1])
+def test_search_rejects_restart_cap_below_one(restart_nodes):
+    # every restart would be abandoned before its first evaluation, so the
+    # budget would never be charged and the search would never return
+    with pytest.raises(ValueError):
+        cy.search_uvectors(2, 2, [0, 1, 2, 3], 5, budget=10,
+                           restart_nodes=restart_nodes)
+
+
 def test_search_rejects_bad_congruence():
     with pytest.raises(IndexMismatch):
         cy.search_uvectors(2, 2, [0, 1, 2, 3], 2, seed=0, budget=10)

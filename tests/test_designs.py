@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hmols import designs as dz
 from hmols.errors import (
@@ -255,3 +257,42 @@ def test_imols_to_itd_fixture_pair():
     assert itd.k == 4 and itd.hole_kind == dz.HOLE_SINGLE
     assert len(itd.blocks) == 36 - 4
     assert dz.verify_design(itd).valid
+
+
+def test_frozen_objects_do_not_alias_the_callers_array():
+    pair = hmols_pair_2_4()
+    base = np.array(pair.squares, dtype=np.int32, order="C")
+    # a view shares base's buffer; freezing the view left base writable
+    frozen = dz.HoleyLatinSquareSet.from_arrays(h=2, n=4, holes=pair.holes,
+                                                squares=base[:])
+    assert dz.verify_hmols(frozen).valid
+    base[0, 2, 0], base[0, 2, 7] = base[0, 2, 7], base[0, 2, 0]
+    assert np.array_equal(frozen.squares, pair.squares)
+    assert dz.verify_hmols(frozen).valid
+    assert not frozen.squares.flags.writeable
+
+
+@pytest.mark.parametrize("group_size, index", [(4, 0), (4, -1), (0, 1), (-2, 1)])
+def test_degenerate_designs_rejected(group_size, index):
+    with pytest.raises(MalformedInput):
+        dz.BlockDesign.new(k=3, group_size=group_size, index=index, blocks=[])
+
+
+@st.composite
+def block_lists(draw):
+    """Blocks with entries a little outside range(g) and few distinct
+    values, so that ties and out-of-range entries are both common."""
+    g, k = draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    entries = st.integers(-3, g + 1)
+    return g, draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                            min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_lists())
+@example((2, [[0, 0], [1, -3]]))  # key 0 * 2 + 0 > key 1 * 2 - 3
+def test_sorted_blocks_is_the_lexicographic_order(case):
+    g, blocks = case
+    d = dz.BlockDesign.new(k=len(blocks[0]), group_size=g, index=1, blocks=blocks)
+    order = np.lexsort(d.blocks.T[::-1])
+    assert np.array_equal(d.sorted_blocks(), d.blocks[order])

@@ -1,6 +1,12 @@
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hmols import cyclotomic as cy
 from hmols import designs as dz
 from hmols import formats
 from hmols.errors import MalformedInput
@@ -65,3 +71,230 @@ def test_imols_empty_hole_round_trip():
     again = formats.grid_loads(text)
     assert again.hole == ()
     assert formats.grid_dumps(again) == text
+
+
+# -- the array readers and writers --------------------------------------------
+
+GRID = fixture_text("hmols_2_4.grid")
+
+
+def developed_design():
+    """HTD(8, 2^97) with 37,248 blocks, developed from a seeded search."""
+    sol = cy.search_uvectors(2, 3, list(range(8)), 97, seed=2, budget=11037)
+    return cy.develop_rdf(cy.assemble_rdf(sol))
+
+
+def test_developed_design_and_grid_round_trip_byte_identical():
+    htd = developed_design()
+    text = formats.design_dumps(htd)
+    assert text.count("\n") == len(htd.blocks) + len(htd.holes) + 10
+    again = formats.design_loads(text)
+    assert formats.design_dumps(again) == text
+    assert np.array_equal(again.blocks, htd.sorted_blocks())
+    doc = json.loads(text)
+    assert doc["blocks"] == htd.sorted_blocks().tolist()
+    for layout in (json.dumps(doc), json.dumps(doc, sort_keys=True, indent=1)):
+        assert formats.design_dumps(formats.design_loads(layout)) == text
+    grid = formats.grid_dumps(dz.htd_to_hmols(again))
+    assert formats.grid_dumps(formats.grid_loads(grid)) == grid
+
+
+def test_design_json_one_block_per_line():
+    td = dz.td_from_field(3, 3)
+    text = formats.design_dumps(td)
+    assert text.startswith('{\n "blocks": [\n  [0, 0, 0],\n  [0, 1, 2],\n')
+    assert text.endswith('\n ],\n "group_size": 3,\n "holes": [],\n'
+                         ' "index": 1,\n "k": 3,\n "kind": "TD"\n}\n')
+    itd = dz.imols_to_itd(imols_pair_6_2())
+    assert '"holes": [\n  [0, 1]\n ],\n' in formats.design_dumps(itd)
+
+
+def reference_design_loads(text: str) -> dz.BlockDesign:
+    """The design reader before the array parse: every text through
+    json.loads.  design_loads must agree with it on every input."""
+    doc = json.loads(text)
+    try:
+        kind = formats._HOLES_BY_KIND[doc["kind"]]
+        return dz.BlockDesign.new(k=doc["k"], group_size=doc["group_size"],
+                                  index=doc["index"], blocks=doc["blocks"],
+                                  hole_kind=kind,
+                                  holes=tuple(tuple(c) for c in doc["holes"]))
+    except KeyError as exc:
+        raise MalformedInput(f"design file misses field {exc}") from None
+
+
+def outcome(read, text):
+    try:
+        d = read(text)
+    except Exception as exc:  # the class is the outcome
+        return type(exc)
+    return (d.k, d.group_size, d.index, d.hole_kind, d.holes,
+            d.blocks.dtype, d.blocks.shape, d.blocks.tobytes())
+
+
+ENTRIES = st.one_of(st.integers(0, 30), st.integers(-5, 5),
+                    st.integers(-2**31, 2**31 - 1))
+
+
+@st.composite
+def designs(draw):
+    k = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from([dz.HOLE_NONE, dz.HOLE_UNIFORM, dz.HOLE_SINGLE]))
+    if kind == dz.HOLE_UNIFORM:
+        h, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        g, holes = h * n, tuple(tuple(range(t * h, t * h + h)) for t in range(n))
+    elif kind == dz.HOLE_SINGLE:
+        g = draw(st.integers(1, 8))
+        holes = (tuple(draw(st.sets(st.integers(0, g - 1), min_size=1))),)
+    else:
+        g, holes = draw(st.integers(1, 8)), ()
+    blocks = draw(st.lists(st.lists(ENTRIES, min_size=k, max_size=k), max_size=6))
+    return dz.BlockDesign.new(k=k, group_size=g, index=draw(st.integers(1, 3)),
+                              blocks=blocks, hole_kind=kind, holes=holes)
+
+
+@st.composite
+def design_texts(draw):
+    canonical = formats.design_dumps(draw(designs()))
+    doc = json.loads(canonical)
+    keys = draw(st.permutations(sorted(doc)))
+    text = draw(st.sampled_from([
+        canonical,
+        json.dumps(doc),
+        json.dumps(doc, sort_keys=True, indent=1) + "\n",
+        json.dumps({key: doc[key] for key in keys},
+                   indent=draw(st.sampled_from([None, 0, 3, "\t"])),
+                   separators=draw(st.sampled_from([(",", ":"), (" ,", " : ")]))),
+    ]))
+    for _ in range(draw(st.integers(0, 2))):  # single-character mutations
+        at = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from(list('0123456789-[],:{} \n\t\r"\\.eE+x')))
+        how = draw(st.sampled_from(["replace", "insert", "delete"]))
+        text = text[:at] + ("" if how == "delete" else char) + \
+            text[at + (how != "insert"):]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(design_texts())
+def test_design_loads_agrees_with_reference_reader(text):
+    assert outcome(formats.design_loads, text) == \
+        outcome(reference_design_loads, text)
+
+
+@pytest.mark.parametrize("text", [
+    '{"blocks": [[0, 1], [1, 0]], "blocks": [[1, 1]], "group_size": 2, '
+    '"holes": [], "index": 1, "k": 2, "kind": "TD"}',
+    '{"x": {"blocks": [[0, 1]]}, "blocks": [[1, 1]], "group_size": 2, '
+    '"holes": [], "index": 1, "k": 2, "kind": "TD"}',
+    '{"blocks": [[0, 1]], "group_size": 2, "holes": [], "index": 1, '
+    '"k": 2, "kind": "TD", "note": "\\"blocks\\": [[5, 5]]"}',
+    '{"blocks": [[1, 2], [3]], "group_size": 4, "holes": [], "index": 1, '
+    '"k": 2, "kind": "TD"}',
+    '{"blocks": [[01, 2]], "group_size": 4, "holes": [], "index": 1, '
+    '"k": 2, "kind": "TD"}',
+    '{"blocks": [[1.0, 2]], "group_size": 4, "holes": [], "index": 1, '
+    '"k": 2, "kind": "TD"}',
+    '{"blocks": [[-0, 3], [- 1, 2]], "group_size": 4, "holes": [], '
+    '"index": 1, "k": 2, "kind": "TD"}',
+    '{"blocks": [[99999999999999999999, 3]], "group_size": 4, "holes": [], '
+    '"index": 1, "k": 2, "kind": "TD"}',
+    '{"blocks": [[9999999999999999999, 3]], "group_size": 4, "holes": [], '
+    '"index": 1, "k": 2, "kind": "TD"}',
+    '{"blocks": [[1, 2], [3], [3, 1, 0], [1, 0]], "group_size": 4, '
+    '"holes": [], "index": 1, "k": 2, "kind": "TD"}',
+    '{"blocks": [[1-2, 3]], "group_size": 4, "holes": [], "index": 1, '
+    '"k": 2, "kind": "TD"}',
+    '{"blocks": [[1, 2]], "group_size": 4, "holes": [], "index": 1, '
+    '"k": 2, "kind": "TD", "x": {"blocks": [[3, 3]]}}',
+    '{"blocks": "\\u0000", "group_size": 4, "holes": [], "index": 1, '
+    '"k": 2, "kind": "TD", "x": {"blocks": [[3, 3]]}}',
+])
+def test_design_loads_edge_cases_agree_with_reference_reader(text):
+    assert outcome(formats.design_loads, text) == \
+        outcome(reference_design_loads, text)
+
+
+def _row_token(text, row, col, token):
+    lines = text.split("\n")
+    toks = lines[row].split(" ")
+    toks[col] = token
+    lines[row] = " ".join(toks)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("bad", [
+    _row_token(GRID, 2, 2, "0"),
+    _row_token(GRID, 2, 2, "05"),
+    _row_token(GRID, 2, 2, "+5"),
+    _row_token(GRID, 2, 2, "1.5"),
+    _row_token(GRID, 2, 0, ".."),
+    _row_token(GRID, 2, 2, "1_0"),
+    GRID.replace("7 6 . .", "7  6 . .", 1),
+    GRID.replace("7 6 . .", "7\t6 . .", 1),
+    GRID.replace("7 6 . . 1 8 5 2\n", "7 6 . . 1 8 5\n", 1),
+    GRID.replace("\n\n", "\n", 1),
+    GRID + "1 2 3 4 5 6 7 8\n",
+    GRID + "\n",
+], ids=["zero", "leading-zero", "plus", "decimal", "double-dot", "underscore",
+        "double-space", "tab", "short-row", "no-blank-line",
+        "trailing-row", "trailing-blank"])
+def test_grid_rejects_malformed_tokens_and_shapes(bad):
+    with pytest.raises(MalformedInput):
+        formats.grid_loads(bad)
+
+
+def test_grid_names_the_first_bad_token():
+    with pytest.raises(MalformedInput, match="symbol 9 out of range 1..8"):
+        formats.grid_loads(_row_token(GRID, 2, 2, "9"))
+    with pytest.raises(MalformedInput, match="bad cell token '05'"):
+        formats.grid_loads(_row_token(_row_token(GRID, 2, 2, "05"), 3, 2, "0"))
+
+
+def reference_cells(rows, n):
+    """Cells by the strict token grammar, one token at a time; None when
+    a row or a token is malformed."""
+    cells = []
+    for row in rows:
+        toks = row.split(" ")
+        if len(toks) != n:
+            return None
+        for tok in toks:
+            if tok == ".":
+                cells.append(-1)
+            elif re.fullmatch(r"[1-9][0-9]*", tok) and int(tok) <= n:
+                cells.append(int(tok) - 1)
+            else:
+                return None
+    return cells
+
+
+BAD_TOKENS = ["0", "00", "05", "+5", "-1", "1.5", "..", "", " ", "1e1", "\t3",
+              "١", ":", ";", "1:", "99"]
+
+
+@st.composite
+def latin_rows(draw):
+    """Rows of valid tokens for a latin header of order n, with at most
+    two tokens replaced by malformed or out-of-range ones."""
+    n = draw(st.integers(1, 12))
+    valid = st.sampled_from(["."] + [str(v) for v in range(1, n + 1)])
+    cells = draw(st.lists(valid, min_size=n * n, max_size=n * n))
+    for _ in range(draw(st.integers(0, 2))):
+        cells[draw(st.integers(0, n * n - 1))] = draw(st.sampled_from(BAD_TOKENS))
+    return n, [" ".join(cells[r * n:(r + 1) * n]) for r in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(latin_rows())
+@example((10, [" ".join([":"] + ["."] * 9)] * 10))  # ":" is "0" + 10
+def test_grid_cells_agree_with_token_grammar(case):
+    n, rows = case
+    text = f"latin {n}\n" + "\n".join(rows) + "\n"
+    want = reference_cells(rows, n)
+    if want is None:
+        with pytest.raises(MalformedInput):
+            formats.grid_loads(text)
+    else:
+        got = formats.grid_loads(text)
+        assert got.cells.ravel().tolist() == want
