@@ -7,9 +7,7 @@ compositions, bound calculators, and plan search/execution.
 
 Exit codes: 0 success or valid, 1 invalid-design verdict, 2 usage
 error, 3 search exhausted (or nothing found in the requested range).
-The HMOLS_BUDGET environment variable sets the default search budget;
---jobs caps worker counts without affecting output bytes (verification
-is deterministic either way).
+The HMOLS_BUDGET environment variable sets the default search budget.
 """
 
 from __future__ import annotations
@@ -246,8 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hmols",
                                  description="holey MOLS and transversal "
                                              "design toolkit")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="worker cap; output bytes are identical for any value")
     ap.add_argument("--json", action="store_true",
                     help="machine-readable verdicts on stdout")
     sub = ap.add_subparsers(dest="cmd", required=True)

@@ -29,10 +29,9 @@ from . import gf
 from .designs import (
     HOLE_NONE,
     HOLE_UNIFORM,
-    PAIR_MISSING,
-    PAIR_REPEATED,
     BlockDesign,
     VerificationReport,
+    _count_pairs,
     _report,
     verify_design,
 )
@@ -514,14 +513,7 @@ def verify_rdm(fam: RelativeDifferenceFamily) -> VerificationReport:
     expected = np.ones(g, dtype=np.int64)
     expected[:h] = 0  # the subgroup GF(h) x {0}
     v = []
-    for r in range(fam.k):
-        for s in range(r + 1, fam.k):
-            diffs = fam.g_sub(fam.base_blocks[:, r], fam.base_blocks[:, s])
-            counts = np.bincount(diffs, minlength=g)
-            for a in np.nonzero(counts < expected)[0]:
-                v.append((PAIR_MISSING, (r, s, int(a), int(counts[a]))))
-            for a in np.nonzero(counts > expected)[0]:
-                v.append((PAIR_REPEATED, (r, s, int(a), int(counts[a]))))
+    _count_pairs(v, fam.base_blocks, expected, keys=fam.g_sub)
     return _report(v)
 
 

@@ -6,10 +6,13 @@ ITD(k,(n;h))) share one convention: symbols and points are 0-based
 integers internally and 1-based in the printed grid surface syntax,
 with -1 marking a blank cell.
 
-Verifiers count every pair exactly (vectorized bincounts per group or
-square pair) and return the full violation list rather than failing
-fast, so mutation tests and composition debugging see every defect.
-All objects are immutable after construction; verification is pure.
+Verifiers count every pair exactly through one kernel, _count_pairs:
+one bincount per group, square or base-block column pair, compared
+with the expected counts as a whole array.  Only a check that fails is
+searched for witnesses, and then the full violation list is returned
+rather than failing fast, so mutation tests and composition debugging
+see every defect.  All objects are immutable after construction;
+verification is pure.
 """
 
 from __future__ import annotations
@@ -76,6 +79,37 @@ def _hole_of_array(holes, size: int) -> np.ndarray:
     return hole_of
 
 
+def _same_hole(hole_of: np.ndarray) -> np.ndarray:
+    """(x, y) -> both points lie in one hole: the cells a valid object
+    leaves blank and the pairs a valid design never covers."""
+    return (hole_of[:, None] == hole_of[None, :]) & (hole_of >= 0)[:, None]
+
+
+def _count_pairs(v, blocks, expected, keys=None) -> None:
+    """The one exact pair-counting kernel behind every verifier.
+
+    For each column pair r < s of blocks (N, m), count keys(col_r, col_s),
+    by default col_r * expected.shape[-1] + col_s; only a pair whose counts
+    differ from `expected` adds witnesses to v, (PAIR_MISSING, (r, s,
+    *cell, count)) in cell order and then PAIR_REPEATED likewise.
+    """
+    cols = np.ascontiguousarray(blocks.T, dtype=np.int32)
+    flat = expected.ravel()
+    for r in range(len(cols)):
+        if keys is None:
+            scaled = cols[r].astype(np.intp) * expected.shape[-1]
+        for s in range(r + 1, len(cols)):
+            pair = scaled + cols[s] if keys is None else keys(cols[r], cols[s])
+            counts = np.bincount(pair, minlength=flat.size)
+            if np.array_equal(counts, flat):
+                continue
+            counts = counts.reshape(expected.shape)
+            for kind, bad in ((PAIR_MISSING, counts < expected),
+                              (PAIR_REPEATED, counts > expected)):
+                for cell in zip(*np.nonzero(bad)):
+                    v.append((kind, (r, s, *map(int, cell), int(counts[cell]))))
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     valid: bool
@@ -111,23 +145,20 @@ class LatinSquare:
         return LatinSquare(n=n, cells=_freeze(arr))
 
 
+def _duplicates(square: np.ndarray):
+    """(ROW_DUP, row, symbol) for every symbol a row repeats, then
+    (COL_DUP, column, symbol) likewise, each in (line, symbol) order."""
+    n = len(square)
+    fi, fj = np.nonzero(square != BLANK)
+    for kind, idx in ((ROW_DUP, fi), (COL_DUP, fj)):
+        counts = np.bincount(idx * n + square[fi, fj], minlength=n * n)
+        for key in np.nonzero(counts > 1)[0]:
+            yield kind, int(key // n), int(key % n)
+
+
 def verify_latin(sq: LatinSquare) -> VerificationReport:
     """Each row and column holds each symbol at most once."""
-    v = []
-    n = sq.n
-    for i in range(n):
-        row = sq.cells[i]
-        filled = row[row != BLANK]
-        counts = np.bincount(filled, minlength=n)
-        for s in np.nonzero(counts > 1)[0]:
-            v.append((ROW_DUP, (i, int(s))))
-    for j in range(n):
-        col = sq.cells[:, j]
-        filled = col[col != BLANK]
-        counts = np.bincount(filled, minlength=n)
-        for s in np.nonzero(counts > 1)[0]:
-            v.append((COL_DUP, (j, int(s))))
-    return _report(v)
+    return _report([(kind, (i, s)) for kind, i, s in _duplicates(sq.cells)])
 
 
 # ---------------------------------------------------------------------------
@@ -167,19 +198,14 @@ class HoleyLatinSquareSet:
         return _hole_of_array(self.holes, self.h * self.n)
 
 
-def _verify_holey_square(v, sq_idx, square, hole_of, g):
-    """Shared per-square checks: blank placement, duplicates, hole symbols."""
-    same_hole = (hole_of[:, None] == hole_of[None, :]) & (hole_of[:, None] >= 0)
+def _square_witnesses(v, sq_idx, square, hole_of, same_hole):
+    """Per-square violations: blank placement, duplicates, hole symbols."""
     blank = square == BLANK
     for i, j in zip(*np.nonzero(blank != same_hole)):
         v.append((COUNT_MISMATCH, (sq_idx, int(i), int(j))))
+    v.extend((kind, (sq_idx, i, s)) for kind, i, s in _duplicates(square))
     fi, fj = np.nonzero(~blank)
     syms = square[fi, fj]
-    # duplicates within a row / column
-    for kind, idx in ((ROW_DUP, fi), (COL_DUP, fj)):
-        counts = np.bincount(idx * g + syms, minlength=g * g)
-        for key in np.nonzero(counts > 1)[0]:
-            v.append((kind, (sq_idx, int(key // g), int(key % g))))
     # a symbol of hole t may not appear in rows or columns indexed by hole t
     bad = (hole_of[syms] >= 0) & \
         ((hole_of[syms] == hole_of[fi]) | (hole_of[syms] == hole_of[fj]))
@@ -187,35 +213,35 @@ def _verify_holey_square(v, sq_idx, square, hole_of, g):
         v.append((HOLE_SYMBOL, (sq_idx, int(i), int(j), int(s))))
 
 
-def _verify_pairwise(v, squares, g, expected):
-    """Superimpose square pairs and compare ordered-symbol-pair counts with
-    the expected multiplicity matrix (over filled cells of the first)."""
-    k = squares.shape[0]
-    for p in range(k):
-        for r in range(p + 1, k):
-            a, b = squares[p], squares[r]
-            mask = (a != BLANK) & (b != BLANK)
-            keys = a[mask].astype(np.int64) * g + b[mask]
-            counts = np.bincount(keys, minlength=g * g).reshape(g, g)
-            for x, y in zip(*np.nonzero(counts < expected)):
-                v.append((PAIR_MISSING, (p, r, int(x), int(y),
-                                         int(counts[x, y]))))
-            for x, y in zip(*np.nonzero(counts > expected)):
-                v.append((PAIR_REPEATED, (p, r, int(x), int(y),
-                                          int(counts[x, y]))))
+def _verify_squares(squares, hole_of) -> VerificationReport:
+    """Holey and incomplete MOLS: a square with its blanks on the same-hole
+    cells has no duplicate and no hole symbol exactly when its (row,
+    symbol) and (column, symbol) counts equal `expected`."""
+    v = []
+    g = len(hole_of)
+    same_hole = _same_hole(hole_of)
+    expected = np.where(same_hole, 0, 1)
+    flat = squares.reshape(len(squares), g * g)
+    cols = flat.compress(~same_hole.ravel(), axis=1)  # filled, if blanks are placed
+    line_keys = [x * g for x in np.nonzero(~same_hole)]  # row, column
+    placed = [np.array_equal(square == BLANK, same_hole) for square in squares]
+    for idx, square in enumerate(squares):
+        if not (placed[idx] and all(np.array_equal(
+                np.bincount(keys + cols[idx], minlength=g * g), expected.ravel())
+                for keys in line_keys)):
+            _square_witnesses(v, idx, square, hole_of, same_hole)
+    if all(placed):
+        _count_pairs(v, cols.T, expected)
+    else:  # count each pair over the cells both squares fill
+        _count_pairs(v, flat.T, expected,
+                     keys=lambda a, b: (a.astype(np.intp) * g + b)[
+                         (a != BLANK) & (b != BLANK)])
+    return _report(v)
 
 
 def verify_hmols(s: HoleyLatinSquareSet) -> VerificationReport:
     """Exact check of the holey-MOLS conditions by counting all pairs."""
-    v = []
-    g = s.h * s.n
-    hole_of = s.hole_of()
-    for idx in range(s.k):
-        _verify_holey_square(v, idx, s.squares[idx], hole_of, g)
-    same_hole = hole_of[:, None] == hole_of[None, :]
-    expected = np.where(same_hole, 0, 1)
-    _verify_pairwise(v, s.squares, g, expected)
-    return _report(v)
+    return _verify_squares(s.squares, s.hole_of())
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +278,7 @@ class IncompleteMolsSet:
 
 
 def verify_imols(s: IncompleteMolsSet) -> VerificationReport:
-    v = []
-    hole_of = s.hole_of()
-    for idx in range(s.k):
-        _verify_holey_square(v, idx, s.squares[idx], hole_of, s.n)
-    same_hole = (hole_of[:, None] >= 0) & (hole_of[None, :] >= 0)
-    expected = np.where(same_hole, 0, 1)
-    _verify_pairwise(v, s.squares, s.n, expected)
-    return _report(v)
+    return _verify_squares(s.squares, s.hole_of())
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +310,12 @@ class BlockDesign:
 
     @staticmethod
     def new(k, group_size, index, blocks, hole_kind=HOLE_NONE, holes=()) -> "BlockDesign":
-        arr = np.asarray(blocks, dtype=np.int64)
+        try:
+            arr = np.asarray(blocks, dtype=np.int64)
+        except OverflowError:
+            arr = None
+        if arr is None or arr.size and not -2**31 <= arr.min() <= arr.max() < 2**31:
+            raise MalformedInput("block entries must fit in 32-bit integers")
         if arr.size == 0:
             arr = arr.reshape(0, k)
         if arr.ndim != 2 or arr.shape[1] != k:
@@ -372,18 +396,7 @@ def verify_design(d: BlockDesign) -> VerificationReport:
     expected_count = expected_block_count(d)
     if blocks.shape[0] != expected_count:
         v.append((COUNT_MISMATCH, (blocks.shape[0], expected_count)))
-    hole_of = d.hole_of()
-    in_hole = hole_of >= 0
-    same_hole = (hole_of[:, None] == hole_of[None, :]) & in_hole[:, None] & in_hole[None, :]
-    expected = np.where(same_hole, 0, d.index).astype(np.int64)
-    for r in range(d.k):
-        for s in range(r + 1, d.k):
-            keys = blocks[:, r].astype(np.int64) * g + blocks[:, s]
-            counts = np.bincount(keys, minlength=g * g).reshape(g, g)
-            for x, y in zip(*np.nonzero(counts < expected)):
-                v.append((PAIR_MISSING, (r, s, int(x), int(y), int(counts[x, y]))))
-            for x, y in zip(*np.nonzero(counts > expected)):
-                v.append((PAIR_REPEATED, (r, s, int(x), int(y), int(counts[x, y]))))
+    _count_pairs(v, blocks, np.where(_same_hole(d.hole_of()), 0, d.index))
     return _report(v)
 
 
@@ -391,19 +404,20 @@ def verify_design(d: BlockDesign) -> VerificationReport:
 # HMOLS <-> HTD equivalence and relatives
 # ---------------------------------------------------------------------------
 
+def _cell_blocks(squares, hole_of) -> np.ndarray:
+    """One block (row, column, each square's symbol) per cell off the holes."""
+    off_hole = ~_same_hole(hole_of)
+    return np.column_stack([*np.nonzero(off_hole), *squares[:, off_hole]])
+
+
 def hmols_to_htd(s: HoleyLatinSquareSet) -> BlockDesign:
     """k HMOLS of type h^n to HTD(k+2, h^n): groups are rows, columns, and
     one group per square; one block per filled cell."""
     rep = verify_hmols(s)
     if not rep.valid:
         raise InvalidInput(f"not a valid HMOLS set: {rep.violations[:3]}")
-    g = s.h * s.n
-    hole_of = s.hole_of()
-    cross = hole_of[:, None] != hole_of[None, :]
-    fi, fj = np.nonzero(cross)
-    cols = [fi, fj] + [s.squares[t][fi, fj] for t in range(s.k)]
-    blocks = np.stack(cols, axis=1)
-    return BlockDesign.new(k=s.k + 2, group_size=g, index=1, blocks=blocks,
+    return BlockDesign.new(k=s.k + 2, group_size=s.h * s.n, index=1,
+                           blocks=_cell_blocks(s.squares, s.hole_of()),
                            hole_kind=HOLE_UNIFORM, holes=s.holes)
 
 
@@ -420,15 +434,14 @@ def htd_to_hmols(d: BlockDesign, row_group: int = 0, col_group: int = 1) -> Hole
     g = d.group_size
     others = [t for t in range(d.k) if t not in (row_group, col_group)]
     squares = np.full((len(others), g, g), BLANK, dtype=np.int32)
-    rows = d.blocks[:, row_group]
-    cols = d.blocks[:, col_group]
-    seen = np.zeros((g, g), dtype=bool)
-    if seen[rows, cols].any() or len(np.unique(rows.astype(np.int64) * g + cols)) != len(rows):
-        dup_keys, dup_counts = np.unique(rows.astype(np.int64) * g + cols, return_counts=True)
-        first = dup_keys[dup_counts > 1][0]
-        raise AmbiguousCell(f"two blocks share cell ({first // g}, {first % g})")
-    for t, grp in enumerate(others):
-        squares[t, rows, cols] = d.blocks[:, grp]
+    cells = d.blocks[:, row_group].astype(np.intp) * g + d.blocks[:, col_group]
+    # a valid design of index 1 covers each (row, column) pair at most once
+    if d.index > 1:
+        keys, counts = np.unique(cells, return_counts=True)
+        if (counts > 1).any():
+            first = keys[counts > 1][0]
+            raise AmbiguousCell(f"two blocks share cell ({first // g}, {first % g})")
+    squares.reshape(len(others), g * g)[:, cells] = d.blocks[:, others].T
     return HoleyLatinSquareSet.from_arrays(h=d.hole_size, n=d.hole_count,
                                            holes=d.holes, squares=squares)
 
@@ -439,11 +452,7 @@ def imols_to_itd(s: IncompleteMolsSet) -> BlockDesign:
     rep = verify_imols(s)
     if not rep.valid:
         raise InvalidInput(f"not a valid incomplete MOLS set: {rep.violations[:3]}")
-    hole = set(s.hole)
-    fi, fj = np.nonzero(np.array(
-        [[not (i in hole and j in hole) for j in range(s.n)] for i in range(s.n)]))
-    cols = [fi, fj] + [s.squares[t][fi, fj] for t in range(s.k)]
-    blocks = np.stack(cols, axis=1)
+    blocks = _cell_blocks(s.squares, s.hole_of())
     if s.hole:
         return BlockDesign.new(k=s.k + 2, group_size=s.n, index=1, blocks=blocks,
                                hole_kind=HOLE_SINGLE, holes=(s.hole,))

@@ -328,6 +328,8 @@ def design_loads(text: str) -> BlockDesign:
     doc = _fast_design_doc(text)
     if doc is None:
         doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise MalformedInput("a design file holds one JSON object")
     try:
         kind = _HOLES_BY_KIND[doc["kind"]]
         return BlockDesign.new(k=doc["k"], group_size=doc["group_size"],

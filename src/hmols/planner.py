@@ -448,25 +448,25 @@ def _recipe_design(recipe: dict):
     raise IngredientFailure(f"unknown recipe op {op!r}")
 
 
-def _restrict_to(d: dz.BlockDesign, k: int) -> dz.BlockDesign:
+def _restrict_to(d, k: int):
+    """The first k groups of a design, or of a marked design and its mark."""
+    if isinstance(d, cp.MarkedDesign):
+        return d if d.design.k == k else cp.MarkedDesign(
+            design=_restrict_to(d.design, k), sub_points=d.sub_points[:k],
+            sub_blocks=d.sub_blocks)
     return d if d.k == k else dz.restrict_groups(d, list(range(k)))
 
 
 def _resolve(reg: Registry, keys, k: int, what: str):
-    """Materialize the first resolvable fact as a design on k groups."""
+    """Materialize the first resolvable fact as a (marked) design on k groups."""
     errors = []
     for key in keys:
         prov = reg.facts[key]
         if key in reg.designs:
             design = reg.designs[key]
-            design = design() if callable(design) else design
-            return _restrict_to(design, k) if isinstance(design, dz.BlockDesign) \
-                else design
+            return _restrict_to(design() if callable(design) else design, k)
         if prov["source"] == CONSTRUCTIBLE:
-            built = _recipe_design(prov["recipe"])
-            if isinstance(built, dz.BlockDesign):
-                return _restrict_to(built, k)
-            return built  # a MarkedDesign for incomplete ingredients
+            return _restrict_to(_recipe_design(prov["recipe"]), k)
         errors.append(f"{key} has source {prov['source']!r}")
     raise IngredientFailure(f"cannot materialize {what}: {errors or 'no fact'}")
 

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from hmols import designs as dz
 from hmols import formats
@@ -99,20 +100,44 @@ def test_verify_degenerate_design_exits_two(tmp_path, capsys):
     assert "valid" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("entry", ["4294967296", "12345678901234567890123"])
+def test_verify_entry_outside_int32_exits_two(tmp_path, capsys, entry):
+    text = formats.design_dumps(dz.td_from_field(3, 2))
+    head, sep, tail = text.partition("[0, ")  # the first block starts with 0
+    assert sep
+    path = tmp_path / "wide.json"
+    path.write_text(f"{head}[{entry}, {tail}")
+    assert run(["verify", str(path)]) == 2
+    assert "valid" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("doc", ["[1]", "3", '"x"'])
+def test_verify_non_object_design_file_exits_two(tmp_path, capsys, doc):
+    path = tmp_path / "design.json"
+    path.write_text(doc)
+    assert run(["verify", str(path)]) == 2
+    assert "valid" not in capsys.readouterr().out
+
+
 def test_search_exhausted_exit_code(tmp_path):
     assert run(["search", "2", "2", "5", "--cols", "0", "1", "2", "3",
                 "--budget", "0"]) == 3
 
 
-def test_search_bytes_identical_across_jobs(tmp_path):
+def test_search_bytes_identical_across_runs(tmp_path):
     outs = []
-    for jobs in ("1", "4"):
-        out = tmp_path / f"cert{jobs}.json"
-        assert run(["--jobs", jobs, "search", "2", "2", "5",
+    for attempt in ("a", "b"):
+        out = tmp_path / f"cert_{attempt}.json"
+        assert run(["search", "2", "2", "5",
                     "--cols", "0", "1", "2", "3", "--seed", "7",
                     "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_jobs_flag_is_gone():
+    assert run(["--jobs", "4", "search", "2", "2", "5",
+                "--cols", "0", "1", "2", "3"]) == 2
 
 
 def test_expand_flow(tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hmols import designs as dz
 from hmols.errors import (
+    AmbiguousCell,
     BadIndices,
     InvalidInput,
     MalformedInput,
@@ -276,6 +277,32 @@ def test_frozen_objects_do_not_alias_the_callers_array():
 def test_degenerate_designs_rejected(group_size, index):
     with pytest.raises(MalformedInput):
         dz.BlockDesign.new(k=3, group_size=group_size, index=index, blocks=[])
+
+
+@pytest.mark.parametrize("entry", [2**31, -2**31 - 1, 2**32, 10**22])
+def test_block_entries_outside_int32_rejected(entry):
+    blocks = [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    blocks[2][1] = entry
+    with pytest.raises(MalformedInput):
+        dz.BlockDesign.new(k=3, group_size=2, index=1, blocks=blocks)
+
+
+def test_int32_extremes_load_and_fail_as_shapes():
+    d = dz.BlockDesign.new(k=2, group_size=2, index=1,
+                           blocks=[[2**31 - 1, 0], [-2**31, 1]])
+    assert d.blocks.tolist() == [[2**31 - 1, 0], [-2**31, 1]]
+    assert dz.verify_design(d).violations == ((dz.BLOCK_SHAPE, (0,)),
+                                              (dz.BLOCK_SHAPE, (1,)))
+
+
+def test_htd_to_hmols_rejects_a_valid_index_two_design():
+    once = dz.unit_hole_htd(3, 5)
+    twice = dz.BlockDesign.new(k=3, group_size=5, index=2,
+                               blocks=np.concatenate([once.blocks, once.blocks]),
+                               hole_kind=dz.HOLE_UNIFORM, holes=once.holes)
+    assert dz.verify_design(twice).valid
+    with pytest.raises(AmbiguousCell, match=r"two blocks share cell \(0, 1\)"):
+        dz.htd_to_hmols(twice)
 
 
 @st.composite

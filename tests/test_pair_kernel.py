@@ -1,0 +1,336 @@
+"""The pair-counting kernel against the per-pair loops it replaced.
+
+The reference verifiers below are the loops verify_design, verify_hmols,
+verify_imols and verify_rdm ran before they shared designs._count_pairs:
+a bincount per pair, then every missing and every repeated cell listed.
+Reports must agree exactly, violation order included, on valid objects
+and on random single- and multi-entry mutations of them.
+"""
+
+import dataclasses
+import functools
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hmols import cli
+from hmols import cyclotomic as cy
+from hmols import designs as dz
+from hmols import formats
+from hmols.designs import (
+    BLANK,
+    BLOCK_SHAPE,
+    COL_DUP,
+    COUNT_MISMATCH,
+    HOLE_SYMBOL,
+    PAIR_MISSING,
+    PAIR_REPEATED,
+    ROW_DUP,
+)
+from hmols.fixtures import fixture_text, hmols_pair_2_4, imols_pair_6_2
+
+
+# -- reference verifiers ---------------------------------------------------------
+
+def ref_verify_design(d):
+    v = []
+    g = d.group_size
+    blocks = d.blocks
+    if blocks.size and (blocks.min() < 0 or blocks.max() >= g):
+        bad = np.nonzero((blocks < 0) | (blocks >= g))[0]
+        for b in np.unique(bad):
+            v.append((BLOCK_SHAPE, (int(b),)))
+        return dz._report(v)
+    expected_count = dz.expected_block_count(d)
+    if blocks.shape[0] != expected_count:
+        v.append((COUNT_MISMATCH, (blocks.shape[0], expected_count)))
+    hole_of = d.hole_of()
+    in_hole = hole_of >= 0
+    same_hole = (hole_of[:, None] == hole_of[None, :]) & in_hole[:, None] & in_hole[None, :]
+    expected = np.where(same_hole, 0, d.index).astype(np.int64)
+    for r in range(d.k):
+        for s in range(r + 1, d.k):
+            keys = blocks[:, r].astype(np.int64) * g + blocks[:, s]
+            counts = np.bincount(keys, minlength=g * g).reshape(g, g)
+            for x, y in zip(*np.nonzero(counts < expected)):
+                v.append((PAIR_MISSING, (r, s, int(x), int(y), int(counts[x, y]))))
+            for x, y in zip(*np.nonzero(counts > expected)):
+                v.append((PAIR_REPEATED, (r, s, int(x), int(y), int(counts[x, y]))))
+    return dz._report(v)
+
+
+def _ref_holey_square(v, sq_idx, square, hole_of, g):
+    same_hole = (hole_of[:, None] == hole_of[None, :]) & (hole_of[:, None] >= 0)
+    blank = square == BLANK
+    for i, j in zip(*np.nonzero(blank != same_hole)):
+        v.append((COUNT_MISMATCH, (sq_idx, int(i), int(j))))
+    fi, fj = np.nonzero(~blank)
+    syms = square[fi, fj]
+    for kind, idx in ((ROW_DUP, fi), (COL_DUP, fj)):
+        counts = np.bincount(idx * g + syms, minlength=g * g)
+        for key in np.nonzero(counts > 1)[0]:
+            v.append((kind, (sq_idx, int(key // g), int(key % g))))
+    bad = (hole_of[syms] >= 0) & \
+        ((hole_of[syms] == hole_of[fi]) | (hole_of[syms] == hole_of[fj]))
+    for i, j, s in zip(fi[bad], fj[bad], syms[bad]):
+        v.append((HOLE_SYMBOL, (sq_idx, int(i), int(j), int(s))))
+
+
+def _ref_pairwise(v, squares, g, expected):
+    k = squares.shape[0]
+    for p in range(k):
+        for r in range(p + 1, k):
+            a, b = squares[p], squares[r]
+            mask = (a != BLANK) & (b != BLANK)
+            keys = a[mask].astype(np.int64) * g + b[mask]
+            counts = np.bincount(keys, minlength=g * g).reshape(g, g)
+            for x, y in zip(*np.nonzero(counts < expected)):
+                v.append((PAIR_MISSING, (p, r, int(x), int(y), int(counts[x, y]))))
+            for x, y in zip(*np.nonzero(counts > expected)):
+                v.append((PAIR_REPEATED, (p, r, int(x), int(y), int(counts[x, y]))))
+
+
+def ref_verify_hmols(s):
+    v = []
+    g = s.h * s.n
+    hole_of = s.hole_of()
+    for idx in range(s.k):
+        _ref_holey_square(v, idx, s.squares[idx], hole_of, g)
+    same_hole = hole_of[:, None] == hole_of[None, :]
+    _ref_pairwise(v, s.squares, g, np.where(same_hole, 0, 1))
+    return dz._report(v)
+
+
+def ref_verify_imols(s):
+    v = []
+    hole_of = s.hole_of()
+    for idx in range(s.k):
+        _ref_holey_square(v, idx, s.squares[idx], hole_of, s.n)
+    same_hole = (hole_of[:, None] >= 0) & (hole_of[None, :] >= 0)
+    _ref_pairwise(v, s.squares, s.n, np.where(same_hole, 0, 1))
+    return dz._report(v)
+
+
+def ref_verify_rdm(fam):
+    g = fam.group_order
+    expected = np.ones(g, dtype=np.int64)
+    expected[:fam.h_field.q] = 0
+    v = []
+    for r in range(fam.k):
+        for s in range(r + 1, fam.k):
+            diffs = fam.g_sub(fam.base_blocks[:, r], fam.base_blocks[:, s])
+            counts = np.bincount(diffs, minlength=g)
+            for a in np.nonzero(counts < expected)[0]:
+                v.append((PAIR_MISSING, (r, s, int(a), int(counts[a]))))
+            for a in np.nonzero(counts > expected)[0]:
+                v.append((PAIR_REPEATED, (r, s, int(a), int(counts[a]))))
+    return dz._report(v)
+
+
+# -- valid objects to mutate ---------------------------------------------------------
+
+DESIGNS = [("td", 3, 2), ("td", 4, 3), ("td", 5, 4), ("td", 6, 5), ("td", 3, 7),
+           ("htd", 3, 3), ("htd", 4, 4), ("htd", 5, 5), ("htd", 4, 7)]
+
+
+@functools.lru_cache(maxsize=None)
+def base_design(kind, k, q):
+    return dz.td_from_field(k, q) if kind == "td" else dz.unit_hole_htd(k, q)
+
+
+@functools.lru_cache(maxsize=None)
+def base_squares(name):
+    if name == "hmols_2_4":
+        return hmols_pair_2_4()
+    if name == "imols_6_2":
+        return imols_pair_6_2()
+    return dz.htd_to_hmols(dz.unit_hole_htd(5, 7))  # three squares, unit holes
+
+
+@functools.lru_cache(maxsize=None)
+def base_family(name):
+    if name == "cert_2_401":
+        cert = formats.cert_loads(fixture_text("cert_2_401.json"))
+        return cy.assemble_rdf(cli._solution_from_cert(cert))
+    q = int(name)
+    return cy.assemble_rdf(cy.search_uvectors(2, 2, [0, 1, 2, 3], q, seed=0,
+                                              budget=50_000))
+
+
+def _entry_edits(draw, shape, values, max_edits=4):
+    rows, width = shape
+    return draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                   st.integers(0, width - 1), values),
+                         min_size=1, max_size=max_edits))
+
+
+# -- designs -------------------------------------------------------------------------
+
+@st.composite
+def mutated_designs(draw):
+    d = base_design(*draw(st.sampled_from(DESIGNS)))
+    blocks = d.blocks.copy()
+    g = d.group_size
+    for row, col, value in _entry_edits(draw, blocks.shape, st.integers(0, g - 1)):
+        blocks[row, col] = value
+    rows = list(range(len(blocks)))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(rows) - 1))
+        if draw(st.booleans()):
+            rows.insert(at, rows[at])  # a duplicated block
+        elif len(rows) > 1:
+            del rows[at]
+    if draw(st.integers(0, 9)) == 0:  # now and then an entry out of range
+        blocks[draw(st.integers(0, len(blocks) - 1)), 0] = draw(st.sampled_from([-1, g]))
+    return dz.BlockDesign.new(k=d.k, group_size=g, index=d.index,
+                              blocks=blocks[rows], hole_kind=d.hole_kind,
+                              holes=d.holes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_designs())
+def test_verify_design_matches_the_reference(d):
+    assert dz.verify_design(d) == ref_verify_design(d)
+
+
+def test_valid_designs_match_the_reference():
+    for params in DESIGNS:
+        d = base_design(*params)
+        rep = dz.verify_design(d)
+        assert rep.valid and rep == ref_verify_design(d)
+
+
+def test_index_two_design_matches_the_reference():
+    once = base_design("htd", 4, 4)
+    twice = dz.BlockDesign.new(k=4, group_size=4, index=2,
+                               blocks=np.concatenate([once.blocks, once.blocks[3:]]),
+                               hole_kind=once.hole_kind, holes=once.holes)
+    rep = dz.verify_design(twice)
+    assert not rep.valid and rep == ref_verify_design(twice)
+
+
+# -- holey and incomplete MOLS ---------------------------------------------------------
+
+@st.composite
+def mutated_square_sets(draw):
+    name = draw(st.sampled_from(["hmols_2_4", "imols_6_2", "unit_hole_7"]))
+    s = base_squares(name)
+    squares = s.squares.copy()
+    g = squares.shape[1]
+    k = squares.shape[0]
+    edits = _entry_edits(draw, (k * g, g), st.integers(BLANK, g - 1))
+    for cell, col, value in edits:
+        squares[cell // g, cell % g, col] = value
+    if name == "imols_6_2":
+        return dz.IncompleteMolsSet.from_arrays(s.n, s.hole, squares)
+    return dz.HoleyLatinSquareSet.from_arrays(s.h, s.n, s.holes, squares)
+
+
+def _verify_pair(s):
+    if isinstance(s, dz.IncompleteMolsSet):
+        return dz.verify_imols(s), ref_verify_imols(s)
+    return dz.verify_hmols(s), ref_verify_hmols(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_square_sets())
+def test_square_verifiers_match_the_reference(s):
+    got, want = _verify_pair(s)
+    assert got == want
+
+
+def test_symbol_swaps_keep_blanks_and_match_the_reference():
+    # a swap inside a row keeps every blank in place, so the per-square
+    # array checks and the shared filled-cell columns are what decide
+    for name in ("hmols_2_4", "imols_6_2", "unit_hole_7"):
+        s = base_squares(name)
+        got, want = _verify_pair(s)
+        assert got.valid and got == want
+        squares = s.squares.copy()
+        row = squares[-1, 1]
+        filled = np.flatnonzero(row != BLANK)
+        row[filled[0]], row[filled[1]] = row[filled[1]], row[filled[0]]
+        if isinstance(s, dz.IncompleteMolsSet):
+            bad = dz.IncompleteMolsSet.from_arrays(s.n, s.hole, squares)
+        else:
+            bad = dz.HoleyLatinSquareSet.from_arrays(s.h, s.n, s.holes, squares)
+        got, want = _verify_pair(bad)
+        assert not got.valid and got == want
+        assert got.kinds() >= {PAIR_MISSING, PAIR_REPEATED}
+
+
+# -- relative difference families ----------------------------------------------------
+
+FAMILIES = ["5", "13", "cert_2_401"]
+
+
+@st.composite
+def mutated_families(draw):
+    fam = base_family(draw(st.sampled_from(FAMILIES)))
+    blocks = fam.base_blocks.copy()
+    values = st.integers(0, fam.group_order - 1)
+    for row, col, value in _entry_edits(draw, blocks.shape, values):
+        blocks[row, col] = value
+    return dataclasses.replace(fam, base_blocks=blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_families())
+def test_verify_rdm_matches_the_reference(fam):
+    assert cy.verify_rdm(fam) == ref_verify_rdm(fam)
+
+
+def test_valid_families_match_the_reference():
+    for name in FAMILIES:
+        fam = base_family(name)
+        rep = cy.verify_rdm(fam)
+        assert rep.valid and rep == ref_verify_rdm(fam)
+
+
+# -- latin squares and the square-to-design conversions ------------------------------
+
+def ref_verify_latin(sq):
+    v = []
+    n = sq.n
+    for i in range(n):
+        row = sq.cells[i]
+        counts = np.bincount(row[row != BLANK], minlength=n)
+        for s in np.nonzero(counts > 1)[0]:
+            v.append((ROW_DUP, (i, int(s))))
+    for j in range(n):
+        col = sq.cells[:, j]
+        counts = np.bincount(col[col != BLANK], minlength=n)
+        for s in np.nonzero(counts > 1)[0]:
+            v.append((COL_DUP, (j, int(s))))
+    return dz._report(v)
+
+
+@st.composite
+def latin_arrays(draw):
+    n = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.integers(BLANK, n - 1), min_size=n * n, max_size=n * n))
+    return dz.LatinSquare.from_array(np.array(cells).reshape(n, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(latin_arrays())
+def test_verify_latin_matches_the_reference(sq):
+    assert dz.verify_latin(sq) == ref_verify_latin(sq)
+
+
+def test_conversions_list_the_off_hole_cells_in_row_major_order():
+    for name in ("hmols_2_4", "imols_6_2", "unit_hole_7"):
+        s = base_squares(name)
+        g = s.squares.shape[1]
+        hole = set(np.flatnonzero(s.hole_of() >= 0).tolist())
+        if isinstance(s, dz.HoleyLatinSquareSet):
+            design = dz.hmols_to_htd(s)
+            hole_of = s.hole_of()
+            off = [(i, j) for i in range(g) for j in range(g) if hole_of[i] != hole_of[j]]
+        else:
+            design = dz.imols_to_itd(s)
+            off = [(i, j) for i in range(g) for j in range(g)
+                   if not (i in hole and j in hole)]
+        want = [[i, j, *(int(sq[i, j]) for sq in s.squares)] for i, j in off]
+        assert design.blocks.tolist() == want

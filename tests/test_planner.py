@@ -278,3 +278,22 @@ def test_attached_design_is_used():
     out = pl.execute_plan(tree, reg)
     assert out.k == 3  # restricted from the four-group fixture
     assert dz.verify_design(out).valid
+
+
+def test_execute_restricts_a_wider_itd_fact_to_the_goal():
+    # find_itd accepts ITD(k', (n; h)) with k' >= k; the executor must cut
+    # the marked design (and its mark) down to the k groups it needs
+    reg = pl.Registry()
+    reg.add(pl.RECIPE, ("cyclotomic",), pl.CONSTRUCTIBLE)
+    reg.add(pl.TD, (4, 3), pl.CONSTRUCTIBLE,
+            recipe={"op": "td_from_field", "k": 4, "q": 3})
+    reg.add(pl.TD, (3, 9), pl.CONSTRUCTIBLE,
+            recipe={"op": "td_from_field", "k": 3, "q": 9})
+    reg.add(pl.ITD, (4, 12, 3), pl.CONSTRUCTIBLE,
+            recipe={"op": "marked_product_itd", "k": 4, "q1": 4, "q2": 3})
+    tree = pl.plan_hmols(3, 1, 10, reg)
+    assert tree.step["kind"] == pl.STEP_WILSON
+    assert tree.step["itd_fact"] == [pl.ITD, [4, 12, 3]]
+    out = pl.execute_plan(tree, reg)
+    assert (out.k, out.group_size, out.hole_count) == (3, 30, 10)
+    assert dz.verify_design(out).valid
