@@ -10,6 +10,15 @@ before returning, so the constructions are proof-carrying: an invalid
 result can only escape as an exception.  Composed designs use
 structured point labels internally (layer offsets into each group's
 index space), flattened so holes stay explicit index lists.
+
+Blocks are placed as whole arrays, never block by block.  A copy of a
+small design that only shifts each group's points is a broadcast sum of
+offsets and blocks (`_shifted`).  Any other placement is a gather: a
+destination table `dest[c, p, i]`, the point that point p of group i
+becomes in copy c, read through the small design's blocks in one
+indexing step (`_gather`).  Both list the copies one after another,
+each in the small design's block order, so block order is the one a
+copy-by-copy loop would give.
 """
 
 from __future__ import annotations
@@ -52,6 +61,26 @@ def _checked_output(d: BlockDesign, what: str) -> BlockDesign:
     return d
 
 
+def _shifted(offsets: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """One copy of `blocks` per row of the int64 `offsets`, each point
+    shifted by its group's offset in that row (one column shifts all
+    groups alike)."""
+    return (offsets[:, None, :] + blocks[None, :, :]).reshape(-1, blocks.shape[1])
+
+
+def _gather(dest: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """One copy of `blocks` per destination table: point p of group i goes
+    to dest[c, p, i] in copy c."""
+    k = blocks.shape[1]
+    return dest[:, blocks, np.arange(k)].reshape(-1, k)
+
+
+def _side_ranks(mask: np.ndarray) -> np.ndarray:
+    """Each point's rank among the points on its own side of `mask` (along
+    the last axis): marked points count 0, 1, ..., and so do the rest."""
+    return np.where(mask, np.cumsum(mask, axis=-1), np.cumsum(~mask, axis=-1)) - 1
+
+
 # ---------------------------------------------------------------------------
 # marked sub-designs
 # ---------------------------------------------------------------------------
@@ -82,24 +111,22 @@ def validate_mark(m: MarkedDesign) -> None:
     if len(m.sub_points) != d.k or len(sizes) != 1:
         raise InvalidMark("need one equal-size point subset per group")
     h_sub = sizes.pop()
-    ranks = []
+    if h_sub == 0:
+        raise InvalidMark("a mark needs at least one point per group")
+    rank = np.full((d.k, d.group_size), -1, dtype=np.int64)
     for i, cell in enumerate(m.sub_points):
-        cell = sorted(cell)
         if len(set(cell)) != len(cell) or \
-                any(not 0 <= x < d.group_size for x in cell):
+                min(cell) < 0 or max(cell) >= d.group_size:
             raise InvalidMark(f"group {i} marks repeated or foreign points")
-        ranks.append({x: r for r, x in enumerate(cell)})
-    idxs = sorted(set(int(b) for b in m.sub_blocks))
+        rank[i, sorted(cell)] = np.arange(h_sub)
+    idxs = sorted(set(map(int, m.sub_blocks)))
     if len(idxs) != len(m.sub_blocks) or \
-            any(not 0 <= b < len(d.blocks) for b in idxs):
+            idxs and (idxs[0] < 0 or idxs[-1] >= len(d.blocks)):
         raise InvalidMark("sub-block indices repeat or leave range")
-    sub = np.empty((len(idxs), d.k), dtype=np.int32)
-    for row, b in enumerate(idxs):
-        for i in range(d.k):
-            x = int(d.blocks[b, i])
-            if x not in ranks[i]:
-                raise InvalidMark(f"block {b} leaves the marked points in group {i}")
-            sub[row, i] = ranks[i][x]
+    sub = rank[np.arange(d.k), d.blocks[idxs]]
+    if (sub < 0).any():
+        row, i = np.argwhere(sub < 0)[0]
+        raise InvalidMark(f"block {idxs[row]} leaves the marked points in group {i}")
     rep = verify_design(BlockDesign.new(k=d.k, group_size=h_sub, index=1,
                                         blocks=sub))
     if not rep.valid:
@@ -113,16 +140,6 @@ def mark_trivial(td: BlockDesign) -> MarkedDesign:
                      sub_points=tuple(tuple(range(td.group_size))
                                       for _ in range(td.k)),
                      sub_blocks=tuple(range(len(td.blocks))))
-    validate_mark(m)
-    return m
-
-
-def mark_block(td: BlockDesign, which: int = 0) -> MarkedDesign:
-    """A single block as a sub-TD(k, 1); deleting it gives an (n;1) hole."""
-    blk = td.blocks[which]
-    m = MarkedDesign(design=td,
-                     sub_points=tuple((int(x),) for x in blk),
-                     sub_blocks=(which,))
     validate_mark(m)
     return m
 
@@ -176,27 +193,15 @@ def itd_from_marked(m: MarkedDesign) -> BlockDesign:
     validate_mark(m)
     d = m.design
     h_sub = m.sub_order
-    perms = np.empty((d.k, d.group_size), dtype=np.int64)
-    for i, cell in enumerate(m.sub_points):
-        hole_sorted = sorted(cell)
-        rest = [x for x in range(d.group_size) if x not in set(cell)]
-        for r, x in enumerate(hole_sorted):
-            perms[i, x] = r
-        for r, x in enumerate(rest):
-            perms[i, x] = h_sub + r
+    marked = np.zeros((d.k, d.group_size), dtype=bool)
+    marked[np.arange(d.k)[:, None], np.asarray(m.sub_points)] = True
+    perms = _side_ranks(marked) + np.where(marked, 0, h_sub)
     keep = np.ones(len(d.blocks), dtype=bool)
     keep[list(m.sub_blocks)] = False
-    blocks = np.empty((int(keep.sum()), d.k), dtype=np.int64)
-    kept = d.blocks[keep]
-    for i in range(d.k):
-        blocks[:, i] = perms[i][kept[:, i]]
-    if h_sub == 0:
-        out = BlockDesign.new(k=d.k, group_size=d.group_size, index=d.index,
-                              blocks=blocks)
-    else:
-        out = BlockDesign.new(k=d.k, group_size=d.group_size, index=d.index,
-                              blocks=blocks, hole_kind=HOLE_SINGLE,
-                              holes=(tuple(range(h_sub)),))
+    blocks = perms[np.arange(d.k), d.blocks[keep]]
+    out = BlockDesign.new(k=d.k, group_size=d.group_size, index=d.index,
+                          blocks=blocks, hole_kind=HOLE_SINGLE,
+                          holes=(tuple(range(h_sub)),))
     return _checked_output(out, f"ITD({d.k},({d.group_size};{h_sub}))")
 
 
@@ -221,21 +226,20 @@ def td_product(d1: BlockDesign, d2) -> BlockDesign | MarkedDesign:
     _require_valid(d2, "second factor")
     n2 = d2.group_size
     b1 = d1.blocks.astype(np.int64)
-    b2 = d2.blocks.astype(np.int64)
-    prod = (b1[:, None, :] * n2 + b2[None, :, :]).reshape(-1, d1.k)
     out = BlockDesign.new(k=d1.k, group_size=d1.group_size * n2,
-                          index=d1.index * d2.index, blocks=prod)
+                          index=d1.index * d2.index,
+                          blocks=_shifted(b1 * n2, d2.blocks))
     out = _checked_output(out, "product TD")
     if mark is None:
         return out
     first = int(np.lexsort(b1.T[::-1])[0])
-    beta = d1.blocks[first]
-    sub_points = tuple(tuple(sorted(int(beta[i]) * n2 + z
-                                    for z in mark.sub_points[i]))
-                       for i in range(d1.k))
-    sub_blocks = tuple(first * len(b2) + j for j in mark.sub_blocks)
-    carried = MarkedDesign(design=out, sub_points=sub_points,
-                           sub_blocks=sub_blocks)
+    sub_points = np.sort(np.asarray(mark.sub_points, dtype=np.int64), axis=1) \
+        + b1[first][:, None] * n2
+    sub_blocks = first * len(d2.blocks) \
+        + np.asarray(mark.sub_blocks, dtype=np.int64)
+    carried = MarkedDesign(design=out,
+                           sub_points=tuple(map(tuple, sub_points.tolist())),
+                           sub_blocks=tuple(sub_blocks.tolist()))
     validate_mark(carried)
     return carried
 
@@ -265,16 +269,10 @@ def diag_product(a: BlockDesign, b: BlockDesign, c: BlockDesign) -> BlockDesign:
     _require_valid(c, "diagonal HTD")
     k = a.k
     layer = n * h
-    pieces = []
-    for w in range(m):
-        pieces.append(c.blocks.astype(np.int64) + w * layer)
-    offsets = a.blocks.astype(np.int64) * layer          # (A, k)
-    bb = b.blocks.astype(np.int64)                       # (B, k)
-    if len(offsets):
-        pieces.append((offsets[:, None, :] + bb[None, :, :]).reshape(-1, k))
-    blocks = np.concatenate(pieces) if pieces else np.empty((0, k))
-    holes = tuple(tuple(w * layer + x for x in cell)
-                  for w in range(m) for cell in c.holes)
+    layers = np.arange(m)[:, None] * layer
+    blocks = np.concatenate([_shifted(layers, c.blocks),
+                             _shifted(a.blocks.astype(np.int64) * layer, b.blocks)])
+    holes = _shifted(layers, np.asarray(c.holes)).tolist()
     out = BlockDesign.new(k=k, group_size=m * layer, index=1, blocks=blocks,
                           hole_kind=HOLE_UNIFORM, holes=holes)
     return _checked_output(out, f"HTD({k},{h}^{m * n})")
@@ -293,17 +291,14 @@ def parallel_class_reduction(r: BlockDesign) -> tuple[BlockDesign, BlockDesign]:
     k = r.k - 1
     t = r.group_size
     cls = r.blocks[r.blocks[:, k] == 0]
-    order = np.lexsort(cls.T[::-1])
-    cls = cls[order]
+    cls = cls[np.lexsort(cls.T[::-1])]
     perms = np.tile(np.arange(t, dtype=np.int64), (r.k, 1))
-    for ell, blk in enumerate(cls):
-        for i in range(k):
-            perms[i, int(blk[i])] = ell
+    perms[np.arange(k), cls[:, :k]] = np.arange(len(cls))[:, None]
     rr = relabel_points(r, perms)
     non_class = rr.blocks[rr.blocks[:, k] != 0][:, :k]
     unit = BlockDesign.new(k=k, group_size=t, index=1, blocks=non_class,
                            hole_kind=HOLE_UNIFORM,
-                           holes=tuple((x,) for x in range(t)))
+                           holes=np.arange(t).reshape(t, 1).tolist())
     return rr, unit
 
 
@@ -353,47 +348,31 @@ def wilson_compose(r: BlockDesign, a: BlockDesign, b: BlockDesign,
     rr, _ = parallel_class_reduction(r)
     y_base = t * layer  # the Y part sits after the t layers
 
-    pieces = []
-    # first kind: the HTD(k,h^m) on each layer of the parallel class
-    for ell in range(t):
-        pieces.append(a.blocks.astype(np.int64) + ell * layer)
-
-    non_class = rr.blocks[rr.blocks[:, k] != 0]
+    layers = np.arange(t)[:, None] * layer
+    non_class = rr.blocks[rr.blocks[:, k] != 0].astype(np.int64)
     miss = non_class[non_class[:, k] > u]
-    meet = non_class[non_class[:, k] <= u]
-    # second kind: TD(k,hm) across the layers of blocks missing Y
-    if len(miss):
-        offs = miss[:, :k].astype(np.int64) * layer
-        pieces.append((offs[:, None, :] + b.blocks[None, :, :].astype(np.int64))
-                      .reshape(-1, k))
-    # third kind: the ITD with its hole over the met Y point
-    if len(meet):
-        hole = sorted(e_itd.holes[0])
-        rest = [x for x in range(e_itd.group_size) if x not in set(hole)]
-        hole_rank = {x: r_ for r_, x in enumerate(hole)}
-        rest_rank = {x: r_ for r_, x in enumerate(rest)}
-        f_holes = f.holes
-        for blk in meet:
-            y0 = int(blk[k]) - 1
-            dest = np.empty((e_itd.group_size, k), dtype=np.int64)
-            for i in range(k):
-                x_i = int(blk[i])
-                for p in range(e_itd.group_size):
-                    if p in hole_rank:
-                        dest[p, i] = y_base + f_holes[y0][hole_rank[p]]
-                    else:
-                        dest[p, i] = x_i * layer + rest_rank[p]
-            cols = [dest[e_itd.blocks[:, i], i] for i in range(k)]
-            pieces.append(np.stack(cols, axis=1))
-    # fourth kind: the HTD(k,h^u) on Y
+    pieces = [
+        # first kind: the HTD(k,h^m) on each layer of the parallel class
+        _shifted(layers, a.blocks),
+        # second kind: TD(k,hm) across the layers of blocks missing Y
+        _shifted(miss[:, :k] * layer, b.blocks)]
+    holes = _shifted(layers, np.asarray(a.holes)).tolist()
     if u > 0:
+        # third kind: the ITD over each block meeting Y, its hole's points
+        # sent in order onto the hole of Y the block meets, its other
+        # points in order onto the block's layers
+        meet = non_class[non_class[:, k] <= u]
+        in_hole = np.zeros(e_itd.group_size, dtype=bool)
+        in_hole[list(e_itd.holes[0])] = True
+        dest = meet[:, None, :k] * layer + _side_ranks(in_hole)[None, :, None]
+        y_holes = y_base + np.asarray(f.holes, dtype=np.int64)
+        dest[:, in_hole] = y_holes[meet[:, k] - 1, :, None]
+        pieces.append(_gather(dest, e_itd.blocks))
+        # fourth kind: the HTD(k,h^u) on Y
         pieces.append(f.blocks.astype(np.int64) + y_base)
+        holes += y_holes.tolist()
 
     blocks = np.concatenate(pieces)
-    holes = tuple(tuple(ell * layer + x for x in cell)
-                  for ell in range(t) for cell in a.holes)
-    if u > 0:
-        holes = holes + tuple(tuple(y_base + x for x in cell) for cell in f.holes)
     out = BlockDesign.new(k=k, group_size=t * layer + u * h, index=1,
                           blocks=blocks, hole_kind=HOLE_UNIFORM, holes=holes)
     return _checked_output(out, f"HTD({k},{h}^{m * t + u})")
@@ -425,14 +404,13 @@ def _align_block_at(d: BlockDesign, which: int, position: int) -> BlockDesign:
 def _align_two_blocks(d: BlockDesign, i1: int, i2: int, p1: int, p2: int) -> BlockDesign:
     """Relabel so block i1 is constant p1 and block i2 constant p2; they
     must be disjoint."""
+    groups = np.arange(d.k)
+    moved = np.zeros((d.k, d.group_size), dtype=bool)
+    moved[groups, d.blocks[i1]] = moved[groups, d.blocks[i2]] = True
+    slots = np.delete(np.arange(d.group_size), [p1, p2])
     perms = np.empty((d.k, d.group_size), dtype=np.int64)
-    for i in range(d.k):
-        a, b = int(d.blocks[i1, i]), int(d.blocks[i2, i])
-        rest = [x for x in range(d.group_size) if x not in (a, b)]
-        slots = [p for p in range(d.group_size) if p not in (p1, p2)]
-        perms[i, a], perms[i, b] = p1, p2
-        for x, p in zip(rest, slots):
-            perms[i, x] = p
+    perms[~moved] = np.tile(slots, d.k)   # the other points keep their order
+    perms[groups, d.blocks[i1]], perms[groups, d.blocks[i2]] = p1, p2
     return relabel_points(d, perms)
 
 
@@ -474,29 +452,23 @@ def itd_truncate_compose(k: int, m: int, t: int, u: int, v: int,
                                   [m, m + 1])
 
     main = v + u  # main points (w, x) start after the hole and the u side
-    pieces = []
-    for blk in r2.blocks:
-        x = blk[:k].astype(np.int64)
-        y = int(blk[k]) if int(blk[k]) < u else None
-        z = int(blk[k + 1]) if int(blk[k + 1]) < v else None
-        offs = main + x * m
-        if y is None and z is None:
-            pieces.append(offs[None, :] + dm.blocks.astype(np.int64))
-            continue
-        if y is not None and z is not None:
-            fill = fill2
-        else:
-            fill = fill1
-        dest = np.empty((m + 2, k), dtype=np.int64)
-        dest[:m] = offs[None, :] + np.arange(m, dtype=np.int64)[:, None]
-        dest[m] = (v + y) if y is not None else z
-        if y is not None and z is not None:
-            dest[m + 1] = z
-        cols = [dest[fill[:, i], i] for i in range(k)]
-        pieces.append(np.stack(cols, axis=1))
+    outer = r2.blocks.astype(np.int64)
+    y, z = outer[:, k], outer[:, k + 1]
+    has_y, has_z = y < u, z < v
+    # every outer block's points: its m main points per group, then the
+    # weight-1 point of Y if it meets one (else of Z), then that of Z
+    dest = np.empty((len(outer), m + 2, k), dtype=np.int64)
+    dest[:, :m] = main + outer[:, None, :k] * m + np.arange(m)[:, None]
+    dest[:, m] = np.where(has_y, v + y, z)[:, None]
+    dest[:, m + 1] = z[:, None]
+    pieces, source = [], []
+    for case, fill in ((~has_y & ~has_z, dm.blocks), (has_y ^ has_z, fill1),
+                       (has_y & has_z, fill2)):
+        pieces.append(_gather(dest[case], fill))
+        source.append(np.repeat(np.flatnonzero(case), len(fill)))
+    blocks = np.concatenate(pieces)[np.argsort(np.concatenate(source), kind="stable")]
     if u > 0:
-        pieces.append(du.blocks.astype(np.int64) + v)
-    blocks = np.concatenate(pieces)
+        blocks = np.concatenate([blocks, du.blocks.astype(np.int64) + v])
     size = m * t + u + v
     if v > 0:
         out = BlockDesign.new(k=k, group_size=size, index=1, blocks=blocks,

@@ -72,8 +72,23 @@ def test_marked_product_itd_3_10_2():
 
 
 def test_mark_block_gives_unit_hole_itd():
-    itd = cp.itd_from_marked(cp.mark_block(dz.td_from_field(3, 4), 5))
+    # a single block is a sub-TD(k, 1); deleting it opens an (n; 1) hole
+    td = dz.td_from_field(3, 4)
+    mark = cp.MarkedDesign(design=td,
+                           sub_points=tuple((int(x),) for x in td.blocks[5]),
+                           sub_blocks=(5,))
+    itd = cp.itd_from_marked(mark)
     assert itd.hole_size == 1 and dz.verify_design(itd).valid
+
+
+def test_empty_mark_rejected():
+    # h' = 0 marks nothing; it is an invalid mark, not a malformed design
+    td = dz.td_from_field(3, 4)
+    empty = cp.MarkedDesign(design=td, sub_points=((), (), ()), sub_blocks=())
+    with pytest.raises(InvalidMark):
+        cp.validate_mark(empty)
+    with pytest.raises(InvalidMark):
+        cp.itd_from_marked(empty)
 
 
 def test_invalid_mark_rejected():
@@ -191,9 +206,12 @@ def test_itd_truncate_u0_v0_is_td_kmt():
 
 
 def test_itd_truncate_parameter_guard():
-    with pytest.raises(ParameterMismatch):
-        cp.itd_truncate_compose(
-            3, 3, 5, 6, 0,
-            r2=dz.td_from_field(5, 5), dm=dz.td_from_field(3, 3),
-            dm1=dz.td_from_field(3, 4), dm2=dz.td_from_field(3, 5),
-            du=dz.td_from_field(3, 6) if False else None)
+    ingredients = dict(r2=dz.td_from_field(5, 5), dm=dz.td_from_field(3, 3),
+                       dm1=dz.td_from_field(3, 4), dm2=dz.td_from_field(3, 5))
+    for u, v, du in ((6, 0, None),                     # u > t
+                     (0, 6, None),                     # v > t
+                     (2, 2, None),                     # 0 < u <= t, no TD(k, u)
+                     (5, 0, None),                     # u = t, no TD(k, u)
+                     (2, 0, dz.td_from_field(3, 3))):  # a TD(k, u) of the wrong order
+        with pytest.raises(ParameterMismatch):
+            cp.itd_truncate_compose(3, 3, 5, u, v, du=du, **ingredients)
