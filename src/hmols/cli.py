@@ -13,6 +13,7 @@ The HMOLS_BUDGET environment variable sets the default search budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -240,6 +241,7 @@ def _cmd_bound(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hmols",
                                  description="holey MOLS and transversal "

@@ -254,29 +254,37 @@ def _checked_solution(table: AllowedCosetTable, ctx: gf.CyclotomyContext, u,
                            omega=ctx.omega, seed=seed)
 
 
-def _allowed_masks(table: AllowedCosetTable) -> dict:
-    """The allowed classes of every constraint as a boolean array over 0..lam-1."""
-    classes = np.arange(table.lam)
-    return {key: np.isin(classes, list(allowed))
-            for key, allowed in table.allowed.items()}
+def _mask_tables(table: AllowedCosetTable, ctx: gf.CyclotomyContext):
+    """Row a of a constraint's (lam, lam) table marks the denominator classes
+    t that put a class-a numerator's quotient, class a - t, in an allowed
+    class; slice [q - c, 2q - c) of the second table is the class of c - x."""
+    lam, q = table.lam, ctx.field.q
+    rows = {key: np.zeros(lam, dtype=bool) for key in table.allowed}
+    for key, allowed in table.allowed.items():
+        rows[key][list(allowed)] = True
+    shift = (np.arange(lam)[:, None] - np.arange(lam)) % lam
+    neg = ctx.class_table[-np.arange(q) % q]
+    return {key: m[shift] for key, m in rows.items()}, np.concatenate([neg, neg])
 
 
-def _candidate_mask(ctx: gf.CyclotomyContext, allowed: dict, u, i: int,
+def _candidate_mask(ctx: gf.CyclotomyContext, tables, u, i: int,
                     r: int) -> np.ndarray:
     """Which x in GF(q) may stand at u[i][r]: x repeats no u[i][s], s < r,
     and each quotient (u[j][s] - u[j][r]) / (u[i][s] - x), j < i, s < r,
     lies in a class allowed for blocks (j, i) and columns (s, r)."""
-    fq = ctx.field
-    xs = np.arange(fq.q)
+    (allowed, diff), fq = tables, ctx.field
     mask = np.ones(fq.q, dtype=bool)
     for s in range(r):
-        mask[u[i][s]] = False
-        d_i = fq.sub_arr(u[i][s], xs)
+        c = u[i][s]
+        mask[c] = False
+        ok = True  # classes of c - x every block j < i allows; x = c is out
         for j in range(i):
             d_j = fq.sub(u[j][s], u[j][r])
             if d_j == 0:
                 return np.zeros(fq.q, dtype=bool)
-            mask &= allowed[(j, i, s, r)][ctx.quotient_class(d_j, d_i)]
+            ok = ok & allowed[(j, i, s, r)][ctx.class_table[d_j]]
+        if i:
+            mask &= ok[diff[fq.q - c:2 * fq.q - c]]
     return mask
 
 
@@ -289,16 +297,18 @@ def search_uvectors(h: int, d: int, cols, q: int, seed: int = 0,
                     restart_nodes: int = 4096) -> UVectorSolution:
     """Seeded randomized search for the h free vectors.
 
-    Entries are chosen left to right, one vector after another.  Each
-    position shuffles all q values with the seeded stream and tries, in
-    that order, the values one array pass over the allowed-coset table
-    admits; dead prefixes are backtracked, and a restart with fresh orders
-    begins once a restart has spent restart_nodes candidate evaluations.
-    Every value of an order up to the one taken counts as an evaluation,
-    admitted or not, so the budget caps evaluations over all restarts and
-    a seed gives the certificate that testing values one by one would.
-    Exhausted is a retry signal, never a disproof.
+    Entries are chosen left to right, one vector after another.  A position
+    whose candidate mask admits no value is left at once, charged nothing:
+    its parent paid for the value that led there.  A live position orders
+    all q values by one draw from a PCG64 bit-generator stream seeded with
+    seed (stable across NumPy versions) and tries the admitted values in
+    that order; each value up to the one taken is an evaluation, and an
+    exhausted order counts in full.  A restart with fresh orders begins
+    after restart_nodes evaluations, and the budget caps them over all
+    restarts.  Exhausted is a retry signal, never a disproof.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if restart_nodes < 1:
         # a restart would be abandoned before its first evaluation, forever
         raise ValueError(f"restart_nodes must be at least 1, got {restart_nodes}")
@@ -313,9 +323,8 @@ def search_uvectors(h: int, d: int, cols, q: int, seed: int = 0,
     ctx = gf.cyclotomy_new(fq, t.lam)
     if k > q:
         raise Exhausted(f"entries must be distinct: k = {k} > q = {q}")
-    allowed = _allowed_masks(table)
-    rng = random.Random(seed)
-    values = list(range(q))
+    tables = _mask_tables(table, ctx)
+    bits = np.random.PCG64(seed)
     state = {"budget": budget, "nodes": 0}
 
     def spend(n):
@@ -333,14 +342,15 @@ def search_uvectors(h: int, d: int, cols, q: int, seed: int = 0,
         if pos == h * k:
             return True
         i, r = divmod(pos, k)
-        order = values[:]
-        rng.shuffle(order)
-        mask = _candidate_mask(ctx, allowed, u, i, r)
+        mask = _candidate_mask(ctx, tables, u, i, r)
+        if not mask.any():
+            return False
+        order = np.argsort(bits.random_raw(q), kind="stable")
         last = -1
         for p in np.flatnonzero(mask[order]).tolist():
             spend(p - last)
             last = p
-            u[i][r] = order[p]
+            u[i][r] = int(order[p])
             if extend(u, pos + 1):
                 return True
         spend(q - 1 - last)
@@ -350,14 +360,12 @@ def search_uvectors(h: int, d: int, cols, q: int, seed: int = 0,
         u = [[None] * k for _ in range(h)]
         state["nodes"] = restart_nodes
         try:
-            found = extend(u, 0)
+            if not extend(u, 0):
+                # the whole tree was refuted within this restart's node cap;
+                # callers treat Exhausted as a retry hint anyway
+                raise Exhausted(f"search space refuted or budget spent at q = {q}")
         except _RestartAbandoned:
             continue
-        if not found:
-            # the whole tree was refuted within this restart's node cap;
-            # other value orders cannot help, but callers treat Exhausted
-            # as a retry hint anyway
-            raise Exhausted(f"search space refuted or budget spent at q = {q}")
         sol = _checked_solution(table, ctx, u, seed)
         # double-check by the independent difference count
         rep = verify_rdm(assemble_rdf(sol))
@@ -466,15 +474,11 @@ class RelativeDifferenceFamily:
 
     def g_sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         h = self.h_field.q
-        za, alpha_a = a // h, a % h
-        zb, alpha_b = b // h, b % h
-        return self.q_field.sub_arr(za, zb) * h + self.h_field.sub_arr(alpha_a, alpha_b)
+        return self.q_field.sub_arr(a // h, b // h) * h + self.h_field.sub_arr(a % h, b % h)
 
     def g_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         h = self.h_field.q
-        za, alpha_a = a // h, a % h
-        zb, alpha_b = b // h, b % h
-        return self.q_field.add_arr(za, zb) * h + self.h_field.add_arr(alpha_a, alpha_b)
+        return self.q_field.add_arr(a // h, b // h) * h + self.h_field.add_arr(a % h, b % h)
 
 
 def assemble_rdf(sol: UVectorSolution) -> RelativeDifferenceFamily:
@@ -603,10 +607,8 @@ def _search_phi(fq, ctx, label_matrix, k, q, rng, values, budget):
     budget_left = budget
     while True:
         phi = [0] + [None] * (k - 1)
-        dead = False
         for i in range(1, k):
             rng.shuffle(values)
-            chosen = None
             for x in values:
                 if budget_left <= 0:
                     raise Exhausted(f"per-block budget {budget} consumed")
@@ -619,11 +621,9 @@ def _search_phi(fq, ctx, label_matrix, k, q, rng, values, budget):
                         good = False
                         break
                 if good:
-                    chosen = x
+                    phi[i] = x
                     break
-            if chosen is None:
-                dead = True
-                break
-            phi[i] = chosen
-        if not dead:
+            else:
+                break  # no value fits: start over
+        else:
             return phi

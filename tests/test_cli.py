@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hmols import cli
 from hmols import designs as dz
 from hmols import formats
 from hmols.cli import run
@@ -133,6 +134,33 @@ def test_search_bytes_identical_across_runs(tmp_path):
                     "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_parser_reused_across_subcommands(capsys):
+    # the parser is built once per process and keeps no state between runs
+    assert cli._build_parser() is cli._build_parser()
+    assert run(["bound", "lambda", "2", "11"]) == 0
+    assert capsys.readouterr().out.strip() == "8"
+    assert run(["verify", str(fixture_path("hmols_2_4.grid"))]) == 0
+    assert "valid" in capsys.readouterr().out
+    assert run(["bound", "lambda", "2", "11"]) == 0
+    assert capsys.readouterr().out.strip() == "8"
+
+
+def test_budget_variable_read_at_each_search(tmp_path, monkeypatch):
+    # seed 0 finds (2, 2) over GF(5) with 17 evaluations and not with 16
+    argv = ["search", "2", "2", "5", "--cols", "0", "1", "2", "3",
+            "--seed", "0", "--out", str(tmp_path / "cert.json")]
+    monkeypatch.setenv("HMOLS_BUDGET", "16")
+    assert run(argv) == 3
+    monkeypatch.setenv("HMOLS_BUDGET", "17")
+    assert run(argv) == 0
+
+
+def test_search_negative_seed_exits_two(capsys):
+    assert run(["search", "2", "2", "5", "--cols", "0", "1", "2", "3",
+                "--seed", "-3"]) == 2
+    assert "seed must be non-negative, got -3" in capsys.readouterr().err
 
 
 def test_jobs_flag_is_gone():

@@ -11,6 +11,7 @@ from hmols import designs as dz
 from hmols import formats
 from hmols.errors import MalformedInput
 from hmols.fixtures import fixture_text, hmols_pair_2_4, imols_pair_6_2
+from test_search_traversal import Q97_SEED2_BUDGET
 
 
 FIXTURE_FILES = ["hmols_2_4.grid", "imols_6_2.grid", "cert_2_401.json"]
@@ -80,7 +81,8 @@ GRID = fixture_text("hmols_2_4.grid")
 
 def developed_design():
     """HTD(8, 2^97) with 37,248 blocks, developed from a seeded search."""
-    sol = cy.search_uvectors(2, 3, list(range(8)), 97, seed=2, budget=11037)
+    sol = cy.search_uvectors(2, 3, list(range(8)), 97, seed=2,
+                             budget=Q97_SEED2_BUDGET)
     return cy.develop_rdf(cy.assemble_rdf(sol))
 
 
