@@ -32,11 +32,19 @@ EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 
 
-def _default_budget() -> int:
+def _budget(args) -> int:
+    """The search budget: --budget, else HMOLS_BUDGET, else the default.
+    A negative or non-integer value is a usage error naming its source."""
+    source, value = "--budget", args.budget
+    if value is None:
+        source, value = "HMOLS_BUDGET", os.environ.get("HMOLS_BUDGET", cy.DEFAULT_BUDGET)
     try:
-        return int(os.environ.get("HMOLS_BUDGET", cy.DEFAULT_BUDGET))
+        budget = int(value)
+        if budget >= 0:
+            return budget
     except ValueError:
-        return cy.DEFAULT_BUDGET
+        pass
+    raise ValueError(f"{source} must be a non-negative integer, got {value!r}")
 
 
 def _print_verdict(report, as_json: bool, label: str) -> int:
@@ -121,7 +129,6 @@ def _solution_from_cert(cert):
 
 
 def _cmd_search(args) -> int:
-    budget = args.budget if args.budget is not None else _default_budget()
     if args.verify:
         sol = _solution_from_cert(formats.cert_loads(Path(args.verify).read_text()))
         rep = cy.verify_rdm(cy.assemble_rdf(sol))
@@ -136,7 +143,7 @@ def _cmd_search(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     sol = cy.search_uvectors(args.h, args.d, args.cols, args.q,
-                             seed=args.seed, budget=budget)
+                             seed=args.seed, budget=_budget(args))
     _write_or_print(formats.cert_dumps(sol.to_cert()), args.out)
     return EXIT_OK
 
@@ -153,8 +160,7 @@ def _cmd_develop(args) -> int:
 
 def _cmd_expand(args) -> int:
     td = _load_any(args.tdfile)
-    budget = args.budget if args.budget is not None else _default_budget()
-    htd = cy.expand_td_to_htd(td, args.q, seed=args.seed, budget=budget)
+    htd = cy.expand_td_to_htd(td, args.q, seed=args.seed, budget=_budget(args))
     _write_or_print(formats.design_dumps(htd), args.out)
     return EXIT_OK
 
@@ -213,8 +219,7 @@ def _cmd_plan(args) -> int:
 def _cmd_execute(args) -> int:
     reg = pl.Registry.from_json(Path(args.registry).read_text())
     tree = pl.PlanTree.from_json(Path(args.plan).read_text())
-    budget = args.budget if args.budget is not None else _default_budget()
-    out = pl.execute_plan(tree, reg, seed=args.seed, budget=budget)
+    out = pl.execute_plan(tree, reg, seed=args.seed, budget=_budget(args))
     rep = dz.verify_design(out)
     if args.out and rep.valid:
         Path(args.out).write_text(formats.design_dumps(out))

@@ -309,6 +309,8 @@ def search_uvectors(h: int, d: int, cols, q: int, seed: int = 0,
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     if restart_nodes < 1:
         # a restart would be abandoned before its first evaluation, forever
         raise ValueError(f"restart_nodes must be at least 1, got {restart_nodes}")
@@ -496,10 +498,10 @@ def assemble_rdf(sol: UVectorSolution) -> RelativeDifferenceFamily:
     # block (m, x) has entries x * omega^e * u[i][r] paired with t[m, col_r],
     # where m = i*lam + e, rows ordered by m and then by x in C_0
     k = len(sol.col_selection)
-    w = np.array([ctx.omega_pow(e) for e in range(t.lam)], dtype=np.int64)
+    w = fq.exp_table[:t.lam]
     u = np.array(sol.u, dtype=np.int64)
     u_m = fq.mul_arr(w[None, :, None], u[:, None, :]).reshape(t.size, k)
-    c0 = np.array(ctx.coset_zero(), dtype=np.int64)
+    c0 = np.flatnonzero(ctx.class_table == 0)
     z = fq.mul_arr(c0[None, :, None], u_m[:, None, :])
     t_rows = t.entries[:, list(sol.col_selection)]
     blocks = z * sol.h + t_rows[:, None, :]
@@ -552,6 +554,10 @@ def expand_td_to_htd(td: BlockDesign, q: int, seed: int = 0,
     in the labeled cyclotomic classes, found by seeded search with the
     given per-block budget.  The output is verified before return.
     """
+    if seed < 0:  # random.Random would alias seed and -seed
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     lam = td.index
     fq = gf.field_new(q)
     if fq.e != 1:
@@ -584,7 +590,7 @@ def expand_td_to_htd(td: BlockDesign, q: int, seed: int = 0,
     for b in range(len(blocks)):
         phis[b] = _search_phi(fq, ctx, labels[b], k, q, rng, values, budget)
 
-    c0 = np.array(ctx.coset_zero(), dtype=np.int64)
+    c0 = np.flatnonzero(ctx.class_table == 0)
     shifts = np.arange(q, dtype=np.int64)
     # z[b, a, c, r] = a * phi[b, r] + c in GF(q); prime q, so plain mod
     z = (c0[None, :, None, None] * phis[:, None, None, :]

@@ -1,13 +1,20 @@
-"""Exact arithmetic in small finite fields GF(p^e) with primitive roots
-and cyclotomic class tables.
+"""Exact arithmetic in small finite fields GF(p^e), read from tables,
+with primitive roots and cyclotomic class tables.
 
-Elements are canonical integer indices 0..q-1: the index encodes the
-element's coefficient vector in base p, so index 0 is the zero element
-and index 1 is the one element.  Prime fields work directly modulo p.
-Extension fields reduce polynomials modulo the lexicographically
-smallest monic irreducible polynomial of degree e over GF(p), found by
-exhaustive search at construction time, which keeps the representation
-deterministic without external tables.
+Elements are canonical integer indices 0..q-1 that encode coefficient
+vectors in base p, least significant first: 0 is zero, 1 is one and,
+for e > 1, p is the generator X.  Extension fields reduce modulo the
+lexicographically smallest monic irreducible of degree e over GF(p),
+found by exhaustive search, so no external tables are needed.
+
+The multiplicative group is one table, exp_table[t] = omega^t, where the
+canonical primitive root omega is the smallest index of order q - 1: the
+first c = 1, 2, ... whose multiplication map x -> x*c (one numpy pass
+over the base-p digits of all q elements) moves 1 around all q - 1
+nonzero elements.  dlog_table is its inverse permutation; products,
+powers and inverses are exp/log reads, and sums and differences are
+digitwise base-p tables.  Prime fields add, subtract and multiply
+modulo p directly.
 
 All objects here are immutable after construction and every operation
 is pure, so they are safe to share between threads.
@@ -48,22 +55,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _digits(x: int, p: int, e: int) -> tuple[int, ...]:
-    """Base-p digits of x, least significant first, padded to length e."""
-    out = []
-    for _ in range(e):
-        out.append(x % p)
-        x //= p
-    return tuple(out)
-
-
-def _undigits(ds, p: int) -> int:
-    x = 0
-    for d in reversed(ds):
-        x = x * p + d
-    return x
-
-
 def _poly_rem(a: list[int], m: tuple[int, ...], p: int) -> list[int]:
     """Remainder of polynomial a modulo monic m, coefficients ascending, over GF(p)."""
     a = list(a)
@@ -76,29 +67,18 @@ def _poly_rem(a: list[int], m: tuple[int, ...], p: int) -> list[int]:
     return [c % p for c in a[:dm]]
 
 
-def _poly_is_irreducible(m: tuple[int, ...], p: int) -> bool:
-    """Exhaustive divisor check: no monic factor of degree 1..deg/2."""
-    deg = len(m) - 1
-    for d in range(1, deg // 2 + 1):
-        for tail in range(p**d):
-            div = list(_digits(tail, p, d)) + [1]
-            rem = _poly_rem(list(m), tuple(div), p)
-            if not any(rem):
-                return False
-    return True
-
-
 def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree e over GF(p).
+    """Lexicographically smallest monic irreducible of degree e over GF(p):
+    candidates go in base-p order of their lower coefficients (lexicographic,
+    most significant first), each checked for monic factors of degree <= e/2."""
+    def monic(tail: int, deg: int) -> tuple[int, ...]:
+        return tuple(tail // p**i % p for i in range(deg)) + (1,)
 
-    Candidates are ordered by the base-p value of their non-leading
-    coefficient vector, which coincides with lexicographic order on the
-    coefficients written most-significant first.
-    """
     for tail in range(p**e):
-        cand = _digits(tail, p, e) + (1,)
-        if _poly_is_irreducible(cand, p):
-            return cand
+        m = monic(tail, e)
+        if all(any(_poly_rem(m, monic(t, d), p))
+               for d in range(1, e // 2 + 1) for t in range(p**d)):
+            return m
     raise AssertionError(f"no irreducible of degree {e} over GF({p})")
 
 
@@ -120,51 +100,27 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
-        da, db = _digits(a, self.p, self.e), _digits(b, self.p, self.e)
-        return _undigits([(x + y) % self.p for x, y in zip(da, db)], self.p)
+        return int(self.add_table[a, b])
 
     def sub(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a - b) % self.p
-        da, db = _digits(a, self.p, self.e), _digits(b, self.p, self.e)
-        return _undigits([(x - y) % self.p for x, y in zip(da, db)], self.p)
-
-    def neg(self, a: int) -> int:
-        return self.sub(0, a)
+        return int(self.sub_table[a, b])
 
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p
-        da, db = _digits(a, self.p, self.e), _digits(b, self.p, self.e)
-        prod = [0] * (2 * self.e - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        return _undigits(_poly_rem(prod, self.modulus, self.p), self.p)
+        return int(self.mul_table[a, b])
 
     def pow(self, a: int, n: int) -> int:
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        if self.e == 1:
-            return pow(a, n, self.p)
-        out, base = 1, a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+        if a == 0:  # 0^0 = 1 and 0^n = 0 for n > 0
+            if n < 0:
+                raise ZeroInverse(f"0^{n} undefined in GF({self.q})")
+            return int(n == 0)
+        return int(self.exp_table[int(self.dlog_table[a]) * n % (self.q - 1)])
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroInverse(f"inv(0) undefined in GF({self.q})")
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
-
-    def elements(self) -> range:
-        return range(self.q)
+        return self.pow(a, -1)
 
     # -- vectorized arithmetic on index arrays -------------------------------
 
@@ -193,6 +149,24 @@ class FieldSpec:
         t.setflags(write=False)
         return t
 
+    def _times(self, c: int) -> np.ndarray:
+        """x * c for every element x: over GF(p^e), the sum of c_i * (x * X^i)
+        over the digits c_i of c, where each step to x * X^(i+1) shifts the
+        digits up and folds the top one back through the monic modulus."""
+        p, e = self.p, self.e
+        x = np.arange(self.q, dtype=np.int64)
+        if e == 1:
+            return x * c % p
+        weights = p ** np.arange(e, dtype=np.int64)
+        xs = x[:, None] // weights % p  # digits of x * X^i, from i = 0
+        m = np.array(self.modulus[:e], dtype=np.int64)
+        acc = np.zeros_like(xs)
+        for i in range(e):
+            acc += c // p**i % p * xs
+            top = xs[:, -1:]
+            xs = (np.hstack([np.zeros_like(top), xs[:, :-1]]) - top * m) % p
+        return acc % p @ weights
+
     @functools.cached_property
     def add_table(self) -> np.ndarray:
         return self._digitwise_table(1)
@@ -202,14 +176,26 @@ class FieldSpec:
         return self._digitwise_table(-1)
 
     @functools.cached_property
+    def exp_table(self) -> np.ndarray:
+        """exp_table[t] = omega^t for t < q-1: the orbit of 1 under x -> x*c
+        for the smallest c whose orbit holds all q-1 units."""
+        for c in range(1, self.q):
+            step = self._times(c).tolist()
+            orbit, x = [1], step[1]
+            while x != 1:
+                orbit.append(x)
+                x = step[x]
+            if len(orbit) == self.q - 1:
+                exp = np.array(orbit, dtype=np.int32)
+                exp.setflags(write=False)
+                return exp
+        raise AssertionError(f"no primitive root in GF({self.q})")
+
+    @functools.cached_property
     def dlog_table(self) -> np.ndarray:
-        """dlog_table[x] = t with x = omega^t for the canonical primitive
-        root omega, and -1 at x = 0."""
+        """dlog_table[x] = t with x = omega^t, and -1 at x = 0."""
         dlog = np.full(self.q, -1, dtype=np.int64)
-        x, omega = 1, primitive_root(self)
-        for t in range(self.q - 1):
-            dlog[x] = t
-            x = self.mul(x, omega)
+        dlog[self.exp_table] = np.arange(self.q - 1)
         dlog.setflags(write=False)
         return dlog
 
@@ -217,8 +203,7 @@ class FieldSpec:
     def mul_table(self) -> np.ndarray:
         """Products by adding discrete logs; read by extension fields only."""
         log = self.dlog_table.astype(np.int32)
-        exp = np.argsort(log)[1:].astype(np.int32)  # exp[t] = omega^t
-        t = exp[(log[:, None] + log[None, :]) % (self.q - 1)]
+        t = self.exp_table[(log[:, None] + log[None, :]) % (self.q - 1)]
         t[0, :] = t[:, 0] = 0
         t.setflags(write=False)
         return t
@@ -226,15 +211,8 @@ class FieldSpec:
 
 @functools.lru_cache(maxsize=None)
 def field_new(q: int) -> FieldSpec:
-    """The canonical field of order q.
-
-    For extension degrees the modulus is the lexicographically smallest
-    monic irreducible polynomial, so fields of equal order are identical
-    across runs and processes.
-    """
-    if q < 2:
-        raise NotPrimePower(f"{q} is not a prime power")
-    factors = factorize(q)
+    """The canonical field of order q, identical across runs and processes."""
+    factors = factorize(q) if q >= 2 else []
     if len(factors) != 1:
         raise NotPrimePower(f"{q} is not a prime power")
     p, e = factors[0]
@@ -250,29 +228,16 @@ def field_op(f: FieldSpec, which: str, a: int, b: int | None = None) -> int:
         return f.inv(a)
     if b is None or not 0 <= b < f.q:
         raise IndexOutOfRange(f"element {b} outside GF({f.q})")
-    if which == "add":
-        return f.add(a, b)
-    if which == "sub":
-        return f.sub(a, b)
-    if which == "mul":
-        return f.mul(a, b)
-    raise ValueError(f"unknown field operation {which!r}")
+    if which not in ("add", "sub", "mul"):
+        raise ValueError(f"unknown field operation {which!r}")
+    return getattr(f, which)(a, b)
 
 
-def _multiplicative_order_is_full(f: FieldSpec, x: int, prime_divisors) -> bool:
-    return all(f.pow(x, (f.q - 1) // r) != 1 for r in prime_divisors)
-
-
-@functools.lru_cache(maxsize=None)
 def primitive_root(f: FieldSpec) -> int:
     """Smallest element (by canonical index) of multiplicative order q-1."""
     if f.q < 3:
         raise ValueError("primitive roots need q >= 3")
-    prime_divisors = [p for p, _ in factorize(f.q - 1)]
-    for x in range(2, f.q):
-        if _multiplicative_order_is_full(f, x, prime_divisors):
-            return x
-    raise AssertionError(f"no primitive root in GF({f.q})")
+    return int(f.exp_table[1])
 
 
 @dataclass(frozen=True)
@@ -292,13 +257,6 @@ class CyclotomyContext:
 
     def class_members(self, i: int) -> list[int]:
         return [int(x) for x in np.nonzero(self.class_table == i % self.lam)[0]]
-
-    def coset_zero(self) -> list[int]:
-        """C_0 in ascending element order."""
-        return self.class_members(0)
-
-    def omega_pow(self, t: int) -> int:
-        return self.field.pow(self.omega, t % (self.field.q - 1))
 
     def quotient_class(self, a, b):
         """Class of a/b for nonzero a and b, which may be index arrays:

@@ -163,6 +163,33 @@ def test_search_negative_seed_exits_two(capsys):
     assert "seed must be non-negative, got -3" in capsys.readouterr().err
 
 
+SEARCH_2_2_5 = ["search", "2", "2", "5", "--cols", "0", "1", "2", "3"]
+
+
+def test_negative_budget_flag_exits_two(capsys):
+    assert run(SEARCH_2_2_5 + ["--budget", "-1"]) == 2
+    assert "--budget must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5", ""])
+def test_bad_budget_variable_exits_two(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("HMOLS_BUDGET", value)
+    assert run(SEARCH_2_2_5) == 2
+    err = capsys.readouterr().err
+    assert f"HMOLS_BUDGET must be a non-negative integer, got {value!r}" in err
+    # the flag takes precedence, and certificate checks need no budget
+    cert = tmp_path / "cert.json"
+    assert run(SEARCH_2_2_5 + ["--budget", "17", "--out", str(cert)]) == 0
+    assert run(["search", "--verify", str(cert)]) == 0
+
+
+def test_expand_negative_seed_exits_two(tmp_path, capsys):
+    proj = tmp_path / "proj.json"
+    assert run(["project", "2", "2", "3", "--out", str(proj)]) == 0
+    assert run(["expand", str(proj), "7", "--seed", "-1"]) == 2
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+
+
 def test_jobs_flag_is_gone():
     assert run(["--jobs", "4", "search", "2", "2", "5",
                 "--cols", "0", "1", "2", "3"]) == 2

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from hmols import cli
 from hmols import cyclotomic as cy
 from hmols import designs as dz
 from hmols.errors import (
@@ -13,7 +16,7 @@ from hmols.errors import (
     SizeBound,
     TooManyGroups,
 )
-from hmols.fixtures import template_3_2_matrix
+from hmols.fixtures import cert_2_401, template_3_2_matrix
 
 
 def all_prime_power_pairs(limit):
@@ -176,6 +179,11 @@ def test_search_deterministic_given_seed():
     assert a.u == b.u
 
 
+def test_search_rejects_negative_budget():
+    with pytest.raises(ValueError, match="^budget must be non-negative, got -1$"):
+        cy.search_uvectors(2, 2, [0, 1, 2, 3], 5, seed=0, budget=-1)
+
+
 @pytest.mark.parametrize("restart_nodes", [0, -1])
 def test_search_rejects_restart_cap_below_one(restart_nodes):
     # every restart would be abandoned before its first evaluation, so the
@@ -221,6 +229,19 @@ def test_assemble_verify_h2_d1_q3():
     fam = cy.assemble_rdf(sol)
     assert fam.base_blocks.shape == (4, 2)
     assert cy.verify_rdm(fam).valid
+
+
+def _digest(blocks):
+    return hashlib.sha256(np.asarray(blocks, dtype=np.int64).tobytes()).hexdigest()[:16]
+
+
+def test_assemble_rdf_base_blocks_are_pinned():
+    # the block order (omega^e in e, then C_0 ascending) is what certificates
+    # develop into; digests recorded when w and C_0 came from scalar powers
+    shipped = cy.assemble_rdf(cli._solution_from_cert(cert_2_401()))
+    assert _digest(shipped.base_blocks) == "b0cb530b2c3f1f9c"
+    found = cy.search_uvectors(2, 2, [0, 1, 2, 3], 13, seed=0, budget=50_000)
+    assert _digest(cy.assemble_rdf(found).base_blocks) == "0c62cef0235c90e6"
 
 
 def test_assemble_width_mismatch():
@@ -293,6 +314,29 @@ def test_expand_lambda_one_field_td():
     htd = cy.expand_td_to_htd(td, 5, seed=0, budget=5_000)
     assert len(htd.blocks) == 9 * 5 * 4
     assert dz.verify_design(htd).valid
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"seed": -1}, "seed must be non-negative, got -1"),
+    ({"budget": -1}, "budget must be non-negative, got -1"),
+])
+def test_expand_rejects_negative_seed_and_budget(kwargs, message):
+    # checked before any work: q = 4 alone would be rejected differently
+    proj = cy.td_projection(2, 2, 3)
+    for q in (7, 4):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cy.expand_td_to_htd(proj, q, **kwargs)
+
+
+@pytest.mark.parametrize("seed,digest", [(0, "607f42938c73d97e"),
+                                         (1, "a36e957ee629d973"),
+                                         (5, "49eff71d302a63b2")])
+def test_expand_seed_draws_are_pinned(seed, digest):
+    # random.Random(seed) drives the per-block search; the block digests
+    # were recorded before negative seeds were rejected and must not move
+    htd = cy.expand_td_to_htd(cy.td_projection(2, 2, 3), 7, seed=seed,
+                              budget=20_000)
+    assert _digest(htd.blocks) == digest
 
 
 def test_expand_congruence_guard():

@@ -33,6 +33,53 @@ def brute_force_order(q, x):
     return t
 
 
+def reference_mul(f, a, b):
+    """The digit-loop product the field used before its tables: schoolbook
+    multiplication of the base-p coefficient vectors, then reduction by
+    the monic modulus."""
+    p, e = f.p, f.e
+    if e == 1:
+        return a * b % p
+    da = [a // p**i % p for i in range(e)]
+    db = [b // p**i % p for i in range(e)]
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(da):
+        if x:
+            for j, y in enumerate(db):
+                prod[i + j] = (prod[i + j] + x * y) % p
+    for i in range(2 * e - 2, e - 1, -1):
+        c = prod[i]
+        if c:
+            for j in range(e + 1):
+                prod[i - e + j] = (prod[i - e + j] - c * f.modulus[j]) % p
+    return sum(d * p**i for i, d in enumerate(prod[:e]))
+
+
+def reference_pow(f, a, n):
+    """Square and multiply over reference_mul; negative n inverts first."""
+    if n < 0:
+        return reference_pow(f, reference_pow(f, a, f.q - 2), -n)
+    out, base = 1, a
+    while n:
+        if n & 1:
+            out = reference_mul(f, out, base)
+        base = reference_mul(f, base, base)
+        n >>= 1
+    return out
+
+
+def reference_order(f, x):
+    t, v = 1, x
+    while v != 1:
+        v = reference_mul(f, v, x)
+        t += 1
+    return t
+
+
+EXTENSION_FIELDS_TO_256 = [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125,
+                           128, 169, 243, 256]
+
+
 def test_field_new_prime():
     f = gf.field_new(7)
     assert (f.q, f.p, f.e) == (7, 7, 1)
@@ -69,28 +116,30 @@ def test_field_op_examples():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13, 16, 25, 27, 49, 64])
 def test_field_axioms_exhaustive(q):
+    """Every field law over all elements (all triples for the three-term
+    laws), read through the array operations."""
     f = gf.field_new(q)
-    els = list(f.elements())
-    # additive and multiplicative identities, inverses
-    for a in els:
-        assert f.add(a, 0) == a
-        assert f.mul(a, 1) == a
-        assert f.add(a, f.neg(a)) == 0
-        if a:
-            assert f.mul(a, f.inv(a)) == 1
-    # commutativity everywhere, associativity/distributivity on a grid
-    for a in els:
-        for b in els:
-            assert f.add(a, b) == f.add(b, a)
-            assert f.mul(a, b) == f.mul(b, a)
-    step = max(1, q // 8)
-    sample = els[::step]
-    for a in sample:
-        for b in sample:
-            for c in sample:
-                assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
-                assert f.add(a, f.add(b, c)) == f.add(f.add(a, b), c)
-                assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+    a, b, c = np.ix_(np.arange(q), np.arange(q), np.arange(q))
+    x = np.arange(q)
+    zero, one = np.zeros(q, dtype=np.int64), np.ones(q, dtype=np.int64)
+    # identities and inverses; the inverse of every nonzero x is unique
+    assert np.array_equal(f.add_arr(x, zero), x)
+    assert np.array_equal(f.mul_arr(x, one), x)
+    assert np.array_equal(f.add_arr(x, f.sub_arr(zero, x)), zero)
+    assert np.array_equal(f.add_arr(f.sub_arr(x[:, None], x), x), np.tile(x[:, None], q))
+    units = f.mul_arr(x[1:, None], x[1:]) == 1
+    assert np.array_equal(units.sum(axis=1), one[1:])
+    inverses = [f.inv(int(y)) for y in x[1:]]
+    assert np.array_equal(f.mul_arr(x[1:], np.array(inverses)), one[1:])
+    assert np.array_equal(f.mul_arr(x, zero), zero)
+    # commutativity
+    add, mul = f.add_arr(x[:, None], x), f.mul_arr(x[:, None], x)
+    assert np.array_equal(add, add.T) and np.array_equal(mul, mul.T)
+    # associativity and distributivity on every triple
+    assert np.array_equal(f.add_arr(a, f.add_arr(b, c)), f.add_arr(f.add_arr(a, b), c))
+    assert np.array_equal(f.mul_arr(a, f.mul_arr(b, c)), f.mul_arr(f.mul_arr(a, b), c))
+    assert np.array_equal(f.mul_arr(a, f.add_arr(b, c)),
+                          f.add_arr(f.mul_arr(a, b), f.mul_arr(a, c)))
 
 
 def test_vectorized_tables_match_scalar():
@@ -130,7 +179,109 @@ def test_primitive_root_powers_never_one_early():
         w = gf.primitive_root(f)
         divisors = [d for d in range(1, q - 1) if (q - 1) % d == 0]
         for d in divisors:
-            assert f.pow(w, d) != 1
+            assert reference_pow(f, w, d) != 1
+        assert reference_pow(f, w, q - 1) == 1
+
+
+@pytest.mark.parametrize("q", EXTENSION_FIELDS_TO_256)
+def test_tables_match_digit_loop_reference(q):
+    f = gf.field_new(q)
+    ref = [[reference_mul(f, a, b) for b in range(q)] for a in range(q)]
+    assert f.mul_table.tolist() == ref
+    omega = next(x for x in range(2, q) if reference_order(f, x) == q - 1)
+    assert gf.primitive_root(f) == omega
+    powers = [1]
+    while len(powers) < q - 1:
+        powers.append(ref[powers[-1]][omega])
+    assert f.exp_table.tolist() == powers
+    dlog = [-1] * q
+    for t, x in enumerate(powers):
+        dlog[x] = t
+    assert f.dlog_table.tolist() == dlog
+    assert [f.inv(a) for a in range(1, q)] == \
+        [reference_pow(f, a, q - 2) for a in range(1, q)]
+    for n in (-q, -2, -1, 0, 1, 2, 3, q - 1, q, 2 * q + 1):
+        assert [f.pow(a, n) for a in range(1, q)] == \
+            [reference_pow(f, a, n) for a in range(1, q)]
+        if n < 0:
+            with pytest.raises(ZeroInverse):
+                f.pow(0, n)
+        else:
+            assert f.pow(0, n) == (1 if n == 0 else 0)
+
+
+# (q, modulus, omega) of every extension field up to 4096; certificates
+# and developed designs are written in these coordinates, so a change
+# here changes every output over an extension field
+CANONICAL_EXTENSION_FIELDS = [
+    (4, (1, 1, 1), 2),
+    (8, (1, 1, 0, 1), 2),
+    (9, (1, 0, 1), 4),
+    (16, (1, 1, 0, 0, 1), 2),
+    (25, (2, 0, 1), 6),
+    (27, (1, 2, 0, 1), 3),
+    (32, (1, 0, 1, 0, 0, 1), 2),
+    (49, (1, 0, 1), 9),
+    (64, (1, 1, 0, 0, 0, 0, 1), 2),
+    (81, (2, 1, 0, 0, 1), 3),
+    (121, (1, 0, 1), 15),
+    (125, (1, 1, 0, 1), 9),
+    (128, (1, 1, 0, 0, 0, 0, 0, 1), 2),
+    (169, (2, 0, 1), 15),
+    (243, (1, 2, 0, 0, 0, 1), 3),
+    (256, (1, 1, 0, 1, 1, 0, 0, 0, 1), 3),
+    (289, (3, 0, 1), 19),
+    (343, (2, 0, 0, 1), 22),
+    (361, (1, 0, 1), 22),
+    (512, (1, 1, 0, 0, 0, 0, 0, 0, 0, 1), 7),
+    (529, (1, 0, 1), 25),
+    (625, (2, 0, 0, 0, 1), 6),
+    (729, (2, 1, 0, 0, 0, 0, 1), 3),
+    (841, (2, 0, 1), 30),
+    (961, (1, 0, 1), 35),
+    (1024, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1), 2),
+    (1331, (4, 1, 0, 1), 11),
+    (1369, (2, 0, 1), 41),
+    (1681, (3, 0, 1), 43),
+    (1849, (1, 0, 1), 45),
+    (2048, (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 2),
+    (2187, (2, 0, 1, 0, 0, 0, 0, 1), 5),
+    (2197, (2, 0, 0, 1), 15),
+    (2209, (1, 0, 1), 49),
+    (2401, (1, 1, 0, 0, 1), 12),
+    (2809, (2, 0, 1), 54),
+    (3125, (1, 4, 0, 0, 0, 1), 10),
+    (3481, (1, 0, 1), 62),
+    (3721, (2, 0, 1), 63),
+    (4096, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 3),
+]
+
+
+def test_canonical_extension_fields_are_pinned():
+    extension_orders = [q for q in range(4, 4097)
+                        if len(f := gf.factorize(q)) == 1 and f[0][1] > 1]
+    assert [q for q, _, _ in CANONICAL_EXTENSION_FIELDS] == extension_orders
+    for q, modulus, omega in CANONICAL_EXTENSION_FIELDS:
+        f = gf.field_new(q)
+        assert (f.modulus, gf.primitive_root(f)) == (modulus, omega), q
+
+
+def test_prime_field_roots_are_smallest_of_full_order():
+    for q in range(3, 4097):
+        if gf.factorize(q) != [(q, 1)]:
+            continue
+        f = gf.field_new(q)
+        divisors = [r for r, _ in gf.factorize(q - 1)]
+        omega = next(x for x in range(2, q)
+                     if all(pow(x, (q - 1) // r, q) != 1 for r in divisors))
+        assert gf.primitive_root(f) == omega
+        assert np.array_equal(f.exp_table, [pow(omega, t, q) for t in range(q - 1)])
+
+
+def test_gf2_tables():
+    f = gf.field_new(2)
+    assert f.exp_table.tolist() == [1] and f.dlog_table.tolist() == [-1, 0]
+    assert (f.inv(1), f.pow(1, -5), f.pow(0, 0), f.pow(0, 3)) == (1, 1, 1, 0)
 
 
 def test_cyclotomy_classes_mod7():
