@@ -136,16 +136,6 @@ class AllowedCosetTable:
     col_selection: tuple
     allowed: dict  # (i, j, r, s) -> frozenset of classes
 
-    def classes_for(self, i: int, j: int, r: int, s: int) -> frozenset:
-        """Allowed classes for the quotient D_i / D_j in any orientation:
-        swapping (i, j) negates the classes, swapping (r, s) is free."""
-        if r > s:
-            r, s = s, r
-        if i < j:
-            return self.allowed[(i, j, r, s)]
-        base = self.allowed[(j, i, r, s)]
-        return frozenset((-c) % self.lam for c in base)
-
 
 def _excluded_classes(t: TemplateMatrix, c1: int, c2: int) -> dict:
     """(i, j) -> the classes excluded for row blocks i < j on template

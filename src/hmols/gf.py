@@ -110,7 +110,10 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p
-        return int(self.mul_table[a, b])
+        if a == 0 or b == 0:
+            return 0
+        log = self.dlog_table
+        return int(self.exp_table[(int(log[a]) + int(log[b])) % (self.q - 1)])
 
     def pow(self, a: int, n: int) -> int:
         if a == 0:  # 0^0 = 1 and 0^n = 0 for n > 0
@@ -201,7 +204,8 @@ class FieldSpec:
 
     @functools.cached_property
     def mul_table(self) -> np.ndarray:
-        """Products by adding discrete logs; read by extension fields only."""
+        """Products by adding discrete logs; read by mul_arr on extension
+        fields only (a scalar product reads the exp/log tables)."""
         log = self.dlog_table.astype(np.int32)
         t = self.exp_table[(log[:, None] + log[None, :]) % (self.q - 1)]
         t[0, :] = t[:, 0] = 0
@@ -254,9 +258,6 @@ class CyclotomyContext:
     omega: int
     class_table: np.ndarray
     dlog_table: np.ndarray
-
-    def class_members(self, i: int) -> list[int]:
-        return [int(x) for x in np.nonzero(self.class_table == i % self.lam)[0]]
 
     def quotient_class(self, a, b):
         """Class of a/b for nonzero a and b, which may be index arrays:

@@ -3,8 +3,11 @@
 The planner chains the compose and cyclotomic constructions into plan
 trees over a registry of known facts.  Registry facts are explicit (a
 design exists, with fixture, constructible-recipe, or external-table
-provenance); external-table facts participate in plan arithmetic but
-are never executed, so every executed plan is certificate-backed.
+provenance); external-table and range (*-atleast) facts participate in
+plan arithmetic but are never executed, so every executed plan is
+certificate-backed.  What each step needs, its registry facts and its
+children's goals, is stated once (_needs) and read by plan search,
+validation and execution alike.
 
 Plan search is a bounded deterministic depth-first search: step kinds
 are tried in a fixed order and candidates in ascending order, so the
@@ -13,6 +16,7 @@ first (lexicographically smallest) complete plan wins.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -26,6 +30,7 @@ from . import gf
 from .errors import (
     BudgetExceeded,
     IngredientFailure,
+    MalformedInput,
     NoGuarantee,
     NoneInInterval,
     NoPlan,
@@ -43,20 +48,22 @@ def factor_prime_powers(h: int) -> list[tuple[int, int]]:
     return gf.factorize(h) if h > 1 else []
 
 
-def lambda_hk(h: int, k: int) -> int:
-    """The index prod q_i^(d_i - 1) over the prime-power factors q_i of h,
-    with d_i the least integer such that q_i^d_i >= k; exact integer
-    arithmetic throughout."""
-    if h < 2 or k < 2:
-        raise ValueError("need h >= 2 and k >= 2")
-    lam = 1
+def _lambda_parts(h: int, k: int):
+    """(q_i, d_i) for each prime-power factor q_i of h, with d_i the least
+    integer such that q_i^d_i >= k."""
     for p, e in factor_prime_powers(h):
-        q_i = p**e
-        d = 1
+        q_i, d = p**e, 1
         while q_i**d < k:
             d += 1
-        lam *= q_i ** (d - 1)
-    return lam
+        yield q_i, d
+
+
+def lambda_hk(h: int, k: int) -> int:
+    """The index prod q_i^(d_i - 1) over the prime-power factors q_i of h;
+    exact integer arithmetic throughout."""
+    if h < 2 or k < 2:
+        raise ValueError("need h >= 2 and k >= 2")
+    return math.prod(q_i ** (d - 1) for q_i, d in _lambda_parts(h, k))
 
 
 def frobenius_split(a: int, b: int, big_c: int, n: int) -> tuple[int, int]:
@@ -150,6 +157,20 @@ ITD = "ITD"               # (k, n, h)
 TD_ATLEAST = "TD-atleast"     # (k, n_min)
 HTD_ATLEAST = "HTD-atleast"   # (k, h, n_min)
 RECIPE = "recipe"         # (name,)
+_ARITY = {TD: 2, HTD: 3, ITD: 3, TD_ATLEAST: 2, HTD_ATLEAST: 3, RECIPE: 1}
+
+
+def _is_fact_row(row) -> bool:
+    """A registry row: a known kind with its number of integer params (one
+    name for a recipe) and a provenance naming its source."""
+    if not isinstance(row, dict) or not isinstance(row.get("kind"), str) \
+            or row["kind"] not in _ARITY:
+        return False
+    params, prov = row.get("params"), row.get("provenance")
+    want = str if row["kind"] == RECIPE else int
+    return (isinstance(params, list) and len(params) == _ARITY[row["kind"]]
+            and all(type(x) is want for x in params)
+            and isinstance(prov, dict) and isinstance(prov.get("source"), str))
 
 
 @dataclass
@@ -192,6 +213,11 @@ class Registry:
     def find_itd(self, k: int, n: int, h: int):
         return self._match(ITD, lambda p: p[0] >= k and p[1] == n and p[2] == h)
 
+    def find(self, kind: str, params):
+        """The facts that supply a design of this kind (TD, HTD or ITD)
+        with these params."""
+        return {TD: self.find_td, HTD: self.find_htd, ITD: self.find_itd}[kind](*params)
+
     def has_recipe(self, name: str) -> bool:
         return (RECIPE, (name,)) in self.facts
 
@@ -207,8 +233,13 @@ class Registry:
 
     @staticmethod
     def from_json(text: str) -> "Registry":
+        rows = json.loads(text)
+        if not isinstance(rows, list):
+            raise MalformedInput("a registry is a JSON list of facts")
         reg = Registry()
-        for row in json.loads(text):
+        for row in rows:
+            if not _is_fact_row(row):
+                raise MalformedInput(f"malformed registry fact {row!r:.100}")
             reg.facts[(row["kind"], tuple(row["params"]))] = row["provenance"]
         return reg
 
@@ -243,75 +274,97 @@ class PlanTree:
 
     @staticmethod
     def from_doc(doc) -> "PlanTree":
+        """Read a plan from its JSON document; every node must be
+        {"goal": [h, n, k], "step": {"kind": ...}, "children": {...}}."""
+        if not (isinstance(doc, dict) and isinstance(doc.get("goal"), list)
+                and len(doc["goal"]) == 3 and all(type(x) is int for x in doc["goal"])
+                and isinstance(doc.get("step"), dict)
+                and isinstance(doc["step"].get("kind"), str)
+                and isinstance(doc.get("children"), dict)):
+            raise MalformedInput(f"malformed plan node {doc!r:.100}")
         return PlanTree(goal=tuple(doc["goal"]), step=doc["step"],
                         children={role: PlanTree.from_doc(sub)
                                   for role, sub in doc["children"].items()})
 
     @staticmethod
     def from_json(text: str) -> "PlanTree":
-        return PlanTree.from_doc(json.loads(text))
+        try:
+            return PlanTree.from_doc(json.loads(text))
+        except RecursionError:
+            raise MalformedInput("plan nested too deeply to read") from None
 
 
 def _fact_key(doc):
     return (doc[0], tuple(doc[1]))
 
 
-def validate_plan(tree: PlanTree, reg: Registry) -> None:
-    """Re-check every arithmetic identity and registry membership; raises
-    NoPlan with the offending node on failure."""
-    h, n, k = tree.goal
-    kind = tree.step["kind"]
+def _ints(step: dict, *names):
+    values = [step[name] for name in names]
+    if any(type(v) is not int for v in values):
+        raise MalformedInput(f"step fields {names} must be integers, got {values}")
+    return values
+
+
+def _needs(goal, step):
+    """What a step needs to build its goal (h, n, k), an HTD(k+2, h^n): the
+    (role, kind, params) of each registry fact it names, kind and params
+    being the design that fact must supply, and {role: goal} of its
+    children.  MalformedInput when the step's arithmetic misses the goal."""
+    h, n, k = goal
+    kind = step["kind"]
     if kind == STEP_FIXTURE:
-        key = _fact_key(tree.step["fact"])
-        if key not in reg.facts:
-            raise NoPlan(f"fixture fact {key} missing from the registry")
-        fk, params = key
-        if fk == HTD:
-            if not (params[0] >= k + 2 and params[1] == h and params[2] == n):
-                raise NoPlan(f"fact {key} does not supply HTD({k + 2},{h}^{n})")
-        elif fk == HTD_ATLEAST:
-            if not (params[0] >= k + 2 and params[1] == h and params[2] <= n):
-                raise NoPlan(f"range fact {key} does not cover n = {n}")
-        else:
-            raise NoPlan(f"fact {key} is not a holey-design fact")
-    elif kind == STEP_TRIVIAL:
+        return [("fact", HTD, (k + 2, h, n))], {}
+    if kind == STEP_TRIVIAL:
         if n != 1:
-            raise NoPlan("the trivial step only covers a single hole")
-    elif kind == STEP_CYCLOTOMIC:
-        q, lam = tree.step["q"], tree.step["lam"]
+            raise MalformedInput("the trivial step only covers a single hole")
+        return [], {}
+    if kind == STEP_CYCLOTOMIC:
+        q, lam = _ints(step, "q", "lam")
         if q != n or not is_prime(q):
-            raise NoPlan(f"cyclotomic step needs prime q = n, got {q}")
+            raise MalformedInput(f"cyclotomic step needs prime q = n, got {q}")
         if lam != lambda_hk(h, k + 2) or (q - 1) % lam != 0:
-            raise NoPlan("cyclotomic index inconsistent with the goal")
-    elif kind == STEP_DIAG:
-        m, n2 = tree.step["m"], tree.step["n2"]
+            raise MalformedInput("cyclotomic index inconsistent with the goal")
+        return [], {}
+    if kind == STEP_DIAG:
+        m, n2 = _ints(step, "m", "n2")
         if m * n2 != n:
-            raise NoPlan(f"diag arithmetic broken: {m} * {n2} != {n}")
-        if _fact_key(tree.step["unit_fact"]) not in reg.facts or \
-                _fact_key(tree.step["td_fact"]) not in reg.facts:
-            raise NoPlan("diag ingredient facts missing")
-        sub = tree.children["diagonal"]
-        if sub.goal != (h, n2, k):
-            raise NoPlan("diag child goal mismatch")
-        validate_plan(sub, reg)
-    elif kind == STEP_WILSON:
-        m, t, u = tree.step["m"], tree.step["t"], tree.step["u"]
+            raise MalformedInput(f"diag arithmetic broken: {m} * {n2} != {n}")
+        return ([("unit_fact", HTD, (k + 2, 1, m)), ("td_fact", TD, (k + 2, h * n2))],
+                {"diagonal": (h, n2, k)})
+    if kind == STEP_WILSON:
+        m, t, u = _ints(step, "m", "t", "u")
         if m * t + u != n or not 0 <= u < t:
-            raise NoPlan(f"wilson arithmetic broken: {m}*{t}+{u} != {n}")
-        for role in ("t_fact", "td_fact", "itd_fact"):
-            if _fact_key(tree.step[role]) not in reg.facts:
-                raise NoPlan(f"wilson ingredient fact {role} missing")
-        layer = tree.children["layer"]
-        if layer.goal != (h, m, k):
-            raise NoPlan("wilson layer goal mismatch")
-        validate_plan(layer, reg)
+            raise MalformedInput(f"wilson arithmetic broken: {m}*{t}+{u} != {n}")
+        kids = {"layer": (h, m, k)}
         if u > 0:
-            trunc = tree.children["truncation"]
-            if trunc.goal != (h, u, k):
-                raise NoPlan("wilson truncation goal mismatch")
-            validate_plan(trunc, reg)
-    else:
-        raise NoPlan(f"unknown step kind {kind!r}")
+            kids["truncation"] = (h, u, k)
+        return ([("t_fact", TD, (k + 3, t)), ("td_fact", TD, (k + 2, h * m)),
+                 ("itd_fact", ITD, (k + 2, h * m + h, h))], kids)
+    raise MalformedInput(f"unknown step kind {kind!r}")
+
+
+def validate_plan(tree: PlanTree, reg: Registry) -> None:
+    """Re-check every node: its arithmetic, that each registry fact it
+    names supplies the design its step needs, and its children's goals.
+    Raises MalformedInput naming the first offending node."""
+    try:
+        if min(tree.goal) < 1:
+            raise MalformedInput("goal entries must be positive")
+        facts, kids = _needs(tree.goal, tree.step)
+        for role, kind, params in facts:
+            named = _fact_key(tree.step[role])
+            if named not in reg.find(kind, params):
+                raise MalformedInput(f"{role} {named} does not supply {kind}{params}")
+        goals = {role: sub.goal for role, sub in tree.children.items()}
+        if goals != kids:
+            raise MalformedInput(f"children {goals}, but the step needs {kids}")
+    except MalformedInput as exc:
+        raise MalformedInput(f"plan node {tree.goal}: {exc}") from None
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedInput(f"plan node {tree.goal}: malformed step "
+                             f"{tree.step!r:.100} ({exc!r})") from None
+    for sub in tree.children.values():
+        validate_plan(sub, reg)
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +392,28 @@ def plan_hmols(h: int, k: int, n: int, reg: Registry,
     return tree
 
 
+def _fill(goal, step, reg, depth, width):
+    """The step completed with the first registry fact for each design it
+    needs and a plan for each child, or None when one is missing."""
+    facts, kids = _needs(goal, step)
+    for role, kind, params in facts:
+        hits = reg.find(kind, params)
+        if not hits:
+            return None
+        step[role] = [hits[0][0], list(hits[0][1])]
+    children = {}
+    for role, (h, n, k) in kids.items():
+        children[role] = _search(h, k, n, reg, depth - 1, width)
+        if children[role] is None:
+            return None
+    return PlanTree(goal=goal, step=step, children=children)
+
+
 def _search(h, k, n, reg, depth, width):
     goal = (h, n, k)
-    hits = reg.find_htd(k + 2, h, n)
-    if hits:
-        return PlanTree(goal=goal, step={"kind": STEP_FIXTURE,
-                                         "fact": [hits[0][0], list(hits[0][1])]})
+    tree = _fill(goal, {"kind": STEP_FIXTURE}, reg, depth, width)
+    if tree is not None:
+        return tree
     if n == 1:
         return PlanTree(goal=goal, step={"kind": STEP_TRIVIAL})
     if h >= 2 and reg.has_recipe("cyclotomic") and is_prime(n):
@@ -357,61 +426,29 @@ def _search(h, k, n, reg, depth, width):
 
     # diagonal product over divisor splits n = m * n2
     tried = 0
-    for m in sorted(d for d in range(2, n) if n % d == 0):
-        n2 = n // m
-        if n2 < 2:
-            continue
+    for m in (d for d in range(2, n) if n % d == 0):
         tried += 1
         if tried > width:
             break
-        unit = reg.find_htd(k + 2, 1, m)
-        td = reg.find_td(k + 2, h * n2)
-        if not unit or not td:
-            continue
-        sub = _search(h, k, n2, reg, depth - 1, width)
-        if sub is not None:
-            step = {"kind": STEP_DIAG, "m": m, "n2": n2,
-                    "unit_fact": [unit[0][0], list(unit[0][1])],
-                    "td_fact": [td[0][0], list(td[0][1])]}
-            return PlanTree(goal=goal, step=step, children={"diagonal": sub})
+        tree = _fill(goal, {"kind": STEP_DIAG, "m": m, "n2": n // m}, reg, depth, width)
+        if tree is not None:
+            return tree
 
-    # Wilson composition n = m*t + u; m ranges over hole sizes with a
-    # known incomplete ingredient
+    # Wilson composition n = m*t + u with 0 <= u < t; m ranges over hole
+    # sizes with a known incomplete ingredient
     tried = 0
     for hm_plus in reg.itd_hole_sizes(k + 2, h):
-        if (hm_plus - h) % h != 0:
-            continue
         m = (hm_plus - h) // h
-        if m < 1 or not reg.find_td(k + 2, h * m):
+        if (hm_plus - h) % h != 0 or m < 1:
             continue
-        t_lo = n // (m + 1) + 1
-        t_hi = n // m
-        for t in range(t_lo, t_hi + 1):
-            u = n - m * t
-            if not 0 <= u < t:
-                continue
+        for t in range(n // (m + 1) + 1, n // m + 1):
             tried += 1
             if tried > width:
                 break
-            t_fact = reg.find_td(k + 3, t)
-            if not t_fact:
-                continue
-            layer = _search(h, k, m, reg, depth - 1, width)
-            if layer is None:
-                continue
-            children = {"layer": layer}
-            if u > 0:
-                trunc = _search(h, k, u, reg, depth - 1, width)
-                if trunc is None:
-                    continue
-                children["truncation"] = trunc
-            itd = reg.find_itd(k + 2, h * m + h, h)
-            td = reg.find_td(k + 2, h * m)
-            step = {"kind": STEP_WILSON, "m": m, "t": t, "u": u,
-                    "t_fact": [t_fact[0][0], list(t_fact[0][1])],
-                    "td_fact": [td[0][0], list(td[0][1])],
-                    "itd_fact": [itd[0][0], list(itd[0][1])]}
-            return PlanTree(goal=goal, step=step, children=children)
+            tree = _fill(goal, {"kind": STEP_WILSON, "m": m, "t": t, "u": n - m * t},
+                         reg, depth, width)
+            if tree is not None:
+                return tree
     return None
 
 
@@ -457,84 +494,76 @@ def _restrict_to(d, k: int):
     return d if d.k == k else dz.restrict_groups(d, list(range(k)))
 
 
-def _resolve(reg: Registry, keys, k: int, what: str):
-    """Materialize the first resolvable fact as a (marked) design on k groups."""
-    errors = []
-    for key in keys:
-        prov = reg.facts[key]
-        if key in reg.designs:
-            design = reg.designs[key]
-            return _restrict_to(design() if callable(design) else design, k)
-        if prov["source"] == CONSTRUCTIBLE:
-            return _restrict_to(_recipe_design(prov["recipe"]), k)
-        errors.append(f"{key} has source {prov['source']!r}")
-    raise IngredientFailure(f"cannot materialize {what}: {errors or 'no fact'}")
+def _resolve(reg: Registry, key, k: int):
+    """Materialize one registry fact as a (marked) design on k groups.
+    Range facts, like external-table facts, are plan arithmetic only."""
+    if key[0] in (TD_ATLEAST, HTD_ATLEAST):
+        raise IngredientFailure(f"range fact {key} is never built")
+    if key in reg.designs:
+        design = reg.designs[key]
+        return _restrict_to(design() if callable(design) else design, k)
+    source = reg.facts[key]["source"]
+    if source != CONSTRUCTIBLE:
+        raise IngredientFailure(f"cannot materialize {key}: source {source!r}")
+    return _restrict_to(_recipe_design(reg.facts[key]["recipe"]), k)
 
 
 def _build_td_lambda(h: int, k: int) -> dz.BlockDesign:
     """TD of index lambda(h,k) and group size h: projections of the
     prime-power factors of h, multiplied together."""
-    parts = []
-    for p, e in factor_prime_powers(h):
-        q_i = p**e
-        d = 1
-        while q_i**d < k:
-            d += 1
-        parts.append(cy.td_projection(q_i, d, k))
-    out = parts[0]
-    for nxt in parts[1:]:
-        out = cp.td_product(out, nxt)
-    return out
+    return functools.reduce(cp.td_product, (cy.td_projection(q_i, d, k)
+                                            for q_i, d in _lambda_parts(h, k)))
 
 
 def execute_plan(p: PlanTree, reg: Registry, seed: int = 0,
                  budget: int = cy.DEFAULT_BUDGET,
                  max_blocks: int = DEFAULT_EXEC_BLOCKS) -> dz.BlockDesign:
-    """Run the plan bottom-up through the compose and cyclotomic builders,
-    verifying at every node, and return the goal HTD."""
+    """Validate the plan and check its size once, then run it bottom-up
+    through the compose and cyclotomic builders and return the goal HTD."""
     validate_plan(p, reg)
     if _estimate_blocks(p) > max_blocks:
         raise BudgetExceeded(f"goal {p.goal} needs about {_estimate_blocks(p)} "
                              f"blocks, over the cap {max_blocks}")
+    return _execute(p, reg, seed, budget)
+
+
+def _execute(p: PlanTree, reg: Registry, seed: int, budget: int) -> dz.BlockDesign:
+    """Build one validated node from its children's designs and the facts
+    its step needs, and check the output against the node's goal."""
     h, n, k = p.goal
-    groups = k + 2
+    facts, kids = _needs(p.goal, p.step)
+    built = {role: _execute(p.children[role], reg, seed, budget) for role in kids}
+    groups = {role: params[0] for role, _, params in facts}
+
+    def fact(role):
+        return _resolve(reg, _fact_key(p.step[role]), groups[role])
+
     kind = p.step["kind"]
     try:
         if kind == STEP_FIXTURE:
-            d = _resolve(reg, [_fact_key(p.step["fact"])], groups, "fixture HTD")
+            d = fact("fact")
             rep = dz.verify_design(d)
             if not rep.valid:
                 raise IngredientFailure(f"fixture fails verification: "
                                         f"{rep.violations[:3]}")
-            return d
-        if kind == STEP_TRIVIAL:
-            return dz.BlockDesign.new(
-                k=groups, group_size=h, index=1,
-                blocks=np.empty((0, groups), dtype=np.int32),
+        elif kind == STEP_TRIVIAL:
+            d = dz.BlockDesign.new(
+                k=k + 2, group_size=h, index=1,
+                blocks=np.empty((0, k + 2), dtype=np.int32),
                 hole_kind=dz.HOLE_UNIFORM, holes=(tuple(range(h)),))
-        if kind == STEP_CYCLOTOMIC:
-            td = _build_td_lambda(h, groups)
-            return cy.expand_td_to_htd(td, p.step["q"], seed=seed, budget=budget)
-        if kind == STEP_DIAG:
-            a = _resolve(reg, [_fact_key(p.step["unit_fact"])], groups, "unit HTD")
-            b = _resolve(reg, [_fact_key(p.step["td_fact"])], groups, "cross TD")
-            c = execute_plan(p.children["diagonal"], reg, seed, budget, max_blocks)
-            return cp.diag_product(a, b, c)
-        if kind == STEP_WILSON:
+        elif kind == STEP_CYCLOTOMIC:
+            d = cy.expand_td_to_htd(_build_td_lambda(h, k + 2), n, seed=seed,
+                                    budget=budget)
+        elif kind == STEP_DIAG:
+            d = cp.diag_product(fact("unit_fact"), fact("td_fact"), built["diagonal"])
+        else:
             u = p.step["u"]
-            r = _resolve(reg, [_fact_key(p.step["t_fact"])], groups + 1,
-                         "resolvable TD")
-            b = _resolve(reg, [_fact_key(p.step["td_fact"])], groups, "cross TD")
-            a = execute_plan(p.children["layer"], reg, seed, budget, max_blocks)
-            e = f = None
-            if u > 0:
-                e = _resolve(reg, [_fact_key(p.step["itd_fact"])], groups,
-                             "incomplete TD")
-                f = execute_plan(p.children["truncation"], reg, seed, budget,
-                                 max_blocks)
-            return cp.wilson_compose(r, a, b, e, f, u)
-    except IngredientFailure:
-        raise
+            d = cp.wilson_compose(fact("t_fact"), built["layer"], fact("td_fact"),
+                                  fact("itd_fact") if u else None,
+                                  built.get("truncation"), u)
     except Exception as exc:
         raise IngredientFailure(f"subtree {p.goal} failed: {exc}") from exc
-    raise IngredientFailure(f"unknown step {kind!r}")
+    if (d.k, d.hole_size, d.hole_count) != (k + 2, h, n):
+        raise IngredientFailure(f"subtree {p.goal} built HTD({d.k},{d.hole_size}"
+                                f"^{d.hole_count}), not HTD({k + 2},{h}^{n})")
+    return d

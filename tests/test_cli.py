@@ -235,3 +235,59 @@ def test_plan_and_execute_cli(tmp_path, capsys):
     assert run(["execute", str(plan_path), "--registry", str(reg_path)]) == 0
     assert "valid" in capsys.readouterr().out
     assert run(["plan", "2", "6", "59201", "--registry", str(reg_path)]) == 3
+
+
+def _cyclotomic_registry(tmp_path):
+    from hmols import planner as pl
+    reg = pl.Registry()
+    reg.add(pl.RECIPE, ("cyclotomic",), pl.CONSTRUCTIBLE)
+    path = tmp_path / "reg.json"
+    path.write_text(reg.to_json())
+    return str(path)
+
+
+BROKEN_PLANS = {
+    "no-goal": '{"step": {"kind": "trivial"}, "children": {}}',
+    "no-kind": '{"goal": [2, 67, 1], "step": {}, "children": {}}',
+    "not-an-object": "[1]",
+    # used to exit 3 with an "exhausted:" message
+    "broken-arithmetic": '{"goal": [2, 67, 1], "step": {"kind": "cyclotomic", '
+                         '"q": 61, "lam": 2}, "children": {}}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_PLANS))
+def test_execute_broken_plan_exits_two(tmp_path, capsys, name):
+    plan = tmp_path / "plan.json"
+    plan.write_text(BROKEN_PLANS[name])
+    assert run(["execute", str(plan), "--registry", _cyclotomic_registry(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", ['[{"kind": "TD"}]', '{"a": 1}'])
+def test_plan_broken_registry_exits_two(tmp_path, capsys, text):
+    reg = tmp_path / "reg.json"
+    reg.write_text(text)
+    assert run(["plan", "2", "1", "67", "--registry", str(reg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_execute_range_fact_plan_exits_two(tmp_path, capsys):
+    # HTD(3, 1^n) for n >= 5 from one recipe for n = 5: executing it used to
+    # print "HTD(3,2^20): valid" for the goal 2^28 and exit 0
+    from hmols import planner as pl
+    reg = pl.Registry()
+    reg.add(pl.HTD, (4, 2, 4), pl.CONSTRUCTIBLE,
+            recipe={"op": "fixture", "name": "hmols_2_4"})
+    reg.add(pl.TD, (3, 8), pl.CONSTRUCTIBLE,
+            recipe={"op": "td_from_field", "k": 3, "q": 8})
+    reg.add(pl.HTD_ATLEAST, (3, 1, 5), pl.CONSTRUCTIBLE,
+            recipe={"op": "unit_hole_htd", "k": 3, "q": 5})
+    reg_path, plan_path = tmp_path / "reg.json", tmp_path / "plan.json"
+    reg_path.write_text(reg.to_json())
+    assert run(["plan", "2", "1", "28", "--registry", str(reg_path),
+                "--out", str(plan_path)]) == 0
+    assert run(["execute", str(plan_path), "--registry", str(reg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "range fact" in captured.err

@@ -155,6 +155,24 @@ def test_vectorized_tables_match_scalar():
                 assert sub[x, y] == f.sub(x, y)
 
 
+@pytest.mark.parametrize("q", [16, 27])
+def test_scalar_mul_matches_mul_arr(q):
+    f = gf.field_new(q)
+    a, b = np.divmod(np.arange(q * q), q)  # every pair, zeros included
+    assert [f.mul(x, y) for x, y in zip(a.tolist(), b.tolist())] == \
+        f.mul_arr(a, b).tolist()
+
+
+def test_scalar_mul_builds_no_product_table():
+    # a fresh GF(4096), so no other test's cached tables count
+    f0 = gf.field_new(4096)
+    f = gf.FieldSpec(f0.q, f0.p, f0.e, f0.modulus)
+    assert f.mul(2, 3) == 6  # X * (X + 1) = X^2 + X
+    assert f.mul(0, 5) == f.mul(5, 0) == 0 and f.mul(1, 4095) == 4095
+    assert all(f.mul(a, f.inv(a)) == 1 for a in range(1, 4096, 97))
+    assert "mul_table" not in f.__dict__
+
+
 def test_primitive_root_small():
     assert gf.primitive_root(gf.field_new(3)) == 2
     f7 = gf.field_new(7)
@@ -287,10 +305,9 @@ def test_gf2_tables():
 def test_cyclotomy_classes_mod7():
     f = gf.field_new(7)
     ctx = gf.cyclotomy_new(f, 2)
-    assert ctx.class_members(0) == [1, 2, 4]  # nonzero squares mod 7
-    assert ctx.class_members(1) == [3, 5, 6]
+    assert ctx.class_table.tolist() == [-1, 0, 0, 1, 0, 1, 1]  # squares mod 7 in C_0
     ctx1 = gf.cyclotomy_new(f, 1)
-    assert ctx1.class_members(0) == [1, 2, 3, 4, 5, 6]
+    assert ctx1.class_table.tolist() == [-1, 0, 0, 0, 0, 0, 0]
     with pytest.raises(IndexNotDividing):
         gf.cyclotomy_new(f, 4)
 
@@ -312,7 +329,7 @@ def test_class_multiplicativity_and_sizes(q, lam):
     size = (q - 1) // lam
     seen = set()
     for i in range(lam):
-        members = ctx.class_members(i)
+        members = np.flatnonzero(ctx.class_table == i).tolist()
         assert len(members) == size
         assert not seen.intersection(members)
         seen.update(members)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -8,6 +9,7 @@ from hmols import planner as pl
 from hmols.errors import (
     BudgetExceeded,
     IngredientFailure,
+    MalformedInput,
     NoGuarantee,
     NoneInInterval,
     NoPlan,
@@ -159,6 +161,27 @@ def test_registry_weakening_queries():
     assert reg.itd_hole_sizes(8, 2) == [100]
 
 
+def test_registry_find_dispatches_on_kind():
+    reg = example_registry()
+    assert reg.find(pl.TD, (9, 781)) == reg.find_td(9, 781) == [(pl.TD_ATLEAST, (9, 780))]
+    assert reg.find(pl.HTD, (5, 2, 49)) == reg.find_htd(5, 2, 49)
+    assert reg.find(pl.ITD, (8, 100, 2)) == reg.find_itd(8, 100, 2) == [(pl.ITD, (8, 100, 2))]
+
+
+FACT = {"kind": "TD", "params": [4, 5], "provenance": {"source": "fixture"}}
+
+
+@pytest.mark.parametrize("rows", [
+    {"a": 1}, [1], [{"kind": "TD"}], [dict(FACT, kind="TDX")], [dict(FACT, kind=["TD"])],
+    [dict(FACT, params=[4])], [dict(FACT, params=[4, "5"])], [dict(FACT, params=[4, True])],
+    [dict(FACT, provenance={})], [dict(FACT, kind=pl.RECIPE, params=[3])],
+], ids=["object", "not-a-row", "no-params", "unknown-kind", "unhashable-kind",
+        "short-params", "string-param", "bool-param", "no-source", "recipe-number"])
+def test_registry_from_json_rejects_malformed_rows(rows):
+    with pytest.raises(MalformedInput):
+        pl.Registry.from_json(json.dumps(rows))
+
+
 # -- plan search -----------------------------------------------------------------
 
 def test_plan_finds_six_hmols_wilson_shape():
@@ -197,6 +220,70 @@ def test_plan_single_cyclotomic_leaf():
 def test_plan_empty_registry_is_noplan():
     with pytest.raises(NoPlan):
         pl.plan_hmols(2, 6, 59201, pl.Registry())
+
+
+TRIVIAL = {"goal": [2, 1, 1], "step": {"kind": pl.STEP_TRIVIAL}, "children": {}}
+
+
+@pytest.mark.parametrize("doc", [
+    [1], {"step": {"kind": "trivial"}, "children": {}},
+    {"goal": [2, 67, 1], "step": {}, "children": {}}, dict(TRIVIAL, goal=[2, 1]),
+    dict(TRIVIAL, goal=[2, 1.0, 1]), dict(TRIVIAL, goal=[2, True, 1]),
+    dict(TRIVIAL, children=[]), dict(TRIVIAL, children={"layer": [1]}),
+], ids=["list", "no-goal", "no-kind", "short-goal", "float-goal", "bool-goal",
+        "children-list", "bad-child"])
+def test_plan_from_doc_rejects_malformed_nodes(doc):
+    with pytest.raises(MalformedInput):
+        pl.PlanTree.from_doc(doc)
+
+
+def test_plan_from_json_rejects_deep_nesting():
+    depth = 3000
+    node = '{"goal": [2, 1, 1], "step": {"kind": "trivial"}, "children": '
+    text = (node + '{"c": ') * depth + node + "{}}" + "}}" * depth
+    with pytest.raises(MalformedInput, match="too deeply"):
+        pl.PlanTree.from_json(text)
+
+
+@pytest.mark.parametrize("step", [
+    {"kind": pl.STEP_CYCLOTOMIC, "q": 61, "lam": 2},
+    {"kind": pl.STEP_CYCLOTOMIC, "q": 67, "lam": 3},
+    {"kind": pl.STEP_CYCLOTOMIC, "q": 67, "lam": 2.0},
+    {"kind": pl.STEP_CYCLOTOMIC, "lam": 2},
+    {"kind": pl.STEP_TRIVIAL}, {"kind": "unknown"},
+    {"kind": pl.STEP_FIXTURE}, {"kind": pl.STEP_FIXTURE, "fact": 5},
+], ids=["q-not-n", "wrong-index", "float-lam", "no-q", "trivial-n", "unknown-kind",
+        "no-fact", "fact-not-a-pair"])
+def test_validate_rejects_broken_steps_as_malformed(step):
+    reg = pl.Registry()
+    reg.add(pl.RECIPE, ("cyclotomic",), pl.CONSTRUCTIBLE)
+    with pytest.raises(MalformedInput, match=r"plan node \(2, 67, 1\)"):
+        pl.validate_plan(pl.PlanTree(goal=(2, 67, 1), step=step), reg)
+
+
+def test_validate_rejects_a_fact_that_does_not_supply_the_step():
+    # membership alone used to pass; the diagonal product then failed late
+    reg = range_fact_registry()
+    reg.add(pl.HTD, (3, 1, 5), pl.CONSTRUCTIBLE,
+            recipe={"op": "unit_hole_htd", "k": 3, "q": 5})
+    tree = pl.plan_hmols(2, 1, 20, reg)
+    assert tree.step["kind"] == pl.STEP_DIAG
+    assert tree.step["td_fact"] == [pl.TD, [3, 8]]
+    tree.step["td_fact"] = [pl.HTD, [4, 2, 4]]
+    with pytest.raises(MalformedInput, match=r"plan node \(2, 20, 1\): td_fact"):
+        pl.validate_plan(tree, reg)
+
+
+def test_validate_rejects_children_the_step_does_not_need():
+    reg = small_exec_registry()
+    tree = wilson_24_plan()
+    tree.children["layer"] = tree.children["truncation"] = pl.PlanTree.from_doc(TRIVIAL)
+    with pytest.raises(MalformedInput, match="children"):
+        pl.validate_plan(tree, reg)
+    tree = wilson_24_plan()
+    tree.children["extra"] = pl.PlanTree.from_doc(TRIVIAL)
+    with pytest.raises(MalformedInput, match="children"):
+        pl.validate_plan(tree, reg)
 
 
 # -- execution -------------------------------------------------------------------
@@ -251,6 +338,53 @@ def test_execute_external_table_leaf_fails():
                        step={"kind": pl.STEP_FIXTURE, "fact": [pl.HTD, [4, 2, 4]]})
     with pytest.raises(IngredientFailure):
         pl.execute_plan(tree, reg)
+
+
+def range_fact_registry():
+    """The HMOLS(2^4) fixture, TD(3, 8), and HTD(3, 1^n) for every n >= 5
+    as a constructible range fact, whose one recipe builds n = 5 only."""
+    reg = pl.Registry()
+    reg.add(pl.HTD, (4, 2, 4), pl.CONSTRUCTIBLE,
+            recipe={"op": "fixture", "name": "hmols_2_4"})
+    reg.add(pl.TD, (3, 8), pl.CONSTRUCTIBLE,
+            recipe={"op": "td_from_field", "k": 3, "q": 8})
+    reg.add(pl.HTD_ATLEAST, (3, 1, 5), pl.CONSTRUCTIBLE,
+            recipe={"op": "unit_hole_htd", "k": 3, "q": 5})
+    return reg
+
+
+def test_execute_never_builds_a_range_fact():
+    # its recipe would build HTD(3, 1^5) for the HTD(3, 1^7) the plan needs,
+    # and the composition an HTD(3, 2^20) for the goal 2^28
+    reg = range_fact_registry()
+    tree = pl.plan_hmols(2, 1, 28, reg)
+    assert tree.step["unit_fact"] == [pl.HTD_ATLEAST, [3, 1, 5]]
+    with pytest.raises(IngredientFailure, match=r"subtree \(2, 28, 1\).*range fact"):
+        pl.execute_plan(tree, reg)
+
+
+def test_execute_checks_each_node_against_its_goal():
+    reg = range_fact_registry()
+    reg.add(pl.HTD, (3, 1, 7), pl.CONSTRUCTIBLE,  # a recipe for the wrong design
+            recipe={"op": "unit_hole_htd", "k": 3, "q": 5})
+    tree = pl.plan_hmols(2, 1, 28, reg)
+    with pytest.raises(IngredientFailure, match=r"\(2, 28, 1\) built HTD\(3,2\^20\)"):
+        pl.execute_plan(tree, reg)
+
+
+def test_execute_validates_and_checks_the_budget_once(monkeypatch):
+    reg, tree = small_exec_registry(), wilson_24_plan()
+    validated, estimated = [], []
+    validate, estimate = pl.validate_plan, pl._estimate_blocks
+    monkeypatch.setattr(pl, "validate_plan",
+                        lambda t, r: (validated.append(t), validate(t, r))[1])
+    monkeypatch.setattr(pl, "_estimate_blocks",
+                        lambda t: (estimated.append(t), estimate(t))[1])
+    pl.execute_plan(tree, reg)
+    # one pass from the root reaches each node once
+    assert list(map(id, validated)) == \
+        [id(tree), id(tree.children["layer"]), id(tree.children["truncation"])]
+    assert list(map(id, estimated)) == [id(tree)]
 
 
 def test_execute_budget_guard():
