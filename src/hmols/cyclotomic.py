@@ -244,38 +244,28 @@ def _checked_solution(table: AllowedCosetTable, ctx: gf.CyclotomyContext, u,
                            omega=ctx.omega, seed=seed)
 
 
-def _mask_tables(table: AllowedCosetTable, ctx: gf.CyclotomyContext):
-    """Row a of a constraint's (lam, lam) table marks the denominator classes
-    t that put a class-a numerator's quotient, class a - t, in an allowed
-    class; slice [q - c, 2q - c) of the second table is the class of c - x."""
-    lam, q = table.lam, ctx.field.q
-    rows = {key: np.zeros(lam, dtype=bool) for key in table.allowed}
-    for key, allowed in table.allowed.items():
-        rows[key][list(allowed)] = True
-    shift = (np.arange(lam)[:, None] - np.arange(lam)) % lam
-    neg = ctx.class_table[-np.arange(q) % q]
-    return {key: m[shift] for key, m in rows.items()}, np.concatenate([neg, neg])
+def _allowed_array(table: AllowedCosetTable) -> np.ndarray:
+    """(h, h, k, k, lam) booleans: [j, i, r, s], r < s, marks the allowed
+    classes of (u[j][r] - u[j][s]) / (u[i][r] - u[i][s])."""
+    k = len(table.col_selection)
+    out = np.zeros((table.h, table.h, k, k, table.lam), dtype=bool)
+    for (j, i, r, s), classes in table.allowed.items():
+        out[j, i, r, s, list(classes)] = True
+    return out
 
 
-def _candidate_mask(ctx: gf.CyclotomyContext, tables, u, i: int,
-                    r: int) -> np.ndarray:
-    """Which x in GF(q) may stand at u[i][r]: x repeats no u[i][s], s < r,
-    and each quotient (u[j][s] - u[j][r]) / (u[i][s] - x), j < i, s < r,
-    lies in a class allowed for blocks (j, i) and columns (s, r)."""
-    (allowed, diff), fq = tables, ctx.field
-    mask = np.ones(fq.q, dtype=bool)
-    for s in range(r):
-        c = u[i][s]
-        mask[c] = False
-        ok = True  # classes of c - x every block j < i allows; x = c is out
-        for j in range(i):
-            d_j = fq.sub(u[j][s], u[j][r])
-            if d_j == 0:
-                return np.zeros(fq.q, dtype=bool)
-            ok = ok & allowed[(j, i, s, r)][ctx.class_table[d_j]]
-        if i:
-            mask &= ok[diff[fq.q - c:2 * fq.q - c]]
-    return mask
+def _vector_rows(allowed, ctx: gf.CyclotomyContext, u, i: int) -> np.ndarray:
+    """(k, k, 2q) booleans: [a, b, q - x + y], a < b, says whether u[i][a] = x
+    and u[i][b] = y, y != x, keep every quotient with a vector j < i allowed.
+    One gather per earlier vector builds the (k, k, lam) class table."""
+    q, lam, k = ctx.field.q, ctx.lam, allowed.shape[2]
+    v = np.array(u[:i], dtype=np.int64).reshape(i, k)
+    cls = ctx.class_table[(v[:, :, None] - v[:, None, :]) % q][..., None]
+    ok = np.take_along_axis(allowed[:i, i], (cls - np.arange(lam)) % lam, axis=-1)
+    # class -1, of x - y when x = y, reads the padding False at lam
+    table = np.pad((ok & (cls >= 0)).all(axis=0), [(0, 0), (0, 0), (0, 1)])
+    gap = ctx.class_table[-np.arange(q) % q]  # the class of x - y, at y - x
+    return table[..., np.concatenate([gap, gap])]
 
 
 class _RestartAbandoned(Exception):
@@ -287,15 +277,18 @@ def search_uvectors(h: int, d: int, cols, q: int, seed: int = 0,
                     restart_nodes: int = 4096) -> UVectorSolution:
     """Seeded randomized search for the h free vectors.
 
-    Entries are chosen left to right, one vector after another.  A position
-    whose candidate mask admits no value is left at once, charged nothing:
-    its parent paid for the value that led there.  A live position orders
-    all q values by one draw from a PCG64 bit-generator stream seeded with
-    seed (stable across NumPy versions) and tries the admitted values in
-    that order; each value up to the one taken is an evaluation, and an
-    exhausted order counts in full.  A restart with fresh orders begins
-    after restart_nodes evaluations, and the budget caps them over all
-    restarts.  Exhausted is a retry signal, never a disproof.
+    Entries are placed left to right, one vector after another; u[i][0] is
+    pinned to 0 with no draw or charge, since the constraints see only
+    differences within a vector and development absorbs a translation.
+    Each open position of the current vector keeps a survivor mask of the
+    values that fit every placed entry (forward checking); a vector whose
+    pin empties one is dead at no charge.  A position tries its survivors in
+    an order of all q values drawn from a PCG64 stream seeded with seed
+    (stable across NumPy versions); each value up to the one taken is an
+    evaluation, an exhausted order counts in full, and a survivor that
+    empties a later mask is rejected.  A restart with fresh orders begins
+    every restart_nodes evaluations; the budget caps them all.
+    Exhausted is a retry signal, never a disproof, and counts what was done.
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -315,53 +308,62 @@ def search_uvectors(h: int, d: int, cols, q: int, seed: int = 0,
     ctx = gf.cyclotomy_new(fq, t.lam)
     if k > q:
         raise Exhausted(f"entries must be distinct: k = {k} > q = {q}")
-    tables = _mask_tables(table, ctx)
+    allowed = _allowed_array(table)
     bits = np.random.PCG64(seed)
-    state = {"budget": budget, "nodes": 0}
+    state = {"budget": budget, "nodes": 0, "restarts": -1, "deepest": 0}
+
+    def exhausted(reason):
+        return Exhausted(f"{reason}: {budget - state['budget']} evaluations, "
+                         f"{state['restarts']} restarts, deepest position "
+                         f"{state['deepest']} of {h * k}")
 
     def spend(n):
         # as n evaluations one by one: each checks the budget, then the
         # restart cap; those made before a restart stay charged
         if n > min(state["budget"], state["nodes"]):
             if state["budget"] <= state["nodes"]:
-                raise Exhausted(f"budget {budget} consumed")
+                state["budget"] = 0
+                raise exhausted(f"budget {budget} consumed")
             state["budget"] -= state["nodes"]
             raise _RestartAbandoned
         state["budget"] -= n
         state["nodes"] -= n
 
-    def extend(u, pos):
-        if pos == h * k:
-            return True
-        i, r = divmod(pos, k)
-        mask = _candidate_mask(ctx, tables, u, i, r)
-        if not mask.any():
-            return False
+    def start(u, i):  # u[i][0] = 0 already stands
+        rows = _vector_rows(allowed, ctx, u, i)
+        surv = rows[0, 1:, q:]
+        return surv.any(axis=1).all() and extend(u, i, 1, rows, surv)
+
+    def extend(u, i, a, rows, surv):
+        # surv[b - a] marks the values that fit u[i][b] for every b >= a
+        state["deepest"] = max(state["deepest"], i * k + a)
+        if a == k:
+            return i + 1 == h or start(u, i + 1)
         order = np.argsort(bits.random_raw(q), kind="stable")
         last = -1
-        for p in np.flatnonzero(mask[order]).tolist():
+        for p in np.flatnonzero(surv[0][order]).tolist():
             spend(p - last)
             last = p
-            u[i][r] = int(order[p])
-            if extend(u, pos + 1):
+            u[i][a] = x = int(order[p])
+            after = surv[1:] & rows[a, a + 1:, q - x:2 * q - x]
+            if after.any(axis=1).all() and extend(u, i, a + 1, rows, after):
                 return True
         spend(q - 1 - last)
         return False
 
     while True:
-        u = [[None] * k for _ in range(h)]
-        state["nodes"] = restart_nodes
+        u = [[0] + [None] * (k - 1) for _ in range(h)]
+        state.update(nodes=restart_nodes, restarts=state["restarts"] + 1)
         try:
-            if not extend(u, 0):
+            if not start(u, 0):
                 # the whole tree was refuted within this restart's node cap;
                 # callers treat Exhausted as a retry hint anyway
-                raise Exhausted(f"search space refuted or budget spent at q = {q}")
+                raise exhausted(f"search space refuted or budget spent at q = {q}")
         except _RestartAbandoned:
             continue
         sol = _checked_solution(table, ctx, u, seed)
         # double-check by the independent difference count
-        rep = verify_rdm(assemble_rdf(sol))
-        if not rep.valid:
+        if not verify_rdm(assemble_rdf(sol)).valid:
             raise AssertionError("search acceptance disagrees with the "
                                  "difference count; this is a bug")
         return sol

@@ -364,13 +364,30 @@ def cert_dumps(cert: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def cert_loads(text: str) -> dict:
+    """Read a certificate; a field of the wrong JSON type raises
+    MalformedInput."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise MalformedInput("a certificate file holds one JSON object")
     for key in ("h", "d", "q", "u_vectors"):
         if key not in doc:
             raise MalformedInput(f"certificate misses field {key!r}")
-    if doc.get("col_selection") is not None:
-        doc["col_selection"] = [int(x) for x in doc["col_selection"]]
-    doc["u_vectors"] = [[None if x is None else int(x) for x in u]
-                        for u in doc["u_vectors"]]
+    for key in ("h", "d", "q", "omega", "seed"):
+        value = doc.get(key)
+        if not (_is_int(value) or value is None and key in ("omega", "seed")):
+            raise MalformedInput(f"certificate field {key!r} is not an integer")
+    cols, vecs = doc.get("col_selection"), doc["u_vectors"]
+    if cols is not None and not (isinstance(cols, list) and all(map(_is_int, cols))):
+        raise MalformedInput("col_selection is neither null nor a list of integers")
+    # null blanks stand at template width, where col_selection is null
+    entry_ok = _is_int if cols is not None else (lambda x: x is None or _is_int(x))
+    if not isinstance(vecs, list) or not all(
+            isinstance(u, list) and all(map(entry_ok, u)) for u in vecs):
+        raise MalformedInput("u_vectors must be lists of integers, with null "
+                             "blanks only where col_selection is null")
     return doc

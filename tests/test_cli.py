@@ -93,6 +93,35 @@ def test_search_verify_recovers_columns(tmp_path, capsys):
     assert doc["col_selection"] is not None and len(doc["col_selection"]) == 11
 
 
+def _cert_401_with(**fields):
+    doc = json.loads(fixture_path("cert_2_401.json").read_text())
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+U_401 = json.loads(fixture_path("cert_2_401.json").read_text())["u_vectors"]
+
+# each used to end in an uncaught TypeError: a traceback and exit 1
+BROKEN_CERTS = {
+    "not-an-object": "3",
+    "nested-entry": _cert_401_with(u_vectors=[[[1]] + U_401[0][1:], U_401[1]]),
+    "vectors-not-a-list": _cert_401_with(u_vectors=5),
+    "q-a-string": _cert_401_with(q="401"),
+    "blanks-with-columns": _cert_401_with(
+        col_selection=[0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 12]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_CERTS))
+@pytest.mark.parametrize("command", [["search", "--verify"], ["develop"]])
+def test_malformed_certificate_exits_two(tmp_path, capsys, name, command):
+    cert = tmp_path / "cert.json"
+    cert.write_text(BROKEN_CERTS[name])
+    assert run(command + [str(cert)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_verify_degenerate_design_exits_two(tmp_path, capsys):
     path = tmp_path / "index0.json"
     path.write_text('{"kind":"TD","k":3,"group_size":4,"index":0,'
@@ -120,9 +149,14 @@ def test_verify_non_object_design_file_exits_two(tmp_path, capsys, doc):
     assert "valid" not in capsys.readouterr().out
 
 
-def test_search_exhausted_exit_code(tmp_path):
+def test_search_exhausted_exit_code(tmp_path, capsys):
     assert run(["search", "2", "2", "5", "--cols", "0", "1", "2", "3",
                 "--budget", "0"]) == 3
+    # the search's counters go to stderr; stdout stays empty
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("exhausted: budget 0 consumed: 0 evaluations, "
+                            "0 restarts, deepest position 1 of 8\n")
 
 
 def test_search_bytes_identical_across_runs(tmp_path):
@@ -148,12 +182,12 @@ def test_parser_reused_across_subcommands(capsys):
 
 
 def test_budget_variable_read_at_each_search(tmp_path, monkeypatch):
-    # seed 0 finds (2, 2) over GF(5) with 17 evaluations and not with 16
+    # seed 0 finds (2, 2) over GF(5) with 19 evaluations and not with 18
     argv = ["search", "2", "2", "5", "--cols", "0", "1", "2", "3",
             "--seed", "0", "--out", str(tmp_path / "cert.json")]
-    monkeypatch.setenv("HMOLS_BUDGET", "16")
+    monkeypatch.setenv("HMOLS_BUDGET", "18")
     assert run(argv) == 3
-    monkeypatch.setenv("HMOLS_BUDGET", "17")
+    monkeypatch.setenv("HMOLS_BUDGET", "19")
     assert run(argv) == 0
 
 
@@ -179,7 +213,7 @@ def test_bad_budget_variable_exits_two(tmp_path, monkeypatch, capsys, value):
     assert f"HMOLS_BUDGET must be a non-negative integer, got {value!r}" in err
     # the flag takes precedence, and certificate checks need no budget
     cert = tmp_path / "cert.json"
-    assert run(SEARCH_2_2_5 + ["--budget", "17", "--out", str(cert)]) == 0
+    assert run(SEARCH_2_2_5 + ["--budget", "19", "--out", str(cert)]) == 0
     assert run(["search", "--verify", str(cert)]) == 0
 
 

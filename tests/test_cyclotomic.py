@@ -243,10 +243,11 @@ def _digest(blocks):
 def test_assemble_rdf_base_blocks_are_pinned():
     # the block order (omega^e in e, then C_0 ascending) is what certificates
     # develop into; digests recorded when w and C_0 came from scalar powers
+    # (the second re-derived that way when the search came to pin u[i][0] = 0)
     shipped = cy.assemble_rdf(cli._solution_from_cert(cert_2_401()))
     assert _digest(shipped.base_blocks) == "b0cb530b2c3f1f9c"
     found = cy.search_uvectors(2, 2, [0, 1, 2, 3], 13, seed=0, budget=50_000)
-    assert _digest(cy.assemble_rdf(found).base_blocks) == "0c62cef0235c90e6"
+    assert _digest(cy.assemble_rdf(found).base_blocks) == "3041b2af1ec0bf80"
 
 
 def test_assemble_width_mismatch():

@@ -1,16 +1,19 @@
 """The seeded difference-vector search: pinned outcomes, the search
-against a scalar reference search, and the candidate mask against a
+against a scalar reference search, and the survivor masks against a
 scalar reference predicate.
 
 Each case was recorded from `reference_search` below, which tests one
-candidate at a time: a position that admits no value is left without
-drawing an order or charging an evaluation, and a live position draws one
-order of all q values from the seeded PCG64 stream and charges every
-value it looks at.  For a found certificate the table gives the smallest
-budget that finds it: the same seed must yield the same vectors with
-exactly that budget and raise Exhausted with one evaluation less, so the
-traversal order, the budget accounting and the restart accounting are all
-pinned, not just the final answer.
+candidate at a time.  Each vector starts with its first entry pinned to 0,
+with no draw and no charge.  Every other position draws one order of all
+q values from the seeded PCG64 stream and charges every value it looks
+at; a value is taken when it fits the placed entries and every later
+position of its vector keeps a value that fits (forward checking).  A
+vector whose pinned entry already leaves a position without a value is
+left at once, charged nothing.  For a found certificate the table gives
+the smallest budget that finds it: the same seed must yield the same
+vectors with exactly that budget and raise Exhausted with one evaluation
+less, so the traversal order, the budget accounting and the restart
+accounting are all pinned, not just the final answer.
 """
 
 import re
@@ -30,56 +33,64 @@ C8 = list(range(8))
 
 # smallest budget that finds (2, 3) on columns 0..7 over GF(97) with seed 2
 # (tests/test_formats.py develops that certificate)
-Q97_SEED2_BUDGET = 12113
+Q97_SEED2_BUDGET = 9968
 
 # (h, d, cols, q, seed, restart_nodes, smallest finding budget, u-vectors)
 FOUND = [
-    (2, 2, C4, 5, 0, 4096, 17, [[3, 1, 4, 0], [0, 4, 1, 3]]),
-    (2, 2, C4, 5, 1, 4096, 18, [[2, 4, 1, 3], [1, 2, 4, 0]]),
-    (2, 2, C4, 5, 2, 4096, 16, [[3, 2, 1, 4], [4, 1, 2, 3]]),
-    (2, 2, C4, 5, 3, 4096, 9, [[0, 4, 2, 1], [0, 3, 1, 4]]),
-    (2, 2, C4, 13, 0, 4096, 10, [[11, 7, 6, 9], [7, 1, 10, 5]]),
-    (2, 2, C4, 13, 1, 4096, 12, [[9, 3, 10, 0], [9, 10, 5, 0]]),
-    (2, 2, C4, 13, 2, 4096, 18, [[7, 6, 3, 10], [12, 1, 2, 3]]),
-    (2, 2, C4, 13, 3, 4096, 15, [[0, 7, 2, 8], [8, 9, 11, 10]]),
-    (2, 2, C4, 29, 0, 4096, 20, [[11, 24, 1, 5], [1, 12, 19, 7]]),
-    (2, 2, C4, 29, 1, 4096, 17, [[9, 7, 3, 6], [24, 4, 10, 26]]),
-    (2, 2, C4, 29, 2, 4096, 16, [[7, 20, 28, 10], [25, 10, 13, 22]]),
-    (2, 2, C4, 29, 3, 4096, 18, [[20, 2, 16, 17], [21, 15, 12, 4]]),
-    (2, 3, C8, 97, 0, 4096, 7636,
-     [[57, 31, 89, 82, 20, 95, 65, 34], [23, 85, 1, 17, 60, 0, 34, 53]]),
+    (2, 2, C4, 5, 0, 4096, 19, [[0, 3, 1, 4], [0, 4, 2, 1]]),
+    (2, 2, C4, 5, 1, 4096, 16, [[0, 2, 4, 1], [0, 1, 3, 4]]),
+    (2, 2, C4, 5, 2, 4096, 11, [[0, 3, 2, 1], [0, 4, 3, 1]]),
+    (2, 2, C4, 5, 3, 4096, 16, [[0, 4, 2, 1], [0, 2, 4, 1]]),
+    (2, 2, C4, 13, 0, 4096, 15, [[0, 11, 7, 6], [0, 9, 10, 5]]),
+    (2, 2, C4, 13, 1, 4096, 19, [[0, 9, 3, 10], [0, 6, 8, 9]]),
+    (2, 2, C4, 13, 2, 4096, 10, [[0, 7, 6, 3], [0, 10, 11, 3]]),
+    (2, 2, C4, 13, 3, 4096, 9, [[0, 4, 7, 2], [0, 8, 7, 11]]),
+    (2, 2, C4, 29, 0, 4096, 11, [[0, 11, 24, 1], [0, 5, 1, 28]]),
+    (2, 2, C4, 29, 1, 4096, 29, [[0, 9, 7, 3], [0, 2, 10, 12]]),
+    (2, 2, C4, 29, 2, 4096, 10, [[0, 7, 20, 28], [0, 10, 17, 16]]),
+    (2, 2, C4, 29, 3, 4096, 11, [[0, 20, 2, 16], [0, 17, 27, 22]]),
+    (2, 3, C8, 97, 0, 4096, 5562,
+     [[0, 10, 8, 57, 31, 89, 82, 20], [0, 95, 33, 84, 74, 66, 87, 80]]),
     (2, 3, C8, 97, 2, 4096, Q97_SEED2_BUDGET,
-     [[16, 75, 29, 45, 91, 38, 73, 54], [71, 6, 25, 32, 72, 89, 78, 86]]),
-    (3, 2, C6, 31, 0, 4096, 57,
-     [[11, 28, 30, 20, 26, 4], [10, 6, 0, 12, 30, 23], [8, 18, 7, 9, 5, 6]]),
-    (3, 2, C6, 31, 1, 4096, 4201,
-     [[26, 29, 24, 21, 16, 1], [17, 21, 27, 28, 4, 14], [18, 23, 25, 5, 9, 6]]),
-    (3, 2, C6, 31, 2, 4096, 91,
-     [[7, 18, 24, 4, 17, 29], [29, 17, 28, 11, 7, 6], [10, 8, 0, 2, 30, 17]]),
+     [[0, 49, 17, 57, 14, 22, 1, 16], [0, 69, 34, 78, 3, 54, 61, 36]]),
+    (3, 2, C6, 31, 0, 4096, 97,
+     [[0, 11, 28, 30, 20, 26], [0, 4, 26, 17, 9, 30], [0, 24, 23, 20, 13, 17]]),
+    (3, 2, C6, 31, 1, 4096, 159,
+     [[0, 9, 30, 13, 18, 16], [0, 29, 12, 10, 3, 25], [0, 17, 9, 4, 8, 22]]),
+    (3, 2, C6, 31, 2, 4096, 135,
+     [[0, 7, 18, 24, 4, 17], [0, 29, 1, 17, 10, 18], [0, 26, 24, 29, 25, 8]]),
     # smaller restart caps; below the finding budget the search restarts,
-    # each restart with fresh value orders drawn from the same stream
-    (2, 2, C4, 5, 0, 20, 17, [[3, 1, 4, 0], [0, 4, 1, 3]]),
-    (2, 2, C4, 5, 0, 50, 17, [[3, 1, 4, 0], [0, 4, 1, 3]]),
-    (2, 2, C4, 5, 2, 30, 16, [[3, 2, 1, 4], [4, 1, 2, 3]]),
-    (2, 2, C4, 29, 1, 29, 17, [[9, 7, 3, 6], [24, 4, 10, 26]]),
-    (2, 3, C8, 97, 0, 400, 14972,
-     [[82, 52, 73, 74, 91, 88, 32, 96], [65, 18, 57, 15, 60, 67, 41, 20]]),
-    (3, 2, C6, 31, 0, 150, 57,
-     [[11, 28, 30, 20, 26, 4], [10, 6, 0, 12, 30, 23], [8, 18, 7, 9, 5, 6]]),
+    # each restart with fresh value orders drawn from the same stream (the
+    # caps of rows 17-20 and 22 now exceed their finding budgets)
+    (2, 2, C4, 5, 0, 20, 19, [[0, 3, 1, 4], [0, 4, 2, 1]]),
+    (2, 2, C4, 5, 0, 50, 19, [[0, 3, 1, 4], [0, 4, 2, 1]]),
+    (2, 2, C4, 5, 2, 30, 11, [[0, 3, 2, 1], [0, 4, 3, 1]]),
+    (2, 2, C4, 29, 1, 29, 29, [[0, 9, 7, 3], [0, 2, 10, 12]]),
+    (2, 3, C8, 97, 0, 400, 2772,
+     [[0, 85, 46, 1, 90, 13, 15, 94], [0, 69, 17, 79, 35, 71, 38, 53]]),
+    (3, 2, C6, 31, 0, 150, 97,
+     [[0, 11, 28, 30, 20, 26], [0, 4, 26, 17, 9, 30], [0, 24, 23, 20, 13, 17]]),
     # caps small enough for two restarts or more before the find
-    (2, 2, C4, 5, 0, 10, 30, [[2, 0, 4, 3], [2, 1, 0, 3]]),
-    (2, 2, C4, 5, 2, 12, 239, [[0, 1, 3, 4], [0, 3, 1, 4]]),
-    (2, 2, C4, 29, 1, 9, 36, [[5, 8, 16, 20], [17, 16, 18, 0]]),
-    (3, 2, C6, 31, 2, 60, 590,
-     [[16, 28, 8, 22, 10, 7], [14, 13, 28, 4, 0, 16], [10, 5, 19, 13, 24, 4]]),
+    (2, 2, C4, 5, 0, 10, 29, [[0, 4, 2, 1], [0, 2, 4, 1]]),
+    (2, 2, C4, 5, 2, 12, 11, [[0, 3, 2, 1], [0, 4, 3, 1]]),
+    (2, 2, C4, 29, 1, 9, 45, [[0, 15, 5, 8], [0, 16, 19, 26]]),
+    (3, 2, C6, 31, 2, 60, 642,
+     [[0, 25, 16, 9, 28, 24], [0, 23, 6, 30, 15, 25], [0, 22, 18, 4, 26, 7]]),
+    # one restart or more under forward checking
+    (2, 2, C4, 5, 0, 15, 23, [[0, 2, 4, 1], [0, 1, 3, 4]]),
+    (2, 2, C4, 29, 1, 15, 24, [[0, 9, 2, 13], [0, 19, 23, 1]]),
+    (3, 2, C6, 31, 0, 80, 313,
+     [[0, 4, 1, 20, 3, 14], [0, 7, 5, 6, 4, 19], [0, 9, 19, 24, 11, 25]]),
 ]
 
 # A case's test id is the one it had before dead levels became free: the
 # number before "-u" is the smallest finding budget under that rule, kept
-# so that a case can be followed across the rule change.  Cases added
-# since carry their current budget there.
+# so that a case can be followed across rule changes.  Rows 23-26 carry
+# their budgets from before forward checking, and rows added since carry
+# their current budget.
 PREVIOUS_BUDGETS = [143, 13, 148, 16, 12, 15, 17, 11, 11, 8, 15, 15, 36502,
-                    11037, 134, 12562, 416, 92, 64, 43, 8, 23541, 134]
+                    11037, 134, 12562, 416, 92, 64, 43, 8, 23541, 134,
+                    30, 239, 36, 590]
 
 
 def _case_id(n, row):
@@ -91,6 +102,11 @@ def _case_id(n, row):
 CASE_IDS = [_case_id(n, row) for n, row in enumerate(FOUND)]
 
 
+def _budget_spent(budget, positions):
+    return (rf"^budget {budget} consumed: {budget} evaluations, \d+ restarts, "
+            rf"deepest position \d+ of {positions}$")
+
+
 @pytest.mark.parametrize("h,d,cols,q,seed,restart_nodes,needed,u", FOUND,
                          ids=CASE_IDS)
 def test_golden_certificate_at_smallest_budget(h, d, cols, q, seed,
@@ -98,7 +114,7 @@ def test_golden_certificate_at_smallest_budget(h, d, cols, q, seed,
     sol = cy.search_uvectors(h, d, cols, q, seed=seed, budget=needed,
                              restart_nodes=restart_nodes)
     assert [list(v) for v in sol.u] == u
-    with pytest.raises(Exhausted, match=f"^budget {needed - 1} consumed$"):
+    with pytest.raises(Exhausted, match=_budget_spent(needed - 1, h * len(cols))):
         cy.search_uvectors(h, d, cols, q, seed=seed, budget=needed - 1,
                            restart_nodes=restart_nodes)
 
@@ -108,36 +124,43 @@ def test_golden_certificate_at_smallest_budget(h, d, cols, q, seed,
 def test_golden_table_matches_reference_search(h, d, cols, q, seed,
                                                restart_nodes, needed, u):
     assert reference_search(h, d, cols, q, seed, needed, restart_nodes) == u
-    with pytest.raises(Exhausted, match=f"^budget {needed - 1} consumed$"):
+    # one evaluation short, both report the same restarts and depth
+    with pytest.raises(Exhausted) as got:
+        cy.search_uvectors(h, d, cols, q, seed=seed, budget=needed - 1,
+                           restart_nodes=restart_nodes)
+    with pytest.raises(Exhausted, match=f"^{re.escape(str(got.value))}$"):
         reference_search(h, d, cols, q, seed, needed - 1, restart_nodes)
 
 
 def test_golden_budget_runs_out_mid_search():
     # 1000 evaluations end inside a level of the q = 97 tree
-    with pytest.raises(Exhausted, match="^budget 1000 consumed$"):
+    with pytest.raises(Exhausted, match="^budget 1000 consumed: 1000 evaluations, "
+                                        "0 restarts, deepest position 14 of 16$"):
         cy.search_uvectors(2, 3, C8, 97, seed=0, budget=1000)
 
 
 def test_golden_restart_cap_too_small_to_finish():
-    # no restart of 7 evaluations completes; the budget ends the search
-    with pytest.raises(Exhausted, match="^budget 2000 consumed$"):
-        cy.search_uvectors(2, 2, C4, 29, seed=1, budget=2000, restart_nodes=7)
+    # a tree draws six entries, each costing an evaluation or more, so no
+    # restart of 5 evaluations completes; the budget ends the search
+    with pytest.raises(Exhausted, match="^budget 2000 consumed: 2000 evaluations, "
+                                        "399 restarts, deepest position 7 of 8$"):
+        cy.search_uvectors(2, 2, C4, 29, seed=1, budget=2000, restart_nodes=5)
 
 
 def test_golden_refutation_within_one_restart():
     # (2, 3) on columns 0..3 has no solution over GF(5); a refuted tree
-    # charges q for each live position whatever the orders, here 4030
-    refuted = "^search space refuted or budget spent at q = 5$"
+    # charges q for each live position whatever the orders, here 205
+    refuted = ("^search space refuted or budget spent at q = 5: 205 evaluations, "
+               "0 restarts, deepest position 5 of 8$")
     with pytest.raises(Exhausted, match=refuted):
-        cy.search_uvectors(2, 3, C4, 5, seed=0, budget=4030,
-                           restart_nodes=4030)
-    with pytest.raises(Exhausted, match="^budget 4029 consumed$"):
-        cy.search_uvectors(2, 3, C4, 5, seed=0, budget=4029,
-                           restart_nodes=4030)
+        cy.search_uvectors(2, 3, C4, 5, seed=0, budget=205, restart_nodes=205)
+    with pytest.raises(Exhausted, match="^budget 204 consumed: 204 evaluations, "
+                                        "0 restarts, deepest position 5 of 8$"):
+        cy.search_uvectors(2, 3, C4, 5, seed=0, budget=204, restart_nodes=205)
     # one evaluation short per restart: never refuted, the budget ends it
-    with pytest.raises(Exhausted, match="^budget 30000 consumed$"):
-        cy.search_uvectors(2, 3, C4, 5, seed=0, budget=30000,
-                           restart_nodes=4029)
+    with pytest.raises(Exhausted, match="^budget 30000 consumed: 30000 evaluations, "
+                                        "147 restarts, deepest position 5 of 8$"):
+        cy.search_uvectors(2, 3, C4, 5, seed=0, budget=30000, restart_nodes=204)
 
 
 def test_negative_seed_rejected_before_search():
@@ -178,66 +201,79 @@ def reference_search(h, d, cols, q, seed, budget, restart_nodes):
     k = len(cols)
     dlog = discrete_logs(q, gf.cyclotomy_new(gf.field_new(q), table.lam).omega)
     orders = value_orders(seed, q)
-    left, nodes = budget, 0
+    left, nodes, restarts, deepest = budget, 0, -1, 0
 
-    def feasible(u, i, r, x):
-        return reference_feasible(table, q, dlog, u, i, r, x)
+    def exhausted(reason):
+        return Exhausted(f"{reason}: {budget - left} evaluations, {restarts} "
+                         f"restarts, deepest position {deepest} of {h * k}")
+
+    def forward(u, i, a, x):
+        """Place x at u[i][a]; does every later position keep a value?"""
+        u[i][a] = x
+        return all(any(reference_feasible(table, q, dlog, u, i, b, y, a + 1)
+                       for y in range(q)) for b in range(a + 1, k))
 
     def evaluate():
         nonlocal left, nodes
         if left == 0:
-            raise Exhausted(f"budget {budget} consumed")
+            raise exhausted(f"budget {budget} consumed")
         if nodes == 0:
             raise _Abandoned
         left -= 1
         nodes -= 1
 
-    def extend(u, pos):
-        if pos == h * k:
-            return True
-        i, r = divmod(pos, k)
-        if not any(feasible(u, i, r, x) for x in range(q)):
-            return False  # dead: no order drawn, nothing charged
+    def start(u, i):
+        # u[i][0] = 0, with no draw and no charge
+        return forward(u, i, 0, 0) and extend(u, i, 1)
+
+    def extend(u, i, a):
+        nonlocal deepest
+        deepest = max(deepest, i * k + a)
+        if a == k:
+            return i + 1 == h or start(u, i + 1)
         for x in next(orders):
             evaluate()
-            if feasible(u, i, r, x):
-                u[i][r] = x
-                if extend(u, pos + 1):
-                    return True
+            if reference_feasible(table, q, dlog, u, i, a, x, a) \
+                    and forward(u, i, a, x) and extend(u, i, a + 1):
+                return True
         return False
 
     while True:
         u = [[None] * k for _ in range(h)]
         nodes = restart_nodes
+        restarts += 1
         try:
-            if extend(u, 0):
+            if start(u, 0):
                 return u
         except _Abandoned:
             continue
-        raise Exhausted(f"search space refuted or budget spent at q = {q}")
+        raise exhausted(f"search space refuted or budget spent at q = {q}")
 
 
-# -- candidate mask ------------------------------------------------------------
+# -- survivor masks ------------------------------------------------------------
 
-def reference_feasible(table, q, dlog, u, i, r, x):
-    """May x stand at u[i][r]?  One candidate at a time, by modular
-    inverses and a table of discrete logs found by trial."""
-    for s in range(r):
+def reference_feasible(table, q, dlog, u, i, r, x, placed):
+    """May x stand at u[i][r] beside the entries u[i][s], s < placed, s != r?
+    One candidate at a time, by modular inverses and a table of discrete
+    logs found by trial."""
+    for s in range(placed):
+        if s == r:
+            continue
         if u[i][s] == x:
             return False
-    for j in range(i):
-        for s in range(r):
+        for j in range(i):
             d_i = (u[i][s] - x) % q
             d_j = (u[j][s] - u[j][r]) % q
-            if d_i == 0 or d_j == 0:
+            if d_j == 0:
                 return False
             quotient = d_j * pow(d_i, q - 2, q) % q
-            if dlog[quotient] % table.lam not in table.allowed[(j, i, s, r)]:
+            key = (j, i, min(r, s), max(r, s))
+            if dlog[quotient] % table.lam not in table.allowed[key]:
                 return False
     return True
 
 
-SHAPES = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]
+SHAPES = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (4, 2)]
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
 
 
@@ -262,15 +298,21 @@ def partial_assignments(draw):
 @settings(max_examples=300, deadline=None)
 @given(partial_assignments())
 def test_candidate_mask_matches_scalar_reference(case):
+    # the survivor masks of the open positions r.. of vector i once its
+    # entries before r stand, built as the search builds them
     h, d, cols, q, u, pos = case
     table = cy.allowed_cosets(cy.template(h, d), cols)
     ctx = gf.cyclotomy_new(gf.field_new(q), table.lam)
-    i, r = divmod(pos, len(cols))
-    mask = cy._candidate_mask(ctx, cy._mask_tables(table, ctx), u, i, r)
+    k = len(cols)
+    i, r = divmod(pos, k)
+    rows = cy._vector_rows(cy._allowed_array(table), ctx, u, i)
+    survivors = np.ones((k - r, q), dtype=bool)
+    for a in range(r):
+        survivors &= rows[a, r:, q - u[i][a]:2 * q - u[i][a]]
     dlog = discrete_logs(q, ctx.omega)
-    expected = [reference_feasible(table, q, dlog, u, i, r, x)
-                for x in range(q)]
-    assert mask.tolist() == expected
+    expected = [[reference_feasible(table, q, dlog, u, i, b, y, r)
+                 for y in range(q)] for b in range(r, k)]
+    assert survivors.tolist() == expected
 
 
 @st.composite
@@ -287,6 +329,8 @@ def search_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(search_cases())
 @example((2, 3, C4, 5, 0, 5000, 5000))  # a tree refuted within one restart
+@example((4, 2, [0, 1, 6, 9], 5, 1, 3000, 3000))  # refuted, with dead pins
+@example((4, 2, [0, 7], 29, 5, 3000, 3000))  # found past a dead pin
 def test_search_matches_reference_search(case):
     h, d, cols, q, seed, budget, restart_nodes = case
     try:
@@ -299,3 +343,17 @@ def test_search_matches_reference_search(case):
         sol = cy.search_uvectors(h, d, cols, q, seed=seed, budget=budget,
                                  restart_nodes=restart_nodes)
         assert [list(v) for v in sol.u] == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FOUND), st.data())
+def test_translated_vector_develops_into_the_same_design(row, data):
+    # why the search may pin u[i][0] = 0: the constraints see only
+    # differences within a vector, and development absorbs the translation
+    h, d, cols, q, _, _, _, u = row
+    i, c = data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, q - 1))
+    moved = [list(v) for v in u]
+    moved[i] = [(x + c) % q for x in u[i]]
+    before, after = (cy.develop_rdf(cy.assemble_rdf(cy.verify_uvectors(h, d, cols, q, v)))
+                     for v in (u, moved))
+    assert np.array_equal(after.sorted_blocks(), before.sorted_blocks())
