@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -107,9 +108,11 @@ def _cmd_cosets(args) -> int:
     t = cy.template(args.h, args.d)
     cols = args.cols if args.cols else list(range(min(args.k or t.size, t.size)))
     table = cy.allowed_cosets(t, cols)
-    for (i, j, r, s), allowed in sorted(table.allowed.items()):
-        classes = ",".join(str(c) for c in sorted(allowed))
-        print(f"blocks {i + 1},{j + 1} cols {cols[r]},{cols[s]}: {classes}")
+    for i, j in itertools.combinations(range(t.h), 2):
+        for r, s in itertools.combinations(range(len(cols)), 2):
+            allowed = table.allowed[i, j, r, s]
+            classes = ",".join(str(c) for c in range(t.lam) if allowed[c])
+            print(f"blocks {i + 1},{j + 1} cols {cols[r]},{cols[s]}: {classes}")
     return EXIT_OK
 
 
@@ -125,7 +128,7 @@ def _solution_from_cert(cert):
     else:
         assign, u = cert["col_selection"], cert["u_vectors"]
     return cy.verify_uvectors(cert["h"], cert["d"], assign, cert["q"], u,
-                              seed=cert.get("seed"))
+                              omega=cert.get("omega"), seed=cert.get("seed"))
 
 
 def _cmd_search(args) -> int:

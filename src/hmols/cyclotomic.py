@@ -7,9 +7,11 @@ GF(h)^d, grouped into h blocks of lam = h^(d-1) consecutive rows; block
 i reuses one free vector scaled by successive powers of the primitive
 root.  A candidate passes when, for every column pair, the difference
 quotients across row blocks avoid the cyclotomic classes excluded by
-equal template differences.  Certificates record (h, d, q, omega,
-columns, vectors, seed) and are never trusted without re-running the
-exact difference count.
+equal template differences.  One primitive classes every difference
+within a vector, and one boolean table, built per template column
+difference, holds the allowed classes for every reader.  Certificates
+record (h, d, q, omega, columns, vectors, seed) and are never trusted
+without re-running the exact difference count.
 
 Searches draw every random choice from one seeded stream, so identical
 seeds give identical certificates regardless of machine or worker
@@ -123,42 +125,63 @@ def _check_cols(t: TemplateMatrix, cols) -> list[int]:
 
 @dataclass(frozen=True)
 class AllowedCosetTable:
-    """For row blocks i < j and column positions r < s (into col_selection),
-    the cyclotomic classes a difference quotient may occupy.
+    """Read-only allowed[i, j, r, s, c]: for row blocks i < j and column
+    positions r < s (into col_selection), may (u[i][r] - u[i][s]) /
+    (u[j][r] - u[j][s]) lie in class c?  False off i < j, r < s.
 
     A class c is excluded when some row of block i and some row of block j
     at offsets e, e' have equal (r,s)-difference with e' - e = c mod lam.
+    As u.a - u.b = u.(a - b), that difference is template column
+    cols[r] - cols[s], so each distinct difference column is scanned once.
     """
 
     h: int
     d: int
     lam: int
     col_selection: tuple
-    allowed: dict  # (i, j, r, s) -> frozenset of classes
+    allowed: np.ndarray  # (h, h, k, k, lam) booleans
 
 
-def _excluded_classes(t: TemplateMatrix, c1: int, c2: int) -> dict:
-    """(i, j) -> the classes excluded for row blocks i < j on template
-    columns c1, c2: the offsets e' - e mod lam of rows e of block i and e'
-    of block j with equal column differences."""
-    blocks = t.field.sub_arr(t.entries[:, c1], t.entries[:, c2]).reshape(t.h, t.lam)
-    out = {}
-    for i, j in itertools.combinations(range(t.h), 2):
-        e1, e2 = np.nonzero(blocks[i][:, None] == blocks[j][None, :])
-        out[(i, j)] = frozenset(((e2 - e1) % t.lam).tolist())
-    return out
+def _column_difference(t: TemplateMatrix, a, b) -> np.ndarray:
+    """The column index of vector a - b in GF(h)^d, for column index arrays
+    a and b: template column h^(d-1-n) is the unit vector e_n, so it holds
+    digit n of every row, and those indices are also the lex weights."""
+    unit = t.h ** np.arange(t.d - 1, -1, -1)
+    digits = t.field.sub_arr(t.entries[np.asarray(a)[..., None], unit],
+                             t.entries[np.asarray(b)[..., None], unit])
+    return digits @ unit
+
+
+def _allowed_by_difference(t: TemplateMatrix, diffs) -> np.ndarray:
+    """(len(diffs), h, h, lam) booleans: [n, i, j, c], i < j, says no row e
+    of block i and e' of block j with e' - e = c mod lam hold equal entries
+    in template column diffs[n].  Row i*lam + e is the vector (i, w), so
+    its entry is x_i + y_e, x_i and y_e the entries of rows i*lam and e:
+    rows agree when y_e' - y_e = x_i - x_j, a scan of block 0 alone."""
+    h, lam = t.h, t.lam
+    e = np.arange(lam)
+    later = np.add.outer(e, e) % lam  # [e, c] = e'
+    out = np.empty((len(diffs), h, h, lam), dtype=bool)
+    for n, c in enumerate(diffs):
+        col = t.entries[:, c]
+        seen = np.zeros((h, lam), dtype=bool)  # [y_e' - y_e, e' - e]
+        seen[t.field.sub_arr(col[later], col[:lam, None]), e] = True
+        out[n] = ~seen[t.field.sub_arr(col[::lam, None], col[None, ::lam])]
+    return out & np.triu(np.ones((h, h), dtype=bool), 1)[..., None]
 
 
 def allowed_cosets(t: TemplateMatrix, cols) -> AllowedCosetTable:
-    """Scan all row pairs across the h row blocks of lam consecutive rows."""
+    """Scan each distinct difference column of the selection once and
+    gather the scans at every column pair r < s."""
     cols = _check_cols(t, cols)
     if len(cols) < 2:
         raise BadColumns("need at least two columns")
-    full = frozenset(range(t.lam))
-    allowed = {}
-    for r, s in itertools.combinations(range(len(cols)), 2):
-        for (i, j), excluded in _excluded_classes(t, cols[r], cols[s]).items():
-            allowed[(i, j, r, s)] = full - excluded
+    r, s = np.triu_indices(len(cols), 1)
+    diffs, at = np.unique(_column_difference(t, np.take(cols, r), np.take(cols, s)),
+                          return_inverse=True)
+    allowed = np.zeros((t.h, t.h, len(cols), len(cols), t.lam), dtype=bool)
+    allowed[:, :, r, s] = np.moveaxis(_allowed_by_difference(t, diffs)[at], 0, 2)
+    allowed.setflags(write=False)
     return AllowedCosetTable(h=t.h, d=t.d, lam=t.lam,
                              col_selection=tuple(cols), allowed=allowed)
 
@@ -190,26 +213,27 @@ class UVectorSolution:
                 "u_vectors": [list(v) for v in self.u], "seed": self.seed}
 
 
+def _difference_classes(ctx: gf.CyclotomyContext, v: np.ndarray) -> np.ndarray:
+    """[..., r, s]: the cyclotomic class of v[..., r] - v[..., s], and -1
+    where the two entries are equal.  The class of a quotient of two such
+    differences is the difference of their classes mod lam."""
+    return ctx.class_table[ctx.field.sub_arr(v[..., :, None], v[..., None, :])]
+
+
 def _uvector_violations(table: AllowedCosetTable, ctx: gf.CyclotomyContext, u):
     """All broken constraints of a full assignment: repeated entries within
-    a vector, or a cross-block quotient in a forbidden class."""
-    fq = ctx.field
-    k = len(table.col_selection)
-    bad = []
-    pairs = list(itertools.combinations(range(k), 2))
-    for i, vec in enumerate(u):
-        for r, s in pairs:
-            if vec[r] == vec[s]:
-                bad.append(("EqualEntries", (i, r, s)))
-    for i, j in itertools.combinations(range(len(u)), 2):
-        for r, s in pairs:
-            d_i = fq.sub(u[i][r], u[i][s])
-            d_j = fq.sub(u[j][r], u[j][s])
-            if d_i == 0 or d_j == 0:
-                continue  # reported as EqualEntries above
-            if ctx.quotient_class(d_i, d_j) not in table.allowed[(i, j, r, s)]:
-                bad.append(("ForbiddenCoset", (i, j, r, s)))
-    return bad
+    a vector, then cross-block quotients in a forbidden class, each in
+    lexicographic order of its witness."""
+    h, k = table.h, len(table.col_selection)
+    cls = _difference_classes(ctx, np.array(u, dtype=np.int64).reshape(h, k))
+    pairs = np.triu(np.ones((k, k), dtype=bool), 1)
+    quotient = (cls[:, None] - cls[None, :]) % table.lam
+    ok = np.take_along_axis(table.allowed, quotient[..., None], axis=-1)[..., 0]
+    # a zero difference is reported as EqualEntries only
+    live = (cls[:, None] >= 0) & (cls[None, :] >= 0) & pairs
+    forbidden = live & ~ok & np.triu(np.ones((h, h), dtype=bool), 1)[..., None, None]
+    return ([("EqualEntries", tuple(w)) for w in np.argwhere((cls < 0) & pairs).tolist()]
+            + [("ForbiddenCoset", tuple(w)) for w in np.argwhere(forbidden).tolist()])
 
 
 def verify_uvectors(h: int, d: int, cols, q: int, u, omega: int | None = None,
@@ -244,23 +268,13 @@ def _checked_solution(table: AllowedCosetTable, ctx: gf.CyclotomyContext, u,
                            omega=ctx.omega, seed=seed)
 
 
-def _allowed_array(table: AllowedCosetTable) -> np.ndarray:
-    """(h, h, k, k, lam) booleans: [j, i, r, s], r < s, marks the allowed
-    classes of (u[j][r] - u[j][s]) / (u[i][r] - u[i][s])."""
-    k = len(table.col_selection)
-    out = np.zeros((table.h, table.h, k, k, table.lam), dtype=bool)
-    for (j, i, r, s), classes in table.allowed.items():
-        out[j, i, r, s, list(classes)] = True
-    return out
-
-
 def _vector_rows(allowed, ctx: gf.CyclotomyContext, u, i: int) -> np.ndarray:
     """(k, k, 2q) booleans: [a, b, q - x + y], a < b, says whether u[i][a] = x
     and u[i][b] = y, y != x, keep every quotient with a vector j < i allowed.
     One gather per earlier vector builds the (k, k, lam) class table."""
     q, lam, k = ctx.field.q, ctx.lam, allowed.shape[2]
     v = np.array(u[:i], dtype=np.int64).reshape(i, k)
-    cls = ctx.class_table[(v[:, :, None] - v[:, None, :]) % q][..., None]
+    cls = _difference_classes(ctx, v)[..., None]
     ok = np.take_along_axis(allowed[:i, i], (cls - np.arange(lam)) % lam, axis=-1)
     # class -1, of x - y when x = y, reads the padding False at lam
     table = np.pad((ok & (cls >= 0)).all(axis=0), [(0, 0), (0, 0), (0, 1)])
@@ -308,7 +322,6 @@ def search_uvectors(h: int, d: int, cols, q: int, seed: int = 0,
     ctx = gf.cyclotomy_new(fq, t.lam)
     if k > q:
         raise Exhausted(f"entries must be distinct: k = {k} > q = {q}")
-    allowed = _allowed_array(table)
     bits = np.random.PCG64(seed)
     state = {"budget": budget, "nodes": 0, "restarts": -1, "deepest": 0}
 
@@ -330,7 +343,7 @@ def search_uvectors(h: int, d: int, cols, q: int, seed: int = 0,
         state["nodes"] -= n
 
     def start(u, i):  # u[i][0] = 0 already stands
-        rows = _vector_rows(allowed, ctx, u, i)
+        rows = _vector_rows(table.allowed, ctx, u, i)
         surv = rows[0, 1:, q:]
         return surv.any(axis=1).all() and extend(u, i, 1, rows, surv)
 
@@ -390,58 +403,38 @@ def match_columns(t: TemplateMatrix, u_raw, q: int):
     if (q - 1) % t.lam != 0:
         raise IndexMismatch(f"q = {q} is not 1 mod {t.lam}")
     ctx = gf.cyclotomy_new(fq, t.lam)
-    h = t.h
-
+    u_vals = np.array([[int(vec[p]) for p in positions] for vec in u_rows],
+                      dtype=np.int64).reshape(t.h, k)
+    if ((u_vals < 0) | (u_vals >= q)).any():
+        raise MalformedSolution("vector entry outside GF(q)")
+    cls = _difference_classes(ctx, u_vals)
+    if (cls < 0).sum() > t.h * k:  # beyond the diagonal x - x
+        raise Exhausted("a vector repeats an entry; no assignment exists")
     # all quotients are well-defined once no vector repeats an entry
-    u_vals = [[int(vec[p]) for p in positions] for vec in u_rows]
-    for vec in u_vals:
-        if len(set(vec)) != len(vec):
-            raise Exhausted("a vector repeats an entry; no assignment exists")
-    qclass = {}
-    for i, j in itertools.combinations(range(h), 2):
-        for a, b in itertools.combinations(range(k), 2):
-            d_i = fq.sub(u_vals[i][a], u_vals[i][b])
-            d_j = fq.sub(u_vals[j][a], u_vals[j][b])
-            qclass[(i, j, a, b)] = ctx.quotient_class(d_i, d_j)
-
-    # precompute exclusion sets for every template column pair
-    excl = {}
-    for c1, c2 in itertools.combinations(range(t.size), 2):
-        for (i, j), excluded in _excluded_classes(t, c1, c2).items():
-            excl[(i, j, c1, c2)] = excluded
-
-    assignment = [None] * k
-    used = [False] * t.size
-
-    def ok(a: int, col: int) -> bool:
-        # quotient classes and exclusion sets are both invariant under
-        # swapping the two columns, so sorted keys suffice
-        for b in range(a):
-            c1, c2 = min(col, assignment[b]), max(col, assignment[b])
-            for i in range(h):
-                for j in range(i + 1, h):
-                    if qclass[(i, j, b, a)] in excl[(i, j, c1, c2)]:
-                        return False
-        return True
+    quotient = (cls[:, None] - cls[None, :]) % t.lam
+    bi, bj = np.triu_indices(t.h, 1)
+    # both the quotient classes and the exclusions are invariant under
+    # swapping two columns, so each difference serves both orientations
+    table = _allowed_by_difference(t, range(t.size))
+    assignment = []
 
     def extend(a: int) -> bool:
         if a == k:
             return True
-        for col in range(t.size):
-            if used[col]:
-                continue
-            if ok(a, col):
-                used[col] = True
-                assignment[a] = col
-                if extend(a + 1):
-                    return True
-                used[col] = False
-                assignment[a] = None
+        fits = np.ones(t.size, dtype=bool)  # the zero column allows no class
+        for b, col in enumerate(assignment):
+            diff = _column_difference(t, np.arange(t.size), col)[:, None]
+            fits &= table[diff, bi, bj, quotient[bi, bj, b, a]].all(axis=1)
+        for col in np.flatnonzero(fits).tolist():
+            assignment.append(col)
+            if extend(a + 1):
+                return True
+            assignment.pop()
         return False
 
     if not extend(0):
         raise Exhausted("no column assignment satisfies the constraints")
-    return list(assignment)
+    return assignment
 
 
 # ---------------------------------------------------------------------------
@@ -601,27 +594,22 @@ def expand_td_to_htd(td: BlockDesign, q: int, seed: int = 0,
 
 def _search_phi(fq, ctx, label_matrix, k, q, rng, values, budget):
     """One k-tuple over GF(q) with phi_i - phi_j in C_(label[i][j]); the
-    first coordinate is pinned to 0 since only differences matter."""
+    first coordinate is pinned to 0 since only differences matter.  Each
+    later one shuffles the values and charges each up to the first that
+    fits; if none fits, it charges all q and the tuple starts over."""
     budget_left = budget
     while True:
-        phi = [0] + [None] * (k - 1)
+        phi = [0]
         for i in range(1, k):
             rng.shuffle(values)
-            for x in values:
-                if budget_left <= 0:
-                    raise Exhausted(f"per-block budget {budget} consumed")
-                budget_left -= 1
-                good = True
-                for j in range(i):
-                    diff = fq.sub(phi[j], x)
-                    if diff == 0 or \
-                            gf.class_of(ctx, diff) != label_matrix[j, i]:
-                        good = False
-                        break
-                if good:
-                    phi[i] = x
-                    break
-            else:
-                break  # no value fits: start over
+            cls = ctx.class_table[fq.sub_arr(np.array(phi), np.array(values)[:, None])]
+            fits = np.flatnonzero((cls == label_matrix[:i, i]).all(axis=1))
+            cost = int(fits[0]) + 1 if fits.size else q
+            if cost > budget_left:
+                raise Exhausted(f"per-block budget {budget} consumed")
+            budget_left -= cost
+            if not fits.size:
+                break
+            phi.append(values[fits[0]])
         else:
             return phi

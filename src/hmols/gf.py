@@ -31,6 +31,7 @@ from .errors import (
     IndexNotDividing,
     IndexOutOfRange,
     NotPrimePower,
+    SizeBound,
     ZeroHasNoClass,
     ZeroInverse,
 )
@@ -215,7 +216,10 @@ class FieldSpec:
 
 @functools.lru_cache(maxsize=None)
 def field_new(q: int) -> FieldSpec:
-    """The canonical field of order q, identical across runs and processes."""
+    """The canonical field of order q, identical across runs and processes.
+    Elements are int32 indices, so q must be below 2^31."""
+    if q >= 2**31:
+        raise SizeBound(f"field order {q} is not below 2^31")
     factors = factorize(q) if q >= 2 else []
     if len(factors) != 1:
         raise NotPrimePower(f"{q} is not a prime power")
@@ -257,12 +261,6 @@ class CyclotomyContext:
     lam: int
     omega: int
     class_table: np.ndarray
-    dlog_table: np.ndarray
-
-    def quotient_class(self, a, b):
-        """Class of a/b for nonzero a and b, which may be index arrays:
-        (dlog a - dlog b) mod lam."""
-        return (self.dlog_table[a] - self.dlog_table[b]) % self.lam
 
 
 @functools.lru_cache(maxsize=None)
@@ -274,7 +272,7 @@ def cyclotomy_new(f: FieldSpec, lam: int) -> CyclotomyContext:
     class_table = np.where(dlog < 0, -1, dlog % lam).astype(np.int32)
     class_table.setflags(write=False)
     return CyclotomyContext(field=f, lam=lam, omega=primitive_root(f),
-                            class_table=class_table, dlog_table=dlog)
+                            class_table=class_table)
 
 
 def class_of(ctx: CyclotomyContext, x: int) -> int:

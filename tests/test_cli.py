@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -101,7 +102,15 @@ def _cert_401_with(**fields):
 
 U_401 = json.loads(fixture_path("cert_2_401.json").read_text())["u_vectors"]
 
-# each used to end in an uncaught TypeError: a traceback and exit 1
+
+def _cert_9_with(entry):
+    return json.dumps({"h": 2, "d": 2, "q": 9, "omega": None, "col_selection": None,
+                       "u_vectors": [[0, 1, entry, None], [0, 2, 5, None]], "seed": None})
+
+
+# the first five used to end in an uncaught TypeError (a traceback and
+# exit 1); a non-canonical omega passed, an entry outside GF(9) raised an
+# IndexError or wrapped around, and q = 10**30 + 57 hung in factoring
 BROKEN_CERTS = {
     "not-an-object": "3",
     "nested-entry": _cert_401_with(u_vectors=[[[1]] + U_401[0][1:], U_401[1]]),
@@ -109,6 +118,10 @@ BROKEN_CERTS = {
     "q-a-string": _cert_401_with(q="401"),
     "blanks-with-columns": _cert_401_with(
         col_selection=[0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 12]),
+    "omega-not-canonical": _cert_401_with(omega=5),
+    "gf9-entry-99": _cert_9_with(99),
+    "gf9-entry-negative": _cert_9_with(-1),
+    "q-beyond-int32": _cert_401_with(q=10**30 + 57),
 }
 
 
@@ -120,6 +133,30 @@ def test_malformed_certificate_exits_two(tmp_path, capsys, name, command):
     assert run(command + [str(cert)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [["search", "--verify"], ["develop"]])
+def test_certificate_without_omega_is_accepted(tmp_path, capsys, command):
+    cert = tmp_path / "cert.json"
+    cert.write_text(_cert_401_with(omega=None))
+    assert run(command + [str(cert)]) == 0
+
+
+# the first 16 hex digits of the sha256 of stdout
+COSETS_DIGESTS = {
+    "2 2": "e8f8c19fc4c1e50e",
+    "3 2": "9a51dcd0e707b353",
+    "4 2 --k 6": "38b12bfcb5acfd6c",
+    "2 4 --cols 0 1 2 3 4 5 6 7 9 10 12": "7b92f643ff5220db",
+    "9 2 --k 5": "adbffba91f87fb6a",
+}
+
+
+@pytest.mark.parametrize("args", sorted(COSETS_DIGESTS))
+def test_cosets_output_is_pinned(capsys, args):
+    assert run(["cosets"] + args.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == COSETS_DIGESTS[args]
 
 
 def test_verify_degenerate_design_exits_two(tmp_path, capsys):

@@ -1,11 +1,16 @@
 import hashlib
+import itertools
+import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hmols import cli
 from hmols import cyclotomic as cy
 from hmols import designs as dz
+from hmols import gf
 from hmols.errors import (
     BadColumns,
     Exhausted,
@@ -99,27 +104,35 @@ def test_td_projection_too_many_groups():
 
 # -- allowed cosets ----------------------------------------------------------
 
+def allowed_sets(table):
+    """(i, j, r, s) -> the frozenset of allowed classes, for i < j, r < s."""
+    k = len(table.col_selection)
+    return {(i, j, r, s): frozenset(np.flatnonzero(table.allowed[i, j, r, s]).tolist())
+            for i, j in itertools.combinations(range(table.h), 2)
+            for r, s in itertools.combinations(range(k), 2)}
+
+
 def test_allowed_cosets_2_2_frozen():
     """Frozen by direct scan of the 4x4 template: the pairs whose column
     difference depends only on the leading coordinate are unconstrained."""
     t = cy.template(2, 2)
-    table = cy.allowed_cosets(t, [0, 1, 2, 3])
+    table = allowed_sets(cy.allowed_cosets(t, [0, 1, 2, 3]))
     expected = {
         (0, 1): {1}, (0, 2): {0, 1}, (0, 3): {0},
         (1, 2): {0}, (1, 3): {0, 1}, (2, 3): {1},
     }
     for (r, s), want in expected.items():
-        assert table.allowed[(0, 1, r, s)] == frozenset(want)
+        assert table[(0, 1, r, s)] == frozenset(want)
         # every set is nonempty, some are proper subsets
-    assert any(len(v) < 2 for v in table.allowed.values())
-    assert all(v for v in table.allowed.values())
+    assert any(len(v) < 2 for v in table.values())
+    assert all(v for v in table.values())
 
 
 def test_allowed_cosets_d1_all_vacuous():
     t = cy.template(2, 1)
     table = cy.allowed_cosets(t, [0, 1])
     assert table.lam == 1
-    assert all(v == frozenset({0}) for v in table.allowed.values())
+    assert all(v == frozenset({0}) for v in allowed_sets(table).values())
 
 
 def is_power_progression(s, lam, h):
@@ -139,7 +152,7 @@ def is_power_progression(s, lam, h):
 def test_allowed_cosets_2_4_are_power_of_two_progressions():
     t = cy.template(2, 4)
     table = cy.allowed_cosets(t, list(range(16)))
-    assert all(is_power_progression(v, 8, 2) for v in table.allowed.values())
+    assert all(is_power_progression(v, 8, 2) for v in allowed_sets(table).values())
 
 
 def test_allowed_cosets_symmetry():
@@ -148,11 +161,61 @@ def test_allowed_cosets_symmetry():
     t = cy.template(3, 2)
     cols = [0, 1, 2, 4]
     table = cy.allowed_cosets(t, cols)
-    flipped = cy.allowed_cosets(t, cols[::-1])
+    flipped = allowed_sets(cy.allowed_cosets(t, cols[::-1]))
     last = len(cols) - 1
-    assert all(i < j and r < s for i, j, r, s in table.allowed)
-    for (i, j, r, s), v in table.allowed.items():
-        assert flipped.allowed[(i, j, last - s, last - r)] == v
+    i, j, r, s, _ = np.nonzero(table.allowed)
+    assert (i < j).all() and (r < s).all()
+    for (i, j, r, s), v in allowed_sets(table).items():
+        assert flipped[(i, j, last - s, last - r)] == v
+
+
+def test_allowed_cosets_table_is_read_only():
+    table = cy.allowed_cosets(cy.template(2, 2), [0, 1, 2, 3])
+    with pytest.raises(ValueError):
+        table.allowed[0, 1, 0, 1, 0] = True
+
+
+def reference_excluded(t, c1, c2):
+    """The per-pair row scan: (i, j) -> the classes excluded for row blocks
+    i < j on template columns c1, c2, the offsets e' - e mod lam of rows e
+    of block i and e' of block j with equal column differences."""
+    blocks = t.field.sub_arr(t.entries[:, c1], t.entries[:, c2]).reshape(t.h, t.lam)
+    out = {}
+    for i, j in itertools.combinations(range(t.h), 2):
+        e1, e2 = np.nonzero(blocks[i][:, None] == blocks[j][None, :])
+        out[(i, j)] = frozenset(((e2 - e1) % t.lam).tolist())
+    return out
+
+
+# every template of size <= 81 with h <= 9; for d = 1 and larger h, lam = 1
+# and every class is allowed, as test_allowed_cosets_d1_all_vacuous checks
+TEMPLATES_UP_TO_81 = [(h, d) for h, d in all_prime_power_pairs(81) if h <= 9]
+
+
+@pytest.mark.parametrize("h,d", TEMPLATES_UP_TO_81)
+def test_allowed_cosets_match_per_pair_scan(h, d):
+    # every column pair of the template, gathered from one scan per
+    # difference column, against a scan of the pair's own differences
+    t = cy.template(h, d)
+    table = allowed_sets(cy.allowed_cosets(t, range(t.size)))
+    full = frozenset(range(t.lam))
+    for r, s in itertools.combinations(range(t.size), 2):
+        for (i, j), excluded in reference_excluded(t, r, s).items():
+            assert table[(i, j, r, s)] == full - excluded, (i, j, r, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 3), (3, 2), (4, 2), (2, 4), (9, 1)]), st.data())
+def test_allowed_cosets_of_a_selection_match_per_pair_scan(shape, data):
+    # selections in any order, as the search and the certificates use them
+    t = cy.template(*shape)
+    cols = data.draw(st.lists(st.integers(0, t.size - 1), min_size=2,
+                              max_size=min(t.size, 7), unique=True))
+    table = allowed_sets(cy.allowed_cosets(t, cols))
+    full = frozenset(range(t.lam))
+    for r, s in itertools.combinations(range(len(cols)), 2):
+        for (i, j), excluded in reference_excluded(t, cols[r], cols[s]).items():
+            assert table[(i, j, r, s)] == full - excluded
 
 
 def test_allowed_cosets_bad_columns():
@@ -223,6 +286,153 @@ def test_match_columns_inconsistent_blanks():
     t = cy.template(2, 2)
     with pytest.raises(MalformedSolution):
         cy.match_columns(t, [[0, 1, None, None], [0, None, 1, None]], 5)
+
+
+def reference_quotient_class(f, lam, a, b):
+    """Class of a / b for nonzero a and b: (dlog a - dlog b) mod lam."""
+    return int(f.dlog_table[a] - f.dlog_table[b]) % lam
+
+
+def reference_violations(table, f, u):
+    """The scalar check, one column pair and one pair of vectors at a time."""
+    allowed = allowed_sets(table)
+    pairs = list(itertools.combinations(range(len(table.col_selection)), 2))
+    bad = []
+    for i, vec in enumerate(u):
+        for r, s in pairs:
+            if vec[r] == vec[s]:
+                bad.append(("EqualEntries", (i, r, s)))
+    for i, j in itertools.combinations(range(len(u)), 2):
+        for r, s in pairs:
+            d_i = f.sub(u[i][r], u[i][s])
+            d_j = f.sub(u[j][r], u[j][s])
+            if d_i == 0 or d_j == 0:
+                continue
+            if reference_quotient_class(f, table.lam, d_i, d_j) not in allowed[(i, j, r, s)]:
+                bad.append(("ForbiddenCoset", (i, j, r, s)))
+    return bad
+
+
+def reference_match_columns(t, u_raw, q):
+    """The backtracking over column pairs, each pair's exclusions scanned
+    beforehand, for well-formed raw vectors."""
+    f = gf.field_new(q)
+    positions = [p for p in range(t.size) if u_raw[0][p] is not None]
+    k, h = len(positions), t.h
+    u_vals = [[vec[p] for p in positions] for vec in u_raw]
+    if any(len(set(vec)) != len(vec) for vec in u_vals):
+        raise Exhausted("a vector repeats an entry; no assignment exists")
+    qclass = {(i, j, a, b): reference_quotient_class(f, t.lam, f.sub(u_vals[i][a], u_vals[i][b]),
+                                                     f.sub(u_vals[j][a], u_vals[j][b]))
+              for i, j in itertools.combinations(range(h), 2)
+              for a, b in itertools.combinations(range(k), 2)}
+    excl = {(i, j, c1, c2): excluded
+            for c1, c2 in itertools.combinations(range(t.size), 2)
+            for (i, j), excluded in reference_excluded(t, c1, c2).items()}
+    assignment, used = [None] * k, [False] * t.size
+
+    def ok(a, col):
+        return not any(qclass[(i, j, b, a)] in excl[(i, j, min(col, assignment[b]),
+                                                    max(col, assignment[b]))]
+                       for b in range(a) for i, j in itertools.combinations(range(h), 2))
+
+    def extend(a):
+        if a == k:
+            return True
+        for col in range(t.size):
+            if not used[col] and ok(a, col):
+                used[col], assignment[a] = True, col
+                if extend(a + 1):
+                    return True
+                used[col], assignment[a] = False, None
+        return False
+
+    if not extend(0):
+        raise Exhausted("no column assignment satisfies the constraints")
+    return assignment
+
+
+# (h, d, q) with lam = h^(d-1) dividing q - 1, over prime and extension fields
+FIELD_SHAPES = [(h, d, q) for h, d in [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (4, 2)]
+                for q in (5, 7, 9, 13, 25, 29, 31, 37)
+                if (q - 1) % h ** (d - 1) == 0]
+
+
+@st.composite
+def full_assignments(draw):
+    h, d, q = draw(st.sampled_from(FIELD_SHAPES))
+    t = cy.template(h, d)
+    cols = draw(st.lists(st.integers(0, t.size - 1), min_size=2,
+                         max_size=min(t.size, 6), unique=True))
+    # a narrow range of entries makes repeats within a vector common
+    top = draw(st.sampled_from([2, q - 1]))
+    u = draw(st.lists(st.lists(st.integers(0, top), min_size=len(cols), max_size=len(cols)),
+                      min_size=h, max_size=h))
+    return h, d, q, cols, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(full_assignments())
+@example((2, 2, 9, [0, 1, 2, 3], [[0, 1, 1, 5], [2, 7, 3, 3]]))
+@example((3, 2, 25, [0, 4, 8], [[0, 1, 2], [0, 0, 0], [24, 13, 7]]))
+@example((2, 2, 5, [0, 1, 2, 3], [[0, 3, 1, 4], [0, 4, 2, 1]]))
+def test_violations_match_scalar_reference(case):
+    h, d, q, cols, u = case
+    table = cy.allowed_cosets(cy.template(h, d), cols)
+    ctx = gf.cyclotomy_new(gf.field_new(q), table.lam)
+    assert cy._uvector_violations(table, ctx, u) == reference_violations(table, ctx.field, u)
+
+
+# known solutions, to be found again at other positions
+SOLUTIONS = [(2, 2, 5, [[0, 3, 1, 4], [0, 4, 2, 1]]),
+             (2, 2, 13, [[0, 11, 7, 6], [0, 9, 10, 5]]),
+             (3, 2, 31, [[0, 11, 28, 30, 20, 26], [0, 4, 26, 17, 9, 30],
+                         [0, 24, 23, 20, 13, 17]]),
+             (2, 3, 97, [[0, 10, 8, 57, 31, 89, 82, 20], [0, 95, 33, 84, 74, 66, 87, 80]])]
+
+
+@st.composite
+def raw_vectors(draw):
+    if draw(st.booleans()):
+        h, d, q, u = draw(st.sampled_from(SOLUTIONS))
+        keep = sorted(draw(st.lists(st.integers(0, len(u[0]) - 1), min_size=1,
+                                    max_size=len(u[0]), unique=True)))
+        u = [[vec[r] for r in keep] for vec in u]
+    else:
+        h, d, q = draw(st.sampled_from(FIELD_SHAPES))
+        k = draw(st.integers(1, min(h ** d, 5)))
+        u = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=k, max_size=k),
+                          min_size=h, max_size=h))
+    size = h ** d
+    positions = sorted(draw(st.lists(st.integers(0, size - 1), min_size=len(u[0]),
+                                     max_size=len(u[0]), unique=True)))
+    raw = [[None] * size for _ in range(h)]
+    for vec, row in zip(u, raw):
+        for p, x in zip(positions, vec):
+            row[p] = x
+    return h, d, q, raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_vectors())
+def test_match_columns_matches_per_pair_backtracking(case):
+    h, d, q, raw = case
+    t = cy.template(h, d)
+    try:
+        expected = reference_match_columns(t, raw, q)
+    except Exhausted as exc:
+        with pytest.raises(Exhausted, match=f"^{exc}$"):
+            cy.match_columns(t, raw, q)
+    else:
+        assert cy.match_columns(t, raw, q) == expected
+
+
+@pytest.mark.parametrize("q,entry", [(9, 99), (9, -1), (9, 9), (11, -1)])
+def test_match_columns_rejects_entries_outside_the_field(q, entry):
+    # checked before any class lookup, which would fail or wrap around
+    t = cy.template(2, 2)
+    with pytest.raises(MalformedSolution, match="^vector entry outside GF\\(q\\)$"):
+        cy.match_columns(t, [[0, 1, entry, None], [0, 2, 5, None]], q)
 
 
 # -- relative difference families ---------------------------------------------
@@ -349,6 +559,49 @@ def test_expand_congruence_guard():
     proj = cy.td_projection(2, 2, 3)
     with pytest.raises(IndexMismatch):
         cy.expand_td_to_htd(proj, 2, seed=0, budget=10)
+
+
+def reference_search_phi(f, ctx, label_matrix, k, q, rng, values, budget):
+    """The per-block search one value and one earlier coordinate at a time."""
+    budget_left = budget
+    while True:
+        phi = [0] + [None] * (k - 1)
+        for i in range(1, k):
+            rng.shuffle(values)
+            for x in values:
+                if budget_left <= 0:
+                    raise Exhausted(f"per-block budget {budget} consumed")
+                budget_left -= 1
+                if all(f.sub(phi[j], x) != 0
+                       and gf.class_of(ctx, f.sub(phi[j], x)) == label_matrix[j, i]
+                       for j in range(i)):
+                    phi[i] = x
+                    break
+            else:
+                break
+        else:
+            return phi
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(7, 2), (13, 3), (13, 4), (31, 3), (37, 4)]), st.integers(3, 5),
+       st.integers(0, 2**32), st.integers(0, 400), st.data())
+def test_search_phi_matches_scalar_reference(field, k, seed, budget, data):
+    # the same tuple or the same Exhausted, and the same random stream after
+    q, lam = field
+    f = gf.field_new(q)
+    ctx = gf.cyclotomy_new(f, lam)
+    labels = np.array(data.draw(st.lists(st.lists(st.integers(0, lam - 1), min_size=k,
+                                                  max_size=k), min_size=k, max_size=k)))
+    outcomes = []
+    for search in (cy._search_phi, reference_search_phi):
+        rng = random.Random(seed)
+        try:
+            got = search(f, ctx, labels, k, q, rng, list(range(q)), budget)
+        except Exhausted as exc:
+            got = str(exc)
+        outcomes.append((got, rng.random()))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("h,d", [(h, d) for h, d in all_prime_power_pairs(32)])

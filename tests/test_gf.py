@@ -8,6 +8,7 @@ from hmols.errors import (
     IndexNotDividing,
     IndexOutOfRange,
     NotPrimePower,
+    SizeBound,
     ZeroHasNoClass,
     ZeroInverse,
 )
@@ -98,6 +99,17 @@ def test_field_new_rejects_non_prime_powers():
     for q in (1, 6, 12, 100):
         with pytest.raises(NotPrimePower):
             gf.field_new(q)
+
+
+@pytest.mark.parametrize("q", [2**31, 10**30 + 57])
+def test_field_new_rejects_orders_beyond_int32_before_factoring(q):
+    # elements are int32 indices; trial division of 10**30 + 57 would not end
+    with pytest.raises(SizeBound, match=f"^field order {q} is not below 2\\^31$"):
+        gf.field_new(q)
+
+
+def test_field_new_accepts_the_largest_int32_prime():
+    assert gf.field_new(2**31 - 1).p == 2**31 - 1
 
 
 def test_field_op_examples():

@@ -268,7 +268,7 @@ def reference_feasible(table, q, dlog, u, i, r, x, placed):
                 return False
             quotient = d_j * pow(d_i, q - 2, q) % q
             key = (j, i, min(r, s), max(r, s))
-            if dlog[quotient] % table.lam not in table.allowed[key]:
+            if not table.allowed[key + (dlog[quotient] % table.lam,)]:
                 return False
     return True
 
@@ -305,7 +305,7 @@ def test_candidate_mask_matches_scalar_reference(case):
     ctx = gf.cyclotomy_new(gf.field_new(q), table.lam)
     k = len(cols)
     i, r = divmod(pos, k)
-    rows = cy._vector_rows(cy._allowed_array(table), ctx, u, i)
+    rows = cy._vector_rows(table.allowed, ctx, u, i)
     survivors = np.ones((k - r, q), dtype=bool)
     for a in range(r):
         survivors &= rows[a, r:, q - u[i][a]:2 * q - u[i][a]]
