@@ -310,10 +310,14 @@ class BlockDesign:
 
     @staticmethod
     def new(k, group_size, index, blocks, hole_kind=HOLE_NONE, holes=()) -> "BlockDesign":
-        try:
-            arr = np.asarray(blocks, dtype=np.int64)
-        except OverflowError:
-            arr = None
+        # an integer array is range-checked in its own dtype, then frozen once
+        if isinstance(blocks, np.ndarray) and blocks.dtype.kind in "iu":
+            arr = blocks
+        else:
+            try:
+                arr = np.asarray(blocks, dtype=np.int64)
+            except OverflowError:
+                arr = None
         if arr is None or arr.size and not -2**31 <= arr.min() <= arr.max() < 2**31:
             raise MalformedInput("block entries must fit in 32-bit integers")
         if arr.size == 0:

@@ -10,7 +10,9 @@ Design and grid bodies are printed and parsed as arrays: each distinct
 value is formatted once and rows are assembled by table lookups, and the
 readers check the body's grammar and convert its numbers in numpy
 passes.  A design file written with the developed GF(401) certificate
-has 641,600 blocks, so per-entry Python objects would dominate its cost.
+has 641,600 blocks, so per-entry Python objects would dominate its cost;
+the passes run over pieces of rows, so that no pass allocates arrays the
+size of the whole body.
 """
 
 from __future__ import annotations
@@ -37,37 +39,54 @@ from .errors import MalformedInput
 # ---------------------------------------------------------------------------
 
 
-def _render_rows(arr, cell, head: str, sep: str, tail: str) -> str:
+_PIECE = 1 << 18  # bytes of text per piece, so a piece's numpy passes stay in cache
+
+
+def _pieces(start: int, stop: int, width: int = 1, cut=None):
+    """Spans (a, b) cutting range(start, stop) into pieces of about
+    _PIECE bytes of text, at width bytes per item: every so many items,
+    or, with cut, at cut(at), the first row boundary at or after at."""
+    step = max(1, _PIECE // width)
+    while start < stop:
+        end = min(stop, start + step if cut is None else cut(start + step))
+        yield start, end
+        start = end
+
+
+def _render_rows(arr, cell, head: str, sep: str, tail: str) -> list[str]:
     """One line per row of the 2-D integer array arr:
-    head + sep.join(cell(v) for v in row) + tail.
+    head + sep.join(cell(v) for v in row) + tail, in pieces of rows that
+    the caller joins once with the rest of its output.
 
     Every cell is looked up in a table of NUL-padded tokens, one per
     value, which already carries the row's head or its separator; the
-    padding is dropped in one pass.
+    padding is dropped in one pass per piece.
     """
     arr = np.asarray(arr)
     rows, cols = arr.shape
     if arr.size == 0:
-        return (head + tail) * rows
+        return [(head + tail) * rows]
     lo, hi = int(arr.min()), int(arr.max())
-    if hi - lo < arr.size:  # the value range is no larger than the array
-        values = range(lo, hi + 1)
-        idx = np.subtract(arr, lo, dtype=np.intp)
-    else:
-        values, idx = np.unique(arr, return_inverse=True)
-        idx = idx.reshape(arr.shape)
+    dense = hi - lo < arr.size  # the value range is no larger than the array
+    values = range(lo, hi + 1) if dense else np.unique(arr)
     words = [cell(int(v)) for v in values]
     first = [head + w + (tail if cols == 1 else sep) for w in words]
     middle = [w + sep for w in words]
     last = [w + tail for w in words]
     width = max(len(w) for w in first + last)
-    out = np.empty((rows, cols), dtype=f"S{width}")
-    out[:, 0] = np.array(first, dtype=out.dtype)[idx[:, 0]]
-    if cols > 1:
-        out[:, 1:-1] = np.array(middle, dtype=out.dtype)[idx[:, 1:-1]]
-        out[:, -1] = np.array(last, dtype=out.dtype)[idx[:, -1]]
-    buf = out.view(np.uint8)
-    return buf[buf != 0].tobytes().decode("ascii")
+    first, middle, last = (np.array(t, dtype=f"S{width}") for t in (first, middle, last))
+    text = []
+    for a, b in _pieces(0, rows, width * cols):
+        idx = np.subtract(arr[a:b], lo, dtype=np.intp) if dense else \
+            np.searchsorted(values, arr[a:b])
+        out = np.empty(idx.shape, dtype=first.dtype)
+        out[:, 0] = first[idx[:, 0]]
+        if cols > 1:
+            out[:, 1:-1] = middle[idx[:, 1:-1]]
+            out[:, -1] = last[idx[:, -1]]
+        buf = out.view(np.uint8)
+        text.append(buf[buf != 0].tobytes().decode("ascii"))
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +123,12 @@ def grid_dumps(obj) -> str:
         squares = obj.squares
     else:
         raise MalformedInput(f"cannot serialize {type(obj).__name__} as a grid")
-    return head + "\n".join(_render_rows(sq, _cell_str, "", " ", "\n")
-                            for sq in squares)
+    parts = [head]
+    for t, sq in enumerate(squares):
+        if t:
+            parts.append("\n")  # the blank line between squares
+        parts += _render_rows(sq, _cell_str, "", " ", "\n")
+    return "".join(parts)
 
 
 def _parse_cells(rows: list[str], size: int) -> np.ndarray:
@@ -158,7 +181,9 @@ def _parse_squares(lines, count, side, size):
         raise MalformedInput("trailing content after grid body")
     if not rows:
         return np.full((count, side, side), BLANK, dtype=np.int32)
-    return _parse_cells(rows, size).astype(np.int32).reshape(count, side, side)
+    cells = [_parse_cells(rows[a:b], size)
+             for a, b in _pieces(0, len(rows), len(rows[0]) + 1)]
+    return np.concatenate(cells).astype(np.int32, copy=False).reshape(count, side, side)
 
 
 def grid_loads(text: str):
@@ -200,12 +225,13 @@ _KIND_BY_HOLES = {HOLE_NONE: "TD", HOLE_UNIFORM: "HTD", HOLE_SINGLE: "ITD"}
 _HOLES_BY_KIND = {v: k for k, v in _KIND_BY_HOLES.items()}
 
 
-def _json_rows(rows) -> str:
-    """A JSON array of integer arrays, one inner array per line."""
+def _json_rows(rows) -> list[str]:
+    """A JSON array of integer arrays, one inner array per line, in pieces."""
     if len(rows) == 0:
-        return "[]"
-    body = _render_rows(np.asarray(rows), str, "  [", ", ", "],\n")
-    return "[\n" + body[:-2] + "\n ]"
+        return ["[]"]
+    lines = _render_rows(np.asarray(rows), str, "  [", ", ", "],\n")
+    lines[-1] = lines[-1][:-2]  # the last row takes no comma
+    return ["[\n", *lines, "\n ]"]
 
 
 def design_dumps(d: BlockDesign) -> str:
@@ -213,21 +239,25 @@ def design_dumps(d: BlockDesign) -> str:
     one block (and one hole) per line."""
     fields = {
         "blocks": _json_rows(d.sorted_blocks()),
-        "group_size": json.dumps(d.group_size),
+        "group_size": [json.dumps(d.group_size)],
         "holes": _json_rows(d.holes),
-        "index": json.dumps(d.index),
-        "k": json.dumps(d.k),
-        "kind": json.dumps(_KIND_BY_HOLES[d.hole_kind]),
+        "index": [json.dumps(d.index)],
+        "k": [json.dumps(d.k)],
+        "kind": [json.dumps(_KIND_BY_HOLES[d.hole_kind])],
     }
-    return "{\n" + ",\n".join(f' "{key}": {fields[key]}'
-                              for key in sorted(fields)) + "\n}\n"
+    parts = ["{\n"]
+    for key in sorted(fields):
+        parts += [f' "{key}": ', *fields[key], ",\n"]
+    parts[-1] = "\n}\n"
+    return "".join(parts)  # the one copy of the whole text
 
 
-# byte classes of a JSON array of integer arrays, as a bytes.translate table
-_WS, _OPEN, _CLOSE, _COMMA, _DIGIT, _MINUS, _OTHER = range(7)
-_CLASS_OF = {**dict.fromkeys(b" \t\n\r", _WS), **dict.fromkeys(b"0123456789", _DIGIT),
-             ord("["): _OPEN, ord("]"): _CLOSE, ord(","): _COMMA, ord("-"): _MINUS}
-_CLASS = bytes(_CLASS_OF.get(c, _OTHER) for c in range(256))
+# each byte of a JSON integer matrix with its white space deleted, as a
+# bytes.translate table: a digit's value, then "-", "[", "]", "," and the rest
+_MINUS, _OPEN, _CLOSE, _COMMA, _OTHER = range(10, 15)
+_BYTE = bytes(b"0123456789-[],".find(c) if c in b"0123456789-[]," else _OTHER
+              for c in range(256))
+_SPACE = b" \t\n\r"
 _MAX_DIGITS = 18  # longer numbers may not fit int64; json.loads takes those
 _BLOCKS_KEY = re.compile(r'"blocks"[ \t\n\r]*:[ \t\n\r]*\[')
 _SENTINEL = '"\\u0000"'  # a JSON string no unescaped document can contain
@@ -236,54 +266,56 @@ _SENTINEL = '"\\u0000"'  # a JSON string no unescaped document can contain
 def _int_matrix(body: bytes):
     """body as an (R, C) integer array when it is exactly a JSON array of
     R >= 1 arrays of C >= 1 integers of at most _MAX_DIGITS digits, with
-    JSON whitespace anywhere between tokens; None otherwise."""
-    classes = body.translate(_CLASS)
-    if bytes([_OTHER]) in classes:
+    JSON whitespace anywhere between tokens; None otherwise.
+
+    One scan for the separators of body without its white space gives
+    every number's start and stop.
+    """
+    stripped = body.translate(_BYTE, _SPACE)
+    if bytes([_OTHER]) in stripped:
         return None
-    cls = np.frombuffer(classes, dtype=np.uint8)
-    number = cls >= _DIGIT
-    start = number.copy()
-    start[1:] &= ~number[:-1]
-    # the token sequence, each number one _DIGIT token; (cls - 1) wraps
-    tokens = np.minimum(cls[start | ((cls - 1) < 3)], _DIGIT)
-    cols = tokens.tobytes().find(bytes([_CLOSE])) // 2
-    if cols < 1:
+    s = np.frombuffer(stripped, dtype=np.uint8)
+    where = np.flatnonzero(s > _MINUS)
+    seps = s[where]
+    cols = seps.tobytes().find(bytes([_CLOSE])) - 1
+    if cols < 1 or s[0] != _OPEN or s[-1] != _CLOSE:
         return None
-    row = np.array([_OPEN] + [_DIGIT, _COMMA] * (cols - 1) + [_DIGIT, _CLOSE, _COMMA],
-                   dtype=np.uint8)
-    rows, extra = divmod(len(tokens) - 1, len(row))
-    if rows < 1 or extra or tokens[0] != _OPEN or tokens[-1] != _CLOSE:
+    rows, extra = divmod(len(where) - 1, cols + 2)
+    if rows < 1 or extra:
         return None
-    inner = tokens[1:-1]  # the rows, less the last row's comma
-    tail = len(row) - 1
-    if not ((inner[:-tail].reshape(rows - 1, len(row)) == row).all()
-            and (inner[-tail:] == row[:-1]).all()):
+    # "[", then per row "[", cols - 1 times ",", "]" and "," ("]" for the last)
+    seps = seps[1:].reshape(rows, cols + 2)
+    row = np.array([_OPEN] + [_COMMA] * (cols - 1) + [_CLOSE], dtype=np.uint8)
+    if not ((seps[:, :-1] == row).all() and (seps[:-1, -1] == _COMMA).all()):
         return None
-    del tokens, inner
-    b = np.frombuffer(body, dtype=np.uint8)
-    starts = np.flatnonzero(start)
-    stops = np.flatnonzero(number[:-1] & ~number[1:]) + 1
+    where = where[1:].reshape(rows, cols + 2)
+    starts, stops = where[:, :cols] + 1, where[:, 1:-1]
     digits = stops - starts
+    # body holds one run of "-" and digits (bytes 45..57) per number: no
+    # byte lies outside a number's span, and no white space splits one
+    number = np.subtract(np.frombuffer(body, dtype=np.uint8), 45, dtype=np.uint8) < 13
+    if np.count_nonzero(number[:-1] > number[1:]) != rows * cols:
+        return None
     negative = None
     if b"-" in body:
-        if ((cls == _MINUS) & ~start).any():
+        negative = s[starts] == _MINUS
+        if stripped.count(bytes([_MINUS])) != np.count_nonzero(negative):
             return None
-        negative = b[starts] == ord("-")
-        digits -= negative
+        digits = digits - negative
     most = int(digits.max())
     if digits.min() < 1 or most > _MAX_DIGITS or \
-            ((b[stops - digits] == ord("0")) & (digits > 1)).any():
+            ((s[stops - digits] == 0) & (digits > 1)).any():
         return None
     # right to left; reads left of a number (negative indices included)
     # are masked out by digits > j
     at = stops - 1
-    value = (b[at] - 48).astype(np.int32 if most <= 9 else np.int64)
+    value = s[at].astype(np.int32 if most <= 9 else np.int64)
     for j in range(1, most):
         at -= 1
-        value += np.multiply((b[at] - 48) * (digits > j), 10 ** j, dtype=value.dtype)
+        value += np.multiply(s[at] * (digits > j), 10 ** j, dtype=value.dtype)
     if negative is not None:
         value[negative] *= -1
-    return value.reshape(rows, cols)
+    return value
 
 
 def _fast_design_doc(text: str):
@@ -307,12 +339,19 @@ def _fast_design_doc(text: str):
     close = text.find("}", start, stop)
     stop = close if close >= 0 else stop
     end = text.rfind("]", start, stop) + 1
-    body = text[start:end]
-    if not body.isascii():
+    # the rows text[start + 1:end - 1] in pieces cut at "],", each read as
+    # a matrix of its own; a piece after a cut starts at that ","
+    parts = []
+    for a, b in _pieces(start + 1, end - 1,
+                        cut=lambda at: text.find("],", at, end - 1) + 1 or end - 1):
+        piece = "[" + text[a + (a > start + 1):b] + "]"
+        part = _int_matrix(piece.encode("ascii", "replace"))  # "?" reads as no matrix
+        if part is None or parts and part.shape[1] != parts[0].shape[1]:
+            return None
+        parts.append(part)
+    if not parts:
         return None
-    blocks = _int_matrix(body.encode("ascii"))
-    if blocks is None:
-        return None
+    blocks = np.concatenate(parts)  # an int64 piece makes all int64
     try:
         doc = json.loads(text[:start] + _SENTINEL + text[end:])
     except (ValueError, RecursionError):

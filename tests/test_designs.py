@@ -287,6 +287,32 @@ def test_block_entries_outside_int32_rejected(entry):
         dz.BlockDesign.new(k=3, group_size=2, index=1, blocks=blocks)
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint32,
+                                   np.int64, np.uint64])
+def test_integer_block_arrays_checked_in_their_own_dtype(dtype):
+    blocks = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=dtype)
+    d = dz.BlockDesign.new(k=3, group_size=2, index=1, blocks=blocks)
+    assert d.blocks.dtype == np.int32 and d.blocks.tolist() == blocks.tolist()
+    blocks[2, 1] = 5
+    assert d.blocks[2, 1] == 0 and not d.blocks.flags.writeable
+    top = int(np.iinfo(dtype).max)
+    if top >= 2**31:
+        blocks[2, 1] = top
+        with pytest.raises(MalformedInput, match="32-bit"):
+            dz.BlockDesign.new(k=3, group_size=2, index=1, blocks=blocks)
+    if np.iinfo(dtype).min < -2**31:
+        blocks[2, 1] = -2**31 - 1
+        with pytest.raises(MalformedInput, match="32-bit"):
+            dz.BlockDesign.new(k=3, group_size=2, index=1, blocks=blocks)
+
+
+def test_ragged_and_huge_block_lists_rejected_as_before():
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        dz.BlockDesign.new(k=2, group_size=2, index=1, blocks=[[0, 1], [1]])
+    with pytest.raises(MalformedInput, match="32-bit"):
+        dz.BlockDesign.new(k=2, group_size=2, index=1, blocks=[[0, 2**70]])
+
+
 def test_int32_extremes_load_and_fail_as_shapes():
     d = dz.BlockDesign.new(k=2, group_size=2, index=1,
                            blocks=[[2**31 - 1, 0], [-2**31, 1]])

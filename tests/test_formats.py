@@ -1,3 +1,4 @@
+import contextlib
 import json
 import re
 
@@ -128,8 +129,8 @@ def reference_design_loads(text: str) -> dz.BlockDesign:
 def outcome(read, text):
     try:
         d = read(text)
-    except Exception as exc:  # the class is the outcome
-        return type(exc)
+    except Exception as exc:  # the class and the message are the outcome
+        return type(exc), str(exc)
     return (d.k, d.group_size, d.index, d.hole_kind, d.holes,
             d.blocks.dtype, d.blocks.shape, d.blocks.tobytes())
 
@@ -177,11 +178,103 @@ def design_texts(draw):
     return text
 
 
+@contextlib.contextmanager
+def pieces_of(size):
+    """The readers and printers cut their work into pieces of about size
+    bytes of text (at least one row each) inside the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_PIECE", size)
+        yield
+
+
 @settings(max_examples=300, deadline=None)
 @given(design_texts())
 def test_design_loads_agrees_with_reference_reader(text):
     assert outcome(formats.design_loads, text) == \
         outcome(reference_design_loads, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(design_texts(), st.integers(1, 16))
+def test_design_loads_agrees_with_reference_reader_in_small_pieces(text, size):
+    with pieces_of(size):
+        assert outcome(formats.design_loads, text) == \
+            outcome(reference_design_loads, text)
+
+
+def reference_int_matrix(body: str):
+    """The rows of body by json.loads when they form a matrix of at least
+    one row and one column of integers of at most 18 digits, else None."""
+    try:
+        doc = json.loads(body)
+    except ValueError:
+        return None
+    if not (isinstance(doc, list) and doc and all(isinstance(r, list) for r in doc)
+            and doc[0] and all(len(r) == len(doc[0]) for r in doc)):
+        return None
+    if not all(type(x) is int and len(str(abs(x))) <= 18 for r in doc for x in r):
+        return None
+    return doc
+
+
+@st.composite
+def matrix_texts(draw):
+    rows = draw(st.lists(st.lists(st.integers(-10**19, 10**19), min_size=1,
+                                  max_size=3), min_size=1, max_size=4))
+    text = json.dumps(rows, indent=draw(st.sampled_from([None, 0, 1])))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from(list("0123456789-[], \n.e")))
+        how = draw(st.sampled_from(["replace", "insert", "delete"]))
+        text = text[:at] + ("" if how == "delete" else char) + \
+            text[at + (how != "insert"):]
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(matrix_texts())
+@example("[[1, 2]3, [4, 5]]")
+@example("[[1], [2],")
+@example("[[1]]5")
+@example("[[1], [-]]")
+@example("[[1]] ")
+@example("[[1]][2]]")
+@example(",[1],[2]]")
+def test_int_matrix_agrees_with_json(body):
+    got, want = formats._int_matrix(body.encode()), reference_int_matrix(body)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got.tolist() == want
+
+
+def _design_with_blocks(blocks: str) -> str:
+    return ('{"blocks": ' + blocks + ', "group_size": 2, "holes": [], '
+            '"index": 1, "k": 2, "kind": "TD"}')
+
+
+@pytest.mark.parametrize("blocks", [
+    "[[0, 0] ,[0, 1],\n [1, 0] , [1, 1]]",
+    "[[0, 0],  [0, 1],\t[1, 0]\n,[1, 1]  ]",
+    "[[0, 0], [0, 1], [1, 0], [1, 1], [0, 1, 1]]",
+    "[[0, 0], [0, 1], [1, 0, 1], [1, 1, 0]]",
+    "[[0, 0], [0, 1], [1, 0], [1000000000, 1]]",
+    "[[0, 0], [0, 1], [1, 0], [2147483648, 1]]",
+    "[[0, 0], [0, 1], [1, 0], [1, 9999999999999999999]]",
+    "[[0, 0], [0, 1], [1, 0], [1, 1 0]]",
+    "[[0, 0], [0, 1], [1, 0], [1, -01]]",
+    "[[0, 0], [0, 1], [1, 0], [1, 1],]",
+    "[[0, 0], [0, 1]], [[1, 0], [1, 1]]",
+], ids=["space-before-comma", "space-after-comma", "ragged-later-row",
+        "wider-later-piece", "ten-digits-later", "beyond-int32-later",
+        "nineteen-digits-later", "split-number-later", "leading-zero-later",
+        "trailing-comma", "two-matrices"])
+def test_design_loads_agrees_with_reference_reader_at_every_cut(blocks):
+    text = _design_with_blocks(blocks)
+    want = outcome(reference_design_loads, text)
+    for size in range(1, len(blocks) + 2):
+        with pieces_of(size):
+            assert outcome(formats.design_loads, text) == want, size
 
 
 @pytest.mark.parametrize("text", [
@@ -253,6 +346,18 @@ def test_grid_names_the_first_bad_token():
         formats.grid_loads(_row_token(_row_token(GRID, 2, 2, "05"), 3, 2, "0"))
 
 
+@pytest.mark.parametrize("size", [1, 20, 40])
+def test_grid_names_the_first_bad_token_of_a_later_piece(size):
+    """Rows of 16 bytes: pieces of 1, 1 and 2 rows, so the bad tokens lie
+    in the second piece or later."""
+    bad = _row_token(_row_token(_row_token(GRID, 4, 5, "05"), 5, 1, "9"), 8, 0, "x")
+    with pieces_of(size):
+        with pytest.raises(MalformedInput, match="bad cell token '05'"):
+            formats.grid_loads(bad)
+        with pytest.raises(MalformedInput, match="symbol 9 out of range 1..8"):
+            formats.grid_loads(_row_token(bad, 4, 5, "5"))
+
+
 def reference_cells(rows, n):
     """Cells by the strict token grammar, one token at a time; None when
     a row or a token is malformed."""
@@ -291,6 +396,18 @@ def latin_rows(draw):
 @given(latin_rows())
 @example((10, [" ".join([":"] + ["."] * 9)] * 10))  # ":" is "0" + 10
 def test_grid_cells_agree_with_token_grammar(case):
+    check_grid_cells(case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(latin_rows())
+@example((10, [" ".join([":"] + ["."] * 9)] * 10))
+def test_grid_cells_agree_with_token_grammar_in_small_pieces(case):
+    with pieces_of(1):  # one row per piece
+        check_grid_cells(case)
+
+
+def check_grid_cells(case):
     n, rows = case
     text = f"latin {n}\n" + "\n".join(rows) + "\n"
     want = reference_cells(rows, n)
@@ -300,3 +417,21 @@ def test_grid_cells_agree_with_token_grammar(case):
     else:
         got = formats.grid_loads(text)
         assert got.cells.ravel().tolist() == want
+
+
+def test_printers_agree_across_piece_sizes():
+    td = dz.td_from_field(4, 64)
+    squares = td.sorted_blocks()[:, 2:].T.reshape(2, 64, 64)
+    mols = dz.IncompleteMolsSet.from_arrays(n=64, hole=(), squares=squares)
+    assert dz.verify_imols(mols).valid
+    with pieces_of(1 << 30):
+        design, grid = formats.design_dumps(td), formats.grid_dumps(mols)
+    assert design.count("\n") == 4096 + 9 and len(grid) > 4 * 64 * 64
+    for size in (1, 100, 4096, formats._PIECE):
+        with pieces_of(size):
+            assert formats.design_dumps(td) == design
+            assert formats.grid_dumps(mols) == grid
+            assert formats.design_dumps(formats.design_loads(design)) == design
+            doc = formats._fast_design_doc(design)  # no fallback to json.loads
+            assert np.array_equal(doc["blocks"], td.sorted_blocks())
+            assert formats.grid_dumps(formats.grid_loads(grid)) == grid
