@@ -47,17 +47,12 @@ from .errors import (
 )
 
 
-def _require_valid(d: BlockDesign, role: str) -> None:
+def _checked(d: BlockDesign, what: str) -> BlockDesign:
+    """d once verify_design finds it valid; IngredientInvalid naming it
+    otherwise."""
     rep = verify_design(d)
     if not rep.valid:
-        raise IngredientInvalid(f"{role} fails verification: {rep.violations[:3]}")
-
-
-def _checked_output(d: BlockDesign, what: str) -> BlockDesign:
-    rep = verify_design(d)
-    if not rep.valid:
-        raise IngredientInvalid(f"{what} failed its own verification: "
-                                f"{rep.violations[:3]}")
+        raise IngredientInvalid(f"{what} fails verification: {rep.violations[:3]}")
     return d
 
 
@@ -202,7 +197,7 @@ def itd_from_marked(m: MarkedDesign) -> BlockDesign:
     out = BlockDesign.new(k=d.k, group_size=d.group_size, index=d.index,
                           blocks=blocks, hole_kind=HOLE_SINGLE,
                           holes=(tuple(range(h_sub)),))
-    return _checked_output(out, f"ITD({d.k},({d.group_size};{h_sub}))")
+    return _checked(out, f"ITD({d.k},({d.group_size};{h_sub}))")
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +217,14 @@ def td_product(d1: BlockDesign, d2) -> BlockDesign | MarkedDesign:
         raise GroupCountMismatch(f"{d1.k} groups vs {d2.k}")
     if d1.hole_kind != HOLE_NONE or d2.hole_kind != HOLE_NONE:
         raise ParameterMismatch("the product multiplies plain TDs")
-    _require_valid(d1, "first factor")
-    _require_valid(d2, "second factor")
+    _checked(d1, "first factor")
+    _checked(d2, "second factor")
     n2 = d2.group_size
     b1 = d1.blocks.astype(np.int64)
     out = BlockDesign.new(k=d1.k, group_size=d1.group_size * n2,
                           index=d1.index * d2.index,
                           blocks=_shifted(b1 * n2, d2.blocks))
-    out = _checked_output(out, "product TD")
+    out = _checked(out, "product TD")
     if mark is None:
         return out
     first = int(np.lexsort(b1.T[::-1])[0])
@@ -264,9 +259,9 @@ def diag_product(a: BlockDesign, b: BlockDesign, c: BlockDesign) -> BlockDesign:
     if n == 1 and h > 1:
         # an HTD(k,h^1) has no blocks; the composition is degenerate
         raise ParameterMismatch("diagonal ingredient of type h^1 is degenerate")
-    _require_valid(a, "layer HTD")
-    _require_valid(b, "cross TD")
-    _require_valid(c, "diagonal HTD")
+    _checked(a, "layer HTD")
+    _checked(b, "cross TD")
+    _checked(c, "diagonal HTD")
     k = a.k
     layer = n * h
     layers = np.arange(m)[:, None] * layer
@@ -275,7 +270,7 @@ def diag_product(a: BlockDesign, b: BlockDesign, c: BlockDesign) -> BlockDesign:
     holes = _shifted(layers, np.asarray(c.holes)).tolist()
     out = BlockDesign.new(k=k, group_size=m * layer, index=1, blocks=blocks,
                           hole_kind=HOLE_UNIFORM, holes=holes)
-    return _checked_output(out, f"HTD({k},{h}^{m * n})")
+    return _checked(out, f"HTD({k},{h}^{m * n})")
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +298,14 @@ def parallel_class_reduction(r: BlockDesign) -> tuple[BlockDesign, BlockDesign]:
 
 
 def wilson_compose(r: BlockDesign, a: BlockDesign, b: BlockDesign,
-                   e, f: BlockDesign | None, u: int) -> BlockDesign:
+                   e: BlockDesign | None, f: BlockDesign | None, u: int) -> BlockDesign:
     """HTD(k, h^(m*t+u)) assembled in four kinds of blocks: copies of the
     HTD(k,h^m) on the layers of one parallel class of the TD(k+1,t),
     copies of the TD(k,hm) on blocks missing the truncated part Y, copies
     of the ITD(k,(hm+h;h)) with the hole aligned over the Y point the
     block meets, and one HTD(k,h^u) on Y itself.
 
-    e may be a MarkedDesign (deleted on the fly) or a ready ITD; e and f
-    are only consulted when u > 0.
+    e and f are only consulted when u > 0.
     """
     if a.hole_kind != HOLE_UNIFORM:
         raise ParameterMismatch("second ingredient must be a holey TD")
@@ -327,23 +321,21 @@ def wilson_compose(r: BlockDesign, a: BlockDesign, b: BlockDesign,
         raise ParameterMismatch("first ingredient must be a plain TD(k+1,t)")
     if b.group_size != h * m or b.index != 1 or b.hole_kind != HOLE_NONE:
         raise ParameterMismatch(f"cross TD must be a TD(k,{h * m})")
-    _require_valid(r, "resolvable TD")
-    _require_valid(a, "layer HTD")
-    _require_valid(b, "cross TD")
+    _checked(r, "resolvable TD")
+    _checked(a, "layer HTD")
+    _checked(b, "cross TD")
     k = a.k
     layer = h * m
 
-    e_itd = None
     if u > 0:
-        e_itd = itd_from_marked(e) if isinstance(e, MarkedDesign) else e
-        if e_itd.hole_kind != HOLE_SINGLE or e_itd.hole_size != h or \
-                e_itd.group_size != layer + h or e_itd.k != k:
+        if e is None or e.hole_kind != HOLE_SINGLE or e.hole_size != h or \
+                e.group_size != layer + h or e.k != k:
             raise ParameterMismatch(f"need an ITD({k},({layer + h};{h}))")
         if f is None or f.hole_kind != HOLE_UNIFORM or f.hole_size != h or \
                 f.hole_count != u or f.k != k:
             raise ParameterMismatch(f"need an HTD({k},{h}^{u})")
-        _require_valid(e_itd, "incomplete TD")
-        _require_valid(f, "truncation HTD")
+        _checked(e, "incomplete TD")
+        _checked(f, "truncation HTD")
 
     rr, _ = parallel_class_reduction(r)
     y_base = t * layer  # the Y part sits after the t layers
@@ -362,12 +354,12 @@ def wilson_compose(r: BlockDesign, a: BlockDesign, b: BlockDesign,
         # sent in order onto the hole of Y the block meets, its other
         # points in order onto the block's layers
         meet = non_class[non_class[:, k] <= u]
-        in_hole = np.zeros(e_itd.group_size, dtype=bool)
-        in_hole[list(e_itd.holes[0])] = True
+        in_hole = np.zeros(e.group_size, dtype=bool)
+        in_hole[list(e.holes[0])] = True
         dest = meet[:, None, :k] * layer + _side_ranks(in_hole)[None, :, None]
         y_holes = y_base + np.asarray(f.holes, dtype=np.int64)
         dest[:, in_hole] = y_holes[meet[:, k] - 1, :, None]
-        pieces.append(_gather(dest, e_itd.blocks))
+        pieces.append(_gather(dest, e.blocks))
         # fourth kind: the HTD(k,h^u) on Y
         pieces.append(f.blocks.astype(np.int64) + y_base)
         holes += y_holes.tolist()
@@ -375,7 +367,7 @@ def wilson_compose(r: BlockDesign, a: BlockDesign, b: BlockDesign,
     blocks = np.concatenate(pieces)
     out = BlockDesign.new(k=k, group_size=t * layer + u * h, index=1,
                           blocks=blocks, hole_kind=HOLE_UNIFORM, holes=holes)
-    return _checked_output(out, f"HTD({k},{h}^{m * t + u})")
+    return _checked(out, f"HTD({k},{h}^{m * t + u})")
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +431,12 @@ def itd_truncate_compose(k: int, m: int, t: int, u: int, v: int,
                           (dm2, m + 2, "TD(k,m+2)")):
         if d.k != k or d.group_size != size or d.hole_kind != HOLE_NONE:
             raise ParameterMismatch(f"{role} has the wrong shape")
-        _require_valid(d, role)
+        _checked(d, role)
     if u > 0:
         if du is None or du.k != k or du.group_size != u:
             raise ParameterMismatch(f"need a TD({k},{u}) for the u side")
-        _require_valid(du, "TD(k,u)")
-    _require_valid(r2, "outer TD")
+        _checked(du, "TD(k,u)")
+    _checked(r2, "outer TD")
 
     fill1 = _drop_constant_blocks(_align_block_at(dm1, 0, m), [m])
     j1, j2 = _find_disjoint_blocks(dm2)
@@ -475,4 +467,4 @@ def itd_truncate_compose(k: int, m: int, t: int, u: int, v: int,
                               hole_kind=HOLE_SINGLE, holes=(tuple(range(v)),))
     else:
         out = BlockDesign.new(k=k, group_size=size, index=1, blocks=blocks)
-    return _checked_output(out, f"ITD({k},({size};{v}))")
+    return _checked(out, f"ITD({k},({size};{v}))")

@@ -48,7 +48,8 @@ from .errors import (
     TooManyGroups,
 )
 
-DEFAULT_SIZE_BOUND = 4096
+TEMPLATE_ROWS = 4096  # the largest template built
+MATCH_WORK = 1 << 26  # the largest size * lam^2 match_columns scans
 DEFAULT_BUDGET = 200_000
 
 
@@ -64,7 +65,6 @@ class TemplateMatrix:
     h: int
     d: int
     field: gf.FieldSpec
-    cols: tuple          # vector labels, lex order
     entries: np.ndarray  # (h^d, h^d) element indices
 
     @property
@@ -77,28 +77,26 @@ class TemplateMatrix:
 
 
 @functools.lru_cache(maxsize=8)
-def template(h: int, d: int, size_bound: int = DEFAULT_SIZE_BOUND) -> TemplateMatrix:
+def template(h: int, d: int) -> TemplateMatrix:
     """entries[u][v] = u.v over GF(h) for all h^d lex-ordered vectors."""
     f = gf.field_new(h)  # raises NotPrimePower
     if d < 1:
         raise ValueError("dimension must be positive")
     size = h ** d
-    if size > size_bound:
-        raise SizeBound(f"template would have {size} rows (bound {size_bound})")
-    vecs = list(itertools.product(range(h), repeat=d))
+    if size > TEMPLATE_ROWS:
+        raise SizeBound(f"template would have {size} rows (bound {TEMPLATE_ROWS})")
     entries = np.zeros((size, size), dtype=np.int32)
-    for c in np.array(vecs, dtype=np.int32).T:
+    for c in np.array(list(itertools.product(range(h), repeat=d)), dtype=np.int32).T:
         entries = f.add_arr(entries, f.mul_arr(c[:, None], c[None, :]))
     entries.setflags(write=False)
-    return TemplateMatrix(h=h, d=d, field=f, cols=tuple(vecs), entries=entries)
+    return TemplateMatrix(h=h, d=d, field=f, entries=entries)
 
 
-def td_projection(h: int, d: int, k: int, cols=None,
-                  size_bound: int = DEFAULT_SIZE_BOUND) -> BlockDesign:
+def td_projection(h: int, d: int, k: int, cols=None) -> BlockDesign:
     """TD of index h^(d-1) on k groups of size h: group v gets a + u.v over
     all a in GF(h), u in GF(h)^d, restricted to k template columns (the
     first k in lex order unless a selection is supplied)."""
-    t = template(h, d, size_bound)
+    t = template(h, d)
     if k > t.size or k < 2:
         raise TooManyGroups(f"need 2 <= k <= {t.size}, got {k}")
     if cols is None:
@@ -202,10 +200,6 @@ class UVectorSolution:
     u: tuple      # h tuples of k field elements
     omega: int
     seed: int | None = None
-
-    @property
-    def k(self) -> int:
-        return len(self.col_selection)
 
     def to_cert(self) -> dict:
         return {"h": self.h, "d": self.d, "q": self.q, "omega": self.omega,
@@ -389,8 +383,12 @@ def match_columns(t: TemplateMatrix, u_raw, q: int):
     The backtracking is complete and deterministic (columns tried in lex
     order), so Exhausted here is a disproof for this template and field.
     Returns the list of assigned column ranks, ordered like the nonblank
-    positions.
+    positions.  The scan of every template column costs size * lam^2;
+    SizeBound when that exceeds MATCH_WORK.
     """
+    if t.size * t.lam ** 2 > MATCH_WORK:
+        raise SizeBound(f"matching columns of the ({t.h}, {t.d}) template scans "
+                        f"{t.size * t.lam ** 2} entries (bound {MATCH_WORK})")
     u_rows = [list(vec) for vec in u_raw]
     if len(u_rows) != t.h or any(len(vec) != t.size for vec in u_rows):
         raise MalformedSolution(f"need {t.h} raw vectors of width {t.size}")

@@ -260,6 +260,7 @@ _BYTE = bytes(b"0123456789-[],".find(c) if c in b"0123456789-[]," else _OTHER
 _SPACE = b" \t\n\r"
 _MAX_DIGITS = 18  # longer numbers may not fit int64; json.loads takes those
 _BLOCKS_KEY = re.compile(r'"blocks"[ \t\n\r]*:[ \t\n\r]*\[')
+_GAP = re.compile(r"[ \t\n\r]*(,?)")  # between two pieces of rows
 _SENTINEL = '"\\u0000"'  # a JSON string no unescaped document can contain
 
 
@@ -339,12 +340,20 @@ def _fast_design_doc(text: str):
     close = text.find("}", start, stop)
     stop = close if close >= 0 else stop
     end = text.rfind("]", start, stop) + 1
-    # the rows text[start + 1:end - 1] in pieces cut at "],", each read as
-    # a matrix of its own; a piece after a cut starts at that ","
+    # the rows text[start + 1:end - 1] in pieces cut after a "]", each read
+    # as a matrix of its own; a later piece starts after the white space
+    # and "," that follow the cut, and white space alone ends the rows
     parts = []
     for a, b in _pieces(start + 1, end - 1,
-                        cut=lambda at: text.find("],", at, end - 1) + 1 or end - 1):
-        piece = "[" + text[a + (a > start + 1):b] + "]"
+                        cut=lambda at: text.find("]", at, end - 1) + 1 or end - 1):
+        if a > start + 1:
+            gap = _GAP.match(text, a, b)
+            if not gap.group(1):
+                if gap.end() == b:
+                    continue
+                return None
+            a = gap.end()
+        piece = "[" + text[a:b] + "]"
         part = _int_matrix(piece.encode("ascii", "replace"))  # "?" reads as no matrix
         if part is None or parts and part.shape[1] != parts[0].shape[1]:
             return None

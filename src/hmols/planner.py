@@ -3,8 +3,9 @@
 The planner chains the compose and cyclotomic constructions into plan
 trees over a registry of known facts.  Registry facts are explicit (a
 design exists, with fixture, constructible-recipe, or external-table
-provenance); external-table and range (*-atleast) facts participate in
-plan arithmetic but are never executed, so every executed plan is
+provenance); a constructible fact's recipe builds one plain design, and
+fixture, external-table and range (*-atleast) facts participate in plan
+arithmetic but are never built, so every executed plan is
 certificate-backed.  What each step needs, its registry facts and its
 children's goals, is stated once (_needs) and read by plan search,
 validation and execution alike.
@@ -158,6 +159,7 @@ TD_ATLEAST = "TD-atleast"     # (k, n_min)
 HTD_ATLEAST = "HTD-atleast"   # (k, h, n_min)
 RECIPE = "recipe"         # (name,)
 _ARITY = {TD: 2, HTD: 3, ITD: 3, TD_ATLEAST: 2, HTD_ATLEAST: 3, RECIPE: 1}
+_RANGE_OF = {TD: TD_ATLEAST, HTD: HTD_ATLEAST}
 
 
 def _is_fact_row(row) -> bool:
@@ -175,11 +177,9 @@ def _is_fact_row(row) -> bool:
 
 @dataclass
 class Registry:
-    """Facts (kind, params) -> provenance, plus runtime-attached designs
-    for fixture facts.  Attached designs are never serialized."""
+    """Facts (kind, params) -> provenance."""
 
     facts: dict = field(default_factory=dict)
-    designs: dict = field(default_factory=dict)
 
     def add(self, kind: str, params, source: str, recipe: dict | None = None,
             citation: str | None = None) -> None:
@@ -190,41 +190,20 @@ class Registry:
             prov["citation"] = citation
         self.facts[(kind, tuple(params))] = prov
 
-    def attach_design(self, kind: str, params, design) -> None:
-        self.designs[(kind, tuple(params))] = design
-
-    # -- queries; wider designs imply narrower ones by group restriction ---
-
-    def _match(self, kind: str, pred):
-        hits = [key for key in self.facts if key[0] == kind and pred(key[1])]
-        return sorted(hits)
-
-    def find_td(self, k: int, n: int):
-        exact = self._match(TD, lambda p: p[0] >= k and p[1] == n)
-        ranged = self._match(TD_ATLEAST, lambda p: p[0] >= k and p[1] <= n)
-        return exact + ranged
-
-    def find_htd(self, k: int, h: int, n: int):
-        exact = self._match(HTD, lambda p: p[0] >= k and p[1] == h and p[2] == n)
-        ranged = self._match(HTD_ATLEAST,
-                             lambda p: p[0] >= k and p[1] == h and p[2] <= n)
-        return exact + ranged
-
-    def find_itd(self, k: int, n: int, h: int):
-        return self._match(ITD, lambda p: p[0] >= k and p[1] == n and p[2] == h)
-
     def find(self, kind: str, params):
-        """The facts that supply a design of this kind (TD, HTD or ITD)
-        with these params."""
-        return {TD: self.find_td, HTD: self.find_htd, ITD: self.find_itd}[kind](*params)
-
-    def has_recipe(self, name: str) -> bool:
-        return (RECIPE, (name,)) in self.facts
-
-    def itd_hole_sizes(self, k: int, h: int):
-        """Group sizes n of known ITD(k', (n; h)) facts with k' >= k."""
-        return sorted({p[1] for kind, p in self.facts if kind == ITD
-                       and p[0] >= k and p[2] == h})
+        """The facts that supply a design of this kind (TD, HTD or ITD) with
+        these params (k, ...): first the facts of the kind with k' >= k and
+        the other params equal, then the range facts of the kind with
+        k' >= k, the middle params equal and the last at most the asked
+        one, each sorted.  Wider designs imply narrower ones by group
+        restriction."""
+        k, rest = params[0], tuple(params[1:])
+        exact = sorted(key for key in self.facts if key[0] == kind
+                       and key[1][0] >= k and key[1][1:] == rest)
+        ranged = sorted(key for key in self.facts if key[0] == _RANGE_OF.get(kind)
+                        and key[1][0] >= k and key[1][1:-1] == rest[:-1]
+                        and key[1][-1] <= rest[-1])
+        return exact + ranged
 
     def to_json(self) -> str:
         rows = [{"kind": kind, "params": list(params), "provenance": prov}
@@ -371,12 +350,11 @@ def validate_plan(tree: PlanTree, reg: Registry) -> None:
 # plan search
 # ---------------------------------------------------------------------------
 
-DEFAULT_DEPTH = 4
-DEFAULT_WIDTH = 10_000
+PLAN_DEPTH = 4      # nested diagonal or Wilson steps below the goal
+PLAN_WIDTH = 10_000  # candidate splits tried per step kind and node
 
 
-def plan_hmols(h: int, k: int, n: int, reg: Registry,
-               depth: int = DEFAULT_DEPTH, width: int = DEFAULT_WIDTH) -> PlanTree:
+def plan_hmols(h: int, k: int, n: int, reg: Registry) -> PlanTree:
     """Bounded deterministic search for a plan certifying N(h^n) >= k.
 
     Steps are tried in the order fixture, trivial, cyclotomic, diagonal
@@ -385,14 +363,14 @@ def plan_hmols(h: int, k: int, n: int, reg: Registry,
     """
     if h < 1 or k < 1 or n < 1:
         raise ValueError("need h, k, n >= 1")
-    tree = _search(h, k, n, reg, depth, width)
+    tree = _search(h, k, n, reg, PLAN_DEPTH)
     if tree is None:
         raise NoPlan(f"no plan for {k} HMOLS of type {h}^{n} within limits")
     validate_plan(tree, reg)
     return tree
 
 
-def _fill(goal, step, reg, depth, width):
+def _fill(goal, step, reg, depth):
     """The step completed with the first registry fact for each design it
     needs and a plan for each child, or None when one is missing."""
     facts, kids = _needs(goal, step)
@@ -403,20 +381,20 @@ def _fill(goal, step, reg, depth, width):
         step[role] = [hits[0][0], list(hits[0][1])]
     children = {}
     for role, (h, n, k) in kids.items():
-        children[role] = _search(h, k, n, reg, depth - 1, width)
+        children[role] = _search(h, k, n, reg, depth - 1)
         if children[role] is None:
             return None
     return PlanTree(goal=goal, step=step, children=children)
 
 
-def _search(h, k, n, reg, depth, width):
+def _search(h, k, n, reg, depth):
     goal = (h, n, k)
-    tree = _fill(goal, {"kind": STEP_FIXTURE}, reg, depth, width)
+    tree = _fill(goal, {"kind": STEP_FIXTURE}, reg, depth)
     if tree is not None:
         return tree
     if n == 1:
         return PlanTree(goal=goal, step={"kind": STEP_TRIVIAL})
-    if h >= 2 and reg.has_recipe("cyclotomic") and is_prime(n):
+    if h >= 2 and (RECIPE, ("cyclotomic",)) in reg.facts and is_prime(n):
         lam = lambda_hk(h, k + 2)
         if (n - 1) % lam == 0 and n > lam ** ((k + 2) * (k + 1)):
             return PlanTree(goal=goal,
@@ -428,25 +406,26 @@ def _search(h, k, n, reg, depth, width):
     tried = 0
     for m in (d for d in range(2, n) if n % d == 0):
         tried += 1
-        if tried > width:
+        if tried > PLAN_WIDTH:
             break
-        tree = _fill(goal, {"kind": STEP_DIAG, "m": m, "n2": n // m}, reg, depth, width)
+        tree = _fill(goal, {"kind": STEP_DIAG, "m": m, "n2": n // m}, reg, depth)
         if tree is not None:
             return tree
 
     # Wilson composition n = m*t + u with 0 <= u < t; m ranges over hole
     # sizes with a known incomplete ingredient
     tried = 0
-    for hm_plus in reg.itd_hole_sizes(k + 2, h):
+    for hm_plus in sorted({p[1] for kind, p in reg.facts
+                           if kind == ITD and p[0] >= k + 2 and p[2] == h}):
         m = (hm_plus - h) // h
         if (hm_plus - h) % h != 0 or m < 1:
             continue
         for t in range(n // (m + 1) + 1, n // m + 1):
             tried += 1
-            if tried > width:
+            if tried > PLAN_WIDTH:
                 break
             tree = _fill(goal, {"kind": STEP_WILSON, "m": m, "t": t, "u": n - m * t},
-                         reg, depth, width)
+                         reg, depth)
             if tree is not None:
                 return tree
     return None
@@ -456,7 +435,7 @@ def _search(h, k, n, reg, depth, width):
 # plan execution
 # ---------------------------------------------------------------------------
 
-DEFAULT_EXEC_BLOCKS = 5_000_000
+MAX_EXEC_BLOCKS = 5_000_000  # estimated goal blocks an execution may build
 
 
 def _estimate_blocks(tree: PlanTree) -> int:
@@ -464,7 +443,7 @@ def _estimate_blocks(tree: PlanTree) -> int:
     return h * h * n * max(n - 1, 0)
 
 
-def _recipe_design(recipe: dict):
+def _recipe_design(recipe: dict) -> dz.BlockDesign:
     op = recipe.get("op")
     if op == "td_from_field":
         return dz.td_from_field(recipe["k"], recipe["q"])
@@ -472,9 +451,10 @@ def _recipe_design(recipe: dict):
         return dz.unit_hole_htd(recipe["k"], recipe["q"])
     if op == "marked_product_itd":
         marked = cp.mark_trivial(dz.td_from_field(recipe["k"], recipe["q2"]))
-        return cp.td_product(dz.td_from_field(recipe["k"], recipe["q1"]), marked)
+        return cp.itd_from_marked(
+            cp.td_product(dz.td_from_field(recipe["k"], recipe["q1"]), marked))
     if op == "subfield_itd":
-        return cp.mark_subfield(recipe["k"], recipe["q"], recipe["sub"])
+        return cp.itd_from_marked(cp.mark_subfield(recipe["k"], recipe["q"], recipe["sub"]))
     if op == "fixture":
         from . import fixtures
         if recipe["name"] == "hmols_2_4":
@@ -485,27 +465,17 @@ def _recipe_design(recipe: dict):
     raise IngredientFailure(f"unknown recipe op {op!r}")
 
 
-def _restrict_to(d, k: int):
-    """The first k groups of a design, or of a marked design and its mark."""
-    if isinstance(d, cp.MarkedDesign):
-        return d if d.design.k == k else cp.MarkedDesign(
-            design=_restrict_to(d.design, k), sub_points=d.sub_points[:k],
-            sub_blocks=d.sub_blocks)
-    return d if d.k == k else dz.restrict_groups(d, list(range(k)))
-
-
-def _resolve(reg: Registry, key, k: int):
-    """Materialize one registry fact as a (marked) design on k groups.
-    Range facts, like external-table facts, are plan arithmetic only."""
+def _resolve(reg: Registry, key, k: int) -> dz.BlockDesign:
+    """Build one constructible registry fact's design on its first k
+    groups.  Range, fixture and external-table facts are plan arithmetic
+    only."""
     if key[0] in (TD_ATLEAST, HTD_ATLEAST):
         raise IngredientFailure(f"range fact {key} is never built")
-    if key in reg.designs:
-        design = reg.designs[key]
-        return _restrict_to(design() if callable(design) else design, k)
     source = reg.facts[key]["source"]
     if source != CONSTRUCTIBLE:
         raise IngredientFailure(f"cannot materialize {key}: source {source!r}")
-    return _restrict_to(_recipe_design(reg.facts[key]["recipe"]), k)
+    d = _recipe_design(reg.facts[key]["recipe"])
+    return d if d.k == k else dz.restrict_groups(d, list(range(k)))
 
 
 def _build_td_lambda(h: int, k: int) -> dz.BlockDesign:
@@ -516,14 +486,13 @@ def _build_td_lambda(h: int, k: int) -> dz.BlockDesign:
 
 
 def execute_plan(p: PlanTree, reg: Registry, seed: int = 0,
-                 budget: int = cy.DEFAULT_BUDGET,
-                 max_blocks: int = DEFAULT_EXEC_BLOCKS) -> dz.BlockDesign:
+                 budget: int = cy.DEFAULT_BUDGET) -> dz.BlockDesign:
     """Validate the plan and check its size once, then run it bottom-up
     through the compose and cyclotomic builders and return the goal HTD."""
     validate_plan(p, reg)
-    if _estimate_blocks(p) > max_blocks:
+    if _estimate_blocks(p) > MAX_EXEC_BLOCKS:
         raise BudgetExceeded(f"goal {p.goal} needs about {_estimate_blocks(p)} "
-                             f"blocks, over the cap {max_blocks}")
+                             f"blocks, over the cap {MAX_EXEC_BLOCKS}")
     return _execute(p, reg, seed, budget)
 
 

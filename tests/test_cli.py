@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -123,6 +124,20 @@ BROKEN_CERTS = {
     "gf9-entry-negative": _cert_9_with(-1),
     "q-beyond-int32": _cert_401_with(q=10**30 + 57),
 }
+
+
+def test_unbounded_column_matching_exits_two_at_once(tmp_path, capsys):
+    # matching the 1024 columns of the (2, 10) template took 4.5 s before
+    # the work bound; q = 7681 is 1 mod lam = 512
+    blanks = [None] * 1021
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"h": 2, "d": 10, "q": 7681, "omega": None,
+                                "col_selection": None, "seed": None,
+                                "u_vectors": [[0, 1, 2] + blanks, [0, 3, 7] + blanks]}))
+    start = time.perf_counter()
+    assert run(["develop", str(cert)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "(bound 67108864)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", sorted(BROKEN_CERTS))

@@ -145,7 +145,8 @@ def wilson_ingredients(u):
     r = dz.td_from_field(4, 5)
     a = fixture_htd_k3()
     b = dz.td_from_field(3, 8)
-    e = cp.td_product(dz.td_from_field(3, 5), cp.mark_trivial(dz.td_from_field(3, 2)))
+    e = cp.itd_from_marked(
+        cp.td_product(dz.td_from_field(3, 5), cp.mark_trivial(dz.td_from_field(3, 2))))
     f = fixture_htd_k3() if u else None
     return r, a, b, e, f
 
@@ -171,6 +172,8 @@ def test_wilson_u_bounds():
     r, a, b, e, f = wilson_ingredients(4)
     with pytest.raises(ParameterMismatch):
         cp.wilson_compose(r, a, b, e, f, 5)
+    with pytest.raises(ParameterMismatch, match="need an ITD"):
+        cp.wilson_compose(r, a, b, None, f, 4)
 
 
 # -- truncate-and-fill ------------------------------------------------------------

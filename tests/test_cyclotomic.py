@@ -52,8 +52,10 @@ def test_template_2_1():
 
 
 def test_template_size_bound():
+    with pytest.raises(SizeBound, match=r"8192 rows \(bound 4096\)"):
+        cy.template(2, 13)
     with pytest.raises(SizeBound):
-        cy.template(2, 5, size_bound=16)
+        cy.td_projection(2, 13, 3)
 
 
 @pytest.mark.parametrize("h,d", all_prime_power_pairs(32))
@@ -433,6 +435,24 @@ def test_match_columns_rejects_entries_outside_the_field(q, entry):
     t = cy.template(2, 2)
     with pytest.raises(MalformedSolution, match="^vector entry outside GF\\(q\\)$"):
         cy.match_columns(t, [[0, 1, entry, None], [0, 2, 5, None]], q)
+
+
+class Scanned(Exception):
+    pass
+
+
+@pytest.mark.parametrize("h, d, q, admitted", [
+    (2, 9, 257, True), (3, 6, 487, True), (2, 10, 7681, False)])
+def test_match_columns_bounds_its_scan(monkeypatch, h, d, q, admitted):
+    # size * lam^2 is 2^25 at (2, 9), 3^16 at (3, 6) and 2^28 at (2, 10);
+    # the bound is 2^26, checked before the scan of every template column
+    def scan(t, diffs):
+        raise Scanned
+    monkeypatch.setattr(cy, "_allowed_by_difference", scan)
+    t = cy.template(h, d)
+    raw = [[0, i + 1] + [None] * (t.size - 2) for i in range(h)]
+    with pytest.raises(Scanned if admitted else SizeBound):
+        cy.match_columns(t, raw, q)
 
 
 # -- relative difference families ---------------------------------------------

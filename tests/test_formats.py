@@ -265,16 +265,37 @@ def _design_with_blocks(blocks: str) -> str:
     "[[0, 0], [0, 1], [1, 0], [1, -01]]",
     "[[0, 0], [0, 1], [1, 0], [1, 1],]",
     "[[0, 0], [0, 1]], [[1, 0], [1, 1]]",
+    "[[0, 0] ,[0, 1] , [1, 0] ,[1, 1] , \n]",
+    "[[0, 0] ,[0, 1] \n [1, 0] ,[1, 1]]",
+    "[[0, 0] ,[0, 1] ,, [1, 0] ,[1, 1]]",
 ], ids=["space-before-comma", "space-after-comma", "ragged-later-row",
         "wider-later-piece", "ten-digits-later", "beyond-int32-later",
         "nineteen-digits-later", "split-number-later", "leading-zero-later",
-        "trailing-comma", "two-matrices"])
+        "trailing-comma", "two-matrices", "spaced-trailing-comma",
+        "no-comma-after-space", "two-commas"])
 def test_design_loads_agrees_with_reference_reader_at_every_cut(blocks):
     text = _design_with_blocks(blocks)
     want = outcome(reference_design_loads, text)
     for size in range(1, len(blocks) + 2):
         with pieces_of(size):
             assert outcome(formats.design_loads, text) == want, size
+
+
+def test_spaced_rows_are_read_in_pieces(monkeypatch):
+    # rows separated by "] ," have no "]," to cut at; they are cut after
+    # each "]" all the same, and white space after the last row is skipped
+    doc = json.loads(formats.design_dumps(dz.td_from_field(3, 8)))
+    text = json.dumps(doc, separators=(" ,", " : ")).replace("]] ,", "] \n] ,", 1)
+    assert "]," not in text and "] \n]" in text
+    read = formats._int_matrix
+    bodies = []
+    monkeypatch.setattr(formats, "_int_matrix", lambda body: bodies.append(body) or read(body))
+    monkeypatch.setattr(formats, "_PIECE", 100)
+    got = formats.design_loads(text)
+    assert len(bodies) > 1 and all(read(body) is not None for body in bodies)
+    want = reference_design_loads(text)
+    assert got.blocks.dtype == want.blocks.dtype
+    assert np.array_equal(got.blocks, want.blocks)
 
 
 @pytest.mark.parametrize("text", [

@@ -2,8 +2,12 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hmols import compose as cp
 from hmols import designs as dz
 from hmols import planner as pl
 from hmols.errors import (
@@ -153,19 +157,65 @@ def test_registry_round_trip():
 
 def test_registry_weakening_queries():
     reg = example_registry()
-    assert reg.find_htd(8, 2, 49) and reg.find_htd(5, 2, 49)
-    assert not reg.find_htd(9, 2, 49)
-    assert reg.find_htd(8, 1, 99) and reg.find_htd(8, 1, 1136)
-    assert not reg.find_htd(8, 1, 98)
-    assert reg.find_td(9, 781) and not reg.find_td(9, 779)
-    assert reg.itd_hole_sizes(8, 2) == [100]
+    assert reg.find(pl.HTD, (8, 2, 49)) and reg.find(pl.HTD, (5, 2, 49))
+    assert not reg.find(pl.HTD, (9, 2, 49))
+    assert reg.find(pl.HTD, (8, 1, 99)) and reg.find(pl.HTD, (8, 1, 1136))
+    assert not reg.find(pl.HTD, (8, 1, 98))
+    assert reg.find(pl.TD, (9, 781)) and not reg.find(pl.TD, (9, 779))
+    assert reg.find(pl.ITD, (7, 100, 2)) and not reg.find(pl.ITD, (9, 100, 2))
+    assert not reg.find(pl.ITD, (8, 101, 2)) and not reg.find(pl.ITD, (8, 100, 3))
 
 
 def test_registry_find_dispatches_on_kind():
     reg = example_registry()
-    assert reg.find(pl.TD, (9, 781)) == reg.find_td(9, 781) == [(pl.TD_ATLEAST, (9, 780))]
-    assert reg.find(pl.HTD, (5, 2, 49)) == reg.find_htd(5, 2, 49)
-    assert reg.find(pl.ITD, (8, 100, 2)) == reg.find_itd(8, 100, 2) == [(pl.ITD, (8, 100, 2))]
+    assert reg.find(pl.TD, (9, 781)) == [(pl.TD_ATLEAST, (9, 780))]
+    assert reg.find(pl.HTD, (5, 2, 49)) == [(pl.HTD, (8, 2, 49))]
+    assert reg.find(pl.HTD, (8, 1, 99)) == [(pl.HTD_ATLEAST, (8, 1, 99))]
+    assert reg.find(pl.ITD, (8, 100, 2)) == [(pl.ITD, (8, 100, 2))]
+    # exact facts come first, each kind sorted
+    reg.add(pl.TD, (9, 781), pl.EXTERNAL)
+    reg.add(pl.TD, (12, 781), pl.EXTERNAL)
+    reg.add(pl.TD_ATLEAST, (10, 700), pl.EXTERNAL)
+    assert reg.find(pl.TD, (9, 781)) == [
+        (pl.TD, (9, 781)), (pl.TD, (12, 781)),
+        (pl.TD_ATLEAST, (9, 780)), (pl.TD_ATLEAST, (10, 700))]
+    assert reg.find(pl.TD, (11, 781)) == [(pl.TD, (12, 781))]
+
+
+def scan_find(facts, kind, params):
+    """Registry.find's documented rule, one fact at a time: exact facts of
+    the kind with k' >= k and equal other params, then range facts of the
+    kind with k' >= k, equal middle params and last param at most the
+    asked one; each list sorted."""
+    ranged_kind = {pl.TD: pl.TD_ATLEAST, pl.HTD: pl.HTD_ATLEAST}.get(kind)
+    exact, ranged = [], []
+    for fact_kind, p in facts:
+        if fact_kind == kind and p[0] >= params[0] and p[1:] == tuple(params[1:]):
+            exact.append((fact_kind, p))
+        if fact_kind == ranged_kind and p[0] >= params[0] and \
+                p[1:-1] == tuple(params[1:-1]) and p[-1] <= params[-1]:
+            ranged.append((fact_kind, p))
+    return sorted(exact) + sorted(ranged)
+
+
+SMALL = st.integers(1, 4)
+FACT_KEYS = st.one_of(
+    st.tuples(st.sampled_from([pl.TD, pl.TD_ATLEAST]), st.tuples(SMALL, SMALL)),
+    st.tuples(st.sampled_from([pl.HTD, pl.ITD, pl.HTD_ATLEAST]),
+              st.tuples(SMALL, SMALL, SMALL)),
+    st.just((pl.RECIPE, ("cyclotomic",))))
+QUERIES = st.one_of(st.tuples(st.just(pl.TD), st.tuples(SMALL, SMALL)),
+                    st.tuples(st.sampled_from([pl.HTD, pl.ITD]),
+                              st.tuples(SMALL, SMALL, SMALL)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FACT_KEYS, max_size=12), QUERIES)
+def test_registry_find_is_the_documented_scan(keys, query):
+    reg = pl.Registry()
+    for kind, params in keys:
+        reg.add(kind, params, pl.EXTERNAL)
+    assert reg.find(*query) == scan_find(list(reg.facts), *query)
 
 
 FACT = {"kind": "TD", "params": [4, 5], "provenance": {"source": "fixture"}}
@@ -387,10 +437,15 @@ def test_execute_validates_and_checks_the_budget_once(monkeypatch):
     assert list(map(id, estimated)) == [id(tree)]
 
 
-def test_execute_budget_guard():
-    reg = small_exec_registry()
-    with pytest.raises(BudgetExceeded):
-        pl.execute_plan(wilson_24_plan(), reg, max_blocks=100)
+def test_execute_budget_guard(monkeypatch):
+    reg, tree = small_exec_registry(), wilson_24_plan()
+    assert pl._estimate_blocks(tree) == 4 * 24 * 23
+    monkeypatch.setattr(pl, "MAX_EXEC_BLOCKS", 4 * 24 * 23 - 1)
+    built = []
+    monkeypatch.setattr(pl, "_recipe_design", built.append)
+    with pytest.raises(BudgetExceeded, match=r"about 2208 blocks, over the cap 2207"):
+        pl.execute_plan(tree, reg)
+    assert built == []  # refused before any ingredient is built
 
 
 def test_execute_cyclotomic_step():
@@ -402,21 +457,47 @@ def test_execute_cyclotomic_step():
     assert dz.verify_design(out).valid
 
 
-def test_attached_design_is_used():
-    reg = pl.Registry()
-    reg.add(pl.HTD, (4, 2, 4), pl.FIXTURE)
-    reg.attach_design(pl.HTD, (4, 2, 4),
-                      lambda: dz.hmols_to_htd(hmols_pair_2_4()))
+def test_fixture_recipe_is_restricted_to_the_goal():
+    reg = small_exec_registry()
     tree = pl.PlanTree(goal=(2, 4, 1),
                        step={"kind": pl.STEP_FIXTURE, "fact": [pl.HTD, [4, 2, 4]]})
     out = pl.execute_plan(tree, reg)
     assert out.k == 3  # restricted from the four-group fixture
     assert dz.verify_design(out).valid
+    want = dz.restrict_groups(dz.hmols_to_htd(hmols_pair_2_4()), [0, 1, 2])
+    assert np.array_equal(out.blocks, want.blocks) and out.holes == want.holes
+
+
+def test_execute_fixture_source_leaf_fails():
+    # a fixture-source fact is plan arithmetic only; the data is built
+    # through a constructible fact with the {"op": "fixture"} recipe
+    reg = pl.Registry()
+    reg.add(pl.HTD, (4, 2, 4), pl.FIXTURE)
+    tree = pl.PlanTree(goal=(2, 4, 1),
+                       step={"kind": pl.STEP_FIXTURE, "fact": [pl.HTD, [4, 2, 4]]})
+    with pytest.raises(IngredientFailure, match="source 'fixture'"):
+        pl.execute_plan(tree, reg)
+
+
+def test_wider_itd_recipe_restricts_like_its_restricted_mark():
+    # the recipe deletes the mark on four groups, then drops the fourth;
+    # relabelling each group alone commutes with dropping groups
+    reg = pl.Registry()
+    reg.add(pl.ITD, (4, 12, 3), pl.CONSTRUCTIBLE,
+            recipe={"op": "marked_product_itd", "k": 4, "q1": 4, "q2": 3})
+    got = pl._resolve(reg, (pl.ITD, (4, 12, 3)), 3)
+    marked = cp.td_product(dz.td_from_field(4, 4), cp.mark_trivial(dz.td_from_field(4, 3)))
+    restricted = cp.MarkedDesign(
+        design=dz.restrict_groups(marked.design, [0, 1, 2]),
+        sub_points=marked.sub_points[:3], sub_blocks=marked.sub_blocks)
+    want = cp.itd_from_marked(restricted)
+    assert (got.k, got.hole_kind, got.holes) == (3, want.hole_kind, want.holes)
+    assert np.array_equal(got.blocks, want.blocks)
 
 
 def test_execute_restricts_a_wider_itd_fact_to_the_goal():
-    # find_itd accepts ITD(k', (n; h)) with k' >= k; the executor must cut
-    # the marked design (and its mark) down to the k groups it needs
+    # find accepts ITD(k', (n; h)) with k' >= k; the executor must cut the
+    # incomplete TD down to the k groups it needs
     reg = pl.Registry()
     reg.add(pl.RECIPE, ("cyclotomic",), pl.CONSTRUCTIBLE)
     reg.add(pl.TD, (4, 3), pl.CONSTRUCTIBLE,
