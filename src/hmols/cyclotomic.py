@@ -499,8 +499,8 @@ def verify_rdm(fam: RelativeDifferenceFamily) -> VerificationReport:
     h = fam.h_field.q
     if fam.q_field.q < 2 or fam.base_blocks.size == 0:
         raise MalformedInput("degenerate family: no differences to cover")
-    expected = np.ones(g, dtype=np.int64)
-    expected[:h] = 0  # the subgroup GF(h) x {0}
+    expected = np.ones(g, dtype=bool)
+    expected[:h] = False  # the subgroup GF(h) x {0}
     v = []
     _count_pairs(v, fam.base_blocks, expected, keys=fam.g_sub)
     return _report(v)

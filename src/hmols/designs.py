@@ -6,13 +6,13 @@ ITD(k,(n;h))) share one convention: symbols and points are 0-based
 integers internally and 1-based in the printed grid surface syntax,
 with -1 marking a blank cell.
 
-Verifiers count every pair exactly through one kernel, _count_pairs:
-one bincount per group, square or base-block column pair, compared
-with the expected counts as a whole array.  Only a check that fails is
-searched for witnesses, and then the full violation list is returned
-rather than failing fast, so mutation tests and composition debugging
-see every defect.  All objects are immutable after construction;
-verification is pure.
+Verifiers count every pair exactly through one kernel, _count_pairs.
+Where a pair's expected counts are all 0 or 1, its keys clear a reused
+boolean table of the 1-cells: as many keys as 1-cells that leave none
+set hit each once and nothing else.  Any other pair, or one that fails,
+is counted by one bincount; only a failed check is searched for
+witnesses, and then every violation is listed, for mutation tests and
+composition debugging.  Objects are immutable; verification is pure.
 """
 
 from __future__ import annotations
@@ -85,23 +85,45 @@ def _same_hole(hole_of: np.ndarray) -> np.ndarray:
     return (hole_of[:, None] == hole_of[None, :]) & (hole_of >= 0)[:, None]
 
 
+def _exact_test(expected):
+    """test(keys) -> None when the keys hit each cell as often as `expected`
+    says, else their bincount.  For a boolean `expected`, as many keys as
+    1-cells that clear every 1-cell of a reused table hit each once and no
+    other cell; keys in [-size, 0) and [size, 2 size) fall in its empty half."""
+    flat = expected.ravel()
+    n_ones = np.count_nonzero(flat) if flat.dtype == bool else -1
+    table = np.zeros(2 * flat.size, dtype=bool)
+    low = table[:flat.size]
+
+    def test(keys):
+        if len(keys) == n_ones:
+            np.copyto(low, flat)
+            table[keys] = False
+            if not np.count_nonzero(low):
+                return None
+        counts = np.bincount(keys, minlength=flat.size)
+        return None if np.array_equal(counts, flat) else counts
+    return test
+
+
 def _count_pairs(v, blocks, expected, keys=None) -> None:
     """The one exact pair-counting kernel behind every verifier.
 
-    For each column pair r < s of blocks (N, m), count keys(col_r, col_s),
-    by default col_r * expected.shape[-1] + col_s; only a pair whose counts
-    differ from `expected` adds witnesses to v, (PAIR_MISSING, (r, s,
-    *cell, count)) in cell order and then PAIR_REPEATED likewise.
+    For each column pair r < s of blocks (N, m), test keys(col_r, col_s),
+    by default col_r * expected.shape[-1] + col_s in a reused buffer; a
+    pair that fails adds witnesses to v, (PAIR_MISSING, (r, s, *cell,
+    count)) in cell order and then PAIR_REPEATED likewise.
     """
     cols = np.ascontiguousarray(blocks.T, dtype=np.int32)
-    flat = expected.ravel()
+    exact = _exact_test(expected)
+    scaled, buf = (np.empty(cols.shape[1], dtype=np.intp) for _ in range(2))
     for r in range(len(cols)):
         if keys is None:
-            scaled = cols[r].astype(np.intp) * expected.shape[-1]
+            np.multiply(cols[r], expected.shape[-1], out=scaled, dtype=np.intp)
         for s in range(r + 1, len(cols)):
-            pair = scaled + cols[s] if keys is None else keys(cols[r], cols[s])
-            counts = np.bincount(pair, minlength=flat.size)
-            if np.array_equal(counts, flat):
+            pair = np.add(scaled, cols[s], out=buf) if keys is None \
+                else keys(cols[r], cols[s])
+            if (counts := exact(pair)) is None:
                 continue
             counts = counts.reshape(expected.shape)
             for kind, bad in ((PAIR_MISSING, counts < expected),
@@ -216,19 +238,19 @@ def _square_witnesses(v, sq_idx, square, hole_of, same_hole):
 def _verify_squares(squares, hole_of) -> VerificationReport:
     """Holey and incomplete MOLS: a square with its blanks on the same-hole
     cells has no duplicate and no hole symbol exactly when its (row,
-    symbol) and (column, symbol) counts equal `expected`."""
+    symbol) and (column, symbol) counts are 0 on those cells and 1 off them."""
     v = []
     g = len(hole_of)
     same_hole = _same_hole(hole_of)
-    expected = np.where(same_hole, 0, 1)
+    expected = ~same_hole
     flat = squares.reshape(len(squares), g * g)
-    cols = flat.compress(~same_hole.ravel(), axis=1)  # filled, if blanks are placed
-    line_keys = [x * g for x in np.nonzero(~same_hole)]  # row, column
+    cols = flat.compress(expected.ravel(), axis=1)  # filled, if blanks are placed
+    line_keys = [x * g for x in np.nonzero(expected)]  # row, column
     placed = [np.array_equal(square == BLANK, same_hole) for square in squares]
+    exact, buf = _exact_test(expected), np.empty(cols.shape[1], dtype=np.intp)
     for idx, square in enumerate(squares):
-        if not (placed[idx] and all(np.array_equal(
-                np.bincount(keys + cols[idx], minlength=g * g), expected.ravel())
-                for keys in line_keys)):
+        if not (placed[idx] and all(exact(np.add(keys, cols[idx], out=buf)) is None
+                                    for keys in line_keys)):
             _square_witnesses(v, idx, square, hole_of, same_hole)
     if all(placed):
         _count_pairs(v, cols.T, expected)
@@ -271,10 +293,7 @@ class IncompleteMolsSet:
         return IncompleteMolsSet(k=arr.shape[0], n=n, hole=cell, squares=_freeze(arr))
 
     def hole_of(self) -> np.ndarray:
-        hole_of = np.full(self.n, -1, dtype=np.int32)
-        for x in self.hole:
-            hole_of[x] = 0
-        return hole_of
+        return _hole_of_array((self.hole,), self.n)
 
 
 def verify_imols(s: IncompleteMolsSet) -> VerificationReport:
@@ -400,7 +419,8 @@ def verify_design(d: BlockDesign) -> VerificationReport:
     expected_count = expected_block_count(d)
     if blocks.shape[0] != expected_count:
         v.append((COUNT_MISMATCH, (blocks.shape[0], expected_count)))
-    _count_pairs(v, blocks, np.where(_same_hole(d.hole_of()), 0, d.index))
+    same = _same_hole(d.hole_of())
+    _count_pairs(v, blocks, np.where(same, 0, d.index) if d.index > 1 else ~same)
     return _report(v)
 
 

@@ -188,7 +188,13 @@ class Registry:
             prov["recipe"] = recipe
         if citation is not None:
             prov["citation"] = citation
-        self.facts[(kind, tuple(params))] = prov
+        self._put({"kind": kind, "params": list(params), "provenance": prov})
+
+    def _put(self, row) -> None:
+        """Store a row as from_json reads it; MalformedInput if it would not."""
+        if not _is_fact_row(row):
+            raise MalformedInput(f"malformed registry fact {row!r:.100}")
+        self.facts[(row["kind"], tuple(row["params"]))] = row["provenance"]
 
     def find(self, kind: str, params):
         """The facts that supply a design of this kind (TD, HTD or ITD) with
@@ -217,9 +223,7 @@ class Registry:
             raise MalformedInput("a registry is a JSON list of facts")
         reg = Registry()
         for row in rows:
-            if not _is_fact_row(row):
-                raise MalformedInput(f"malformed registry fact {row!r:.100}")
-            reg.facts[(row["kind"], tuple(row["params"]))] = row["provenance"]
+            reg._put(row)
         return reg
 
 

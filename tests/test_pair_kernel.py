@@ -3,14 +3,17 @@
 The reference verifiers below are the loops verify_design, verify_hmols,
 verify_imols and verify_rdm ran before they shared designs._count_pairs:
 a bincount per pair, then every missing and every repeated cell listed.
-Reports must agree exactly, violation order included, on valid objects
-and on random single- and multi-entry mutations of them.
+Reports must agree exactly, violation order included, on valid objects,
+on random single- and multi-entry mutations of them, and on swaps that
+keep the number of keys, which only the boolean table of _exact_test can
+tell from a valid object.
 """
 
 import dataclasses
 import functools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -210,6 +213,27 @@ def test_index_two_design_matches_the_reference():
     assert not rep.valid and rep == ref_verify_design(twice)
 
 
+@st.composite
+def swapped_designs(draw):
+    """Entries swapped within one column: the block count and every
+    column's multiset stay, so each pair has as many keys as 1-cells."""
+    d = base_design(*draw(st.sampled_from(DESIGNS)))
+    blocks = d.blocks.copy()
+    col = draw(st.integers(0, d.k - 1))
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.lists(st.integers(0, len(blocks) - 1), min_size=2, max_size=2,
+                             unique=True))
+        blocks[[i, j], col] = blocks[[j, i], col]
+    return dz.BlockDesign.new(k=d.k, group_size=d.group_size, index=d.index,
+                              blocks=blocks, hole_kind=d.hole_kind, holes=d.holes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(swapped_designs())
+def test_column_swaps_match_the_reference(d):
+    assert dz.verify_design(d) == ref_verify_design(d)
+
+
 # -- holey and incomplete MOLS ---------------------------------------------------------
 
 @st.composite
@@ -258,6 +282,32 @@ def test_symbol_swaps_keep_blanks_and_match_the_reference():
         got, want = _verify_pair(bad)
         assert not got.valid and got == want
         assert got.kinds() >= {PAIR_MISSING, PAIR_REPEATED}
+
+
+@st.composite
+def swapped_square_sets(draw):
+    """Symbols swapped within one row of one square: blanks stay placed and
+    every line and pair keeps as many keys as 1-cells."""
+    name = draw(st.sampled_from(["hmols_2_4", "imols_6_2", "unit_hole_7"]))
+    s = base_squares(name)
+    squares = s.squares.copy()
+    for _ in range(draw(st.integers(1, 3))):
+        row = squares[draw(st.integers(0, len(squares) - 1)),
+                      draw(st.integers(0, squares.shape[1] - 1))]
+        filled = np.flatnonzero(row != BLANK).tolist()
+        i, j = draw(st.lists(st.sampled_from(filled), min_size=2, max_size=2,
+                             unique=True))
+        row[[i, j]] = row[[j, i]]
+    if name == "imols_6_2":
+        return dz.IncompleteMolsSet.from_arrays(s.n, s.hole, squares)
+    return dz.HoleyLatinSquareSet.from_arrays(s.h, s.n, s.holes, squares)
+
+
+@settings(max_examples=300, deadline=None)
+@given(swapped_square_sets())
+def test_row_swaps_match_the_reference(s):
+    got, want = _verify_pair(s)
+    assert got == want
 
 
 # -- relative difference families ----------------------------------------------------
@@ -334,3 +384,79 @@ def test_conversions_list_the_off_hole_cells_in_row_major_order():
                    if not (i in hole and j in hole)]
         want = [[i, j, *(int(sq[i, j]) for sq in s.squares)] for i, j in off]
         assert design.blocks.tolist() == want
+
+
+
+# -- the kernel itself -----------------------------------------------------------------
+
+def _accepted(test, keys):
+    """Whether _exact_test passes the keys as exact.  bincount refuses a
+    negative key with ValueError, and the table's scatter a key beyond
+    twice its size with IndexError."""
+    try:
+        return test(np.array(keys, dtype=np.intp)) is None
+    except (ValueError, IndexError):
+        return False
+
+
+def test_out_of_range_or_extra_keys_are_never_accepted():
+    # -1 and -4 would wrap onto cells 3 and 0, the one cell each set misses;
+    # a fifth key clears no cell that four keys left set
+    test = dz._exact_test(np.ones(4, dtype=bool))
+    assert _accepted(test, [0, 1, 2, 3])
+    for keys in ([0, 1, 2, -1], [-4, 1, 2, 3], [0, 1, 2, 4], [7, 1, 2, 3],
+                 [0, 1, 2, -9], [8, 1, 2, 3], [0, 1, 2, 3, 3], [0, 1, 2]):
+        assert not _accepted(test, keys)
+    assert _accepted(test, [3, 2, 1, 0])  # the table is reset after a refusal
+    # through the kernel: a negative entry makes key -1, which wraps onto (1, 1)
+    blocks = np.array([[0, 0], [0, 1], [1, 0], [0, -1]])
+    with pytest.raises(ValueError):
+        dz._count_pairs([], blocks, np.ones((2, 2), dtype=bool))
+
+
+def test_a_valid_0_1_object_takes_no_bincount(monkeypatch):
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount",
+                        lambda *a, **kw: calls.append(1) or bincount(*a, **kw))
+    assert dz.verify_design(base_design("htd", 5, 5)).valid
+    assert dz.verify_hmols(base_squares("unit_hole_7")).valid
+    assert cy.verify_rdm(base_family("13")).valid
+    assert calls == []
+
+
+def test_an_index_two_design_goes_through_bincount(monkeypatch):
+    once = base_design("td", 4, 3)
+    twice = dz.BlockDesign.new(k=4, group_size=3, index=2,
+                               blocks=np.concatenate([once.blocks, once.blocks[::-1]]))
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount",
+                        lambda *a, **kw: calls.append(1) or bincount(*a, **kw))
+    rep = dz.verify_design(twice)
+    assert len(calls) == 6  # one per pair of the four groups
+    assert rep.valid and rep == ref_verify_design(twice)
+
+
+def test_misplaced_blanks_are_tested_at_the_filtered_length(monkeypatch):
+    s = base_squares("unit_hole_7")  # three squares, blank on the diagonal
+    squares = s.squares.copy()
+    squares[0, 0, 1], squares[0, 0, 0] = BLANK, squares[0, 0, 1]  # a blank moves
+    bad = dz.HoleyLatinSquareSet.from_arrays(s.h, s.n, s.holes, squares)
+    tested = []
+    exact_test = dz._exact_test
+
+    def spying(expected):
+        test = exact_test(expected)
+
+        def recorded(keys):
+            counts = test(keys)
+            tested.append((len(keys), counts is None))
+            return counts
+        return recorded
+    monkeypatch.setattr(dz, "_exact_test", spying)
+    rep = dz.verify_hmols(bad)
+    assert rep == ref_verify_hmols(bad) and not rep.valid
+    # lines of squares 1 and 2 (42 off-diagonal cells each), then the pairs
+    # (0, 1) and (0, 2) over the 41 cells both fill, and (1, 2) over 42
+    assert tested == [(42, True)] * 4 + [(41, False), (41, False), (42, True)]

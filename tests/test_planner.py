@@ -232,6 +232,46 @@ def test_registry_from_json_rejects_malformed_rows(rows):
         pl.Registry.from_json(json.dumps(rows))
 
 
+
+def test_registry_add_refuses_a_row_from_json_would_refuse():
+    reg = pl.Registry()
+    with pytest.raises(MalformedInput):
+        reg.add(pl.TD, (4,), pl.CONSTRUCTIBLE)
+    with pytest.raises(MalformedInput):
+        reg.add(pl.RECIPE, (3,), pl.CONSTRUCTIBLE)
+    assert reg.facts == {}
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(
+        st.text(max_size=3), inner, max_size=2), max_leaves=4)
+ANY_PARAM = st.integers(-1, 10**20) | st.sampled_from(["cyclotomic", True, 2.5, None])
+ADDED_ROWS = st.tuples(
+    st.sampled_from([pl.TD, pl.HTD, pl.ITD, pl.TD_ATLEAST, pl.HTD_ATLEAST, pl.RECIPE,
+                     "TDX"]),
+    st.one_of(st.lists(st.integers(1, 9), min_size=1, max_size=3).map(tuple),
+              st.just(("cyclotomic",)), st.lists(ANY_PARAM, max_size=4)),
+    st.sampled_from([pl.FIXTURE, pl.CONSTRUCTIBLE, pl.EXTERNAL, None, 7]),
+    st.none() | st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=3),
+    st.none() | st.text(max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ADDED_ROWS, max_size=6))
+def test_every_row_add_accepts_survives_json(rows):
+    reg = pl.Registry()
+    for kind, params, source, recipe, citation in rows:
+        row = {"kind": kind, "params": list(params), "provenance": {"source": source}}
+        try:
+            reg.add(kind, params, source, recipe=recipe, citation=citation)
+        except MalformedInput:
+            assert not pl._is_fact_row(row)
+        else:
+            assert pl._is_fact_row(row)
+    again = pl.Registry.from_json(reg.to_json())
+    assert again.facts == reg.facts
+
 # -- plan search -----------------------------------------------------------------
 
 def test_plan_finds_six_hmols_wilson_shape():
