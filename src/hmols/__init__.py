@@ -8,8 +8,8 @@ The usual entry points:
 - cyclotomic: template matrices, allowed-coset tables, the seeded
   difference-vector search, relative difference families, and the
   expansion of an indexed TD into a holey TD.
-- compose: td_product, diag_product, wilson_compose, marked designs
-  and incomplete TDs, itd_truncate_compose.
+- compose: td_product, diag_product, wilson_compose, the incomplete
+  TDs product_itd and subfield_itd, itd_truncate_compose.
 - planner: number-theoretic helpers, the fact registry, plan search
   and execution.
 - formats: grid and JSON interchange; fixtures: shipped data.

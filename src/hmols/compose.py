@@ -1,8 +1,8 @@
 """Recursive constructions: index-multiplying products, the diagonal
 product joining holey squares on the diagonal and plain MOLS off it,
-the Wilson-style composition with a truncated group, marked-subdesign
-products that yield incomplete TDs, and the truncate-and-fill ITD
-composition.
+the Wilson-style composition with a truncated group, incomplete TDs
+from a deleted product copy or subfield sub-TD, and the truncate-and-fill
+ITD composition.
 
 Every operation verifies its ingredients, assembles the block set
 exactly as the underlying proof prescribes, and verifies the output
@@ -129,18 +129,9 @@ def validate_mark(m: MarkedDesign) -> None:
                           f"{rep.violations[:3]}")
 
 
-def mark_trivial(td: BlockDesign) -> MarkedDesign:
-    """The whole design as its own mark; deleting it leaves a full hole."""
-    m = MarkedDesign(design=td,
-                     sub_points=tuple(tuple(range(td.group_size))
-                                      for _ in range(td.k)),
-                     sub_blocks=tuple(range(len(td.blocks))))
-    validate_mark(m)
-    return m
-
-
-def mark_subfield(k: int, q: int, sub_order: int) -> MarkedDesign:
-    """Field TD(k, q) with a sub-TD(k, h') aligned on a subfield of order h'.
+def subfield_itd(k: int, q: int, sub_order: int) -> BlockDesign:
+    """ITD(k, (q; h')): the field TD(k, q) with a sub-TD(k, h') aligned on
+    a subfield of order h' deleted.
 
     The block set of the field TD is indexed by (a, u); a sub-TD arises
     from any rank-2 module W over the subfield F such that each group's
@@ -172,13 +163,10 @@ def mark_subfield(k: int, q: int, sub_order: int) -> MarkedDesign:
                 continue
             images = [{coord(a, u, i) for a, u in span} for i in range(k)]
             if all(len(img) == sub_order for img in images):
-                sub_blocks = tuple(sorted(a * q + u for a, u in span))
-                m = MarkedDesign(design=td,
-                                 sub_points=tuple(tuple(sorted(img))
-                                                  for img in images),
-                                 sub_blocks=sub_blocks)
-                validate_mark(m)
-                return m
+                return itd_from_marked(MarkedDesign(
+                    design=td,
+                    sub_points=tuple(tuple(sorted(img)) for img in images),
+                    sub_blocks=tuple(sorted(a * q + u for a, u in span))))
     raise NoSubfieldMark(f"no subfield sub-TD({k},{sub_order}) in TD({k},{q})")
 
 
@@ -204,39 +192,32 @@ def itd_from_marked(m: MarkedDesign) -> BlockDesign:
 # products
 # ---------------------------------------------------------------------------
 
-def td_product(d1: BlockDesign, d2) -> BlockDesign | MarkedDesign:
-    """TD_(l1*l2)(k, n1*n2): a copy of d2's block set on every block of d1.
-
-    When d2 carries a mark, the output carries the induced mark on the
-    copy placed on the lexicographically first block of d1.
-    """
-    mark = None
-    if isinstance(d2, MarkedDesign):
-        mark, d2 = d2, d2.design
+def td_product(d1: BlockDesign, d2: BlockDesign) -> BlockDesign:
+    """TD_(l1*l2)(k, n1*n2): a copy of d2's block set on every block of d1."""
     if d1.k != d2.k:
         raise GroupCountMismatch(f"{d1.k} groups vs {d2.k}")
     if d1.hole_kind != HOLE_NONE or d2.hole_kind != HOLE_NONE:
         raise ParameterMismatch("the product multiplies plain TDs")
     _checked(d1, "first factor")
     _checked(d2, "second factor")
-    n2 = d2.group_size
-    b1 = d1.blocks.astype(np.int64)
-    out = BlockDesign.new(k=d1.k, group_size=d1.group_size * n2,
+    out = BlockDesign.new(k=d1.k, group_size=d1.group_size * d2.group_size,
                           index=d1.index * d2.index,
-                          blocks=_shifted(b1 * n2, d2.blocks))
-    out = _checked(out, "product TD")
-    if mark is None:
-        return out
-    first = int(np.lexsort(b1.T[::-1])[0])
-    sub_points = np.sort(np.asarray(mark.sub_points, dtype=np.int64), axis=1) \
-        + b1[first][:, None] * n2
-    sub_blocks = first * len(d2.blocks) \
-        + np.asarray(mark.sub_blocks, dtype=np.int64)
-    carried = MarkedDesign(design=out,
-                           sub_points=tuple(map(tuple, sub_points.tolist())),
-                           sub_blocks=tuple(sub_blocks.tolist()))
-    validate_mark(carried)
-    return carried
+                          blocks=_shifted(d1.blocks.astype(np.int64) * d2.group_size,
+                                          d2.blocks))
+    return _checked(out, "product TD")
+
+
+def product_itd(d1: BlockDesign, d2: BlockDesign) -> BlockDesign:
+    """ITD(k, (n1*n2; n2)): td_product(d1, d2) with the copy of d2 on the
+    lexicographically first block of d1 deleted."""
+    prod = td_product(d1, d2)
+    first = int(np.lexsort(d1.blocks.T[::-1])[0])
+    n2, b2 = d2.group_size, len(d2.blocks)
+    return itd_from_marked(MarkedDesign(
+        design=prod,
+        sub_points=tuple(tuple(range(x * n2, (x + 1) * n2))
+                         for x in d1.blocks[first].tolist()),
+        sub_blocks=tuple(range(first * b2, (first + 1) * b2))))
 
 
 def diag_product(a: BlockDesign, b: BlockDesign, c: BlockDesign) -> BlockDesign:
@@ -277,11 +258,11 @@ def diag_product(a: BlockDesign, b: BlockDesign, c: BlockDesign) -> BlockDesign:
 # Wilson-style composition
 # ---------------------------------------------------------------------------
 
-def parallel_class_reduction(r: BlockDesign) -> tuple[BlockDesign, BlockDesign]:
+def parallel_class_reduction(r: BlockDesign) -> BlockDesign:
     """Normalize a TD(k+1, t) for composition: relabel the first k groups
     so the blocks through symbol 0 of the last group become the constant
-    blocks (x, ..., x, 0), and project the remaining blocks to the first
-    k groups, which yields an HTD(k, 1^t) with singleton holes.
+    blocks (x, ..., x, 0).  The other blocks, projected to the first k
+    groups, then form an HTD(k, 1^t) with singleton holes.
     """
     k = r.k - 1
     t = r.group_size
@@ -289,12 +270,7 @@ def parallel_class_reduction(r: BlockDesign) -> tuple[BlockDesign, BlockDesign]:
     cls = cls[np.lexsort(cls.T[::-1])]
     perms = np.tile(np.arange(t, dtype=np.int64), (r.k, 1))
     perms[np.arange(k), cls[:, :k]] = np.arange(len(cls))[:, None]
-    rr = relabel_points(r, perms)
-    non_class = rr.blocks[rr.blocks[:, k] != 0][:, :k]
-    unit = BlockDesign.new(k=k, group_size=t, index=1, blocks=non_class,
-                           hole_kind=HOLE_UNIFORM,
-                           holes=np.arange(t).reshape(t, 1).tolist())
-    return rr, unit
+    return relabel_points(r, perms)
 
 
 def wilson_compose(r: BlockDesign, a: BlockDesign, b: BlockDesign,
@@ -337,7 +313,7 @@ def wilson_compose(r: BlockDesign, a: BlockDesign, b: BlockDesign,
         _checked(e, "incomplete TD")
         _checked(f, "truncation HTD")
 
-    rr, _ = parallel_class_reduction(r)
+    rr = parallel_class_reduction(r)
     y_base = t * layer  # the Y part sits after the t layers
 
     layers = np.arange(t)[:, None] * layer
@@ -375,12 +351,13 @@ def wilson_compose(r: BlockDesign, a: BlockDesign, b: BlockDesign,
 # ---------------------------------------------------------------------------
 
 def _find_disjoint_blocks(d: BlockDesign) -> tuple[int, int]:
-    """First pair of blocks (greedy scan) sharing no point in any group."""
+    """First pair i < j (by i, then j) of blocks sharing no point in any
+    group; each block is compared with all later blocks at once."""
     blocks = d.blocks
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            if (blocks[i] != blocks[j]).all():
-                return i, j
+    for i in range(len(blocks) - 1):
+        later = np.flatnonzero((blocks[i + 1:] != blocks[i]).all(axis=1))
+        if len(later):
+            return i, i + 1 + int(later[0])
     raise NoDisjointBlocks(f"no two disjoint blocks among {len(blocks)}")
 
 

@@ -239,8 +239,11 @@ def _verify_squares(squares, hole_of) -> VerificationReport:
     """Holey and incomplete MOLS: a square with its blanks on the same-hole
     cells has no duplicate and no hole symbol exactly when its (row,
     symbol) and (column, symbol) counts are 0 on those cells and 1 off them."""
-    v = []
     g = len(hole_of)
+    # from_arrays checks the range, but the plain dataclass constructor does not
+    if squares.size and (squares.min() < BLANK or squares.max() >= g):
+        raise MalformedInput("symbol out of range")
+    v = []
     same_hole = _same_hole(hole_of)
     expected = ~same_hole
     flat = squares.reshape(len(squares), g * g)

@@ -454,11 +454,10 @@ def _recipe_design(recipe: dict) -> dz.BlockDesign:
     if op == "unit_hole_htd":
         return dz.unit_hole_htd(recipe["k"], recipe["q"])
     if op == "marked_product_itd":
-        marked = cp.mark_trivial(dz.td_from_field(recipe["k"], recipe["q2"]))
-        return cp.itd_from_marked(
-            cp.td_product(dz.td_from_field(recipe["k"], recipe["q1"]), marked))
+        return cp.product_itd(dz.td_from_field(recipe["k"], recipe["q1"]),
+                              dz.td_from_field(recipe["k"], recipe["q2"]))
     if op == "subfield_itd":
-        return cp.itd_from_marked(cp.mark_subfield(recipe["k"], recipe["q"], recipe["sub"]))
+        return cp.subfield_itd(recipe["k"], recipe["q"], recipe["sub"])
     if op == "fixture":
         from . import fixtures
         if recipe["name"] == "hmols_2_4":

@@ -168,8 +168,7 @@ def test_criterion_6_composition_oracles():
         ARTIFACTS["htd_3_2_12"] = diag
 
         r = dz.td_from_field(4, 5)
-        e = cp.itd_from_marked(cp.td_product(dz.td_from_field(3, 5),
-                                             cp.mark_trivial(dz.td_from_field(3, 2))))
+        e = cp.product_itd(dz.td_from_field(3, 5), dz.td_from_field(3, 2))
         wil = cp.wilson_compose(r, c, b, e, fixture_htd_k3(), 4)
         assert len(wil.blocks) == 4 * 24 * 23
         assert dz.verify_design(wil).valid

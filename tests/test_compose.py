@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from hmols import designs as dz
 from hmols.errors import (
     GroupCountMismatch,
     InvalidMark,
+    NoDisjointBlocks,
     NoSubfieldMark,
     ParameterMismatch,
 )
@@ -49,26 +52,46 @@ def test_td_product_associativity_of_validity():
 
 # -- marks and incomplete TDs --------------------------------------------------
 
-def test_mark_subfield_itd_3_4_2():
-    mark = cp.mark_subfield(3, 4, 2)
-    itd = cp.itd_from_marked(mark)
+def _digest(d):
+    h = hashlib.sha256(np.asarray(d.blocks, dtype=np.int64).tobytes())
+    h.update(repr(tuple(map(tuple, d.holes))).encode())
+    return h.hexdigest()[:16]
+
+
+def test_subfield_itd_3_4_2():
+    itd = cp.subfield_itd(3, 4, 2)
     assert itd.group_size == 4 and itd.hole_size == 2
     assert dz.verify_design(itd).valid
+    # recorded when the subfield mark was a separate object
+    assert _digest(itd) == "2ca94c4be98ebecc"
 
 
-def test_mark_subfield_rejects_non_subfield():
+def test_subfield_itd_rejects_non_subfield():
     with pytest.raises(NoSubfieldMark):
-        cp.mark_subfield(3, 4, 3)
+        cp.subfield_itd(3, 4, 3)
 
 
 def test_marked_product_itd_3_10_2():
-    marked2 = cp.mark_trivial(dz.td_from_field(3, 2))
-    carried = cp.td_product(dz.td_from_field(3, 5), marked2)
-    assert isinstance(carried, cp.MarkedDesign)
-    itd = cp.itd_from_marked(carried)
+    itd = cp.product_itd(dz.td_from_field(3, 5), dz.td_from_field(3, 2))
     assert itd.group_size == 10 and itd.hole_size == 2
     assert len(itd.blocks) == 100 - 4
     assert dz.verify_design(itd).valid
+
+
+@pytest.mark.parametrize("k, q1, q2, digest", [(3, 5, 2, "0dc0225db469cb21"),
+                                               (4, 4, 3, "883407484e2016d8")])
+def test_product_itd_is_pinned(k, q1, q2, digest):
+    # recorded from the product TD carrying a trivial mark of the second
+    # factor onto the first factor's lexicographically first block
+    itd = cp.product_itd(dz.td_from_field(k, q1), dz.td_from_field(k, q2))
+    assert itd.holes == (tuple(range(q2)),)
+    assert _digest(itd) == digest
+
+
+def test_product_itd_second_factor_of_index_two_is_an_invalid_mark():
+    # a TD_2(3, 2) copy is no TD(3, 2) sub-design, so there is no hole to open
+    with pytest.raises(InvalidMark):
+        cp.product_itd(dz.td_from_field(3, 3), cy.td_projection(2, 2, 3))
 
 
 def test_mark_block_gives_unit_hole_itd():
@@ -145,8 +168,7 @@ def wilson_ingredients(u):
     r = dz.td_from_field(4, 5)
     a = fixture_htd_k3()
     b = dz.td_from_field(3, 8)
-    e = cp.itd_from_marked(
-        cp.td_product(dz.td_from_field(3, 5), cp.mark_trivial(dz.td_from_field(3, 2))))
+    e = cp.product_itd(dz.td_from_field(3, 5), dz.td_from_field(3, 2))
     f = fixture_htd_k3() if u else None
     return r, a, b, e, f
 
@@ -162,7 +184,14 @@ def test_wilson_compose_htd_3_2_24():
 def test_wilson_u0_matches_diag_product():
     r, a, b, _, _ = wilson_ingredients(0)
     out = cp.wilson_compose(r, a, b, None, None, 0)
-    _, unit = cp.parallel_class_reduction(r)
+    # the reduced TD's blocks off the parallel class, on the first k
+    # groups, form an HTD(k, 1^t)
+    rr = cp.parallel_class_reduction(r)
+    t = rr.group_size
+    unit = dz.BlockDesign.new(k=3, group_size=t, index=1,
+                              blocks=rr.blocks[rr.blocks[:, 3] != 0][:, :3],
+                              hole_kind=dz.HOLE_UNIFORM,
+                              holes=[[x] for x in range(t)])
     diag = cp.diag_product(unit, b, a)
     assert np.array_equal(out.sorted_blocks(), diag.sorted_blocks())
     assert out.holes == diag.holes
@@ -177,6 +206,33 @@ def test_wilson_u_bounds():
 
 
 # -- truncate-and-fill ------------------------------------------------------------
+
+def _brute_disjoint(blocks):
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            if (blocks[i] != blocks[j]).all():
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("k, q", [(3, 3), (3, 5), (4, 4), (5, 7), (3, 8)])
+def test_find_disjoint_blocks_matches_the_pair_scan(k, q):
+    td = dz.td_from_field(k, q)
+    # relabelling moves the first disjoint pair away from the start
+    rng = np.random.default_rng(10 * k + q)
+    shuffled = dz.relabel_points(td, [rng.permutation(q) for _ in range(k)])
+    for d in (td, shuffled):
+        assert cp._find_disjoint_blocks(d) == _brute_disjoint(d.blocks)
+
+
+@pytest.mark.parametrize("d", [dz.td_from_field(3, 2),
+                               dz.BlockDesign.new(k=3, group_size=1, index=1,
+                                                  blocks=[[0, 0, 0]])])
+def test_find_disjoint_blocks_raises_without_a_pair(d):
+    assert _brute_disjoint(d.blocks) is None
+    with pytest.raises(NoDisjointBlocks):
+        cp._find_disjoint_blocks(d)
+
 
 def test_itd_truncate_19_2():
     out = cp.itd_truncate_compose(

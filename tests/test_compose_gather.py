@@ -210,8 +210,7 @@ def test_wilson_gather_matches_reference_loop_k3(t, u):
     r = dz.td_from_field(4, t)
     a = fixture_htd_k3()
     b = dz.td_from_field(3, 8)
-    e = cp.itd_from_marked(
-        cp.td_product(dz.td_from_field(3, 5), cp.mark_trivial(dz.td_from_field(3, 2))))
+    e = cp.product_itd(dz.td_from_field(3, 5), dz.td_from_field(3, 2))
     f = _htd_3_2(u)
     assert_same(cp.wilson_compose(r, a, b, e, f, u),
                 ref_wilson_compose(r, a, b, e, f, u))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -101,6 +103,15 @@ def test_random_single_cell_mutations_always_flagged():
     assert flagged == trials
 
 
+@pytest.mark.parametrize("symbol", [-2, 8])
+def test_hmols_symbol_out_of_range_is_malformed(symbol):
+    # dataclasses.replace skips from_arrays, so the verifier checks the range
+    pair = hmols_pair_2_4()
+    bad = dataclasses.replace(pair, squares=mutate_square(pair.squares, 0, 0, 2, symbol))
+    with pytest.raises(MalformedInput, match="symbol out of range"):
+        dz.verify_hmols(bad)
+
+
 # -- incomplete MOLS ---------------------------------------------------------
 
 def test_fixture_imols_6_2_valid():
@@ -125,6 +136,13 @@ def test_imols_blanked_entry_is_count_mismatch():
     rep = dz.verify_imols(mutated)
     assert not rep.valid
     assert dz.COUNT_MISMATCH in rep.kinds()
+
+
+def test_imols_symbol_out_of_range_is_malformed():
+    pair = imols_pair_6_2()
+    bad = dataclasses.replace(pair, squares=mutate_square(pair.squares, 1, 3, 3, 6))
+    with pytest.raises(MalformedInput, match="symbol out of range"):
+        dz.verify_imols(bad)
 
 
 # -- block designs -----------------------------------------------------------

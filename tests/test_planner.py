@@ -521,18 +521,39 @@ def test_execute_fixture_source_leaf_fails():
 
 def test_wider_itd_recipe_restricts_like_its_restricted_mark():
     # the recipe deletes the mark on four groups, then drops the fourth;
-    # relabelling each group alone commutes with dropping groups
+    # relabelling each group alone commutes with dropping groups, and the
+    # first block of TD(4, 4) is also first on three groups
     reg = pl.Registry()
     reg.add(pl.ITD, (4, 12, 3), pl.CONSTRUCTIBLE,
             recipe={"op": "marked_product_itd", "k": 4, "q1": 4, "q2": 3})
     got = pl._resolve(reg, (pl.ITD, (4, 12, 3)), 3)
-    marked = cp.td_product(dz.td_from_field(4, 4), cp.mark_trivial(dz.td_from_field(4, 3)))
-    restricted = cp.MarkedDesign(
-        design=dz.restrict_groups(marked.design, [0, 1, 2]),
-        sub_points=marked.sub_points[:3], sub_blocks=marked.sub_blocks)
-    want = cp.itd_from_marked(restricted)
+    want = cp.product_itd(*(dz.restrict_groups(dz.td_from_field(4, q), [0, 1, 2])
+                            for q in (4, 3)))
     assert (got.k, got.hole_kind, got.holes) == (3, want.hole_kind, want.holes)
     assert np.array_equal(got.blocks, want.blocks)
+
+
+def test_subfield_itd_recipe_executes_in_a_wilson_plan():
+    # ITD(3, (4; 2)) from the subfield GF(2) of GF(4) is the only
+    # incomplete TD, so HTD(3, 2^4) takes Wilson with m = 1, t = 3, u = 1
+    reg = pl.Registry()
+    reg.add(pl.ITD, (3, 4, 2), pl.CONSTRUCTIBLE,
+            recipe={"op": "subfield_itd", "k": 3, "q": 4, "sub": 2})
+    reg.add(pl.TD, (3, 2), pl.CONSTRUCTIBLE,
+            recipe={"op": "td_from_field", "k": 3, "q": 2})
+    for q in range(3, 32):
+        if len(pl.factor_prime_powers(q)) == 1:
+            reg.add(pl.TD, (4, q), pl.CONSTRUCTIBLE,
+                    recipe={"op": "td_from_field", "k": 4, "q": q})
+            reg.add(pl.HTD, (3, 1, q), pl.CONSTRUCTIBLE,
+                    recipe={"op": "unit_hole_htd", "k": 3, "q": q})
+    tree = pl.plan_hmols(2, 1, 4, reg)
+    assert tree.step["kind"] == pl.STEP_WILSON
+    assert (tree.step["m"], tree.step["t"], tree.step["u"]) == (1, 3, 1)
+    assert tree.step["itd_fact"] == [pl.ITD, [3, 4, 2]]
+    out = pl.execute_plan(tree, reg)
+    assert (out.k, out.group_size, out.hole_size, out.hole_count) == (3, 8, 2, 4)
+    assert dz.verify_design(out).valid
 
 
 def test_execute_restricts_a_wider_itd_fact_to_the_goal():
