@@ -25,7 +25,7 @@ from . import cyclotomic as cy
 from . import designs as dz
 from . import formats
 from . import planner as pl
-from .errors import Exhausted, HmolsError, NoneInInterval, NoPlan
+from .errors import Exhausted, HmolsError, MalformedInput, NoneInInterval, NoPlan
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -71,6 +71,15 @@ def _load_any(path: str):
     return formats.grid_loads(text)
 
 
+def _load_design(path: str) -> dz.BlockDesign:
+    """A design file; a grid where a design is expected is a usage error."""
+    obj = _load_any(path)
+    if not isinstance(obj, dz.BlockDesign):
+        raise MalformedInput(f"{path} holds a {type(obj).__name__} grid, "
+                             f"not a block design")
+    return obj
+
+
 def _verify_obj(obj):
     if isinstance(obj, dz.LatinSquare):
         return dz.verify_latin(obj)
@@ -81,11 +90,14 @@ def _verify_obj(obj):
     return dz.verify_design(obj)
 
 
-def _write_or_print(text: str, out: str | None) -> None:
+def _write_or_print(pieces, out: str | None) -> None:
+    """Write text pieces in order to the file out, or to stdout, one piece
+    at a time: the whole text is never joined or encoded at once."""
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -100,7 +112,7 @@ def _cmd_template(args) -> int:
 
 def _cmd_project(args) -> int:
     td = cy.td_projection(args.h, args.d, args.k, cols=args.cols)
-    _write_or_print(formats.design_dumps(td), args.out)
+    _write_or_print(formats._design_pieces(td), args.out)
     return EXIT_OK
 
 
@@ -137,7 +149,7 @@ def _cmd_search(args) -> int:
         rep = cy.verify_rdm(cy.assemble_rdf(sol))
         if not rep.valid:
             return _print_verdict(rep, args.json, "certificate")
-        _write_or_print(formats.cert_dumps(sol.to_cert()), args.out)
+        _write_or_print([formats.cert_dumps(sol.to_cert())], args.out)
         print(f"certificate valid: columns {list(sol.col_selection)}",
               file=sys.stderr)
         return EXIT_OK
@@ -147,7 +159,7 @@ def _cmd_search(args) -> int:
         return EXIT_USAGE
     sol = cy.search_uvectors(args.h, args.d, args.cols, args.q,
                              seed=args.seed, budget=_budget(args))
-    _write_or_print(formats.cert_dumps(sol.to_cert()), args.out)
+    _write_or_print([formats.cert_dumps(sol.to_cert())], args.out)
     return EXIT_OK
 
 
@@ -157,14 +169,14 @@ def _cmd_develop(args) -> int:
     rep = dz.verify_design(htd)
     label = f"HTD({htd.k},{htd.hole_size}^{htd.hole_count})"
     if args.out and rep.valid:
-        Path(args.out).write_text(formats.design_dumps(htd))
+        _write_or_print(formats._design_pieces(htd), args.out)
     return _print_verdict(rep, args.json, label)
 
 
 def _cmd_expand(args) -> int:
-    td = _load_any(args.tdfile)
+    td = _load_design(args.tdfile)
     htd = cy.expand_td_to_htd(td, args.q, seed=args.seed, budget=_budget(args))
-    _write_or_print(formats.design_dumps(htd), args.out)
+    _write_or_print(formats._design_pieces(htd), args.out)
     return EXIT_OK
 
 
@@ -174,48 +186,46 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    if args.to == "hmols":
+        hm = dz.htd_to_hmols(_load_design(args.file))
+        _write_or_print(formats._grid_pieces(hm), args.out)
+        return EXIT_OK
     obj = _load_any(args.file)
-    if args.to == "htd":
-        if isinstance(obj, dz.HoleyLatinSquareSet):
-            out = dz.hmols_to_htd(obj)
-        elif isinstance(obj, dz.IncompleteMolsSet):
-            out = dz.imols_to_itd(obj)
-        else:
-            raise HmolsError("convert --to htd needs a square-set grid")
-        _write_or_print(formats.design_dumps(out), args.out)
+    if isinstance(obj, dz.HoleyLatinSquareSet):
+        out = dz.hmols_to_htd(obj)
+    elif isinstance(obj, dz.IncompleteMolsSet):
+        out = dz.imols_to_itd(obj)
     else:
-        if not isinstance(obj, dz.BlockDesign):
-            raise HmolsError("convert --to hmols needs a design file")
-        hm = dz.htd_to_hmols(obj)
-        _write_or_print(formats.grid_dumps(hm), args.out)
+        raise HmolsError("convert --to htd needs a square-set grid")
+    _write_or_print(formats._design_pieces(out), args.out)
     return EXIT_OK
 
 
 def _cmd_compose(args) -> int:
     if args.op == "product":
-        d1, d2 = _load_any(args.ingredients[0]), _load_any(args.ingredients[1])
+        d1, d2 = (_load_design(f) for f in args.ingredients[:2])
         out = cp.td_product(d1, d2)
     elif args.op == "diag":
-        a, b, c = (_load_any(f) for f in args.ingredients[:3])
+        a, b, c = (_load_design(f) for f in args.ingredients[:3])
         out = cp.diag_product(a, b, c)
     elif args.op == "wilson":
-        r, a, b, e = (_load_any(f) for f in args.ingredients[:4])
-        f_ing = _load_any(args.ingredients[4]) if len(args.ingredients) > 4 else None
+        r, a, b, e = (_load_design(f) for f in args.ingredients[:4])
+        f_ing = _load_design(args.ingredients[4]) if len(args.ingredients) > 4 else None
         out = cp.wilson_compose(r, a, b, e, f_ing, args.u)
     else:
         names = args.ingredients
-        r2, dm, dm1, dm2 = (_load_any(f) for f in names[:4])
-        du = _load_any(names[4]) if len(names) > 4 else None
+        r2, dm, dm1, dm2 = (_load_design(f) for f in names[:4])
+        du = _load_design(names[4]) if len(names) > 4 else None
         out = cp.itd_truncate_compose(args.k, args.m, args.t, args.u, args.v,
                                       r2=r2, dm=dm, dm1=dm1, dm2=dm2, du=du)
-    _write_or_print(formats.design_dumps(out), args.out)
+    _write_or_print(formats._design_pieces(out), args.out)
     return EXIT_OK
 
 
 def _cmd_plan(args) -> int:
     reg = pl.Registry.from_json(Path(args.registry).read_text())
     tree = pl.plan_hmols(args.h, args.k, args.n, reg)
-    _write_or_print(tree.to_json(), args.out)
+    _write_or_print([tree.to_json()], args.out)
     return EXIT_OK
 
 
@@ -225,7 +235,7 @@ def _cmd_execute(args) -> int:
     out = pl.execute_plan(tree, reg, seed=args.seed, budget=_budget(args))
     rep = dz.verify_design(out)
     if args.out and rep.valid:
-        Path(args.out).write_text(formats.design_dumps(out))
+        _write_or_print(formats._design_pieces(out), args.out)
     return _print_verdict(rep, args.json,
                           f"HTD({out.k},{out.hole_size}^{out.hole_count})")
 

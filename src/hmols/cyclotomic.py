@@ -514,10 +514,11 @@ def develop_rdf(fam: RelativeDifferenceFamily) -> BlockDesign:
         raise InvalidFamily(f"difference family fails: {rep.violations[:3]}")
     g = fam.group_order
     h = fam.h_field.q
-    shifts = np.arange(g, dtype=np.int64)
-    dev = fam.g_add(fam.base_blocks[None, :, :].astype(np.int64),
-                    shifts[:, None, None])
-    blocks = dev.reshape(-1, fam.k)
+    shifts = np.arange(g)
+    # table[s, x] = x + s in G, gathered at every base entry x for each
+    # shift s in turn (shift-major); the table is smaller than the output
+    table = fam.g_add(shifts[:, None], shifts[None, :]).astype(np.int32)
+    blocks = table[:, fam.base_blocks.ravel()].reshape(-1, fam.k)
     holes = tuple(tuple(range(z * h, (z + 1) * h)) for z in range(fam.q_field.q))
     return BlockDesign.new(k=fam.k, group_size=g, index=1, blocks=blocks,
                            hole_kind=HOLE_UNIFORM, holes=holes)
@@ -574,11 +575,13 @@ def expand_td_to_htd(td: BlockDesign, q: int, seed: int = 0,
         phis[b] = _search_phi(fq, ctx, labels[b], k, q, rng, values, budget)
 
     c0 = np.flatnonzero(ctx.class_table == 0)
-    shifts = np.arange(q, dtype=np.int64)
-    # z[b, a, c, r] = a * phi[b, r] + c in GF(q); prime q, so plain mod
-    z = (c0[None, :, None, None] * phis[:, None, None, :]
-         + shifts[None, None, :, None]) % q
-    pts = z * h + blocks[:, None, None, :].astype(np.int64)
+    shifts = np.arange(q)
+    # point (b, a, c, r) = (a * phi[b, r] + c) * h + block[b, r] over GF(q),
+    # gathered from table[c, y] = ((y + c) % q) * h; prime q, so plain mod
+    table = ((shifts[None, :] + shifts[:, None]) % q * h).astype(np.int32)
+    y = c0[None, :, None, None] * phis[:, None, None, :] % q
+    pts = table[shifts[:, None], y]
+    pts += blocks[:, None, None, :]
     out_blocks = pts.reshape(-1, k)
     holes = tuple(tuple(range(zz * h, (zz + 1) * h)) for zz in range(q))
     out = BlockDesign.new(k=k, group_size=h * q, index=1, blocks=out_blocks,

@@ -12,7 +12,10 @@ readers check the body's grammar and convert its numbers in numpy
 passes.  A design file written with the developed GF(401) certificate
 has 641,600 blocks, so per-entry Python objects would dominate its cost;
 the passes run over pieces of rows, so that no pass allocates arrays the
-size of the whole body.
+size of the whole body.  The printers build their text as a list of such
+pieces; design_dumps and grid_dumps join it, and the command line writes
+the pieces one at a time, so it never holds the joined text and its
+encoded copy at once.
 """
 
 from __future__ import annotations
@@ -111,6 +114,11 @@ def _parse_holes(text: str) -> tuple:
 
 def grid_dumps(obj) -> str:
     """Canonical grid text for a latin square, HMOLS set, or IMOLS set."""
+    return "".join(_grid_pieces(obj))
+
+
+def _grid_pieces(obj) -> list[str]:
+    """The pieces of grid_dumps(obj), in order."""
     if isinstance(obj, LatinSquare):
         head = f"latin {obj.n}\n"
         squares = [obj.cells]
@@ -128,7 +136,7 @@ def grid_dumps(obj) -> str:
         if t:
             parts.append("\n")  # the blank line between squares
         parts += _render_rows(sq, _cell_str, "", " ", "\n")
-    return "".join(parts)
+    return parts
 
 
 def _parse_cells(rows: list[str], size: int) -> np.ndarray:
@@ -237,6 +245,11 @@ def _json_rows(rows) -> list[str]:
 def design_dumps(d: BlockDesign) -> str:
     """Canonical design JSON: sorted keys, blocks in lexicographic order,
     one block (and one hole) per line."""
+    return "".join(_design_pieces(d))
+
+
+def _design_pieces(d: BlockDesign) -> list[str]:
+    """The pieces of design_dumps(d), in order."""
     fields = {
         "blocks": _json_rows(d.sorted_blocks()),
         "group_size": [json.dumps(d.group_size)],
@@ -249,7 +262,7 @@ def design_dumps(d: BlockDesign) -> str:
     for key in sorted(fields):
         parts += [f' "{key}": ', *fields[key], ",\n"]
     parts[-1] = "\n}\n"
-    return "".join(parts)  # the one copy of the whole text
+    return parts
 
 
 # each byte of a JSON integer matrix with its white space deleted, as a

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hmols import cli
+from hmols import cyclotomic as cy
 from hmols import designs as dz
 from hmols import formats
 from hmols.cli import run
@@ -377,3 +378,68 @@ def test_execute_range_fact_plan_exits_two(tmp_path, capsys):
     assert run(["execute", str(plan_path), "--registry", str(reg_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "range fact" in captured.err
+
+
+# a grid file where a design file is expected: each but convert once
+# ended in an AttributeError traceback with exit 1, the invalid-design code
+GRID_AS_DESIGN = {"convert": (["convert"], 1, ["--to", "hmols"]),
+                  "expand": (["expand"], 1, ["7"]),
+                  "product": (["compose", "product"], 2, []),
+                  "diag": (["compose", "diag"], 3, []),
+                  "wilson": (["compose", "wilson"], 4, ["--u", "1"])}
+
+
+@pytest.mark.parametrize("grid", ["hmols_2_4.grid", "imols_6_2.grid"])
+@pytest.mark.parametrize("op", sorted(GRID_AS_DESIGN))
+def test_grid_where_a_design_is_expected_exits_two(tmp_path, capsys, grid, op):
+    command, slots, rest = GRID_AS_DESIGN[op]
+    out = tmp_path / "out.json"
+    argv = [*command, *[str(fixture_path(grid))] * slots, *rest, "--out", str(out)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not a block design" in captured.err
+    assert not out.exists()
+
+
+def test_compose_product_of_one_design_exits_two(tmp_path, capsys):
+    # once an IndexError traceback with exit 1
+    proj = tmp_path / "proj.json"
+    assert run(["project", "2", "2", "3", "--out", str(proj)]) == 0
+    assert run(["compose", "product", str(proj)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_written_files_equal_the_printers(tmp_path, capsys):
+    # the HTD(8, 2^97) of this certificate prints to several text pieces
+    cert, htd_path, grid_path, back = (
+        tmp_path / x for x in ("cert.json", "htd.json", "h.grid", "back.json"))
+    assert run(["search", "2", "3", "97", "--cols", *map(str, range(8)),
+                "--seed", "0", "--out", str(cert)]) == 0
+    sol = cli._solution_from_cert(formats.cert_loads(cert.read_text()))
+    htd = cy.develop_rdf(cy.assemble_rdf(sol))
+    text = formats.design_dumps(htd)
+    assert len(text) > 4 * formats._PIECE
+    assert run(["develop", str(cert), "--out", str(htd_path)]) == 0
+    assert htd_path.read_bytes() == text.encode()
+    assert run(["convert", str(htd_path), "--to", "hmols", "--out", str(grid_path)]) == 0
+    hm = dz.htd_to_hmols(htd)
+    assert grid_path.read_bytes() == formats.grid_dumps(hm).encode()
+    assert run(["convert", str(grid_path), "--to", "htd", "--out", str(back)]) == 0
+    assert back.read_bytes() == formats.design_dumps(dz.hmols_to_htd(hm)).encode()
+    capsys.readouterr()
+    assert run(["project", "2", "3", "8"]) == 0
+    assert capsys.readouterr().out == formats.design_dumps(cy.td_projection(2, 3, 8))
+
+
+def test_execute_writes_the_printed_design(tmp_path, capsys):
+    from hmols import planner as pl
+    reg_path = _cyclotomic_registry(tmp_path)
+    plan_path, out = tmp_path / "plan.json", tmp_path / "htd.json"
+    assert run(["plan", "2", "1", "67", "--registry", reg_path,
+                "--out", str(plan_path)]) == 0
+    assert run(["execute", str(plan_path), "--registry", reg_path,
+                "--budget", str(cy.DEFAULT_BUDGET), "--out", str(out)]) == 0
+    design = pl.execute_plan(pl.PlanTree.from_json(plan_path.read_text()),
+                             pl.Registry.from_json(open(reg_path).read()),
+                             seed=0, budget=cy.DEFAULT_BUDGET)
+    assert out.read_bytes() == formats.design_dumps(design).encode()

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -524,6 +525,42 @@ def test_develop_rdf_invalid_family():
         base_blocks=fam.base_blocks[:-1])
     with pytest.raises(InvalidFamily):
         cy.develop_rdf(broken)
+
+
+def _entrywise_development(fam):
+    """fam.g_add applied to one base block entry at a time, over all
+    shifts; row s * B + b is base block b shifted by s (shift-major)."""
+    shifts = np.arange(fam.group_order)
+    rows, k = fam.base_blocks.shape
+    out = np.empty((len(shifts), rows, k), dtype=np.int64)
+    for b in range(rows):
+        for r in range(k):
+            out[:, b, r] = fam.g_add(np.int64(fam.base_blocks[b, r]), shifts)
+    return out.reshape(-1, k)
+
+
+@pytest.mark.parametrize("h,d,k,q", [(2, 3, 8, 97), (3, 2, 6, 13)])
+def test_develop_rdf_matches_entrywise_reference(h, d, k, q):
+    sol = cy.search_uvectors(h, d, list(range(k)), q, seed=0, budget=100_000)
+    fam = cy.assemble_rdf(sol)
+    htd = cy.develop_rdf(fam)
+    assert htd.blocks.dtype == np.int32
+    assert np.array_equal(htd.blocks, _entrywise_development(fam))
+
+
+def test_develop_rdf_401_is_pinned_and_its_memory_bounded():
+    fam = cy.assemble_rdf(cli._solution_from_cert(cert_2_401()))
+    tracemalloc.start()
+    try:
+        htd = cy.develop_rdf(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # recorded when every entry went through g_add in int64
+    assert _digest(htd.blocks) == "c309b25e311ce5b2"
+    # the output itself is one of the three; developing through int64
+    # temporaries took six
+    assert peak < 3 * htd.blocks.nbytes
 
 
 # -- expansion ----------------------------------------------------------------
