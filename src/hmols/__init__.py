@@ -34,7 +34,7 @@ from .designs import (
     verify_latin,
 )
 from .gf import CyclotomyContext, FieldSpec, class_of, cyclotomy_new, \
-    field_new, field_op, primitive_root
+    field_new, primitive_root
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,7 @@ __all__ = [
     "BlockDesign", "CyclotomyContext", "FieldSpec", "HoleyLatinSquareSet",
     "IncompleteMolsSet", "LatinSquare", "VerificationReport",
     "class_of", "compose", "cyclotomic", "cyclotomy_new", "designs",
-    "field_new", "field_op", "formats", "gf", "hmols_to_htd",
+    "field_new", "formats", "gf", "hmols_to_htd",
     "htd_to_hmols", "imols_to_itd", "planner", "primitive_root",
     "restrict_groups", "td_from_field", "unit_hole_htd", "verify_design",
     "verify_hmols", "verify_imols", "verify_latin",

@@ -201,23 +201,32 @@ def _cmd_convert(args) -> int:
     return EXIT_OK
 
 
+# per op: the least and most ingredient files, and the usage line
+_COMPOSE_USAGE = {
+    "product": (2, 2, "D1 D2"),
+    "diag": (3, 3, "A B C"),
+    "wilson": (4, 5, "R A B E [F] [--u U]"),
+    "truncate": (4, 5, "R2 DM DM1 DM2 [DU] --k K --m M --t T [--u U] [--v V]"),
+}
+
+
 def _cmd_compose(args) -> int:
+    least, most, usage = _COMPOSE_USAGE[args.op]
+    if not least <= len(args.ingredients) <= most or \
+            args.op == "truncate" and None in (args.k, args.m, args.t):
+        raise ValueError(f"usage: hmols compose {args.op} {usage}")
+    ds = [_load_design(f) for f in args.ingredients]
+    optional = ds[4] if len(ds) > 4 else None
     if args.op == "product":
-        d1, d2 = (_load_design(f) for f in args.ingredients[:2])
-        out = cp.td_product(d1, d2)
+        out = cp.td_product(*ds)
     elif args.op == "diag":
-        a, b, c = (_load_design(f) for f in args.ingredients[:3])
-        out = cp.diag_product(a, b, c)
+        out = cp.diag_product(*ds)
     elif args.op == "wilson":
-        r, a, b, e = (_load_design(f) for f in args.ingredients[:4])
-        f_ing = _load_design(args.ingredients[4]) if len(args.ingredients) > 4 else None
-        out = cp.wilson_compose(r, a, b, e, f_ing, args.u)
+        out = cp.wilson_compose(*ds[:4], optional, args.u)
     else:
-        names = args.ingredients
-        r2, dm, dm1, dm2 = (_load_design(f) for f in names[:4])
-        du = _load_design(names[4]) if len(names) > 4 else None
+        r2, dm, dm1, dm2 = ds[:4]
         out = cp.itd_truncate_compose(args.k, args.m, args.t, args.u, args.v,
-                                      r2=r2, dm=dm, dm1=dm1, dm2=dm2, du=du)
+                                      r2=r2, dm=dm, dm1=dm1, dm2=dm2, du=optional)
     _write_or_print(formats._design_pieces(out), args.out)
     return EXIT_OK
 

@@ -87,7 +87,7 @@ def template(h: int, d: int) -> TemplateMatrix:
         raise SizeBound(f"template would have {size} rows (bound {TEMPLATE_ROWS})")
     entries = np.zeros((size, size), dtype=np.int32)
     for c in np.array(list(itertools.product(range(h), repeat=d)), dtype=np.int32).T:
-        entries = f.add_arr(entries, f.mul_arr(c[:, None], c[None, :]))
+        entries = f.add(entries, f.mul(c[:, None], c[None, :]))
     entries.setflags(write=False)
     return TemplateMatrix(h=h, d=d, field=f, entries=entries)
 
@@ -105,7 +105,7 @@ def td_projection(h: int, d: int, k: int, cols=None) -> BlockDesign:
     if k != len(cols):
         raise BadColumns("column selection does not match k")
     # blocks a + rows for a = 0, 1, ..., h-1 in turn
-    blocks = t.field.add_arr(np.arange(h)[:, None, None], t.entries[None, :, cols])
+    blocks = t.field.add(np.arange(h)[:, None, None], t.entries[None, :, cols])
     return BlockDesign.new(k=k, group_size=h, index=t.lam,
                            blocks=blocks.reshape(-1, k))
 
@@ -145,8 +145,8 @@ def _column_difference(t: TemplateMatrix, a, b) -> np.ndarray:
     a and b: template column h^(d-1-n) is the unit vector e_n, so it holds
     digit n of every row, and those indices are also the lex weights."""
     unit = t.h ** np.arange(t.d - 1, -1, -1)
-    digits = t.field.sub_arr(t.entries[np.asarray(a)[..., None], unit],
-                             t.entries[np.asarray(b)[..., None], unit])
+    digits = t.field.sub(t.entries[np.asarray(a)[..., None], unit],
+                         t.entries[np.asarray(b)[..., None], unit])
     return digits @ unit
 
 
@@ -163,8 +163,8 @@ def _allowed_by_difference(t: TemplateMatrix, diffs) -> np.ndarray:
     for n, c in enumerate(diffs):
         col = t.entries[:, c]
         seen = np.zeros((h, lam), dtype=bool)  # [y_e' - y_e, e' - e]
-        seen[t.field.sub_arr(col[later], col[:lam, None]), e] = True
-        out[n] = ~seen[t.field.sub_arr(col[::lam, None], col[None, ::lam])]
+        seen[t.field.sub(col[later], col[:lam, None]), e] = True
+        out[n] = ~seen[t.field.sub(col[::lam, None], col[None, ::lam])]
     return out & np.triu(np.ones((h, h), dtype=bool), 1)[..., None]
 
 
@@ -211,7 +211,7 @@ def _difference_classes(ctx: gf.CyclotomyContext, v: np.ndarray) -> np.ndarray:
     """[..., r, s]: the cyclotomic class of v[..., r] - v[..., s], and -1
     where the two entries are equal.  The class of a quotient of two such
     differences is the difference of their classes mod lam."""
-    return ctx.class_table[ctx.field.sub_arr(v[..., :, None], v[..., None, :])]
+    return ctx.class_table[ctx.field.sub(v[..., :, None], v[..., None, :])]
 
 
 def _uvector_violations(table: AllowedCosetTable, ctx: gf.CyclotomyContext, u):
@@ -459,11 +459,11 @@ class RelativeDifferenceFamily:
 
     def g_sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         h = self.h_field.q
-        return self.q_field.sub_arr(a // h, b // h) * h + self.h_field.sub_arr(a % h, b % h)
+        return self.q_field.sub(a // h, b // h) * h + self.h_field.sub(a % h, b % h)
 
     def g_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         h = self.h_field.q
-        return self.q_field.add_arr(a // h, b // h) * h + self.h_field.add_arr(a % h, b % h)
+        return self.q_field.add(a // h, b // h) * h + self.h_field.add(a % h, b % h)
 
 
 def assemble_rdf(sol: UVectorSolution) -> RelativeDifferenceFamily:
@@ -483,9 +483,9 @@ def assemble_rdf(sol: UVectorSolution) -> RelativeDifferenceFamily:
     k = len(sol.col_selection)
     w = fq.exp_table[:t.lam]
     u = np.array(sol.u, dtype=np.int64)
-    u_m = fq.mul_arr(w[None, :, None], u[:, None, :]).reshape(t.size, k)
+    u_m = fq.mul(w[None, :, None], u[:, None, :]).reshape(t.size, k)
     c0 = np.flatnonzero(ctx.class_table == 0)
-    z = fq.mul_arr(c0[None, :, None], u_m[:, None, :])
+    z = fq.mul(c0[None, :, None], u_m[:, None, :])
     t_rows = t.entries[:, list(sol.col_selection)]
     blocks = z * sol.h + t_rows[:, None, :]
     return RelativeDifferenceFamily(h_field=t.field, q_field=fq, k=k,
@@ -603,7 +603,7 @@ def _search_phi(fq, ctx, label_matrix, k, q, rng, values, budget):
         phi = [0]
         for i in range(1, k):
             rng.shuffle(values)
-            cls = ctx.class_table[fq.sub_arr(np.array(phi), np.array(values)[:, None])]
+            cls = ctx.class_table[fq.sub(np.array(phi), np.array(values)[:, None])]
             fits = np.flatnonzero((cls == label_matrix[:i, i]).all(axis=1))
             cost = int(fits[0]) + 1 if fits.size else q
             if cost > budget_left:

@@ -504,7 +504,7 @@ def td_from_field(k: int, q: int) -> BlockDesign:
     if k < 2:
         raise MalformedInput("need at least two groups")
     a, u = np.divmod(np.arange(q * q), q)
-    cols = [u if i == q else f.add_arr(a, f.mul_arr(u, i)) for i in range(k)]
+    cols = [u if i == q else f.add(a, f.mul(u, i)) for i in range(k)]
     return BlockDesign.new(k=k, group_size=q, index=1, blocks=np.stack(cols, axis=1))
 
 
@@ -521,7 +521,7 @@ def unit_hole_htd(k: int, q: int) -> BlockDesign:
     x, y = np.divmod(np.arange(q * q), q)
     off_diagonal = x != y
     x, y = x[off_diagonal], y[off_diagonal]
-    cols = [x, y] + [f.add_arr(f.mul_arr(a, x), f.mul_arr(f.sub(1, a), y))
+    cols = [x, y] + [f.add(f.mul(a, x), f.mul(f.sub(1, a), y))
                      for a in range(2, k)]  # the k-2 chosen values of a
     holes = tuple((t,) for t in range(q))
     return BlockDesign.new(k=k, group_size=q, index=1,

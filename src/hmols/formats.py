@@ -384,21 +384,40 @@ def _fast_design_doc(text: str):
     return doc
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_rows(x, entry_ok=_is_int) -> bool:
+    """x is a JSON list of lists whose every entry passes entry_ok."""
+    return isinstance(x, list) and all(
+        isinstance(row, list) and all(map(entry_ok, row)) for row in x)
+
+
 def design_loads(text: str) -> BlockDesign:
-    """Read a design file in any JSON layout."""
+    """Read a design file in any JSON layout; a missing field, or a field
+    of the wrong JSON type, raises MalformedInput."""
     doc = _fast_design_doc(text)
     if doc is None:
         doc = json.loads(text)
     if not isinstance(doc, dict):
         raise MalformedInput("a design file holds one JSON object")
-    try:
-        kind = _HOLES_BY_KIND[doc["kind"]]
-        return BlockDesign.new(k=doc["k"], group_size=doc["group_size"],
-                               index=doc["index"], blocks=doc["blocks"],
-                               hole_kind=kind,
-                               holes=tuple(tuple(c) for c in doc["holes"]))
-    except KeyError as exc:
-        raise MalformedInput(f"design file misses field {exc}") from None
+    for key in ("kind", "k", "group_size", "index", "blocks", "holes"):
+        if key not in doc:
+            raise MalformedInput(f"design file misses field {key!r}")
+    kind = doc["kind"]
+    if not (isinstance(kind, str) and kind in _HOLES_BY_KIND):
+        raise MalformedInput(f"design field 'kind' is not TD, HTD or ITD: {kind!r}")
+    for key in ("k", "group_size", "index"):
+        if not _is_int(doc[key]):
+            raise MalformedInput(f"design field {key!r} is not an integer")
+    for key in ("blocks", "holes"):  # the fast reading's blocks are integers already
+        if not (isinstance(doc[key], np.ndarray) or _is_rows(doc[key])):
+            raise MalformedInput(f"design field {key!r} is not a list of integer lists")
+    return BlockDesign.new(k=doc["k"], group_size=doc["group_size"],
+                           index=doc["index"], blocks=doc["blocks"],
+                           hole_kind=_HOLES_BY_KIND[kind],
+                           holes=tuple(tuple(c) for c in doc["holes"]))
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +444,6 @@ def cert_dumps(cert: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def cert_loads(text: str) -> dict:
     """Read a certificate; a field of the wrong JSON type raises
     MalformedInput."""
@@ -447,8 +462,7 @@ def cert_loads(text: str) -> dict:
         raise MalformedInput("col_selection is neither null nor a list of integers")
     # null blanks stand at template width, where col_selection is null
     entry_ok = _is_int if cols is not None else (lambda x: x is None or _is_int(x))
-    if not isinstance(vecs, list) or not all(
-            isinstance(u, list) and all(map(entry_ok, u)) for u in vecs):
+    if not _is_rows(vecs, entry_ok):
         raise MalformedInput("u_vectors must be lists of integers, with null "
                              "blanks only where col_selection is null")
     return doc

@@ -11,10 +11,13 @@ The multiplicative group is one table, exp_table[t] = omega^t, where the
 canonical primitive root omega is the smallest index of order q - 1: the
 first c = 1, 2, ... whose multiplication map x -> x*c (one numpy pass
 over the base-p digits of all q elements) moves 1 around all q - 1
-nonzero elements.  dlog_table is its inverse permutation; products,
-powers and inverses are exp/log reads, and sums and differences are
-digitwise base-p tables.  Prime fields add, subtract and multiply
-modulo p directly.
+nonzero elements.  dlog_table is its inverse permutation.
+
+FieldSpec has one method per operation, and add, sub and mul take
+element indices or index arrays alike, broadcast as numpy does.  Prime
+fields add, subtract and multiply modulo p directly.  Over GF(p^e),
+sums and differences are digitwise base-p q x q tables, while products,
+powers and inverses are exp/dlog reads: no q x q product table is built.
 
 All objects here are immutable after construction and every operation
 is pure, so they are safe to share between threads.
@@ -96,25 +99,24 @@ class FieldSpec:
     e: int
     modulus: tuple[int, ...]
 
-    # -- scalar arithmetic ---------------------------------------------------
+    # -- arithmetic on element indices or index arrays ----------------------
 
-    def add(self, a: int, b: int) -> int:
+    def add(self, a, b):
         if self.e == 1:
             return (a + b) % self.p
-        return int(self.add_table[a, b])
+        return self.add_table[a, b]
 
-    def sub(self, a: int, b: int) -> int:
+    def sub(self, a, b):
         if self.e == 1:
             return (a - b) % self.p
-        return int(self.sub_table[a, b])
+        return self.sub_table[a, b]
 
-    def mul(self, a: int, b: int) -> int:
+    def mul(self, a, b):
         if self.e == 1:
             return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
+        # dlog_table[0] = -1 reads some unit; the mask turns it back to 0
         log = self.dlog_table
-        return int(self.exp_table[(int(log[a]) + int(log[b])) % (self.q - 1)])
+        return self.exp_table[(log[a] + log[b]) % (self.q - 1)] * ((a != 0) & (b != 0))
 
     def pow(self, a: int, n: int) -> int:
         if a == 0:  # 0^0 = 1 and 0^n = 0 for n > 0
@@ -125,23 +127,6 @@ class FieldSpec:
 
     def inv(self, a: int) -> int:
         return self.pow(a, -1)
-
-    # -- vectorized arithmetic on index arrays -------------------------------
-
-    def add_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.e == 1:
-            return (a + b) % self.p
-        return self.add_table[a, b]
-
-    def sub_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.e == 1:
-            return (a - b) % self.p
-        return self.sub_table[a, b]
-
-    def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.e == 1:
-            return (a * b) % self.p
-        return self.mul_table[a, b]
 
     def _digitwise_table(self, sign: int) -> np.ndarray:
         """Table of a + sign*b, computed digit by digit in base p."""
@@ -203,16 +188,6 @@ class FieldSpec:
         dlog.setflags(write=False)
         return dlog
 
-    @functools.cached_property
-    def mul_table(self) -> np.ndarray:
-        """Products by adding discrete logs; read by mul_arr on extension
-        fields only (a scalar product reads the exp/log tables)."""
-        log = self.dlog_table.astype(np.int32)
-        t = self.exp_table[(log[:, None] + log[None, :]) % (self.q - 1)]
-        t[0, :] = t[:, 0] = 0
-        t.setflags(write=False)
-        return t
-
 
 @functools.lru_cache(maxsize=None)
 def field_new(q: int) -> FieldSpec:
@@ -226,19 +201,6 @@ def field_new(q: int) -> FieldSpec:
     p, e = factors[0]
     modulus = () if e == 1 else _smallest_irreducible(p, e)
     return FieldSpec(q=q, p=p, e=e, modulus=modulus)
-
-
-def field_op(f: FieldSpec, which: str, a: int, b: int | None = None) -> int:
-    """Dispatch one field operation with full index validation."""
-    if not 0 <= a < f.q:
-        raise IndexOutOfRange(f"element {a} outside GF({f.q})")
-    if which == "inv":
-        return f.inv(a)
-    if b is None or not 0 <= b < f.q:
-        raise IndexOutOfRange(f"element {b} outside GF({f.q})")
-    if which not in ("add", "sub", "mul"):
-        raise ValueError(f"unknown field operation {which!r}")
-    return getattr(f, which)(a, b)
 
 
 def primitive_root(f: FieldSpec) -> int:

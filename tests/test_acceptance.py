@@ -91,7 +91,7 @@ def test_criterion_2_template_reproduction():
             lam = h ** (d - 1)
             for v1 in range(t.size):
                 for v2 in range(v1 + 1, t.size):
-                    dcol = t.field.sub_arr(t.entries[:, v1], t.entries[:, v2])
+                    dcol = t.field.sub(t.entries[:, v1], t.entries[:, v2])
                     assert (np.bincount(dcol, minlength=h) == lam).all()
 
 

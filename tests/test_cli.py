@@ -202,6 +202,34 @@ def test_verify_non_object_design_file_exits_two(tmp_path, capsys, doc):
     assert "valid" not in capsys.readouterr().out
 
 
+# (base design, field, edit): each once ended in "valid" with the value
+# truncated to an integer, in a TypeError traceback with exit 1, or in a
+# message that did not name the field
+WRONGLY_TYPED_DESIGNS = {
+    "half-block-entry": ("td", "blocks", lambda doc: doc["blocks"][0].__setitem__(0, 0.5)),
+    "bool-block-entry": ("td", "blocks", lambda doc: doc["blocks"][0].__setitem__(0, True)),
+    "fractional-group-size": ("td", "group_size", lambda doc: doc.update(group_size=2.5)),
+    "holes-number": ("td", "holes", lambda doc: doc.update(holes=5)),
+    "kind-list": ("td", "kind", lambda doc: doc.update(kind=["TD"])),
+    "k-string": ("td", "k", lambda doc: doc.update(k="3")),
+    "index-bool": ("td", "index", lambda doc: doc.update(index=True)),
+    "fractional-hole-entry": ("htd", "holes", lambda doc: doc["holes"][1].__setitem__(0, 1.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONGLY_TYPED_DESIGNS))
+def test_verify_wrongly_typed_design_exits_two(tmp_path, capsys, name):
+    base, field, edit = WRONGLY_TYPED_DESIGNS[name]
+    design = dz.td_from_field(3, 3) if base == "td" else dz.unit_hole_htd(3, 3)
+    doc = json.loads(formats.design_dumps(design))
+    edit(doc)
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"design field '{field}'" in captured.err
+
+
 def test_search_exhausted_exit_code(tmp_path, capsys):
     assert run(["search", "2", "2", "5", "--cols", "0", "1", "2", "3",
                 "--budget", "0"]) == 3
@@ -407,6 +435,26 @@ def test_compose_product_of_one_design_exits_two(tmp_path, capsys):
     assert run(["project", "2", "2", "3", "--out", str(proj)]) == 0
     assert run(["compose", "product", str(proj)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# each once ran anyway: product ignored a third file, diag ended in
+# "not enough values to unpack" and truncate in a TypeError traceback
+COMPOSE_MISUSE = {"product-three": ["product", 3], "diag-two": ["diag", 2],
+                  "wilson-three": ["wilson", 3], "wilson-six": ["wilson", 6],
+                  "truncate-no-options": ["truncate", 4],
+                  "truncate-no-t": ["truncate", 4, "--k", "3", "--m", "1"]}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSE_MISUSE))
+def test_compose_misuse_exits_two_before_building(tmp_path, capsys, name):
+    op, count, *options = COMPOSE_MISUSE[name]
+    td = tmp_path / "td.json"
+    td.write_text(formats.design_dumps(dz.td_from_field(3, 3)))
+    out = tmp_path / "out.json"
+    assert run(["compose", op, *[str(td)] * count, *options, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"usage: hmols compose {op} " in captured.err
+    assert not out.exists()
 
 
 def test_written_files_equal_the_printers(tmp_path, capsys):

@@ -66,7 +66,7 @@ def test_template_column_difference_property(h, d):
     lam = t.lam
     for v1 in range(t.size):
         for v2 in range(v1 + 1, t.size):
-            dcol = t.field.sub_arr(t.entries[:, v1], t.entries[:, v2])
+            dcol = t.field.sub(t.entries[:, v1], t.entries[:, v2])
             counts = np.bincount(dcol, minlength=h)
             assert (counts == lam).all()
 
@@ -75,7 +75,7 @@ def test_template_2_4_difference_multisets():
     t = cy.template(2, 4)
     for v1 in range(16):
         for v2 in range(v1 + 1, 16):
-            dcol = t.field.sub_arr(t.entries[:, v1], t.entries[:, v2])
+            dcol = t.field.sub(t.entries[:, v1], t.entries[:, v2])
             assert sorted(np.bincount(dcol, minlength=2)) == [8, 8]
 
 
@@ -182,7 +182,7 @@ def reference_excluded(t, c1, c2):
     """The per-pair row scan: (i, j) -> the classes excluded for row blocks
     i < j on template columns c1, c2, the offsets e' - e mod lam of rows e
     of block i and e' of block j with equal column differences."""
-    blocks = t.field.sub_arr(t.entries[:, c1], t.entries[:, c2]).reshape(t.h, t.lam)
+    blocks = t.field.sub(t.entries[:, c1], t.entries[:, c2]).reshape(t.h, t.lam)
     out = {}
     for i, j in itertools.combinations(range(t.h), 2):
         e1, e2 = np.nonzero(blocks[i][:, None] == blocks[j][None, :])

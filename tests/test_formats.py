@@ -114,16 +114,28 @@ def test_design_json_one_block_per_line():
 
 def reference_design_loads(text: str) -> dz.BlockDesign:
     """The design reader before the array parse: every text through
-    json.loads.  design_loads must agree with it on every input."""
+    json.loads, then the same field checks.  design_loads must agree with
+    it on every input."""
     doc = json.loads(text)
-    try:
-        kind = formats._HOLES_BY_KIND[doc["kind"]]
-        return dz.BlockDesign.new(k=doc["k"], group_size=doc["group_size"],
-                                  index=doc["index"], blocks=doc["blocks"],
-                                  hole_kind=kind,
-                                  holes=tuple(tuple(c) for c in doc["holes"]))
-    except KeyError as exc:
-        raise MalformedInput(f"design file misses field {exc}") from None
+    if not isinstance(doc, dict):
+        raise MalformedInput("a design file holds one JSON object")
+    for key in ("kind", "k", "group_size", "index", "blocks", "holes"):
+        if key not in doc:
+            raise MalformedInput(f"design file misses field {key!r}")
+    if doc["kind"] not in ("TD", "HTD", "ITD"):
+        raise MalformedInput(f"design field 'kind' is not TD, HTD or ITD: {doc['kind']!r}")
+    for key in ("k", "group_size", "index"):
+        if type(doc[key]) is not int:
+            raise MalformedInput(f"design field {key!r} is not an integer")
+    for key in ("blocks", "holes"):
+        rows = doc[key]
+        if not (type(rows) is list and all(type(r) is list for r in rows)
+                and all(type(x) is int for r in rows for x in r)):
+            raise MalformedInput(f"design field {key!r} is not a list of integer lists")
+    return dz.BlockDesign.new(k=doc["k"], group_size=doc["group_size"],
+                              index=doc["index"], blocks=doc["blocks"],
+                              hole_kind=formats._HOLES_BY_KIND[doc["kind"]],
+                              holes=tuple(tuple(c) for c in doc["holes"]))
 
 
 def outcome(read, text):

@@ -1,7 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmols import gf
 from hmols.errors import (
@@ -112,46 +115,32 @@ def test_field_new_accepts_the_largest_int32_prime():
     assert gf.field_new(2**31 - 1).p == 2**31 - 1
 
 
-def test_field_op_examples():
-    f7 = gf.field_new(7)
-    assert gf.field_op(f7, "mul", 3, 5) == 1
-    f4 = gf.field_new(4)
-    # indices encode {0, 1, x, x+1} as {0, 1, 2, 3}; x*x = x+1 mod x^2+x+1
-    assert gf.field_op(f4, "mul", 2, 2) == 3
-    with pytest.raises(ZeroInverse):
-        gf.field_op(f7, "inv", 0)
-    with pytest.raises(IndexOutOfRange):
-        gf.field_op(f7, "add", 7, 0)
-    with pytest.raises(IndexOutOfRange):
-        gf.field_op(f7, "add", 1, -1)
-
-
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13, 16, 25, 27, 49, 64])
 def test_field_axioms_exhaustive(q):
     """Every field law over all elements (all triples for the three-term
-    laws), read through the array operations."""
+    laws), read through the operations on index arrays."""
     f = gf.field_new(q)
     a, b, c = np.ix_(np.arange(q), np.arange(q), np.arange(q))
     x = np.arange(q)
     zero, one = np.zeros(q, dtype=np.int64), np.ones(q, dtype=np.int64)
     # identities and inverses; the inverse of every nonzero x is unique
-    assert np.array_equal(f.add_arr(x, zero), x)
-    assert np.array_equal(f.mul_arr(x, one), x)
-    assert np.array_equal(f.add_arr(x, f.sub_arr(zero, x)), zero)
-    assert np.array_equal(f.add_arr(f.sub_arr(x[:, None], x), x), np.tile(x[:, None], q))
-    units = f.mul_arr(x[1:, None], x[1:]) == 1
+    assert np.array_equal(f.add(x, zero), x)
+    assert np.array_equal(f.mul(x, one), x)
+    assert np.array_equal(f.add(x, f.sub(zero, x)), zero)
+    assert np.array_equal(f.add(f.sub(x[:, None], x), x), np.tile(x[:, None], q))
+    units = f.mul(x[1:, None], x[1:]) == 1
     assert np.array_equal(units.sum(axis=1), one[1:])
     inverses = [f.inv(int(y)) for y in x[1:]]
-    assert np.array_equal(f.mul_arr(x[1:], np.array(inverses)), one[1:])
-    assert np.array_equal(f.mul_arr(x, zero), zero)
+    assert np.array_equal(f.mul(x[1:], np.array(inverses)), one[1:])
+    assert np.array_equal(f.mul(x, zero), zero)
     # commutativity
-    add, mul = f.add_arr(x[:, None], x), f.mul_arr(x[:, None], x)
+    add, mul = f.add(x[:, None], x), f.mul(x[:, None], x)
     assert np.array_equal(add, add.T) and np.array_equal(mul, mul.T)
     # associativity and distributivity on every triple
-    assert np.array_equal(f.add_arr(a, f.add_arr(b, c)), f.add_arr(f.add_arr(a, b), c))
-    assert np.array_equal(f.mul_arr(a, f.mul_arr(b, c)), f.mul_arr(f.mul_arr(a, b), c))
-    assert np.array_equal(f.mul_arr(a, f.add_arr(b, c)),
-                          f.add_arr(f.mul_arr(a, b), f.mul_arr(a, c)))
+    assert np.array_equal(f.add(a, f.add(b, c)), f.add(f.add(a, b), c))
+    assert np.array_equal(f.mul(a, f.mul(b, c)), f.mul(f.mul(a, b), c))
+    assert np.array_equal(f.mul(a, f.add(b, c)),
+                          f.add(f.mul(a, b), f.mul(a, c)))
 
 
 def test_vectorized_tables_match_scalar():
@@ -159,8 +148,8 @@ def test_vectorized_tables_match_scalar():
         f = gf.field_new(q)
         a = np.arange(q).repeat(q).reshape(q, q)
         b = np.arange(q).reshape(1, q).repeat(q, axis=0)
-        add = f.add_arr(a, b)
-        sub = f.sub_arr(a, b)
+        add = f.add(a, b)
+        sub = f.sub(a, b)
         for x in range(q):
             for y in range(q):
                 assert add[x, y] == f.add(x, y)
@@ -172,17 +161,50 @@ def test_scalar_mul_matches_mul_arr(q):
     f = gf.field_new(q)
     a, b = np.divmod(np.arange(q * q), q)  # every pair, zeros included
     assert [f.mul(x, y) for x, y in zip(a.tolist(), b.tolist())] == \
-        f.mul_arr(a, b).tolist()
+        f.mul(a, b).tolist()
+
+
+FIELDS_TO_256 = [q for q in range(2, 257) if len(gf.factorize(q)) == 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.sampled_from(FIELDS_TO_256), dtype=st.sampled_from([np.int32, np.int64]),
+       data=st.data())
+def test_index_array_operations_match_per_element_calls(q, dtype, data):
+    """add, sub and mul broadcast over index arrays, and each entry equals
+    the same method called on the two Python ints; a scalar call gives a
+    hashable integer, not a 0-d array."""
+    f = gf.field_new(q)
+    elements = st.lists(st.integers(0, q - 1), min_size=1, max_size=8)
+    a = np.array(data.draw(elements), dtype=dtype)
+    b = np.array(data.draw(elements), dtype=dtype)
+    y = data.draw(st.integers(0, q - 1))
+    for op in (f.add, f.sub, f.mul):
+        per_element = [[op(s, t) for t in b.tolist()] for s in a.tolist()]
+        assert all(isinstance(v, (int, np.integer)) for row in per_element for v in row)
+        assert op(a[:, None], b[None, :]).tolist() == per_element
+        assert op(a, y).tolist() == [op(s, y) for s in a.tolist()]
+        assert op(y, b).tolist() == [op(y, t) for t in b.tolist()]
 
 
 def test_scalar_mul_builds_no_product_table():
-    # a fresh GF(4096), so no other test's cached tables count
+    # a fresh GF(4096), so no other test's cached tables count; a product
+    # table would hold q^2 = 16.8M entries of at least one byte each
     f0 = gf.field_new(4096)
     f = gf.FieldSpec(f0.q, f0.p, f0.e, f0.modulus)
-    assert f.mul(2, 3) == 6  # X * (X + 1) = X^2 + X
-    assert f.mul(0, 5) == f.mul(5, 0) == 0 and f.mul(1, 4095) == 4095
-    assert all(f.mul(a, f.inv(a)) == 1 for a in range(1, 4096, 97))
-    assert "mul_table" not in f.__dict__
+    x = np.arange(4096)
+    tracemalloc.start()
+    try:
+        assert f.mul(2, 3) == 6  # X * (X + 1) = X^2 + X
+        assert f.mul(0, 5) == f.mul(5, 0) == 0 and f.mul(1, 4095) == 4095
+        assert all(f.mul(a, f.inv(a)) == 1 for a in range(1, 4096, 97))
+        assert f.mul(x, 1).tolist() == x.tolist() and not f.mul(x, 0).any()
+        assert (f.mul(x[1:], x[:0:-1]) != 0).all()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < f.q ** 2
+    assert all(np.size(v) < f.q ** 2 for v in vars(f).values())
 
 
 def test_primitive_root_small():
@@ -217,7 +239,7 @@ def test_primitive_root_powers_never_one_early():
 def test_tables_match_digit_loop_reference(q):
     f = gf.field_new(q)
     ref = [[reference_mul(f, a, b) for b in range(q)] for a in range(q)]
-    assert f.mul_table.tolist() == ref
+    assert f.mul(np.arange(q)[:, None], np.arange(q)).tolist() == ref
     omega = next(x for x in range(2, q) if reference_order(f, x) == q - 1)
     assert gf.primitive_root(f) == omega
     powers = [1]
