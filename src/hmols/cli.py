@@ -205,28 +205,24 @@ def _cmd_convert(args) -> int:
 _COMPOSE_USAGE = {
     "product": (2, 2, "D1 D2"),
     "diag": (3, 3, "A B C"),
-    "wilson": (4, 5, "R A B E [F] [--u U]"),
-    "truncate": (4, 5, "R2 DM DM1 DM2 [DU] --k K --m M --t T [--u U] [--v V]"),
+    "wilson": (4, 5, "R A B E [F]"),
+    "truncate": (4, 5, "R2 DM DM1 DM2 [DU] [--v V]"),
 }
 
 
 def _cmd_compose(args) -> int:
     least, most, usage = _COMPOSE_USAGE[args.op]
-    if not least <= len(args.ingredients) <= most or \
-            args.op == "truncate" and None in (args.k, args.m, args.t):
+    if not least <= len(args.ingredients) <= most:
         raise ValueError(f"usage: hmols compose {args.op} {usage}")
     ds = [_load_design(f) for f in args.ingredients]
-    optional = ds[4] if len(ds) > 4 else None
     if args.op == "product":
         out = cp.td_product(*ds)
     elif args.op == "diag":
         out = cp.diag_product(*ds)
     elif args.op == "wilson":
-        out = cp.wilson_compose(*ds[:4], optional, args.u)
+        out = cp.wilson_compose(*ds)
     else:
-        r2, dm, dm1, dm2 = ds[:4]
-        out = cp.itd_truncate_compose(args.k, args.m, args.t, args.u, args.v,
-                                      r2=r2, dm=dm, dm1=dm1, dm2=dm2, du=optional)
+        out = cp.itd_truncate_compose(*ds, v=args.v)
     _write_or_print(formats._design_pieces(out), args.out)
     return EXIT_OK
 
@@ -334,10 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compose", help="run a composition on design files")
     p.add_argument("op", choices=("product", "diag", "wilson", "truncate"))
     p.add_argument("ingredients", nargs="+")
-    p.add_argument("--u", type=int, default=0)
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--t", type=int)
     p.add_argument("--v", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_compose)

@@ -23,8 +23,6 @@ copy-by-copy loop would give.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .designs import (
@@ -79,43 +77,28 @@ def _side_ranks(mask: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # marked sub-designs
 # ---------------------------------------------------------------------------
+# A mark on a TD is a distinguished sub-TD(k, h') whose deletion opens a
+# hole: sub_points lists, per group, the h' points it lives on (the
+# subsets may differ between groups); sub_blocks indexes its blocks.
 
-@dataclass(frozen=True)
-class MarkedDesign:
-    """A TD with a distinguished sub-TD(k, h') whose deletion opens a hole.
-
-    sub_points lists, per group, the h' points the sub-design lives on
-    (the subsets may differ between groups); sub_blocks indexes the
-    blocks forming the sub-TD.
-    """
-
-    design: BlockDesign
-    sub_points: tuple   # k tuples of equal size h'
-    sub_blocks: tuple   # indices into design.blocks
-
-    @property
-    def sub_order(self) -> int:
-        return len(self.sub_points[0])
-
-
-def validate_mark(m: MarkedDesign) -> None:
+def validate_mark(design: BlockDesign, sub_points, sub_blocks) -> None:
     """The marked blocks, restricted to the marked points, must form a
     plain TD(k, h')."""
-    d = m.design
-    sizes = {len(c) for c in m.sub_points}
-    if len(m.sub_points) != d.k or len(sizes) != 1:
+    d = design
+    sizes = {len(c) for c in sub_points}
+    if len(sub_points) != d.k or len(sizes) != 1:
         raise InvalidMark("need one equal-size point subset per group")
     h_sub = sizes.pop()
     if h_sub == 0:
         raise InvalidMark("a mark needs at least one point per group")
     rank = np.full((d.k, d.group_size), -1, dtype=np.int64)
-    for i, cell in enumerate(m.sub_points):
+    for i, cell in enumerate(sub_points):
         if len(set(cell)) != len(cell) or \
                 min(cell) < 0 or max(cell) >= d.group_size:
             raise InvalidMark(f"group {i} marks repeated or foreign points")
         rank[i, sorted(cell)] = np.arange(h_sub)
-    idxs = sorted(set(map(int, m.sub_blocks)))
-    if len(idxs) != len(m.sub_blocks) or \
+    idxs = sorted(set(map(int, sub_blocks)))
+    if len(idxs) != len(sub_blocks) or \
             idxs and (idxs[0] < 0 or idxs[-1] >= len(d.blocks)):
         raise InvalidMark("sub-block indices repeat or leave range")
     sub = rank[np.arange(d.k), d.blocks[idxs]]
@@ -163,24 +146,23 @@ def subfield_itd(k: int, q: int, sub_order: int) -> BlockDesign:
                 continue
             images = [{coord(a, u, i) for a, u in span} for i in range(k)]
             if all(len(img) == sub_order for img in images):
-                return itd_from_marked(MarkedDesign(
-                    design=td,
-                    sub_points=tuple(tuple(sorted(img)) for img in images),
-                    sub_blocks=tuple(sorted(a * q + u for a, u in span))))
+                return itd_from_marked(
+                    td, tuple(tuple(sorted(img)) for img in images),
+                    tuple(sorted(a * q + u for a, u in span)))
     raise NoSubfieldMark(f"no subfield sub-TD({k},{sub_order}) in TD({k},{q})")
 
 
-def itd_from_marked(m: MarkedDesign) -> BlockDesign:
+def itd_from_marked(design: BlockDesign, sub_points, sub_blocks) -> BlockDesign:
     """Delete the marked sub-TD: an ITD(k, (n; h')) with the hole relabeled
     onto the first h' points of every group."""
-    validate_mark(m)
-    d = m.design
-    h_sub = m.sub_order
+    validate_mark(design, sub_points, sub_blocks)
+    d = design
+    h_sub = len(sub_points[0])
     marked = np.zeros((d.k, d.group_size), dtype=bool)
-    marked[np.arange(d.k)[:, None], np.asarray(m.sub_points)] = True
+    marked[np.arange(d.k)[:, None], np.asarray(sub_points)] = True
     perms = _side_ranks(marked) + np.where(marked, 0, h_sub)
     keep = np.ones(len(d.blocks), dtype=bool)
-    keep[list(m.sub_blocks)] = False
+    keep[list(sub_blocks)] = False
     blocks = perms[np.arange(d.k), d.blocks[keep]]
     out = BlockDesign.new(k=d.k, group_size=d.group_size, index=d.index,
                           blocks=blocks, hole_kind=HOLE_SINGLE,
@@ -213,11 +195,10 @@ def product_itd(d1: BlockDesign, d2: BlockDesign) -> BlockDesign:
     prod = td_product(d1, d2)
     first = int(np.lexsort(d1.blocks.T[::-1])[0])
     n2, b2 = d2.group_size, len(d2.blocks)
-    return itd_from_marked(MarkedDesign(
-        design=prod,
-        sub_points=tuple(tuple(range(x * n2, (x + 1) * n2))
-                         for x in d1.blocks[first].tolist()),
-        sub_blocks=tuple(range(first * b2, (first + 1) * b2))))
+    return itd_from_marked(prod,
+                           tuple(tuple(range(x * n2, (x + 1) * n2))
+                                 for x in d1.blocks[first].tolist()),
+                           tuple(range(first * b2, (first + 1) * b2)))
 
 
 def diag_product(a: BlockDesign, b: BlockDesign, c: BlockDesign) -> BlockDesign:
@@ -274,14 +255,16 @@ def parallel_class_reduction(r: BlockDesign) -> BlockDesign:
 
 
 def wilson_compose(r: BlockDesign, a: BlockDesign, b: BlockDesign,
-                   e: BlockDesign | None, f: BlockDesign | None, u: int) -> BlockDesign:
+                   e: BlockDesign | None = None,
+                   f: BlockDesign | None = None) -> BlockDesign:
     """HTD(k, h^(m*t+u)) assembled in four kinds of blocks: copies of the
     HTD(k,h^m) on the layers of one parallel class of the TD(k+1,t),
     copies of the TD(k,hm) on blocks missing the truncated part Y, copies
     of the ITD(k,(hm+h;h)) with the hole aligned over the Y point the
     block meets, and one HTD(k,h^u) on Y itself.
 
-    e and f are only consulted when u > 0.
+    k, h, m and t come from a and r, and u is f's hole count (0 without
+    f); e is only consulted when f is given.
     """
     if a.hole_kind != HOLE_UNIFORM:
         raise ParameterMismatch("second ingredient must be a holey TD")
@@ -291,8 +274,9 @@ def wilson_compose(r: BlockDesign, a: BlockDesign, b: BlockDesign,
     if b.k != a.k:
         raise GroupCountMismatch("cross TD group count differs")
     t = r.group_size
-    if not 0 <= u < t:
-        raise ParameterMismatch(f"need 0 <= u < t, got u = {u}, t = {t}")
+    u = 0 if f is None else f.hole_count
+    if not u < t:
+        raise ParameterMismatch(f"need u < t, got u = {u}, t = {t}")
     if r.index != 1 or r.hole_kind != HOLE_NONE:
         raise ParameterMismatch("first ingredient must be a plain TD(k+1,t)")
     if b.group_size != h * m or b.index != 1 or b.hole_kind != HOLE_NONE:
@@ -303,13 +287,12 @@ def wilson_compose(r: BlockDesign, a: BlockDesign, b: BlockDesign,
     k = a.k
     layer = h * m
 
-    if u > 0:
+    if f is not None:
         if e is None or e.hole_kind != HOLE_SINGLE or e.hole_size != h or \
                 e.group_size != layer + h or e.k != k:
             raise ParameterMismatch(f"need an ITD({k},({layer + h};{h}))")
-        if f is None or f.hole_kind != HOLE_UNIFORM or f.hole_size != h or \
-                f.hole_count != u or f.k != k:
-            raise ParameterMismatch(f"need an HTD({k},{h}^{u})")
+        if f.hole_kind != HOLE_UNIFORM or f.hole_size != h or f.k != k:
+            raise ParameterMismatch(f"need an HTD({k},{h}^u)")
         _checked(e, "incomplete TD")
         _checked(f, "truncation HTD")
 
@@ -391,28 +374,34 @@ def _drop_constant_blocks(d: BlockDesign, positions) -> np.ndarray:
     return d.blocks[keep].astype(np.int64)
 
 
-def itd_truncate_compose(k: int, m: int, t: int, u: int, v: int,
-                         r2: BlockDesign, dm: BlockDesign, dm1: BlockDesign,
-                         dm2: BlockDesign, du: BlockDesign | None) -> BlockDesign:
+def itd_truncate_compose(r2: BlockDesign, dm: BlockDesign, dm1: BlockDesign,
+                         dm2: BlockDesign, du: BlockDesign | None = None,
+                         v: int = 0) -> BlockDesign:
     """ITD(k, (mt+u+v; v)): truncate two groups of a TD(k+2, t) to u and v
     points, inflate full-group points by weight m and truncated points by
     weight 1, and fill blocks by size: TD(k,m), TD(k,m+1) minus a block
     aligned on the weight-1 point, TD(k,m+2) minus two disjoint aligned
     blocks; the u side is filled with a TD(k,u), the v side is the hole.
+
+    k and m are dm's, t is r2's group size and u is du's (0 without du);
+    only v is chosen.
     """
-    if not (0 <= u <= t and 0 <= v <= t):
-        raise ParameterMismatch(f"need 0 <= u, v <= t, got u={u}, v={v}, t={t}")
-    if r2.k != k + 2 or r2.group_size != t or r2.index != 1:
-        raise ParameterMismatch(f"first ingredient must be a TD({k + 2},{t})")
-    for d, size, role in ((dm, m, "TD(k,m)"), (dm1, m + 1, "TD(k,m+1)"),
-                          (dm2, m + 2, "TD(k,m+2)")):
-        if d.k != k or d.group_size != size or d.hole_kind != HOLE_NONE:
+    k, m, t = dm.k, dm.group_size, r2.group_size
+    u = 0 if du is None else du.group_size
+    fills = [(dm, m, "TD(k,m)"), (dm1, m + 1, "TD(k,m+1)"), (dm2, m + 2, "TD(k,m+2)")]
+    if du is not None:
+        fills.append((du, u, "TD(k,u)"))
+    for d, order, role in fills:
+        if d.index != 1 or d.hole_kind != HOLE_NONE:
+            raise ParameterMismatch(f"{role} must be a TD of index 1 without holes")
+        if d.k != k or d.group_size != order:
             raise ParameterMismatch(f"{role} has the wrong shape")
+    if not (u <= t and 0 <= v <= t):
+        raise ParameterMismatch(f"need u <= t and 0 <= v <= t, got u={u}, v={v}, t={t}")
+    if r2.k != k + 2 or r2.index != 1 or r2.hole_kind != HOLE_NONE:
+        raise ParameterMismatch(f"first ingredient must be a TD({k + 2},{t})")
+    for d, _, role in fills:
         _checked(d, role)
-    if u > 0:
-        if du is None or du.k != k or du.group_size != u:
-            raise ParameterMismatch(f"need a TD({k},{u}) for the u side")
-        _checked(du, "TD(k,u)")
     _checked(r2, "outer TD")
 
     fill1 = _drop_constant_blocks(_align_block_at(dm1, 0, m), [m])
@@ -436,7 +425,7 @@ def itd_truncate_compose(k: int, m: int, t: int, u: int, v: int,
         pieces.append(_gather(dest[case], fill))
         source.append(np.repeat(np.flatnonzero(case), len(fill)))
     blocks = np.concatenate(pieces)[np.argsort(np.concatenate(source), kind="stable")]
-    if u > 0:
+    if du is not None:
         blocks = np.concatenate([blocks, du.blocks.astype(np.int64) + v])
     size = m * t + u + v
     if v > 0:

@@ -448,27 +448,25 @@ def hmols_to_htd(s: HoleyLatinSquareSet) -> BlockDesign:
                            hole_kind=HOLE_UNIFORM, holes=s.holes)
 
 
-def htd_to_hmols(d: BlockDesign, row_group: int = 0, col_group: int = 1) -> HoleyLatinSquareSet:
-    """HTD(k, h^n) with k >= 3 to the equivalent k-2 HMOLS of type h^n."""
+def htd_to_hmols(d: BlockDesign) -> HoleyLatinSquareSet:
+    """HTD(k, h^n) with k >= 3 to the equivalent k-2 HMOLS of type h^n:
+    group 0 gives the rows, group 1 the columns."""
     if d.hole_kind != HOLE_UNIFORM or d.k < 3:
         raise NotAnHTD(f"need a uniform-hole design on >= 3 groups, "
                        f"got {d.hole_kind} on {d.k}")
-    if row_group == col_group or not (0 <= row_group < d.k and 0 <= col_group < d.k):
-        raise BadIndices("row and column groups must be distinct and in range")
     rep = verify_design(d)
     if not rep.valid:
         raise InvalidInput(f"not a valid HTD: {rep.violations[:3]}")
     g = d.group_size
-    others = [t for t in range(d.k) if t not in (row_group, col_group)]
-    squares = np.full((len(others), g, g), BLANK, dtype=np.int32)
-    cells = d.blocks[:, row_group].astype(np.intp) * g + d.blocks[:, col_group]
+    squares = np.full((d.k - 2, g, g), BLANK, dtype=np.int32)
+    cells = d.blocks[:, 0].astype(np.intp) * g + d.blocks[:, 1]
     # a valid design of index 1 covers each (row, column) pair at most once
     if d.index > 1:
         keys, counts = np.unique(cells, return_counts=True)
         if (counts > 1).any():
             first = keys[counts > 1][0]
             raise AmbiguousCell(f"two blocks share cell ({first // g}, {first % g})")
-    squares.reshape(len(others), g * g)[:, cells] = d.blocks[:, others].T
+    squares.reshape(d.k - 2, g * g)[:, cells] = d.blocks[:, 2:].T
     return HoleyLatinSquareSet.from_arrays(h=d.hole_size, n=d.hole_count,
                                            holes=d.holes, squares=squares)
 

@@ -414,6 +414,12 @@ def design_loads(text: str) -> BlockDesign:
     for key in ("blocks", "holes"):  # the fast reading's blocks are integers already
         if not (isinstance(doc[key], np.ndarray) or _is_rows(doc[key])):
             raise MalformedInput(f"design field {key!r} is not a list of integer lists")
+    rows = doc["blocks"]
+    if isinstance(rows, list):  # the fast reading's blocks are a matrix already
+        for i, row in enumerate(rows):
+            if len(row) != len(rows[0]):
+                raise MalformedInput(f"design field 'blocks': row {i} has "
+                                     f"{len(row)} entries, row 0 has {len(rows[0])}")
     return BlockDesign.new(k=doc["k"], group_size=doc["group_size"],
                            index=doc["index"], blocks=doc["blocks"],
                            hole_kind=_HOLES_BY_KIND[kind],

@@ -529,10 +529,9 @@ def _execute(p: PlanTree, reg: Registry, seed: int, budget: int) -> dz.BlockDesi
         elif kind == STEP_DIAG:
             d = cp.diag_product(fact("unit_fact"), fact("td_fact"), built["diagonal"])
         else:
-            u = p.step["u"]
             d = cp.wilson_compose(fact("t_fact"), built["layer"], fact("td_fact"),
-                                  fact("itd_fact") if u else None,
-                                  built.get("truncation"), u)
+                                  fact("itd_fact") if p.step["u"] else None,
+                                  built.get("truncation"))
     except Exception as exc:
         raise IngredientFailure(f"subtree {p.goal} failed: {exc}") from exc
     if (d.k, d.hole_size, d.hole_count) != (k + 2, h, n):

@@ -169,7 +169,7 @@ def test_criterion_6_composition_oracles():
 
         r = dz.td_from_field(4, 5)
         e = cp.product_itd(dz.td_from_field(3, 5), dz.td_from_field(3, 2))
-        wil = cp.wilson_compose(r, c, b, e, fixture_htd_k3(), 4)
+        wil = cp.wilson_compose(r, c, b, e, fixture_htd_k3())
         assert len(wil.blocks) == 4 * 24 * 23
         assert dz.verify_design(wil).valid
         ARTIFACTS["htd_3_2_24"] = wil
@@ -179,10 +179,9 @@ def test_criterion_7_truncate_itd():
     with criterion(7, "ITD(3,(19;2)) from the truncate-and-fill composition "
                       "(hole pairs 0, other cross pairs once)", limit=60.0):
         itd = cp.itd_truncate_compose(
-            3, 3, 5, 2, 2,
             r2=dz.td_from_field(5, 5), dm=dz.td_from_field(3, 3),
             dm1=dz.td_from_field(3, 4), dm2=dz.td_from_field(3, 5),
-            du=dz.td_from_field(3, 2))
+            du=dz.td_from_field(3, 2), v=2)
         assert itd.group_size == 19 and itd.hole_size == 2
         rep = dz.verify_design(itd)
         assert rep.valid

@@ -230,6 +230,20 @@ def test_verify_wrongly_typed_design_exits_two(tmp_path, capsys, name):
     assert captured.out == "" and f"design field '{field}'" in captured.err
 
 
+@pytest.mark.parametrize("blocks, row", [("[[1, 2], [3]]", 1),
+                                         ("[[1], [2, 3], [0, 1]]", 1),
+                                         ("[[0, 1], [1, 0], [0, 1, 1]]", 2)])
+def test_verify_ragged_blocks_name_the_row(tmp_path, capsys, blocks, row):
+    # once numpy's "inhomogeneous shape after 1 dimensions", naming neither
+    path = tmp_path / "ragged.json"
+    path.write_text('{"kind": "TD", "k": 2, "group_size": 2, "index": 1, '
+                    f'"holes": [], "blocks": {blocks}}}')
+    assert run(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"design field 'blocks': row {row} has" in captured.err
+
+
 def test_search_exhausted_exit_code(tmp_path, capsys):
     assert run(["search", "2", "2", "5", "--cols", "0", "1", "2", "3",
                 "--budget", "0"]) == 3
@@ -414,7 +428,7 @@ GRID_AS_DESIGN = {"convert": (["convert"], 1, ["--to", "hmols"]),
                   "expand": (["expand"], 1, ["7"]),
                   "product": (["compose", "product"], 2, []),
                   "diag": (["compose", "diag"], 3, []),
-                  "wilson": (["compose", "wilson"], 4, ["--u", "1"])}
+                  "wilson": (["compose", "wilson"], 4, [])}
 
 
 @pytest.mark.parametrize("grid", ["hmols_2_4.grid", "imols_6_2.grid"])
@@ -441,8 +455,7 @@ def test_compose_product_of_one_design_exits_two(tmp_path, capsys):
 # "not enough values to unpack" and truncate in a TypeError traceback
 COMPOSE_MISUSE = {"product-three": ["product", 3], "diag-two": ["diag", 2],
                   "wilson-three": ["wilson", 3], "wilson-six": ["wilson", 6],
-                  "truncate-no-options": ["truncate", 4],
-                  "truncate-no-t": ["truncate", 4, "--k", "3", "--m", "1"]}
+                  "truncate-three": ["truncate", 3]}
 
 
 @pytest.mark.parametrize("name", sorted(COMPOSE_MISUSE))

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -97,29 +98,23 @@ def test_product_itd_second_factor_of_index_two_is_an_invalid_mark():
 def test_mark_block_gives_unit_hole_itd():
     # a single block is a sub-TD(k, 1); deleting it opens an (n; 1) hole
     td = dz.td_from_field(3, 4)
-    mark = cp.MarkedDesign(design=td,
-                           sub_points=tuple((int(x),) for x in td.blocks[5]),
-                           sub_blocks=(5,))
-    itd = cp.itd_from_marked(mark)
+    itd = cp.itd_from_marked(td, tuple((int(x),) for x in td.blocks[5]), (5,))
     assert itd.hole_size == 1 and dz.verify_design(itd).valid
 
 
 def test_empty_mark_rejected():
     # h' = 0 marks nothing; it is an invalid mark, not a malformed design
     td = dz.td_from_field(3, 4)
-    empty = cp.MarkedDesign(design=td, sub_points=((), (), ()), sub_blocks=())
     with pytest.raises(InvalidMark):
-        cp.validate_mark(empty)
+        cp.validate_mark(td, ((), (), ()), ())
     with pytest.raises(InvalidMark):
-        cp.itd_from_marked(empty)
+        cp.itd_from_marked(td, ((), (), ()), ())
 
 
 def test_invalid_mark_rejected():
     td = dz.td_from_field(3, 4)
-    bad = cp.MarkedDesign(design=td, sub_points=((0, 1), (0, 1), (0, 1)),
-                          sub_blocks=(0, 1, 2, 3))
     with pytest.raises(InvalidMark):
-        cp.validate_mark(bad)
+        cp.validate_mark(td, ((0, 1), (0, 1), (0, 1)), (0, 1, 2, 3))
 
 
 def test_fixture_imols_reads_as_itd():
@@ -175,7 +170,7 @@ def wilson_ingredients(u):
 
 def test_wilson_compose_htd_3_2_24():
     r, a, b, e, f = wilson_ingredients(4)
-    out = cp.wilson_compose(r, a, b, e, f, 4)
+    out = cp.wilson_compose(r, a, b, e, f)
     assert out.group_size == 48 and out.hole_count == 24 and out.hole_size == 2
     assert len(out.blocks) == 4 * 24 * 23
     assert dz.verify_design(out).valid
@@ -183,7 +178,7 @@ def test_wilson_compose_htd_3_2_24():
 
 def test_wilson_u0_matches_diag_product():
     r, a, b, _, _ = wilson_ingredients(0)
-    out = cp.wilson_compose(r, a, b, None, None, 0)
+    out = cp.wilson_compose(r, a, b)
     # the reduced TD's blocks off the parallel class, on the first k
     # groups, form an HTD(k, 1^t)
     rr = cp.parallel_class_reduction(r)
@@ -199,10 +194,11 @@ def test_wilson_u0_matches_diag_product():
 
 def test_wilson_u_bounds():
     r, a, b, e, f = wilson_ingredients(4)
-    with pytest.raises(ParameterMismatch):
-        cp.wilson_compose(r, a, b, e, f, 5)
+    # f has u = 4 holes, and a TD(4, 4) has t = 4 points per group
+    with pytest.raises(ParameterMismatch, match="need u < t"):
+        cp.wilson_compose(dz.td_from_field(4, 4), a, b, e, f)
     with pytest.raises(ParameterMismatch, match="need an ITD"):
-        cp.wilson_compose(r, a, b, None, f, 4)
+        cp.wilson_compose(r, a, b, None, f)
 
 
 # -- truncate-and-fill ------------------------------------------------------------
@@ -236,10 +232,9 @@ def test_find_disjoint_blocks_raises_without_a_pair(d):
 
 def test_itd_truncate_19_2():
     out = cp.itd_truncate_compose(
-        3, 3, 5, 2, 2,
         r2=dz.td_from_field(5, 5), dm=dz.td_from_field(3, 3),
         dm1=dz.td_from_field(3, 4), dm2=dz.td_from_field(3, 5),
-        du=dz.td_from_field(3, 2))
+        du=dz.td_from_field(3, 2), v=2)
     assert out.group_size == 19 and out.hole_size == 2
     assert len(out.blocks) == 19 * 19 - 4
     assert dz.verify_design(out).valid
@@ -247,7 +242,6 @@ def test_itd_truncate_19_2():
 
 def test_itd_truncate_v0_is_plain_td():
     out = cp.itd_truncate_compose(
-        3, 3, 5, 2, 0,
         r2=dz.td_from_field(5, 5), dm=dz.td_from_field(3, 3),
         dm1=dz.td_from_field(3, 4), dm2=dz.td_from_field(3, 5),
         du=dz.td_from_field(3, 2))
@@ -257,9 +251,8 @@ def test_itd_truncate_v0_is_plain_td():
 
 def test_itd_truncate_u0_v0_is_td_kmt():
     out = cp.itd_truncate_compose(
-        3, 3, 5, 0, 0,
         r2=dz.td_from_field(5, 5), dm=dz.td_from_field(3, 3),
-        dm1=dz.td_from_field(3, 4), dm2=dz.td_from_field(3, 5), du=None)
+        dm1=dz.td_from_field(3, 4), dm2=dz.td_from_field(3, 5))
     assert out.group_size == 15 and out.hole_kind == dz.HOLE_NONE
     assert dz.verify_design(out).valid
 
@@ -267,10 +260,34 @@ def test_itd_truncate_u0_v0_is_td_kmt():
 def test_itd_truncate_parameter_guard():
     ingredients = dict(r2=dz.td_from_field(5, 5), dm=dz.td_from_field(3, 3),
                        dm1=dz.td_from_field(3, 4), dm2=dz.td_from_field(3, 5))
-    for u, v, du in ((6, 0, None),                     # u > t
-                     (0, 6, None),                     # v > t
-                     (2, 2, None),                     # 0 < u <= t, no TD(k, u)
-                     (5, 0, None),                     # u = t, no TD(k, u)
-                     (2, 0, dz.td_from_field(3, 3))):  # a TD(k, u) of the wrong order
-        with pytest.raises(ParameterMismatch):
-            cp.itd_truncate_compose(3, 3, 5, u, v, du=du, **ingredients)
+    for v, du in ((0, dz.td_from_field(3, 7)),   # u > t
+                  (6, None)):                    # v > t
+        with pytest.raises(ParameterMismatch, match="<= t"):
+            cp.itd_truncate_compose(du=du, v=v, **ingredients)
+
+
+def _twice(d):
+    # every block twice: a TD_2 of d's order
+    return dz.BlockDesign.new(k=d.k, group_size=d.group_size, index=2,
+                              blocks=np.concatenate([d.blocks, d.blocks]))
+
+
+# a TD_2(3, 2) projection as the m-fill or the u-fill once verified as
+# valid, and the run then failed its output check with CountMismatch
+@pytest.mark.parametrize("role, name, lam", [
+    ("dm", "TD(k,m)", cy.td_projection(2, 2, 3)),
+    ("dm1", "TD(k,m+1)", _twice(dz.td_from_field(3, 3))),
+    ("dm2", "TD(k,m+2)", _twice(dz.td_from_field(3, 4))),
+    ("du", "TD(k,u)", cy.td_projection(2, 2, 3))])
+def test_itd_truncate_refuses_fills_of_index_two_before_verifying(monkeypatch, role,
+                                                                  name, lam):
+    ingredients = dict(r2=dz.td_from_field(5, 5), dm=dz.td_from_field(3, 2),
+                       dm1=dz.td_from_field(3, 3), dm2=dz.td_from_field(3, 4),
+                       du=dz.td_from_field(3, 2))
+    ingredients[role] = lam
+    assert lam.index == 2 and dz.verify_design(lam).valid
+    verified = []
+    monkeypatch.setattr(cp, "verify_design", verified.append)
+    with pytest.raises(ParameterMismatch, match=re.escape(f"{name} must be a TD of index 1")):
+        cp.itd_truncate_compose(**ingredients)
+    assert verified == []

@@ -190,7 +190,7 @@ def test_wilson_gather_matches_reference_loop(t, data, h, m, seed):
     e = pair_design(rng, layer + h, HOLE_SINGLE,
                     (tuple(rng.choice(layer + h, h, replace=False).tolist()),))
     f = pair_design(rng, u * h, HOLE_UNIFORM, random_partition(rng, u, h))
-    assert_same(cp.wilson_compose(r, a, b, e, f, u),
+    assert_same(cp.wilson_compose(r, a, b, e, f),
                 ref_wilson_compose(r, a, b, e, f, u))
 
 
@@ -212,7 +212,7 @@ def test_wilson_gather_matches_reference_loop_k3(t, u):
     b = dz.td_from_field(3, 8)
     e = cp.product_itd(dz.td_from_field(3, 5), dz.td_from_field(3, 2))
     f = _htd_3_2(u)
-    assert_same(cp.wilson_compose(r, a, b, e, f, u),
+    assert_same(cp.wilson_compose(r, a, b, e, f),
                 ref_wilson_compose(r, a, b, e, f, u))
 
 
@@ -226,5 +226,5 @@ def test_truncate_gather_matches_reference_loop(k, m, t):
     dm, dm1, dm2 = (cyclic_td(rng, k, n) for n in (m, m + 1, m + 2))
     for u, v in itertools.product(sorted({0, 1, t // 2, t}), (0, 1, t - 1, t)):
         du = cyclic_td(rng, k, u) if u else None
-        assert_same(cp.itd_truncate_compose(k, m, t, u, v, r2, dm, dm1, dm2, du),
+        assert_same(cp.itd_truncate_compose(r2, dm, dm1, dm2, du, v),
                     ref_itd_truncate_compose(k, m, t, u, v, r2, dm, dm1, dm2, du))

@@ -223,15 +223,6 @@ def test_round_trip_exact():
     assert back.holes == pair.holes
 
 
-def test_htd_to_hmols_swapped_roles_transposes():
-    pair = hmols_pair_2_4()
-    htd = dz.hmols_to_htd(pair)
-    normal = dz.htd_to_hmols(htd, row_group=0, col_group=1)
-    swapped = dz.htd_to_hmols(htd, row_group=1, col_group=0)
-    for t in range(normal.k):
-        assert np.array_equal(swapped.squares[t], normal.squares[t].T)
-
-
 def test_htd_to_hmols_requires_htd():
     td = dz.td_from_field(3, 4)
     with pytest.raises(NotAnHTD):

@@ -132,6 +132,11 @@ def reference_design_loads(text: str) -> dz.BlockDesign:
         if not (type(rows) is list and all(type(r) is list for r in rows)
                 and all(type(x) is int for r in rows for x in r)):
             raise MalformedInput(f"design field {key!r} is not a list of integer lists")
+    widths = [len(r) for r in doc["blocks"]]
+    if len(set(widths)) > 1:
+        row = next(i for i, w in enumerate(widths) if w != widths[0])
+        raise MalformedInput(f"design field 'blocks': row {row} has "
+                             f"{widths[row]} entries, row 0 has {widths[0]}")
     return dz.BlockDesign.new(k=doc["k"], group_size=doc["group_size"],
                               index=doc["index"], blocks=doc["blocks"],
                               hole_kind=formats._HOLES_BY_KIND[doc["kind"]],
