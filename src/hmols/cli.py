@@ -201,18 +201,18 @@ def _cmd_convert(args) -> int:
     return EXIT_OK
 
 
-# per op: the least and most ingredient files, and the usage line
+# per op: the numbers of ingredient files it takes, and the usage line
 _COMPOSE_USAGE = {
-    "product": (2, 2, "D1 D2"),
-    "diag": (3, 3, "A B C"),
-    "wilson": (4, 5, "R A B E [F]"),
-    "truncate": (4, 5, "R2 DM DM1 DM2 [DU] [--v V]"),
+    "product": ((2,), "D1 D2"),
+    "diag": ((3,), "A B C"),
+    "wilson": ((3, 5), "R A B [E F]"),
+    "truncate": ((4, 5), "R2 DM DM1 DM2 [DU] [--v V]"),
 }
 
 
 def _cmd_compose(args) -> int:
-    least, most, usage = _COMPOSE_USAGE[args.op]
-    if not least <= len(args.ingredients) <= most:
+    counts, usage = _COMPOSE_USAGE[args.op]
+    if len(args.ingredients) not in counts:
         raise ValueError(f"usage: hmols compose {args.op} {usage}")
     ds = [_load_design(f) for f in args.ingredients]
     if args.op == "product":

@@ -19,6 +19,10 @@ becomes in copy c, read through the small design's blocks in one
 indexing step (`_gather`).  Both list the copies one after another,
 each in the small design's block order, so block order is the one a
 copy-by-copy loop would give.
+
+Every incomplete TD and every aligned fill comes from one cut-and-relabel
+step (`_cut`): delete some blocks and send chosen points of every group,
+block by block, onto fixed slots, the other points keeping their order.
 """
 
 from __future__ import annotations
@@ -74,6 +78,23 @@ def _side_ranks(mask: np.ndarray) -> np.ndarray:
     return np.where(mask, np.cumsum(mask, axis=-1), np.cumsum(~mask, axis=-1)) - 1
 
 
+def _cut(d: BlockDesign, rows, points, slots) -> np.ndarray:
+    """d's blocks without the blocks `rows`, relabelled so that in every
+    group i the point points[i][j] becomes slots[j] and the other points
+    keep their order in the remaining slots."""
+    slots = np.asarray(slots, dtype=np.int64)
+    groups = np.arange(d.k)[:, None]
+    sent = np.zeros((d.k, d.group_size), dtype=bool)
+    sent[groups, points] = True
+    # every point's place in the order "sent points by j, then the rest"
+    place = _side_ranks(sent) + len(slots)
+    place[groups, points] = np.arange(len(slots))
+    perms = np.concatenate([slots, np.delete(np.arange(d.group_size), slots)])[place]
+    keep = np.ones(len(d.blocks), dtype=bool)
+    keep[rows] = False
+    return perms[groups[:, 0], d.blocks[keep]]
+
+
 # ---------------------------------------------------------------------------
 # marked sub-designs
 # ---------------------------------------------------------------------------
@@ -119,7 +140,9 @@ def subfield_itd(k: int, q: int, sub_order: int) -> BlockDesign:
     The block set of the field TD is indexed by (a, u); a sub-TD arises
     from any rank-2 module W over the subfield F such that each group's
     coordinate map collapses W onto just h' points.  Found by exhaustive
-    search over generator pairs; small because q is.
+    search over generator pairs (w1, w2): for each w1 in turn, the spans
+    with every w2 are built at once as arrays, and the first w2 whose span
+    has h'^2 points and h' images per group wins.
     """
     fq = gf.field_new(q)
     sub_factors = gf.factorize(sub_order)
@@ -127,28 +150,28 @@ def subfield_itd(k: int, q: int, sub_order: int) -> BlockDesign:
             fq.e % sub_factors[0][1] != 0:
         raise NoSubfieldMark(f"GF({sub_order}) is not a subfield of GF({q})")
     td = td_from_field(k, q)
-    subfield = [x for x in range(q) if fq.pow(x, sub_order) == x]
+    # 0 and the powers of omega^((q-1)/(h'-1)), the units of order dividing h'-1
+    subfield = np.append(0, fq.exp_table[::(q - 1) // (sub_order - 1)])
+    al, be = (x.ravel() for x in np.meshgrid(subfield, subfield))
+    w2a, w2u = np.divmod(np.arange(q * q), q)
+    bea, beu = fq.mul(be, w2a[:, None]), fq.mul(be, w2u[:, None])
 
-    def coord(a, u, i):
-        return u if i == q else fq.add(a, fq.mul(u, i))
+    def distinct(rows):
+        rows = np.sort(rows, axis=1)
+        return 1 + (rows[:, 1:] != rows[:, :-1]).sum(axis=1)
 
-    pairs = [(a, u) for a in range(q) for u in range(q)]
-    for w1 in pairs:
-        if w1 == (0, 0):
-            continue
-        for w2 in pairs:
-            span = set()
-            for al in subfield:
-                for be in subfield:
-                    span.add((fq.add(fq.mul(al, w1[0]), fq.mul(be, w2[0])),
-                              fq.add(fq.mul(al, w1[1]), fq.mul(be, w2[1]))))
-            if len(span) != sub_order * sub_order:
-                continue
-            images = [{coord(a, u, i) for a, u in span} for i in range(k)]
-            if all(len(img) == sub_order for img in images):
-                return itd_from_marked(
-                    td, tuple(tuple(sorted(img)) for img in images),
-                    tuple(sorted(a * q + u for a, u in span)))
+    for w1 in range(1, q * q):
+        a = fq.add(fq.mul(al, w1 // q), bea)  # row: the span with that w2
+        u = fq.add(fq.mul(al, w1 % q), beu)
+        images = [u if i == q else fq.add(a, fq.mul(u, i)) for i in range(k)]
+        found = distinct(a * q + u) == sub_order * sub_order
+        for img in images:
+            found &= distinct(img) == sub_order
+        if found.any():
+            w2 = int(np.argmax(found))
+            return itd_from_marked(
+                td, tuple(tuple(np.unique(img[w2]).tolist()) for img in images),
+                tuple(np.unique(a[w2] * q + u[w2]).tolist()))
     raise NoSubfieldMark(f"no subfield sub-TD({k},{sub_order}) in TD({k},{q})")
 
 
@@ -158,12 +181,7 @@ def itd_from_marked(design: BlockDesign, sub_points, sub_blocks) -> BlockDesign:
     validate_mark(design, sub_points, sub_blocks)
     d = design
     h_sub = len(sub_points[0])
-    marked = np.zeros((d.k, d.group_size), dtype=bool)
-    marked[np.arange(d.k)[:, None], np.asarray(sub_points)] = True
-    perms = _side_ranks(marked) + np.where(marked, 0, h_sub)
-    keep = np.ones(len(d.blocks), dtype=bool)
-    keep[list(sub_blocks)] = False
-    blocks = perms[np.arange(d.k), d.blocks[keep]]
+    blocks = _cut(d, list(sub_blocks), [sorted(c) for c in sub_points], range(h_sub))
     out = BlockDesign.new(k=d.k, group_size=d.group_size, index=d.index,
                           blocks=blocks, hole_kind=HOLE_SINGLE,
                           holes=(tuple(range(h_sub)),))
@@ -263,8 +281,8 @@ def wilson_compose(r: BlockDesign, a: BlockDesign, b: BlockDesign,
     of the ITD(k,(hm+h;h)) with the hole aligned over the Y point the
     block meets, and one HTD(k,h^u) on Y itself.
 
-    k, h, m and t come from a and r, and u is f's hole count (0 without
-    f); e is only consulted when f is given.
+    k, h, m and t come from a and r, and u is f's hole count.  e and f
+    come together: without them u = 0 and there is no third or fourth kind.
     """
     if a.hole_kind != HOLE_UNIFORM:
         raise ParameterMismatch("second ingredient must be a holey TD")
@@ -281,14 +299,17 @@ def wilson_compose(r: BlockDesign, a: BlockDesign, b: BlockDesign,
         raise ParameterMismatch("first ingredient must be a plain TD(k+1,t)")
     if b.group_size != h * m or b.index != 1 or b.hole_kind != HOLE_NONE:
         raise ParameterMismatch(f"cross TD must be a TD(k,{h * m})")
+    k = a.k
+    layer = h * m
+    if (e is None) != (f is None):
+        raise ParameterMismatch(f"need an ITD({k},({layer + h};{h})) and an "
+                                f"HTD({k},{h}^u) together, or neither")
     _checked(r, "resolvable TD")
     _checked(a, "layer HTD")
     _checked(b, "cross TD")
-    k = a.k
-    layer = h * m
 
     if f is not None:
-        if e is None or e.hole_kind != HOLE_SINGLE or e.hole_size != h or \
+        if e.hole_kind != HOLE_SINGLE or e.hole_size != h or \
                 e.group_size != layer + h or e.k != k:
             raise ParameterMismatch(f"need an ITD({k},({layer + h};{h}))")
         if f.hole_kind != HOLE_UNIFORM or f.hole_size != h or f.k != k:
@@ -344,36 +365,6 @@ def _find_disjoint_blocks(d: BlockDesign) -> tuple[int, int]:
     raise NoDisjointBlocks(f"no two disjoint blocks among {len(blocks)}")
 
 
-def _align_block_at(d: BlockDesign, which: int, position: int) -> BlockDesign:
-    """Relabel every group so the chosen block becomes constant = position."""
-    perms = np.tile(np.arange(d.group_size, dtype=np.int64), (d.k, 1))
-    for i in range(d.k):
-        x = int(d.blocks[which, i])
-        perms[i, x], perms[i, position] = position, x
-    return relabel_points(d, perms)
-
-
-def _align_two_blocks(d: BlockDesign, i1: int, i2: int, p1: int, p2: int) -> BlockDesign:
-    """Relabel so block i1 is constant p1 and block i2 constant p2; they
-    must be disjoint."""
-    groups = np.arange(d.k)
-    moved = np.zeros((d.k, d.group_size), dtype=bool)
-    moved[groups, d.blocks[i1]] = moved[groups, d.blocks[i2]] = True
-    slots = np.delete(np.arange(d.group_size), [p1, p2])
-    perms = np.empty((d.k, d.group_size), dtype=np.int64)
-    perms[~moved] = np.tile(slots, d.k)   # the other points keep their order
-    perms[groups, d.blocks[i1]], perms[groups, d.blocks[i2]] = p1, p2
-    return relabel_points(d, perms)
-
-
-def _drop_constant_blocks(d: BlockDesign, positions) -> np.ndarray:
-    keep = np.ones(len(d.blocks), dtype=bool)
-    for p in positions:
-        hit = (d.blocks == p).all(axis=1)
-        keep &= ~hit
-    return d.blocks[keep].astype(np.int64)
-
-
 def itd_truncate_compose(r2: BlockDesign, dm: BlockDesign, dm1: BlockDesign,
                          dm2: BlockDesign, du: BlockDesign | None = None,
                          v: int = 0) -> BlockDesign:
@@ -404,10 +395,10 @@ def itd_truncate_compose(r2: BlockDesign, dm: BlockDesign, dm1: BlockDesign,
         _checked(d, role)
     _checked(r2, "outer TD")
 
-    fill1 = _drop_constant_blocks(_align_block_at(dm1, 0, m), [m])
-    j1, j2 = _find_disjoint_blocks(dm2)
-    fill2 = _drop_constant_blocks(_align_two_blocks(dm2, j1, j2, m, m + 1),
-                                  [m, m + 1])
+    # the fills without the blocks that the weight-1 points stand for
+    fill1 = _cut(dm1, [0], dm1.blocks[[0]].T, [m])
+    pair = list(_find_disjoint_blocks(dm2))
+    fill2 = _cut(dm2, pair, dm2.blocks[pair].T, [m, m + 1])
 
     main = v + u  # main points (w, x) start after the hole and the u side
     outer = r2.blocks.astype(np.int64)

@@ -16,8 +16,8 @@ nonzero elements.  dlog_table is its inverse permutation.
 FieldSpec has one method per operation, and add, sub and mul take
 element indices or index arrays alike, broadcast as numpy does.  Prime
 fields add, subtract and multiply modulo p directly.  Over GF(p^e),
-sums and differences are digitwise base-p q x q tables, while products,
-powers and inverses are exp/dlog reads: no q x q product table is built.
+sums and differences are digitwise base-p q x q tables, while products
+and inverses are exp/dlog reads: no q x q product table is built.
 
 All objects here are immutable after construction and every operation
 is pure, so they are safe to share between threads.
@@ -118,15 +118,10 @@ class FieldSpec:
         log = self.dlog_table
         return self.exp_table[(log[a] + log[b]) % (self.q - 1)] * ((a != 0) & (b != 0))
 
-    def pow(self, a: int, n: int) -> int:
-        if a == 0:  # 0^0 = 1 and 0^n = 0 for n > 0
-            if n < 0:
-                raise ZeroInverse(f"0^{n} undefined in GF({self.q})")
-            return int(n == 0)
-        return int(self.exp_table[int(self.dlog_table[a]) * n % (self.q - 1)])
-
     def inv(self, a: int) -> int:
-        return self.pow(a, -1)
+        if a == 0:
+            raise ZeroInverse(f"0 has no inverse in GF({self.q})")
+        return int(self.exp_table[-int(self.dlog_table[a]) % (self.q - 1)])
 
     def _digitwise_table(self, sign: int) -> np.ndarray:
         """Table of a + sign*b, computed digit by digit in base p."""

@@ -318,11 +318,12 @@ def _needs(goal, step):
         m, t, u = _ints(step, "m", "t", "u")
         if m * t + u != n or not 0 <= u < t:
             raise MalformedInput(f"wilson arithmetic broken: {m}*{t}+{u} != {n}")
+        facts = [("t_fact", TD, (k + 3, t)), ("td_fact", TD, (k + 2, h * m))]
         kids = {"layer": (h, m, k)}
         if u > 0:
+            facts.append(("itd_fact", ITD, (k + 2, h * m + h, h)))
             kids["truncation"] = (h, u, k)
-        return ([("t_fact", TD, (k + 3, t)), ("td_fact", TD, (k + 2, h * m)),
-                 ("itd_fact", ITD, (k + 2, h * m + h, h))], kids)
+        return facts, kids
     raise MalformedInput(f"unknown step kind {kind!r}")
 
 
@@ -391,6 +392,13 @@ def _fill(goal, step, reg, depth):
     return PlanTree(goal=goal, step=step, children=children)
 
 
+def _divisors(n):
+    """The divisors 2 <= d < n of n in ascending order, by trial division
+    up to sqrt(n)."""
+    small = [d for d in range(2, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
 def _search(h, k, n, reg, depth):
     goal = (h, n, k)
     tree = _fill(goal, {"kind": STEP_FIXTURE}, reg, depth)
@@ -408,7 +416,7 @@ def _search(h, k, n, reg, depth):
 
     # diagonal product over divisor splits n = m * n2
     tried = 0
-    for m in (d for d in range(2, n) if n % d == 0):
+    for m in _divisors(n):
         tried += 1
         if tried > PLAN_WIDTH:
             break

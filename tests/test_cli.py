@@ -428,7 +428,7 @@ GRID_AS_DESIGN = {"convert": (["convert"], 1, ["--to", "hmols"]),
                   "expand": (["expand"], 1, ["7"]),
                   "product": (["compose", "product"], 2, []),
                   "diag": (["compose", "diag"], 3, []),
-                  "wilson": (["compose", "wilson"], 4, [])}
+                  "wilson": (["compose", "wilson"], 3, [])}
 
 
 @pytest.mark.parametrize("grid", ["hmols_2_4.grid", "imols_6_2.grid"])
@@ -452,10 +452,11 @@ def test_compose_product_of_one_design_exits_two(tmp_path, capsys):
 
 
 # each once ran anyway: product ignored a third file, diag ended in
-# "not enough values to unpack" and truncate in a TypeError traceback
+# "not enough values to unpack", truncate in a TypeError traceback and
+# wilson read a fourth file it never used
 COMPOSE_MISUSE = {"product-three": ["product", 3], "diag-two": ["diag", 2],
-                  "wilson-three": ["wilson", 3], "wilson-six": ["wilson", 6],
-                  "truncate-three": ["truncate", 3]}
+                  "wilson-two": ["wilson", 2], "wilson-four": ["wilson", 4],
+                  "wilson-six": ["wilson", 6], "truncate-three": ["truncate", 3]}
 
 
 @pytest.mark.parametrize("name", sorted(COMPOSE_MISUSE))

@@ -37,8 +37,7 @@ COMMANDS = {
     "diag": ["compose", "diag", "@unit33.json", "@td38.json", "@htd3.json"],
     "wilson": ["compose", "wilson", "@td45.json", "@htd3.json", "@td38.json",
                "@itd.json", "@htd3.json"],
-    "wilson-u0": ["compose", "wilson", "@td45.json", "@htd3.json", "@td38.json",
-                  "@itd.json"],
+    "wilson-u0": ["compose", "wilson", "@td45.json", "@htd3.json", "@td38.json"],
     "truncate": ["compose", "truncate", "@td55.json", "@td33.json", "@td34.json",
                  "@td35.json", "@td32.json", "--v", "2"],
     "truncate-u0": ["compose", "truncate", "@td55.json", "@td33.json",

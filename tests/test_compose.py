@@ -201,6 +201,18 @@ def test_wilson_u_bounds():
         cp.wilson_compose(r, a, b, None, f)
 
 
+def test_wilson_takes_e_only_with_f(monkeypatch):
+    # u = 0 uses no ITD, so an ITD without its truncation HTD is refused
+    # before anything is verified
+    r, a, b, e, f = wilson_ingredients(4)
+    verified = []
+    monkeypatch.setattr(cp, "verify_design", verified.append)
+    for e_, f_ in ((e, None), (None, f)):
+        with pytest.raises(ParameterMismatch, match="together, or neither"):
+            cp.wilson_compose(r, a, b, e_, f_)
+    assert verified == []
+
+
 # -- truncate-and-fill ------------------------------------------------------------
 
 def _brute_disjoint(blocks):

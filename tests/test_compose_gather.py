@@ -2,9 +2,10 @@
 
 The references below are the loops wilson_compose (its parallel-class
 relabeling and its third kind, the ITD over every block meeting Y) and
-itd_truncate_compose (its aligned fills and its per-outer-block fill)
-ran before they placed blocks as whole arrays.  Outputs must agree
-exactly: block arrays in their unsorted order, and holes.
+itd_truncate_compose (its per-outer-block fill) ran before they placed
+blocks as whole arrays, and a point-by-point loop for the aligned fills.
+Outputs must agree exactly: block arrays in their unsorted order, and
+holes.
 """
 
 import itertools
@@ -81,23 +82,24 @@ def ref_wilson_compose(r, a, b, e_itd, f, u):
                               blocks=blocks, hole_kind=HOLE_UNIFORM, holes=holes)
 
 
-def ref_align_two_blocks(d, i1, i2, p1, p2):
-    perms = np.empty((d.k, d.group_size), dtype=np.int64)
+def ref_aligned_fill(d, rows, positions):
+    """d without the blocks `rows`, relabelled group by group: the point of
+    block rows[j] goes to positions[j], and the other points fill the other
+    positions in order."""
+    perms = []
     for i in range(d.k):
-        a, b = int(d.blocks[i1, i]), int(d.blocks[i2, i])
-        rest = [x for x in range(d.group_size) if x not in (a, b)]
-        slots = [p for p in range(d.group_size) if p not in (p1, p2)]
-        perms[i, a], perms[i, b] = p1, p2
-        for x, p in zip(rest, slots):
-            perms[i, x] = p
-    return dz.relabel_points(d, perms)
+        sent = [int(d.blocks[r, i]) for r in rows]
+        rest = [x for x in range(d.group_size) if x not in sent]
+        slots = [p for p in range(d.group_size) if p not in positions]
+        perms.append(dict(zip(sent, positions)) | dict(zip(rest, slots)))
+    kept = [[perms[i][int(x)] for i, x in enumerate(blk)]
+            for j, blk in enumerate(d.blocks) if j not in rows]
+    return np.array(kept, dtype=np.int64).reshape(-1, d.k)
 
 
 def ref_itd_truncate_compose(k, m, t, u, v, r2, dm, dm1, dm2, du):
-    fill1 = cp._drop_constant_blocks(cp._align_block_at(dm1, 0, m), [m])
-    j1, j2 = cp._find_disjoint_blocks(dm2)
-    fill2 = cp._drop_constant_blocks(ref_align_two_blocks(dm2, j1, j2, m, m + 1),
-                                     [m, m + 1])
+    fill1 = ref_aligned_fill(dm1, [0], [m])
+    fill2 = ref_aligned_fill(dm2, cp._find_disjoint_blocks(dm2), [m, m + 1])
     main = v + u
     pieces = []
     for blk in r2.blocks:
@@ -228,3 +230,29 @@ def test_truncate_gather_matches_reference_loop(k, m, t):
         du = cyclic_td(rng, k, u) if u else None
         assert_same(cp.itd_truncate_compose(r2, dm, dm1, dm2, du, v),
                     ref_itd_truncate_compose(k, m, t, u, v, r2, dm, dm1, dm2, du))
+
+
+def relabelled(rng, d):
+    """The same design with a random permutation of every group's points
+    and its blocks in a random order."""
+    return shuffled(rng, dz.relabel_points(
+        d, [rng.permutation(d.group_size) for _ in range(d.k)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from([2, 3]), m=st.integers(1, 4),
+       t=st.sampled_from([4, 5, 7, 8, 9]), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_truncate_with_relabelled_fills_verifies(k, m, t, data, seed):
+    # the fills' blocks are sent to the weight-1 points block by block:
+    # a fill that sent each group's points in sorted order would tear the
+    # two disjoint blocks of the TD(k, m+2) apart once relabelled
+    u = data.draw(st.integers(0, t), label="u")
+    v = data.draw(st.integers(0, t), label="v")
+    rng = np.random.default_rng(seed)
+    r2 = relabelled(rng, dz.td_from_field(k + 2, t))
+    dm, dm1, dm2 = (relabelled(rng, cyclic_td(rng, k, n)) for n in (m, m + 1, m + 2))
+    du = relabelled(rng, cyclic_td(rng, k, u)) if u else None
+    out = cp.itd_truncate_compose(r2, dm, dm1, dm2, du, v)
+    assert dz.verify_design(out).valid
+    assert_same(out, ref_itd_truncate_compose(k, m, t, u, v, r2, dm, dm1, dm2, du))

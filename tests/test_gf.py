@@ -252,14 +252,8 @@ def test_tables_match_digit_loop_reference(q):
     assert f.dlog_table.tolist() == dlog
     assert [f.inv(a) for a in range(1, q)] == \
         [reference_pow(f, a, q - 2) for a in range(1, q)]
-    for n in (-q, -2, -1, 0, 1, 2, 3, q - 1, q, 2 * q + 1):
-        assert [f.pow(a, n) for a in range(1, q)] == \
-            [reference_pow(f, a, n) for a in range(1, q)]
-        if n < 0:
-            with pytest.raises(ZeroInverse):
-                f.pow(0, n)
-        else:
-            assert f.pow(0, n) == (1 if n == 0 else 0)
+    with pytest.raises(ZeroInverse):
+        f.inv(0)
 
 
 # (q, modulus, omega) of every extension field up to 4096; certificates
@@ -333,7 +327,9 @@ def test_prime_field_roots_are_smallest_of_full_order():
 def test_gf2_tables():
     f = gf.field_new(2)
     assert f.exp_table.tolist() == [1] and f.dlog_table.tolist() == [-1, 0]
-    assert (f.inv(1), f.pow(1, -5), f.pow(0, 0), f.pow(0, 3)) == (1, 1, 1, 0)
+    assert f.inv(1) == 1
+    with pytest.raises(ZeroInverse):
+        f.inv(0)
 
 
 def test_cyclotomy_classes_mod7():

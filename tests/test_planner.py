@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -310,6 +311,29 @@ def test_plan_single_cyclotomic_leaf():
 def test_plan_empty_registry_is_noplan():
     with pytest.raises(NoPlan):
         pl.plan_hmols(2, 6, 59201, pl.Registry())
+
+
+def test_plan_scans_divisors_only_up_to_the_square_root():
+    # a scan of every d < n took about 51 s at this prime
+    reg = pl.Registry()
+    reg.add(pl.TD, (4, 5), pl.CONSTRUCTIBLE,
+            recipe={"op": "td_from_field", "k": 4, "q": 5})
+    start = time.perf_counter()
+    with pytest.raises(NoPlan):
+        pl.plan_hmols(2, 1, 1_000_000_007, reg)
+    assert time.perf_counter() - start < 2
+
+
+def test_divisors_ascend_as_the_full_scan():
+    for n in [*range(1, 200), 4096, 97 * 97, 2 * 3 * 5 * 7 * 11 * 13]:
+        assert pl._divisors(n) == [d for d in range(2, n) if n % d == 0], n
+
+
+def test_wilson_without_truncation_names_no_incomplete_td():
+    # u = 0 composes no ITD, so its step names none
+    facts, kids = pl._needs((2, 20, 1), {"kind": pl.STEP_WILSON, "m": 4, "t": 5, "u": 0})
+    assert [role for role, _, _ in facts] == ["t_fact", "td_fact"]
+    assert kids == {"layer": (2, 4, 1)}
 
 
 TRIVIAL = {"goal": [2, 1, 1], "step": {"kind": pl.STEP_TRIVIAL}, "children": {}}
