@@ -25,7 +25,7 @@ from . import cyclotomic as cy
 from . import designs as dz
 from . import formats
 from . import planner as pl
-from .errors import Exhausted, HmolsError, MalformedInput, NoneInInterval, NoPlan
+from .errors import Exhausted, HmolsError, MalformedInput
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -196,7 +196,7 @@ def _cmd_convert(args) -> int:
     elif isinstance(obj, dz.IncompleteMolsSet):
         out = dz.imols_to_itd(obj)
     else:
-        raise HmolsError("convert --to htd needs a square-set grid")
+        raise MalformedInput("convert --to htd needs a square-set grid")
     _write_or_print(formats._design_pieces(out), args.out)
     return EXIT_OK
 
@@ -372,7 +372,7 @@ def run(argv) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.fn(args)
-    except (Exhausted, NoPlan, NoneInInterval) as exc:
+    except Exhausted as exc:
         print(f"exhausted: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
     except (HmolsError, OSError, ValueError) as exc:

@@ -39,22 +39,13 @@ from .designs import (
     verify_design,
 )
 from . import gf
-from .errors import (
-    GroupCountMismatch,
-    IngredientInvalid,
-    InvalidMark,
-    NoDisjointBlocks,
-    NoSubfieldMark,
-    ParameterMismatch,
-)
+from .errors import MalformedInput
 
 
 def _checked(d: BlockDesign, what: str) -> BlockDesign:
-    """d once verify_design finds it valid; IngredientInvalid naming it
+    """d once verify_design finds it valid; MalformedInput naming it
     otherwise."""
-    rep = verify_design(d)
-    if not rep.valid:
-        raise IngredientInvalid(f"{what} fails verification: {rep.violations[:3]}")
+    verify_design(d).require(what)
     return d
 
 
@@ -108,29 +99,26 @@ def validate_mark(design: BlockDesign, sub_points, sub_blocks) -> None:
     d = design
     sizes = {len(c) for c in sub_points}
     if len(sub_points) != d.k or len(sizes) != 1:
-        raise InvalidMark("need one equal-size point subset per group")
+        raise MalformedInput("need one equal-size point subset per group")
     h_sub = sizes.pop()
     if h_sub == 0:
-        raise InvalidMark("a mark needs at least one point per group")
+        raise MalformedInput("a mark needs at least one point per group")
     rank = np.full((d.k, d.group_size), -1, dtype=np.int64)
     for i, cell in enumerate(sub_points):
         if len(set(cell)) != len(cell) or \
                 min(cell) < 0 or max(cell) >= d.group_size:
-            raise InvalidMark(f"group {i} marks repeated or foreign points")
+            raise MalformedInput(f"group {i} marks repeated or foreign points")
         rank[i, sorted(cell)] = np.arange(h_sub)
     idxs = sorted(set(map(int, sub_blocks)))
     if len(idxs) != len(sub_blocks) or \
             idxs and (idxs[0] < 0 or idxs[-1] >= len(d.blocks)):
-        raise InvalidMark("sub-block indices repeat or leave range")
+        raise MalformedInput("sub-block indices repeat or leave range")
     sub = rank[np.arange(d.k), d.blocks[idxs]]
     if (sub < 0).any():
         row, i = np.argwhere(sub < 0)[0]
-        raise InvalidMark(f"block {idxs[row]} leaves the marked points in group {i}")
-    rep = verify_design(BlockDesign.new(k=d.k, group_size=h_sub, index=1,
-                                        blocks=sub))
-    if not rep.valid:
-        raise InvalidMark(f"marked blocks are not a TD(k,{h_sub}): "
-                          f"{rep.violations[:3]}")
+        raise MalformedInput(f"block {idxs[row]} leaves the marked points in group {i}")
+    marked = BlockDesign.new(k=d.k, group_size=h_sub, index=1, blocks=sub)
+    verify_design(marked).require(f"marked sub-TD(k,{h_sub})")
 
 
 def subfield_itd(k: int, q: int, sub_order: int) -> BlockDesign:
@@ -148,7 +136,7 @@ def subfield_itd(k: int, q: int, sub_order: int) -> BlockDesign:
     sub_factors = gf.factorize(sub_order)
     if len(sub_factors) != 1 or sub_factors[0][0] != fq.p or \
             fq.e % sub_factors[0][1] != 0:
-        raise NoSubfieldMark(f"GF({sub_order}) is not a subfield of GF({q})")
+        raise MalformedInput(f"GF({sub_order}) is not a subfield of GF({q})")
     td = td_from_field(k, q)
     # 0 and the powers of omega^((q-1)/(h'-1)), the units of order dividing h'-1
     subfield = np.append(0, fq.exp_table[::(q - 1) // (sub_order - 1)])
@@ -172,7 +160,7 @@ def subfield_itd(k: int, q: int, sub_order: int) -> BlockDesign:
             return itd_from_marked(
                 td, tuple(tuple(np.unique(img[w2]).tolist()) for img in images),
                 tuple(np.unique(a[w2] * q + u[w2]).tolist()))
-    raise NoSubfieldMark(f"no subfield sub-TD({k},{sub_order}) in TD({k},{q})")
+    raise MalformedInput(f"no subfield sub-TD({k},{sub_order}) in TD({k},{q})")
 
 
 def itd_from_marked(design: BlockDesign, sub_points, sub_blocks) -> BlockDesign:
@@ -195,9 +183,9 @@ def itd_from_marked(design: BlockDesign, sub_points, sub_blocks) -> BlockDesign:
 def td_product(d1: BlockDesign, d2: BlockDesign) -> BlockDesign:
     """TD_(l1*l2)(k, n1*n2): a copy of d2's block set on every block of d1."""
     if d1.k != d2.k:
-        raise GroupCountMismatch(f"{d1.k} groups vs {d2.k}")
+        raise MalformedInput(f"{d1.k} groups vs {d2.k}")
     if d1.hole_kind != HOLE_NONE or d2.hole_kind != HOLE_NONE:
-        raise ParameterMismatch("the product multiplies plain TDs")
+        raise MalformedInput("the product multiplies plain TDs")
     _checked(d1, "first factor")
     _checked(d2, "second factor")
     out = BlockDesign.new(k=d1.k, group_size=d1.group_size * d2.group_size,
@@ -225,20 +213,20 @@ def diag_product(a: BlockDesign, b: BlockDesign, c: BlockDesign) -> BlockDesign:
     selected by every block of a."""
     for d, role in ((a, "layer design"), (b, "cross design"), (c, "diagonal design")):
         if d.k != a.k:
-            raise GroupCountMismatch(f"{role} has {d.k} groups, expected {a.k}")
+            raise MalformedInput(f"{role} has {d.k} groups, expected {a.k}")
     if a.hole_kind != HOLE_UNIFORM or a.hole_size != 1:
-        raise ParameterMismatch("first ingredient must be an HTD(k,1^m)")
+        raise MalformedInput("first ingredient must be an HTD(k,1^m)")
     if c.hole_kind != HOLE_UNIFORM:
-        raise ParameterMismatch("third ingredient must be a holey TD")
+        raise MalformedInput("third ingredient must be a holey TD")
     if b.hole_kind != HOLE_NONE or b.index != 1 or c.index != 1 or a.index != 1:
-        raise ParameterMismatch("cross ingredient must be a plain TD of index 1")
+        raise MalformedInput("cross ingredient must be a plain TD of index 1")
     h, n = c.hole_size, c.hole_count
     m = a.group_size
     if b.group_size != h * n:
-        raise ParameterMismatch(f"TD group size {b.group_size} != h*n = {h * n}")
+        raise MalformedInput(f"TD group size {b.group_size} != h*n = {h * n}")
     if n == 1 and h > 1:
         # an HTD(k,h^1) has no blocks; the composition is degenerate
-        raise ParameterMismatch("diagonal ingredient of type h^1 is degenerate")
+        raise MalformedInput("diagonal ingredient of type h^1 is degenerate")
     _checked(a, "layer HTD")
     _checked(b, "cross TD")
     _checked(c, "diagonal HTD")
@@ -285,25 +273,25 @@ def wilson_compose(r: BlockDesign, a: BlockDesign, b: BlockDesign,
     come together: without them u = 0 and there is no third or fourth kind.
     """
     if a.hole_kind != HOLE_UNIFORM:
-        raise ParameterMismatch("second ingredient must be a holey TD")
+        raise MalformedInput("second ingredient must be a holey TD")
     h, m = a.hole_size, a.hole_count
     if r.k != a.k + 1:
-        raise GroupCountMismatch(f"resolvable TD needs {a.k + 1} groups, has {r.k}")
+        raise MalformedInput(f"resolvable TD needs {a.k + 1} groups, has {r.k}")
     if b.k != a.k:
-        raise GroupCountMismatch("cross TD group count differs")
+        raise MalformedInput("cross TD group count differs")
     t = r.group_size
     u = 0 if f is None else f.hole_count
     if not u < t:
-        raise ParameterMismatch(f"need u < t, got u = {u}, t = {t}")
+        raise MalformedInput(f"need u < t, got u = {u}, t = {t}")
     if r.index != 1 or r.hole_kind != HOLE_NONE:
-        raise ParameterMismatch("first ingredient must be a plain TD(k+1,t)")
+        raise MalformedInput("first ingredient must be a plain TD(k+1,t)")
     if b.group_size != h * m or b.index != 1 or b.hole_kind != HOLE_NONE:
-        raise ParameterMismatch(f"cross TD must be a TD(k,{h * m})")
+        raise MalformedInput(f"cross TD must be a TD(k,{h * m})")
     k = a.k
     layer = h * m
     if (e is None) != (f is None):
-        raise ParameterMismatch(f"need an ITD({k},({layer + h};{h})) and an "
-                                f"HTD({k},{h}^u) together, or neither")
+        raise MalformedInput(f"need an ITD({k},({layer + h};{h})) and an "
+                             f"HTD({k},{h}^u) together, or neither")
     _checked(r, "resolvable TD")
     _checked(a, "layer HTD")
     _checked(b, "cross TD")
@@ -311,9 +299,9 @@ def wilson_compose(r: BlockDesign, a: BlockDesign, b: BlockDesign,
     if f is not None:
         if e.hole_kind != HOLE_SINGLE or e.hole_size != h or \
                 e.group_size != layer + h or e.k != k:
-            raise ParameterMismatch(f"need an ITD({k},({layer + h};{h}))")
+            raise MalformedInput(f"need an ITD({k},({layer + h};{h}))")
         if f.hole_kind != HOLE_UNIFORM or f.hole_size != h or f.k != k:
-            raise ParameterMismatch(f"need an HTD({k},{h}^u)")
+            raise MalformedInput(f"need an HTD({k},{h}^u)")
         _checked(e, "incomplete TD")
         _checked(f, "truncation HTD")
 
@@ -362,7 +350,7 @@ def _find_disjoint_blocks(d: BlockDesign) -> tuple[int, int]:
         later = np.flatnonzero((blocks[i + 1:] != blocks[i]).all(axis=1))
         if len(later):
             return i, i + 1 + int(later[0])
-    raise NoDisjointBlocks(f"no two disjoint blocks among {len(blocks)}")
+    raise MalformedInput(f"no two disjoint blocks among {len(blocks)}")
 
 
 def itd_truncate_compose(r2: BlockDesign, dm: BlockDesign, dm1: BlockDesign,
@@ -384,13 +372,13 @@ def itd_truncate_compose(r2: BlockDesign, dm: BlockDesign, dm1: BlockDesign,
         fills.append((du, u, "TD(k,u)"))
     for d, order, role in fills:
         if d.index != 1 or d.hole_kind != HOLE_NONE:
-            raise ParameterMismatch(f"{role} must be a TD of index 1 without holes")
+            raise MalformedInput(f"{role} must be a TD of index 1 without holes")
         if d.k != k or d.group_size != order:
-            raise ParameterMismatch(f"{role} has the wrong shape")
+            raise MalformedInput(f"{role} has the wrong shape")
     if not (u <= t and 0 <= v <= t):
-        raise ParameterMismatch(f"need u <= t and 0 <= v <= t, got u={u}, v={v}, t={t}")
+        raise MalformedInput(f"need u <= t and 0 <= v <= t, got u={u}, v={v}, t={t}")
     if r2.k != k + 2 or r2.index != 1 or r2.hole_kind != HOLE_NONE:
-        raise ParameterMismatch(f"first ingredient must be a TD({k + 2},{t})")
+        raise MalformedInput(f"first ingredient must be a TD({k + 2},{t})")
     for d, _, role in fills:
         _checked(d, role)
     _checked(r2, "outer TD")

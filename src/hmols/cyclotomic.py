@@ -37,16 +37,7 @@ from .designs import (
     _report,
     verify_design,
 )
-from .errors import (
-    BadColumns,
-    Exhausted,
-    IndexMismatch,
-    InvalidFamily,
-    MalformedInput,
-    MalformedSolution,
-    SizeBound,
-    TooManyGroups,
-)
+from .errors import Exhausted, MalformedInput
 
 TEMPLATE_ROWS = 4096  # the largest template built
 MATCH_WORK = 1 << 26  # the largest size * lam^2 match_columns scans
@@ -79,12 +70,12 @@ class TemplateMatrix:
 @functools.lru_cache(maxsize=8)
 def template(h: int, d: int) -> TemplateMatrix:
     """entries[u][v] = u.v over GF(h) for all h^d lex-ordered vectors."""
-    f = gf.field_new(h)  # raises NotPrimePower
+    f = gf.field_new(h)  # refuses an h that is not a prime power
     if d < 1:
         raise ValueError("dimension must be positive")
     size = h ** d
     if size > TEMPLATE_ROWS:
-        raise SizeBound(f"template would have {size} rows (bound {TEMPLATE_ROWS})")
+        raise MalformedInput(f"template would have {size} rows (bound {TEMPLATE_ROWS})")
     entries = np.zeros((size, size), dtype=np.int32)
     for c in np.array(list(itertools.product(range(h), repeat=d)), dtype=np.int32).T:
         entries = f.add(entries, f.mul(c[:, None], c[None, :]))
@@ -98,12 +89,12 @@ def td_projection(h: int, d: int, k: int, cols=None) -> BlockDesign:
     first k in lex order unless a selection is supplied)."""
     t = template(h, d)
     if k > t.size or k < 2:
-        raise TooManyGroups(f"need 2 <= k <= {t.size}, got {k}")
+        raise MalformedInput(f"need 2 <= k <= {t.size}, got {k}")
     if cols is None:
         cols = list(range(k))
     cols = _check_cols(t, cols)
     if k != len(cols):
-        raise BadColumns("column selection does not match k")
+        raise MalformedInput("column selection does not match k")
     # blocks a + rows for a = 0, 1, ..., h-1 in turn
     blocks = t.field.add(np.arange(h)[:, None, None], t.entries[None, :, cols])
     return BlockDesign.new(k=k, group_size=h, index=t.lam,
@@ -117,7 +108,7 @@ def td_projection(h: int, d: int, k: int, cols=None) -> BlockDesign:
 def _check_cols(t: TemplateMatrix, cols) -> list[int]:
     cols = [int(c) for c in cols]
     if len(set(cols)) != len(cols) or any(not 0 <= c < t.size for c in cols):
-        raise BadColumns(f"columns {cols} repeat or leave 0..{t.size - 1}")
+        raise MalformedInput(f"columns {cols} repeat or leave 0..{t.size - 1}")
     return cols
 
 
@@ -173,7 +164,7 @@ def allowed_cosets(t: TemplateMatrix, cols) -> AllowedCosetTable:
     gather the scans at every column pair r < s."""
     cols = _check_cols(t, cols)
     if len(cols) < 2:
-        raise BadColumns("need at least two columns")
+        raise MalformedInput("need at least two columns")
     r, s = np.triu_indices(len(cols), 1)
     diffs, at = np.unique(_column_difference(t, np.take(cols, r), np.take(cols, s)),
                           return_inverse=True)
@@ -233,16 +224,14 @@ def _uvector_violations(table: AllowedCosetTable, ctx: gf.CyclotomyContext, u):
 def verify_uvectors(h: int, d: int, cols, q: int, u, omega: int | None = None,
                     seed=None) -> UVectorSolution:
     """Validate given vectors against the quotient-coset constraints and
-    wrap them as a solution; raises MalformedSolution when they fail."""
+    wrap them as a solution; raises MalformedInput when they fail."""
     t = template(h, d)
     table = allowed_cosets(t, cols)
     fq = gf.field_new(q)
-    if (q - 1) % t.lam != 0:
-        raise IndexMismatch(f"q = {q} is not 1 mod {t.lam}")
     ctx = gf.cyclotomy_new(fq, t.lam)
     if omega is not None and omega != ctx.omega:
-        raise MalformedSolution(f"certificate omega {omega} is not the "
-                                f"canonical primitive root {ctx.omega}")
+        raise MalformedInput(f"certificate omega {omega} is not the "
+                             f"canonical primitive root {ctx.omega}")
     return _checked_solution(table, ctx, u, seed)
 
 
@@ -251,12 +240,12 @@ def _checked_solution(table: AllowedCosetTable, ctx: gf.CyclotomyContext, u,
     q, k = ctx.field.q, len(table.col_selection)
     u = tuple(tuple(int(x) for x in vec) for vec in u)
     if len(u) != table.h or any(len(vec) != k for vec in u):
-        raise MalformedSolution(f"need {table.h} vectors of width {k}")
+        raise MalformedInput(f"need {table.h} vectors of width {k}")
     if any(not 0 <= x < q for vec in u for x in vec):
-        raise MalformedSolution("vector entry outside GF(q)")
+        raise MalformedInput("vector entry outside GF(q)")
     bad = _uvector_violations(table, ctx, u)
     if bad:
-        raise MalformedSolution(f"constraints violated: {bad[:4]}")
+        raise MalformedInput(f"constraints violated: {bad[:4]}")
     return UVectorSolution(h=table.h, d=table.d, q=q,
                            col_selection=table.col_selection, u=u,
                            omega=ctx.omega, seed=seed)
@@ -311,8 +300,6 @@ def search_uvectors(h: int, d: int, cols, q: int, seed: int = 0,
     fq = gf.field_new(q)
     if fq.e != 1:
         raise ValueError("the vector search runs over prime fields only")
-    if (q - 1) % t.lam != 0:
-        raise IndexMismatch(f"q = {q} is not 1 mod {t.lam}")
     ctx = gf.cyclotomy_new(fq, t.lam)
     if k > q:
         raise Exhausted(f"entries must be distinct: k = {k} > q = {q}")
@@ -384,27 +371,25 @@ def match_columns(t: TemplateMatrix, u_raw, q: int):
     order), so Exhausted here is a disproof for this template and field.
     Returns the list of assigned column ranks, ordered like the nonblank
     positions.  The scan of every template column costs size * lam^2;
-    SizeBound when that exceeds MATCH_WORK.
+    it is refused with MalformedInput when that exceeds MATCH_WORK.
     """
     if t.size * t.lam ** 2 > MATCH_WORK:
-        raise SizeBound(f"matching columns of the ({t.h}, {t.d}) template scans "
-                        f"{t.size * t.lam ** 2} entries (bound {MATCH_WORK})")
+        raise MalformedInput(f"matching columns of the ({t.h}, {t.d}) template scans "
+                             f"{t.size * t.lam ** 2} entries (bound {MATCH_WORK})")
     u_rows = [list(vec) for vec in u_raw]
     if len(u_rows) != t.h or any(len(vec) != t.size for vec in u_rows):
-        raise MalformedSolution(f"need {t.h} raw vectors of width {t.size}")
+        raise MalformedInput(f"need {t.h} raw vectors of width {t.size}")
     positions = [p for p in range(t.size) if u_rows[0][p] is not None]
     for vec in u_rows:
         if [p for p in range(t.size) if vec[p] is not None] != positions:
-            raise MalformedSolution("vectors blank at different positions")
+            raise MalformedInput("vectors blank at different positions")
     k = len(positions)
     fq = gf.field_new(q)
-    if (q - 1) % t.lam != 0:
-        raise IndexMismatch(f"q = {q} is not 1 mod {t.lam}")
     ctx = gf.cyclotomy_new(fq, t.lam)
     u_vals = np.array([[int(vec[p]) for p in positions] for vec in u_rows],
                       dtype=np.int64).reshape(t.h, k)
     if ((u_vals < 0) | (u_vals >= q)).any():
-        raise MalformedSolution("vector entry outside GF(q)")
+        raise MalformedInput("vector entry outside GF(q)")
     cls = _difference_classes(ctx, u_vals)
     if (cls < 0).sum() > t.h * k:  # beyond the diagonal x - x
         raise Exhausted("a vector repeats an entry; no assignment exists")
@@ -471,13 +456,11 @@ def assemble_rdf(sol: UVectorSolution) -> RelativeDifferenceFamily:
     x in C_0; h*(q-1) blocks of width k."""
     t = template(sol.h, sol.d)
     if len(sol.col_selection) != len(sol.u[0]) or len(sol.u) != sol.h:
-        raise MalformedSolution("vector widths do not match the columns")
+        raise MalformedInput("vector widths do not match the columns")
     fq = gf.field_new(sol.q)
-    if (sol.q - 1) % t.lam != 0:
-        raise MalformedSolution(f"q = {sol.q} is not 1 mod {t.lam}")
     ctx = gf.cyclotomy_new(fq, t.lam)
     if ctx.omega != sol.omega:
-        raise MalformedSolution("solution omega differs from the canonical root")
+        raise MalformedInput("solution omega differs from the canonical root")
     # block (m, x) has entries x * omega^e * u[i][r] paired with t[m, col_r],
     # where m = i*lam + e, rows ordered by m and then by x in C_0
     k = len(sol.col_selection)
@@ -509,9 +492,7 @@ def verify_rdm(fam: RelativeDifferenceFamily) -> VerificationReport:
 def develop_rdf(fam: RelativeDifferenceFamily) -> BlockDesign:
     """Develop the base blocks additively over G: an HTD(k, h^q) whose
     holes are the cosets of the subgroup."""
-    rep = verify_rdm(fam)
-    if not rep.valid:
-        raise InvalidFamily(f"difference family fails: {rep.violations[:3]}")
+    verify_rdm(fam).require("difference family")
     g = fam.group_order
     h = fam.h_field.q
     shifts = np.arange(g)
@@ -546,27 +527,13 @@ def expand_td_to_htd(td: BlockDesign, q: int, seed: int = 0,
     fq = gf.field_new(q)
     if fq.e != 1:
         raise ValueError("the expansion search runs over prime fields only")
-    if (q - 1) % lam != 0:
-        raise IndexMismatch(f"q = {q} is not 1 mod lam = {lam}")
+    ctx = gf.cyclotomy_new(fq, lam)
     if td.hole_kind != HOLE_NONE:
         raise MalformedInput("expansion starts from a plain TD")
-    rep = verify_design(td)
-    if not rep.valid:
-        raise MalformedInput(f"input TD fails verification: {rep.violations[:3]}")
-    ctx = gf.cyclotomy_new(fq, lam)
+    verify_design(td).require("input TD")
     h, k = td.group_size, td.k
     blocks = td.sorted_blocks()
-
-    # mu labels: rank of each block among the lam blocks covering the pair
-    labels = np.zeros((len(blocks), k, k), dtype=np.int32)
-    counter: dict = {}
-    for b, blk in enumerate(blocks):
-        for i in range(k):
-            for j in range(i + 1, k):
-                key = (i, j, int(blk[i]), int(blk[j]))
-                t = counter.get(key, 0)
-                counter[key] = t + 1
-                labels[b, i, j] = t
+    labels = _pair_labels(blocks, h, lam)
 
     rng = random.Random(seed)
     values = list(range(q))
@@ -591,6 +558,21 @@ def expand_td_to_htd(td: BlockDesign, q: int, seed: int = 0,
         raise AssertionError(f"expanded design fails verification: "
                              f"{out_rep.violations[:3]}; this is a bug")
     return out
+
+
+def _pair_labels(blocks: np.ndarray, h: int, lam: int) -> np.ndarray:
+    """(B, k, k) labels, [b, i, j] for i < j: block b's rank, in block
+    order, among the lam blocks that hold its points in groups i and j.
+    The blocks form a verified TD of index lam, so in a stable sort of the
+    pair keys every pair's lam blocks are adjacent, from a multiple of lam."""
+    k = blocks.shape[1]
+    i, j = np.triu_indices(k, 1)
+    keys = (np.arange(len(i))[:, None] * h + blocks[:, i].T) * h + blocks[:, j].T
+    rank = np.empty(keys.size, dtype=np.int32)
+    rank[np.argsort(keys, axis=None, kind="stable")] = np.arange(keys.size) % lam
+    labels = np.zeros((len(blocks), k, k), dtype=np.int32)
+    labels[:, i, j] = rank.reshape(len(i), -1).T
+    return labels
 
 
 def _search_phi(fq, ctx, label_matrix, k, q, rng, values, budget):

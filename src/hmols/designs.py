@@ -22,15 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf
-from .errors import (
-    AmbiguousCell,
-    BadIndices,
-    InvalidInput,
-    MalformedInput,
-    NotAnHTD,
-    OrderTooSmall,
-    TooManyGroups,
-)
+from .errors import MalformedInput
 
 BLANK = -1
 
@@ -139,6 +131,12 @@ class VerificationReport:
 
     def kinds(self) -> set[str]:
         return {kind for kind, _ in self.violations}
+
+    def require(self, what: str) -> None:
+        """Refuse what failed: MalformedInput naming it and its first
+        three violations, unless the report is valid."""
+        if not self.valid:
+            raise MalformedInput(f"{what} fails verification: {self.violations[:3]}")
 
 
 def _report(violations) -> VerificationReport:
@@ -351,6 +349,9 @@ class BlockDesign:
         if group_size < 1 or index < 1:
             raise MalformedInput(f"group size {group_size} and index {index} "
                                  f"must be at least 1")
+        if group_size >= 2**31 or index >= 2**31:
+            raise MalformedInput(f"group size {group_size} and index {index} "
+                                 f"must be below 2^31")
         if hole_kind == HOLE_NONE:
             norm = ()
             if holes:
@@ -440,9 +441,7 @@ def _cell_blocks(squares, hole_of) -> np.ndarray:
 def hmols_to_htd(s: HoleyLatinSquareSet) -> BlockDesign:
     """k HMOLS of type h^n to HTD(k+2, h^n): groups are rows, columns, and
     one group per square; one block per filled cell."""
-    rep = verify_hmols(s)
-    if not rep.valid:
-        raise InvalidInput(f"not a valid HMOLS set: {rep.violations[:3]}")
+    verify_hmols(s).require("HMOLS set")
     return BlockDesign.new(k=s.k + 2, group_size=s.h * s.n, index=1,
                            blocks=_cell_blocks(s.squares, s.hole_of()),
                            hole_kind=HOLE_UNIFORM, holes=s.holes)
@@ -452,20 +451,15 @@ def htd_to_hmols(d: BlockDesign) -> HoleyLatinSquareSet:
     """HTD(k, h^n) with k >= 3 to the equivalent k-2 HMOLS of type h^n:
     group 0 gives the rows, group 1 the columns."""
     if d.hole_kind != HOLE_UNIFORM or d.k < 3:
-        raise NotAnHTD(f"need a uniform-hole design on >= 3 groups, "
-                       f"got {d.hole_kind} on {d.k}")
-    rep = verify_design(d)
-    if not rep.valid:
-        raise InvalidInput(f"not a valid HTD: {rep.violations[:3]}")
+        raise MalformedInput(f"need a uniform-hole design on >= 3 groups, "
+                             f"got {d.hole_kind} on {d.k}")
+    # a valid design of index 2 or more repeats every off-hole cell
+    if d.index != 1:
+        raise MalformedInput(f"need an HTD of index 1, got index {d.index}")
+    verify_design(d).require("HTD")
     g = d.group_size
     squares = np.full((d.k - 2, g, g), BLANK, dtype=np.int32)
     cells = d.blocks[:, 0].astype(np.intp) * g + d.blocks[:, 1]
-    # a valid design of index 1 covers each (row, column) pair at most once
-    if d.index > 1:
-        keys, counts = np.unique(cells, return_counts=True)
-        if (counts > 1).any():
-            first = keys[counts > 1][0]
-            raise AmbiguousCell(f"two blocks share cell ({first // g}, {first % g})")
     squares.reshape(d.k - 2, g * g)[:, cells] = d.blocks[:, 2:].T
     return HoleyLatinSquareSet.from_arrays(h=d.hole_size, n=d.hole_count,
                                            holes=d.holes, squares=squares)
@@ -474,9 +468,7 @@ def htd_to_hmols(d: BlockDesign) -> HoleyLatinSquareSet:
 def imols_to_itd(s: IncompleteMolsSet) -> BlockDesign:
     """k incomplete MOLS with a common hole to ITD(k+2, (n; h)), read the
     same way as the holey conversion."""
-    rep = verify_imols(s)
-    if not rep.valid:
-        raise InvalidInput(f"not a valid incomplete MOLS set: {rep.violations[:3]}")
+    verify_imols(s).require("incomplete MOLS set")
     blocks = _cell_blocks(s.squares, s.hole_of())
     if s.hole:
         return BlockDesign.new(k=s.k + 2, group_size=s.n, index=1, blocks=blocks,
@@ -496,9 +488,9 @@ def td_from_field(k: int, q: int) -> BlockDesign:
     (the slope of the line), the usual projective completion; this is
     what makes TD(3, 2) constructible.
     """
-    f = gf.field_new(q)  # raises NotPrimePower
+    f = gf.field_new(q)  # refuses a q that is not a prime power
     if k > q + 1:
-        raise TooManyGroups(f"TD({k},{q}) needs k <= q + 1")
+        raise MalformedInput(f"TD({k},{q}) needs k <= q + 1")
     if k < 2:
         raise MalformedInput("need at least two groups")
     a, u = np.divmod(np.arange(q * q), q)
@@ -511,9 +503,9 @@ def unit_hole_htd(k: int, q: int) -> BlockDesign:
     GF(q), a not in {0, 1}: one block per off-diagonal cell."""
     f = gf.field_new(q)
     if q < 3:
-        raise OrderTooSmall(f"HTD(k,1^q) needs q >= 3, got {q}")
+        raise MalformedInput(f"HTD(k,1^q) needs q >= 3, got {q}")
     if k > q:
-        raise TooManyGroups(f"HTD({k},1^{q}) supports at most q groups")
+        raise MalformedInput(f"HTD({k},1^{q}) supports at most q groups")
     if k < 3:
         raise MalformedInput("need at least three groups")
     x, y = np.divmod(np.arange(q * q), q)
@@ -532,7 +524,7 @@ def restrict_groups(d: BlockDesign, keep) -> BlockDesign:
     keep = [int(i) for i in keep]
     if len(keep) < 2 or len(set(keep)) != len(keep) or \
             any(not 0 <= i < d.k for i in keep):
-        raise BadIndices(f"bad group selection {keep} for k = {d.k}")
+        raise MalformedInput(f"bad group selection {keep} for k = {d.k}")
     return BlockDesign.new(k=len(keep), group_size=d.group_size, index=d.index,
                            blocks=d.blocks[:, keep], hole_kind=d.hole_kind,
                            holes=d.holes)
@@ -548,7 +540,7 @@ def relabel_points(d: BlockDesign, perms) -> BlockDesign:
         raise MalformedInput("per-group relabeling needs a hole-free design")
     perms = np.asarray(perms, dtype=np.int64)
     if perms.shape != (d.k, d.group_size):
-        raise BadIndices("need one full permutation per group")
+        raise MalformedInput("need one full permutation per group")
     blocks = np.empty_like(d.blocks)
     for i in range(d.k):
         blocks[:, i] = perms[i][d.blocks[:, i]]

@@ -1,9 +1,13 @@
 """Exception types shared across the package.
 
-Search-style failures (Exhausted, NoPlan, NoneInInterval) signal "not found
-within the given limits" and are ordinary control flow for callers that
-retry with a larger field, budget, or interval.  Everything else marks a
-genuinely bad input or an internally inconsistent ingredient.
+A caller acts on two outcomes, and the command line maps them to its
+exit codes: MalformedInput, an input refused (exit 2), and Exhausted,
+nothing found within the given limits (exit 3).  MalformedInput covers
+every refusal: a malformed file, parameters that do not fit the
+construction, and an ingredient or certificate that fails verification.
+Exhausted is ordinary control flow for callers that retry with a larger
+field, budget or interval.  An internal inconsistency is a bug and is
+raised as AssertionError, never as one of these.
 """
 
 
@@ -11,11 +15,24 @@ class HmolsError(Exception):
     """Base class for all package-specific errors."""
 
 
-# -- finite fields ----------------------------------------------------------
+class MalformedInput(HmolsError):
+    """An input is refused: wrong shape or range, parameters the
+    construction does not support, or a failed verification."""
 
-class NotPrimePower(HmolsError):
-    """The requested order is not a prime power."""
 
+class Exhausted(HmolsError):
+    """Nothing found within the limits.
+
+    For randomized searches this is advisory (retry with a larger budget or
+    field); for the complete column-matching backtrack it is a disproof.
+    """
+
+
+class NoPlan(Exhausted):
+    """No plan found within the configured depth and width limits."""
+
+
+# -- scalar field operations (go with FieldSpec.inv and class_of) ----------
 
 class ZeroInverse(HmolsError):
     """Multiplicative inverse of zero requested."""
@@ -25,117 +42,5 @@ class IndexOutOfRange(HmolsError):
     """An element index is outside 0..q-1."""
 
 
-class IndexNotDividing(HmolsError):
-    """The cyclotomic index does not divide q-1."""
-
-
 class ZeroHasNoClass(HmolsError):
     """Zero belongs to no cyclotomic class."""
-
-
-# -- design objects and verifiers -------------------------------------------
-
-class MalformedInput(HmolsError):
-    """Wrong dimensions, out-of-range symbols, or a broken hole partition."""
-
-
-class InvalidInput(HmolsError):
-    """A conversion precondition (a verifier pass) failed."""
-
-
-class NotAnHTD(HmolsError):
-    """The design is not a holey transversal design of the required shape."""
-
-
-class AmbiguousCell(HmolsError):
-    """Two blocks claim the same (row, column) cell."""
-
-
-class TooManyGroups(HmolsError):
-    """More groups requested than the construction supports."""
-
-
-class OrderTooSmall(HmolsError):
-    """The field order is below the construction's minimum."""
-
-
-class BadIndices(HmolsError):
-    """A group-index list is too short, repeats, or is out of range."""
-
-
-# -- cyclotomic machinery ----------------------------------------------------
-
-class SizeBound(HmolsError):
-    """The template would exceed the configured size bound."""
-
-
-class BadColumns(HmolsError):
-    """Column selection is empty, repeated, or out of range."""
-
-
-class Exhausted(HmolsError):
-    """Search budget consumed without a certificate.
-
-    For randomized searches this is advisory (retry with a larger budget or
-    field); for the complete column-matching backtrack it is a disproof.
-    """
-
-
-class MalformedSolution(HmolsError):
-    """A u-vector solution has inconsistent widths or entries."""
-
-
-class InvalidFamily(HmolsError):
-    """The relative difference family fails its exact-coverage check."""
-
-
-class IndexMismatch(HmolsError):
-    """q is not congruent to 1 modulo the design index."""
-
-
-# -- compositions ------------------------------------------------------------
-
-class GroupCountMismatch(HmolsError):
-    """Ingredient designs disagree on the number of groups."""
-
-
-class ParameterMismatch(HmolsError):
-    """Ingredient parameters do not fit the composition being built."""
-
-
-class IngredientInvalid(HmolsError):
-    """An ingredient design failed verification."""
-
-
-class InvalidMark(HmolsError):
-    """The marked sub-design is not a genuine sub-TD."""
-
-
-class NoDisjointBlocks(HmolsError):
-    """No pair of disjoint blocks was found in the ingredient."""
-
-
-class NoSubfieldMark(HmolsError):
-    """No subfield-aligned sub-TD exists for the requested parameters."""
-
-
-# -- planning ----------------------------------------------------------------
-
-class NoGuarantee(HmolsError):
-    """The Frobenius-style scan failed below its guarantee threshold."""
-
-
-class NoneInInterval(HmolsError):
-    """No prime in the requested congruence class and interval."""
-
-
-class NoPlan(HmolsError):
-    """No plan found within the configured depth and width limits."""
-
-
-class BudgetExceeded(HmolsError):
-    """Executing the plan would exceed the configured size budget."""
-
-
-class IngredientFailure(HmolsError):
-    """A plan leaf could not be materialized; carries the failing subtree."""

@@ -105,11 +105,15 @@ def _holes_str(holes) -> str:
     return "|".join(",".join(str(x + 1) for x in cell) for cell in holes)
 
 
-def _parse_holes(text: str) -> tuple:
-    cells = []
-    for part in text.split("|"):
-        cells.append(tuple(int(x) - 1 for x in part.split(",")))
-    return tuple(cells)
+def _number(tok: str) -> int:
+    """A header number or hole entry: ASCII digits, no sign, no leading zero."""
+    if not re.fullmatch(r"0|[1-9][0-9]*", tok):
+        raise MalformedInput(f"bad number {tok!r} in the grid header")
+    return int(tok)
+
+
+def _parse_hole(text: str) -> tuple:
+    return tuple(_number(x) - 1 for x in text.split(","))
 
 
 def grid_dumps(obj) -> str:
@@ -204,22 +208,22 @@ def grid_loads(text: str):
     if head[0] == "latin":
         if len(head) != 2:
             raise MalformedInput("latin header is 'latin n'")
-        n = int(head[1])
+        n = _number(head[1])
         squares = _parse_squares(lines[1:], 1, n, n)
         return LatinSquare.from_array(squares[0])
     if head[0] == "hmols":
         if len(head) != 4 or len(lines) < 2 or not lines[1].startswith("holes "):
             raise MalformedInput("hmols header is 'hmols k h n' + holes line")
-        k, h, n = (int(x) for x in head[1:])
-        holes = _parse_holes(lines[1][len("holes "):])
+        k, h, n = (_number(x) for x in head[1:])
+        holes = tuple(_parse_hole(part) for part in lines[1][len("holes "):].split("|"))
         squares = _parse_squares(lines[2:], k, h * n, h * n)
         return HoleyLatinSquareSet.from_arrays(h=h, n=n, holes=holes, squares=squares)
     if head[0] == "imols":
         if len(head) != 3 or len(lines) < 2 or not lines[1].startswith("hole "):
             raise MalformedInput("imols header is 'imols k n' + hole line")
-        k, n = int(head[1]), int(head[2])
+        k, n = _number(head[1]), _number(head[2])
         hole_txt = lines[1][len("hole "):]
-        hole = () if hole_txt == "-" else tuple(int(x) - 1 for x in hole_txt.split(","))
+        hole = () if hole_txt == "-" else _parse_hole(hole_txt)
         squares = _parse_squares(lines[2:], k, n, n)
         return IncompleteMolsSet.from_arrays(n=n, hole=hole, squares=squares)
     raise MalformedInput(f"unknown grid kind {head[0]!r}")

@@ -30,14 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    IndexNotDividing,
-    IndexOutOfRange,
-    NotPrimePower,
-    SizeBound,
-    ZeroHasNoClass,
-    ZeroInverse,
-)
+from .errors import IndexOutOfRange, MalformedInput, ZeroHasNoClass, ZeroInverse
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -189,10 +182,10 @@ def field_new(q: int) -> FieldSpec:
     """The canonical field of order q, identical across runs and processes.
     Elements are int32 indices, so q must be below 2^31."""
     if q >= 2**31:
-        raise SizeBound(f"field order {q} is not below 2^31")
+        raise MalformedInput(f"field order {q} is not below 2^31")
     factors = factorize(q) if q >= 2 else []
     if len(factors) != 1:
-        raise NotPrimePower(f"{q} is not a prime power")
+        raise MalformedInput(f"{q} is not a prime power")
     p, e = factors[0]
     modulus = () if e == 1 else _smallest_irreducible(p, e)
     return FieldSpec(q=q, p=p, e=e, modulus=modulus)
@@ -224,7 +217,7 @@ class CyclotomyContext:
 def cyclotomy_new(f: FieldSpec, lam: int) -> CyclotomyContext:
     """Full cyclotomic class table of index lam; class_of(omega^t) = t mod lam."""
     if lam < 1 or (f.q - 1) % lam != 0:
-        raise IndexNotDividing(f"index {lam} does not divide q-1 = {f.q - 1}")
+        raise MalformedInput(f"q = {f.q} is not 1 mod {lam}")
     dlog = f.dlog_table
     class_table = np.where(dlog < 0, -1, dlog % lam).astype(np.int32)
     class_table.setflags(write=False)

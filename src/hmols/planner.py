@@ -28,14 +28,7 @@ from . import compose as cp
 from . import cyclotomic as cy
 from . import designs as dz
 from . import gf
-from .errors import (
-    BudgetExceeded,
-    IngredientFailure,
-    MalformedInput,
-    NoGuarantee,
-    NoneInInterval,
-    NoPlan,
-)
+from .errors import Exhausted, MalformedInput, NoPlan
 
 # ---------------------------------------------------------------------------
 # number theory
@@ -72,7 +65,7 @@ def frobenius_split(a: int, b: int, big_c: int, n: int) -> tuple[int, int]:
     consecutive values x = big_c+1 .. big_c+b for the congruence class.
 
     Guaranteed for n > a(b+1)(b+big_c); the scan still runs below that
-    bound and returns any success, raising NoGuarantee otherwise.
+    bound and returns any success, raising MalformedInput otherwise.
     """
     if min(a, b, big_c, n) < 1:
         raise ValueError("all arguments must be positive")
@@ -83,8 +76,8 @@ def frobenius_split(a: int, b: int, big_c: int, n: int) -> tuple[int, int]:
             y = (n - a * x) // b
             if y > a * x:
                 return x, y
-    raise NoGuarantee(f"scan failed; n = {n} is not above the bound "
-                      f"{a * (b + 1) * (b + big_c)}")
+    raise MalformedInput(f"scan failed; n = {n} is not above the bound "
+                         f"{a * (b + 1) * (b + big_c)}")
 
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -123,7 +116,7 @@ def find_prime_1modM(m: int, lo: int, hi: int) -> int:
     for p in range(first, hi + 1, m):
         if is_prime(p):
             return p
-    raise NoneInInterval(f"no prime = 1 mod {m} in ({lo}, {hi}]")
+    raise Exhausted(f"no prime = 1 mod {m} in ({lo}, {hi}]")
 
 
 def naive_upper_bound(h: int, n: int) -> int:
@@ -472,8 +465,8 @@ def _recipe_design(recipe: dict) -> dz.BlockDesign:
             return dz.hmols_to_htd(fixtures.hmols_pair_2_4())
         if recipe["name"] == "imols_6_2":
             return dz.imols_to_itd(fixtures.imols_pair_6_2())
-        raise IngredientFailure(f"unknown fixture {recipe['name']!r}")
-    raise IngredientFailure(f"unknown recipe op {op!r}")
+        raise MalformedInput(f"unknown fixture {recipe['name']!r}")
+    raise MalformedInput(f"unknown recipe op {op!r}")
 
 
 def _resolve(reg: Registry, key, k: int) -> dz.BlockDesign:
@@ -481,10 +474,10 @@ def _resolve(reg: Registry, key, k: int) -> dz.BlockDesign:
     groups.  Range, fixture and external-table facts are plan arithmetic
     only."""
     if key[0] in (TD_ATLEAST, HTD_ATLEAST):
-        raise IngredientFailure(f"range fact {key} is never built")
+        raise MalformedInput(f"range fact {key} is never built")
     source = reg.facts[key]["source"]
     if source != CONSTRUCTIBLE:
-        raise IngredientFailure(f"cannot materialize {key}: source {source!r}")
+        raise MalformedInput(f"cannot materialize {key}: source {source!r}")
     d = _recipe_design(reg.facts[key]["recipe"])
     return d if d.k == k else dz.restrict_groups(d, list(range(k)))
 
@@ -502,7 +495,7 @@ def execute_plan(p: PlanTree, reg: Registry, seed: int = 0,
     through the compose and cyclotomic builders and return the goal HTD."""
     validate_plan(p, reg)
     if _estimate_blocks(p) > MAX_EXEC_BLOCKS:
-        raise BudgetExceeded(f"goal {p.goal} needs about {_estimate_blocks(p)} "
+        raise MalformedInput(f"goal {p.goal} needs about {_estimate_blocks(p)} "
                              f"blocks, over the cap {MAX_EXEC_BLOCKS}")
     return _execute(p, reg, seed, budget)
 
@@ -522,10 +515,7 @@ def _execute(p: PlanTree, reg: Registry, seed: int, budget: int) -> dz.BlockDesi
     try:
         if kind == STEP_FIXTURE:
             d = fact("fact")
-            rep = dz.verify_design(d)
-            if not rep.valid:
-                raise IngredientFailure(f"fixture fails verification: "
-                                        f"{rep.violations[:3]}")
+            dz.verify_design(d).require("fixture")
         elif kind == STEP_TRIVIAL:
             d = dz.BlockDesign.new(
                 k=k + 2, group_size=h, index=1,
@@ -541,8 +531,8 @@ def _execute(p: PlanTree, reg: Registry, seed: int, budget: int) -> dz.BlockDesi
                                   fact("itd_fact") if p.step["u"] else None,
                                   built.get("truncation"))
     except Exception as exc:
-        raise IngredientFailure(f"subtree {p.goal} failed: {exc}") from exc
+        raise MalformedInput(f"subtree {p.goal} failed: {exc}") from exc
     if (d.k, d.hole_size, d.hole_count) != (k + 2, h, n):
-        raise IngredientFailure(f"subtree {p.goal} built HTD({d.k},{d.hole_size}"
-                                f"^{d.hole_count}), not HTD({k + 2},{h}^{n})")
+        raise MalformedInput(f"subtree {p.goal} built HTD({d.k},{d.hole_size}"
+                             f"^{d.hole_count}), not HTD({k + 2},{h}^{n})")
     return d

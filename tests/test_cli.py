@@ -183,6 +183,45 @@ def test_verify_degenerate_design_exits_two(tmp_path, capsys):
     assert "valid" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("field, value", [("group_size", 10**11), ("index", 10**30)])
+def test_verify_group_size_or_index_beyond_int32_exits_two(tmp_path, capsys, field, value):
+    # once an allocation of g^2 cells, or an OverflowError in the pair count
+    doc = {"blocks": [[0, 0, 0]], "group_size": 2, "holes": [], "index": 1,
+           "k": 3, "kind": "TD"}
+    doc[field] = value
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc, sort_keys=True))
+    assert run(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be below 2^31" in captured.err
+
+
+# (fixture, header or hole line, its mutation): each once read through
+# int(), which takes a sign, spaces, underscores and non-ASCII digits
+GRID_NUMBER_MUTATIONS = {
+    "plus-k": ("hmols_2_4.grid", "hmols 2 2 4", "hmols +2 2 4"),
+    "leading-zero-n": ("hmols_2_4.grid", "hmols 2 2 4", "hmols 2 2 04"),
+    "fullwidth-h": ("hmols_2_4.grid", "hmols 2 2 4", "hmols 2 \uff12 4"),
+    "plus-and-space-hole": ("hmols_2_4.grid", "holes 1,2|", "holes +1, 2|"),
+    "underscore-hole": ("hmols_2_4.grid", "|7,8", "|7,0_8"),
+    "arabic-indic-hole": ("hmols_2_4.grid", "|7,8", "|7,\u0668"),
+    "plus-imols-n": ("imols_6_2.grid", "imols 2 6", "imols 2 +6"),
+    "space-imols-hole": ("imols_6_2.grid", "hole 1,2", "hole 1, 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_NUMBER_MUTATIONS))
+def test_grid_header_numbers_follow_the_token_grammar(tmp_path, capsys, name):
+    fixture, old, new = GRID_NUMBER_MUTATIONS[name]
+    text = fixture_path(fixture).read_text()
+    assert old in text
+    path = tmp_path / fixture
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    assert run(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bad number" in captured.err
+
+
 @pytest.mark.parametrize("entry", ["4294967296", "12345678901234567890123"])
 def test_verify_entry_outside_int32_exits_two(tmp_path, capsys, entry):
     text = formats.design_dumps(dz.td_from_field(3, 2))

@@ -7,13 +7,7 @@ import pytest
 from hmols import compose as cp
 from hmols import cyclotomic as cy
 from hmols import designs as dz
-from hmols.errors import (
-    GroupCountMismatch,
-    InvalidMark,
-    NoDisjointBlocks,
-    NoSubfieldMark,
-    ParameterMismatch,
-)
+from hmols.errors import MalformedInput
 from hmols.fixtures import hmols_pair_2_4, imols_pair_6_2
 
 
@@ -39,7 +33,7 @@ def test_td_product_higher_index():
 
 
 def test_td_product_group_mismatch():
-    with pytest.raises(GroupCountMismatch):
+    with pytest.raises(MalformedInput, match="^3 groups vs 4$"):
         cp.td_product(dz.td_from_field(3, 2), dz.td_from_field(4, 4))
 
 
@@ -68,7 +62,7 @@ def test_subfield_itd_3_4_2():
 
 
 def test_subfield_itd_rejects_non_subfield():
-    with pytest.raises(NoSubfieldMark):
+    with pytest.raises(MalformedInput, match=r"^GF\(3\) is not a subfield of GF\(4\)$"):
         cp.subfield_itd(3, 4, 3)
 
 
@@ -91,7 +85,8 @@ def test_product_itd_is_pinned(k, q1, q2, digest):
 
 def test_product_itd_second_factor_of_index_two_is_an_invalid_mark():
     # a TD_2(3, 2) copy is no TD(3, 2) sub-design, so there is no hole to open
-    with pytest.raises(InvalidMark):
+    with pytest.raises(MalformedInput, match=r"^marked sub-TD\(k,2\) fails verification: "
+                                             r"\(\('CountMismatch', \(8, 4\)\)"):
         cp.product_itd(dz.td_from_field(3, 3), cy.td_projection(2, 2, 3))
 
 
@@ -105,15 +100,15 @@ def test_mark_block_gives_unit_hole_itd():
 def test_empty_mark_rejected():
     # h' = 0 marks nothing; it is an invalid mark, not a malformed design
     td = dz.td_from_field(3, 4)
-    with pytest.raises(InvalidMark):
-        cp.validate_mark(td, ((), (), ()), ())
-    with pytest.raises(InvalidMark):
-        cp.itd_from_marked(td, ((), (), ()), ())
+    for refuse in (cp.validate_mark, cp.itd_from_marked):
+        with pytest.raises(MalformedInput, match="^a mark needs at least one point per group$"):
+            refuse(td, ((), (), ()), ())
 
 
 def test_invalid_mark_rejected():
     td = dz.td_from_field(3, 4)
-    with pytest.raises(InvalidMark):
+    with pytest.raises(MalformedInput,
+                       match="^block 1 leaves the marked points in group 2$"):
         cp.validate_mark(td, ((0, 1), (0, 1), (0, 1)), (0, 1, 2, 3))
 
 
@@ -153,7 +148,8 @@ def test_diag_product_degenerate_guard():
     c = dz.BlockDesign.new(k=3, group_size=2, index=1,
                            blocks=np.empty((0, 3), dtype=np.int32),
                            hole_kind=dz.HOLE_UNIFORM, holes=((0, 1),))
-    with pytest.raises(ParameterMismatch):
+    with pytest.raises(MalformedInput,
+                       match=r"^diagonal ingredient of type h\^1 is degenerate$"):
         cp.diag_product(a, b, c)
 
 
@@ -195,9 +191,9 @@ def test_wilson_u0_matches_diag_product():
 def test_wilson_u_bounds():
     r, a, b, e, f = wilson_ingredients(4)
     # f has u = 4 holes, and a TD(4, 4) has t = 4 points per group
-    with pytest.raises(ParameterMismatch, match="need u < t"):
+    with pytest.raises(MalformedInput, match="need u < t"):
         cp.wilson_compose(dz.td_from_field(4, 4), a, b, e, f)
-    with pytest.raises(ParameterMismatch, match="need an ITD"):
+    with pytest.raises(MalformedInput, match="need an ITD"):
         cp.wilson_compose(r, a, b, None, f)
 
 
@@ -208,7 +204,7 @@ def test_wilson_takes_e_only_with_f(monkeypatch):
     verified = []
     monkeypatch.setattr(cp, "verify_design", verified.append)
     for e_, f_ in ((e, None), (None, f)):
-        with pytest.raises(ParameterMismatch, match="together, or neither"):
+        with pytest.raises(MalformedInput, match="together, or neither"):
             cp.wilson_compose(r, a, b, e_, f_)
     assert verified == []
 
@@ -238,7 +234,8 @@ def test_find_disjoint_blocks_matches_the_pair_scan(k, q):
                                                   blocks=[[0, 0, 0]])])
 def test_find_disjoint_blocks_raises_without_a_pair(d):
     assert _brute_disjoint(d.blocks) is None
-    with pytest.raises(NoDisjointBlocks):
+    with pytest.raises(MalformedInput,
+                       match=f"^no two disjoint blocks among {len(d.blocks)}$"):
         cp._find_disjoint_blocks(d)
 
 
@@ -274,7 +271,7 @@ def test_itd_truncate_parameter_guard():
                        dm1=dz.td_from_field(3, 4), dm2=dz.td_from_field(3, 5))
     for v, du in ((0, dz.td_from_field(3, 7)),   # u > t
                   (6, None)):                    # v > t
-        with pytest.raises(ParameterMismatch, match="<= t"):
+        with pytest.raises(MalformedInput, match="<= t"):
             cp.itd_truncate_compose(du=du, v=v, **ingredients)
 
 
@@ -300,6 +297,6 @@ def test_itd_truncate_refuses_fills_of_index_two_before_verifying(monkeypatch, r
     assert lam.index == 2 and dz.verify_design(lam).valid
     verified = []
     monkeypatch.setattr(cp, "verify_design", verified.append)
-    with pytest.raises(ParameterMismatch, match=re.escape(f"{name} must be a TD of index 1")):
+    with pytest.raises(MalformedInput, match=re.escape(f"{name} must be a TD of index 1")):
         cp.itd_truncate_compose(**ingredients)
     assert verified == []

@@ -12,16 +12,8 @@ from hmols import cli
 from hmols import cyclotomic as cy
 from hmols import designs as dz
 from hmols import gf
-from hmols.errors import (
-    BadColumns,
-    Exhausted,
-    IndexMismatch,
-    InvalidFamily,
-    MalformedInput,
-    MalformedSolution,
-    SizeBound,
-    TooManyGroups,
-)
+from hmols import planner as pl
+from hmols.errors import Exhausted, MalformedInput
 from hmols.fixtures import cert_2_401, template_3_2_matrix
 
 
@@ -53,10 +45,10 @@ def test_template_2_1():
 
 
 def test_template_size_bound():
-    with pytest.raises(SizeBound, match=r"8192 rows \(bound 4096\)"):
-        cy.template(2, 13)
-    with pytest.raises(SizeBound):
-        cy.td_projection(2, 13, 3)
+    for build in (lambda: cy.template(2, 13), lambda: cy.td_projection(2, 13, 3)):
+        with pytest.raises(MalformedInput,
+                           match=r"^template would have 8192 rows \(bound 4096\)$"):
+            build()
 
 
 @pytest.mark.parametrize("h,d", all_prime_power_pairs(32))
@@ -101,7 +93,7 @@ def test_td_projection_2_3_5():
 
 
 def test_td_projection_too_many_groups():
-    with pytest.raises(TooManyGroups):
+    with pytest.raises(MalformedInput, match="^need 2 <= k <= 4, got 5$"):
         cy.td_projection(2, 2, 5)
 
 
@@ -223,9 +215,9 @@ def test_allowed_cosets_of_a_selection_match_per_pair_scan(shape, data):
 
 def test_allowed_cosets_bad_columns():
     t = cy.template(2, 2)
-    with pytest.raises(BadColumns):
+    with pytest.raises(MalformedInput, match=r"^columns \[0, 0, 1\] repeat or leave 0\.\.3$"):
         cy.allowed_cosets(t, [0, 0, 1])
-    with pytest.raises(BadColumns):
+    with pytest.raises(MalformedInput, match=r"^columns \[0, 9\] repeat or leave 0\.\.3$"):
         cy.allowed_cosets(t, [0, 9])
 
 
@@ -265,7 +257,7 @@ def test_search_rejects_restart_cap_below_one(restart_nodes):
 
 
 def test_search_rejects_bad_congruence():
-    with pytest.raises(IndexMismatch):
+    with pytest.raises(MalformedInput, match="^q = 2 is not 1 mod 2$"):
         cy.search_uvectors(2, 2, [0, 1, 2, 3], 2, seed=0, budget=10)
 
 
@@ -287,7 +279,7 @@ def test_match_columns_identical_vectors_exhausts():
 
 def test_match_columns_inconsistent_blanks():
     t = cy.template(2, 2)
-    with pytest.raises(MalformedSolution):
+    with pytest.raises(MalformedInput, match="^vectors blank at different positions$"):
         cy.match_columns(t, [[0, 1, None, None], [0, None, 1, None]], 5)
 
 
@@ -434,7 +426,7 @@ def test_match_columns_matches_per_pair_backtracking(case):
 def test_match_columns_rejects_entries_outside_the_field(q, entry):
     # checked before any class lookup, which would fail or wrap around
     t = cy.template(2, 2)
-    with pytest.raises(MalformedSolution, match="^vector entry outside GF\\(q\\)$"):
+    with pytest.raises(MalformedInput, match="^vector entry outside GF\\(q\\)$"):
         cy.match_columns(t, [[0, 1, entry, None], [0, 2, 5, None]], q)
 
 
@@ -452,7 +444,10 @@ def test_match_columns_bounds_its_scan(monkeypatch, h, d, q, admitted):
     monkeypatch.setattr(cy, "_allowed_by_difference", scan)
     t = cy.template(h, d)
     raw = [[0, i + 1] + [None] * (t.size - 2) for i in range(h)]
-    with pytest.raises(Scanned if admitted else SizeBound):
+    refused = pytest.raises(MalformedInput, match=rf"^matching columns of the \({h}, {d}\) "
+                            rf"template scans {t.size * t.lam ** 2} entries "
+                            rf"\(bound {cy.MATCH_WORK}\)$")
+    with pytest.raises(Scanned) if admitted else refused:
         cy.match_columns(t, raw, q)
 
 
@@ -482,7 +477,7 @@ def test_assemble_rdf_base_blocks_are_pinned():
 
 
 def test_assemble_width_mismatch():
-    with pytest.raises(MalformedSolution):
+    with pytest.raises(MalformedInput, match="^need 2 vectors of width 2$"):
         cy.verify_uvectors(2, 1, [0, 1], 3, [(0, 1, 2), (0, 1, 2)])
 
 
@@ -504,7 +499,7 @@ def test_verify_rdm_degenerate_is_malformed():
     fam = cy.assemble_rdf(sol)
     empty = cy.RelativeDifferenceFamily(h_field=fam.h_field, q_field=fam.q_field,
                                         k=fam.k, base_blocks=fam.base_blocks[:0])
-    with pytest.raises(MalformedInput):
+    with pytest.raises(MalformedInput, match="^degenerate family: no differences to cover$"):
         cy.verify_rdm(empty)
 
 
@@ -523,7 +518,7 @@ def test_develop_rdf_invalid_family():
     broken = cy.RelativeDifferenceFamily(
         h_field=fam.h_field, q_field=fam.q_field, k=fam.k,
         base_blocks=fam.base_blocks[:-1])
-    with pytest.raises(InvalidFamily):
+    with pytest.raises(MalformedInput, match="^difference family fails verification: "):
         cy.develop_rdf(broken)
 
 
@@ -614,8 +609,36 @@ def test_expand_seed_draws_are_pinned(seed, digest):
 
 def test_expand_congruence_guard():
     proj = cy.td_projection(2, 2, 3)
-    with pytest.raises(IndexMismatch):
+    with pytest.raises(MalformedInput, match="^q = 2 is not 1 mod 2$"):
         cy.expand_td_to_htd(proj, 2, seed=0, budget=10)
+
+
+def reference_pair_labels(blocks, lam):
+    """The labels one block and one column pair at a time: a block's rank,
+    in block order, among the blocks that hold the same pair of points."""
+    k = blocks.shape[1]
+    labels = np.zeros((len(blocks), k, k), dtype=np.int32)
+    counter = {}
+    for b, blk in enumerate(blocks):
+        for i in range(k):
+            for j in range(i + 1, k):
+                key = (i, j, int(blk[i]), int(blk[j]))
+                t = counter.get(key, 0)
+                counter[key] = t + 1
+                labels[b, i, j] = t
+    return labels
+
+
+@pytest.mark.parametrize("build", [
+    lambda: dz.td_from_field(3, 3), lambda: cy.td_projection(2, 2, 3),
+    lambda: cy.td_projection(3, 2, 4), lambda: cy.td_projection(2, 3, 4),
+    lambda: pl._build_td_lambda(6, 3)])
+def test_pair_labels_match_the_loop(build):
+    td = build()
+    rng = np.random.default_rng(0)
+    for blocks in (td.sorted_blocks(), td.blocks[rng.permutation(len(td.blocks))]):
+        assert np.array_equal(cy._pair_labels(blocks, td.group_size, td.index),
+                              reference_pair_labels(blocks, td.index))
 
 
 def reference_search_phi(f, ctx, label_matrix, k, q, rng, values, budget):

@@ -6,16 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmols import designs as dz
-from hmols.errors import (
-    AmbiguousCell,
-    BadIndices,
-    InvalidInput,
-    MalformedInput,
-    NotAnHTD,
-    NotPrimePower,
-    OrderTooSmall,
-    TooManyGroups,
-)
+from hmols.errors import MalformedInput
 from hmols.fixtures import hmols_pair_2_4, imols_pair_6_2
 
 
@@ -160,9 +151,9 @@ def test_td_from_field_4_5_exhaustive():
 
 
 def test_td_from_field_errors():
-    with pytest.raises(TooManyGroups):
+    with pytest.raises(MalformedInput, match=r"^TD\(9,7\) needs k <= q \+ 1$"):
         dz.td_from_field(9, 7)
-    with pytest.raises(NotPrimePower):
+    with pytest.raises(MalformedInput, match="^6 is not a prime power$"):
         dz.td_from_field(3, 6)
 
 
@@ -194,7 +185,7 @@ def test_hmols_to_htd_rejects_invalid():
     bad = dz.HoleyLatinSquareSet.from_arrays(
         h=2, n=4, holes=pair.holes,
         squares=np.stack([pair.squares[0], pair.squares[0]]))
-    with pytest.raises(InvalidInput):
+    with pytest.raises(MalformedInput, match="^HMOLS set fails verification: "):
         dz.hmols_to_htd(bad)
 
 
@@ -225,7 +216,8 @@ def test_round_trip_exact():
 
 def test_htd_to_hmols_requires_htd():
     td = dz.td_from_field(3, 4)
-    with pytest.raises(NotAnHTD):
+    with pytest.raises(MalformedInput, match="^need a uniform-hole design on >= 3 "
+                                             "groups, got none on 3$"):
         dz.htd_to_hmols(td)
 
 
@@ -236,9 +228,9 @@ def test_unit_hole_htd():
     h44 = dz.unit_hole_htd(4, 4)
     assert dz.verify_design(h44).valid
     assert len(h44.blocks) == 12  # 1*4*3
-    with pytest.raises(TooManyGroups):
+    with pytest.raises(MalformedInput, match=r"^HTD\(5,1\^4\) supports at most q groups$"):
         dz.unit_hole_htd(5, 4)
-    with pytest.raises(OrderTooSmall):
+    with pytest.raises(MalformedInput, match=r"^HTD\(k,1\^q\) needs q >= 3, got 2$"):
         dz.unit_hole_htd(3, 2)
 
 
@@ -249,9 +241,9 @@ def test_restrict_groups():
     htd = dz.hmols_to_htd(hmols_pair_2_4())
     sub = dz.restrict_groups(htd, [0, 1, 2])
     assert dz.verify_design(sub).valid and sub.hole_kind == dz.HOLE_UNIFORM
-    with pytest.raises(BadIndices):
+    with pytest.raises(MalformedInput, match=r"^bad group selection \[1\] for k = 4$"):
         dz.restrict_groups(td, [1])
-    with pytest.raises(BadIndices):
+    with pytest.raises(MalformedInput, match=r"^bad group selection \[0, 0\] for k = 4$"):
         dz.restrict_groups(td, [0, 0])
 
 
@@ -336,7 +328,7 @@ def test_htd_to_hmols_rejects_a_valid_index_two_design():
                                blocks=np.concatenate([once.blocks, once.blocks]),
                                hole_kind=dz.HOLE_UNIFORM, holes=once.holes)
     assert dz.verify_design(twice).valid
-    with pytest.raises(AmbiguousCell, match=r"two blocks share cell \(0, 1\)"):
+    with pytest.raises(MalformedInput, match="^need an HTD of index 1, got index 2$"):
         dz.htd_to_hmols(twice)
 
 

@@ -3,7 +3,7 @@
 Over small registries whose facts are all constructible, every plan that
 validate_plan accepts, the planner's own and copies with one fact or one
 child swapped, either executes to a verified design of its goal's type or
-raises IngredientFailure naming a subtree goal.  The registries are
+raises MalformedInput naming a subtree goal.  The registries are
 truthful except for range facts, whose one recipe covers only the bound,
 so a range fact is the only thing allowed to fail.
 """
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hmols import designs as dz
 from hmols import planner as pl
-from hmols.errors import IngredientFailure, MalformedInput, NoPlan
+from hmols.errors import MalformedInput, NoPlan
 
 PRIME_POWERS = (3, 4, 5, 7, 8, 9)
 MAX_N = 44  # Wilson plans over TD(4, 9) reach 4 * 9 + 8
@@ -102,7 +102,8 @@ def test_accepted_plans_execute_or_name_the_failing_subtree(case):
     h, n, k = tree.goal
     try:
         out = pl.execute_plan(tree, reg)
-    except IngredientFailure as exc:
+    except MalformedInput as exc:
+        assert str(exc).startswith("subtree ")
         assert any(str(node.goal) in str(exc) for node in nodes(tree))
         assert any(node.step[role][0] == pl.HTD_ATLEAST for node in nodes(tree)
                    for role in node.step if role.endswith("fact"))

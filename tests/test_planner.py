@@ -11,14 +11,7 @@ from hypothesis import strategies as st
 from hmols import compose as cp
 from hmols import designs as dz
 from hmols import planner as pl
-from hmols.errors import (
-    BudgetExceeded,
-    IngredientFailure,
-    MalformedInput,
-    NoGuarantee,
-    NoneInInterval,
-    NoPlan,
-)
+from hmols.errors import Exhausted, MalformedInput, NoPlan
 from hmols.fixtures import hmols_pair_2_4
 
 
@@ -66,7 +59,7 @@ def test_frobenius_examples():
 
 
 def test_frobenius_below_bound_raises():
-    with pytest.raises(NoGuarantee):
+    with pytest.raises(MalformedInput, match="^scan failed; n = 20 is not above the bound 126$"):
         pl.frobenius_split(3, 5, 2, 20)
 
 
@@ -87,7 +80,7 @@ def test_frobenius_exhaustive_box():
 def test_find_prime_examples():
     assert pl.find_prime_1modM(8, 400, 800) == 401
     assert pl.find_prime_1modM(1, 10, 20) == 11
-    with pytest.raises(NoneInInterval):
+    with pytest.raises(Exhausted, match=r"^no prime = 1 mod 100 in \(2, 50\]$"):
         pl.find_prime_1modM(100, 2, 50)
 
 
@@ -102,7 +95,7 @@ def test_find_prime_agrees_with_sieve():
         brute = next((p for p in range(lo + 1, hi + 1)
                       if flags[p] and p % m == 1 % m), None)
         if brute is None:
-            with pytest.raises(NoneInInterval):
+            with pytest.raises(Exhausted, match=rf"^no prime = 1 mod {m} in \({lo}, {hi}\]$"):
                 pl.find_prime_1modM(m, lo, hi)
         else:
             assert pl.find_prime_1modM(m, lo, hi) == brute
@@ -450,7 +443,8 @@ def test_execute_external_table_leaf_fails():
     reg.add(pl.HTD, (4, 2, 4), pl.EXTERNAL, citation="some table")
     tree = pl.PlanTree(goal=(2, 4, 2),
                        step={"kind": pl.STEP_FIXTURE, "fact": [pl.HTD, [4, 2, 4]]})
-    with pytest.raises(IngredientFailure):
+    with pytest.raises(MalformedInput, match=r"^subtree \(2, 4, 2\) failed: cannot materialize "
+                                             r"\('HTD', \(4, 2, 4\)\): source 'external-table'$"):
         pl.execute_plan(tree, reg)
 
 
@@ -473,7 +467,8 @@ def test_execute_never_builds_a_range_fact():
     reg = range_fact_registry()
     tree = pl.plan_hmols(2, 1, 28, reg)
     assert tree.step["unit_fact"] == [pl.HTD_ATLEAST, [3, 1, 5]]
-    with pytest.raises(IngredientFailure, match=r"subtree \(2, 28, 1\).*range fact"):
+    with pytest.raises(MalformedInput, match=r"^subtree \(2, 28, 1\) failed: range fact "
+                                             r"\('HTD-atleast', \(3, 1, 5\)\) is never built$"):
         pl.execute_plan(tree, reg)
 
 
@@ -482,7 +477,8 @@ def test_execute_checks_each_node_against_its_goal():
     reg.add(pl.HTD, (3, 1, 7), pl.CONSTRUCTIBLE,  # a recipe for the wrong design
             recipe={"op": "unit_hole_htd", "k": 3, "q": 5})
     tree = pl.plan_hmols(2, 1, 28, reg)
-    with pytest.raises(IngredientFailure, match=r"\(2, 28, 1\) built HTD\(3,2\^20\)"):
+    with pytest.raises(MalformedInput, match=r"^subtree \(2, 28, 1\) built HTD\(3,2\^20\), "
+                                             r"not HTD\(3,2\^28\)$"):
         pl.execute_plan(tree, reg)
 
 
@@ -507,7 +503,7 @@ def test_execute_budget_guard(monkeypatch):
     monkeypatch.setattr(pl, "MAX_EXEC_BLOCKS", 4 * 24 * 23 - 1)
     built = []
     monkeypatch.setattr(pl, "_recipe_design", built.append)
-    with pytest.raises(BudgetExceeded, match=r"about 2208 blocks, over the cap 2207"):
+    with pytest.raises(MalformedInput, match=r"about 2208 blocks, over the cap 2207$"):
         pl.execute_plan(tree, reg)
     assert built == []  # refused before any ingredient is built
 
@@ -539,7 +535,8 @@ def test_execute_fixture_source_leaf_fails():
     reg.add(pl.HTD, (4, 2, 4), pl.FIXTURE)
     tree = pl.PlanTree(goal=(2, 4, 1),
                        step={"kind": pl.STEP_FIXTURE, "fact": [pl.HTD, [4, 2, 4]]})
-    with pytest.raises(IngredientFailure, match="source 'fixture'"):
+    with pytest.raises(MalformedInput, match=r"^subtree \(2, 4, 1\) failed: cannot materialize "
+                                             r"\('HTD', \(4, 2, 4\)\): source 'fixture'$"):
         pl.execute_plan(tree, reg)
 
 
