@@ -133,7 +133,7 @@ def subfield_itd(k: int, q: int, sub_order: int) -> BlockDesign:
     has h'^2 points and h' images per group wins.
     """
     fq = gf.field_new(q)
-    sub_factors = gf.factorize(sub_order)
+    sub_factors = gf.factorize(sub_order) if sub_order >= 1 else []
     if len(sub_factors) != 1 or sub_factors[0][0] != fq.p or \
             fq.e % sub_factors[0][1] != 0:
         raise MalformedInput(f"GF({sub_order}) is not a subfield of GF({q})")

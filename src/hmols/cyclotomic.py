@@ -79,8 +79,7 @@ def template(h: int, d: int) -> TemplateMatrix:
     entries = np.zeros((size, size), dtype=np.int32)
     for c in np.array(list(itertools.product(range(h), repeat=d)), dtype=np.int32).T:
         entries = f.add(entries, f.mul(c[:, None], c[None, :]))
-    entries.setflags(write=False)
-    return TemplateMatrix(h=h, d=d, field=f, entries=entries)
+    return TemplateMatrix(h=h, d=d, field=f, entries=gf.frozen(entries))
 
 
 def td_projection(h: int, d: int, k: int, cols=None) -> BlockDesign:
@@ -170,9 +169,8 @@ def allowed_cosets(t: TemplateMatrix, cols) -> AllowedCosetTable:
                           return_inverse=True)
     allowed = np.zeros((t.h, t.h, len(cols), len(cols), t.lam), dtype=bool)
     allowed[:, :, r, s] = np.moveaxis(_allowed_by_difference(t, diffs)[at], 0, 2)
-    allowed.setflags(write=False)
     return AllowedCosetTable(h=t.h, d=t.d, lam=t.lam,
-                             col_selection=tuple(cols), allowed=allowed)
+                             col_selection=tuple(cols), allowed=gf.frozen(allowed))
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +468,9 @@ def assemble_rdf(sol: UVectorSolution) -> RelativeDifferenceFamily:
     c0 = np.flatnonzero(ctx.class_table == 0)
     z = fq.mul(c0[None, :, None], u_m[:, None, :])
     t_rows = t.entries[:, list(sol.col_selection)]
-    blocks = z * sol.h + t_rows[:, None, :]
+    blocks = (z * sol.h + t_rows[:, None, :]).reshape(-1, k)
     return RelativeDifferenceFamily(h_field=t.field, q_field=fq, k=k,
-                                    base_blocks=blocks.reshape(-1, k).astype(np.int32))
+                                    base_blocks=gf.frozen(blocks, np.int32))
 
 
 def verify_rdm(fam: RelativeDifferenceFamily) -> VerificationReport:

@@ -12,7 +12,8 @@ boolean table of the 1-cells: as many keys as 1-cells that leave none
 set hit each once and nothing else.  Any other pair, or one that fails,
 is counted by one bincount; only a failed check is searched for
 witnesses, and then every violation is listed, for mutation tests and
-composition debugging.  Objects are immutable; verification is pure.
+composition debugging.  Objects are immutable, their arrays made by
+gf.frozen in the constructors; verification is pure.
 """
 
 from __future__ import annotations
@@ -34,13 +35,6 @@ PAIR_MISSING = "PairMissing"
 PAIR_REPEATED = "PairRepeated"
 BLOCK_SHAPE = "BlockShape"
 COUNT_MISMATCH = "CountMismatch"
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    """A read-only int32 copy: the caller's array stays theirs to change."""
-    a = np.array(a, dtype=np.int32, order="C", copy=True)
-    a.setflags(write=False)
-    return a
 
 
 def _check_holes_partition(holes, size: int, cell_size: int | None = None):
@@ -143,6 +137,17 @@ def _report(violations) -> VerificationReport:
     return VerificationReport(valid=not violations, violations=tuple(violations))
 
 
+def _frozen_squares(squares, side: int) -> np.ndarray:
+    """k squares of the given side over the symbols 0..side-1 and blanks,
+    frozen as int32; MalformedInput for any other shape or symbol."""
+    arr = np.asarray(squares)
+    if arr.ndim != 3 or arr.shape[1:] != (side, side):
+        raise MalformedInput(f"expected (k, {side}, {side}) squares, got {arr.shape}")
+    if arr.size and (arr.min() < BLANK or arr.max() >= side):
+        raise MalformedInput("symbol out of range")
+    return gf.frozen(arr, np.int32)
+
+
 # ---------------------------------------------------------------------------
 # latin squares
 # ---------------------------------------------------------------------------
@@ -159,10 +164,7 @@ class LatinSquare:
         arr = np.asarray(cells)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise MalformedInput(f"latin square must be square, got {arr.shape}")
-        n = arr.shape[0]
-        if arr.min() < -1 or arr.max() >= n:
-            raise MalformedInput("symbol out of range")
-        return LatinSquare(n=n, cells=_freeze(arr))
+        return LatinSquare(n=len(arr), cells=_frozen_squares(arr[None], len(arr))[0])
 
 
 def _duplicates(square: np.ndarray):
@@ -202,17 +204,11 @@ class HoleyLatinSquareSet:
 
     @staticmethod
     def from_arrays(h: int, n: int, holes, squares) -> "HoleyLatinSquareSet":
-        g = h * n
-        arr = np.asarray(squares)
-        if arr.ndim != 3 or arr.shape[1:] != (g, g):
-            raise MalformedInput(f"expected (k, {g}, {g}) squares, got {arr.shape}")
-        if arr.size and (arr.min() < -1 or arr.max() >= g):
-            raise MalformedInput("symbol out of range")
-        norm = _check_holes_partition(holes, g, cell_size=h)
+        arr = _frozen_squares(squares, h * n)
+        norm = _check_holes_partition(holes, h * n, cell_size=h)
         if len(norm) != n:
             raise MalformedInput(f"expected {n} holes, got {len(norm)}")
-        return HoleyLatinSquareSet(k=arr.shape[0], h=h, n=n, holes=norm,
-                                   squares=_freeze(arr))
+        return HoleyLatinSquareSet(k=len(arr), h=h, n=n, holes=norm, squares=arr)
 
     def hole_of(self) -> np.ndarray:
         return _hole_of_array(self.holes, self.h * self.n)
@@ -283,15 +279,11 @@ class IncompleteMolsSet:
 
     @staticmethod
     def from_arrays(n: int, hole, squares) -> "IncompleteMolsSet":
-        arr = np.asarray(squares)
-        if arr.ndim != 3 or arr.shape[1:] != (n, n):
-            raise MalformedInput(f"expected (k, {n}, {n}) squares, got {arr.shape}")
-        if arr.size and (arr.min() < -1 or arr.max() >= n):
-            raise MalformedInput("symbol out of range")
+        arr = _frozen_squares(squares, n)
         cell = tuple(sorted(int(x) for x in hole))
         if len(set(cell)) != len(cell) or any(not 0 <= x < n for x in cell):
             raise MalformedInput("hole repeats or leaves range")
-        return IncompleteMolsSet(k=arr.shape[0], n=n, hole=cell, squares=_freeze(arr))
+        return IncompleteMolsSet(k=len(arr), n=n, hole=cell, squares=arr)
 
     def hole_of(self) -> np.ndarray:
         return _hole_of_array((self.hole,), self.n)
@@ -370,8 +362,8 @@ class BlockDesign:
             norm = _check_holes_partition(holes, group_size)
         else:
             raise MalformedInput(f"unknown hole kind {hole_kind!r}")
-        return BlockDesign(k=k, group_size=group_size, index=index,
-                           hole_kind=hole_kind, holes=norm, blocks=_freeze(arr))
+        return BlockDesign(k=k, group_size=group_size, index=index, hole_kind=hole_kind,
+                           holes=norm, blocks=gf.frozen(arr, np.int32))
 
     # derived uniform profile parameters
     @property

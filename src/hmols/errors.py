@@ -7,7 +7,7 @@ every refusal: a malformed file, parameters that do not fit the
 construction, and an ingredient or certificate that fails verification.
 Exhausted is ordinary control flow for callers that retry with a larger
 field, budget or interval.  An internal inconsistency is a bug and is
-raised as AssertionError, never as one of these.
+raised as AssertionError, never as one of these; no caller relabels it.
 """
 
 
@@ -30,17 +30,3 @@ class Exhausted(HmolsError):
 
 class NoPlan(Exhausted):
     """No plan found within the configured depth and width limits."""
-
-
-# -- scalar field operations (go with FieldSpec.inv and class_of) ----------
-
-class ZeroInverse(HmolsError):
-    """Multiplicative inverse of zero requested."""
-
-
-class IndexOutOfRange(HmolsError):
-    """An element index is outside 0..q-1."""
-
-
-class ZeroHasNoClass(HmolsError):
-    """Zero belongs to no cyclotomic class."""

@@ -19,8 +19,9 @@ fields add, subtract and multiply modulo p directly.  Over GF(p^e),
 sums and differences are digitwise base-p q x q tables, while products
 and inverses are exp/dlog reads: no q x q product table is built.
 
-All objects here are immutable after construction and every operation
-is pure, so they are safe to share between threads.
+All objects here are immutable and every operation is pure, so they
+are safe to share between threads: every array that an immutable object
+or a cache hands out, in any module, comes from frozen().
 """
 
 from __future__ import annotations
@@ -30,7 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, MalformedInput, ZeroHasNoClass, ZeroInverse
+from .errors import MalformedInput
+
+
+def frozen(a, dtype=None) -> np.ndarray:
+    """A C-ordered copy of a on a bytes buffer, so that neither it nor any
+    view of it can be made writable; the caller's array stays theirs."""
+    a = np.asarray(a, dtype=dtype, order="C")
+    return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -113,7 +121,7 @@ class FieldSpec:
 
     def inv(self, a: int) -> int:
         if a == 0:
-            raise ZeroInverse(f"0 has no inverse in GF({self.q})")
+            raise MalformedInput(f"0 has no inverse in GF({self.q})")
         return int(self.exp_table[-int(self.dlog_table[a]) % (self.q - 1)])
 
     def _digitwise_table(self, sign: int) -> np.ndarray:
@@ -123,8 +131,7 @@ class FieldSpec:
         for i in range(self.e):
             d = x // self.p ** i % self.p
             t += (d[:, None] + sign * d[None, :]) % self.p * self.p ** i
-        t.setflags(write=False)
-        return t
+        return frozen(t)
 
     def _times(self, c: int) -> np.ndarray:
         """x * c for every element x: over GF(p^e), the sum of c_i * (x * X^i)
@@ -163,9 +170,7 @@ class FieldSpec:
                 orbit.append(x)
                 x = step[x]
             if len(orbit) == self.q - 1:
-                exp = np.array(orbit, dtype=np.int32)
-                exp.setflags(write=False)
-                return exp
+                return frozen(orbit, np.int32)
         raise AssertionError(f"no primitive root in GF({self.q})")
 
     @functools.cached_property
@@ -173,8 +178,7 @@ class FieldSpec:
         """dlog_table[x] = t with x = omega^t, and -1 at x = 0."""
         dlog = np.full(self.q, -1, dtype=np.int64)
         dlog[self.exp_table] = np.arange(self.q - 1)
-        dlog.setflags(write=False)
-        return dlog
+        return frozen(dlog)
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,16 +223,15 @@ def cyclotomy_new(f: FieldSpec, lam: int) -> CyclotomyContext:
     if lam < 1 or (f.q - 1) % lam != 0:
         raise MalformedInput(f"q = {f.q} is not 1 mod {lam}")
     dlog = f.dlog_table
-    class_table = np.where(dlog < 0, -1, dlog % lam).astype(np.int32)
-    class_table.setflags(write=False)
     return CyclotomyContext(field=f, lam=lam, omega=primitive_root(f),
-                            class_table=class_table)
+                            class_table=frozen(np.where(dlog < 0, -1, dlog % lam),
+                                               np.int32))
 
 
 def class_of(ctx: CyclotomyContext, x: int) -> int:
     """The unique i with x in C_i."""
     if not 0 <= x < ctx.field.q:
-        raise IndexOutOfRange(f"element {x} outside GF({ctx.field.q})")
+        raise MalformedInput(f"element {x} outside GF({ctx.field.q})")
     if x == 0:
-        raise ZeroHasNoClass("zero belongs to no cyclotomic class")
+        raise MalformedInput("zero belongs to no cyclotomic class")
     return int(ctx.class_table[x])

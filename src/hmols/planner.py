@@ -22,24 +22,19 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import compose as cp
 from . import cyclotomic as cy
 from . import designs as dz
 from . import gf
-from .errors import Exhausted, MalformedInput, NoPlan
+from .errors import Exhausted, HmolsError, MalformedInput, NoPlan
 
 # ---------------------------------------------------------------------------
 # number theory
 # ---------------------------------------------------------------------------
 
 
-def factor_prime_powers(h: int) -> list[tuple[int, int]]:
-    """Prime-power factorization of h >= 1; the list length is omega(h)."""
-    if h < 1:
-        raise ValueError(f"cannot factor {h}")
-    return gf.factorize(h) if h > 1 else []
+# prime-power factorization of h >= 1 as (prime, exponent) pairs, omega(h) of them
+factor_prime_powers = gf.factorize
 
 
 def _lambda_parts(h: int, k: int):
@@ -274,10 +269,11 @@ def _fact_key(doc):
     return (doc[0], tuple(doc[1]))
 
 
-def _ints(step: dict, *names):
-    values = [step[name] for name in names]
+def _ints(doc: dict, *names):
+    """The named integer fields of a plan step or a recipe, or MalformedInput."""
+    values = [doc.get(name) for name in names]
     if any(type(v) is not int for v in values):
-        raise MalformedInput(f"step fields {names} must be integers, got {values}")
+        raise MalformedInput(f"fields {names} must be integers, got {values}")
     return values
 
 
@@ -448,25 +444,37 @@ def _estimate_blocks(tree: PlanTree) -> int:
     return h * h * n * max(n - 1, 0)
 
 
+_RECIPE_FIELDS = {"td_from_field": ("k", "q"), "unit_hole_htd": ("k", "q"),
+                  "marked_product_itd": ("k", "q1", "q2"),
+                  "subfield_itd": ("k", "q", "sub")}
+
+
 def _recipe_design(recipe: dict) -> dz.BlockDesign:
+    """The design a recipe builds.  A recipe is outside input: an unknown
+    op or fixture, a missing or non-integer field, and a largest array
+    (the square of the product of its orders) over MAX_EXEC_BLOCKS rows
+    are refused before anything is built."""
     op = recipe.get("op")
-    if op == "td_from_field":
-        return dz.td_from_field(recipe["k"], recipe["q"])
-    if op == "unit_hole_htd":
-        return dz.unit_hole_htd(recipe["k"], recipe["q"])
-    if op == "marked_product_itd":
-        return cp.product_itd(dz.td_from_field(recipe["k"], recipe["q1"]),
-                              dz.td_from_field(recipe["k"], recipe["q2"]))
-    if op == "subfield_itd":
-        return cp.subfield_itd(recipe["k"], recipe["q"], recipe["sub"])
     if op == "fixture":
         from . import fixtures
-        if recipe["name"] == "hmols_2_4":
+        name = recipe.get("name")
+        if name == "hmols_2_4":
             return dz.hmols_to_htd(fixtures.hmols_pair_2_4())
-        if recipe["name"] == "imols_6_2":
+        if name == "imols_6_2":
             return dz.imols_to_itd(fixtures.imols_pair_6_2())
-        raise MalformedInput(f"unknown fixture {recipe['name']!r}")
-    raise MalformedInput(f"unknown recipe op {op!r}")
+        raise MalformedInput(f"unknown fixture {name!r}")
+    if not (isinstance(op, str) and op in _RECIPE_FIELDS):
+        raise MalformedInput(f"unknown recipe op {op!r}")
+    k, *orders = _ints(recipe, *_RECIPE_FIELDS[op])
+    rows = math.prod(orders) ** 2  # the blocks, or subfield_itd's search
+    if rows > MAX_EXEC_BLOCKS:
+        raise MalformedInput(f"recipe {op} would build {rows} rows, "
+                             f"over the cap {MAX_EXEC_BLOCKS}")
+    if op == "marked_product_itd":
+        return cp.product_itd(*(dz.td_from_field(k, q) for q in orders))
+    build = {"td_from_field": dz.td_from_field, "unit_hole_htd": dz.unit_hole_htd,
+             "subfield_itd": cp.subfield_itd}[op]
+    return build(k, *orders)
 
 
 def _resolve(reg: Registry, key, k: int) -> dz.BlockDesign:
@@ -478,7 +486,10 @@ def _resolve(reg: Registry, key, k: int) -> dz.BlockDesign:
     source = reg.facts[key]["source"]
     if source != CONSTRUCTIBLE:
         raise MalformedInput(f"cannot materialize {key}: source {source!r}")
-    d = _recipe_design(reg.facts[key]["recipe"])
+    recipe = reg.facts[key].get("recipe")
+    if not isinstance(recipe, dict):
+        raise MalformedInput(f"constructible fact {key} has no recipe")
+    d = _recipe_design(recipe)
     return d if d.k == k else dz.restrict_groups(d, list(range(k)))
 
 
@@ -492,7 +503,9 @@ def _build_td_lambda(h: int, k: int) -> dz.BlockDesign:
 def execute_plan(p: PlanTree, reg: Registry, seed: int = 0,
                  budget: int = cy.DEFAULT_BUDGET) -> dz.BlockDesign:
     """Validate the plan and check its size once, then run it bottom-up
-    through the compose and cyclotomic builders and return the goal HTD."""
+    through the compose and cyclotomic builders and return the goal HTD.
+    A failure keeps its class (MalformedInput, Exhausted) and names the
+    subtree that failed; any other exception is a bug and passes through."""
     validate_plan(p, reg)
     if _estimate_blocks(p) > MAX_EXEC_BLOCKS:
         raise MalformedInput(f"goal {p.goal} needs about {_estimate_blocks(p)} "
@@ -502,7 +515,8 @@ def execute_plan(p: PlanTree, reg: Registry, seed: int = 0,
 
 def _execute(p: PlanTree, reg: Registry, seed: int, budget: int) -> dz.BlockDesign:
     """Build one validated node from its children's designs and the facts
-    its step needs, and check the output against the node's goal."""
+    its step needs, and check the output against the node's goal.  An
+    HmolsError is raised again with its class and the node's goal."""
     h, n, k = p.goal
     facts, kids = _needs(p.goal, p.step)
     built = {role: _execute(p.children[role], reg, seed, budget) for role in kids}
@@ -517,10 +531,8 @@ def _execute(p: PlanTree, reg: Registry, seed: int, budget: int) -> dz.BlockDesi
             d = fact("fact")
             dz.verify_design(d).require("fixture")
         elif kind == STEP_TRIVIAL:
-            d = dz.BlockDesign.new(
-                k=k + 2, group_size=h, index=1,
-                blocks=np.empty((0, k + 2), dtype=np.int32),
-                hole_kind=dz.HOLE_UNIFORM, holes=(tuple(range(h)),))
+            d = dz.BlockDesign.new(k=k + 2, group_size=h, index=1, blocks=[],
+                                   hole_kind=dz.HOLE_UNIFORM, holes=(tuple(range(h)),))
         elif kind == STEP_CYCLOTOMIC:
             d = cy.expand_td_to_htd(_build_td_lambda(h, k + 2), n, seed=seed,
                                     budget=budget)
@@ -530,8 +542,8 @@ def _execute(p: PlanTree, reg: Registry, seed: int, budget: int) -> dz.BlockDesi
             d = cp.wilson_compose(fact("t_fact"), built["layer"], fact("td_fact"),
                                   fact("itd_fact") if p.step["u"] else None,
                                   built.get("truncation"))
-    except Exception as exc:
-        raise MalformedInput(f"subtree {p.goal} failed: {exc}") from exc
+    except HmolsError as exc:
+        raise type(exc)(f"subtree {p.goal} failed: {exc}") from exc
     if (d.k, d.hole_size, d.hole_count) != (k + 2, h, n):
         raise MalformedInput(f"subtree {p.goal} built HTD({d.k},{d.hole_size}"
                              f"^{d.hole_count}), not HTD({k + 2},{h}^{n})")

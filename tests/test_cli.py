@@ -1,10 +1,16 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hmols
 from hmols import cli
 from hmols import cyclotomic as cy
 from hmols import designs as dz
@@ -459,6 +465,102 @@ def test_execute_range_fact_plan_exits_two(tmp_path, capsys):
     assert run(["execute", str(plan_path), "--registry", str(reg_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "range fact" in captured.err
+
+
+def _diag_plan_files(tmp_path, fact=None, provenance=None):
+    """Plan and registry files for HTD(3, 2^20) as the diagonal product of
+    HTD(3, 1^5), TD(3, 8) and the HMOLS(2^4) fixture, with one fact's
+    provenance replaced in the registry file."""
+    from hmols import planner as pl
+    reg = pl.Registry()
+    reg.add(pl.HTD, (4, 2, 4), pl.CONSTRUCTIBLE,
+            recipe={"op": "fixture", "name": "hmols_2_4"})
+    reg.add(pl.HTD, (3, 1, 5), pl.CONSTRUCTIBLE,
+            recipe={"op": "unit_hole_htd", "k": 3, "q": 5})
+    reg.add(pl.TD, (3, 8), pl.CONSTRUCTIBLE,
+            recipe={"op": "td_from_field", "k": 3, "q": 8})
+    plan_path, reg_path = tmp_path / "plan.json", tmp_path / "reg.json"
+    plan_path.write_text(pl.plan_hmols(2, 1, 20, reg).to_json())
+    if fact is not None:
+        reg.facts[fact] = provenance
+    reg_path.write_text(reg.to_json())
+    return str(plan_path), str(reg_path)
+
+
+# the TD is read by the root (2, 20, 1), the fixture by its child (2, 4, 1)
+TD_3_8, FIXTURE_2_4 = ("TD", (3, 8)), ("HTD", (4, 2, 4))
+# a recipe is outside input: each of these exits 2 with the failing subtree
+# named, and none may leave cli.run as a KeyError or AttributeError
+BROKEN_RECIPES = {
+    "no-k": (TD_3_8, {"op": "td_from_field", "q": 8}),
+    "k-string": (TD_3_8, {"op": "td_from_field", "k": "3", "q": 8}),
+    "k-list": (TD_3_8, {"op": "td_from_field", "k": [3], "q": 8}),
+    "not-an-object": (TD_3_8, [3, 8]),
+    "no-recipe": (TD_3_8, None),
+    "fixture-without-name": (FIXTURE_2_4, {"op": "fixture"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_RECIPES))
+def test_execute_broken_recipe_exits_two(tmp_path, capsys, name):
+    fact, recipe = BROKEN_RECIPES[name]
+    provenance = {"source": "constructible"}
+    if recipe is not None:
+        provenance["recipe"] = recipe
+    plan, reg = _diag_plan_files(tmp_path, fact, provenance)
+    assert run(["execute", plan, "--registry", reg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    goal = (2, 4, 1) if fact == FIXTURE_2_4 else (2, 20, 1)
+    assert captured.err.startswith(f"error: subtree {goal} failed: ")
+
+
+def test_oversized_recipe_is_refused_before_allocating(tmp_path):
+    # td_from_field over GF(46309) would ask for 16 GiB; the child may
+    # have 1 GiB, and must refuse the recipe at once
+    plan, reg = _diag_plan_files(
+        tmp_path, TD_3_8, {"source": "constructible",
+                           "recipe": {"op": "td_from_field", "k": 3, "q": 46309}})
+    env = {**os.environ, "PYTHONPATH": str(Path(hmols.__file__).parents[1])}
+    start = time.perf_counter()
+    child = subprocess.run(
+        [sys.executable, "-m", "hmols.cli", "execute", plan, "--registry", reg],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    elapsed = time.perf_counter() - start
+    assert child.returncode == 2, child.stderr
+    assert "Traceback" not in child.stderr
+    assert "over the cap" in child.stderr and child.stdout == ""
+    assert elapsed < 2
+
+
+def test_execute_exhausted_exits_three(tmp_path, capsys):
+    # a search out of budget inside a plan once read as a refused input
+    reg_path = _cyclotomic_registry(tmp_path)
+    plan_path = tmp_path / "plan.json"
+    assert run(["plan", "2", "1", "67", "--registry", reg_path,
+                "--out", str(plan_path)]) == 0
+    capsys.readouterr()
+    assert run(["execute", str(plan_path), "--registry", reg_path,
+                "--budget", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("exhausted: subtree (2, 67, 1) failed: "
+                            "per-block budget 0 consumed\n")
+
+
+def test_a_bug_in_execution_is_not_an_exit_code(tmp_path, monkeypatch):
+    # an AssertionError is a bug: it keeps its traceback and exit 1, and is
+    # never relabelled as a refused input
+    from hmols import compose as cp
+
+    def broken(*args):
+        raise AssertionError("broken composition")
+
+    monkeypatch.setattr(cp, "diag_product", broken)
+    plan, reg = _diag_plan_files(tmp_path)
+    with pytest.raises(AssertionError, match="^broken composition$"):
+        run(["execute", plan, "--registry", reg])
 
 
 # a grid file where a design file is expected: each but convert once

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmols import gf
-from hmols.errors import IndexOutOfRange, MalformedInput, ZeroHasNoClass, ZeroInverse
+from hmols.errors import MalformedInput
 
 
 def brute_force_irreducible_quadratics_gf2():
@@ -245,7 +245,7 @@ def test_tables_match_digit_loop_reference(q):
     assert f.dlog_table.tolist() == dlog
     assert [f.inv(a) for a in range(1, q)] == \
         [reference_pow(f, a, q - 2) for a in range(1, q)]
-    with pytest.raises(ZeroInverse):
+    with pytest.raises(MalformedInput, match="^0 has no inverse"):
         f.inv(0)
 
 
@@ -321,7 +321,7 @@ def test_gf2_tables():
     f = gf.field_new(2)
     assert f.exp_table.tolist() == [1] and f.dlog_table.tolist() == [-1, 0]
     assert f.inv(1) == 1
-    with pytest.raises(ZeroInverse):
+    with pytest.raises(MalformedInput, match="^0 has no inverse"):
         f.inv(0)
 
 
@@ -339,9 +339,9 @@ def test_class_of_examples():
     ctx = gf.cyclotomy_new(gf.field_new(7), 2)
     assert gf.class_of(ctx, 3) == 1  # 3 is a nonsquare mod 7
     assert gf.class_of(ctx, 1) == 0
-    with pytest.raises(ZeroHasNoClass):
+    with pytest.raises(MalformedInput, match="^zero belongs to no cyclotomic class$"):
         gf.class_of(ctx, 0)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(MalformedInput, match=r"^element 9 outside GF\(7\)$"):
         gf.class_of(ctx, 9)
 
 

@@ -517,6 +517,48 @@ def test_execute_cyclotomic_step():
     assert dz.verify_design(out).valid
 
 
+@pytest.mark.parametrize("recipe, rows", [
+    ({"op": "td_from_field", "k": 3, "q": 2239}, 2239**2),
+    ({"op": "unit_hole_htd", "k": 3, "q": 2239}, 2239**2),
+    ({"op": "marked_product_itd", "k": 3, "q1": 47, "q2": 49}, (47 * 49) ** 2),
+    ({"op": "subfield_itd", "k": 3, "q": 1024, "sub": 4}, (1024 * 4) ** 2),
+])
+def test_recipes_over_the_cap_are_refused_before_building(monkeypatch, recipe, rows):
+    def boom(*args):
+        raise AssertionError("built a recipe over the cap")
+
+    for module, name in [(pl.dz, "td_from_field"), (pl.dz, "unit_hole_htd"),
+                         (pl.cp, "product_itd"), (pl.cp, "subfield_itd")]:
+        monkeypatch.setattr(module, name, boom)
+    with pytest.raises(MalformedInput, match=f"would build {rows} rows, over the cap"):
+        pl._recipe_design(recipe)
+
+
+def test_a_recipe_at_the_cap_is_built(monkeypatch):
+    monkeypatch.setattr(pl, "MAX_EXEC_BLOCKS", 16)
+    assert len(pl._recipe_design({"op": "td_from_field", "k": 3, "q": 4}).blocks) == 16
+    with pytest.raises(MalformedInput, match="would build 25 rows, over the cap 16$"):
+        pl._recipe_design({"op": "td_from_field", "k": 3, "q": 5})
+
+
+def test_execute_keeps_the_class_of_each_failure(monkeypatch):
+    reg = pl.Registry()
+    reg.add(pl.RECIPE, ("cyclotomic",), pl.CONSTRUCTIBLE)
+    tree = pl.plan_hmols(2, 1, 67, reg)
+    with pytest.raises(Exhausted, match=r"^subtree \(2, 67, 1\) failed: per-block budget 0"):
+        pl.execute_plan(tree, reg, budget=0)
+    # a bug passes through unchanged, as the same exception object
+    bug = AssertionError("broken expansion")
+
+    def broken(*args, **kwargs):
+        raise bug
+
+    monkeypatch.setattr(pl.cy, "expand_td_to_htd", broken)
+    with pytest.raises(AssertionError) as caught:
+        pl.execute_plan(tree, reg)
+    assert caught.value is bug
+
+
 def test_fixture_recipe_is_restricted_to_the_goal():
     reg = small_exec_registry()
     tree = pl.PlanTree(goal=(2, 4, 1),
