@@ -64,11 +64,36 @@ def _print_verdict(report, as_json: bool, label: str) -> int:
     return EXIT_OK if report.valid else EXIT_INVALID
 
 
+class _FileBytes(bytearray):
+    """A design or grid file's bytes, read into one buffer.  Like the text
+    they hold, they answer encode() with their UTF-8 form, themselves, so
+    that code which sizes a reader's input as len(text.encode()), as
+    perfbench's tracer does, works on them too."""
+
+    def encode(self, encoding="utf-8", errors="strict") -> bytearray:
+        return self
+
+
+def _read(path: str) -> bytearray:
+    """A design or grid file's bytes as reading it as text gives them: the
+    line ends of a file with a carriage return become newlines, and bytes
+    that are not UTF-8 raise as they do there.  The file is read into a
+    buffer of its size, so that it is held once."""
+    with open(path, "rb") as fh:
+        data = _FileBytes(os.fstat(fh.fileno()).st_size)
+        del data[fh.readinto(data):]  # the file shrank since its size was taken
+        data += fh.read()  # or grew
+    if b"\r" in data:
+        text = data.decode("utf-8")
+        data = _FileBytes(text.replace("\r\n", "\n").replace("\r", "\n").encode())
+    return data
+
+
 def _load_any(path: str):
-    text = Path(path).read_text()
+    data = _read(path)
     if path.endswith(".json"):
-        return formats.design_loads(text)
-    return formats.grid_loads(text)
+        return formats.design_loads(data)
+    return formats.grid_loads(data)
 
 
 def _load_design(path: str) -> dz.BlockDesign:
@@ -91,13 +116,19 @@ def _verify_obj(obj):
 
 
 def _write_or_print(pieces, out: str | None) -> None:
-    """Write text pieces in order to the file out, or to stdout, one piece
-    at a time: the whole text is never joined or encoded at once."""
+    """Write byte pieces in order to the file out, or to stdout, one piece
+    at a time: the whole output is never joined.  A stdout with no binary
+    buffer under it (a StringIO, say) takes the pieces decoded."""
     if out:
-        with open(out, "w") as fh:
+        with open(out, "wb") as fh:
             fh.writelines(pieces)
+        return
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.writelines(p.decode() for p in pieces)
     else:
-        sys.stdout.writelines(pieces)
+        sys.stdout.flush()  # what was printed before comes first
+        buffer.writelines(pieces)
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -149,7 +180,7 @@ def _cmd_search(args) -> int:
         rep = cy.verify_rdm(cy.assemble_rdf(sol))
         if not rep.valid:
             return _print_verdict(rep, args.json, "certificate")
-        _write_or_print([formats.cert_dumps(sol.to_cert())], args.out)
+        _write_or_print([formats.cert_dumps(sol.to_cert()).encode()], args.out)
         print(f"certificate valid: columns {list(sol.col_selection)}",
               file=sys.stderr)
         return EXIT_OK
@@ -159,7 +190,7 @@ def _cmd_search(args) -> int:
         return EXIT_USAGE
     sol = cy.search_uvectors(args.h, args.d, args.cols, args.q,
                              seed=args.seed, budget=_budget(args))
-    _write_or_print([formats.cert_dumps(sol.to_cert())], args.out)
+    _write_or_print([formats.cert_dumps(sol.to_cert()).encode()], args.out)
     return EXIT_OK
 
 
@@ -230,7 +261,7 @@ def _cmd_compose(args) -> int:
 def _cmd_plan(args) -> int:
     reg = pl.Registry.from_json(Path(args.registry).read_text())
     tree = pl.plan_hmols(args.h, args.k, args.n, reg)
-    _write_or_print([tree.to_json()], args.out)
+    _write_or_print([tree.to_json().encode()], args.out)
     return EXIT_OK
 
 

@@ -322,7 +322,9 @@ class BlockDesign:
 
     @staticmethod
     def new(k, group_size, index, blocks, hole_kind=HOLE_NONE, holes=()) -> "BlockDesign":
-        # an integer array is range-checked in its own dtype, then frozen once
+        # an integer array is range-checked in its own dtype (int32 and
+        # narrower need no check), then frozen: an int32 array that is
+        # frozen already, such as the design reader's, is adopted as it is
         if isinstance(blocks, np.ndarray) and blocks.dtype.kind in "iu":
             arr = blocks
         else:
@@ -330,7 +332,8 @@ class BlockDesign:
                 arr = np.asarray(blocks, dtype=np.int64)
             except OverflowError:
                 arr = None
-        if arr is None or arr.size and not -2**31 <= arr.min() <= arr.max() < 2**31:
+        if arr is None or arr.size and not np.can_cast(arr.dtype, np.int32) and \
+                not -2**31 <= arr.min() <= arr.max() < 2**31:
             raise MalformedInput("block entries must fit in 32-bit integers")
         if arr.size == 0:
             arr = arr.reshape(0, k)

@@ -6,25 +6,37 @@ squares are usually printed; everything else is 0-based JSON.  Both
 printers emit a canonical form (sorted holes, lexicographically sorted
 blocks, fixed whitespace) so that parse-then-print is byte-identical.
 
+Design and grid files are read as bytes (a str is read as its UTF-8
+encoding): the readers scan the bytes directly, and only the part of a
+design file that is not its blocks goes to json.loads, decoded as UTF-8.
+Bytes that are not UTF-8 raise UnicodeDecodeError, as reading the file
+as text would.
+
 Design and grid bodies are printed and parsed as arrays: each distinct
 value is formatted once and rows are assembled by table lookups, and the
 readers check the body's grammar and convert its numbers in numpy
 passes.  A design file written with the developed GF(401) certificate
 has 641,600 blocks, so per-entry Python objects would dominate its cost;
 the passes run over pieces of rows, so that no pass allocates arrays the
-size of the whole body.  The printers build their text as a list of such
-pieces; design_dumps and grid_dumps join it, and the command line writes
-the pieces one at a time, so it never holds the joined text and its
-encoded copy at once.
+size of the whole body.  The readers write the numbers of each piece, as
+int32, into one immutable bytes buffer, which the design or square set
+adopts as its frozen array with no further copy.  The printers yield
+their output as bytes pieces, each rendered when it is asked for;
+design_dumps and grid_dumps join and decode them, and the command line
+writes each piece to its file in binary mode as it comes, so that it
+holds one piece of the output at a time.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
 import re
 
 import numpy as np
 
+from . import gf
 from .designs import (
     BLANK,
     HOLE_NONE,
@@ -56,10 +68,26 @@ def _pieces(start: int, stop: int, width: int = 1, cut=None):
         start = end
 
 
-def _render_rows(arr, cell, head: str, sep: str, tail: str) -> list[str]:
+def _utf8(text: str | bytes) -> bytes:
+    """The bytes a reader scans: a file's bytes as they are, or a str's
+    UTF-8 encoding.  Bytes that are not UTF-8 raise UnicodeDecodeError
+    here, as reading the file as text raises it."""
+    if isinstance(text, str):
+        return text.encode("utf-8", "surrogatepass")
+    if not text.isascii():
+        text.decode("utf-8")
+    return text
+
+
+def _str(data: bytes) -> str:
+    """Bytes from _utf8 back as text."""
+    return data.decode("utf-8", "surrogatepass")
+
+
+def _render_rows(arr, cell, head: str, sep: str, tail: str):
     """One line per row of the 2-D integer array arr:
-    head + sep.join(cell(v) for v in row) + tail, in pieces of rows that
-    the caller joins once with the rest of its output.
+    head + sep.join(cell(v) for v in row) + tail, yielded as bytes in
+    pieces of rows, each rendered when it is asked for.
 
     Every cell is looked up in a table of NUL-padded tokens, one per
     value, which already carries the row's head or its separator; the
@@ -68,7 +96,8 @@ def _render_rows(arr, cell, head: str, sep: str, tail: str) -> list[str]:
     arr = np.asarray(arr)
     rows, cols = arr.shape
     if arr.size == 0:
-        return [(head + tail) * rows]
+        yield ((head + tail) * rows).encode()
+        return
     lo, hi = int(arr.min()), int(arr.max())
     dense = hi - lo < arr.size  # the value range is no larger than the array
     values = range(lo, hi + 1) if dense else np.unique(arr)
@@ -78,7 +107,6 @@ def _render_rows(arr, cell, head: str, sep: str, tail: str) -> list[str]:
     last = [w + tail for w in words]
     width = max(len(w) for w in first + last)
     first, middle, last = (np.array(t, dtype=f"S{width}") for t in (first, middle, last))
-    text = []
     for a, b in _pieces(0, rows, width * cols):
         idx = np.subtract(arr[a:b], lo, dtype=np.intp) if dense else \
             np.searchsorted(values, arr[a:b])
@@ -88,8 +116,7 @@ def _render_rows(arr, cell, head: str, sep: str, tail: str) -> list[str]:
             out[:, 1:-1] = middle[idx[:, 1:-1]]
             out[:, -1] = last[idx[:, -1]]
         buf = out.view(np.uint8)
-        text.append(buf[buf != 0].tobytes().decode("ascii"))
-    return text
+        yield buf[buf != 0].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +145,12 @@ def _parse_hole(text: str) -> tuple:
 
 def grid_dumps(obj) -> str:
     """Canonical grid text for a latin square, HMOLS set, or IMOLS set."""
-    return "".join(_grid_pieces(obj))
+    return b"".join(_grid_pieces(obj)).decode("ascii")
 
 
-def _grid_pieces(obj) -> list[str]:
-    """The pieces of grid_dumps(obj), in order."""
+def _grid_pieces(obj):
+    """The pieces of grid_dumps(obj), in order, as bytes, each rendered
+    when it is asked for."""
     if isinstance(obj, LatinSquare):
         head = f"latin {obj.n}\n"
         squares = [obj.cells]
@@ -135,22 +163,24 @@ def _grid_pieces(obj) -> list[str]:
         squares = obj.squares
     else:
         raise MalformedInput(f"cannot serialize {type(obj).__name__} as a grid")
-    parts = [head]
+    return itertools.chain([head.encode()], _squares_text(squares))
+
+
+def _squares_text(squares):
     for t, sq in enumerate(squares):
         if t:
-            parts.append("\n")  # the blank line between squares
-        parts += _render_rows(sq, _cell_str, "", " ", "\n")
-    return parts
+            yield b"\n"  # the blank line between squares
+        yield from _render_rows(sq, _cell_str, "", " ", "\n")
 
 
-def _parse_cells(rows: list[str], size: int) -> np.ndarray:
+def _parse_cells(rows: list[bytes], size: int) -> np.ndarray:
     """The cells of rows of space-separated tokens, 0-based with BLANK.
 
     A token is "." or a decimal symbol 1..size without sign or leading
     zero; any other token raises MalformedInput, naming the first one.
     """
     digits = len(str(size))
-    b = np.frombuffer((" " + " ".join(rows) + " ").encode(), np.uint8)
+    b = np.frombuffer(b" ".join([b"", *rows, b""]), np.uint8)
     spaces = np.flatnonzero(b == 32)  # token t lies between spaces t and t + 1
     length = np.diff(spaces) - 1
     first = b[spaces[:-1] + 1]
@@ -173,58 +203,78 @@ def _parse_cells(rows: list[str], size: int) -> np.ndarray:
     return np.where(blank, BLANK, value - 1)
 
 
-def _parse_squares(lines, count, side, size):
-    rows = []
-    pos = 0
+def _line(data: bytes, at: int, end: int):
+    """The line of data[:end] that starts at at, decoded, and the start of
+    the line after it; (None, at) when at is past the last line."""
+    if at > end:
+        return None, at
+    stop = data.find(b"\n", at, end)
+    stop = end if stop < 0 else stop
+    return _str(data[at:stop]), stop + 1
+
+
+def _parse_squares(data: bytes, at: int, end: int, count, side, size):
+    """count squares of side rows of side cells, from the lines of
+    data[:end] that start at at, with one blank line between squares and
+    nothing after them.
+
+    The lines are checked in one walk over their newlines, keeping each
+    row's span; then the cells are read in pieces of rows and written
+    into the squares' one frozen buffer.
+    """
+    rows = []  # (start, stop) of each row in data
     for t in range(count):
         if t:
-            if pos >= len(lines) or lines[pos] != "":
+            if at > end or at < end and data[at] != ord("\n"):
                 raise MalformedInput("expected a blank line between squares")
-            pos += 1
+            at += 1
         for _ in range(side):
-            if pos >= len(lines):
+            if at > end:
                 raise MalformedInput("grid body ended early")
-            cells = lines[pos].count(" ") + 1
+            stop = data.find(b"\n", at, end)
+            stop = end if stop < 0 else stop
+            cells = data.count(b" ", at, stop) + 1
             if cells != side:
                 raise MalformedInput(f"row has {cells} cells, expected {side}")
-            rows.append(lines[pos])
-            pos += 1
-    if pos != len(lines):
+            rows.append((at, stop))
+            at = stop + 1
+    if at <= end:
         raise MalformedInput("trailing content after grid body")
-    if not rows:
-        return np.full((count, side, side), BLANK, dtype=np.int32)
-    cells = [_parse_cells(rows[a:b], size)
-             for a, b in _pieces(0, len(rows), len(rows[0]) + 1)]
-    return np.concatenate(cells).astype(np.int32, copy=False).reshape(count, side, side)
+    width = rows[0][1] - rows[0][0] + 1 if rows else 1
+    pieces = (_parse_cells([data[a:b] for a, b in rows[i:j]], size)
+              for i, j in _pieces(0, len(rows), width))
+    return gf.frozen_from(pieces, np.int32, (count, side, side))
 
 
-def grid_loads(text: str):
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()  # the canonical trailing newline
-    if not lines:
+def grid_loads(text: str | bytes):
+    """Read a grid file from its bytes or its text."""
+    data = _utf8(text)
+    if not data:
         raise MalformedInput("empty grid file")
-    head = lines[0].split(" ")
+    end = len(data) - data.endswith(b"\n")  # the canonical trailing newline
+    head, at = _line(data, 0, end)
+    head = head.split(" ")
     if head[0] == "latin":
         if len(head) != 2:
             raise MalformedInput("latin header is 'latin n'")
         n = _number(head[1])
-        squares = _parse_squares(lines[1:], 1, n, n)
+        squares = _parse_squares(data, at, end, 1, n, n)
         return LatinSquare.from_array(squares[0])
+    line, at = _line(data, at, end)
     if head[0] == "hmols":
-        if len(head) != 4 or len(lines) < 2 or not lines[1].startswith("holes "):
+        if len(head) != 4 or line is None or not line.startswith("holes "):
             raise MalformedInput("hmols header is 'hmols k h n' + holes line")
         k, h, n = (_number(x) for x in head[1:])
-        holes = tuple(_parse_hole(part) for part in lines[1][len("holes "):].split("|"))
-        squares = _parse_squares(lines[2:], k, h * n, h * n)
+        holes = tuple(_parse_hole(part) for part in line[len("holes "):].split("|"))
+        squares = _parse_squares(data, at, end, k, h * n, h * n)
         return HoleyLatinSquareSet.from_arrays(h=h, n=n, holes=holes, squares=squares)
     if head[0] == "imols":
-        if len(head) != 3 or len(lines) < 2 or not lines[1].startswith("hole "):
+        if len(head) != 3 or line is None or not line.startswith("hole "):
             raise MalformedInput("imols header is 'imols k n' + hole line")
         k, n = _number(head[1]), _number(head[2])
-        hole_txt = lines[1][len("hole "):]
+        hole_txt = line[len("hole "):]
         hole = () if hole_txt == "-" else _parse_hole(hole_txt)
-        squares = _parse_squares(lines[2:], k, n, n)
+        squares = _parse_squares(data, at, end, k, n, n)
         return IncompleteMolsSet.from_arrays(n=n, hole=hole, squares=squares)
     raise MalformedInput(f"unknown grid kind {head[0]!r}")
 
@@ -237,36 +287,43 @@ _KIND_BY_HOLES = {HOLE_NONE: "TD", HOLE_UNIFORM: "HTD", HOLE_SINGLE: "ITD"}
 _HOLES_BY_KIND = {v: k for k, v in _KIND_BY_HOLES.items()}
 
 
-def _json_rows(rows) -> list[str]:
+def _json_rows(rows):
     """A JSON array of integer arrays, one inner array per line, in pieces."""
     if len(rows) == 0:
-        return ["[]"]
+        yield b"[]"
+        return
+    yield b"[\n"
     lines = _render_rows(np.asarray(rows), str, "  [", ", ", "],\n")
-    lines[-1] = lines[-1][:-2]  # the last row takes no comma
-    return ["[\n", *lines, "\n ]"]
+    last = next(lines)
+    for line in lines:
+        yield last
+        last = line
+    yield last[:-2] + b"\n ]"  # the last row takes no comma
 
 
 def design_dumps(d: BlockDesign) -> str:
     """Canonical design JSON: sorted keys, blocks in lexicographic order,
     one block (and one hole) per line."""
-    return "".join(_design_pieces(d))
+    return b"".join(_design_pieces(d)).decode("ascii")
 
 
-def _design_pieces(d: BlockDesign) -> list[str]:
-    """The pieces of design_dumps(d), in order."""
+def _design_pieces(d: BlockDesign):
+    """The pieces of design_dumps(d), in order, as bytes, each rendered
+    when it is asked for."""
     fields = {
         "blocks": _json_rows(d.sorted_blocks()),
-        "group_size": [json.dumps(d.group_size)],
+        "group_size": [json.dumps(d.group_size).encode()],
         "holes": _json_rows(d.holes),
-        "index": [json.dumps(d.index)],
-        "k": [json.dumps(d.k)],
-        "kind": [json.dumps(_KIND_BY_HOLES[d.hole_kind])],
+        "index": [json.dumps(d.index).encode()],
+        "k": [json.dumps(d.k).encode()],
+        "kind": [json.dumps(_KIND_BY_HOLES[d.hole_kind]).encode()],
     }
-    parts = ["{\n"]
+    before = b"{\n"
     for key in sorted(fields):
-        parts += [f' "{key}": ', *fields[key], ",\n"]
-    parts[-1] = "\n}\n"
-    return parts
+        yield before + f' "{key}": '.encode()
+        yield from fields[key]
+        before = b",\n"
+    yield b"\n}\n"
 
 
 # each byte of a JSON integer matrix with its white space deleted, as a
@@ -276,9 +333,10 @@ _BYTE = bytes(b"0123456789-[],".find(c) if c in b"0123456789-[]," else _OTHER
               for c in range(256))
 _SPACE = b" \t\n\r"
 _MAX_DIGITS = 18  # longer numbers may not fit int64; json.loads takes those
-_BLOCKS_KEY = re.compile(r'"blocks"[ \t\n\r]*:[ \t\n\r]*\[')
-_GAP = re.compile(r"[ \t\n\r]*(,?)")  # between two pieces of rows
-_SENTINEL = '"\\u0000"'  # a JSON string no unescaped document can contain
+_BLOCKS_KEY = re.compile(rb'"blocks"[ \t\n\r]*:[ \t\n\r]*\[')
+_GAP = re.compile(rb"[ \t\n\r]*(,?)")  # between two pieces of rows
+_SENTINEL = b'"\\u0000"'  # a JSON string no unescaped document can contain
+_INT32 = np.iinfo(np.int32)
 
 
 def _int_matrix(body: bytes):
@@ -336,55 +394,80 @@ def _int_matrix(body: bytes):
     return value
 
 
-def _fast_design_doc(text: str):
-    """The design document with its "blocks" value parsed by _int_matrix,
-    or None when the fast reading cannot prove it equals json.loads(text).
+def _blocks_span(data: bytes, at: int):
+    """(start, end) of the array after the "blocks" key at at: from its
+    "[" to past the last "]" before the next '"' or "}" (end is 0 when
+    there is none); None when no key and "[" start at at."""
+    key = _BLOCKS_KEY.match(data, at)
+    if key is None:
+        return None
+    start = key.end() - 1
+    stop = data.find(b'"', start)
+    stop = len(data) if stop < 0 else stop
+    close = data.find(b"}", start, stop)
+    stop = close if close >= 0 else stop
+    return start, data.rfind(b"]", start, stop) + 1
+
+
+def _fast_design_doc(data: bytes):
+    """The design document with its "blocks" value parsed by _int_matrix
+    into one frozen int32 array, or None when the fast reading cannot
+    prove it equals json.loads of the text, or an entry does not fit in
+    int32 (json.loads then reads the text, and BlockDesign.new refuses
+    that entry after the other fields are checked).
 
     The blocks array is cut out and replaced by a sentinel string that
     only an escape can spell; the rest goes to json.loads.  A text
     without backslashes whose top-level "blocks" then reads back as the
     sentinel had the cut array exactly as that value.
     """
-    at = text.rfind('"blocks"')
-    if at < 0 or "\\" in text:
+    at = data.find(b'"blocks"')
+    if at < 0 or b"\\" in data:
         return None
-    key = _BLOCKS_KEY.match(text, at)
-    if key is None:
+    # the last "blocks", found forward: searching bytes for a word is slow
+    # but a blocks array holds no '"', so the search skips it
+    while True:
+        span = _blocks_span(data, at)
+        later = data.find(b'"blocks"', max(at + 1, span[1]) if span else at + 1)
+        if later < 0:
+            break
+        at = later
+    if span is None:
         return None
-    start = key.end() - 1
-    stop = text.find('"', start)
-    stop = len(text) if stop < 0 else stop
-    close = text.find("}", start, stop)
-    stop = close if close >= 0 else stop
-    end = text.rfind("]", start, stop) + 1
-    # the rows text[start + 1:end - 1] in pieces cut after a "]", each read
-    # as a matrix of its own; a later piece starts after the white space
-    # and "," that follow the cut, and white space alone ends the rows
-    parts = []
+    start, end = span
+    # the rows data[start + 1:end - 1] in pieces cut after a "]", each read
+    # as a matrix of its own and written as int32 into one buffer; a later
+    # piece starts after the white space and "," that follow the cut, and
+    # white space alone ends the rows
+    blocks, width = io.BytesIO(), None
     for a, b in _pieces(start + 1, end - 1,
-                        cut=lambda at: text.find("]", at, end - 1) + 1 or end - 1):
+                        cut=lambda at: data.find(b"]", at, end - 1) + 1 or end - 1):
         if a > start + 1:
-            gap = _GAP.match(text, a, b)
+            gap = _GAP.match(data, a, b)
             if not gap.group(1):
                 if gap.end() == b:
                     continue
                 return None
             a = gap.end()
-        piece = "[" + text[a:b] + "]"
-        part = _int_matrix(piece.encode("ascii", "replace"))  # "?" reads as no matrix
-        if part is None or parts and part.shape[1] != parts[0].shape[1]:
+        part = _int_matrix(b"[" + data[a:b] + b"]")
+        if part is None or part.shape[1] != (width or part.shape[1]):
             return None
-        parts.append(part)
-    if not parts:
+        if part.dtype != np.int32:
+            if part.min() < _INT32.min or part.max() > _INT32.max:
+                return None
+            part = part.astype(np.int32)
+        width = part.shape[1]
+        blocks.write(part)
+    if width is None:
         return None
-    blocks = np.concatenate(parts)  # an int64 piece makes all int64
     try:
-        doc = json.loads(text[:start] + _SENTINEL + text[end:])
+        doc = json.loads(_str(data[:start] + _SENTINEL + data[end:]))
     except (ValueError, RecursionError):
         return None
     if not isinstance(doc, dict) or doc.get("blocks") != "\0":
         return None
-    doc["blocks"] = blocks
+    # getvalue hands the buffer over without copying it
+    doc["blocks"] = np.frombuffer(blocks.getvalue(), np.int32).reshape(-1, width)
     return doc
 
 
@@ -398,12 +481,14 @@ def _is_rows(x, entry_ok=_is_int) -> bool:
         isinstance(row, list) and all(map(entry_ok, row)) for row in x)
 
 
-def design_loads(text: str) -> BlockDesign:
-    """Read a design file in any JSON layout; a missing field, or a field
-    of the wrong JSON type, raises MalformedInput."""
-    doc = _fast_design_doc(text)
+def design_loads(text: str | bytes) -> BlockDesign:
+    """Read a design file in any JSON layout, from its bytes or its text;
+    a missing field, or a field of the wrong JSON type, raises
+    MalformedInput."""
+    data = _utf8(text)
+    doc = _fast_design_doc(data)
     if doc is None:
-        doc = json.loads(text)
+        doc = json.loads(text if isinstance(text, str) else _str(data))
     if not isinstance(doc, dict):
         raise MalformedInput("a design file holds one JSON object")
     for key in ("kind", "k", "group_size", "index", "blocks", "holes"):

@@ -21,12 +21,14 @@ and inverses are exp/dlog reads: no q x q product table is built.
 
 All objects here are immutable and every operation is pure, so they
 are safe to share between threads: every array that an immutable object
-or a cache hands out, in any module, comes from frozen().
+or a cache hands out, in any module, comes from frozen() or frozen_from().
 """
 
 from __future__ import annotations
 
 import functools
+import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +37,46 @@ from .errors import MalformedInput
 
 
 def frozen(a, dtype=None) -> np.ndarray:
-    """A C-ordered copy of a on a bytes buffer, so that neither it nor any
-    view of it can be made writable; the caller's array stays theirs."""
-    a = np.asarray(a, dtype=dtype, order="C")
-    return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
+    """a as a C-ordered array on a bytes buffer, so that neither it nor any
+    view of it can be made writable.  An array that is one already, of the
+    dtype asked for and spanning its whole buffer, is returned as it is;
+    any other is copied once, cast on the way, by frozen_from, and the
+    caller's array stays theirs."""
+    a = np.asarray(a)
+    dtype = a.dtype if dtype is None else np.dtype(dtype)
+    if _is_frozen(a, dtype):
+        return a
+    return frozen_from([a], dtype, a.shape)
+
+
+def _is_frozen(a: np.ndarray, dtype: np.dtype) -> bool:
+    base = a.base
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return isinstance(base, bytes) and a.dtype == dtype and \
+        a.flags.c_contiguous and a.nbytes == len(base)
+
+
+def frozen_from(pieces, dtype, shape) -> np.ndarray:
+    """A frozen array of the given shape whose entries are those of the
+    arrays in pieces, in order, each cast to dtype: the pieces are written
+    in place into one bytes buffer, so that the result is the only
+    full-size copy and a cast makes no temporary array."""
+    dtype = np.dtype(dtype)
+    # a zeroed bytes object is allocated lazily, and a BytesIO that holds
+    # the only reference to it writes into it in place
+    buf = io.BytesIO(bytes(math.prod(shape) * dtype.itemsize))
+    with buf.getbuffer() as view:
+        out, at = np.frombuffer(view, dtype), 0
+        for piece in pieces:
+            np.copyto(out[at:at + piece.size].reshape(piece.shape), piece,
+                      casting="unsafe")
+            at += piece.size
+        del out  # the view is released only when no array holds it
+    if at != math.prod(shape):
+        raise AssertionError(f"pieces of {at} entries for shape {shape}")
+    # getvalue hands the buffer over without copying it
+    return np.frombuffer(buf.getvalue(), dtype).reshape(shape)
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

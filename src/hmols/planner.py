@@ -437,6 +437,7 @@ def _search(h, k, n, reg, depth):
 # ---------------------------------------------------------------------------
 
 MAX_EXEC_BLOCKS = 5_000_000  # estimated goal blocks an execution may build
+MAX_RECIPE_ENTRIES = 4 * MAX_EXEC_BLOCKS  # block entries one recipe may build
 
 
 def _estimate_blocks(tree: PlanTree) -> int:
@@ -452,8 +453,9 @@ _RECIPE_FIELDS = {"td_from_field": ("k", "q"), "unit_hole_htd": ("k", "q"),
 def _recipe_design(recipe: dict) -> dz.BlockDesign:
     """The design a recipe builds.  A recipe is outside input: an unknown
     op or fixture, a missing or non-integer field, and a largest array
-    (the square of the product of its orders) over MAX_EXEC_BLOCKS rows
-    are refused before anything is built."""
+    (the square of the product of its orders, of k entries a row) over
+    MAX_EXEC_BLOCKS rows or MAX_RECIPE_ENTRIES entries are refused before
+    anything is built."""
     op = recipe.get("op")
     if op == "fixture":
         from . import fixtures
@@ -470,6 +472,9 @@ def _recipe_design(recipe: dict) -> dz.BlockDesign:
     if rows > MAX_EXEC_BLOCKS:
         raise MalformedInput(f"recipe {op} would build {rows} rows, "
                              f"over the cap {MAX_EXEC_BLOCKS}")
+    if rows * k > MAX_RECIPE_ENTRIES:
+        raise MalformedInput(f"recipe {op} would build {rows * k} entries, "
+                             f"over the cap {MAX_RECIPE_ENTRIES}")
     if op == "marked_product_itd":
         return cp.product_itd(*(dz.td_from_field(k, q) for q in orders))
     build = {"td_from_field": dz.td_from_field, "unit_hole_htd": dz.unit_hole_htd,

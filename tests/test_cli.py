@@ -534,6 +534,25 @@ def test_oversized_recipe_is_refused_before_allocating(tmp_path):
     assert elapsed < 2
 
 
+def test_recipe_of_too_many_entries_is_refused_before_allocating(tmp_path):
+    # 3,996,001 rows pass the row cap, but 2000 entries a row would ask for
+    # about 61 GB; the child may have 1 GiB, and must refuse the recipe at once
+    plan, reg = _diag_plan_files(
+        tmp_path, TD_3_8, {"source": "constructible",
+                           "recipe": {"op": "td_from_field", "k": 2000, "q": 1999}})
+    env = {**os.environ, "PYTHONPATH": str(Path(hmols.__file__).parents[1])}
+    start = time.perf_counter()
+    child = subprocess.run(
+        [sys.executable, "-m", "hmols.cli", "execute", plan, "--registry", reg],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    elapsed = time.perf_counter() - start
+    assert child.returncode == 2, child.stderr
+    assert "Traceback" not in child.stderr
+    assert "7992002000 entries, over the cap" in child.stderr and child.stdout == ""
+    assert elapsed < 2
+
+
 def test_execute_exhausted_exits_three(tmp_path, capsys):
     # a search out of budget inside a plan once read as a refused input
     reg_path = _cyclotomic_registry(tmp_path)
@@ -646,3 +665,71 @@ def test_execute_writes_the_printed_design(tmp_path, capsys):
                              pl.Registry.from_json(open(reg_path).read()),
                              seed=0, budget=cy.DEFAULT_BUDGET)
     assert out.read_bytes() == formats.design_dumps(design).encode()
+
+
+TD_3_3 = formats.design_dumps(dz.td_from_field(3, 3)).encode()
+GRID_2_4 = fixture_path("hmols_2_4.grid").read_bytes()
+
+
+@pytest.mark.parametrize("name, data, message", [
+    ("blocks.json", TD_3_3.replace(b"[0, 1, 2]", b"[0, \xff1, 2]"),
+     "byte 0xff in position 34: invalid start byte"),
+    ("kind.json", TD_3_3.replace(b'"TD"', b'"T\xc3D"'),
+     "byte 0xc3 in position 200: invalid continuation byte"),
+    ("cell.grid", GRID_2_4.replace(b"7 6", b"7 \xe96", 1),
+     "byte 0xe9 in position 68: invalid continuation byte"),
+    ("crlf.grid", GRID_2_4.replace(b"\n", b"\r\n").replace(b"7 6", b"7 \xe96", 1),
+     "byte 0xe9 in position 72: invalid continuation byte"),
+], ids=["in-blocks", "outside-blocks", "grid", "crlf-grid"])
+def test_files_that_are_not_utf8_exit_two(tmp_path, capsys, name, data, message):
+    # the message names the byte and its place in the file as it was
+    # before the file was read as bytes
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert run(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: 'utf-8' codec can't decode {message}\n"
+
+
+@pytest.mark.parametrize("name, data", [
+    ("crlf.grid", GRID_2_4.replace(b"\n", b"\r\n")),
+    ("cr.grid", GRID_2_4.replace(b"\n", b"\r")),
+    ("crlf.json", TD_3_3.replace(b"\n", b"\r\n")),
+])
+def test_files_with_carriage_returns_read_as_text(tmp_path, capsys, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert run(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == f"{path}: valid\n"
+
+
+def test_a_bom_is_refused_as_before(tmp_path, capsys):
+    for name, data, message in [
+            ("bom.json", TD_3_3, "Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                                 "line 1 column 1 (char 0)"),
+            ("bom.grid", GRID_2_4, "unknown grid kind '\\ufeffhmols'")]:
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + data)
+        assert run(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_designs_and_grids_print_to_any_stdout(tmp_path, monkeypatch):
+    """Without --out the byte pieces go to stdout's binary buffer, after
+    what was printed before, or decoded to a stdout that has none."""
+    import contextlib
+    import io
+    path = tmp_path / "h.json"
+    path.write_text(formats.design_dumps(dz.hmols_to_htd(hmols_pair_2_4())))
+    want = formats.grid_dumps(hmols_pair_2_4())
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert run(["convert", str(path), "--to", "hmols"]) == 0
+    binary = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", binary)
+    print("before", end="\n")
+    assert run(["convert", str(path), "--to", "hmols"]) == 0
+    binary.flush()
+    assert text.getvalue() == want
+    assert binary.buffer.getvalue().decode() == "before\n" + want

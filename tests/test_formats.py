@@ -219,6 +219,62 @@ def test_design_loads_agrees_with_reference_reader_in_small_pieces(text, size):
             outcome(reference_design_loads, text)
 
 
+# bytes that a design or grid file may hold outside ASCII: UTF-8 text, a
+# BOM, an encoded surrogate, and bytes that are not UTF-8 at all
+NON_ASCII = [b"\xc3\xa9", "\u20ac".encode(), "\u0661".encode(), b"\xef\xbb\xbf",
+             b"\xed\xa0\x80", b"\xff", b"\x80", b"\xc3"]
+BOM = b"\xef\xbb\xbf"
+
+
+def as_text(read):
+    """read on bytes as the command line once read a file: decoded as
+    UTF-8 first, with no BOM stripped."""
+    return lambda data: read(data.decode("utf-8"))
+
+
+@st.composite
+def design_bytes(draw):
+    """The UTF-8 bytes of a design text, perhaps after a BOM, with at most
+    two byte sequences from NON_ASCII put in or over a byte anywhere:
+    inside the blocks array, or outside it."""
+    data = draw(st.sampled_from([b"", BOM])) + draw(design_texts()).encode()
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(data)))
+        seq = draw(st.sampled_from(NON_ASCII))
+        data = data[:at] + seq + data[at + draw(st.integers(0, 1)):]
+    return data
+
+
+_NOTE = '"kind": "TD", "note": "caf\u00e9"'.encode()
+TD_3_3 = formats.design_dumps(dz.td_from_field(3, 3)).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(design_bytes())
+@example(TD_3_3.replace(b"[0, 1, 2]", b"[0, \xff1, 2]"))
+@example(TD_3_3.replace(b'"TD"', b'"T\xc3D"'))
+@example(TD_3_3.replace(b'"kind": "TD"', _NOTE))
+@example(BOM + TD_3_3)
+def test_design_loads_of_bytes_agrees_with_reference_reader(data):
+    assert outcome(formats.design_loads, data) == \
+        outcome(as_text(reference_design_loads), data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(design_bytes(), st.integers(1, 16))
+def test_design_loads_of_bytes_agrees_with_reference_reader_in_small_pieces(data, size):
+    with pieces_of(size):
+        assert outcome(formats.design_loads, data) == \
+            outcome(as_text(reference_design_loads), data)
+
+
+def test_text_outside_the_blocks_keeps_the_fast_reading():
+    data = TD_3_3.replace(b'"kind": "TD"', _NOTE)
+    doc = formats._fast_design_doc(data)
+    assert doc is not None and doc["note"] == "caf\u00e9"
+    assert np.array_equal(doc["blocks"], dz.td_from_field(3, 3).sorted_blocks())
+
+
 def reference_int_matrix(body: str):
     """The rows of body by json.loads when they form a matrix of at least
     one row and one column of integers of at most 18 digits, else None."""
@@ -445,16 +501,63 @@ def test_grid_cells_agree_with_token_grammar_in_small_pieces(case):
         check_grid_cells(case)
 
 
-def check_grid_cells(case):
+def check_grid_cells(case, encode=False):
     n, rows = case
     text = f"latin {n}\n" + "\n".join(rows) + "\n"
     want = reference_cells(rows, n)
     if want is None:
         with pytest.raises(MalformedInput):
-            formats.grid_loads(text)
+            formats.grid_loads(text.encode() if encode else text)
     else:
-        got = formats.grid_loads(text)
+        got = formats.grid_loads(text.encode() if encode else text)
         assert got.cells.ravel().tolist() == want
+
+
+@st.composite
+def latin_bytes(draw):
+    """The bytes of a latin grid from latin_rows, perhaps after a BOM, with
+    at most two cell tokens replaced by byte sequences from NON_ASCII."""
+    n, rows = draw(latin_rows())
+    cells = [tok.encode() for row in rows for tok in row.split(" ")]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(cells) - 1))
+        cells[at] = draw(st.sampled_from([b"", b"1"])) + draw(st.sampled_from(NON_ASCII))
+    body = b"\n".join(b" ".join(cells[r * n:(r + 1) * n]) for r in range(n))
+    return n, draw(st.sampled_from([b"", BOM])) + f"latin {n}\n".encode() + body + b"\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(latin_rows())
+def test_grid_cells_of_bytes_agree_with_token_grammar(case):
+    check_grid_cells(case, encode=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(latin_bytes(), st.sampled_from([1, 20, 1 << 18]))
+@example((2, b"latin 2\n1 \xff\n. 1\n"), 1)
+@example((2, BOM + b"latin 2\n1 2\n2 1\n"), 1)
+def test_grid_loads_of_bytes_agrees_with_the_text_reading(case, size):
+    """Bytes read as their UTF-8 text: a decoding error and its message
+    as the text reading raised them, then the reference token grammar."""
+    n, data = case
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        with pytest.raises(UnicodeDecodeError) as got, pieces_of(size):
+            formats.grid_loads(data)
+        assert str(got.value) == str(exc)
+        return
+    if text.startswith("\ufeff"):
+        with pytest.raises(MalformedInput, match=re.escape("unknown grid kind '\\ufefflatin'")):
+            formats.grid_loads(data)
+        return
+    want = reference_cells(text.split("\n")[1:-1], n)
+    with pieces_of(size):
+        if want is None:
+            with pytest.raises(MalformedInput):
+                formats.grid_loads(data)
+        else:
+            assert formats.grid_loads(data).cells.ravel().tolist() == want
 
 
 def test_printers_agree_across_piece_sizes():
@@ -470,6 +573,6 @@ def test_printers_agree_across_piece_sizes():
             assert formats.design_dumps(td) == design
             assert formats.grid_dumps(mols) == grid
             assert formats.design_dumps(formats.design_loads(design)) == design
-            doc = formats._fast_design_doc(design)  # no fallback to json.loads
+            doc = formats._fast_design_doc(design.encode())  # no fallback to json.loads
             assert np.array_equal(doc["blocks"], td.sorted_blocks())
             assert formats.grid_dumps(formats.grid_loads(grid)) == grid

@@ -7,6 +7,7 @@ operation can change it.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,10 @@ SHARED = {
     "td_from_field": lambda: dz.td_from_field(3, 5).blocks,
     "design_loads": lambda: formats.design_loads(
         formats.design_dumps(dz.td_from_field(3, 4))).blocks,
+    "design_loads of bytes": lambda: formats.design_loads(
+        formats.design_dumps(dz.td_from_field(3, 4)).encode()).blocks,
+    "grid_loads of bytes": lambda: formats.grid_loads(
+        fixture_path("hmols_2_4.grid").read_bytes()).squares,
     "develop_rdf": lambda: cy.develop_rdf(_family()).blocks,
     "latin grid": lambda: formats.grid_loads(formats.grid_dumps(
         dz.LatinSquare.from_array((np.arange(3)[:, None] + np.arange(3)) % 3))).cells,
@@ -100,3 +105,58 @@ def test_frozen_copies_once_and_keeps_dtype():
     a[0, 0] = 99  # the caller's array stays theirs
     assert f[0, 0] == 0
     assert gf.frozen(a, np.int32).dtype == np.int32
+
+
+def test_frozen_returns_a_frozen_array_as_it_is():
+    f = gf.frozen(np.arange(12).reshape(3, 4), np.int32)
+    for again in (gf.frozen(f), gf.frozen(f, np.int32), gf.frozen(f.reshape(4, 3))):
+        assert np.shares_memory(again, f)
+    assert gf.frozen(f) is f
+
+
+@pytest.mark.parametrize("make", [
+    lambda f: np.array(f),           # writable
+    lambda f: f.T,                   # not C-contiguous
+    lambda f: f[:2],                 # a part of its buffer
+    lambda f: f.astype(np.int64),    # another dtype
+], ids=["writable", "transposed", "part", "int64"])
+def test_frozen_copies_anything_else(make):
+    f = gf.frozen(np.arange(12).reshape(3, 4), np.int32)
+    a = make(f)
+    g = gf.frozen(a, np.int32)
+    assert not np.shares_memory(g, a) and not g.flags.writeable
+    assert g.dtype == np.int32 and g.flags.c_contiguous and np.array_equal(g, a)
+
+
+def test_a_cast_holds_one_copy_and_a_piece():
+    a = np.arange(15_000_000, dtype=np.int64).reshape(3_000_000, 5)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        f = gf.frozen(a, np.int32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.nbytes <= peak < f.nbytes + (1 << 20)
+    assert np.array_equal(f[-1], a[-1])
+
+
+def test_the_readers_blocks_and_squares_are_their_one_buffer(monkeypatch):
+    """design_loads adopts the blocks its fast reading wrote, and
+    grid_loads the squares frozen_from wrote, with no copy."""
+    made = {}
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            made[name] = out = fn(*args)
+            return out
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(formats, "_fast_design_doc")
+    spy(gf, "frozen_from")
+    d = formats.design_loads(formats.design_dumps(dz.td_from_field(3, 4)).encode())
+    assert np.shares_memory(d.blocks, made["_fast_design_doc"]["blocks"])
+    s = formats.grid_loads(fixture_path("hmols_2_4.grid").read_bytes())
+    assert np.shares_memory(s.squares, made["frozen_from"])

@@ -534,6 +534,14 @@ def test_recipes_over_the_cap_are_refused_before_building(monkeypatch, recipe, r
         pl._recipe_design(recipe)
 
 
+def test_a_recipe_of_too_many_entries_is_refused_before_building(monkeypatch):
+    # 3,996,001 rows pass the row cap; 2000 entries a row are about 61 GB
+    monkeypatch.setattr(pl.dz, "td_from_field", lambda *args: pytest.fail("built"))
+    with pytest.raises(MalformedInput, match="would build 7992002000 entries, "
+                                             "over the cap 20000000$"):
+        pl._recipe_design({"op": "td_from_field", "k": 2000, "q": 1999})
+
+
 def test_a_recipe_at_the_cap_is_built(monkeypatch):
     monkeypatch.setattr(pl, "MAX_EXEC_BLOCKS", 16)
     assert len(pl._recipe_design({"op": "td_from_field", "k": 3, "q": 4}).blocks) == 16
