@@ -11,14 +11,17 @@ result can only escape as an exception.  Composed designs use
 structured point labels internally (layer offsets into each group's
 index space), flattened so holes stay explicit index lists.
 
-Blocks are placed as whole arrays, never block by block.  A copy of a
-small design that only shifts each group's points is a broadcast sum of
-offsets and blocks (`_shifted`).  Any other placement is a gather: a
-destination table `dest[c, p, i]`, the point that point p of group i
-becomes in copy c, read through the small design's blocks in one
-indexing step (`_gather`).  Both list the copies one after another,
-each in the small design's block order, so block order is the one a
-copy-by-copy loop would give.
+Blocks are placed as whole arrays, never block by block, and column by
+column: the helpers take and return (k, B) block columns, the layout a
+design keeps (d.blocks.T), and an output goes to BlockDesign.new as the
+(B, k) view of its columns.  A copy of a small design that only shifts
+each group's points is a broadcast sum of offsets and blocks
+(`_shifted`).  Any other placement is a gather: a destination table
+`dest[c, p, i]`, the point that point p of group i becomes in copy c,
+read through the small design's block columns in one indexing step
+(`_gather`).  Both list the copies one after another, each in the small
+design's block order, so block order is the one a copy-by-copy loop
+would give.
 
 Every incomplete TD and every aligned fill comes from one cut-and-relabel
 step (`_cut`): delete some blocks and send chosen points of every group,
@@ -49,18 +52,17 @@ def _checked(d: BlockDesign, what: str) -> BlockDesign:
     return d
 
 
-def _shifted(offsets: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """One copy of `blocks` per row of the int64 `offsets`, each point
-    shifted by its group's offset in that row (one column shifts all
-    groups alike)."""
-    return (offsets[:, None, :] + blocks[None, :, :]).reshape(-1, blocks.shape[1])
+def _shifted(offsets: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The columns of one copy of the block columns `cols` per column of
+    the int64 `offsets`, each point shifted by its group's offset in that
+    column (one row shifts all groups alike)."""
+    return (offsets[:, :, None] + cols[:, None, :]).reshape(len(cols), -1)
 
 
-def _gather(dest: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """One copy of `blocks` per destination table: point p of group i goes
-    to dest[c, p, i] in copy c."""
-    k = blocks.shape[1]
-    return dest[:, blocks, np.arange(k)].reshape(-1, k)
+def _gather(dest: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The columns of one copy of the block columns `cols` per destination
+    table: point p of group i goes to dest[c, p, i] in copy c."""
+    return np.stack([dest[:, col, i] for i, col in enumerate(cols)]).reshape(len(cols), -1)
 
 
 def _side_ranks(mask: np.ndarray) -> np.ndarray:
@@ -70,9 +72,9 @@ def _side_ranks(mask: np.ndarray) -> np.ndarray:
 
 
 def _cut(d: BlockDesign, rows, points, slots) -> np.ndarray:
-    """d's blocks without the blocks `rows`, relabelled so that in every
-    group i the point points[i][j] becomes slots[j] and the other points
-    keep their order in the remaining slots."""
+    """The columns of d's blocks without the blocks `rows`, relabelled so
+    that in every group i the point points[i][j] becomes slots[j] and the
+    other points keep their order in the remaining slots."""
     slots = np.asarray(slots, dtype=np.int64)
     groups = np.arange(d.k)[:, None]
     sent = np.zeros((d.k, d.group_size), dtype=bool)
@@ -83,7 +85,7 @@ def _cut(d: BlockDesign, rows, points, slots) -> np.ndarray:
     perms = np.concatenate([slots, np.delete(np.arange(d.group_size), slots)])[place]
     keep = np.ones(len(d.blocks), dtype=bool)
     keep[rows] = False
-    return perms[groups[:, 0], d.blocks[keep]]
+    return perms[groups, d.blocks.T[:, keep]]
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +173,7 @@ def itd_from_marked(design: BlockDesign, sub_points, sub_blocks) -> BlockDesign:
     h_sub = len(sub_points[0])
     blocks = _cut(d, list(sub_blocks), [sorted(c) for c in sub_points], range(h_sub))
     out = BlockDesign.new(k=d.k, group_size=d.group_size, index=d.index,
-                          blocks=blocks, hole_kind=HOLE_SINGLE,
+                          blocks=blocks.T, hole_kind=HOLE_SINGLE,
                           holes=(tuple(range(h_sub)),))
     return _checked(out, f"ITD({d.k},({d.group_size};{h_sub}))")
 
@@ -190,8 +192,8 @@ def td_product(d1: BlockDesign, d2: BlockDesign) -> BlockDesign:
     _checked(d2, "second factor")
     out = BlockDesign.new(k=d1.k, group_size=d1.group_size * d2.group_size,
                           index=d1.index * d2.index,
-                          blocks=_shifted(d1.blocks.astype(np.int64) * d2.group_size,
-                                          d2.blocks))
+                          blocks=_shifted(d1.blocks.T.astype(np.int64) * d2.group_size,
+                                          d2.blocks.T).T)
     return _checked(out, "product TD")
 
 
@@ -232,11 +234,12 @@ def diag_product(a: BlockDesign, b: BlockDesign, c: BlockDesign) -> BlockDesign:
     _checked(c, "diagonal HTD")
     k = a.k
     layer = n * h
-    layers = np.arange(m)[:, None] * layer
-    blocks = np.concatenate([_shifted(layers, c.blocks),
-                             _shifted(a.blocks.astype(np.int64) * layer, b.blocks)])
-    holes = _shifted(layers, np.asarray(c.holes)).tolist()
-    out = BlockDesign.new(k=k, group_size=m * layer, index=1, blocks=blocks,
+    layers = np.arange(m)[None, :] * layer
+    cols = np.concatenate([_shifted(layers, c.blocks.T),
+                           _shifted(a.blocks.T.astype(np.int64) * layer, b.blocks.T)],
+                          axis=1)
+    holes = _shifted(layers, np.asarray(c.holes).T).T.tolist()
+    out = BlockDesign.new(k=k, group_size=m * layer, index=1, blocks=cols.T,
                           hole_kind=HOLE_UNIFORM, holes=holes)
     return _checked(out, f"HTD({k},{h}^{m * n})")
 
@@ -308,15 +311,15 @@ def wilson_compose(r: BlockDesign, a: BlockDesign, b: BlockDesign,
     rr = parallel_class_reduction(r)
     y_base = t * layer  # the Y part sits after the t layers
 
-    layers = np.arange(t)[:, None] * layer
+    layers = np.arange(t)[None, :] * layer
     non_class = rr.blocks[rr.blocks[:, k] != 0].astype(np.int64)
     miss = non_class[non_class[:, k] > u]
     pieces = [
         # first kind: the HTD(k,h^m) on each layer of the parallel class
-        _shifted(layers, a.blocks),
+        _shifted(layers, a.blocks.T),
         # second kind: TD(k,hm) across the layers of blocks missing Y
-        _shifted(miss[:, :k] * layer, b.blocks)]
-    holes = _shifted(layers, np.asarray(a.holes)).tolist()
+        _shifted(miss[:, :k].T * layer, b.blocks.T)]
+    holes = _shifted(layers, np.asarray(a.holes).T).T.tolist()
     if u > 0:
         # third kind: the ITD over each block meeting Y, its hole's points
         # sent in order onto the hole of Y the block meets, its other
@@ -327,14 +330,14 @@ def wilson_compose(r: BlockDesign, a: BlockDesign, b: BlockDesign,
         dest = meet[:, None, :k] * layer + _side_ranks(in_hole)[None, :, None]
         y_holes = y_base + np.asarray(f.holes, dtype=np.int64)
         dest[:, in_hole] = y_holes[meet[:, k] - 1, :, None]
-        pieces.append(_gather(dest, e.blocks))
+        pieces.append(_gather(dest, e.blocks.T))
         # fourth kind: the HTD(k,h^u) on Y
-        pieces.append(f.blocks.astype(np.int64) + y_base)
+        pieces.append(f.blocks.T.astype(np.int64) + y_base)
         holes += y_holes.tolist()
 
-    blocks = np.concatenate(pieces)
+    cols = np.concatenate(pieces, axis=1)
     out = BlockDesign.new(k=k, group_size=t * layer + u * h, index=1,
-                          blocks=blocks, hole_kind=HOLE_UNIFORM, holes=holes)
+                          blocks=cols.T, hole_kind=HOLE_UNIFORM, holes=holes)
     return _checked(out, f"HTD({k},{h}^{m * t + u})")
 
 
@@ -399,17 +402,18 @@ def itd_truncate_compose(r2: BlockDesign, dm: BlockDesign, dm1: BlockDesign,
     dest[:, m] = np.where(has_y, v + y, z)[:, None]
     dest[:, m + 1] = z[:, None]
     pieces, source = [], []
-    for case, fill in ((~has_y & ~has_z, dm.blocks), (has_y ^ has_z, fill1),
+    for case, fill in ((~has_y & ~has_z, dm.blocks.T), (has_y ^ has_z, fill1),
                        (has_y & has_z, fill2)):
         pieces.append(_gather(dest[case], fill))
-        source.append(np.repeat(np.flatnonzero(case), len(fill)))
-    blocks = np.concatenate(pieces)[np.argsort(np.concatenate(source), kind="stable")]
+        source.append(np.repeat(np.flatnonzero(case), fill.shape[1]))
+    order = np.argsort(np.concatenate(source), kind="stable")
+    cols = np.concatenate(pieces, axis=1)[:, order]
     if du is not None:
-        blocks = np.concatenate([blocks, du.blocks.astype(np.int64) + v])
+        cols = np.concatenate([cols, du.blocks.T.astype(np.int64) + v], axis=1)
     size = m * t + u + v
     if v > 0:
-        out = BlockDesign.new(k=k, group_size=size, index=1, blocks=blocks,
+        out = BlockDesign.new(k=k, group_size=size, index=1, blocks=cols.T,
                               hole_kind=HOLE_SINGLE, holes=(tuple(range(v)),))
     else:
-        out = BlockDesign.new(k=k, group_size=size, index=1, blocks=blocks)
+        out = BlockDesign.new(k=k, group_size=size, index=1, blocks=cols.T)
     return _checked(out, f"ITD({k},({size};{v}))")

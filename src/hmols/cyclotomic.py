@@ -31,6 +31,7 @@ from . import gf
 from .designs import (
     HOLE_NONE,
     HOLE_UNIFORM,
+    MAX_EXEC_BLOCKS,
     BlockDesign,
     VerificationReport,
     _count_pairs,
@@ -489,17 +490,25 @@ def verify_rdm(fam: RelativeDifferenceFamily) -> VerificationReport:
 
 def develop_rdf(fam: RelativeDifferenceFamily) -> BlockDesign:
     """Develop the base blocks additively over G: an HTD(k, h^q) whose
-    holes are the cosets of the subgroup."""
-    verify_rdm(fam).require("difference family")
+    holes are the cosets of the subgroup.  More than MAX_EXEC_BLOCKS
+    output blocks are refused before anything is built."""
     g = fam.group_order
     h = fam.h_field.q
+    count = g * len(fam.base_blocks)
+    if count > MAX_EXEC_BLOCKS:
+        raise MalformedInput(f"developing {len(fam.base_blocks)} base blocks over "
+                             f"{g} shifts would build {count} blocks, over the cap "
+                             f"{MAX_EXEC_BLOCKS}")
+    verify_rdm(fam).require("difference family")
     shifts = np.arange(g)
-    # table[s, x] = x + s in G, gathered at every base entry x for each
-    # shift s in turn (shift-major); the table is smaller than the output
+    # table[s, x] = x + s in G, gathered at every entry x of a base column
+    # for each shift s in turn (shift-major), one column at a time into
+    # the design's buffer; the table is smaller than the output
     table = fam.g_add(shifts[:, None], shifts[None, :]).astype(np.int32)
-    blocks = table[:, fam.base_blocks.ravel()].reshape(-1, fam.k)
+    cols = gf.frozen_from((table[:, col].reshape(1, -1) for col in fam.base_blocks.T),
+                          np.int32, (fam.k, count))
     holes = tuple(tuple(range(z * h, (z + 1) * h)) for z in range(fam.q_field.q))
-    return BlockDesign.new(k=fam.k, group_size=g, index=1, blocks=blocks,
+    return BlockDesign.new(k=fam.k, group_size=g, index=1, blocks=cols.T,
                            hole_kind=HOLE_UNIFORM, holes=holes)
 
 
@@ -515,7 +524,9 @@ def expand_td_to_htd(td: BlockDesign, q: int, seed: int = 0,
     pair of cells, its lam containing blocks in canonical order; each
     block then needs a k-tuple over GF(q) whose pairwise differences lie
     in the labeled cyclotomic classes, found by seeded search with the
-    given per-block budget.  The output is verified before return.
+    given per-block budget.  The output is verified before return; more
+    than MAX_EXEC_BLOCKS output blocks are refused before any field
+    table is built.
     """
     if seed < 0:  # random.Random would alias seed and -seed
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -525,6 +536,10 @@ def expand_td_to_htd(td: BlockDesign, q: int, seed: int = 0,
     fq = gf.field_new(q)
     if fq.e != 1:
         raise ValueError("the expansion search runs over prime fields only")
+    count = len(td.blocks) * q * (q - 1) // lam
+    if count > MAX_EXEC_BLOCKS:
+        raise MalformedInput(f"expanding {len(td.blocks)} blocks over GF({q}) would "
+                             f"build {count} blocks, over the cap {MAX_EXEC_BLOCKS}")
     ctx = gf.cyclotomy_new(fq, lam)
     if td.hole_kind != HOLE_NONE:
         raise MalformedInput("expansion starts from a plain TD")
@@ -541,15 +556,18 @@ def expand_td_to_htd(td: BlockDesign, q: int, seed: int = 0,
 
     c0 = np.flatnonzero(ctx.class_table == 0)
     shifts = np.arange(q)
-    # point (b, a, c, r) = (a * phi[b, r] + c) * h + block[b, r] over GF(q),
-    # gathered from table[c, y] = ((y + c) % q) * h; prime q, so plain mod
+    # point (b, a, c) of column r = (a * phi[b, r] + c) * h + block[b, r]
+    # over GF(q), gathered from table[c, y] = ((y + c) % q) * h; prime q,
+    # so plain mod
     table = ((shifts[None, :] + shifts[:, None]) % q * h).astype(np.int32)
-    y = c0[None, :, None, None] * phis[:, None, None, :] % q
-    pts = table[shifts[:, None], y]
-    pts += blocks[:, None, None, :]
-    out_blocks = pts.reshape(-1, k)
+
+    def column(r):
+        y = c0[None, :, None] * phis[:, r, None, None] % q
+        return (table[shifts, y] + blocks[:, r, None, None]).reshape(1, -1)
+
+    cols = gf.frozen_from(map(column, range(k)), np.int32, (k, count))
     holes = tuple(tuple(range(zz * h, (zz + 1) * h)) for zz in range(q))
-    out = BlockDesign.new(k=k, group_size=h * q, index=1, blocks=out_blocks,
+    out = BlockDesign.new(k=k, group_size=h * q, index=1, blocks=cols.T,
                           hole_kind=HOLE_UNIFORM, holes=holes)
     out_rep = verify_design(out)
     if not out_rep.valid:

@@ -14,6 +14,12 @@ is counted by one bincount; only a failed check is searched for
 witnesses, and then every violation is listed, for mutation tests and
 composition debugging.  Objects are immutable, their arrays made by
 gf.frozen in the constructors; verification is pure.
+
+A block design holds its blocks column-major: one frozen, C-ordered
+int32 buffer of shape (k, B), row i holding every block's point in
+group i.  BlockDesign.blocks is its (B, k) view, buffer.T, so a block is
+a row of it as ever; the pair counts read the buffer's rows in place,
+and builders fill it column by column.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from . import gf
 from .errors import MalformedInput
 
 BLANK = -1
+MAX_EXEC_BLOCKS = 5_000_000  # the most blocks a built design may have
 
 # violation kinds
 ROW_DUP = "RowDup"
@@ -98,9 +105,10 @@ def _count_pairs(v, blocks, expected, keys=None) -> None:
     For each column pair r < s of blocks (N, m), test keys(col_r, col_s),
     by default col_r * expected.shape[-1] + col_s in a reused buffer; a
     pair that fails adds witnesses to v, (PAIR_MISSING, (r, s, *cell,
-    count)) in cell order and then PAIR_REPEATED likewise.
+    count)) in cell order and then PAIR_REPEATED likewise.  The columns
+    are the rows of blocks.T, read in place: a design's own buffer.
     """
-    cols = np.ascontiguousarray(blocks.T, dtype=np.int32)
+    cols = blocks.T
     exact = _exact_test(expected)
     scaled, buf = (np.empty(cols.shape[1], dtype=np.intp) for _ in range(2))
     for r in range(len(cols)):
@@ -171,9 +179,9 @@ def _duplicates(square: np.ndarray):
     """(ROW_DUP, row, symbol) for every symbol a row repeats, then
     (COL_DUP, column, symbol) likewise, each in (line, symbol) order."""
     n = len(square)
-    fi, fj = np.nonzero(square != BLANK)
-    for kind, idx in ((ROW_DUP, fi), (COL_DUP, fj)):
-        counts = np.bincount(idx * n + square[fi, fj], minlength=n * n)
+    filled = square != BLANK
+    for kind, line in ((ROW_DUP, np.arange(n)[:, None]), (COL_DUP, np.arange(n))):
+        counts = np.bincount((line * n + square)[filled], minlength=n * n)
         for key in np.nonzero(counts > 1)[0]:
             yield kind, int(key // n), int(key % n)
 
@@ -310,7 +318,8 @@ class BlockDesign:
     partition into n holes of size h (holey TD), or one hole (incomplete
     TD).  Blocks are ordered k-tuples of per-group point indices, kept as
     a list with multiset semantics: TD_lam with lam > 1 legitimately
-    repeats blocks.
+    repeats blocks.  blocks is the (B, k) view of one frozen (k, B) int32
+    buffer, blocks.T, which holds the blocks column by column.
     """
 
     k: int
@@ -318,13 +327,14 @@ class BlockDesign:
     index: int
     hole_kind: str
     holes: tuple
-    blocks: np.ndarray  # (B, k)
+    blocks: np.ndarray  # (B, k), the view .T of a frozen (k, B) buffer
 
     @staticmethod
     def new(k, group_size, index, blocks, hole_kind=HOLE_NONE, holes=()) -> "BlockDesign":
         # an integer array is range-checked in its own dtype (int32 and
-        # narrower need no check), then frozen: an int32 array that is
-        # frozen already, such as the design reader's, is adopted as it is
+        # narrower need no check), then frozen column-major: arr.T is
+        # copied once, or adopted as it is when it is a frozen int32 (k, B)
+        # buffer already, such as the design reader's
         if isinstance(blocks, np.ndarray) and blocks.dtype.kind in "iu":
             arr = blocks
         else:
@@ -366,7 +376,7 @@ class BlockDesign:
         else:
             raise MalformedInput(f"unknown hole kind {hole_kind!r}")
         return BlockDesign(k=k, group_size=group_size, index=index, hole_kind=hole_kind,
-                           holes=norm, blocks=gf.frozen(arr, np.int32))
+                           holes=norm, blocks=gf.frozen(arr.T, np.int32).T)
 
     # derived uniform profile parameters
     @property
@@ -385,16 +395,17 @@ class BlockDesign:
 
         Sorting on the first two coordinates alone gives that order when
         they tell all blocks apart, as they do for the HTD of any HMOLS
-        set; the full sort runs only when they do not.
+        set; the full sort runs only when they do not.  Each column is
+        gathered on its own, and the result is the (B, k) view of them.
         """
-        b = self.blocks
-        if len(b) > 1 and 0 <= b[:, 1].min() and b[:, 1].max() < self.group_size:
-            key = b[:, 0].astype(np.int64) * self.group_size + b[:, 1]
+        cols = self.blocks.T
+        if cols.shape[1] > 1 and 0 <= cols[1].min() and cols[1].max() < self.group_size:
+            key = cols[0].astype(np.int64) * self.group_size + cols[1]
             order = np.argsort(key, kind="stable")
             key = key[order]
             if (key[1:] != key[:-1]).all():
-                return b[order]
-        return b[np.lexsort(b.T[::-1])]
+                return cols[:, order].T
+        return cols[:, np.lexsort(cols[::-1])].T
 
 
 def expected_block_count(d: BlockDesign) -> int:
@@ -409,17 +420,17 @@ def verify_design(d: BlockDesign) -> VerificationReport:
     shapes consistent with the profile."""
     v = []
     g = d.group_size
-    blocks = d.blocks
-    if blocks.size and (blocks.min() < 0 or blocks.max() >= g):
-        bad = np.nonzero((blocks < 0) | (blocks >= g))[0]
-        for b in np.unique(bad):
+    # read as unsigned, a negative entry is 2^31 or more, so at least g
+    entries = d.blocks.T.view(np.uint32)
+    if entries.size and entries.max() >= g:
+        for b in np.unique(np.nonzero(entries >= g)[1]):
             v.append((BLOCK_SHAPE, (int(b),)))
         return _report(v)
     expected_count = expected_block_count(d)
-    if blocks.shape[0] != expected_count:
-        v.append((COUNT_MISMATCH, (blocks.shape[0], expected_count)))
+    if len(d.blocks) != expected_count:
+        v.append((COUNT_MISMATCH, (len(d.blocks), expected_count)))
     same = _same_hole(d.hole_of())
-    _count_pairs(v, blocks, np.where(same, 0, d.index) if d.index > 1 else ~same)
+    _count_pairs(v, d.blocks, np.where(same, 0, d.index) if d.index > 1 else ~same)
     return _report(v)
 
 
@@ -428,9 +439,10 @@ def verify_design(d: BlockDesign) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _cell_blocks(squares, hole_of) -> np.ndarray:
-    """One block (row, column, each square's symbol) per cell off the holes."""
+    """One block (row, column, each square's symbol) per cell off the
+    holes, as the (B, k) view of their columns."""
     off_hole = ~_same_hole(hole_of)
-    return np.column_stack([*np.nonzero(off_hole), *squares[:, off_hole]])
+    return np.vstack([np.nonzero(off_hole), squares[:, off_hole]]).T
 
 
 def hmols_to_htd(s: HoleyLatinSquareSet) -> BlockDesign:
@@ -453,11 +465,18 @@ def htd_to_hmols(d: BlockDesign) -> HoleyLatinSquareSet:
         raise MalformedInput(f"need an HTD of index 1, got index {d.index}")
     verify_design(d).require("HTD")
     g = d.group_size
-    squares = np.full((d.k - 2, g, g), BLANK, dtype=np.int32)
-    cells = d.blocks[:, 0].astype(np.intp) * g + d.blocks[:, 1]
-    squares.reshape(d.k - 2, g * g)[:, cells] = d.blocks[:, 2:].T
-    return HoleyLatinSquareSet.from_arrays(h=d.hole_size, n=d.hole_count,
-                                           holes=d.holes, squares=squares)
+    cols = d.blocks.T
+    cells = cols[0].astype(np.intp) * g + cols[1]
+
+    def square(symbols):
+        sq = np.full(g * g, BLANK, dtype=np.int32)
+        sq[cells] = symbols
+        return sq
+
+    # one square at a time into the buffer the square set adopts
+    squares = gf.frozen_from(map(square, cols[2:]), np.int32, ((d.k - 2) * g * g,))
+    return HoleyLatinSquareSet.from_arrays(h=d.hole_size, n=d.hole_count, holes=d.holes,
+                                           squares=squares.reshape(d.k - 2, g, g))
 
 
 def imols_to_itd(s: IncompleteMolsSet) -> BlockDesign:
@@ -490,7 +509,7 @@ def td_from_field(k: int, q: int) -> BlockDesign:
         raise MalformedInput("need at least two groups")
     a, u = np.divmod(np.arange(q * q), q)
     cols = [u if i == q else f.add(a, f.mul(u, i)) for i in range(k)]
-    return BlockDesign.new(k=k, group_size=q, index=1, blocks=np.stack(cols, axis=1))
+    return BlockDesign.new(k=k, group_size=q, index=1, blocks=np.stack(cols).T)
 
 
 def unit_hole_htd(k: int, q: int) -> BlockDesign:
@@ -510,7 +529,7 @@ def unit_hole_htd(k: int, q: int) -> BlockDesign:
                      for a in range(2, k)]  # the k-2 chosen values of a
     holes = tuple((t,) for t in range(q))
     return BlockDesign.new(k=k, group_size=q, index=1,
-                           blocks=np.stack(cols, axis=1),
+                           blocks=np.stack(cols).T,
                            hole_kind=HOLE_UNIFORM, holes=holes)
 
 
@@ -521,7 +540,7 @@ def restrict_groups(d: BlockDesign, keep) -> BlockDesign:
             any(not 0 <= i < d.k for i in keep):
         raise MalformedInput(f"bad group selection {keep} for k = {d.k}")
     return BlockDesign.new(k=len(keep), group_size=d.group_size, index=d.index,
-                           blocks=d.blocks[:, keep], hole_kind=d.hole_kind,
+                           blocks=d.blocks.T[keep].T, hole_kind=d.hole_kind,
                            holes=d.holes)
 
 
@@ -536,8 +555,6 @@ def relabel_points(d: BlockDesign, perms) -> BlockDesign:
     perms = np.asarray(perms, dtype=np.int64)
     if perms.shape != (d.k, d.group_size):
         raise MalformedInput("need one full permutation per group")
-    blocks = np.empty_like(d.blocks)
-    for i in range(d.k):
-        blocks[:, i] = perms[i][d.blocks[:, i]]
+    cols = perms[np.arange(d.k)[:, None], d.blocks.T]
     return BlockDesign.new(k=d.k, group_size=d.group_size, index=d.index,
-                           blocks=blocks)
+                           blocks=cols.T)

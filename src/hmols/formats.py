@@ -20,7 +20,9 @@ has 641,600 blocks, so per-entry Python objects would dominate its cost;
 the passes run over pieces of rows, so that no pass allocates arrays the
 size of the whole body.  The readers write the numbers of each piece, as
 int32, into one immutable bytes buffer, which the design or square set
-adopts as its frozen array with no further copy.  The printers yield
+adopts as its frozen array with no further copy; a design's buffer holds
+its blocks column by column, (k, B), so each piece of rows goes
+transposed into its column slots.  The printers yield
 their output as bytes pieces, each rendered when it is asked for;
 design_dumps and grid_dumps join and decode them, and the command line
 writes each piece to its file in binary mode as it comes, so that it
@@ -29,7 +31,6 @@ holds one piece of the output at a time.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import re
@@ -66,6 +67,12 @@ def _pieces(start: int, stop: int, width: int = 1, cut=None):
         end = min(stop, start + step if cut is None else cut(start + step))
         yield start, end
         start = end
+
+
+def _count(data: bytes, byte: bytes, start: int, stop: int) -> int:
+    """data.count(byte, start, stop), counted by numpy a piece at a time."""
+    b = np.frombuffer(data, np.uint8)
+    return sum(np.count_nonzero(b[a:z] == byte[0]) for a, z in _pieces(start, stop))
 
 
 def _utf8(text: str | bytes) -> bytes:
@@ -243,7 +250,8 @@ def _parse_squares(data: bytes, at: int, end: int, count, side, size):
     width = rows[0][1] - rows[0][0] + 1 if rows else 1
     pieces = (_parse_cells([data[a:b] for a, b in rows[i:j]], size)
               for i, j in _pieces(0, len(rows), width))
-    return gf.frozen_from(pieces, np.int32, (count, side, side))
+    return gf.frozen_from(pieces, np.int32, (count * side * side,)).reshape(
+        count, side, side)
 
 
 def grid_loads(text: str | bytes):
@@ -411,10 +419,11 @@ def _blocks_span(data: bytes, at: int):
 
 def _fast_design_doc(data: bytes):
     """The design document with its "blocks" value parsed by _int_matrix
-    into one frozen int32 array, or None when the fast reading cannot
-    prove it equals json.loads of the text, or an entry does not fit in
-    int32 (json.loads then reads the text, and BlockDesign.new refuses
-    that entry after the other fields are checked).
+    into the (B, k) view of one frozen int32 (k, B) array, or None when
+    the fast reading cannot prove it equals json.loads of the text, or an
+    entry does not fit in int32 (json.loads then reads the text, and
+    BlockDesign.new refuses that entry after the other fields are
+    checked).
 
     The blocks array is cut out and replaced by a sentinel string that
     only an escape can spell; the rest goes to json.loads.  A text
@@ -435,30 +444,17 @@ def _fast_design_doc(data: bytes):
     if span is None:
         return None
     start, end = span
-    # the rows data[start + 1:end - 1] in pieces cut after a "]", each read
-    # as a matrix of its own and written as int32 into one buffer; a later
-    # piece starts after the white space and "," that follow the cut, and
-    # white space alone ends the rows
-    blocks, width = io.BytesIO(), None
-    for a, b in _pieces(start + 1, end - 1,
-                        cut=lambda at: data.find(b"]", at, end - 1) + 1 or end - 1):
-        if a > start + 1:
-            gap = _GAP.match(data, a, b)
-            if not gap.group(1):
-                if gap.end() == b:
-                    continue
-                return None
-            a = gap.end()
-        part = _int_matrix(b"[" + data[a:b] + b"]")
-        if part is None or part.shape[1] != (width or part.shape[1]):
-            return None
-        if part.dtype != np.int32:
-            if part.min() < _INT32.min or part.max() > _INT32.max:
-                return None
-            part = part.astype(np.int32)
-        width = part.shape[1]
-        blocks.write(part)
-    if width is None:
+    # every row of data[start + 1:end - 1] ends in a "]", and the first
+    # row's commas give the width: the blocks fill one frozen (width, rows)
+    # buffer, each piece of rows written transposed into its column slots
+    rows = _count(data, b"]", start + 1, end - 1) if end else 0
+    if rows == 0:
+        return None
+    width = data.count(b",", start + 1, data.find(b"]", start + 1)) + 1
+    try:
+        blocks = gf.frozen_from(_block_columns(data, start, end, width),
+                                np.int32, (width, rows), axis=1)
+    except _NotFast:
         return None
     try:
         doc = json.loads(_str(data[:start] + _SENTINEL + data[end:]))
@@ -466,9 +462,34 @@ def _fast_design_doc(data: bytes):
         return None
     if not isinstance(doc, dict) or doc.get("blocks") != "\0":
         return None
-    # getvalue hands the buffer over without copying it
-    doc["blocks"] = np.frombuffer(blocks.getvalue(), np.int32).reshape(-1, width)
+    doc["blocks"] = blocks.T
     return doc
+
+
+class _NotFast(Exception):
+    """The fast reading of a design file cannot prove its blocks."""
+
+
+def _block_columns(data: bytes, start: int, end: int, width: int):
+    """The rows of the blocks array data[start:end], transposed, in
+    pieces cut after a "]", each read as a matrix of its own; _NotFast
+    when a piece is no matrix of width columns of int32 numbers.  A later
+    piece starts after the white space and "," that follow the cut, and
+    white space alone ends the rows."""
+    for a, b in _pieces(start + 1, end - 1,
+                        cut=lambda at: data.find(b"]", at, end - 1) + 1 or end - 1):
+        if a > start + 1:
+            gap = _GAP.match(data, a, b)
+            if not gap.group(1):
+                if gap.end() == b:
+                    continue
+                raise _NotFast
+            a = gap.end()
+        part = _int_matrix(b"[" + data[a:b] + b"]")
+        if part is None or part.shape[1] != width or part.dtype != np.int32 and \
+                (part.min() < _INT32.min or part.max() > _INT32.max):
+            raise _NotFast
+        yield part.T
 
 
 def _is_int(x) -> bool:

@@ -57,24 +57,25 @@ def _is_frozen(a: np.ndarray, dtype: np.dtype) -> bool:
         a.flags.c_contiguous and a.nbytes == len(base)
 
 
-def frozen_from(pieces, dtype, shape) -> np.ndarray:
-    """A frozen array of the given shape whose entries are those of the
-    arrays in pieces, in order, each cast to dtype: the pieces are written
-    in place into one bytes buffer, so that the result is the only
-    full-size copy and a cast makes no temporary array."""
+def frozen_from(pieces, dtype, shape, axis: int = 0) -> np.ndarray:
+    """A frozen array of the given shape that joins the arrays in pieces
+    along axis, as np.concatenate joins them, each cast to dtype: the
+    pieces are written in place into one bytes buffer, so that the result
+    is the only full-size copy and a cast makes no temporary array."""
     dtype = np.dtype(dtype)
     # a zeroed bytes object is allocated lazily, and a BytesIO that holds
     # the only reference to it writes into it in place
     buf = io.BytesIO(bytes(math.prod(shape) * dtype.itemsize))
+    lead = (slice(None),) * axis
     with buf.getbuffer() as view:
-        out, at = np.frombuffer(view, dtype), 0
+        out, at = np.frombuffer(view, dtype).reshape(shape), 0
         for piece in pieces:
-            np.copyto(out[at:at + piece.size].reshape(piece.shape), piece,
-                      casting="unsafe")
-            at += piece.size
+            step = piece.shape[axis]
+            np.copyto(out[lead + (slice(at, at + step),)], piece, casting="unsafe")
+            at += step
         del out  # the view is released only when no array holds it
-    if at != math.prod(shape):
-        raise AssertionError(f"pieces of {at} entries for shape {shape}")
+    if at != shape[axis]:
+        raise AssertionError(f"pieces of {at} slices for shape {shape}")
     # getvalue hands the buffer over without copying it
     return np.frombuffer(buf.getvalue(), dtype).reshape(shape)
 

@@ -26,6 +26,7 @@ from . import compose as cp
 from . import cyclotomic as cy
 from . import designs as dz
 from . import gf
+from .designs import MAX_EXEC_BLOCKS  # estimated goal blocks an execution may build
 from .errors import Exhausted, HmolsError, MalformedInput, NoPlan
 
 # ---------------------------------------------------------------------------
@@ -436,7 +437,6 @@ def _search(h, k, n, reg, depth):
 # plan execution
 # ---------------------------------------------------------------------------
 
-MAX_EXEC_BLOCKS = 5_000_000  # estimated goal blocks an execution may build
 MAX_RECIPE_ENTRIES = 4 * MAX_EXEC_BLOCKS  # block entries one recipe may build
 
 

@@ -515,42 +515,62 @@ def test_execute_broken_recipe_exits_two(tmp_path, capsys, name):
     assert captured.err.startswith(f"error: subtree {goal} failed: ")
 
 
-def test_oversized_recipe_is_refused_before_allocating(tmp_path):
-    # td_from_field over GF(46309) would ask for 16 GiB; the child may
-    # have 1 GiB, and must refuse the recipe at once
-    plan, reg = _diag_plan_files(
-        tmp_path, TD_3_8, {"source": "constructible",
-                           "recipe": {"op": "td_from_field", "k": 3, "q": 46309}})
+def _refused_in_a_small_child(*argv) -> str:
+    """Run the command line in a child process that may have 1 GiB of
+    address space; assert that it exits 2 at once, printing nothing on
+    stdout and no traceback, and return its stderr."""
     env = {**os.environ, "PYTHONPATH": str(Path(hmols.__file__).parents[1])}
     start = time.perf_counter()
     child = subprocess.run(
-        [sys.executable, "-m", "hmols.cli", "execute", plan, "--registry", reg],
+        [sys.executable, "-m", "hmols.cli", *map(str, argv)],
         env=env, capture_output=True, text=True, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
     elapsed = time.perf_counter() - start
     assert child.returncode == 2, child.stderr
-    assert "Traceback" not in child.stderr
-    assert "over the cap" in child.stderr and child.stdout == ""
+    assert "Traceback" not in child.stderr and child.stdout == ""
     assert elapsed < 2
+    return child.stderr
+
+
+def test_oversized_recipe_is_refused_before_allocating(tmp_path):
+    # td_from_field over GF(46309) would ask for 16 GiB
+    plan, reg = _diag_plan_files(
+        tmp_path, TD_3_8, {"source": "constructible",
+                           "recipe": {"op": "td_from_field", "k": 3, "q": 46309}})
+    assert "over the cap" in _refused_in_a_small_child("execute", plan, "--registry", reg)
 
 
 def test_recipe_of_too_many_entries_is_refused_before_allocating(tmp_path):
     # 3,996,001 rows pass the row cap, but 2000 entries a row would ask for
-    # about 61 GB; the child may have 1 GiB, and must refuse the recipe at once
+    # about 61 GB
     plan, reg = _diag_plan_files(
         tmp_path, TD_3_8, {"source": "constructible",
                            "recipe": {"op": "td_from_field", "k": 2000, "q": 1999}})
-    env = {**os.environ, "PYTHONPATH": str(Path(hmols.__file__).parents[1])}
-    start = time.perf_counter()
-    child = subprocess.run(
-        [sys.executable, "-m", "hmols.cli", "execute", plan, "--registry", reg],
-        env=env, capture_output=True, text=True, timeout=60,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
-    elapsed = time.perf_counter() - start
-    assert child.returncode == 2, child.stderr
-    assert "Traceback" not in child.stderr
-    assert "7992002000 entries, over the cap" in child.stderr and child.stdout == ""
-    assert elapsed < 2
+    assert "7992002000 entries, over the cap" in \
+        _refused_in_a_small_child("execute", plan, "--registry", reg)
+
+
+def test_developing_too_many_blocks_is_refused_before_allocating(tmp_path):
+    # the certificate `search 2 1 1000003 --cols 0 1` writes: developing its
+    # 2,000,004 base blocks over 2,000,006 shifts would first ask for a
+    # 29.1 TiB addition table
+    cert = tmp_path / "cert.json"
+    cert.write_text(formats.cert_dumps({
+        "h": 2, "d": 1, "q": 1000003, "omega": 2, "col_selection": [0, 1],
+        "u_vectors": [[0, 150050], [0, 833711]], "seed": 0}))
+    assert len(cert.read_bytes()) == 163
+    err = _refused_in_a_small_child("develop", cert)
+    assert f"would build 4000020000024 blocks, over the cap {dz.MAX_EXEC_BLOCKS}" in err
+
+
+def test_expanding_to_too_many_blocks_is_refused_before_allocating(tmp_path):
+    # expanding TD(3, 2) over GF(2147483629) would first ask for 16 GiB of
+    # field tables
+    td = tmp_path / "td.json"
+    td.write_text(formats.design_dumps(dz.td_from_field(3, 2)))
+    err = _refused_in_a_small_child("expand", td, 2147483629)
+    assert f"blocks over GF(2147483629) would build {4 * 2147483629 * 2147483628} " \
+        f"blocks, over the cap {dz.MAX_EXEC_BLOCKS}" in err
 
 
 def test_execute_exhausted_exits_three(tmp_path, capsys):

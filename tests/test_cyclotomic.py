@@ -692,3 +692,33 @@ def test_projection_sweep_exhaustive(h, d):
         td = cy.td_projection(h, d, k)
         assert td.index == h ** (d - 1)
         assert dz.verify_design(td).valid
+
+
+def test_development_over_the_cap_is_refused_before_building(monkeypatch):
+    fam = cy.assemble_rdf(cy.search_uvectors(2, 2, [0, 1, 2, 3], 13, seed=0))
+    count = fam.group_order * len(fam.base_blocks)
+    g_add = cy.RelativeDifferenceFamily.g_add
+    monkeypatch.setattr(cy, "MAX_EXEC_BLOCKS", count - 1)
+    monkeypatch.setattr(cy.RelativeDifferenceFamily, "g_add",
+                        lambda *args: pytest.fail("built the addition table"))
+    with pytest.raises(MalformedInput, match=f"would build {count} blocks, "
+                                             f"over the cap {count - 1}$"):
+        cy.develop_rdf(fam)
+    monkeypatch.setattr(cy, "MAX_EXEC_BLOCKS", count)
+    monkeypatch.setattr(cy.RelativeDifferenceFamily, "g_add", g_add)
+    assert len(cy.develop_rdf(fam).blocks) == count
+
+
+def test_expansion_over_the_cap_is_refused_before_any_field_table(monkeypatch):
+    td = cy.td_projection(2, 2, 3)  # 8 blocks of index 2
+    count = 8 * 13 * 12 // 2
+    cyclotomy_new = gf.cyclotomy_new
+    monkeypatch.setattr(cy, "MAX_EXEC_BLOCKS", count - 1)
+    monkeypatch.setattr(gf, "cyclotomy_new",
+                        lambda *args: pytest.fail("built the class table"))
+    with pytest.raises(MalformedInput, match=f"would build {count} blocks, "
+                                             f"over the cap {count - 1}$"):
+        cy.expand_td_to_htd(td, 13)
+    monkeypatch.setattr(cy, "MAX_EXEC_BLOCKS", count)
+    monkeypatch.setattr(gf, "cyclotomy_new", cyclotomy_new)
+    assert len(cy.expand_td_to_htd(td, 13).blocks) == count

@@ -3,7 +3,9 @@
 Every array that an immutable object or a process-wide cache hands out
 comes from gf.frozen and sits on a bytes buffer.  Neither the array nor
 any view of it can be made writable again, and no in-place numpy
-operation can change it.
+operation can change it.  A design's blocks are the (B, k) view of its
+(k, B) buffer, so flattening them is a copy that numpy hands the caller:
+writing that copy leaves the design as it was.
 """
 
 import functools
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmols import compose as cp
 from hmols import cyclotomic as cy
 from hmols import designs as dz
 from hmols import formats, gf
@@ -43,6 +46,13 @@ SHARED = {
     "grid_loads of bytes": lambda: formats.grid_loads(
         fixture_path("hmols_2_4.grid").read_bytes()).squares,
     "develop_rdf": lambda: cy.develop_rdf(_family()).blocks,
+    # each design's (k, B) buffer, which its blocks view
+    "td_from_field (k, B)": lambda: dz.td_from_field(3, 5).blocks.T,
+    "design_loads (k, B)": lambda: formats.design_loads(
+        formats.design_dumps(dz.td_from_field(3, 4)).encode()).blocks.T,
+    "develop_rdf (k, B)": lambda: cy.develop_rdf(_family()).blocks.T,
+    "td_product (k, B)": lambda: cp.td_product(
+        dz.td_from_field(3, 2), dz.td_from_field(3, 3)).blocks.T,
     "latin grid": lambda: formats.grid_loads(formats.grid_dumps(
         dz.LatinSquare.from_array((np.arange(3)[:, None] + np.arange(3)) % 3))).cells,
     "hmols grid": lambda: _fixture_grid("hmols_2_4.grid").squares,
@@ -79,14 +89,21 @@ IN_PLACE = {
        st.sampled_from(sorted(IN_PLACE)))
 def test_shared_arrays_refuse_every_write(source, view, op):
     a = SHARED[source]()
-    before = a.copy()
+    before = a.tobytes()
     v = VIEWS[view](a)
-    with pytest.raises(ValueError):
-        v.setflags(write=True)
-    with pytest.raises(ValueError):
+    # only flattening an array that is not C-ordered, such as a design's
+    # (B, k) blocks, makes a copy, and the copy is the caller's
+    copied = view == "flat" and not a.flags.c_contiguous
+    assert np.shares_memory(v, a) != copied
+    if copied:
         IN_PLACE[op](v)
-    assert not v.flags.writeable
-    assert np.array_equal(SHARED[source](), before)
+    else:
+        with pytest.raises(ValueError):
+            v.setflags(write=True)
+        with pytest.raises(ValueError):
+            IN_PLACE[op](v)
+        assert not v.flags.writeable
+    assert a.tobytes() == before and SHARED[source]().tobytes() == before
 
 
 @pytest.mark.parametrize("blocks", [[], np.empty((0, 3), dtype=np.int64)])
@@ -149,8 +166,8 @@ def test_the_readers_blocks_and_squares_are_their_one_buffer(monkeypatch):
     def spy(module, name):
         fn = getattr(module, name)
 
-        def wrapper(*args):
-            made[name] = out = fn(*args)
+        def wrapper(*args, **kwargs):
+            made[name] = out = fn(*args, **kwargs)
             return out
         monkeypatch.setattr(module, name, wrapper)
 
