@@ -45,7 +45,7 @@ def _budget(args) -> int:
             return budget
     except ValueError:
         pass
-    raise ValueError(f"{source} must be a non-negative integer, got {value!r}")
+    raise MalformedInput(f"{source} must be a non-negative integer, got {value!r}")
 
 
 def _print_verdict(report, as_json: bool, label: str) -> int:
@@ -244,7 +244,7 @@ _COMPOSE_USAGE = {
 def _cmd_compose(args) -> int:
     counts, usage = _COMPOSE_USAGE[args.op]
     if len(args.ingredients) not in counts:
-        raise ValueError(f"usage: hmols compose {args.op} {usage}")
+        raise MalformedInput(f"usage: hmols compose {args.op} {usage}")
     ds = [_load_design(f) for f in args.ingredients]
     if args.op == "product":
         out = cp.td_product(*ds)
@@ -406,7 +406,7 @@ def run(argv) -> int:
     except Exhausted as exc:
         print(f"exhausted: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
-    except (HmolsError, OSError, ValueError) as exc:
+    except (HmolsError, OSError, ValueError) as exc:  # ValueError: not JSON or UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

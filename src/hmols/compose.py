@@ -238,9 +238,9 @@ def diag_product(a: BlockDesign, b: BlockDesign, c: BlockDesign) -> BlockDesign:
     cols = np.concatenate([_shifted(layers, c.blocks.T),
                            _shifted(a.blocks.T.astype(np.int64) * layer, b.blocks.T)],
                           axis=1)
-    holes = _shifted(layers, np.asarray(c.holes).T).T.tolist()
     out = BlockDesign.new(k=k, group_size=m * layer, index=1, blocks=cols.T,
-                          hole_kind=HOLE_UNIFORM, holes=holes)
+                          hole_kind=HOLE_UNIFORM,
+                          holes=_shifted(layers, np.asarray(c.holes).T).T)
     return _checked(out, f"HTD({k},{h}^{m * n})")
 
 
@@ -319,7 +319,7 @@ def wilson_compose(r: BlockDesign, a: BlockDesign, b: BlockDesign,
         _shifted(layers, a.blocks.T),
         # second kind: TD(k,hm) across the layers of blocks missing Y
         _shifted(miss[:, :k].T * layer, b.blocks.T)]
-    holes = _shifted(layers, np.asarray(a.holes).T).T.tolist()
+    holes = [_shifted(layers, np.asarray(a.holes).T).T]
     if u > 0:
         # third kind: the ITD over each block meeting Y, its hole's points
         # sent in order onto the hole of Y the block meets, its other
@@ -333,11 +333,12 @@ def wilson_compose(r: BlockDesign, a: BlockDesign, b: BlockDesign,
         pieces.append(_gather(dest, e.blocks.T))
         # fourth kind: the HTD(k,h^u) on Y
         pieces.append(f.blocks.T.astype(np.int64) + y_base)
-        holes += y_holes.tolist()
+        holes.append(y_holes)
 
     cols = np.concatenate(pieces, axis=1)
     out = BlockDesign.new(k=k, group_size=t * layer + u * h, index=1,
-                          blocks=cols.T, hole_kind=HOLE_UNIFORM, holes=holes)
+                          blocks=cols.T, hole_kind=HOLE_UNIFORM,
+                          holes=np.concatenate(holes))
     return _checked(out, f"HTD({k},{h}^{m * t + u})")
 
 

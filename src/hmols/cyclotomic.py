@@ -73,7 +73,7 @@ def template(h: int, d: int) -> TemplateMatrix:
     """entries[u][v] = u.v over GF(h) for all h^d lex-ordered vectors."""
     f = gf.field_new(h)  # refuses an h that is not a prime power
     if d < 1:
-        raise ValueError("dimension must be positive")
+        raise MalformedInput("dimension must be positive")
     size = h ** d
     if size > TEMPLATE_ROWS:
         raise MalformedInput(f"template would have {size} rows (bound {TEMPLATE_ROWS})")
@@ -287,18 +287,18 @@ def search_uvectors(h: int, d: int, cols, q: int, seed: int = 0,
     Exhausted is a retry signal, never a disproof, and counts what was done.
     """
     if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+        raise MalformedInput(f"seed must be non-negative, got {seed}")
     if budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
+        raise MalformedInput(f"budget must be non-negative, got {budget}")
     if restart_nodes < 1:
         # a restart would be abandoned before its first evaluation, forever
-        raise ValueError(f"restart_nodes must be at least 1, got {restart_nodes}")
+        raise MalformedInput(f"restart_nodes must be at least 1, got {restart_nodes}")
     t = template(h, d)
     table = allowed_cosets(t, cols)
     k = len(table.col_selection)
     fq = gf.field_new(q)
     if fq.e != 1:
-        raise ValueError("the vector search runs over prime fields only")
+        raise MalformedInput("the vector search runs over prime fields only")
     ctx = gf.cyclotomy_new(fq, t.lam)
     if k > q:
         raise Exhausted(f"entries must be distinct: k = {k} > q = {q}")
@@ -507,9 +507,8 @@ def develop_rdf(fam: RelativeDifferenceFamily) -> BlockDesign:
     table = fam.g_add(shifts[:, None], shifts[None, :]).astype(np.int32)
     cols = gf.frozen_from((table[:, col].reshape(1, -1) for col in fam.base_blocks.T),
                           np.int32, (fam.k, count))
-    holes = tuple(tuple(range(z * h, (z + 1) * h)) for z in range(fam.q_field.q))
     return BlockDesign.new(k=fam.k, group_size=g, index=1, blocks=cols.T,
-                           hole_kind=HOLE_UNIFORM, holes=holes)
+                           hole_kind=HOLE_UNIFORM, holes=shifts.reshape(-1, h))
 
 
 # ---------------------------------------------------------------------------
@@ -529,13 +528,13 @@ def expand_td_to_htd(td: BlockDesign, q: int, seed: int = 0,
     table is built.
     """
     if seed < 0:  # random.Random would alias seed and -seed
-        raise ValueError(f"seed must be non-negative, got {seed}")
+        raise MalformedInput(f"seed must be non-negative, got {seed}")
     if budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
+        raise MalformedInput(f"budget must be non-negative, got {budget}")
     lam = td.index
     fq = gf.field_new(q)
     if fq.e != 1:
-        raise ValueError("the expansion search runs over prime fields only")
+        raise MalformedInput("the expansion search runs over prime fields only")
     count = len(td.blocks) * q * (q - 1) // lam
     if count > MAX_EXEC_BLOCKS:
         raise MalformedInput(f"expanding {len(td.blocks)} blocks over GF({q}) would "
@@ -566,9 +565,8 @@ def expand_td_to_htd(td: BlockDesign, q: int, seed: int = 0,
         return (table[shifts, y] + blocks[:, r, None, None]).reshape(1, -1)
 
     cols = gf.frozen_from(map(column, range(k)), np.int32, (k, count))
-    holes = tuple(tuple(range(zz * h, (zz + 1) * h)) for zz in range(q))
     out = BlockDesign.new(k=k, group_size=h * q, index=1, blocks=cols.T,
-                          hole_kind=HOLE_UNIFORM, holes=holes)
+                          hole_kind=HOLE_UNIFORM, holes=np.arange(h * q).reshape(q, h))
     out_rep = verify_design(out)
     if not out_rep.valid:
         raise AssertionError(f"expanded design fails verification: "

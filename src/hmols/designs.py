@@ -20,6 +20,11 @@ int32 buffer of shape (k, B), row i holding every block's point in
 group i.  BlockDesign.blocks is its (B, k) view, buffer.T, so a block is
 a row of it as ever; the pair counts read the buffer's rows in place,
 and builders fill it column by column.
+
+Holes are disjoint, non-empty sets of points, checked by holes_new alone:
+kind none has no hole, single has one (an ITD; incomplete MOLS with an
+empty hole have none), uniform has holes of one size that partition the
+points (an HTD, holey MOLS).  .holes: sorted tuples, by least point.
 """
 
 from __future__ import annotations
@@ -43,32 +48,40 @@ PAIR_REPEATED = "PairRepeated"
 BLOCK_SHAPE = "BlockShape"
 COUNT_MISMATCH = "CountMismatch"
 
+HOLE_NONE = "none"
+HOLE_UNIFORM = "uniform"
+HOLE_SINGLE = "single"
 
-def _check_holes_partition(holes, size: int, cell_size: int | None = None):
-    """Holes must be disjoint subsets of range(size); returns them sorted by
-    minimum element with sorted members."""
-    seen = set()
-    norm = []
-    for h in holes:
-        cell = tuple(sorted(int(x) for x in h))
-        if not cell:
-            raise MalformedInput("empty hole cell")
-        if cell_size is not None and len(cell) != cell_size:
-            raise MalformedInput(f"hole cell {cell} is not of size {cell_size}")
-        for x in cell:
-            if not 0 <= x < size or x in seen:
-                raise MalformedInput(f"hole element {x} repeated or out of range")
-            seen.add(x)
-        norm.append(cell)
-    return tuple(sorted(norm, key=lambda c: c[0]))
+
+def holes_new(kind: str, holes, points: int) -> tuple:
+    """Holes of a kind on the points 0..points-1, given as one integer array
+    of a row per hole, in the form .holes keeps; MalformedInput for an
+    unknown kind or for holes that break its rules (module docstring)."""
+    try:  # ragged rows, an entry that is huge or not an integer, or no rows
+        cells = np.array(holes, dtype=np.int64)
+        count, size = cells.shape if cells.size else (len(cells), 0)
+    except (ValueError, OverflowError, TypeError):
+        raise MalformedInput("holes must be 64-bit integer rows of one size") from None
+    rules = {HOLE_NONE: count == 0, HOLE_SINGLE: count == 1,
+             HOLE_UNIFORM: count * size == points}
+    if kind not in rules:
+        raise MalformedInput(f"unknown hole kind {kind!r}")
+    if not rules[kind] or count and not size:
+        raise MalformedInput(f"{count} holes of size {size} do not make hole kind "
+                             f"{kind!r} on {points} points")
+    if not count:
+        return ()
+    cells.sort(axis=1)
+    every = np.sort(cells, axis=None)
+    if every[0] < 0 or every[-1] >= points or (every[1:] == every[:-1]).any():
+        raise MalformedInput(f"hole points repeat or leave 0..{points - 1}")
+    return tuple(map(tuple, cells[np.argsort(cells[:, 0])].tolist()))
 
 
 def _hole_of_array(holes, size: int) -> np.ndarray:
     """Map point -> hole id (or -1 when the point is in no hole)."""
     hole_of = np.full(size, -1, dtype=np.int32)
-    for t, cell in enumerate(holes):
-        for x in cell:
-            hole_of[x] = t
+    hole_of[np.array(holes, dtype=np.intp).T] = np.arange(len(holes))
     return hole_of
 
 
@@ -213,7 +226,7 @@ class HoleyLatinSquareSet:
     @staticmethod
     def from_arrays(h: int, n: int, holes, squares) -> "HoleyLatinSquareSet":
         arr = _frozen_squares(squares, h * n)
-        norm = _check_holes_partition(holes, h * n, cell_size=h)
+        norm = holes_new(HOLE_UNIFORM, holes, h * n)
         if len(norm) != n:
             raise MalformedInput(f"expected {n} holes, got {len(norm)}")
         return HoleyLatinSquareSet(k=len(arr), h=h, n=n, holes=norm, squares=arr)
@@ -288,10 +301,8 @@ class IncompleteMolsSet:
     @staticmethod
     def from_arrays(n: int, hole, squares) -> "IncompleteMolsSet":
         arr = _frozen_squares(squares, n)
-        cell = tuple(sorted(int(x) for x in hole))
-        if len(set(cell)) != len(cell) or any(not 0 <= x < n for x in cell):
-            raise MalformedInput("hole repeats or leaves range")
-        return IncompleteMolsSet(k=len(arr), n=n, hole=cell, squares=arr)
+        hole = holes_new(HOLE_SINGLE, [hole], n)[0] if len(hole) else ()  # empty: none
+        return IncompleteMolsSet(k=len(arr), n=n, hole=hole, squares=arr)
 
     def hole_of(self) -> np.ndarray:
         return _hole_of_array((self.hole,), self.n)
@@ -305,21 +316,15 @@ def verify_imols(s: IncompleteMolsSet) -> VerificationReport:
 # block designs
 # ---------------------------------------------------------------------------
 
-HOLE_NONE = "none"
-HOLE_UNIFORM = "uniform"
-HOLE_SINGLE = "single"
-
-
 @dataclass(frozen=True)
 class BlockDesign:
-    """k groups of group_size points with blocks transverse to the groups.
+    """k groups of group_size points with blocks transverse to the groups,
+    every group sharing the holes, of kind hole_kind.
 
-    The hole structure, shared by all groups, is either absent, a uniform
-    partition into n holes of size h (holey TD), or one hole (incomplete
-    TD).  Blocks are ordered k-tuples of per-group point indices, kept as
-    a list with multiset semantics: TD_lam with lam > 1 legitimately
-    repeats blocks.  blocks is the (B, k) view of one frozen (k, B) int32
-    buffer, blocks.T, which holds the blocks column by column.
+    Blocks are ordered k-tuples of per-group point indices, kept as a list
+    with multiset semantics: TD_lam with lam > 1 legitimately repeats
+    blocks.  blocks is the (B, k) view of one frozen (k, B) int32 buffer,
+    blocks.T, which holds the blocks column by column.
     """
 
     k: int
@@ -357,28 +362,10 @@ class BlockDesign:
         if group_size >= 2**31 or index >= 2**31:
             raise MalformedInput(f"group size {group_size} and index {index} "
                                  f"must be below 2^31")
-        if hole_kind == HOLE_NONE:
-            norm = ()
-            if holes:
-                raise MalformedInput("holes given for hole_kind 'none'")
-        elif hole_kind == HOLE_UNIFORM:
-            sizes = {len(c) for c in holes}
-            if len(sizes) != 1:
-                raise MalformedInput("uniform holes must have equal sizes")
-            h = sizes.pop()
-            norm = _check_holes_partition(holes, group_size, cell_size=h)
-            if len(norm) * h != group_size:
-                raise MalformedInput("uniform holes must partition the points")
-        elif hole_kind == HOLE_SINGLE:
-            if len(holes) != 1:
-                raise MalformedInput("single profile takes exactly one hole")
-            norm = _check_holes_partition(holes, group_size)
-        else:
-            raise MalformedInput(f"unknown hole kind {hole_kind!r}")
         return BlockDesign(k=k, group_size=group_size, index=index, hole_kind=hole_kind,
-                           holes=norm, blocks=gf.frozen(arr.T, np.int32).T)
+                           holes=holes_new(hole_kind, holes, group_size),
+                           blocks=gf.frozen(arr.T, np.int32).T)
 
-    # derived uniform profile parameters
     @property
     def hole_size(self) -> int:
         return len(self.holes[0]) if self.holes else 0
@@ -483,11 +470,10 @@ def imols_to_itd(s: IncompleteMolsSet) -> BlockDesign:
     """k incomplete MOLS with a common hole to ITD(k+2, (n; h)), read the
     same way as the holey conversion."""
     verify_imols(s).require("incomplete MOLS set")
-    blocks = _cell_blocks(s.squares, s.hole_of())
-    if s.hole:
-        return BlockDesign.new(k=s.k + 2, group_size=s.n, index=1, blocks=blocks,
-                               hole_kind=HOLE_SINGLE, holes=(s.hole,))
-    return BlockDesign.new(k=s.k + 2, group_size=s.n, index=1, blocks=blocks)
+    return BlockDesign.new(k=s.k + 2, group_size=s.n, index=1,
+                           blocks=_cell_blocks(s.squares, s.hole_of()),
+                           hole_kind=HOLE_SINGLE if s.hole else HOLE_NONE,
+                           holes=[s.hole] if s.hole else [])
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +513,9 @@ def unit_hole_htd(k: int, q: int) -> BlockDesign:
     x, y = x[off_diagonal], y[off_diagonal]
     cols = [x, y] + [f.add(f.mul(a, x), f.mul(f.sub(1, a), y))
                      for a in range(2, k)]  # the k-2 chosen values of a
-    holes = tuple((t,) for t in range(q))
     return BlockDesign.new(k=k, group_size=q, index=1,
                            blocks=np.stack(cols).T,
-                           hole_kind=HOLE_UNIFORM, holes=holes)
+                           hole_kind=HOLE_UNIFORM, holes=np.arange(q)[:, None])
 
 
 def restrict_groups(d: BlockDesign, keep) -> BlockDesign:

@@ -533,7 +533,7 @@ def design_loads(text: str | bytes) -> BlockDesign:
     return BlockDesign.new(k=doc["k"], group_size=doc["group_size"],
                            index=doc["index"], blocks=doc["blocks"],
                            hole_kind=_HOLES_BY_KIND[kind],
-                           holes=tuple(tuple(c) for c in doc["holes"]))
+                           holes=doc["holes"])
 
 
 # ---------------------------------------------------------------------------

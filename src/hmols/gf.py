@@ -35,6 +35,10 @@ import numpy as np
 
 from .errors import MalformedInput
 
+# the largest field order whose O(q) tables are built: at 2^21 the
+# cyclotomic class table takes about 2 s and 250 MB
+MAX_TABLE_ORDER = 1 << 21
+
 
 def frozen(a, dtype=None) -> np.ndarray:
     """a as a C-ordered array on a bytes buffer, so that neither it nor any
@@ -83,7 +87,7 @@ def frozen_from(pieces, dtype, shape, axis: int = 0) -> np.ndarray:
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 by trial division, as (prime, exponent) pairs."""
     if n < 1:
-        raise ValueError(f"cannot factor {n}")
+        raise MalformedInput(f"cannot factor {n}")
     out = []
     d = 2
     while d * d <= n:
@@ -237,7 +241,7 @@ def field_new(q: int) -> FieldSpec:
 def primitive_root(f: FieldSpec) -> int:
     """Smallest element (by canonical index) of multiplicative order q-1."""
     if f.q < 3:
-        raise ValueError("primitive roots need q >= 3")
+        raise MalformedInput("primitive roots need q >= 3")
     return int(f.exp_table[1])
 
 
@@ -258,7 +262,12 @@ class CyclotomyContext:
 
 @functools.lru_cache(maxsize=None)
 def cyclotomy_new(f: FieldSpec, lam: int) -> CyclotomyContext:
-    """Full cyclotomic class table of index lam; class_of(omega^t) = t mod lam."""
+    """Full cyclotomic class table of index lam; class_of(omega^t) = t mod lam.
+    The searches, the expansion and the certificate checks come here
+    before any O(q) field table is built, so a field order over
+    MAX_TABLE_ORDER is refused first."""
+    if f.q > MAX_TABLE_ORDER:
+        raise MalformedInput(f"field order {f.q} is over the table bound {MAX_TABLE_ORDER}")
     if lam < 1 or (f.q - 1) % lam != 0:
         raise MalformedInput(f"q = {f.q} is not 1 mod {lam}")
     dlog = f.dlog_table

@@ -52,7 +52,7 @@ def lambda_hk(h: int, k: int) -> int:
     """The index prod q_i^(d_i - 1) over the prime-power factors q_i of h;
     exact integer arithmetic throughout."""
     if h < 2 or k < 2:
-        raise ValueError("need h >= 2 and k >= 2")
+        raise MalformedInput("need h >= 2 and k >= 2")
     return math.prod(q_i ** (d - 1) for q_i, d in _lambda_parts(h, k))
 
 
@@ -64,9 +64,9 @@ def frobenius_split(a: int, b: int, big_c: int, n: int) -> tuple[int, int]:
     bound and returns any success, raising MalformedInput otherwise.
     """
     if min(a, b, big_c, n) < 1:
-        raise ValueError("all arguments must be positive")
+        raise MalformedInput("all arguments must be positive")
     if math.gcd(a, b) != 1:
-        raise ValueError(f"gcd({a},{b}) != 1")
+        raise MalformedInput(f"gcd({a},{b}) != 1")
     for x in range(big_c + 1, big_c + b + 1):
         if (n - a * x) % b == 0:
             y = (n - a * x) // b
@@ -106,7 +106,7 @@ def is_prime(n: int) -> bool:
 def find_prime_1modM(m: int, lo: int, hi: int) -> int:
     """Smallest prime p in (lo, hi] with p = 1 mod m."""
     if m < 1 or lo >= hi:
-        raise ValueError("need m >= 1 and lo < hi")
+        raise MalformedInput("need m >= 1 and lo < hi")
     start = lo + 1
     first = start + (-(start - 1)) % m
     for p in range(first, hi + 1, m):
@@ -118,7 +118,7 @@ def find_prime_1modM(m: int, lo: int, hi: int) -> int:
 def naive_upper_bound(h: int, n: int) -> int:
     """n - 2, the elementary ceiling on the number of holey squares."""
     if n < 3 or h < 1:
-        raise ValueError("need n >= 3 and h >= 1")
+        raise MalformedInput("need n >= 3 and h >= 1")
     return n - 2
 
 
@@ -126,9 +126,9 @@ def asymptotic_floor(h: int, n: int, delta: float) -> int:
     """floor((log n)^(1/delta)); an asymptotic calculator only, not a
     certificate, and never admissible as a registry fact."""
     if n < 3:
-        raise ValueError("need n >= 3")
+        raise MalformedInput("need n >= 3")
     if not delta > 2:
-        raise ValueError("the bound requires delta > 2")
+        raise MalformedInput("the bound requires delta > 2")
     return int(math.log(n) ** (1.0 / delta))
 
 
@@ -357,7 +357,7 @@ def plan_hmols(h: int, k: int, n: int, reg: Registry) -> PlanTree:
     advisory: it only means nothing was found within the limits.
     """
     if h < 1 or k < 1 or n < 1:
-        raise ValueError("need h, k, n >= 1")
+        raise MalformedInput("need h, k, n >= 1")
     tree = _search(h, k, n, reg, PLAN_DEPTH)
     if tree is None:
         raise NoPlan(f"no plan for {k} HMOLS of type {h}^{n} within limits")
@@ -537,7 +537,7 @@ def _execute(p: PlanTree, reg: Registry, seed: int, budget: int) -> dz.BlockDesi
             dz.verify_design(d).require("fixture")
         elif kind == STEP_TRIVIAL:
             d = dz.BlockDesign.new(k=k + 2, group_size=h, index=1, blocks=[],
-                                   hole_kind=dz.HOLE_UNIFORM, holes=(tuple(range(h)),))
+                                   hole_kind=dz.HOLE_UNIFORM, holes=[range(h)])
         elif kind == STEP_CYCLOTOMIC:
             d = cy.expand_td_to_htd(_build_td_lambda(h, k + 2), n, seed=seed,
                                     budget=budget)

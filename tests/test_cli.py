@@ -15,6 +15,7 @@ from hmols import cli
 from hmols import cyclotomic as cy
 from hmols import designs as dz
 from hmols import formats
+from hmols import gf
 from hmols.cli import run
 from hmols.fixtures import fixture_path, hmols_pair_2_4, template_3_2_matrix
 
@@ -571,6 +572,23 @@ def test_expanding_to_too_many_blocks_is_refused_before_allocating(tmp_path):
     err = _refused_in_a_small_child("expand", td, 2147483629)
     assert f"blocks over GF(2147483629) would build {4 * 2147483629 * 2147483628} " \
         f"blocks, over the cap {dz.MAX_EXEC_BLOCKS}" in err
+
+
+def test_a_field_too_large_for_tables_is_refused_before_allocating():
+    # the search's field tables over GF(2147483629) would ask for 16 GiB
+    err = _refused_in_a_small_child("search", 2, 2, 2147483629, "--cols", 0, 1)
+    assert f"field order 2147483629 is over the table bound {gf.MAX_TABLE_ORDER}" in err
+
+
+def test_execute_names_the_subtree_of_a_refused_seed(tmp_path, capsys):
+    reg_path = _cyclotomic_registry(tmp_path)
+    plan_path = tmp_path / "plan.json"
+    assert run(["plan", "2", "1", "67", "--registry", reg_path,
+                "--out", str(plan_path)]) == 0
+    capsys.readouterr()
+    assert run(["execute", str(plan_path), "--registry", reg_path, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == ("error: subtree (2, 67, 1) failed: "
+                                       "seed must be non-negative, got -1\n")
 
 
 def test_execute_exhausted_exits_three(tmp_path, capsys):

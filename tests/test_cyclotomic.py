@@ -243,7 +243,7 @@ def test_search_deterministic_given_seed():
 
 
 def test_search_rejects_negative_budget():
-    with pytest.raises(ValueError, match="^budget must be non-negative, got -1$"):
+    with pytest.raises(MalformedInput, match="^budget must be non-negative, got -1$"):
         cy.search_uvectors(2, 2, [0, 1, 2, 3], 5, seed=0, budget=-1)
 
 
@@ -251,7 +251,7 @@ def test_search_rejects_negative_budget():
 def test_search_rejects_restart_cap_below_one(restart_nodes):
     # every restart would be abandoned before its first evaluation, so the
     # budget would never be charged and the search would never return
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedInput):
         cy.search_uvectors(2, 2, [0, 1, 2, 3], 5, budget=10,
                            restart_nodes=restart_nodes)
 
@@ -592,7 +592,7 @@ def test_expand_rejects_negative_seed_and_budget(kwargs, message):
     # checked before any work: q = 4 alone would be rejected differently
     proj = cy.td_projection(2, 2, 3)
     for q in (7, 4):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(MalformedInput, match=f"^{message}$"):
             cy.expand_td_to_htd(proj, q, **kwargs)
 
 

@@ -350,3 +350,122 @@ def test_sorted_blocks_is_the_lexicographic_order(case):
     d = dz.BlockDesign.new(k=len(blocks[0]), group_size=g, index=1, blocks=blocks)
     order = np.lexsort(d.blocks.T[::-1])
     assert np.array_equal(d.sorted_blocks(), d.blocks[order])
+
+
+# -- hole structure ----------------------------------------------------------
+
+def reference_partition(holes, points, cell_size=None):
+    """Disjoint, non-empty holes inside range(points), each of cell_size
+    points when it is given, as sorted tuples in order of their least
+    points; None where they are not."""
+    seen, norm = set(), []
+    for hole in holes:
+        cell = tuple(sorted(hole))
+        if not cell or cell_size is not None and len(cell) != cell_size:
+            return None
+        for x in cell:
+            if not 0 <= x < points or x in seen:
+                return None
+            seen.add(x)
+        norm.append(cell)
+    return tuple(sorted(norm, key=lambda c: c[0]))
+
+
+def reference_holes(kind, holes, points):
+    """The hole rules of a block design, point by point: its normalized
+    holes, or None where it refuses them."""
+    if kind == dz.HOLE_NONE:
+        return None if holes else ()
+    if kind == dz.HOLE_SINGLE:
+        return reference_partition(holes, points) if len(holes) == 1 else None
+    if kind != dz.HOLE_UNIFORM:
+        return None
+    sizes = {len(c) for c in holes}
+    if len(sizes) != 1:  # no hole at all, or holes of two sizes
+        return None
+    size = sizes.pop()
+    norm = reference_partition(holes, points, size)
+    return norm if norm is not None and len(norm) * size == points else None
+
+
+def _refused_as_none(build):
+    try:
+        return build()
+    except MalformedInput:
+        return None
+
+
+@st.composite
+def hole_rows(draw, points, size):
+    """Holes cut from a permutation of range(points) in rows of `size`,
+    then cut short, given a stray entry or a stray row; or random rows."""
+    entry = st.integers(-1, points)
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.lists(st.lists(entry, max_size=4), max_size=5))
+    perm = draw(st.permutations(range(points)))
+    rows = [list(perm[i:i + size]) for i in range(0, points, size)]
+    rows = rows[:draw(st.sampled_from([len(rows), len(rows), 1, 0]))]
+    if rows and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(entry)
+    if draw(st.integers(0, 4)) == 0:
+        rows.append(draw(st.lists(entry, max_size=3)))
+    return rows
+
+
+@st.composite
+def hole_cases(draw):
+    points = draw(st.integers(1, 8))  # a block design has at least one point
+    return points, draw(hole_rows(points, draw(st.integers(1, points))))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from([dz.HOLE_NONE, dz.HOLE_SINGLE, dz.HOLE_UNIFORM, "holey"]),
+       hole_cases())
+@example(dz.HOLE_UNIFORM, (4, []))  # uniform with no hole at all
+@example(dz.HOLE_NONE, (3, [[]]))
+@example(dz.HOLE_SINGLE, (3, [[]]))
+def test_hole_rules_match_the_scalar_reference(kind, case):
+    points, holes = case
+    want = reference_holes(kind, holes, points)
+    assert _refused_as_none(lambda: dz.holes_new(kind, holes, points)) == want
+    if len({len(c) for c in holes}) == 1:  # the same holes as one array
+        assert _refused_as_none(lambda: dz.holes_new(kind, np.array(holes), points)) == want
+    d = _refused_as_none(lambda: dz.BlockDesign.new(
+        k=2, group_size=points, index=1, blocks=[], hole_kind=kind, holes=holes))
+    assert (d.holes if d else None) == want
+    if d is not None:
+        assert d.hole_of().tolist() == [
+            next((t for t, c in enumerate(want) if x in c), -1) for x in range(points)]
+
+
+@st.composite
+def square_set_cases(draw):
+    h, n = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return h, n, draw(hole_rows(h * n, max(h, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_set_cases())
+@example((2, 2, []))
+@example((2, 0, []))  # no point and no hole: refused by neither
+def test_holey_square_set_holes_match_the_scalar_reference(case):
+    h, n, holes = case
+    norm = reference_partition(holes, h * n, cell_size=h)
+    want = norm if norm is not None and len(norm) == n else None
+    squares = np.full((1, h * n, h * n), dz.BLANK)
+    s = _refused_as_none(lambda: dz.HoleyLatinSquareSet.from_arrays(
+        h=h, n=n, holes=holes, squares=squares))
+    assert (s.holes if s else None) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), hole_rows(n, max(n, 1)))))
+def test_incomplete_square_set_hole_matches_the_scalar_reference(case):
+    n, rows = case
+    hole = rows[0] if rows else []
+    cell = tuple(sorted(hole))
+    ok = len(set(cell)) == len(cell) and all(0 <= x < n for x in cell)
+    s = _refused_as_none(lambda: dz.IncompleteMolsSet.from_arrays(
+        n=n, hole=hole, squares=np.full((1, n, n), dz.BLANK)))
+    assert (s.hole if s else None) == (cell if ok else None)

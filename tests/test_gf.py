@@ -206,7 +206,7 @@ def test_primitive_root_small():
     w = gf.primitive_root(f7)
     assert brute_force_order(7, 2) < 6 and brute_force_order(7, 3) == 6
     assert w == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedInput):
         gf.primitive_root(gf.field_new(2))
 
 
@@ -333,6 +333,14 @@ def test_cyclotomy_classes_mod7():
     assert ctx1.class_table.tolist() == [-1, 0, 0, 0, 0, 0, 0]
     with pytest.raises(MalformedInput, match=r"^q = 7 is not 1 mod 4$"):
         gf.cyclotomy_new(f, 4)
+
+
+def test_cyclotomy_refuses_a_field_over_the_table_bound_before_any_table():
+    f = gf.field_new(2097169)  # the least prime over 2^21 = MAX_TABLE_ORDER
+    with pytest.raises(MalformedInput, match="^field order 2097169 is over the table "
+                                             "bound 2097152$"):
+        gf.cyclotomy_new(f, 2)
+    assert vars(f).keys().isdisjoint({"exp_table", "dlog_table", "add_table"})
 
 
 def test_class_of_examples():

@@ -54,7 +54,7 @@ def test_lambda_hk_divisibility_monotone():
 def test_frobenius_examples():
     assert pl.frobenius_split(3, 5, 2, 130) == (5, 23)
     assert pl.frobenius_split(1, 1, 1, 10) == (2, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedInput):
         pl.frobenius_split(2, 4, 1, 100)
 
 
@@ -113,14 +113,14 @@ def test_naive_upper_bound():
     assert pl.naive_upper_bound(2, 4) == 2
     assert pl.naive_upper_bound(5, 3) == 1
     assert pl.naive_upper_bound(1, 10) == 8
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedInput):
         pl.naive_upper_bound(2, 2)
 
 
 def test_asymptotic_floor():
     assert pl.asymptotic_floor(2, round(math.exp(100)), 2.5) == 6
     assert pl.asymptotic_floor(2, 3, 5.0) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedInput):
         pl.asymptotic_floor(2, 100, 2.0)
 
 

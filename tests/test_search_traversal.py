@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from hmols import cyclotomic as cy
 from hmols import gf
-from hmols.errors import Exhausted
+from hmols.errors import Exhausted, MalformedInput
 
 C4 = [0, 1, 2, 3]
 C6 = list(range(6))
@@ -164,7 +164,7 @@ def test_golden_refutation_within_one_restart():
 
 
 def test_negative_seed_rejected_before_search():
-    with pytest.raises(ValueError, match="seed must be non-negative"):
+    with pytest.raises(MalformedInput, match="seed must be non-negative"):
         cy.search_uvectors(2, 2, C4, 5, seed=-3, budget=50_000)
 
 
