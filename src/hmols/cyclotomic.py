@@ -484,7 +484,7 @@ def verify_rdm(fam: RelativeDifferenceFamily) -> VerificationReport:
     expected = np.ones(g, dtype=bool)
     expected[:h] = False  # the subgroup GF(h) x {0}
     v = []
-    _count_pairs(v, fam.base_blocks, expected, keys=fam.g_sub)
+    _count_pairs(v, fam.base_blocks.T, expected, keys=lambda x, y, out: fam.g_sub(x, y))
     return _report(v)
 
 

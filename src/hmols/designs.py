@@ -9,11 +9,14 @@ with -1 marking a blank cell.
 Verifiers count every pair exactly through one kernel, _count_pairs.
 Where a pair's expected counts are all 0 or 1, its keys clear a reused
 boolean table of the 1-cells: as many keys as 1-cells that leave none
-set hit each once and nothing else.  Any other pair, or one that fails,
-is counted by one bincount; only a failed check is searched for
-witnesses, and then every violation is listed, for mutation tests and
-composition debugging.  Objects are immutable, their arrays made by
-gf.frozen in the constructors; verification is pure.
+set hit each once and nothing else.  The keys are made and scattered a
+cache-sized piece (PIECE entries) at a time in small reused buffers, so
+a passing pair allocates nothing of the design's size.  Any other pair,
+or one that fails, has its keys made once in full and counted by one
+bincount; only a failed check is searched for witnesses, and then every
+violation is listed, for mutation tests and composition debugging.
+Objects are immutable, their arrays made by gf.frozen in the
+constructors; verification is pure.
 
 A block design holds its blocks column-major: one frozen, C-ordered
 int32 buffer of shape (k, B), row i holding every block's point in
@@ -29,6 +32,7 @@ points (an HTD, holey MOLS).  .holes: sorted tuples, by least point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +42,7 @@ from .errors import MalformedInput
 
 BLANK = -1
 MAX_EXEC_BLOCKS = 5_000_000  # the most blocks a built design may have
+PIECE = 1 << 14  # keys made and scattered at a time: 128 KiB of intp stays in cache
 
 # violation kinds
 ROW_DUP = "RowDup"
@@ -91,46 +96,73 @@ def _same_hole(hole_of: np.ndarray) -> np.ndarray:
     return (hole_of[:, None] == hole_of[None, :]) & (hole_of >= 0)[:, None]
 
 
-def _exact_test(expected):
-    """test(keys) -> None when the keys hit each cell as often as `expected`
-    says, else their bincount.  For a boolean `expected`, as many keys as
-    1-cells that clear every 1-cell of a reused table hit each once and no
-    other cell; keys in [-size, 0) and [size, 2 size) fall in its empty half."""
+def _scaled_sum(width: int):
+    """keys(x, y, out) = x * width + y, made in out, in its dtype."""
+    def keys(x, y, out):
+        return np.add(np.multiply(x, width, out=out, dtype=out.dtype), y, out=out)
+    return keys
+
+
+def _exact_test(expected, blanks=0):
+    """test(x, y, keys) -> None when keys(x, y, out) hit each cell as often
+    as `expected` says, else their bincount.
+
+    keys maps equal slices of x and y (along their first axis) to their
+    keys, made in out, an integer buffer of the slices' shape, where it
+    can: int32 while twice the key space fits it (int32 arithmetic is the
+    cheap part), else intp.  For a boolean `expected` the keys are made a
+    piece of about PIECE entries at a time, copied into one reused intp
+    buffer and cleared from a reused table of the 1-cells: as many keys as
+    1-cells that leave no 1-cell set hit each once and no other cell; keys
+    in [-size, 0) and [size, 2 size) fall in its empty half.  `blanks` more
+    keys, those of the cells a square with its blanks in place leaves
+    blank, are below zero and on no 1-cell.  Any other `expected`, or keys
+    that fail, are made once in full and counted by one bincount."""
     flat = expected.ravel()
     n_ones = np.count_nonzero(flat) if flat.dtype == bool else -1
     table = np.zeros(2 * flat.size, dtype=bool)
     low = table[:flat.size]
+    key_type = np.int32 if 2 * flat.size < 2**31 else np.intp
+    made, index = np.empty(PIECE, key_type), np.empty(PIECE, np.intp)
 
-    def test(keys):
-        if len(keys) == n_ones:
+    def test(x, y, keys):
+        nonlocal made, index
+        if n_ones >= 0:
             np.copyto(low, flat)
-            table[keys] = False
-            if not np.count_nonzero(low):
+            row = math.prod(x.shape[1:])  # entries per slice along the first axis
+            step = max(1, PIECE // max(1, row))
+            if step * row > len(made):  # a slice longer than a piece: one at a time
+                made, index = np.empty(row, key_type), np.empty(row, np.intp)
+            count = 0
+            for a in range(0, len(x), step):
+                xs, ys = x[a:a + step], y[a:a + step]
+                piece = keys(xs, ys, made[:xs.size].reshape(xs.shape)).ravel()
+                at = index[:piece.size]
+                np.copyto(at, piece)
+                table[at] = False
+                count += piece.size
+            if count == n_ones + blanks and not np.count_nonzero(low):
                 return None
-        counts = np.bincount(keys, minlength=flat.size)
+        every = keys(x, y, np.empty(x.shape, key_type)).ravel()
+        counts = np.bincount(every[every >= 0] if blanks else every, minlength=flat.size)
         return None if np.array_equal(counts, flat) else counts
     return test
 
 
-def _count_pairs(v, blocks, expected, keys=None) -> None:
+def _count_pairs(v, cols, expected, keys=None, blanks=0) -> None:
     """The one exact pair-counting kernel behind every verifier.
 
-    For each column pair r < s of blocks (N, m), test keys(col_r, col_s),
-    by default col_r * expected.shape[-1] + col_s in a reused buffer; a
-    pair that fails adds witnesses to v, (PAIR_MISSING, (r, s, *cell,
-    count)) in cell order and then PAIR_REPEATED likewise.  The columns
-    are the rows of blocks.T, read in place: a design's own buffer.
+    For each pair r < s of cols (m, N, ...), test keys(cols[r], cols[s],
+    out) through _exact_test, by default cols[r] * expected.shape[-1] +
+    cols[s]; a pair that fails adds witnesses to v, (PAIR_MISSING, (r, s,
+    *cell, count)) in cell order and then PAIR_REPEATED likewise.  The
+    columns are read in place, a piece at a time: a design's own buffer.
     """
-    cols = blocks.T
-    exact = _exact_test(expected)
-    scaled, buf = (np.empty(cols.shape[1], dtype=np.intp) for _ in range(2))
+    exact = _exact_test(expected, blanks)
+    keys = keys or _scaled_sum(expected.shape[-1])
     for r in range(len(cols)):
-        if keys is None:
-            np.multiply(cols[r], expected.shape[-1], out=scaled, dtype=np.intp)
         for s in range(r + 1, len(cols)):
-            pair = np.add(scaled, cols[s], out=buf) if keys is None \
-                else keys(cols[r], cols[s])
-            if (counts := exact(pair)) is None:
+            if (counts := exact(cols[r], cols[s], keys)) is None:
                 continue
             counts = counts.reshape(expected.shape)
             for kind, bad in ((PAIR_MISSING, counts < expected),
@@ -252,8 +284,10 @@ def _square_witnesses(v, sq_idx, square, hole_of, same_hole):
 
 def _verify_squares(squares, hole_of) -> VerificationReport:
     """Holey and incomplete MOLS: a square with its blanks on the same-hole
-    cells has no duplicate and no hole symbol exactly when its (row,
-    symbol) and (column, symbol) counts are 0 on those cells and 1 off them."""
+    cells has no duplicate and no hole symbol exactly when its (symbol,
+    row) and (symbol, column) counts are 0 on those cells and 1 off them.
+    Keys are made over whole squares, a blank's below zero, while every
+    square has its blanks in place, else over the cells both squares fill."""
     g = len(hole_of)
     # from_arrays checks the range, but the plain dataclass constructor does not
     if squares.size and (squares.min() < BLANK or squares.max() >= g):
@@ -261,21 +295,21 @@ def _verify_squares(squares, hole_of) -> VerificationReport:
     v = []
     same_hole = _same_hole(hole_of)
     expected = ~same_hole
-    flat = squares.reshape(len(squares), g * g)
-    cols = flat.compress(expected.ravel(), axis=1)  # filled, if blanks are placed
-    line_keys = [x * g for x in np.nonzero(expected)]  # row, column
+    blanks = np.count_nonzero(same_hole)  # in a square with its blanks in place
+    scaled_sum = _scaled_sum(g)
+    column = np.broadcast_to(np.arange(g, dtype=np.int32), (g, g))  # each cell's column
+    exact = _exact_test(expected, blanks)
     placed = [np.array_equal(square == BLANK, same_hole) for square in squares]
-    exact, buf = _exact_test(expected), np.empty(cols.shape[1], dtype=np.intp)
     for idx, square in enumerate(squares):
-        if not (placed[idx] and all(exact(np.add(keys, cols[idx], out=buf)) is None
-                                    for keys in line_keys)):
+        # expected is symmetric, so it holds the (symbol, line) counts too
+        if not (placed[idx] and all(exact(square, line, scaled_sum) is None
+                                    for line in (column.T, column))):
             _square_witnesses(v, idx, square, hole_of, same_hole)
-    if all(placed):
-        _count_pairs(v, cols.T, expected)
-    else:  # count each pair over the cells both squares fill
-        _count_pairs(v, flat.T, expected,
-                     keys=lambda a, b: (a.astype(np.intp) * g + b)[
-                         (a != BLANK) & (b != BLANK)])
+    if all(placed):  # a cell blank in one square is blank in both: key -g - 1
+        _count_pairs(v, squares, expected, blanks=blanks)
+    else:
+        _count_pairs(v, squares, expected, keys=lambda x, y, out: scaled_sum(x, y, out)[
+            (x != BLANK) & (y != BLANK)])
     return _report(v)
 
 
@@ -347,13 +381,15 @@ class BlockDesign:
                 arr = np.asarray(blocks, dtype=np.int64)
             except OverflowError:
                 arr = None
+            except (ValueError, TypeError):  # ragged rows, or an entry not a number
+                raise MalformedInput(f"blocks must be rows of {k} integers") from None
         if arr is None or arr.size and not np.can_cast(arr.dtype, np.int32) and \
                 not -2**31 <= arr.min() <= arr.max() < 2**31:
             raise MalformedInput("block entries must fit in 32-bit integers")
         if arr.size == 0:
             arr = arr.reshape(0, k)
         if arr.ndim != 2 or arr.shape[1] != k:
-            raise MalformedInput(f"blocks must be ({arr.shape[0]}, {k}), got {arr.shape}")
+            raise MalformedInput(f"blocks must be (B, {k}), got {arr.shape}")
         if k < 2:
             raise MalformedInput("a block design needs at least two groups")
         if group_size < 1 or index < 1:
@@ -382,17 +418,28 @@ class BlockDesign:
 
         Sorting on the first two coordinates alone gives that order when
         they tell all blocks apart, as they do for the HTD of any HMOLS
-        set; the full sort runs only when they do not.  Each column is
-        gathered on its own, and the result is the (B, k) view of them.
+        set (distinct keys have one sorted order, so any sort will do); the
+        full sort runs only when they do not.  Each column is gathered on
+        its own, and the result is the (B, k) view of them.
         """
         cols = self.blocks.T
-        if cols.shape[1] > 1 and 0 <= cols[1].min() and cols[1].max() < self.group_size:
-            key = cols[0].astype(np.int64) * self.group_size + cols[1]
-            order = np.argsort(key, kind="stable")
-            key = key[order]
-            if (key[1:] != key[:-1]).all():
-                return cols[:, order].T
-        return cols[:, np.lexsort(cols[::-1])].T
+        out = np.empty(cols.shape, dtype=cols.dtype)
+        order = _lexicographic_order(cols, self.group_size)
+        for col, row in zip(cols, out):
+            np.take(col, order, out=row)
+        return out.T
+
+
+def _lexicographic_order(cols, g: int) -> np.ndarray:
+    """The permutation that puts the blocks, held as columns (k, B), in
+    lexicographic order."""
+    if cols.shape[1] > 1 and 0 <= cols[1].min() and cols[1].max() < g:
+        key = cols[0].astype(np.int64) * g + cols[1]
+        order = np.argsort(key)
+        key = key[order]
+        if (key[1:] != key[:-1]).all():
+            return order
+    return np.lexsort(cols[::-1])
 
 
 def expected_block_count(d: BlockDesign) -> int:
@@ -417,7 +464,7 @@ def verify_design(d: BlockDesign) -> VerificationReport:
     if len(d.blocks) != expected_count:
         v.append((COUNT_MISMATCH, (len(d.blocks), expected_count)))
     same = _same_hole(d.hole_of())
-    _count_pairs(v, d.blocks, np.where(same, 0, d.index) if d.index > 1 else ~same)
+    _count_pairs(v, d.blocks.T, np.where(same, 0, d.index) if d.index > 1 else ~same)
     return _report(v)
 
 

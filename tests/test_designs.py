@@ -308,8 +308,11 @@ def test_integer_block_arrays_checked_in_their_own_dtype(dtype):
 
 
 def test_ragged_and_huge_block_lists_rejected_as_before():
-    with pytest.raises(ValueError, match="inhomogeneous"):
-        dz.BlockDesign.new(k=2, group_size=2, index=1, blocks=[[0, 1], [1]])
+    for blocks in ([[0, 1], [1]], [[0, "a"]], [[0, None]], [[0, [1]]]):
+        with pytest.raises(MalformedInput, match="^blocks must be rows of 2 integers$"):
+            dz.BlockDesign.new(k=2, group_size=2, index=1, blocks=blocks)
+    with pytest.raises(MalformedInput, match=r"^blocks must be \(B, 2\), got \(\)$"):
+        dz.BlockDesign.new(k=2, group_size=2, index=1, blocks=5)
     with pytest.raises(MalformedInput, match="32-bit"):
         dz.BlockDesign.new(k=2, group_size=2, index=1, blocks=[[0, 2**70]])
 

@@ -117,10 +117,11 @@ def test_a_frozen_int32_buffer_is_adopted_as_it_is():
 
 
 def test_the_pair_count_reads_a_designs_blocks_in_place(monkeypatch):
-    """verify_design's kernel scales one column and adds the other with no
-    copy of the design's blocks: every column it reads is a row of the
-    design's own buffer."""
-    d = dz.td_from_field(4, 7)
+    """verify_design's kernel scales a piece of one column and adds the same
+    piece of the other with no copy of the design's blocks: every piece it
+    reads is a slice of a row of the design's own buffer."""
+    d = dz.td_from_field(4, 7)  # 49 blocks
+    monkeypatch.setattr(dz, "PIECE", 16)
     read = []
     multiply, add = np.multiply, np.add
     monkeypatch.setattr(np, "multiply",
@@ -129,19 +130,21 @@ def test_the_pair_count_reads_a_designs_blocks_in_place(monkeypatch):
                         lambda x, col, *a, **kw: read.append(col) or add(x, col, *a, **kw))
     assert dz.verify_design(d).valid
     monkeypatch.undo()
-    assert len(read) == 4 + 6  # one scaled column per r, one sum per pair r < s
+    # one scaled piece and one sum per piece of 16 blocks (4 pieces) per pair r < s
+    assert len(read) == 2 * 4 * 6
     assert all(np.shares_memory(col, d.blocks) for col in read)
 
 
-def test_a_key_function_gets_the_columns_in_place():
-    d = dz.td_from_field(3, 5)
+def test_a_key_function_gets_the_columns_in_place(monkeypatch):
+    d = dz.td_from_field(3, 5)  # 25 blocks
+    monkeypatch.setattr(dz, "PIECE", 10)
     seen = []
 
-    def keys(a, b):
+    def keys(a, b, out):
         seen.extend((a, b))
         return a.astype(np.intp) * 5 + b
 
     v = []
-    dz._count_pairs(v, d.blocks, np.ones((5, 5), dtype=bool), keys=keys)
-    assert v == [] and len(seen) == 6
+    dz._count_pairs(v, d.blocks.T, np.ones((5, 5), dtype=bool), keys=keys)
+    assert v == [] and len(seen) == 2 * 3 * 3  # three pieces of each of three pairs
     assert all(np.shares_memory(col, d.blocks) for col in seen)

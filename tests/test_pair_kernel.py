@@ -11,6 +11,7 @@ tell from a valid object.
 
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,8 +317,8 @@ FAMILIES = ["5", "13", "cert_2_401"]
 
 
 @st.composite
-def mutated_families(draw):
-    fam = base_family(draw(st.sampled_from(FAMILIES)))
+def mutated_families(draw, names=FAMILIES):
+    fam = base_family(draw(st.sampled_from(names)))
     blocks = fam.base_blocks.copy()
     values = st.integers(0, fam.group_order - 1)
     for row, col, value in _entry_edits(draw, blocks.shape, values):
@@ -393,25 +394,29 @@ def _accepted(test, keys):
     """Whether _exact_test passes the keys as exact.  bincount refuses a
     negative key with ValueError, and the table's scatter a key beyond
     twice its size with IndexError."""
+    keys = np.array(keys, dtype=np.intp)
     try:
-        return test(np.array(keys, dtype=np.intp)) is None
+        return test(keys, keys, lambda x, y, out: x) is None
     except (ValueError, IndexError):
         return False
 
 
-def test_out_of_range_or_extra_keys_are_never_accepted():
+def test_out_of_range_or_extra_keys_are_never_accepted(monkeypatch):
     # -1 and -4 would wrap onto cells 3 and 0, the one cell each set misses;
-    # a fifth key clears no cell that four keys left set
-    test = dz._exact_test(np.ones(4, dtype=bool))
-    assert _accepted(test, [0, 1, 2, 3])
-    for keys in ([0, 1, 2, -1], [-4, 1, 2, 3], [0, 1, 2, 4], [7, 1, 2, 3],
-                 [0, 1, 2, -9], [8, 1, 2, 3], [0, 1, 2, 3, 3], [0, 1, 2]):
-        assert not _accepted(test, keys)
-    assert _accepted(test, [3, 2, 1, 0])  # the table is reset after a refusal
+    # a fifth key clears no cell that four keys left set; in pieces of one,
+    # three or all the keys
+    for piece in (1, 3, dz.PIECE):
+        monkeypatch.setattr(dz, "PIECE", piece)
+        test = dz._exact_test(np.ones(4, dtype=bool))
+        assert _accepted(test, [0, 1, 2, 3])
+        for keys in ([0, 1, 2, -1], [-4, 1, 2, 3], [0, 1, 2, 4], [7, 1, 2, 3],
+                     [0, 1, 2, -9], [8, 1, 2, 3], [0, 1, 2, 3, 3], [0, 1, 2]):
+            assert not _accepted(test, keys)
+        assert _accepted(test, [3, 2, 1, 0])  # the table is reset after a refusal
     # through the kernel: a negative entry makes key -1, which wraps onto (1, 1)
     blocks = np.array([[0, 0], [0, 1], [1, 0], [0, -1]])
     with pytest.raises(ValueError):
-        dz._count_pairs([], blocks, np.ones((2, 2), dtype=bool))
+        dz._count_pairs([], blocks.T, np.ones((2, 2), dtype=bool))
 
 
 def test_a_valid_0_1_object_takes_no_bincount(monkeypatch):
@@ -446,17 +451,77 @@ def test_misplaced_blanks_are_tested_at_the_filtered_length(monkeypatch):
     tested = []
     exact_test = dz._exact_test
 
-    def spying(expected):
-        test = exact_test(expected)
+    def spying(expected, blanks=0):
+        test = exact_test(expected, blanks)
 
-        def recorded(keys):
-            counts = test(keys)
-            tested.append((len(keys), counts is None))
+        def recorded(x, y, keys):
+            made = []  # the keys of filled cells (a blank's is below zero) per call
+            counts = test(x, y, lambda *a: made.append(np.count_nonzero((k := keys(*a)) >= 0))
+                          or k)
+            tested.append((made, counts is None))
             return counts
         return recorded
     monkeypatch.setattr(dz, "_exact_test", spying)
     rep = dz.verify_hmols(bad)
     assert rep == ref_verify_hmols(bad) and not rep.valid
     # lines of squares 1 and 2 (42 off-diagonal cells each), then the pairs
-    # (0, 1) and (0, 2) over the 41 cells both fill, and (1, 2) over 42
-    assert tested == [(42, True)] * 4 + [(41, False), (41, False), (42, True)]
+    # (0, 1) and (0, 2) over the 41 cells both fill, each made once more in
+    # full for its one bincount, and (1, 2) over 42
+    assert tested == [([42], True)] * 4 + [([41, 41], False)] * 2 + [([42], True)]
+
+
+def _index_two(d):
+    return dz.BlockDesign.new(k=d.k, group_size=d.group_size, index=2,
+                              blocks=np.concatenate([d.blocks, d.blocks]),
+                              hole_kind=d.hole_kind, holes=d.holes)
+
+
+@st.composite
+def pieced_objects(draw):
+    """Valid and corrupted designs of index 1 and 2, square sets (blanks
+    misplaced now and then) and difference families, each with the
+    verifier and reference loop that check it."""
+    design = st.sampled_from(DESIGNS).map(lambda p: base_design(*p))
+    squares = st.sampled_from(["hmols_2_4", "imols_6_2", "unit_hole_7"]).map(base_squares)
+    small = ["5", "13"]  # GF(401)'s family takes about a second a key at a time
+    obj = draw(st.one_of(design, mutated_designs(), design.map(_index_two),
+                         mutated_designs().map(_index_two), squares,
+                         mutated_square_sets(), st.sampled_from(small).map(base_family),
+                         mutated_families(small)))
+    if isinstance(obj, dz.BlockDesign):
+        return obj, dz.verify_design, ref_verify_design
+    if isinstance(obj, dz.IncompleteMolsSet):
+        return obj, dz.verify_imols, ref_verify_imols
+    if isinstance(obj, dz.HoleyLatinSquareSet):
+        return obj, dz.verify_hmols, ref_verify_hmols
+    return obj, cy.verify_rdm, ref_verify_rdm
+
+
+@settings(max_examples=300, deadline=None)
+@given(pieced_objects(), st.sampled_from([1, 2, 3, 7, 20]))
+def test_any_piece_size_gives_the_reference_report(case, piece):
+    # pieces of 1 to 7 keys split every design column and family column;
+    # square rows (6 to 8 cells) go one row a piece, or two with 20.  A
+    # valid object of index 1 passes the boolean test: no bincount runs
+    obj, verify, reference = case
+    calls = []
+    bincount = np.bincount
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dz, "PIECE", piece)
+        mp.setattr(np, "bincount", lambda *a, **kw: calls.append(1) or bincount(*a, **kw))
+        got = verify(obj)
+    assert got == reference(obj)
+    assert calls == [] or not got.valid or getattr(obj, "index", 1) > 1
+
+
+def test_a_passing_design_is_counted_without_a_key_buffer_of_its_size():
+    d = dz.td_from_field(3, 1009)  # 1,018,081 blocks
+    tracemalloc.start()
+    try:
+        assert dz.verify_design(d).valid
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the g x g tables and the boolean table take about 4 MB; one intp key
+    # per block would take 8 MB on its own
+    assert peak < len(d.blocks) * np.dtype(np.intp).itemsize
