@@ -13,15 +13,17 @@ index space), flattened so holes stay explicit index lists.
 
 Blocks are placed as whole arrays, never block by block, and column by
 column: the helpers take and return (k, B) block columns, the layout a
-design keeps (d.blocks.T), and an output goes to BlockDesign.new as the
-(B, k) view of its columns.  A copy of a small design that only shifts
-each group's points is a broadcast sum of offsets and blocks
-(`_shifted`).  Any other placement is a gather: a destination table
-`dest[c, p, i]`, the point that point p of group i becomes in copy c,
-read through the small design's block columns in one indexing step
-(`_gather`).  Both list the copies one after another, each in the small
-design's block order, so block order is the one a copy-by-copy loop
-would give.
+design keeps (d.blocks.T).  Every output, and the sub-TD a mark names,
+ends in one assembly step (`_assembled`): it refuses a group size of
+2^31 or more, writes the output's column pieces once, as int32, into
+the frozen (k, B) buffer that BlockDesign.new adopts as it is, and
+verifies the design.  A copy of a small design that only shifts each
+group's points is a broadcast sum of offsets and blocks (`_shifted`).
+Any other placement is a gather: a destination table `dest[c, p, i]`,
+the point that point p of group i becomes in copy c, read through the
+small design's block columns in one indexing step (`_gather`).  Both
+list the copies one after another, each in the small design's block
+order, so block order is the one a copy-by-copy loop would give.
 
 Every incomplete TD and every aligned fill comes from one cut-and-relabel
 step (`_cut`): delete some blocks and send chosen points of every group,
@@ -45,11 +47,19 @@ from . import gf
 from .errors import MalformedInput
 
 
-def _checked(d: BlockDesign, what: str) -> BlockDesign:
-    """d once verify_design finds it valid; MalformedInput naming it
-    otherwise."""
-    verify_design(d).require(what)
-    return d
+def _assembled(what: str, k: int, group_size: int, index: int, pieces,
+               hole_kind=HOLE_NONE, holes=()) -> BlockDesign:
+    """The design whose blocks are the (k, B_i) column pieces one after
+    another, once verify_design finds it valid; MalformedInput naming
+    `what` otherwise.  Every composed entry is below the group size, so
+    below 2^31 the int32 cast of the join loses nothing."""
+    if group_size >= 2**31:
+        raise MalformedInput(f"{what}: group size {group_size} must be below 2^31")
+    cols = gf.frozen_from(pieces, np.int32, (k, sum(p.shape[1] for p in pieces)), axis=1)
+    out = BlockDesign.new(k=k, group_size=group_size, index=index, blocks=cols.T,
+                          hole_kind=hole_kind, holes=holes)
+    verify_design(out).require(what)
+    return out
 
 
 def _shifted(offsets: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -119,8 +129,7 @@ def validate_mark(design: BlockDesign, sub_points, sub_blocks) -> None:
     if (sub < 0).any():
         row, i = np.argwhere(sub < 0)[0]
         raise MalformedInput(f"block {idxs[row]} leaves the marked points in group {i}")
-    marked = BlockDesign.new(k=d.k, group_size=h_sub, index=1, blocks=sub)
-    verify_design(marked).require(f"marked sub-TD(k,{h_sub})")
+    _assembled(f"marked sub-TD(k,{h_sub})", d.k, h_sub, 1, [sub.T])
 
 
 def subfield_itd(k: int, q: int, sub_order: int) -> BlockDesign:
@@ -171,11 +180,9 @@ def itd_from_marked(design: BlockDesign, sub_points, sub_blocks) -> BlockDesign:
     validate_mark(design, sub_points, sub_blocks)
     d = design
     h_sub = len(sub_points[0])
-    blocks = _cut(d, list(sub_blocks), [sorted(c) for c in sub_points], range(h_sub))
-    out = BlockDesign.new(k=d.k, group_size=d.group_size, index=d.index,
-                          blocks=blocks.T, hole_kind=HOLE_SINGLE,
-                          holes=(tuple(range(h_sub)),))
-    return _checked(out, f"ITD({d.k},({d.group_size};{h_sub}))")
+    return _assembled(f"ITD({d.k},({d.group_size};{h_sub}))", d.k, d.group_size, d.index,
+                      [_cut(d, list(sub_blocks), [sorted(c) for c in sub_points],
+                            range(h_sub))], HOLE_SINGLE, [range(h_sub)])
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +195,11 @@ def td_product(d1: BlockDesign, d2: BlockDesign) -> BlockDesign:
         raise MalformedInput(f"{d1.k} groups vs {d2.k}")
     if d1.hole_kind != HOLE_NONE or d2.hole_kind != HOLE_NONE:
         raise MalformedInput("the product multiplies plain TDs")
-    _checked(d1, "first factor")
-    _checked(d2, "second factor")
-    out = BlockDesign.new(k=d1.k, group_size=d1.group_size * d2.group_size,
-                          index=d1.index * d2.index,
-                          blocks=_shifted(d1.blocks.T.astype(np.int64) * d2.group_size,
-                                          d2.blocks.T).T)
-    return _checked(out, "product TD")
+    verify_design(d1).require("first factor")
+    verify_design(d2).require("second factor")
+    return _assembled("product TD", d1.k, d1.group_size * d2.group_size,
+                      d1.index * d2.index,
+                      [_shifted(d1.blocks.T.astype(np.int64) * d2.group_size, d2.blocks.T)])
 
 
 def product_itd(d1: BlockDesign, d2: BlockDesign) -> BlockDesign:
@@ -229,19 +234,16 @@ def diag_product(a: BlockDesign, b: BlockDesign, c: BlockDesign) -> BlockDesign:
     if n == 1 and h > 1:
         # an HTD(k,h^1) has no blocks; the composition is degenerate
         raise MalformedInput("diagonal ingredient of type h^1 is degenerate")
-    _checked(a, "layer HTD")
-    _checked(b, "cross TD")
-    _checked(c, "diagonal HTD")
+    verify_design(a).require("layer HTD")
+    verify_design(b).require("cross TD")
+    verify_design(c).require("diagonal HTD")
     k = a.k
     layer = n * h
     layers = np.arange(m)[None, :] * layer
-    cols = np.concatenate([_shifted(layers, c.blocks.T),
-                           _shifted(a.blocks.T.astype(np.int64) * layer, b.blocks.T)],
-                          axis=1)
-    out = BlockDesign.new(k=k, group_size=m * layer, index=1, blocks=cols.T,
-                          hole_kind=HOLE_UNIFORM,
-                          holes=_shifted(layers, np.asarray(c.holes).T).T)
-    return _checked(out, f"HTD({k},{h}^{m * n})")
+    return _assembled(f"HTD({k},{h}^{m * n})", k, m * layer, 1,
+                      [_shifted(layers, c.blocks.T),
+                       _shifted(a.blocks.T.astype(np.int64) * layer, b.blocks.T)],
+                      HOLE_UNIFORM, _shifted(layers, np.asarray(c.holes).T).T)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +297,9 @@ def wilson_compose(r: BlockDesign, a: BlockDesign, b: BlockDesign,
     if (e is None) != (f is None):
         raise MalformedInput(f"need an ITD({k},({layer + h};{h})) and an "
                              f"HTD({k},{h}^u) together, or neither")
-    _checked(r, "resolvable TD")
-    _checked(a, "layer HTD")
-    _checked(b, "cross TD")
+    verify_design(r).require("resolvable TD")
+    verify_design(a).require("layer HTD")
+    verify_design(b).require("cross TD")
 
     if f is not None:
         if e.hole_kind != HOLE_SINGLE or e.hole_size != h or \
@@ -305,8 +307,8 @@ def wilson_compose(r: BlockDesign, a: BlockDesign, b: BlockDesign,
             raise MalformedInput(f"need an ITD({k},({layer + h};{h}))")
         if f.hole_kind != HOLE_UNIFORM or f.hole_size != h or f.k != k:
             raise MalformedInput(f"need an HTD({k},{h}^u)")
-        _checked(e, "incomplete TD")
-        _checked(f, "truncation HTD")
+        verify_design(e).require("incomplete TD")
+        verify_design(f).require("truncation HTD")
 
     rr = parallel_class_reduction(r)
     y_base = t * layer  # the Y part sits after the t layers
@@ -334,12 +336,8 @@ def wilson_compose(r: BlockDesign, a: BlockDesign, b: BlockDesign,
         # fourth kind: the HTD(k,h^u) on Y
         pieces.append(f.blocks.T.astype(np.int64) + y_base)
         holes.append(y_holes)
-
-    cols = np.concatenate(pieces, axis=1)
-    out = BlockDesign.new(k=k, group_size=t * layer + u * h, index=1,
-                          blocks=cols.T, hole_kind=HOLE_UNIFORM,
-                          holes=np.concatenate(holes))
-    return _checked(out, f"HTD({k},{h}^{m * t + u})")
+    return _assembled(f"HTD({k},{h}^{m * t + u})", k, t * layer + u * h, 1, pieces,
+                      HOLE_UNIFORM, np.concatenate(holes))
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +382,8 @@ def itd_truncate_compose(r2: BlockDesign, dm: BlockDesign, dm1: BlockDesign,
     if r2.k != k + 2 or r2.index != 1 or r2.hole_kind != HOLE_NONE:
         raise MalformedInput(f"first ingredient must be a TD({k + 2},{t})")
     for d, _, role in fills:
-        _checked(d, role)
-    _checked(r2, "outer TD")
+        verify_design(d).require(role)
+    verify_design(r2).require("outer TD")
 
     # the fills without the blocks that the weight-1 points stand for
     fill1 = _cut(dm1, [0], dm1.blocks[[0]].T, [m])
@@ -408,13 +406,9 @@ def itd_truncate_compose(r2: BlockDesign, dm: BlockDesign, dm1: BlockDesign,
         pieces.append(_gather(dest[case], fill))
         source.append(np.repeat(np.flatnonzero(case), fill.shape[1]))
     order = np.argsort(np.concatenate(source), kind="stable")
-    cols = np.concatenate(pieces, axis=1)[:, order]
+    pieces = [np.concatenate(pieces, axis=1)[:, order]]
     if du is not None:
-        cols = np.concatenate([cols, du.blocks.T.astype(np.int64) + v], axis=1)
+        pieces.append(du.blocks.T + v)
     size = m * t + u + v
-    if v > 0:
-        out = BlockDesign.new(k=k, group_size=size, index=1, blocks=cols.T,
-                              hole_kind=HOLE_SINGLE, holes=(tuple(range(v)),))
-    else:
-        out = BlockDesign.new(k=k, group_size=size, index=1, blocks=cols.T)
-    return _checked(out, f"ITD({k},({size};{v}))")
+    return _assembled(f"ITD({k},({size};{v}))", k, size, 1, pieces,
+                      HOLE_SINGLE if v else HOLE_NONE, [range(v)] if v else [])

@@ -9,9 +9,10 @@ with -1 marking a blank cell.
 Verifiers count every pair exactly through one kernel, _count_pairs.
 Where a pair's expected counts are all 0 or 1, its keys clear a reused
 boolean table of the 1-cells: as many keys as 1-cells that leave none
-set hit each once and nothing else.  The keys are made and scattered a
-cache-sized piece (PIECE entries) at a time in small reused buffers, so
-a passing pair allocates nothing of the design's size.  Any other pair,
+set hit each once and nothing else.  A pair's columns are read flat,
+and its keys made and scattered a cache-sized slice (PIECE entries) at a
+time in small reused buffers, whatever the shape of the object, so a
+passing pair allocates nothing of the design's size.  Any other pair,
 or one that fails, has its keys made once in full and counted by one
 bincount; only a failed check is searched for witnesses, and then every
 violation is listed, for mutation tests and composition debugging.
@@ -21,8 +22,9 @@ constructors; verification is pure.
 A block design holds its blocks column-major: one frozen, C-ordered
 int32 buffer of shape (k, B), row i holding every block's point in
 group i.  BlockDesign.blocks is its (B, k) view, buffer.T, so a block is
-a row of it as ever; the pair counts read the buffer's rows in place,
-and builders fill it column by column.
+a row of it as ever; the pair counts read the buffer's rows in place.
+Readers, development and the compositions write it once, as int32,
+through gf.frozen_from, and BlockDesign.new adopts it as it is.
 
 Holes are disjoint, non-empty sets of points, checked by holes_new alone:
 kind none has no hole, single has one (an ITD; incomplete MOLS with an
@@ -32,7 +34,6 @@ points (an HTD, holey MOLS).  .holes: sorted tuples, by least point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,12 +108,12 @@ def _exact_test(expected, blanks=0):
     """test(x, y, keys) -> None when keys(x, y, out) hit each cell as often
     as `expected` says, else their bincount.
 
-    keys maps equal slices of x and y (along their first axis) to their
-    keys, made in out, an integer buffer of the slices' shape, where it
-    can: int32 while twice the key space fits it (int32 arithmetic is the
-    cheap part), else intp.  For a boolean `expected` the keys are made a
-    piece of about PIECE entries at a time, copied into one reused intp
-    buffer and cleared from a reused table of the 1-cells: as many keys as
+    keys maps equal slices of the flat arrays x and y to their keys, made
+    in out, an integer buffer of the slices' length, where it can: int32
+    while twice the key space fits it (int32 arithmetic is the cheap
+    part), else intp.  For a boolean `expected` the keys are made a slice
+    of PIECE entries at a time, copied into one reused intp buffer and
+    cleared from a reused table of the 1-cells: as many keys as
     1-cells that leave no 1-cell set hit each once and no other cell; keys
     in [-size, 0) and [size, 2 size) fall in its empty half.  `blanks` more
     keys, those of the cells a square with its blanks in place leaves
@@ -126,24 +127,18 @@ def _exact_test(expected, blanks=0):
     made, index = np.empty(PIECE, key_type), np.empty(PIECE, np.intp)
 
     def test(x, y, keys):
-        nonlocal made, index
         if n_ones >= 0:
             np.copyto(low, flat)
-            row = math.prod(x.shape[1:])  # entries per slice along the first axis
-            step = max(1, PIECE // max(1, row))
-            if step * row > len(made):  # a slice longer than a piece: one at a time
-                made, index = np.empty(row, key_type), np.empty(row, np.intp)
             count = 0
-            for a in range(0, len(x), step):
-                xs, ys = x[a:a + step], y[a:a + step]
-                piece = keys(xs, ys, made[:xs.size].reshape(xs.shape)).ravel()
+            for a in range(0, len(x), PIECE):
+                piece = keys(x[a:a + PIECE], y[a:a + PIECE], made[:len(x) - a])
                 at = index[:piece.size]
                 np.copyto(at, piece)
                 table[at] = False
                 count += piece.size
             if count == n_ones + blanks and not np.count_nonzero(low):
                 return None
-        every = keys(x, y, np.empty(x.shape, key_type)).ravel()
+        every = keys(x, y, np.empty(len(x), key_type))
         counts = np.bincount(every[every >= 0] if blanks else every, minlength=flat.size)
         return None if np.array_equal(counts, flat) else counts
     return test
@@ -152,8 +147,8 @@ def _exact_test(expected, blanks=0):
 def _count_pairs(v, cols, expected, keys=None, blanks=0) -> None:
     """The one exact pair-counting kernel behind every verifier.
 
-    For each pair r < s of cols (m, N, ...), test keys(cols[r], cols[s],
-    out) through _exact_test, by default cols[r] * expected.shape[-1] +
+    For each pair r < s of cols (m, N), test keys(cols[r], cols[s], out)
+    through _exact_test, by default cols[r] * expected.shape[-1] +
     cols[s]; a pair that fails adds witnesses to v, (PAIR_MISSING, (r, s,
     *cell, count)) in cell order and then PAIR_REPEATED likewise.  The
     columns are read in place, a piece at a time: a design's own buffer.
@@ -298,17 +293,19 @@ def _verify_squares(squares, hole_of) -> VerificationReport:
     blanks = np.count_nonzero(same_hole)  # in a square with its blanks in place
     scaled_sum = _scaled_sum(g)
     column = np.broadcast_to(np.arange(g, dtype=np.int32), (g, g))  # each cell's column
+    cells = squares.reshape(len(squares), g * g)  # the squares read flat
     exact = _exact_test(expected, blanks)
     placed = [np.array_equal(square == BLANK, same_hole) for square in squares]
     for idx, square in enumerate(squares):
-        # expected is symmetric, so it holds the (symbol, line) counts too
-        if not (placed[idx] and all(exact(square, line, scaled_sum) is None
+        # expected is symmetric, so it holds the (symbol, line) counts too;
+        # a line's flat indices are made for the one test that reads them
+        if not (placed[idx] and all(exact(cells[idx], line.ravel(), scaled_sum) is None
                                     for line in (column.T, column))):
             _square_witnesses(v, idx, square, hole_of, same_hole)
     if all(placed):  # a cell blank in one square is blank in both: key -g - 1
-        _count_pairs(v, squares, expected, blanks=blanks)
+        _count_pairs(v, cells, expected, blanks=blanks)
     else:
-        _count_pairs(v, squares, expected, keys=lambda x, y, out: scaled_sum(x, y, out)[
+        _count_pairs(v, cells, expected, keys=lambda x, y, out: scaled_sum(x, y, out)[
             (x != BLANK) & (y != BLANK)])
     return _report(v)
 

@@ -57,6 +57,16 @@ def test_bound_prime_and_frobenius(capsys):
     assert run(["bound", "prime", "100", "2", "50"]) == 3
 
 
+@pytest.mark.parametrize("argv, usage", [
+    (["frobenius", "3", "5"], "frobenius a b c n"),
+    (["frobenius", "3", "5", "1"], "frobenius a b c n"),
+    (["prime", "4", "10"], "prime m lo hi")])
+def test_bound_with_a_missing_argument_is_a_usage_error(capsys, argv, usage):
+    assert run(["bound", *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"usage: hmols bound {usage}" in err and "Traceback" not in err
+
+
 def test_bound_upper_and_asymptotic(capsys):
     assert run(["bound", "upper", "2", "4"]) == 0
     assert capsys.readouterr().out.strip() == "2"

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from hmols import compose as cp
 from hmols import cyclotomic as cy
 from hmols import designs as dz
+from hmols import gf
 from hmols.errors import MalformedInput
 from hmols.fixtures import hmols_pair_2_4, imols_pair_6_2
 
@@ -299,4 +301,49 @@ def test_itd_truncate_refuses_fills_of_index_two_before_verifying(monkeypatch, r
     monkeypatch.setattr(cp, "verify_design", verified.append)
     with pytest.raises(MalformedInput, match=re.escape(f"{name} must be a TD of index 1")):
         cp.itd_truncate_compose(**ingredients)
+    assert verified == []
+
+
+# -- the assembly step ------------------------------------------------------------
+
+def _truncate(du, v):
+    return cp.itd_truncate_compose(r2=dz.td_from_field(5, 5), dm=dz.td_from_field(3, 3),
+                                   dm1=dz.td_from_field(3, 4), dm2=dz.td_from_field(3, 5),
+                                   du=du, v=v)
+
+
+# each composition, and how many designs compose.py builds while it runs:
+# product_itd builds its product TD, the marked sub-TD and the ITD, and
+# wilson_ingredients makes its ITD that way before the composition
+@pytest.mark.parametrize("compose, built", [
+    (lambda: cp.td_product(dz.td_from_field(3, 2), dz.td_from_field(3, 3)), 1),
+    (lambda: cp.diag_product(dz.unit_hole_htd(3, 3), dz.td_from_field(3, 8),
+                             fixture_htd_k3()), 1),
+    (lambda: cp.wilson_compose(*wilson_ingredients(0)[:3]), 4),
+    (lambda: cp.wilson_compose(*wilson_ingredients(4)), 4),
+    (lambda: _truncate(None, 0), 1),
+    (lambda: _truncate(dz.td_from_field(3, 2), 2), 1),
+    (lambda: cp.product_itd(dz.td_from_field(3, 5), dz.td_from_field(3, 2)), 3),
+    (lambda: cp.subfield_itd(3, 4, 2), 2)])
+def test_every_composed_design_adopts_its_one_int32_buffer(monkeypatch, compose, built):
+    calls, new = [], dz.BlockDesign.new
+
+    def recording(*args, **kwargs):
+        d = new(*args, **kwargs)
+        if sys._getframe(1).f_globals["__name__"] == cp.__name__:
+            calls.append((kwargs["blocks"], d))
+        return d
+    monkeypatch.setattr(dz.BlockDesign, "new", staticmethod(recording))
+    out = compose()
+    assert len(calls) == built and calls[-1][1] is out
+    for blocks, d in calls:
+        assert gf._is_frozen(blocks.T, np.int32)
+        assert np.shares_memory(d.blocks, blocks)
+
+
+def test_the_assembly_step_refuses_a_group_size_of_2_to_the_31(monkeypatch):
+    verified = []
+    monkeypatch.setattr(cp, "verify_design", verified.append)
+    with pytest.raises(MalformedInput, match=r"group size 2147483648 must be below 2\^31"):
+        cp._assembled("TD(3,2^31)", 3, 2**31, 1, [np.zeros((3, 1), dtype=np.int64)])
     assert verified == []

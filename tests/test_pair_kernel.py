@@ -498,11 +498,13 @@ def pieced_objects(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(pieced_objects(), st.sampled_from([1, 2, 3, 7, 20]))
+@given(pieced_objects(), st.sampled_from([1, 2, 3, 5, 7, 20, 65]))
 def test_any_piece_size_gives_the_reference_report(case, piece):
-    # pieces of 1 to 7 keys split every design column and family column;
-    # square rows (6 to 8 cells) go one row a piece, or two with 20.  A
-    # valid object of index 1 passes the boolean test: no bincount runs
+    # pieces are flat slices of the keys: 1 to 7 keys split every design
+    # and family column and end inside square rows (6 to 8 cells), 20
+    # ends inside the third or fourth row, and 65, just over the largest
+    # square (8 x 8), takes every square whole.  A valid object of index 1
+    # passes the boolean test: no bincount runs
     obj, verify, reference = case
     calls = []
     bincount = np.bincount
