@@ -277,8 +277,8 @@ def _cmd_execute(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    usage = {"frobenius": "a b c n", "prime": "m lo hi"}.get(args.calc, "")
-    if None in (args.c, args.n)[:len(usage.split()) - 2]:
+    usage = {"frobenius": "a b c n", "prime": "m lo hi"}.get(args.calc, "a b")
+    if [args.c, args.n].count(None) != 4 - len(usage.split()):
         raise MalformedInput(f"usage: hmols bound {args.calc} {usage}")
     if args.calc == "upper":
         print(pl.naive_upper_bound(args.a, args.b))

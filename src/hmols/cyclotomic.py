@@ -7,15 +7,13 @@ GF(h)^d, grouped into h blocks of lam = h^(d-1) consecutive rows; block
 i reuses one free vector scaled by successive powers of the primitive
 root.  A candidate passes when, for every column pair, the difference
 quotients across row blocks avoid the cyclotomic classes excluded by
-equal template differences.  One primitive classes every difference
-within a vector, and one boolean table, built per template column
-difference, holds the allowed classes for every reader.  Certificates
-record (h, d, q, omega, columns, vectors, seed) and are never trusted
-without re-running the exact difference count.
-
-Searches draw every random choice from one seeded stream, so identical
-seeds give identical certificates regardless of machine or worker
-count.
+equal template differences.  The search places the vectors column by
+column, so a quotient is checked as soon as its second column stands,
+and one primitive gives a position's candidates from the placed entries.
+One boolean table, built per template column difference, holds the
+allowed classes for every reader.  Certificates record (h, d, q, omega,
+columns, vectors, seed) and are never trusted without re-running the
+exact difference count; identical seeds give identical certificates.
 """
 
 from __future__ import annotations
@@ -250,18 +248,20 @@ def _checked_solution(table: AllowedCosetTable, ctx: gf.CyclotomyContext, u,
                            omega=ctx.omega, seed=seed)
 
 
-def _vector_rows(allowed, ctx: gf.CyclotomyContext, u, i: int) -> np.ndarray:
-    """(k, k, 2q) booleans: [a, b, q - x + y], a < b, says whether u[i][a] = x
-    and u[i][b] = y, y != x, keep every quotient with a vector j < i allowed.
-    One gather per earlier vector builds the (k, k, lam) class table."""
-    q, lam, k = ctx.field.q, ctx.lam, allowed.shape[2]
-    v = np.array(u[:i], dtype=np.int64).reshape(i, k)
-    cls = _difference_classes(ctx, v)[..., None]
-    ok = np.take_along_axis(allowed[:i, i], (cls - np.arange(lam)) % lam, axis=-1)
-    # class -1, of x - y when x = y, reads the padding False at lam
-    table = np.pad((ok & (cls >= 0)).all(axis=0), [(0, 0), (0, 0), (0, 1)])
-    gap = ctx.class_table[-np.arange(q) % q]  # the class of x - y, at y - x
-    return table[..., np.concatenate([gap, gap])]
+def _candidates(allowed, ctx: gf.CyclotomyContext, u: np.ndarray, i: int,
+                a: int) -> np.ndarray:
+    """(q,) booleans: may u[i][a] = x beside the entries placed before it
+    column by column?  x must repeat no u[i][r], r < a, and each quotient
+    (u[j][r] - u[j][a]) / (u[i][r] - x), j < i, r < a, must lie in an
+    allowed class: one gather per (j, r) gives the classes u[i][r] - x may
+    take, one more reads them at every x.  Differences of field elements
+    lie in (-q, q), and a negative index reads class_table from its end."""
+    q, lam = ctx.field.q, ctx.lam
+    cls = ctx.class_table[u[:i, :a] - u[:i, a, None]]  # never -1: placed entries differ
+    ok = np.zeros((a, lam + 1), dtype=bool)  # [r, -1] stays False: x = u[i][r]
+    ok[:, :lam] = np.take_along_axis(allowed[:i, i, :a, a], (cls[..., None] - np.arange(lam))
+                                     % lam, axis=-1).all(axis=0)
+    return ok[np.arange(a)[:, None], ctx.class_table[u[i, :a, None] - np.arange(q)]].all(axis=0)
 
 
 class _RestartAbandoned(Exception):
@@ -270,21 +270,21 @@ class _RestartAbandoned(Exception):
 
 def search_uvectors(h: int, d: int, cols, q: int, seed: int = 0,
                     budget: int = DEFAULT_BUDGET,
-                    restart_nodes: int = 4096) -> UVectorSolution:
+                    restart_nodes: int = 8192) -> UVectorSolution:
     """Seeded randomized search for the h free vectors.
 
-    Entries are placed left to right, one vector after another; u[i][0] is
-    pinned to 0 with no draw or charge, since the constraints see only
-    differences within a vector and development absorbs a translation.
-    Each open position of the current vector keeps a survivor mask of the
-    values that fit every placed entry (forward checking); a vector whose
-    pin empties one is dead at no charge.  A position tries its survivors in
+    Entries are placed column by column: u[0][a], ..., u[h-1][a], then
+    column a + 1.  u[i][0] = 0 and u[0][1] = 1 are pinned, with no draw or
+    charge: translating one vector, or scaling all by one c != 0, keeps
+    every quotient of differences.  A position tries its `_candidates` in
     an order of all q values drawn from a PCG64 stream seeded with seed
     (stable across NumPy versions); each value up to the one taken is an
-    evaluation, an exhausted order counts in full, and a survivor that
-    empties a later mask is rejected.  A restart with fresh orders begins
-    every restart_nodes evaluations; the budget caps them all.
-    Exhausted is a retry signal, never a disproof, and counts what was done.
+    evaluation, and an exhausted order counts in full.  A position without
+    candidates is dead at no draw or charge, so a value that leaves the
+    next one none is rejected at once.  A restart with fresh orders begins
+    every restart_nodes evaluations; the budget caps them all.  Exhausted
+    is a retry signal, never a disproof; it counts the evaluations, the
+    restarts and the deepest position (most entries placed, pins included).
     """
     if seed < 0:
         raise MalformedInput(f"seed must be non-negative, got {seed}")
@@ -322,33 +322,30 @@ def search_uvectors(h: int, d: int, cols, q: int, seed: int = 0,
         state["budget"] -= n
         state["nodes"] -= n
 
-    def start(u, i):  # u[i][0] = 0 already stands
-        rows = _vector_rows(table.allowed, ctx, u, i)
-        surv = rows[0, 1:, q:]
-        return surv.any(axis=1).all() and extend(u, i, 1, rows, surv)
-
-    def extend(u, i, a, rows, surv):
-        # surv[b - a] marks the values that fit u[i][b] for every b >= a
-        state["deepest"] = max(state["deepest"], i * k + a)
-        if a == k:
-            return i + 1 == h or start(u, i + 1)
+    def place(u, p):  # the p entries before u[p % h][p // h] stand
+        state["deepest"] = max(state["deepest"], p)
+        if p == h * k:
+            return True
+        fits = _candidates(table.allowed, ctx, u, p % h, p // h)
+        if not fits.any():
+            return False
         order = np.argsort(bits.random_raw(q), kind="stable")
         last = -1
-        for p in np.flatnonzero(surv[0][order]).tolist():
-            spend(p - last)
-            last = p
-            u[i][a] = x = int(order[p])
-            after = surv[1:] & rows[a, a + 1:, q - x:2 * q - x]
-            if after.any(axis=1).all() and extend(u, i, a + 1, rows, after):
+        for n in np.flatnonzero(fits[order]).tolist():
+            spend(n - last)
+            last = n
+            u[p % h, p // h] = order[n]
+            if place(u, p + 1):
                 return True
         spend(q - 1 - last)
         return False
 
     while True:
-        u = [[0] + [None] * (k - 1) for _ in range(h)]
+        u = np.zeros((h, k), dtype=np.int64)
+        u[0, 1] = 1
         state.update(nodes=restart_nodes, restarts=state["restarts"] + 1)
         try:
-            if not start(u, 0):
+            if not place(u, h + 1):
                 # the whole tree was refuted within this restart's node cap;
                 # callers treat Exhausted as a retry hint anyway
                 raise exhausted(f"search space refuted or budget spent at q = {q}")

@@ -67,6 +67,19 @@ def test_bound_with_a_missing_argument_is_a_usage_error(capsys, argv, usage):
     assert f"usage: hmols bound {usage}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, usage", [
+    (["upper", "2", "4", "99", "7"], "upper a b"),
+    (["lambda", "2", "4", "5"], "lambda a b"),
+    (["asymptotic", "2", "1000", "5"], "asymptotic a b"),
+    (["prime", "4", "10", "50", "7"], "prime m lo hi")])
+def test_bound_with_a_surplus_argument_is_a_usage_error(capsys, argv, usage):
+    # the calculator would ignore it and answer as if it were not there
+    assert run(["bound", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"usage: hmols bound {usage}" in captured.err and "Traceback" not in captured.err
+
+
 def test_bound_upper_and_asymptotic(capsys):
     assert run(["bound", "upper", "2", "4"]) == 0
     assert capsys.readouterr().out.strip() == "2"
@@ -307,7 +320,7 @@ def test_search_exhausted_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("exhausted: budget 0 consumed: 0 evaluations, "
-                            "0 restarts, deepest position 1 of 8\n")
+                            "0 restarts, deepest position 3 of 8\n")
 
 
 def test_search_bytes_identical_across_runs(tmp_path):
@@ -333,12 +346,12 @@ def test_parser_reused_across_subcommands(capsys):
 
 
 def test_budget_variable_read_at_each_search(tmp_path, monkeypatch):
-    # seed 0 finds (2, 2) over GF(5) with 19 evaluations and not with 18
+    # seed 0 finds (2, 2) over GF(5) with 9 evaluations and not with 8
     argv = ["search", "2", "2", "5", "--cols", "0", "1", "2", "3",
             "--seed", "0", "--out", str(tmp_path / "cert.json")]
-    monkeypatch.setenv("HMOLS_BUDGET", "18")
+    monkeypatch.setenv("HMOLS_BUDGET", "8")
     assert run(argv) == 3
-    monkeypatch.setenv("HMOLS_BUDGET", "19")
+    monkeypatch.setenv("HMOLS_BUDGET", "9")
     assert run(argv) == 0
 
 

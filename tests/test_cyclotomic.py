@@ -466,14 +466,35 @@ def _digest(blocks):
     return hashlib.sha256(np.asarray(blocks, dtype=np.int64).tobytes()).hexdigest()[:16]
 
 
+def scalar_base_blocks(h, d, cols, q, u):
+    """assemble_rdf's blocks one entry at a time from scalar powers: for
+    template row m = i*lam + e, then x in C_0 ascending, the entries
+    (x * omega^e * u[i][r]) * h + t[m, cols[r]]."""
+    t = cy.template(h, d)
+    omega = gf.cyclotomy_new(gf.field_new(q), t.lam).omega
+    c0 = sorted(pow(omega, t.lam * n, q) for n in range((q - 1) // t.lam))
+    return [[x * pow(omega, e, q) * u[i][r] % q * h + int(t.entries[i * t.lam + e, c])
+             for r, c in enumerate(cols)]
+            for i in range(h) for e in range(t.lam) for x in c0]
+
+
 def test_assemble_rdf_base_blocks_are_pinned():
     # the block order (omega^e in e, then C_0 ascending) is what certificates
     # develop into; digests recorded when w and C_0 came from scalar powers
-    # (the second re-derived that way when the search came to pin u[i][0] = 0)
-    shipped = cy.assemble_rdf(cli._solution_from_cert(cert_2_401()))
-    assert _digest(shipped.base_blocks) == "b0cb530b2c3f1f9c"
+    sol = cli._solution_from_cert(cert_2_401())
+    assert _digest(cy.assemble_rdf(sol).base_blocks) == "b0cb530b2c3f1f9c"
+    assert _digest(scalar_base_blocks(2, 4, sol.col_selection, 401, sol.u)) \
+        == "b0cb530b2c3f1f9c"
+    # the vectors seed 0 found before the search went column by column:
+    # the scalar construction reproduces their recorded digest
+    old = [[0, 11, 7, 6], [0, 9, 10, 5]]
+    assert _digest(scalar_base_blocks(2, 2, [0, 1, 2, 3], 13, old)) == "3041b2af1ec0bf80"
+    assert _digest(cy.assemble_rdf(cy.verify_uvectors(2, 2, [0, 1, 2, 3], 13, old))
+                   .base_blocks) == "3041b2af1ec0bf80"
     found = cy.search_uvectors(2, 2, [0, 1, 2, 3], 13, seed=0, budget=50_000)
-    assert _digest(cy.assemble_rdf(found).base_blocks) == "3041b2af1ec0bf80"
+    assert [list(v) for v in found.u] == [[0, 1, 7, 9], [0, 11, 6, 10]]
+    assert _digest(scalar_base_blocks(2, 2, [0, 1, 2, 3], 13, found.u)) == "ee4e3612653eb3a2"
+    assert _digest(cy.assemble_rdf(found).base_blocks) == "ee4e3612653eb3a2"
 
 
 def test_assemble_width_mismatch():

@@ -1,15 +1,16 @@
 """The seeded difference-vector search: pinned outcomes, the search
-against a scalar reference search, and the survivor masks against a
+against a scalar reference search, and the candidate masks against a
 scalar reference predicate.
 
 Each case was recorded from `reference_search` below, which tests one
-candidate at a time.  Each vector starts with its first entry pinned to 0,
-with no draw and no charge.  Every other position draws one order of all
-q values from the seeded PCG64 stream and charges every value it looks
-at; a value is taken when it fits the placed entries and every later
-position of its vector keeps a value that fits (forward checking).  A
-vector whose pinned entry already leaves a position without a value is
-left at once, charged nothing.  For a found certificate the table gives
+candidate at a time.  Entries are placed column by column: u[0][a], ...,
+u[h-1][a], then column a + 1.  u[i][0] = 0 and u[0][1] = 1 are pinned,
+with no draw and no charge.  A position where no value fits is left at
+once, also with no draw and no charge, so a value that leaves the next
+position none costs only its own evaluation (a one-step forward check).
+Every other position draws one order of all q values from the seeded
+PCG64 stream and charges every value it looks at, up to the first that
+fits and leads to a certificate.  For a found certificate the table gives
 the smallest budget that finds it: the same seed must yield the same
 vectors with exactly that budget and raise Exhausted with one evaluation
 less, so the traversal order, the budget accounting and the restart
@@ -24,6 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmols import cyclotomic as cy
+from hmols import designs as dz
 from hmols import gf
 from hmols.errors import Exhausted, MalformedInput
 
@@ -33,64 +35,71 @@ C8 = list(range(8))
 
 # smallest budget that finds (2, 3) on columns 0..7 over GF(97) with seed 2
 # (tests/test_formats.py develops that certificate)
-Q97_SEED2_BUDGET = 9968
+Q97_SEED2_BUDGET = 236
 
 # (h, d, cols, q, seed, restart_nodes, smallest finding budget, u-vectors)
 FOUND = [
-    (2, 2, C4, 5, 0, 4096, 19, [[0, 3, 1, 4], [0, 4, 2, 1]]),
-    (2, 2, C4, 5, 1, 4096, 16, [[0, 2, 4, 1], [0, 1, 3, 4]]),
-    (2, 2, C4, 5, 2, 4096, 11, [[0, 3, 2, 1], [0, 4, 3, 1]]),
-    (2, 2, C4, 5, 3, 4096, 16, [[0, 4, 2, 1], [0, 2, 4, 1]]),
-    (2, 2, C4, 13, 0, 4096, 15, [[0, 11, 7, 6], [0, 9, 10, 5]]),
-    (2, 2, C4, 13, 1, 4096, 19, [[0, 9, 3, 10], [0, 6, 8, 9]]),
-    (2, 2, C4, 13, 2, 4096, 10, [[0, 7, 6, 3], [0, 10, 11, 3]]),
-    (2, 2, C4, 13, 3, 4096, 9, [[0, 4, 7, 2], [0, 8, 7, 11]]),
-    (2, 2, C4, 29, 0, 4096, 11, [[0, 11, 24, 1], [0, 5, 1, 28]]),
-    (2, 2, C4, 29, 1, 4096, 29, [[0, 9, 7, 3], [0, 2, 10, 12]]),
-    (2, 2, C4, 29, 2, 4096, 10, [[0, 7, 20, 28], [0, 10, 17, 16]]),
-    (2, 2, C4, 29, 3, 4096, 11, [[0, 20, 2, 16], [0, 17, 27, 22]]),
-    (2, 3, C8, 97, 0, 4096, 5562,
-     [[0, 10, 8, 57, 31, 89, 82, 20], [0, 95, 33, 84, 74, 66, 87, 80]]),
+    (2, 2, C4, 5, 0, 4096, 9, [[0, 1, 3, 4], [0, 3, 1, 4]]),
+    (2, 2, C4, 5, 1, 4096, 12, [[0, 1, 4, 2], [0, 2, 4, 3]]),
+    (2, 2, C4, 5, 2, 4096, 11, [[0, 1, 2, 3], [0, 3, 4, 2]]),
+    (2, 2, C4, 5, 3, 4096, 13, [[0, 1, 4, 2], [0, 3, 1, 2]]),
+    (2, 2, C4, 13, 0, 4096, 7, [[0, 1, 7, 9], [0, 11, 6, 10]]),
+    (2, 2, C4, 13, 1, 4096, 7, [[0, 1, 3, 9], [0, 2, 10, 9]]),
+    (2, 2, C4, 13, 2, 4096, 9, [[0, 1, 6, 10], [0, 7, 2, 9]]),
+    (2, 2, C4, 13, 3, 4096, 8, [[0, 1, 7, 8], [0, 7, 2, 8]]),
+    (2, 2, C4, 29, 0, 4096, 11, [[0, 1, 24, 5], [0, 11, 4, 9]]),
+    (2, 2, C4, 29, 1, 4096, 7, [[0, 1, 7, 6], [0, 2, 3, 24]]),
+    (2, 2, C4, 29, 2, 4096, 20, [[0, 1, 20, 10], [0, 3, 6, 11]]),
+    (2, 2, C4, 29, 3, 4096, 15, [[0, 1, 2, 17], [0, 19, 18, 17]]),
+    (2, 3, C8, 97, 0, 4096, 278,
+     [[0, 1, 53, 49, 19, 22, 18, 3], [0, 92, 54, 91, 17, 43, 25, 89]]),
     (2, 3, C8, 97, 2, 4096, Q97_SEED2_BUDGET,
-     [[0, 49, 17, 57, 14, 22, 1, 16], [0, 69, 34, 78, 3, 54, 61, 36]]),
-    (3, 2, C6, 31, 0, 4096, 97,
-     [[0, 11, 28, 30, 20, 26], [0, 4, 26, 17, 9, 30], [0, 24, 23, 20, 13, 17]]),
-    (3, 2, C6, 31, 1, 4096, 159,
-     [[0, 9, 30, 13, 18, 16], [0, 29, 12, 10, 3, 25], [0, 17, 9, 4, 8, 22]]),
-    (3, 2, C6, 31, 2, 4096, 135,
-     [[0, 7, 18, 24, 4, 17], [0, 29, 1, 17, 10, 18], [0, 26, 24, 29, 25, 8]]),
-    # smaller restart caps; below the finding budget the search restarts,
-    # each restart with fresh value orders drawn from the same stream (the
-    # caps of rows 17-20 and 22 now exceed their finding budgets)
-    (2, 2, C4, 5, 0, 20, 19, [[0, 3, 1, 4], [0, 4, 2, 1]]),
-    (2, 2, C4, 5, 0, 50, 19, [[0, 3, 1, 4], [0, 4, 2, 1]]),
-    (2, 2, C4, 5, 2, 30, 11, [[0, 3, 2, 1], [0, 4, 3, 1]]),
-    (2, 2, C4, 29, 1, 29, 29, [[0, 9, 7, 3], [0, 2, 10, 12]]),
-    (2, 3, C8, 97, 0, 400, 2772,
-     [[0, 85, 46, 1, 90, 13, 15, 94], [0, 69, 17, 79, 35, 71, 38, 53]]),
-    (3, 2, C6, 31, 0, 150, 97,
-     [[0, 11, 28, 30, 20, 26], [0, 4, 26, 17, 9, 30], [0, 24, 23, 20, 13, 17]]),
-    # caps small enough for two restarts or more before the find
-    (2, 2, C4, 5, 0, 10, 29, [[0, 4, 2, 1], [0, 2, 4, 1]]),
-    (2, 2, C4, 5, 2, 12, 11, [[0, 3, 2, 1], [0, 4, 3, 1]]),
-    (2, 2, C4, 29, 1, 9, 45, [[0, 15, 5, 8], [0, 16, 19, 26]]),
-    (3, 2, C6, 31, 2, 60, 642,
-     [[0, 25, 16, 9, 28, 24], [0, 23, 6, 30, 15, 25], [0, 22, 18, 4, 26, 7]]),
-    # one restart or more under forward checking
-    (2, 2, C4, 5, 0, 15, 23, [[0, 2, 4, 1], [0, 1, 3, 4]]),
-    (2, 2, C4, 29, 1, 15, 24, [[0, 9, 2, 13], [0, 19, 23, 1]]),
-    (3, 2, C6, 31, 0, 80, 313,
-     [[0, 4, 1, 20, 3, 14], [0, 7, 5, 6, 4, 19], [0, 9, 19, 24, 11, 25]]),
+     [[0, 1, 44, 91, 67, 23, 15, 17], [0, 84, 35, 65, 18, 52, 28, 83]]),
+    (3, 2, C6, 31, 0, 4096, 93,
+     [[0, 1, 30, 4, 21, 24], [0, 11, 20, 17, 12, 3], [0, 28, 3, 4, 27, 12]]),
+    (3, 2, C6, 31, 1, 4096, 106,
+     [[0, 1, 13, 21, 8, 20], [0, 9, 14, 30, 5, 21], [0, 24, 16, 15, 7, 18]]),
+    (3, 2, C6, 31, 2, 4096, 61,
+     [[0, 1, 24, 29, 22, 4], [0, 7, 4, 29, 3, 30], [0, 18, 9, 17, 1, 8]]),
+    # smaller restart caps, chosen under earlier traversal rules; placed
+    # column by column, rows 17-25, 27 and 28 find within their first
+    # restart, and rows 26 and 29 restart 4 times and once
+    (2, 2, C4, 5, 0, 20, 9, [[0, 1, 3, 4], [0, 3, 1, 4]]),
+    (2, 2, C4, 5, 0, 50, 9, [[0, 1, 3, 4], [0, 3, 1, 4]]),
+    (2, 2, C4, 5, 2, 30, 11, [[0, 1, 2, 3], [0, 3, 4, 2]]),
+    (2, 2, C4, 29, 1, 29, 7, [[0, 1, 7, 6], [0, 2, 3, 24]]),
+    (2, 3, C8, 97, 0, 400, 278,
+     [[0, 1, 53, 49, 19, 22, 18, 3], [0, 92, 54, 91, 17, 43, 25, 89]]),
+    (3, 2, C6, 31, 0, 150, 93,
+     [[0, 1, 30, 4, 21, 24], [0, 11, 20, 17, 12, 3], [0, 28, 3, 4, 27, 12]]),
+    (2, 2, C4, 5, 0, 10, 9, [[0, 1, 3, 4], [0, 3, 1, 4]]),
+    (2, 2, C4, 5, 2, 12, 11, [[0, 1, 2, 3], [0, 3, 4, 2]]),
+    (2, 2, C4, 29, 1, 9, 7, [[0, 1, 7, 6], [0, 2, 3, 24]]),
+    (3, 2, C6, 31, 2, 60, 275,
+     [[0, 1, 15, 3, 21, 6], [0, 22, 26, 18, 14, 17], [0, 24, 6, 16, 23, 3]]),
+    (2, 2, C4, 5, 0, 15, 9, [[0, 1, 3, 4], [0, 3, 1, 4]]),
+    (2, 2, C4, 29, 1, 15, 7, [[0, 1, 7, 6], [0, 2, 3, 24]]),
+    (3, 2, C6, 31, 0, 80, 145,
+     [[0, 1, 8, 11, 19, 6], [0, 24, 11, 13, 7, 21], [0, 9, 7, 29, 24, 1]]),
+    # caps small enough for restarts under the column order: 10, 2, 21, 9
+    # and 6 restarts before the find
+    (2, 2, C4, 5, 0, 8, 87, [[0, 1, 2, 4], [0, 2, 3, 4]]),
+    (2, 2, C4, 29, 2, 8, 24, [[0, 1, 23, 5], [0, 3, 4, 24]]),
+    (2, 2, C4, 29, 1, 5, 110, [[0, 1, 20, 7], [0, 27, 6, 20]]),
+    (2, 3, C8, 97, 0, 150, 1495,
+     [[0, 1, 39, 13, 79, 35, 32, 86], [0, 59, 45, 37, 19, 61, 11, 48]]),
+    (3, 2, C6, 31, 1, 50, 335,
+     [[0, 1, 26, 11, 19, 22], [0, 13, 17, 12, 30, 26], [0, 14, 27, 20, 26, 5]]),
 ]
 
 # A case's test id is the one it had before dead levels became free: the
 # number before "-u" is the smallest finding budget under that rule, kept
 # so that a case can be followed across rule changes.  Rows 23-26 carry
-# their budgets from before forward checking, and rows added since carry
-# their current budget.
+# their budgets from before forward checking, rows 27-29 theirs from before
+# the column order, and rows added since carry their current budget.
 PREVIOUS_BUDGETS = [143, 13, 148, 16, 12, 15, 17, 11, 11, 8, 15, 15, 36502,
                     11037, 134, 12562, 416, 92, 64, 43, 8, 23541, 134,
-                    30, 239, 36, 590]
+                    30, 239, 36, 590, 23, 24, 313]
 
 
 def _case_id(n, row):
@@ -133,34 +142,35 @@ def test_golden_table_matches_reference_search(h, d, cols, q, seed,
 
 
 def test_golden_budget_runs_out_mid_search():
-    # 1000 evaluations end inside a level of the q = 97 tree
-    with pytest.raises(Exhausted, match="^budget 1000 consumed: 1000 evaluations, "
-                                        "0 restarts, deepest position 14 of 16$"):
-        cy.search_uvectors(2, 3, C8, 97, seed=0, budget=1000)
+    # 150 of the 278 evaluations that find it end inside the q = 97 tree
+    with pytest.raises(Exhausted, match="^budget 150 consumed: 150 evaluations, "
+                                        "0 restarts, deepest position 11 of 16$"):
+        cy.search_uvectors(2, 3, C8, 97, seed=0, budget=150)
 
 
 def test_golden_restart_cap_too_small_to_finish():
-    # a tree draws six entries, each costing an evaluation or more, so no
-    # restart of 5 evaluations completes; the budget ends the search
+    # a tree draws five entries, each costing an evaluation or more, so no
+    # restart of 4 evaluations completes; the budget ends the search
     with pytest.raises(Exhausted, match="^budget 2000 consumed: 2000 evaluations, "
-                                        "399 restarts, deepest position 7 of 8$"):
-        cy.search_uvectors(2, 2, C4, 29, seed=1, budget=2000, restart_nodes=5)
+                                        "499 restarts, deepest position 7 of 8$"):
+        cy.search_uvectors(2, 2, C4, 29, seed=1, budget=2000, restart_nodes=4)
 
 
 def test_golden_refutation_within_one_restart():
     # (2, 3) on columns 0..3 has no solution over GF(5); a refuted tree
-    # charges q for each live position whatever the orders, here 205
-    refuted = ("^search space refuted or budget spent at q = 5: 205 evaluations, "
+    # charges q for each position that draws an order, whatever the
+    # orders: here three orders, 15 evaluations
+    refuted = ("^search space refuted or budget spent at q = 5: 15 evaluations, "
                "0 restarts, deepest position 5 of 8$")
     with pytest.raises(Exhausted, match=refuted):
-        cy.search_uvectors(2, 3, C4, 5, seed=0, budget=205, restart_nodes=205)
-    with pytest.raises(Exhausted, match="^budget 204 consumed: 204 evaluations, "
+        cy.search_uvectors(2, 3, C4, 5, seed=0, budget=15, restart_nodes=15)
+    with pytest.raises(Exhausted, match="^budget 14 consumed: 14 evaluations, "
                                         "0 restarts, deepest position 5 of 8$"):
-        cy.search_uvectors(2, 3, C4, 5, seed=0, budget=204, restart_nodes=205)
+        cy.search_uvectors(2, 3, C4, 5, seed=0, budget=14, restart_nodes=15)
     # one evaluation short per restart: never refuted, the budget ends it
     with pytest.raises(Exhausted, match="^budget 30000 consumed: 30000 evaluations, "
-                                        "147 restarts, deepest position 5 of 8$"):
-        cy.search_uvectors(2, 3, C4, 5, seed=0, budget=30000, restart_nodes=204)
+                                        "2142 restarts, deepest position 5 of 8$"):
+        cy.search_uvectors(2, 3, C4, 5, seed=0, budget=30000, restart_nodes=14)
 
 
 def test_negative_seed_rejected_before_search():
@@ -207,12 +217,6 @@ def reference_search(h, d, cols, q, seed, budget, restart_nodes):
         return Exhausted(f"{reason}: {budget - left} evaluations, {restarts} "
                          f"restarts, deepest position {deepest} of {h * k}")
 
-    def forward(u, i, a, x):
-        """Place x at u[i][a]; does every later position keep a value?"""
-        u[i][a] = x
-        return all(any(reference_feasible(table, q, dlog, u, i, b, y, a + 1)
-                       for y in range(q)) for b in range(a + 1, k))
-
     def evaluate():
         nonlocal left, nodes
         if left == 0:
@@ -222,53 +226,52 @@ def reference_search(h, d, cols, q, seed, budget, restart_nodes):
         left -= 1
         nodes -= 1
 
-    def start(u, i):
-        # u[i][0] = 0, with no draw and no charge
-        return forward(u, i, 0, 0) and extend(u, i, 1)
+    def fits(u, p, x):
+        # position p is u[p % h][p // h]: column by column
+        return reference_fits(table, q, dlog, u, p % h, p // h, x)
 
-    def extend(u, i, a):
+    def extend(u, p):
+        # the p entries before position p stand
         nonlocal deepest
-        deepest = max(deepest, i * k + a)
-        if a == k:
-            return i + 1 == h or start(u, i + 1)
+        deepest = max(deepest, p)
+        if p == h * k:
+            return True
+        if not any(fits(u, p, y) for y in range(q)):
+            return False  # a dead end: no draw, no charge
         for x in next(orders):
             evaluate()
-            if reference_feasible(table, q, dlog, u, i, a, x, a) \
-                    and forward(u, i, a, x) and extend(u, i, a + 1):
-                return True
+            if fits(u, p, x):
+                u[p % h][p // h] = x
+                if extend(u, p + 1):
+                    return True
         return False
 
     while True:
-        u = [[None] * k for _ in range(h)]
+        # u[i][0] = 0 and u[0][1] = 1, with no draw and no charge
+        u = [[0] + [None] * (k - 1) for _ in range(h)]
+        u[0][1] = 1
         nodes = restart_nodes
         restarts += 1
         try:
-            if start(u, 0):
+            if extend(u, h + 1):
                 return u
         except _Abandoned:
             continue
         raise exhausted(f"search space refuted or budget spent at q = {q}")
 
 
-# -- survivor masks ------------------------------------------------------------
+# -- candidate masks -------------------------------------------------------------
 
-def reference_feasible(table, q, dlog, u, i, r, x, placed):
-    """May x stand at u[i][r] beside the entries u[i][s], s < placed, s != r?
-    One candidate at a time, by modular inverses and a table of discrete
-    logs found by trial."""
-    for s in range(placed):
-        if s == r:
-            continue
-        if u[i][s] == x:
+def reference_fits(table, q, dlog, u, i, a, x):
+    """May x stand at u[i][a] beside the entries placed before it column by
+    column?  One candidate at a time, by modular inverses and a table of
+    discrete logs found by trial."""
+    for r in range(a):
+        if u[i][r] == x:
             return False
         for j in range(i):
-            d_i = (u[i][s] - x) % q
-            d_j = (u[j][s] - u[j][r]) % q
-            if d_j == 0:
-                return False
-            quotient = d_j * pow(d_i, q - 2, q) % q
-            key = (j, i, min(r, s), max(r, s))
-            if not table.allowed[key + (dlog[quotient] % table.lam,)]:
+            quotient = (u[j][r] - u[j][a]) * pow(u[i][r] - x, q - 2, q) % q
+            if not table.allowed[j, i, r, a, dlog[quotient] % table.lam]:
                 return False
     return True
 
@@ -283,36 +286,25 @@ def partial_assignments(draw):
     t = cy.template(h, d)
     q = draw(st.sampled_from([p for p in SMALL_PRIMES if (p - 1) % t.lam == 0]))
     cols = draw(st.lists(st.integers(0, t.size - 1), min_size=2,
-                         max_size=min(t.size, 6), unique=True))
+                         max_size=min(t.size, 6, q), unique=True))
     k = len(cols)
-    pos = draw(st.integers(0, h * k - 1))
-    # earlier entries may repeat, which the mask must treat like the
-    # one-by-one test does
-    flat = draw(st.lists(st.integers(0, q - 1), min_size=pos, max_size=pos))
-    u = [[None] * k for _ in range(h)]
-    for p, x in enumerate(flat):
-        u[p // k][p % k] = x
-    return h, d, cols, q, u, pos
+    # distinct entries within each vector, as the search keeps them; those
+    # at and after the position must not change its mask
+    u = [draw(st.permutations(range(q)))[:k] for _ in range(h)]
+    return h, d, cols, q, u, draw(st.integers(0, h * k - 1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(partial_assignments())
 def test_candidate_mask_matches_scalar_reference(case):
-    # the survivor masks of the open positions r.. of vector i once its
-    # entries before r stand, built as the search builds them
-    h, d, cols, q, u, pos = case
+    # the search's one candidate primitive at position p, column by column
+    h, d, cols, q, u, p = case
     table = cy.allowed_cosets(cy.template(h, d), cols)
     ctx = gf.cyclotomy_new(gf.field_new(q), table.lam)
-    k = len(cols)
-    i, r = divmod(pos, k)
-    rows = cy._vector_rows(table.allowed, ctx, u, i)
-    survivors = np.ones((k - r, q), dtype=bool)
-    for a in range(r):
-        survivors &= rows[a, r:, q - u[i][a]:2 * q - u[i][a]]
+    i, a = p % h, p // h
+    mask = cy._candidates(table.allowed, ctx, np.array(u), i, a)
     dlog = discrete_logs(q, ctx.omega)
-    expected = [[reference_feasible(table, q, dlog, u, i, b, y, r)
-                 for y in range(q)] for b in range(r, k)]
-    assert survivors.tolist() == expected
+    assert mask.tolist() == [reference_fits(table, q, dlog, u, i, a, x) for x in range(q)]
 
 
 @st.composite
@@ -329,8 +321,8 @@ def search_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(search_cases())
 @example((2, 3, C4, 5, 0, 5000, 5000))  # a tree refuted within one restart
-@example((4, 2, [0, 1, 6, 9], 5, 1, 3000, 3000))  # refuted, with dead pins
-@example((4, 2, [0, 7], 29, 5, 3000, 3000))  # found past a dead pin
+@example((4, 2, [0, 1, 6, 9], 5, 1, 3000, 3000))  # refuted, four vectors
+@example((4, 2, [0, 7], 29, 5, 3000, 3000))  # found: three entries drawn
 def test_search_matches_reference_search(case):
     h, d, cols, q, seed, budget, restart_nodes = case
     try:
@@ -357,3 +349,21 @@ def test_translated_vector_develops_into_the_same_design(row, data):
     before, after = (cy.develop_rdf(cy.assemble_rdf(cy.verify_uvectors(h, d, cols, q, v)))
                      for v in (u, moved))
     assert np.array_equal(after.sorted_blocks(), before.sorted_blocks())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FOUND), st.data())
+def test_scaled_vectors_develop_into_another_valid_design(row, data):
+    # why the search may also pin u[0][1] = 1: scaling every vector by one
+    # c != 0 keeps every quotient of differences, so the scaled vectors are
+    # a solution too.  Unlike a translation, development does not absorb
+    # it: the design changes unless c is a lam-th power, which only permutes
+    # the class C_0 that assemble_rdf runs over
+    h, d, cols, q, _, _, _, u = row
+    c = data.draw(st.integers(1, q - 1))
+    scaled = [[x * c % q for x in v] for v in u]
+    before, after = (cy.develop_rdf(cy.assemble_rdf(cy.verify_uvectors(h, d, cols, q, v)))
+                     for v in (u, scaled))
+    assert dz.verify_design(after).valid
+    power = pow(c, (q - 1) // cy.template(h, d).lam, q) == 1
+    assert np.array_equal(after.sorted_blocks(), before.sorted_blocks()) == power
