@@ -12,18 +12,18 @@ structured point labels internally (layer offsets into each group's
 index space), flattened so holes stay explicit index lists.
 
 Blocks are placed as whole arrays, never block by block, and column by
-column: the helpers take and return (k, B) block columns, the layout a
-design keeps (d.blocks.T).  Every output, and the sub-TD a mark names,
-ends in one assembly step (`_assembled`): it refuses a group size of
-2^31 or more, writes the output's column pieces once, as int32, into
-the frozen (k, B) buffer that BlockDesign.new adopts as it is, and
-verifies the design.  A copy of a small design that only shifts each
-group's points is a broadcast sum of offsets and blocks (`_shifted`).
-Any other placement is a gather: a destination table `dest[c, p, i]`,
-the point that point p of group i becomes in copy c, read through the
-small design's block columns in one indexing step (`_gather`).  Both
-list the copies one after another, each in the small design's block
-order, so block order is the one a copy-by-copy loop would give.
+column, in the layout a design keeps: (k, B) block columns (d.blocks.T).
+Every output, and the sub-TD a mark names, ends in one assembly step
+(`_assembled`): it refuses a group size of 2^31 or more, has each piece
+write its own (k, width) column slot of the output's one frozen int32
+buffer in one numpy step, and verifies the design, which adopts that
+buffer.  A copy of a small design that only shifts each group's points
+is a broadcast sum of offsets and blocks (`_shifted`).  Any other
+placement is a gather: through the small design's block columns, one
+np.take per group from a group-major int32 table `dest[i, c, p]`, the
+point that point p of group i becomes in copy c (`_gather`).  Both list
+the copies one after another, each in the small design's block order,
+so block order is the one a copy-by-copy loop would give.
 
 Every incomplete TD and every aligned fill comes from one cut-and-relabel
 step (`_cut`): delete some blocks and send chosen points of every group,
@@ -49,30 +49,42 @@ from .errors import MalformedInput
 
 def _assembled(what: str, k: int, group_size: int, index: int, pieces,
                hole_kind=HOLE_NONE, holes=()) -> BlockDesign:
-    """The design whose blocks are the (k, B_i) column pieces one after
-    another, once verify_design finds it valid; MalformedInput naming
-    `what` otherwise.  Every composed entry is below the group size, so
-    below 2^31 the int32 cast of the join loses nothing."""
+    """The design whose blocks are the pieces' columns one after another,
+    once verify_design finds it valid; MalformedInput naming `what`
+    otherwise.  A piece (width, write) writes its (k, width) slot of the
+    int32 buffer, after a group size of 2^31 or more is refused: every
+    composed entry is below the group size, so int32 loses nothing."""
     if group_size >= 2**31:
         raise MalformedInput(f"{what}: group size {group_size} must be below 2^31")
-    cols = gf.frozen_from(pieces, np.int32, (k, sum(p.shape[1] for p in pieces)), axis=1)
+    cols = gf.frozen_written(np.int32, (k, sum(width for width, _ in pieces)), pieces, 1)
     out = BlockDesign.new(k=k, group_size=group_size, index=index, blocks=cols.T,
                           hole_kind=hole_kind, holes=holes)
     verify_design(out).require(what)
     return out
 
 
-def _shifted(offsets: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The columns of one copy of the block columns `cols` per column of
-    the int64 `offsets`, each point shifted by its group's offset in that
-    column (one row shifts all groups alike)."""
-    return (offsets[:, :, None] + cols[:, None, :]).reshape(len(cols), -1)
+def _shifted(offsets: np.ndarray, cols: np.ndarray):
+    """The piece of one copy of the block columns `cols` per column of
+    `offsets`, each point shifted by its group's offset in that column (one
+    row shifts all groups alike): an int32 sum, cast when it is written."""
+    copies, width = offsets.shape[1], cols.shape[1]
+    return copies * width, lambda slot: np.add(
+        offsets.astype(np.int32)[:, :, None], cols[:, None, :],
+        out=slot.reshape(len(cols), copies, width, copy=False))
 
 
-def _gather(dest: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The columns of one copy of the block columns `cols` per destination
-    table: point p of group i goes to dest[c, p, i] in copy c."""
-    return np.stack([dest[:, col, i] for i, col in enumerate(cols)]).reshape(len(cols), -1)
+def _gather(dest: np.ndarray, cols: np.ndarray):
+    """The piece of one copy of the block columns `cols` per copy c of the
+    group-major table `dest`: point p of group i goes to dest[i, c, p].  A
+    valid design's points fit the table, so "clip" clips none, and it
+    spares the copy of the row that "raise" buffers."""
+    copies, width = dest.shape[1], cols.shape[1]
+
+    def fill(slot):
+        for i, col in enumerate(cols):
+            np.take(dest[i], col, axis=1, mode="clip",
+                    out=slot[i].reshape(copies, width, copy=False))
+    return copies * width, fill
 
 
 def _side_ranks(mask: np.ndarray) -> np.ndarray:
@@ -93,6 +105,7 @@ def _cut(d: BlockDesign, rows, points, slots) -> np.ndarray:
     place = _side_ranks(sent) + len(slots)
     place[groups, points] = np.arange(len(slots))
     perms = np.concatenate([slots, np.delete(np.arange(d.group_size), slots)])[place]
+    perms = perms.astype(np.int32)
     keep = np.ones(len(d.blocks), dtype=bool)
     keep[rows] = False
     return perms[groups, d.blocks.T[:, keep]]
@@ -115,7 +128,7 @@ def validate_mark(design: BlockDesign, sub_points, sub_blocks) -> None:
     h_sub = sizes.pop()
     if h_sub == 0:
         raise MalformedInput("a mark needs at least one point per group")
-    rank = np.full((d.k, d.group_size), -1, dtype=np.int64)
+    rank = np.full((d.k, d.group_size), -1, dtype=np.int32)
     for i, cell in enumerate(sub_points):
         if len(set(cell)) != len(cell) or \
                 min(cell) < 0 or max(cell) >= d.group_size:
@@ -129,7 +142,7 @@ def validate_mark(design: BlockDesign, sub_points, sub_blocks) -> None:
     if (sub < 0).any():
         row, i = np.argwhere(sub < 0)[0]
         raise MalformedInput(f"block {idxs[row]} leaves the marked points in group {i}")
-    _assembled(f"marked sub-TD(k,{h_sub})", d.k, h_sub, 1, [sub.T])
+    _assembled(f"marked sub-TD(k,{h_sub})", d.k, h_sub, 1, [_shifted(np.zeros((1, 1)), sub.T)])
 
 
 def subfield_itd(k: int, q: int, sub_order: int) -> BlockDesign:
@@ -180,9 +193,9 @@ def itd_from_marked(design: BlockDesign, sub_points, sub_blocks) -> BlockDesign:
     validate_mark(design, sub_points, sub_blocks)
     d = design
     h_sub = len(sub_points[0])
+    cols = _cut(d, list(sub_blocks), [sorted(c) for c in sub_points], range(h_sub))
     return _assembled(f"ITD({d.k},({d.group_size};{h_sub}))", d.k, d.group_size, d.index,
-                      [_cut(d, list(sub_blocks), [sorted(c) for c in sub_points],
-                            range(h_sub))], HOLE_SINGLE, [range(h_sub)])
+                      [_shifted(np.zeros((1, 1)), cols)], HOLE_SINGLE, [range(h_sub)])
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +256,7 @@ def diag_product(a: BlockDesign, b: BlockDesign, c: BlockDesign) -> BlockDesign:
     return _assembled(f"HTD({k},{h}^{m * n})", k, m * layer, 1,
                       [_shifted(layers, c.blocks.T),
                        _shifted(a.blocks.T.astype(np.int64) * layer, b.blocks.T)],
-                      HOLE_UNIFORM, _shifted(layers, np.asarray(c.holes).T).T)
+                      HOLE_UNIFORM, np.add.outer(layers, c.holes).reshape(-1, h))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +334,7 @@ def wilson_compose(r: BlockDesign, a: BlockDesign, b: BlockDesign,
         _shifted(layers, a.blocks.T),
         # second kind: TD(k,hm) across the layers of blocks missing Y
         _shifted(miss[:, :k].T * layer, b.blocks.T)]
-    holes = [_shifted(layers, np.asarray(a.holes).T).T]
+    holes = [np.add.outer(layers, a.holes).reshape(-1, h)]
     if u > 0:
         # third kind: the ITD over each block meeting Y, its hole's points
         # sent in order onto the hole of Y the block meets, its other
@@ -329,12 +342,14 @@ def wilson_compose(r: BlockDesign, a: BlockDesign, b: BlockDesign,
         meet = non_class[non_class[:, k] <= u]
         in_hole = np.zeros(e.group_size, dtype=bool)
         in_hole[list(e.holes[0])] = True
-        dest = meet[:, None, :k] * layer + _side_ranks(in_hole)[None, :, None]
+        dest = np.empty((k, len(meet), e.group_size), dtype=np.int32)
+        np.add(meet[:, :k].T[:, :, None] * layer, _side_ranks(in_hole), out=dest,
+               casting="unsafe")
         y_holes = y_base + np.asarray(f.holes, dtype=np.int64)
-        dest[:, in_hole] = y_holes[meet[:, k] - 1, :, None]
+        dest[:, :, in_hole] = y_holes[meet[:, k] - 1]
         pieces.append(_gather(dest, e.blocks.T))
         # fourth kind: the HTD(k,h^u) on Y
-        pieces.append(f.blocks.T.astype(np.int64) + y_base)
+        pieces.append(_shifted(np.full((1, 1), y_base), f.blocks.T))
         holes.append(y_holes)
     return _assembled(f"HTD({k},{h}^{m * t + u})", k, t * layer + u * h, 1, pieces,
                       HOLE_UNIFORM, np.concatenate(holes))
@@ -396,19 +411,27 @@ def itd_truncate_compose(r2: BlockDesign, dm: BlockDesign, dm1: BlockDesign,
     has_y, has_z = y < u, z < v
     # every outer block's points: its m main points per group, then the
     # weight-1 point of Y if it meets one (else of Z), then that of Z
-    dest = np.empty((len(outer), m + 2, k), dtype=np.int64)
-    dest[:, :m] = main + outer[:, None, :k] * m + np.arange(m)[:, None]
-    dest[:, m] = np.where(has_y, v + y, z)[:, None]
-    dest[:, m + 1] = z[:, None]
-    pieces, source = [], []
-    for case, fill in ((~has_y & ~has_z, dm.blocks.T), (has_y ^ has_z, fill1),
-                       (has_y & has_z, fill2)):
-        pieces.append(_gather(dest[case], fill))
-        source.append(np.repeat(np.flatnonzero(case), fill.shape[1]))
-    order = np.argsort(np.concatenate(source), kind="stable")
-    pieces = [np.concatenate(pieces, axis=1)[:, order]]
+    dest = np.empty((k, len(outer), m + 2), dtype=np.int32)
+    dest[:, :, :m] = main + outer[:, :k].T[:, :, None] * m + np.arange(m)
+    dest[:, :, m] = np.where(has_y, v + y, z)
+    dest[:, :, m + 1] = z
+    # each outer block takes the fill for the number of weight-1 points it
+    # meets; its copy starts where those of the blocks before it end
+    cases = has_y.astype(np.int64) + has_z
+    fill_cols = [dm.blocks.T, fill1, fill2]
+    widths = np.array([fill.shape[1] for fill in fill_cols])[cases]
+    starts = np.cumsum(widths) - widths
+
+    def fill_blocks(slot):  # the copy on outer block j: each row's window at starts[j]
+        for case in np.unique(cases):  # the fills in use, whose windows fit the row
+            blocks = np.flatnonzero(cases == case)
+            for i, col in enumerate(fill_cols[case]):
+                windows = np.lib.stride_tricks.sliding_window_view(
+                    slot[i], len(col), writeable=True)
+                windows[starts[blocks]] = np.take(dest[i, blocks], col, axis=1)
+    pieces = [(int(widths.sum()), fill_blocks)]
     if du is not None:
-        pieces.append(du.blocks.T + v)
+        pieces.append(_shifted(np.full((1, 1), v), du.blocks.T))
     size = m * t + u + v
     return _assembled(f"ITD({k},({size};{v}))", k, size, 1, pieces,
                       HOLE_SINGLE if v else HOLE_NONE, [range(v)] if v else [])

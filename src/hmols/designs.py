@@ -24,7 +24,7 @@ int32 buffer of shape (k, B), row i holding every block's point in
 group i.  BlockDesign.blocks is its (B, k) view, buffer.T, so a block is
 a row of it as ever; the pair counts read the buffer's rows in place.
 Readers, development and the compositions write it once, as int32,
-through gf.frozen_from, and BlockDesign.new adopts it as it is.
+through gf.frozen_written, and BlockDesign.new adopts it as it is.
 
 Holes are disjoint, non-empty sets of points, checked by holes_new alone:
 kind none has no hole, single has one (an ITD; incomplete MOLS with an

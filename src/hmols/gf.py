@@ -21,7 +21,7 @@ and inverses are exp/dlog reads: no q x q product table is built.
 
 All objects here are immutable and every operation is pure, so they
 are safe to share between threads: every array that an immutable object
-or a cache hands out, in any module, comes from frozen() or frozen_from().
+or a cache hands out, in any module, comes from frozen() or frozen_written().
 """
 
 from __future__ import annotations
@@ -61,11 +61,12 @@ def _is_frozen(a: np.ndarray, dtype: np.dtype) -> bool:
         a.flags.c_contiguous and a.nbytes == len(base)
 
 
-def frozen_from(pieces, dtype, shape, axis: int = 0) -> np.ndarray:
-    """A frozen array of the given shape that joins the arrays in pieces
-    along axis, as np.concatenate joins them, each cast to dtype: the
-    pieces are written in place into one bytes buffer, so that the result
-    is the only full-size copy and a cast makes no temporary array."""
+def frozen_written(dtype, shape, pieces, axis: int = 0) -> np.ndarray:
+    """A frozen array of the given shape and dtype that pieces write: each
+    (width, write) pair in turn hands write its slot, the next width
+    slices along axis of the zeroed array on the one bytes buffer that the
+    result keeps, so that the result is the only full-size copy.  write
+    fills the slot in place and keeps no view of it."""
     dtype = np.dtype(dtype)
     # a zeroed bytes object is allocated lazily, and a BytesIO that holds
     # the only reference to it writes into it in place
@@ -73,15 +74,21 @@ def frozen_from(pieces, dtype, shape, axis: int = 0) -> np.ndarray:
     lead = (slice(None),) * axis
     with buf.getbuffer() as view:
         out, at = np.frombuffer(view, dtype).reshape(shape), 0
-        for piece in pieces:
-            step = piece.shape[axis]
-            np.copyto(out[lead + (slice(at, at + step),)], piece, casting="unsafe")
-            at += step
+        for width, write in pieces:
+            write(out[lead + (slice(at, at + width),)])
+            at += width
         del out  # the view is released only when no array holds it
     if at != shape[axis]:
         raise AssertionError(f"pieces of {at} slices for shape {shape}")
     # getvalue hands the buffer over without copying it
     return np.frombuffer(buf.getvalue(), dtype).reshape(shape)
+
+
+def frozen_from(pieces, dtype, shape, axis: int = 0) -> np.ndarray:
+    """A frozen array of the given shape that joins the arrays in pieces
+    along axis, as np.concatenate does, each cast as it is copied in."""
+    return frozen_written(dtype, shape, ((p.shape[axis], lambda slot, p=p: np.copyto(
+        slot, p, casting="unsafe")) for p in pieces), axis)
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,8 +343,38 @@ def test_every_composed_design_adopts_its_one_int32_buffer(monkeypatch, compose,
 
 
 def test_the_assembly_step_refuses_a_group_size_of_2_to_the_31(monkeypatch):
-    verified = []
+    # a piece's writer that records every slot it is handed
+    verified, written = [], []
     monkeypatch.setattr(cp, "verify_design", verified.append)
     with pytest.raises(MalformedInput, match=r"group size 2147483648 must be below 2\^31"):
-        cp._assembled("TD(3,2^31)", 3, 2**31, 1, [np.zeros((3, 1), dtype=np.int64)])
-    assert verified == []
+        cp._assembled("TD(3,2^31)", 3, 2**31, 1, [(1, written.append)])
+    assert written == [] and verified == []
+
+
+@pytest.mark.parametrize("truncation", [
+    fixture_htd_k3,  # u = 4: HTD(3, 2^248), 245,024 blocks on g = 496
+    # u = 52: HTD(3, 2^296) on g = 592, most of its blocks gathered
+    lambda: cp.diag_product(dz.unit_hole_htd(3, 13), dz.td_from_field(3, 8),
+                            fixture_htd_k3())], ids=["u=4", "u=52"])
+def test_a_wilson_composition_holds_its_output_and_the_verifier_tables(truncation):
+    """Every copy is written into the output's own buffer: the traced peak
+    is what the step must hold, with no int64 piece of the output's size
+    beside it.  The bound is counted from the shapes, not measured."""
+    a, f = fixture_htd_k3(), truncation()
+    r, b = dz.td_from_field(4, 61), dz.td_from_field(3, 8)
+    e = cp.product_itd(dz.td_from_field(3, 5), dz.td_from_field(3, 2))
+    tracemalloc.start()
+    try:
+        out = cp.wilson_compose(r, a, b, e, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    g, k = out.group_size, out.k
+    meet = f.hole_count * r.group_size  # outer blocks meeting the truncated group
+    must_hold = (out.blocks.nbytes
+                 + k * meet * e.group_size * 4  # the int32 destination table
+                 + 4 * g * g  # the verifier's 2 g^2 key table, its two g^2 masks
+                 + dz.PIECE * (4 + 8)  # and its int32 and intp key buffers
+                 + 4 * r.blocks.size * 8)  # the relabelled outer TD, int64 copies
+    # numpy's cast buffers and Python objects fit in the last 256 KiB
+    assert peak < must_hold + (256 << 10)

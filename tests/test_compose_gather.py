@@ -1,11 +1,11 @@
-"""The gathered compositions against the per-block loops they replaced.
+"""The compositions against copy-by-copy loops.
 
 The references below are the loops wilson_compose (its parallel-class
 relabeling and its third kind, the ITD over every block meeting Y) and
 itd_truncate_compose (its per-outer-block fill) ran before they placed
-blocks as whole arrays, and a point-by-point loop for the aligned fills.
-Outputs must agree exactly: block arrays in their unsorted order, and
-holes.
+blocks as whole arrays, a point-by-point loop for the aligned fills, and
+copy-by-copy loops for td_product and diag_product.  Outputs must agree
+exactly: block arrays in their unsorted order, and holes.
 """
 
 import itertools
@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmols import compose as cp
+from hmols import cyclotomic as cy
 from hmols import designs as dz
 from hmols.designs import HOLE_NONE, HOLE_SINGLE, HOLE_UNIFORM
 from hmols.fixtures import hmols_pair_2_4
@@ -128,6 +129,27 @@ def ref_itd_truncate_compose(k, m, t, u, v, r2, dm, dm1, dm2, du):
     return dz.BlockDesign.new(k=k, group_size=size, index=1, blocks=blocks)
 
 
+def ref_td_product(d1, d2):
+    """A copy of d2 on every block of d1, in d1's block order."""
+    blocks = np.concatenate([blk.astype(np.int64) * d2.group_size + d2.blocks
+                             for blk in d1.blocks])
+    return dz.BlockDesign.new(k=d1.k, group_size=d1.group_size * d2.group_size,
+                              index=d1.index * d2.index, blocks=blocks)
+
+
+def ref_diag_product(a, b, c):
+    """A copy of c on each of a's layers, layer by layer, then a copy of b
+    across the layers of every block of a, in a's block order."""
+    layer = c.group_size
+    pieces = [c.blocks.astype(np.int64) + ell * layer for ell in range(a.group_size)]
+    pieces += [blk.astype(np.int64) * layer + b.blocks for blk in a.blocks]
+    holes = [tuple(ell * layer + x for x in cell)
+             for ell in range(a.group_size) for cell in c.holes]
+    return dz.BlockDesign.new(k=a.k, group_size=a.group_size * layer, index=1,
+                              blocks=np.concatenate(pieces), hole_kind=HOLE_UNIFORM,
+                              holes=holes)
+
+
 def assert_same(out, ref):
     assert np.array_equal(out.blocks, ref.blocks)
     assert np.array_equal(out.holes, ref.holes)
@@ -216,6 +238,45 @@ def test_wilson_gather_matches_reference_loop_k3(t, u):
     f = _htd_3_2(u)
     assert_same(cp.wilson_compose(r, a, b, e, f),
                 ref_wilson_compose(r, a, b, e, f, u))
+
+
+# -- products -----------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(n1=st.integers(1, 6), n2=st.integers(1, 6), k=st.sampled_from([2, 3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_td_product_matches_reference_loop(n1, n2, k, seed):
+    rng = np.random.default_rng(seed)
+    d1, d2 = cyclic_td(rng, k, n1), cyclic_td(rng, k, n2)
+    assert_same(cp.td_product(d1, d2), ref_td_product(d1, d2))
+
+
+def test_td_product_of_index_two_matches_reference_loop():
+    rng = np.random.default_rng(2)
+    d1 = shuffled(rng, cy.td_projection(2, 2, 3))  # TD_2(3, 2)
+    d2 = shuffled(rng, dz.td_from_field(3, 4))
+    assert_same(cp.td_product(d1, d2), ref_td_product(d1, d2))
+    assert_same(cp.td_product(d2, d1), ref_td_product(d2, d1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(3, 7), h=st.integers(1, 3), n=st.integers(2, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_diag_product_matches_reference_loop(m, h, n, seed):
+    # two groups: random block orders and random hole cells on every ingredient
+    rng = np.random.default_rng(seed)
+    a = pair_design(rng, m, HOLE_UNIFORM, random_partition(rng, m, 1))
+    b = pair_design(rng, h * n)
+    c = pair_design(rng, h * n, HOLE_UNIFORM, random_partition(rng, n, h))
+    assert_same(cp.diag_product(a, b, c), ref_diag_product(a, b, c))
+
+
+def test_diag_product_matches_reference_loop_k3():
+    rng = np.random.default_rng(3)
+    a = shuffled(rng, dz.unit_hole_htd(3, 4))
+    b = shuffled(rng, dz.td_from_field(3, 8))
+    c = shuffled(rng, fixture_htd_k3())
+    assert_same(cp.diag_product(a, b, c), ref_diag_product(a, b, c))
 
 
 # -- truncate-and-fill --------------------------------------------------------------
