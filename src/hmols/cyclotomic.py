@@ -9,9 +9,11 @@ root.  A candidate passes when, for every column pair, the difference
 quotients across row blocks avoid the cyclotomic classes excluded by
 equal template differences.  The search places the vectors column by
 column, so a quotient is checked as soon as its second column stands,
-and one primitive gives a position's candidates from the placed entries.
-One boolean table, built per template column difference, holds the
-allowed classes for every reader.  Certificates record (h, d, q, omega,
+and one primitive gives a position's candidates from the placed entries
+by reading two per-field tables of the cyclotomic context: the class of
+a quotient of classes, and the class of y - x at every x as a row.  One
+boolean table, built per template column difference, holds the allowed
+classes for every reader.  Certificates record (h, d, q, omega,
 columns, vectors, seed) and are never trusted without re-running the
 exact difference count; identical seeds give identical certificates.
 """
@@ -30,6 +32,7 @@ from .designs import (
     HOLE_NONE,
     HOLE_UNIFORM,
     MAX_EXEC_BLOCKS,
+    PIECE,
     BlockDesign,
     VerificationReport,
     _count_pairs,
@@ -103,6 +106,11 @@ def td_projection(h: int, d: int, k: int, cols=None) -> BlockDesign:
 # allowed cosets
 # ---------------------------------------------------------------------------
 
+def _upper(n: int) -> np.ndarray:
+    """(n, n) booleans: [i, j] says i < j."""
+    return np.arange(n)[:, None] < np.arange(n)
+
+
 def _check_cols(t: TemplateMatrix, cols) -> list[int]:
     cols = [int(c) for c in cols]
     if len(set(cols)) != len(cols) or any(not 0 <= c < t.size for c in cols):
@@ -144,17 +152,21 @@ def _allowed_by_difference(t: TemplateMatrix, diffs) -> np.ndarray:
     of block i and e' of block j with e' - e = c mod lam hold equal entries
     in template column diffs[n].  Row i*lam + e is the vector (i, w), so
     its entry is x_i + y_e, x_i and y_e the entries of rows i*lam and e:
-    rows agree when y_e' - y_e = x_i - x_j, a scan of block 0 alone."""
+    rows agree when y_e' - y_e = x_i - x_j, a scan of block 0 alone.  The
+    columns are scanned together, about PIECE (e, e') pairs at a time."""
     h, lam = t.h, t.lam
     e = np.arange(lam)
     later = np.add.outer(e, e) % lam  # [e, c] = e'
+    diffs = np.asarray(diffs, dtype=np.intp)
     out = np.empty((len(diffs), h, h, lam), dtype=bool)
-    for n, c in enumerate(diffs):
-        col = t.entries[:, c]
-        seen = np.zeros((h, lam), dtype=bool)  # [y_e' - y_e, e' - e]
-        seen[t.field.sub(col[later], col[:lam, None]), e] = True
-        out[n] = ~seen[t.field.sub(col[::lam, None], col[None, ::lam])]
-    return out & np.triu(np.ones((h, h), dtype=bool), 1)[..., None]
+    step = max(1, PIECE // lam ** 2)
+    for at in range(0, len(diffs), step):
+        col = t.entries[:, diffs[at:at + step]].T  # [n, row]
+        n = np.arange(len(col))[:, None, None]
+        seen = np.zeros((len(col), h, lam), dtype=bool)  # [n, y_e' - y_e, e' - e]
+        seen[n, t.field.sub(col[:, later], col[:, :lam, None]), e] = True
+        out[at:at + step] = ~seen[n, t.field.sub(col[:, ::lam, None], col[:, None, ::lam])]
+    return out & _upper(h)[..., None]
 
 
 def allowed_cosets(t: TemplateMatrix, cols) -> AllowedCosetTable:
@@ -163,7 +175,7 @@ def allowed_cosets(t: TemplateMatrix, cols) -> AllowedCosetTable:
     cols = _check_cols(t, cols)
     if len(cols) < 2:
         raise MalformedInput("need at least two columns")
-    r, s = np.triu_indices(len(cols), 1)
+    r, s = np.nonzero(_upper(len(cols)))
     diffs, at = np.unique(_column_difference(t, np.take(cols, r), np.take(cols, s)),
                           return_inverse=True)
     allowed = np.zeros((t.h, t.h, len(cols), len(cols), t.lam), dtype=bool)
@@ -208,12 +220,12 @@ def _uvector_violations(table: AllowedCosetTable, ctx: gf.CyclotomyContext, u):
     lexicographic order of its witness."""
     h, k = table.h, len(table.col_selection)
     cls = _difference_classes(ctx, np.array(u, dtype=np.int64).reshape(h, k))
-    pairs = np.triu(np.ones((k, k), dtype=bool), 1)
-    quotient = (cls[:, None] - cls[None, :]) % table.lam
-    ok = np.take_along_axis(table.allowed, quotient[..., None], axis=-1)[..., 0]
-    # a zero difference is reported as EqualEntries only
+    pairs = _upper(k)
+    quotient = ctx.quotient_classes[cls[:, None], cls[None, :]]
+    ok = table.allowed[(*np.indices(quotient.shape, sparse=True), quotient)]
+    # a zero difference (class -1) is reported as EqualEntries only
     live = (cls[:, None] >= 0) & (cls[None, :] >= 0) & pairs
-    forbidden = live & ~ok & np.triu(np.ones((h, h), dtype=bool), 1)[..., None, None]
+    forbidden = live & ~ok & _upper(h)[..., None, None]
     return ([("EqualEntries", tuple(w)) for w in np.argwhere((cls < 0) & pairs).tolist()]
             + [("ForbiddenCoset", tuple(w)) for w in np.argwhere(forbidden).tolist()])
 
@@ -253,15 +265,19 @@ def _candidates(allowed, ctx: gf.CyclotomyContext, u: np.ndarray, i: int,
     """(q,) booleans: may u[i][a] = x beside the entries placed before it
     column by column?  x must repeat no u[i][r], r < a, and each quotient
     (u[j][r] - u[j][a]) / (u[i][r] - x), j < i, r < a, must lie in an
-    allowed class: one gather per (j, r) gives the classes u[i][r] - x may
-    take, one more reads them at every x.  Differences of field elements
-    lie in (-q, q), and a negative index reads class_table from its end."""
+    allowed class.  The context's tables do the arithmetic: one read of
+    quotient_classes gives, per (j, r), the class of the quotient for
+    every class u[i][r] - x may take, and one row of difference_classes
+    per r gives the class of u[i][r] - x at every x."""
     q, lam = ctx.field.q, ctx.lam
     cls = ctx.class_table[u[:i, :a] - u[:i, a, None]]  # never -1: placed entries differ
-    ok = np.zeros((a, lam + 1), dtype=bool)  # [r, -1] stays False: x = u[i][r]
-    ok[:, :lam] = np.take_along_axis(allowed[:i, i, :a, a], (cls[..., None] - np.arange(lam))
-                                     % lam, axis=-1).all(axis=0)
-    return ok[np.arange(a)[:, None], ctx.class_table[u[i, :a, None] - np.arange(q)]].all(axis=0)
+    ok = allowed[np.arange(i)[:, None, None], i, np.arange(a)[:, None], a,
+                 ctx.quotient_classes[cls]].all(axis=0)  # [r, class of u[i][r] - x]
+    # ok read flat: row r's classes from r * lam on
+    at = ctx.difference_classes[q - 1 - u[i, :a]] + np.arange(0, a * lam, lam)[:, None]
+    fits = ok.ravel()[at].all(axis=0)
+    fits[u[i, :a]] = False  # x = u[i][r] has class -1: it read another row's last class
+    return fits
 
 
 class _RestartAbandoned(Exception):
@@ -391,7 +407,7 @@ def match_columns(t: TemplateMatrix, u_raw, q: int):
         raise Exhausted("a vector repeats an entry; no assignment exists")
     # all quotients are well-defined once no vector repeats an entry
     quotient = (cls[:, None] - cls[None, :]) % t.lam
-    bi, bj = np.triu_indices(t.h, 1)
+    bi, bj = np.nonzero(_upper(t.h))
     # both the quotient classes and the exclusions are invariant under
     # swapping two columns, so each difference serves both orientations
     table = _allowed_by_difference(t, range(t.size))
@@ -440,11 +456,13 @@ class RelativeDifferenceFamily:
 
     def g_sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         h = self.h_field.q
-        return self.q_field.sub(a // h, b // h) * h + self.h_field.sub(a % h, b % h)
+        za, zb = a // h, b // h
+        return self.q_field.sub(za, zb) * h + self.h_field.sub(a - za * h, b - zb * h)
 
     def g_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         h = self.h_field.q
-        return self.q_field.add(a // h, b // h) * h + self.h_field.add(a % h, b % h)
+        za, zb = a // h, b // h
+        return self.q_field.add(za, zb) * h + self.h_field.add(a - za * h, b - zb * h)
 
 
 def assemble_rdf(sol: UVectorSolution) -> RelativeDifferenceFamily:
@@ -497,13 +515,17 @@ def develop_rdf(fam: RelativeDifferenceFamily) -> BlockDesign:
                              f"{g} shifts would build {count} blocks, over the cap "
                              f"{MAX_EXEC_BLOCKS}")
     verify_rdm(fam).require("difference family")
-    shifts = np.arange(g)
-    # table[s, x] = x + s in G, gathered at every entry x of a base column
-    # for each shift s in turn (shift-major), one column at a time into
-    # the design's buffer; the table is smaller than the output
-    table = fam.g_add(shifts[:, None], shifts[None, :]).astype(np.int32)
-    cols = gf.frozen_from((table[:, col].reshape(1, -1) for col in fam.base_blocks.T),
-                          np.int32, (fam.k, count))
+    shifts = np.arange(g, dtype=np.int32)
+    # table[s, x] = x + s in G, made in int32 and smaller than the output,
+    # is taken at every entry x of a base column for each shift s in turn
+    # (shift-major) straight into that column's row of the design's buffer
+    # (mode "raise" would buffer the row; "wrap" reads x modulo g, as G's
+    # arithmetic in verify_rdm does)
+    table = fam.g_add(shifts[:, None], shifts[None, :])
+    cols = gf.frozen_written(np.int32, (fam.k, count), (
+        (1, lambda row, col=col: np.take(table, col, axis=1, out=row.reshape(g, -1),
+                                         mode="wrap"))
+        for col in fam.base_blocks.T))
     return BlockDesign.new(k=fam.k, group_size=g, index=1, blocks=cols.T,
                            hole_kind=HOLE_UNIFORM, holes=shifts.reshape(-1, h))
 
@@ -577,7 +599,7 @@ def _pair_labels(blocks: np.ndarray, h: int, lam: int) -> np.ndarray:
     The blocks form a verified TD of index lam, so in a stable sort of the
     pair keys every pair's lam blocks are adjacent, from a multiple of lam."""
     k = blocks.shape[1]
-    i, j = np.triu_indices(k, 1)
+    i, j = np.nonzero(_upper(k))
     keys = (np.arange(len(i))[:, None] * h + blocks[:, i].T) * h + blocks[:, j].T
     rank = np.empty(keys.size, dtype=np.int32)
     rank[np.argsort(keys, axis=None, kind="stable")] = np.arange(keys.size) % lam

@@ -12,10 +12,13 @@ boolean table of the 1-cells: as many keys as 1-cells that leave none
 set hit each once and nothing else.  A pair's columns are read flat,
 and its keys made and scattered a cache-sized slice (PIECE entries) at a
 time in small reused buffers, whatever the shape of the object, so a
-passing pair allocates nothing of the design's size.  Any other pair,
-or one that fails, has its keys made once in full and counted by one
-bincount; only a failed check is searched for witnesses, and then every
-violation is listed, for mutation tests and composition debugging.
+passing pair allocates nothing of the design's size.  The pairs of a
+small object are tested as many at a time as fit one slice, each in its
+own region of the table, in one scatter; a batch that fails is tested
+again pair by pair.  Any other pair, or one that fails, has its keys
+made once in full and counted by one bincount; only a failed check is
+searched for witnesses, and then every violation is listed, for
+mutation tests and composition debugging.
 Objects are immutable, their arrays made by gf.frozen in the
 constructors; verification is pure.
 
@@ -105,42 +108,73 @@ def _scaled_sum(width: int):
 
 
 def _exact_test(expected, blanks=0):
-    """test(x, y, keys) -> None when keys(x, y, out) hit each cell as often
-    as `expected` says, else their bincount.
+    """test(pairs, keys) -> [(n, counts)] for each pair n of pairs, (x, y),
+    whose keys(x, y, out) do not hit each cell as often as `expected`
+    says, counts their bincount; [] when every pair passes.
 
-    keys maps equal slices of the flat arrays x and y to their keys, made
-    in out, an integer buffer of the slices' length, where it can: int32
+    keys maps equal slices of flat arrays x and y to their keys, made in
+    out, an integer buffer of the slices' length, where it can: int32
     while twice the key space fits it (int32 arithmetic is the cheap
-    part), else intp.  For a boolean `expected` the keys are made a slice
-    of PIECE entries at a time, copied into one reused intp buffer and
-    cleared from a reused table of the 1-cells: as many keys as
-    1-cells that leave no 1-cell set hit each once and no other cell; keys
-    in [-size, 0) and [size, 2 size) fall in its empty half.  `blanks` more
-    keys, those of the cells a square with its blanks in place leaves
-    blank, are below zero and on no 1-cell.  Any other `expected`, or keys
-    that fail, are made once in full and counted by one bincount."""
+    part), else intp.  For a boolean `expected` the pairs are tested in
+    batches, as many as fit PIECE keys together or else one: a batch's x
+    and y are joined and its keys made once, a PIECE at a time, then moved
+    to their pair's region of a reused table, [1-cells | empty half],
+    copied into one reused intp buffer, and cleared.  As many keys per pair
+    as 1-cells that leave no 1-cell set hit each once and no other cell:
+    a pair's keys in [size, 2 size) fall in its own empty half, those in
+    [-size, 0) in the one before (the first pair's wrap round to the
+    last), and no key reaches another pair's 1-cells.  `blanks` more keys
+    per pair, those of the cells a square with its blanks in place leaves
+    blank, are below zero.  A batch that fails, or whose keys drop cells
+    and so lose their pairs, is tested again pair by pair.  Any other
+    `expected`, or a pair that fails, has its keys made once in full and
+    counted by one bincount."""
     flat = expected.ravel()
+    size = flat.size
     n_ones = np.count_nonzero(flat) if flat.dtype == bool else -1
-    table = np.zeros(2 * flat.size, dtype=bool)
-    low = table[:flat.size]
-    key_type = np.int32 if 2 * flat.size < 2**31 else np.intp
+    key_type = np.int32 if 2 * size < 2**31 else np.intp
     made, index = np.empty(PIECE, key_type), np.empty(PIECE, np.intp)
+    table = np.zeros(2 * size, dtype=bool)  # grown for larger batches
 
-    def test(x, y, keys):
-        if n_ones >= 0:
-            np.copyto(low, flat)
-            count = 0
-            for a in range(0, len(x), PIECE):
-                piece = keys(x[a:a + PIECE], y[a:a + PIECE], made[:len(x) - a])
-                at = index[:piece.size]
-                np.copyto(at, piece)
-                table[at] = False
-                count += piece.size
-            if count == n_ones + blanks and not np.count_nonzero(low):
-                return None
-        every = keys(x, y, np.empty(len(x), key_type))
-        counts = np.bincount(every[every >= 0] if blanks else every, minlength=flat.size)
-        return None if np.array_equal(counts, flat) else counts
+    def cleared(batch, keys) -> bool:
+        nonlocal table
+        n = len(batch)
+        if n_ones < 0:
+            return False
+        if len(table) < 2 * n * size:
+            table = np.zeros(2 * n * size, dtype=bool)
+        regions = table[:2 * n * size]
+        np.copyto(regions.reshape(n, 2, size)[:, 0], flat)
+        x, y = batch[0] if n == 1 else map(np.concatenate, zip(*batch))
+        offset = np.arange(2 * size, 2 * n * size, 2 * size)[:, None]  # pairs 1, 2, ...
+        count = 0
+        for a in range(0, len(x), PIECE):
+            piece = keys(x[a:a + PIECE], y[a:a + PIECE], made[:len(x) - a])
+            at = index[:piece.size]
+            np.copyto(at, piece)
+            if n > 1:  # one piece: pair p's region starts at p * 2 size
+                if piece.size != len(x):
+                    return False
+                at.reshape(n, -1)[1:] += offset
+            table[at] = False
+            count += piece.size
+        return count == n * (n_ones + blanks) and not np.count_nonzero(regions)
+
+    def test(pairs, keys):
+        per = max(1, PIECE // max(1, len(pairs[0][0]))) if pairs else 1
+        failed = []
+        for b in range(0, len(pairs), per):
+            batch = pairs[b:b + per]
+            if cleared(batch, keys):
+                continue
+            for n, (x, y) in enumerate(batch, b):
+                if len(batch) > 1 and cleared([(x, y)], keys):
+                    continue
+                every = keys(x, y, np.empty(len(x), key_type))
+                counts = np.bincount(every[every >= 0] if blanks else every, minlength=size)
+                if not np.array_equal(counts, flat):
+                    failed.append((n, counts))
+        return failed
     return test
 
 
@@ -151,19 +185,19 @@ def _count_pairs(v, cols, expected, keys=None, blanks=0) -> None:
     through _exact_test, by default cols[r] * expected.shape[-1] +
     cols[s]; a pair that fails adds witnesses to v, (PAIR_MISSING, (r, s,
     *cell, count)) in cell order and then PAIR_REPEATED likewise.  The
-    columns are read in place, a piece at a time: a design's own buffer.
+    columns are read in place, a piece at a time (a design's own buffer),
+    and a small object's pairs are tested in a few batches.
     """
-    exact = _exact_test(expected, blanks)
     keys = keys or _scaled_sum(expected.shape[-1])
-    for r in range(len(cols)):
-        for s in range(r + 1, len(cols)):
-            if (counts := exact(cols[r], cols[s], keys)) is None:
-                continue
-            counts = counts.reshape(expected.shape)
-            for kind, bad in ((PAIR_MISSING, counts < expected),
-                              (PAIR_REPEATED, counts > expected)):
-                for cell in zip(*np.nonzero(bad)):
-                    v.append((kind, (r, s, *map(int, cell), int(counts[cell]))))
+    pairs = [(r, s) for r in range(len(cols)) for s in range(r + 1, len(cols))]
+    for n, counts in _exact_test(expected, blanks)([(cols[r], cols[s]) for r, s in pairs],
+                                                   keys):
+        r, s = pairs[n]
+        counts = counts.reshape(expected.shape)
+        for kind, bad in ((PAIR_MISSING, counts < expected),
+                          (PAIR_REPEATED, counts > expected)):
+            for cell in zip(*np.nonzero(bad)):
+                v.append((kind, (r, s, *map(int, cell), int(counts[cell]))))
 
 
 @dataclass(frozen=True)
@@ -292,15 +326,18 @@ def _verify_squares(squares, hole_of) -> VerificationReport:
     expected = ~same_hole
     blanks = np.count_nonzero(same_hole)  # in a square with its blanks in place
     scaled_sum = _scaled_sum(g)
-    column = np.broadcast_to(np.arange(g, dtype=np.int32), (g, g))  # each cell's column
     cells = squares.reshape(len(squares), g * g)  # the squares read flat
     exact = _exact_test(expected, blanks)
     placed = [np.array_equal(square == BLANK, same_hole) for square in squares]
+    # expected is symmetric, so it holds the (symbol, line) counts too: the
+    # lines of a square with its blanks in place are tested together
+    tested = np.flatnonzero(placed).tolist()
+    index = np.arange(g, dtype=np.int32)
+    lines = np.repeat(index, g), np.tile(index, g)  # each cell's row, column
+    failed = {tested[n // 2] for n, _ in exact([(cells[idx], line) for idx in tested
+                                                for line in lines], scaled_sum)}
     for idx, square in enumerate(squares):
-        # expected is symmetric, so it holds the (symbol, line) counts too;
-        # a line's flat indices are made for the one test that reads them
-        if not (placed[idx] and all(exact(cells[idx], line.ravel(), scaled_sum) is None
-                                    for line in (column.T, column))):
+        if not placed[idx] or idx in failed:
             _square_witnesses(v, idx, square, hole_of, same_hole)
     if all(placed):  # a cell blank in one square is blank in both: key -g - 1
         _count_pairs(v, cells, expected, blanks=blanks)
@@ -497,17 +534,18 @@ def htd_to_hmols(d: BlockDesign) -> HoleyLatinSquareSet:
     verify_design(d).require("HTD")
     g = d.group_size
     cols = d.blocks.T
-    cells = cols[0].astype(np.intp) * g + cols[1]
+    cells = np.multiply(cols[0], g, dtype=np.intp)
+    cells += cols[1]
 
-    def square(symbols):
-        sq = np.full(g * g, BLANK, dtype=np.int32)
-        sq[cells] = symbols
-        return sq
+    def fill(square, symbols):
+        square.fill(BLANK)
+        square.reshape(-1)[cells] = symbols
 
-    # one square at a time into the buffer the square set adopts
-    squares = gf.frozen_from(map(square, cols[2:]), np.int32, ((d.k - 2) * g * g,))
+    # each square filled in its own slot of the buffer the square set adopts
+    squares = gf.frozen_written(np.int32, (d.k - 2, g, g), (
+        (1, lambda slot, symbols=symbols: fill(slot, symbols)) for symbols in cols[2:]))
     return HoleyLatinSquareSet.from_arrays(h=d.hole_size, n=d.hole_count, holes=d.holes,
-                                           squares=squares.reshape(d.k - 2, g, g))
+                                           squares=squares)
 
 
 def imols_to_itd(s: IncompleteMolsSet) -> BlockDesign:

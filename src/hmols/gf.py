@@ -91,6 +91,12 @@ def frozen_from(pieces, dtype, shape, axis: int = 0) -> np.ndarray:
         slot, p, casting="unsafe")) for p in pieces), axis)
 
 
+def _mod(x, m: int):
+    """x % m, floored alike: numpy floor-divides an integer array by a
+    scalar several times faster than it takes the remainder."""
+    return x - x // m * m
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 by trial division, as (prime, exponent) pairs."""
     if n < 1:
@@ -154,17 +160,17 @@ class FieldSpec:
 
     def add(self, a, b):
         if self.e == 1:
-            return (a + b) % self.p
+            return _mod(a + b, self.p)
         return self.add_table[a, b]
 
     def sub(self, a, b):
         if self.e == 1:
-            return (a - b) % self.p
+            return _mod(a - b, self.p)
         return self.sub_table[a, b]
 
     def mul(self, a, b):
         if self.e == 1:
-            return (a * b) % self.p
+            return _mod(a * b, self.p)
         # dlog_table[0] = -1 reads some unit; the mask turns it back to 0
         log = self.dlog_table
         return self.exp_table[(log[a] + log[b]) % (self.q - 1)] * ((a != 0) & (b != 0))
@@ -258,13 +264,30 @@ class CyclotomyContext:
     partition of its multiplicative group.
 
     class_table[x] is the class index of nonzero x (and -1 at x = 0);
-    class i is the coset omega^i * <omega^lam>.
+    class i is the coset omega^i * <omega^lam>.  The two tables below are
+    built on first use and shared by every search over the context.
     """
 
     field: FieldSpec
     lam: int
     omega: int
     class_table: np.ndarray
+
+    @functools.cached_property
+    def difference_classes(self) -> np.ndarray:
+        """(q, q) read-only windows: row q - 1 - y holds the class of y - x
+        at every x (-1 at x = y).  Row s is the window at s of one frozen
+        (2q - 1,) table of the classes of q - 1, q - 2, ..., 1 - q."""
+        q = self.field.q
+        line = frozen(self.class_table[(q - 1 - np.arange(2 * q - 1)) % q], np.intp)
+        return np.lib.stride_tricks.sliding_window_view(line, q)
+
+    @functools.cached_property
+    def quotient_classes(self) -> np.ndarray:
+        """(lam, lam): [c, c'] = (c - c') mod lam, the class of a / b for a in
+        class c and b in class c'."""
+        c = np.arange(self.lam)
+        return frozen((c[:, None] - c) % self.lam)
 
 
 @functools.lru_cache(maxsize=None)

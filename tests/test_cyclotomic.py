@@ -577,6 +577,26 @@ def test_develop_rdf_401_is_pinned_and_its_memory_bounded():
     # the output itself is one of the three; developing through int64
     # temporaries took six
     assert peak < 3 * htd.blocks.nbytes
+    # beside the output, less than two int32 g x g tables: G's addition
+    # table and its temporaries (an int64 table and gathered copies of each
+    # column took 10 MB more, 38.5 MB in all)
+    assert peak < htd.blocks.nbytes + 2 * fam.group_order ** 2 * 4
+
+
+def test_htd_to_hmols_401_is_pinned_and_fills_each_square_in_place():
+    htd = cy.develop_rdf(cy.assemble_rdf(cli._solution_from_cert(cert_2_401())))
+    tracemalloc.start()
+    try:
+        hm = dz.htd_to_hmols(htd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # recorded when each square was built apart and copied in
+    assert _digest(hm.squares) == "1c591a64edf683fb"
+    # the squares, one intp cell index per block and less than one square
+    # more: no square is built apart (33.4 MB in all when they were)
+    assert peak < hm.squares.nbytes + len(htd.blocks) * np.dtype(np.intp).itemsize \
+        + hm.squares[0].nbytes
 
 
 # -- expansion ----------------------------------------------------------------

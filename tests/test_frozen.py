@@ -60,6 +60,8 @@ SHARED = {
     **_field_tables(9),
     **_field_tables(7),
     "class_table": lambda: gf.cyclotomy_new(gf.field_new(7), 2).class_table,
+    "difference_classes": lambda: gf.cyclotomy_new(gf.field_new(7), 2).difference_classes,
+    "quotient_classes": lambda: gf.cyclotomy_new(gf.field_new(13), 3).quotient_classes,
     "template": lambda: cy.template(2, 2).entries,
     "allowed_cosets": lambda: cy.allowed_cosets(cy.template(2, 2), [0, 1, 2, 3]).allowed,
     "assemble_rdf": lambda: _family().base_blocks,

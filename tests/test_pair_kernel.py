@@ -396,7 +396,7 @@ def _accepted(test, keys):
     twice its size with IndexError."""
     keys = np.array(keys, dtype=np.intp)
     try:
-        return test(keys, keys, lambda x, y, out: x) is None
+        return test([(keys, keys)], lambda x, y, out: x) == []
     except (ValueError, IndexError):
         return False
 
@@ -454,20 +454,22 @@ def test_misplaced_blanks_are_tested_at_the_filtered_length(monkeypatch):
     def spying(expected, blanks=0):
         test = exact_test(expected, blanks)
 
-        def recorded(x, y, keys):
+        def recorded(pairs, keys):
             made = []  # the keys of filled cells (a blank's is below zero) per call
-            counts = test(x, y, lambda *a: made.append(np.count_nonzero((k := keys(*a)) >= 0))
+            failed = test(pairs, lambda *a: made.append(np.count_nonzero((k := keys(*a)) >= 0))
                           or k)
-            tested.append((made, counts is None))
-            return counts
+            tested.append((made, failed == []))
+            return failed
         return recorded
     monkeypatch.setattr(dz, "_exact_test", spying)
     rep = dz.verify_hmols(bad)
     assert rep == ref_verify_hmols(bad) and not rep.valid
-    # lines of squares 1 and 2 (42 off-diagonal cells each), then the pairs
-    # (0, 1) and (0, 2) over the 41 cells both fill, each made once more in
-    # full for its one bincount, and (1, 2) over 42
-    assert tested == [([42], True)] * 4 + [([41, 41], False)] * 2 + [([42], True)]
+    # the four lines of squares 1 and 2 in one batch (42 off-diagonal cells
+    # each); then the three pairs in one batch, whose keys drop the cells
+    # either square leaves blank (124 of 147 kept), so each pair is tested
+    # alone: (0, 1) and (0, 2) over the 41 cells both fill, each made once
+    # more in full for its one bincount, and (1, 2) over 42
+    assert tested == [([4 * 42], True), ([124, 41, 41, 41, 41, 42], False)]
 
 
 def _index_two(d):
@@ -527,3 +529,86 @@ def test_a_passing_design_is_counted_without_a_key_buffer_of_its_size():
     # the g x g tables and the boolean table take about 4 MB; one intp key
     # per block would take 8 MB on its own
     assert peak < len(d.blocks) * np.dtype(np.intp).itemsize
+
+
+# -- batches of pairs --------------------------------------------------------------
+
+def _keys_per_pair(obj):
+    """How many keys each pair of obj makes: a design's blocks, a family's
+    base blocks, a square's cells."""
+    if isinstance(obj, dz.BlockDesign):
+        return len(obj.blocks)
+    if isinstance(obj, cy.RelativeDifferenceFamily):
+        return len(obj.base_blocks)
+    return obj.squares[0].size
+
+
+def _verifier(obj):
+    if isinstance(obj, dz.BlockDesign):
+        return dz.verify_design
+    if isinstance(obj, cy.RelativeDifferenceFamily):
+        return cy.verify_rdm
+    return dz.verify_imols if isinstance(obj, dz.IncompleteMolsSet) else dz.verify_hmols
+
+
+@st.composite
+def moved_blank_square_sets(draw):
+    """A filled cell of one square made blank, and now and then a blank
+    cell filled: that square's pairs count only the cells both fill."""
+    name = draw(st.sampled_from(["hmols_2_4", "imols_6_2", "unit_hole_7"]))
+    s = base_squares(name)
+    squares = s.squares.copy()
+    square = squares[draw(st.integers(0, len(squares) - 1))]
+    filled = np.argwhere(square != BLANK).tolist()
+    i, j = filled[draw(st.integers(0, len(filled) - 1))]
+    if draw(st.booleans()):
+        blank = np.argwhere(square == BLANK).tolist()
+        bi, bj = blank[draw(st.integers(0, len(blank) - 1))]
+        square[bi, bj] = square[i, j]
+    square[i, j] = BLANK
+    if name == "imols_6_2":
+        return dz.IncompleteMolsSet.from_arrays(s.n, s.hole, squares)
+    return dz.HoleyLatinSquareSet.from_arrays(s.h, s.n, s.holes, squares)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(mutated_designs(), mutated_designs().map(_index_two),
+                 mutated_families(["5", "13"]), swapped_square_sets(),
+                 mutated_square_sets(), moved_blank_square_sets()),
+       st.integers(2, 12), st.data())
+def test_batches_report_as_pair_by_pair(obj, per, data):
+    # corrupted designs (index 1 and 2) and families; square sets with their
+    # blanks in place (symbols swapped within rows) or not (any entry
+    # rewritten, a blank included, or a blank moved).  A PIECE of one pair's
+    # keys tests each pair alone; one of `per` pairs' keys, plus a few, makes
+    # batches of `per` pairs, so the 1 to 15 pairs (and 2 to 6 line tests)
+    # of an object end in a part batch whenever per does not divide them
+    verify, n = _verifier(obj), max(1, _keys_per_pair(obj))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dz, "PIECE", n)
+        alone = verify(obj)
+        mp.setattr(dz, "PIECE", per * n + data.draw(st.integers(0, n - 1)))
+        batched = verify(obj)
+    assert batched == alone  # the valid flag and every witness, in order
+    assert verify(obj) == alone
+
+
+def test_a_small_valid_object_is_counted_in_one_batch(monkeypatch):
+    # the keys of all six pairs of a TD(4, 3) fit one PIECE: they are made
+    # once, cleared in one scatter, and never made again pair by pair
+    made = []
+    scaled_sum = dz._scaled_sum
+    monkeypatch.setattr(dz, "_scaled_sum", lambda width: (
+        lambda x, y, out: made.append(len(x)) or scaled_sum(width)(x, y, out)))
+    assert dz.verify_design(base_design("td", 4, 3)).valid
+    assert made == [6 * 9]
+    # a corrupted one is tested again pair by pair, and its failed pairs
+    # once more in full for their bincount
+    d = base_design("td", 4, 3)
+    blocks = d.blocks.copy()
+    blocks[0, 3] = (blocks[0, 3] + 1) % 3
+    bad = dz.BlockDesign.new(k=4, group_size=3, index=1, blocks=blocks)
+    made.clear()
+    rep = dz.verify_design(bad)
+    assert rep == ref_verify_design(bad) and not rep.valid
+    assert made == [6 * 9] + [9] * 6 + [9] * 3  # pairs (0, 3), (1, 3) and (2, 3) fail

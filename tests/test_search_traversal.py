@@ -294,10 +294,23 @@ def partial_assignments(draw):
     return h, d, cols, q, u, draw(st.integers(0, h * k - 1))
 
 
+# the certificates of `search 2 4 401 --cols 0..10 --seed 5` and `search 2 3
+# 97 --cols 0..7 --seed 1`, which CI pins by their sha256
+U401 = [[0, 1, 295, 18, 394, 250, 348, 269, 350, 131, 282],
+        [0, 17, 364, 392, 292, 226, 231, 260, 77, 79, 284]]
+U97 = [[0, 1, 79, 32, 16, 26, 66, 83], [0, 39, 81, 61, 18, 83, 66, 78]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(partial_assignments())
+# u[i][0] = 0 minus x is negative for every x > 0: it reads the far end of
+# the window of differences, q - 1 - x back from its last entry
+@example((2, 4, list(range(11)), 401, U401, 13))
+@example((2, 4, list(range(11)), 401, U401, 20))
+@example((2, 3, C8, 97, U97, 11))
 def test_candidate_mask_matches_scalar_reference(case):
-    # the search's one candidate primitive at position p, column by column
+    # the search's one candidate primitive at position p, column by column,
+    # through the tables of the one context per field and lam the search uses
     h, d, cols, q, u, p = case
     table = cy.allowed_cosets(cy.template(h, d), cols)
     ctx = gf.cyclotomy_new(gf.field_new(q), table.lam)
@@ -305,6 +318,13 @@ def test_candidate_mask_matches_scalar_reference(case):
     mask = cy._candidates(table.allowed, ctx, np.array(u), i, a)
     dlog = discrete_logs(q, ctx.omega)
     assert mask.tolist() == [reference_fits(table, q, dlog, u, i, a, x) for x in range(q)]
+    # the rows it read: the class of u[i][r] - x at every x, -1 at x = u[i][r]
+    rows = ctx.difference_classes[[q - 1 - y for y in u[i][:a]]]
+    assert rows.tolist() == [[dlog[(y - x) % q] % table.lam if x != y else -1
+                              for x in range(q)] for y in u[i][:a]]
+    lam = table.lam
+    assert ctx.quotient_classes.tolist() == [[(c - e) % lam for e in range(lam)]
+                                             for c in range(lam)]
 
 
 @st.composite
