@@ -108,9 +108,9 @@ def _scaled_sum(width: int):
 
 
 def _exact_test(expected, blanks=0):
-    """test(pairs, keys) -> [(n, counts)] for each pair n of pairs, (x, y),
-    whose keys(x, y, out) do not hit each cell as often as `expected`
-    says, counts their bincount; [] when every pair passes.
+    """test(pairs, keys) yields (n, counts), in order, for each pair n of
+    pairs, (x, y), whose keys(x, y, out) do not hit each cell as often as
+    `expected` says, counts their bincount; nothing when every pair passes.
 
     keys maps equal slices of flat arrays x and y to their keys, made in
     out, an integer buffer of the slices' length, where it can: int32
@@ -162,7 +162,6 @@ def _exact_test(expected, blanks=0):
 
     def test(pairs, keys):
         per = max(1, PIECE // max(1, len(pairs[0][0]))) if pairs else 1
-        failed = []
         for b in range(0, len(pairs), per):
             batch = pairs[b:b + per]
             if cleared(batch, keys):
@@ -173,8 +172,7 @@ def _exact_test(expected, blanks=0):
                 every = keys(x, y, np.empty(len(x), key_type))
                 counts = np.bincount(every[every >= 0] if blanks else every, minlength=size)
                 if not np.array_equal(counts, flat):
-                    failed.append((n, counts))
-        return failed
+                    yield n, counts
     return test
 
 

@@ -396,7 +396,7 @@ def _accepted(test, keys):
     twice its size with IndexError."""
     keys = np.array(keys, dtype=np.intp)
     try:
-        return test([(keys, keys)], lambda x, y, out: x) == []
+        return not list(test([(keys, keys)], lambda x, y, out: x))
     except (ValueError, IndexError):
         return False
 
@@ -456,8 +456,8 @@ def test_misplaced_blanks_are_tested_at_the_filtered_length(monkeypatch):
 
         def recorded(pairs, keys):
             made = []  # the keys of filled cells (a blank's is below zero) per call
-            failed = test(pairs, lambda *a: made.append(np.count_nonzero((k := keys(*a)) >= 0))
-                          or k)
+            failed = list(test(pairs, lambda *a: made.append(
+                np.count_nonzero((k := keys(*a)) >= 0)) or k))
             tested.append((made, failed == []))
             return failed
         return recorded
