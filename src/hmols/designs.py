@@ -143,8 +143,8 @@ def _exact_test(expected, blanks=0):
             return False
         if len(table) < 2 * n * size:
             table = np.zeros(2 * n * size, dtype=bool)
-        regions = table[:2 * n * size]
-        np.copyto(regions.reshape(n, 2, size)[:, 0], flat)
+        ones = table[:2 * n * size].reshape(n, 2, size)[:, 0]  # each pair's 1-cells
+        np.copyto(ones, flat)
         x, y = batch[0] if n == 1 else map(np.concatenate, zip(*batch))
         offset = np.arange(2 * size, 2 * n * size, 2 * size)[:, None]  # pairs 1, 2, ...
         count = 0
@@ -158,7 +158,7 @@ def _exact_test(expected, blanks=0):
                 at.reshape(n, -1)[1:] += offset
             table[at] = False
             count += piece.size
-        return count == n * (n_ones + blanks) and not np.count_nonzero(regions)
+        return count == n * (n_ones + blanks) and not np.count_nonzero(ones)
 
     def test(pairs, keys):
         per = max(1, PIECE // max(1, len(pairs[0][0]))) if pairs else 1
@@ -329,9 +329,9 @@ def _verify_squares(squares, hole_of) -> VerificationReport:
     placed = [np.array_equal(square == BLANK, same_hole) for square in squares]
     # expected is symmetric, so it holds the (symbol, line) counts too: the
     # lines of a square with its blanks in place are tested together
-    tested = np.flatnonzero(placed).tolist()
-    index = np.arange(g, dtype=np.int32)
-    lines = np.repeat(index, g), np.tile(index, g)  # each cell's row, column
+    tested = [idx for idx, ok in enumerate(placed) if ok]
+    rows = np.arange(g, dtype=np.int32).repeat(g)  # each cell's row, then column
+    lines = rows, rows.reshape(g, g).T.ravel()
     failed = {tested[n // 2] for n, _ in exact([(cells[idx], line) for idx in tested
                                                 for line in lines], scaled_sum)}
     for idx, square in enumerate(squares):
