@@ -123,12 +123,12 @@ def _exact_test(expected, blanks=0):
     as 1-cells that leave no 1-cell set hit each once and no other cell:
     a pair's keys in [size, 2 size) fall in its own empty half, those in
     [-size, 0) in the one before (the first pair's wrap round to the
-    last), and no key reaches another pair's 1-cells.  `blanks` more keys
-    per pair, those of the cells a square with its blanks in place leaves
-    blank, are below zero.  A batch that fails, or whose keys drop cells
-    and so lose their pairs, is tested again pair by pair.  Any other
-    `expected`, or a pair that fails, has its keys made once in full and
-    counted by one bincount."""
+    table's end), and no key reaches another pair's 1-cells.  `blanks`
+    more keys per pair, those of the cells a square with its blanks in
+    place leaves blank, are below zero.  A batch that fails, or whose keys
+    drop cells and so lose their pairs, is tested again pair by pair.  Any
+    other `expected`, or a pair that fails, has its keys made once in full
+    and counted by one bincount."""
     flat = expected.ravel()
     size = flat.size
     n_ones = np.count_nonzero(flat) if flat.dtype == bool else -1

@@ -6,7 +6,8 @@ a bincount per pair, then every missing and every repeated cell listed.
 Reports must agree exactly, violation order included, on valid objects,
 on random single- and multi-entry mutations of them, and on swaps that
 keep the number of keys, which only the boolean table of _exact_test can
-tell from a valid object.
+tell from a valid object.  A small object's pairs are tested in batches:
+its reports must be those of the same pairs tested one at a time.
 """
 
 import dataclasses
