@@ -407,7 +407,7 @@ def match_columns(t: TemplateMatrix, u_raw, q: int):
         raise Exhausted("a vector repeats an entry; no assignment exists")
     # all quotients are well-defined once no vector repeats an entry
     quotient = (cls[:, None] - cls[None, :]) % t.lam
-    bi, bj = np.nonzero(_upper(t.h))
+    bi, bj = np.triu_indices(t.h, 1)
     # both the quotient classes and the exclusions are invariant under
     # swapping two columns, so each difference serves both orientations
     table = _allowed_by_difference(t, range(t.size))
@@ -599,7 +599,7 @@ def _pair_labels(blocks: np.ndarray, h: int, lam: int) -> np.ndarray:
     The blocks form a verified TD of index lam, so in a stable sort of the
     pair keys every pair's lam blocks are adjacent, from a multiple of lam."""
     k = blocks.shape[1]
-    i, j = np.nonzero(_upper(k))
+    i, j = np.triu_indices(k, 1)
     keys = (np.arange(len(i))[:, None] * h + blocks[:, i].T) * h + blocks[:, j].T
     rank = np.empty(keys.size, dtype=np.int32)
     rank[np.argsort(keys, axis=None, kind="stable")] = np.arange(keys.size) % lam

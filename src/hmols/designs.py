@@ -13,12 +13,12 @@ set hit each once and nothing else.  A pair's columns are read flat,
 and its keys made and scattered a cache-sized slice (PIECE entries) at a
 time in small reused buffers, whatever the shape of the object, so a
 passing pair allocates nothing of the design's size.  The pairs of a
-small object are tested as many at a time as fit one slice, each in its
-own region of the table, in one scatter; a batch that fails is tested
-again pair by pair.  Any other pair, or one that fails, has its keys
-made once in full and counted by one bincount; only a failed check is
-searched for witnesses, and then every violation is listed, for
-mutation tests and composition debugging.
+small object are tested as many at a time as fit one slice, in keys and
+in table cells, each in its own region of the table, in one scatter; a
+batch that fails is tested again pair by pair.  Any other pair, or one
+that fails, has its keys made once in full and counted by one bincount;
+only a failed check is searched for witnesses, and then every violation
+is listed, for mutation tests and composition debugging.
 Objects are immutable, their arrays made by gf.frozen in the
 constructors; verification is pure.
 
@@ -111,41 +111,42 @@ def _exact_test(expected, blanks=0):
     """test(pairs, keys) yields (n, counts), in order, for each pair n of
     pairs, (x, y), whose keys(x, y, out) do not hit each cell as often as
     `expected` says, counts their bincount; nothing when every pair passes.
+    x and y are arrays of one size read flat: one that is not (a line of
+    a square) is copied flat for each test that reads it.
 
     keys maps equal slices of flat arrays x and y to their keys, made in
     out, an integer buffer of the slices' length, where it can: int32
     while twice the key space fits it (int32 arithmetic is the cheap
     part), else intp.  For a boolean `expected` the pairs are tested in
-    batches, as many as fit PIECE keys together or else one: a batch's x
-    and y are joined and its keys made once, a PIECE at a time, then moved
-    to their pair's region of a reused table, [1-cells | empty half],
-    copied into one reused intp buffer, and cleared.  As many keys per pair
-    as 1-cells that leave no 1-cell set hit each once and no other cell:
-    a pair's keys in [size, 2 size) fall in its own empty half, those in
-    [-size, 0) in the one before (the first pair's wrap round to the
-    table's end), and no key reaches another pair's 1-cells.  `blanks`
-    more keys per pair, those of the cells a square with its blanks in
-    place leaves blank, are below zero.  A batch that fails, or whose keys
-    drop cells and so lose their pairs, is tested again pair by pair.  Any
-    other `expected`, or a pair that fails, has its keys made once in full
-    and counted by one bincount."""
+    batches, as many as fit PIECE keys and PIECE cells together or else
+    one, so a pair with few keys cannot grow the table past 2 max(size,
+    PIECE) cells: a batch's x and y are joined and its keys made once, a
+    PIECE at a time, then moved to their pair's region of the table,
+    [1-cells | empty half], copied into one reused intp buffer, and
+    cleared.  As many keys per pair as 1-cells that leave no 1-cell set
+    hit each once and no other cell: a pair's keys in [size, 2 size) fall
+    in its own empty half, those in [-size, 0) in the one before (the
+    first pair's wrap round to the table's end), and no key reaches
+    another pair's 1-cells.  `blanks` more keys per pair, those of the
+    cells a square with its blanks in place leaves blank, are below zero.
+    A batch that fails, or whose keys drop cells and so lose their pairs,
+    is tested again pair by pair.  Any other `expected`, or a pair that
+    fails, has its keys made once in full and counted by one bincount."""
     flat = expected.ravel()
     size = flat.size
     n_ones = np.count_nonzero(flat) if flat.dtype == bool else -1
     key_type = np.int32 if 2 * size < 2**31 else np.intp
     made, index = np.empty(PIECE, key_type), np.empty(PIECE, np.intp)
-    table = np.zeros(2 * size, dtype=bool)  # grown for larger batches
+    table = np.zeros(2 * max(size, PIECE), dtype=bool)
 
     def cleared(batch, keys) -> bool:
-        nonlocal table
         n = len(batch)
         if n_ones < 0:
             return False
-        if len(table) < 2 * n * size:
-            table = np.zeros(2 * n * size, dtype=bool)
         ones = table[:2 * n * size].reshape(n, 2, size)[:, 0]  # each pair's 1-cells
         np.copyto(ones, flat)
-        x, y = batch[0] if n == 1 else map(np.concatenate, zip(*batch))
+        x, y = ((np.concatenate(a, axis=None) for a in zip(*batch)) if n > 1
+                else (a.ravel() for a in batch[0]))
         offset = np.arange(2 * size, 2 * n * size, 2 * size)[:, None]  # pairs 1, 2, ...
         count = 0
         for a in range(0, len(x), PIECE):
@@ -161,7 +162,7 @@ def _exact_test(expected, blanks=0):
         return count == n * (n_ones + blanks) and not np.count_nonzero(ones)
 
     def test(pairs, keys):
-        per = max(1, PIECE // max(1, len(pairs[0][0]))) if pairs else 1
+        per = max(1, PIECE // max(1, size, pairs[0][0].size)) if pairs else 1
         for b in range(0, len(pairs), per):
             batch = pairs[b:b + per]
             if cleared(batch, keys):
@@ -169,7 +170,7 @@ def _exact_test(expected, blanks=0):
             for n, (x, y) in enumerate(batch, b):
                 if len(batch) > 1 and cleared([(x, y)], keys):
                     continue
-                every = keys(x, y, np.empty(len(x), key_type))
+                every = keys(x.ravel(), y.ravel(), np.empty(x.size, key_type))
                 counts = np.bincount(every[every >= 0] if blanks else every, minlength=size)
                 if not np.array_equal(counts, flat):
                     yield n, counts
@@ -327,11 +328,17 @@ def _verify_squares(squares, hole_of) -> VerificationReport:
     cells = squares.reshape(len(squares), g * g)  # the squares read flat
     exact = _exact_test(expected, blanks)
     placed = [np.array_equal(square == BLANK, same_hole) for square in squares]
-    # expected is symmetric, so it holds the (symbol, line) counts too: the
-    # lines of a square with its blanks in place are tested together
     tested = [idx for idx, ok in enumerate(placed) if ok]
-    rows = np.arange(g, dtype=np.int32).repeat(g)  # each cell's row, then column
-    lines = rows, rows.reshape(g, g).T.ravel()
+    # expected is symmetric, so it holds the (symbol, line) counts too: the
+    # lines of the squares with their blanks in place are tested together.
+    # Each line's g^2 flat indices are made once while tests share batches,
+    # else read flat from a view for the one test that reads them
+    if 2 * g * g <= PIECE:
+        rows = np.arange(g, dtype=np.int32).repeat(g)  # each cell's row, then column
+        lines = rows, rows.reshape(g, g).T.ravel()
+    else:
+        column = np.broadcast_to(np.arange(g, dtype=np.int32), (g, g))  # each cell's column
+        lines = column.T, column
     failed = {tested[n // 2] for n, _ in exact([(cells[idx], line) for idx in tested
                                                 for line in lines], scaled_sum)}
     for idx, square in enumerate(squares):

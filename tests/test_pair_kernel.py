@@ -534,13 +534,15 @@ def test_a_passing_design_is_counted_without_a_key_buffer_of_its_size():
 
 # -- batches of pairs --------------------------------------------------------------
 
-def _keys_per_pair(obj):
-    """How many keys each pair of obj makes: a design's blocks, a family's
-    base blocks, a square's cells."""
+def _cells_per_pair(obj):
+    """How much of a PIECE each pair of obj takes: its keys (a design's
+    blocks, a family's base blocks, a square's cells) or its region's
+    1-cells half of the table (g^2 cells, or g for a family), whichever
+    is more."""
     if isinstance(obj, dz.BlockDesign):
-        return len(obj.blocks)
+        return max(len(obj.blocks), obj.group_size ** 2)
     if isinstance(obj, cy.RelativeDifferenceFamily):
-        return len(obj.base_blocks)
+        return max(len(obj.base_blocks), obj.group_order)
     return obj.squares[0].size
 
 
@@ -593,10 +595,10 @@ def test_batches_report_as_pair_by_pair(obj, per, extra):
     # corrupted designs (index 1 and 2) and families; square sets with their
     # blanks in place (symbols swapped within rows) or not (any entry
     # rewritten, a blank included, or a blank moved).  A PIECE of one pair's
-    # keys tests each pair alone; one of `per` pairs' keys, plus a few, makes
-    # batches of `per` pairs, so the 1 to 15 pairs (and 2 to 6 line tests)
-    # of an object end in a part batch whenever per does not divide them
-    verify, n = _verifier(obj), max(1, _keys_per_pair(obj))
+    # keys or cells tests each pair alone; one of `per` pairs', plus a few,
+    # makes batches of `per` pairs, so the 1 to 15 pairs (and 2 to 6 line
+    # tests) of an object end in a part batch whenever per does not divide them
+    verify, n = _verifier(obj), max(1, _cells_per_pair(obj))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dz, "PIECE", n)
         alone = verify(obj)
@@ -625,3 +627,21 @@ def test_a_small_valid_object_is_counted_in_one_batch(monkeypatch):
     rep = dz.verify_design(bad)
     assert rep == ref_verify_design(bad) and not rep.valid
     assert made == [6 * 9] + [9] * 6 + [9] * 3  # pairs (0, 3), (1, 3) and (2, 3) fail
+
+
+def test_pairs_with_few_keys_batch_no_more_table_than_one_pair_takes():
+    # a design whose one hole holds every point has no blocks, so each pair
+    # makes no key: the batches are bounded by the table's g^2 cells per
+    # pair as well, or the 190 pairs of 20 groups would share one batch and
+    # a table of 190 * 2 g^2 cells
+    g, k = 300, 20
+    d = dz.BlockDesign.new(k=k, group_size=g, index=1, blocks=np.empty((0, k), np.int32),
+                           hole_kind=dz.HOLE_UNIFORM, holes=[range(g)])
+    tracemalloc.start()
+    try:
+        assert dz.verify_design(d).valid
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the same-hole and expected g x g tables and the 2 g^2 table
+    assert peak < 12 * g * g
