@@ -108,9 +108,10 @@ def _scaled_sum(width: int):
 
 
 def _exact_test(expected, blanks=0):
-    """test(pairs, keys) yields (n, counts), in order, for each pair n of
-    pairs, (x, y), whose keys(x, y, out) do not hit each cell as often as
-    `expected` says, counts their bincount; nothing when every pair passes.
+    """test(pairs, keys) yields (n, counts, wrong), in order, for each pair
+    n of pairs, (x, y), whose keys(x, y, out) do not hit each cell as often
+    as `expected` says: counts their bincount and wrong the flat mask
+    counts != expected, from one compare; nothing when every pair passes.
     x and y are arrays of one size read flat: one that is not (a line of
     a square) is copied flat for each test that reads it.
 
@@ -172,8 +173,9 @@ def _exact_test(expected, blanks=0):
                     continue
                 every = keys(x.ravel(), y.ravel(), np.empty(x.size, key_type))
                 counts = np.bincount(every[every >= 0] if blanks else every, minlength=size)
-                if not np.array_equal(counts, flat):
-                    yield n, counts
+                wrong = counts != flat
+                if wrong.any():
+                    yield n, counts, wrong
     return test
 
 
@@ -183,20 +185,24 @@ def _count_pairs(v, cols, expected, keys=None, blanks=0) -> None:
     For each pair r < s of cols (m, N), test keys(cols[r], cols[s], out)
     through _exact_test, by default cols[r] * expected.shape[-1] +
     cols[s]; a pair that fails adds witnesses to v, (PAIR_MISSING, (r, s,
-    *cell, count)) in cell order and then PAIR_REPEATED likewise.  The
+    *cell, count)) in cell order and then PAIR_REPEATED likewise, its
+    cells taken from one scan of its mask of wrong counts.  The
     columns are read in place, a piece at a time (a design's own buffer),
     and a small object's pairs are tested in a few batches.
     """
     keys = keys or _scaled_sum(expected.shape[-1])
     pairs = [(r, s) for r in range(len(cols)) for s in range(r + 1, len(cols))]
-    for n, counts in _exact_test(expected, blanks)([(cols[r], cols[s]) for r, s in pairs],
-                                                   keys):
+    flat = expected.ravel()
+    for n, counts, wrong in _exact_test(expected, blanks)(
+            [(cols[r], cols[s]) for r, s in pairs], keys):
         r, s = pairs[n]
-        counts = counts.reshape(expected.shape)
-        for kind, bad in ((PAIR_MISSING, counts < expected),
-                          (PAIR_REPEATED, counts > expected)):
-            for cell in zip(*np.nonzero(bad)):
-                v.append((kind, (r, s, *map(int, cell), int(counts[cell]))))
+        cells = np.flatnonzero(wrong)
+        missing = counts[cells] < flat[cells]
+        for kind, part in ((PAIR_MISSING, missing), (PAIR_REPEATED, ~missing)):
+            at = cells[part]
+            for *cell, count in zip(*(c.tolist() for c in np.unravel_index(at, expected.shape)),
+                                    counts[at].tolist()):
+                v.append((kind, (r, s, *cell, count)))
 
 
 @dataclass(frozen=True)
@@ -339,8 +345,8 @@ def _verify_squares(squares, hole_of) -> VerificationReport:
     else:
         column = np.broadcast_to(np.arange(g, dtype=np.int32), (g, g))  # each cell's column
         lines = column.T, column
-    failed = {tested[n // 2] for n, _ in exact([(cells[idx], line) for idx in tested
-                                                for line in lines], scaled_sum)}
+    failed = {tested[n // 2] for n, *_ in exact([(cells[idx], line) for idx in tested
+                                                 for line in lines], scaled_sum)}
     for idx, square in enumerate(squares):
         if not placed[idx] or idx in failed:
             _square_witnesses(v, idx, square, hole_of, same_hole)
@@ -464,8 +470,8 @@ class BlockDesign:
         cols = self.blocks.T
         out = np.empty(cols.shape, dtype=cols.dtype)
         order = _lexicographic_order(cols, self.group_size)
-        for col, row in zip(cols, out):
-            np.take(col, order, out=row)
+        for col, row in zip(cols, out):  # order is a permutation: nothing to clip
+            np.take(col, order, out=row, mode="clip")
         return out.T
 
 

@@ -15,22 +15,28 @@ as text would.
 Design and grid bodies are printed and parsed as arrays: each distinct
 value is formatted once and rows are assembled by table lookups, and the
 readers check the body's grammar and convert its numbers in numpy
-passes.  A design file written with the developed GF(401) certificate
-has 641,600 blocks, so per-entry Python objects would dominate its cost;
-the passes run over pieces of rows, so that no pass allocates arrays the
-size of the whole body.  The readers write the numbers of each piece, as
-int32, into one immutable bytes buffer, which the design or square set
-adopts as its frozen array with no further copy; a design's buffer holds
-its blocks column by column, (k, B), so each piece of rows goes
-transposed into its column slots.  The printers yield
-their output as bytes pieces, each rendered when it is asked for;
-design_dumps and grid_dumps join and decode them, and the command line
-writes each piece to its file in binary mode as it comes, so that it
-holds one piece of the output at a time.
+passes.  Both readers map a piece's bytes through one bytes.translate
+table (_CODE: a digit's value, a code above 9 for any other byte), scan
+it once for its separators, and read its numbers with one right-to-left
+digit loop (_decimal) on piece-local positions; the grid reader checks
+a piece's lines from the same scan.  A design file written with the
+developed GF(401) certificate has 641,600 blocks, so per-entry Python
+objects would dominate its cost; the passes run over pieces of rows, so
+that no pass allocates arrays the size of the whole body.  The readers
+write the numbers of each piece, as int32, into one immutable bytes
+buffer, which the design or square set adopts as its frozen array with
+no further copy; a design's buffer holds its blocks column by column,
+(k, B), so each piece of rows goes transposed into its column slots.
+The printers yield their output as bytes pieces, each rendered when it
+is asked for, its padding dropped by one bytes.translate; design_dumps
+and grid_dumps join and decode them, and the command line writes each
+piece to its file in binary mode as it comes, so that it holds one
+piece of the output at a time.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import re
@@ -91,14 +97,42 @@ def _str(data: bytes) -> str:
     return data.decode("utf-8", "surrogatepass")
 
 
+# each byte of a design or grid body, as one bytes.translate table: a
+# digit's value, then ".", "-", "[", "]", ",", any other byte, " " and "\n"
+_DOT, _MINUS, _OPEN, _CLOSE, _COMMA, _OTHER, _SPACE, _NEWLINE = range(10, 18)
+_CODE = bytes(b"0123456789.-[],".find(c) if c in b"0123456789.-[]," else
+              _SPACE if c == ord(" ") else _NEWLINE if c == ord("\n") else _OTHER
+              for c in range(256))
+
+
+def _positions(n: int):
+    """The dtype of positions in an n-byte piece: int32 while they fit."""
+    return np.int32 if n < 2**31 else np.intp
+
+
+def _decimal(codes, stops, digits, most: int):
+    """The numbers whose digit codes in codes end just before stops, of
+    digits codes each (most at the most), read right to left: a read left
+    of a number, at a negative index too, is masked out by digits > j."""
+    dtype = np.int32 if most <= 9 else np.int64
+    at = stops - 1
+    value = codes.take(at).astype(dtype)
+    for j in range(1, most):
+        at -= 1
+        value += np.multiply(codes.take(at) * (digits > j), 10 ** j, dtype=dtype)
+    return value
+
+
 def _render_rows(arr, cell, head: str, sep: str, tail: str):
     """One line per row of the 2-D integer array arr:
     head + sep.join(cell(v) for v in row) + tail, yielded as bytes in
     pieces of rows, each rendered when it is asked for.
 
     Every cell is looked up in a table of NUL-padded tokens, one per
-    value, which already carries the row's head or its separator; the
-    padding is dropped in one pass per piece.
+    value, which already carries the row's head or its separator: a
+    piece's cells are taken from the middle table in one gather, its
+    first and last columns then from their own; the padding is dropped
+    by one bytes.translate per piece.
     """
     arr = np.asarray(arr)
     rows, cols = arr.shape
@@ -117,13 +151,11 @@ def _render_rows(arr, cell, head: str, sep: str, tail: str):
     for a, b in _pieces(0, rows, width * cols):
         idx = np.subtract(arr[a:b], lo, dtype=np.intp) if dense else \
             np.searchsorted(values, arr[a:b])
-        out = np.empty(idx.shape, dtype=first.dtype)
+        out = np.take(middle, idx, mode="clip")  # idx is in range: nothing to clip
         out[:, 0] = first[idx[:, 0]]
         if cols > 1:
-            out[:, 1:-1] = middle[idx[:, 1:-1]]
             out[:, -1] = last[idx[:, -1]]
-        buf = out.view(np.uint8)
-        yield buf[buf != 0].tobytes()
+        yield out.tobytes().translate(None, b"\0")
 
 
 # ---------------------------------------------------------------------------
@@ -180,36 +212,6 @@ def _squares_text(squares):
         yield from _render_rows(sq, _cell_str, "", " ", "\n")
 
 
-def _parse_cells(rows: list[bytes], size: int) -> np.ndarray:
-    """The cells of rows of space-separated tokens, 0-based with BLANK.
-
-    A token is "." or a decimal symbol 1..size without sign or leading
-    zero; any other token raises MalformedInput, naming the first one.
-    """
-    digits = len(str(size))
-    b = np.frombuffer(b" ".join([b"", *rows, b""]), np.uint8)
-    spaces = np.flatnonzero(b == 32)  # token t lies between spaces t and t + 1
-    length = np.diff(spaces) - 1
-    first = b[spaces[:-1] + 1]
-    number = (length > 0) & (length <= digits) & (first != ord("0"))
-    value = np.zeros(len(length), dtype=np.int32 if digits <= 9 else np.int64)
-    for j in range(digits):  # right to left; reads left of a token are masked
-        more = length > j
-        digit = b[spaces[1:] - 1 - j] - 48  # wraps above 9 for a non-digit
-        number &= ~more | (digit <= 9)
-        value += np.multiply(digit * more, 10 ** j, dtype=value.dtype)
-    number &= value <= size
-    blank = (first == ord(".")) & (length == 1)
-    bad = ~(blank | number)
-    if bad.any():
-        t = int(np.argmax(bad))
-        tok = b[spaces[t] + 1:spaces[t + 1]].tobytes().decode("utf-8", "replace")
-        if re.fullmatch(r"[1-9][0-9]*", tok):
-            raise MalformedInput(f"symbol {tok} out of range 1..{size}")
-        raise MalformedInput(f"bad cell token {tok!r}")
-    return np.where(blank, BLANK, value - 1)
-
-
 def _line(data: bytes, at: int, end: int):
     """The line of data[:end] that starts at at, decoded, and the start of
     the line after it; (None, at) when at is past the last line."""
@@ -225,33 +227,92 @@ def _parse_squares(data: bytes, at: int, end: int, count, side, size):
     data[:end] that start at at, with one blank line between squares and
     nothing after them.
 
-    The lines are checked in one walk over their newlines, keeping each
-    row's span; then the cells are read in pieces of rows and written
-    into the squares' one frozen buffer.
+    The cells are read in pieces of lines and written into the squares'
+    one frozen buffer.  A body with fewer bytes than cells is read to its
+    fault before that buffer is allocated.
     """
-    rows = []  # (start, stop) of each row in data
-    for t in range(count):
-        if t:
-            if at > end or at < end and data[at] != ord("\n"):
-                raise MalformedInput("expected a blank line between squares")
-            at += 1
-        for _ in range(side):
-            if at > end:
-                raise MalformedInput("grid body ended early")
-            stop = data.find(b"\n", at, end)
-            stop = end if stop < 0 else stop
-            cells = data.count(b" ", at, stop) + 1
-            if cells != side:
-                raise MalformedInput(f"row has {cells} cells, expected {side}")
-            rows.append((at, stop))
-            at = stop + 1
-    if at <= end:
-        raise MalformedInput("trailing content after grid body")
-    width = rows[0][1] - rows[0][0] + 1 if rows else 1
-    pieces = (_parse_cells([data[a:b] for a, b in rows[i:j]], size)
-              for i, j in _pieces(0, len(rows), width))
-    return gf.frozen_from(pieces, np.int32, (count * side * side,)).reshape(
+    cells = _square_cells(data, at, end, count, side, size)
+    if end - at < count * side * side:
+        collections.deque(cells, maxlen=0)  # raises the body's fault
+    return gf.frozen_from(cells, np.int32, (count * side * side,)).reshape(
         count, side, side)
+
+
+def _square_cells(data: bytes, at: int, end: int, count, side, size):
+    """The cells of _parse_squares, 0-based with BLANK, one array per piece
+    of lines.
+
+    Each piece is mapped through _CODE and scanned once for its
+    separators, the spaces and newlines: its lines are checked from them
+    (row, blank line or one too many, and the cells of a row), then its
+    tokens read.  A token is "." or a decimal symbol 1..size without sign
+    or leading zero.  A fault of the lines raises MalformedInput at once;
+    a bad token, the first one, only after every line is checked, so that
+    a fault of the lines comes first wherever it is.
+    """
+    lines = count * (side + 1) - 1 if count else 0  # rows and blank lines
+    period = side + 1  # line i is blank when i % period == side
+    digits = len(str(size))
+    line, fault = 0, None
+    for a, b in _pieces(at, end + 1,
+                        cut=lambda p: data.find(b"\n", p - 1, end) + 1 or end + 1):
+        # the piece's lines, after the newline that ends the line before
+        text = (data[a - 1:b] if b <= end else data[a - 1:end] + b"\n").translate(_CODE)
+        c = np.frombuffer(text, np.uint8)
+        seps = (c > _DOT).nonzero()[0]  # separators, and bytes no token holds
+        kinds = c[seps]
+        stray = kinds.min() < _SPACE
+        if stray:
+            seps = seps[kinds >= _SPACE]
+            kinds = c[seps]
+        seps = seps.astype(_positions(len(c)))
+        ends = (kinds == _NEWLINE).nonzero()[0]  # in seps; ends[0] == 0
+        wrong = ends[1:] - ends[:-1] != side  # a row of other than side cells
+        blank = slice((side - line) % period, len(wrong), period)  # the piece's blank lines
+        breaks = seps[ends[blank.start:]]  # newlines, from the one before the first blank line
+        wrong[blank] = breaks[1::period] - breaks[:-1:period] > 1  # a blank line not empty
+        if line + len(wrong) > lines:
+            wrong[lines - line:] = True
+        if wrong.any():
+            n = line + int(np.argmax(wrong))
+            if n >= lines:
+                raise MalformedInput("trailing content after grid body")
+            if n % period == side:
+                raise MalformedInput("expected a blank line between squares")
+            raise MalformedInput(f"row has {ends[n - line + 1] - ends[n - line]} cells, "
+                                 f"expected {side}")
+        line += len(wrong)
+        # token t ends at stops[t]; a blank line holds none
+        stops = seps[1:]
+        length = stops - seps[:-1]
+        length -= 1
+        if blank.start < len(wrong):
+            keep = np.ones(len(stops), dtype=bool)
+            keep[ends[1:][blank] - 1] = False
+            stops, length = stops[keep], length[keep]
+        first = c.take(stops - length)
+        value = _decimal(c, stops, length, digits)
+        dot = (first == _DOT) & (length == 1)
+        bad = ~(dot | (length > 0) & (length <= digits) & (first != 0) & (value <= size))
+        if stray or np.count_nonzero(c == _DOT) != np.count_nonzero(dot):
+            # the tokens that hold a byte other than a digit, but for a lone "."
+            held = np.zeros(len(stops), dtype=bool)
+            held[np.searchsorted(stops, np.flatnonzero((c >= _DOT) & (c < _SPACE)))] = True
+            bad |= held & ~dot
+        if fault is None and bad.any():
+            t = int(np.argmax(bad))
+            stop = a - 1 + int(stops[t])
+            tok = data[stop - int(length[t]):stop].decode("utf-8", "replace")
+            fault = f"symbol {tok} out of range 1..{size}" \
+                if re.fullmatch(r"[1-9][0-9]*", tok) else f"bad cell token {tok!r}"
+        value -= 1
+        value[dot] = BLANK
+        yield value
+    if line < lines:
+        raise MalformedInput("expected a blank line between squares" if line % period == side
+                             else "grid body ended early")
+    if fault is not None:
+        raise MalformedInput(fault)
 
 
 def grid_loads(text: str | bytes):
@@ -334,12 +395,7 @@ def _design_pieces(d: BlockDesign):
     yield b"\n}\n"
 
 
-# each byte of a JSON integer matrix with its white space deleted, as a
-# bytes.translate table: a digit's value, then "-", "[", "]", "," and the rest
-_MINUS, _OPEN, _CLOSE, _COMMA, _OTHER = range(10, 15)
-_BYTE = bytes(b"0123456789-[],".find(c) if c in b"0123456789-[]," else _OTHER
-              for c in range(256))
-_SPACE = b" \t\n\r"
+_WHITE = b" \t\n\r"  # JSON white space
 _MAX_DIGITS = 18  # longer numbers may not fit int64; json.loads takes those
 _BLOCKS_KEY = re.compile(rb'"blocks"[ \t\n\r]*:[ \t\n\r]*\[')
 _GAP = re.compile(rb"[ \t\n\r]*(,?)")  # between two pieces of rows
@@ -355,26 +411,26 @@ def _int_matrix(body: bytes):
     One scan for the separators of body without its white space gives
     every number's start and stop.
     """
-    stripped = body.translate(_BYTE, _SPACE)
-    if bytes([_OTHER]) in stripped:
+    stripped = body.translate(_CODE, _WHITE)
+    if bytes([_OTHER]) in stripped or bytes([_DOT]) in stripped:
         return None
     s = np.frombuffer(stripped, dtype=np.uint8)
     where = np.flatnonzero(s > _MINUS)
-    seps = s[where]
-    cols = seps.tobytes().find(bytes([_CLOSE])) - 1
+    seps = s[where].tobytes()
+    cols = seps.find(bytes([_CLOSE])) - 1
     if cols < 1 or s[0] != _OPEN or s[-1] != _CLOSE:
         return None
     rows, extra = divmod(len(where) - 1, cols + 2)
     if rows < 1 or extra:
         return None
     # "[", then per row "[", cols - 1 times ",", "]" and "," ("]" for the last)
-    seps = seps[1:].reshape(rows, cols + 2)
-    row = np.array([_OPEN] + [_COMMA] * (cols - 1) + [_CLOSE], dtype=np.uint8)
-    if not ((seps[:, :-1] == row).all() and (seps[:-1, -1] == _COMMA).all()):
+    row = bytes([_OPEN, *[_COMMA] * (cols - 1), _CLOSE, _COMMA])
+    if seps != bytes([_OPEN]) + row * (rows - 1) + row[:-1] + bytes([_CLOSE]):
         return None
-    where = where[1:].reshape(rows, cols + 2)
-    starts, stops = where[:, :cols] + 1, where[:, 1:-1]
-    digits = stops - starts
+    where = where[1:].astype(_positions(len(s))).reshape(rows, cols + 2)
+    stops = where[:, 1:-1]
+    digits = stops - where[:, :cols]
+    digits -= 1  # each number's length, a negative one's "-" included
     # body holds one run of "-" and digits (bytes 45..57) per number: no
     # byte lies outside a number's span, and no white space splits one
     number = np.subtract(np.frombuffer(body, dtype=np.uint8), 45, dtype=np.uint8) < 13
@@ -382,21 +438,15 @@ def _int_matrix(body: bytes):
         return None
     negative = None
     if b"-" in body:
-        negative = s[starts] == _MINUS
+        negative = s.take(stops - digits) == _MINUS
         if stripped.count(bytes([_MINUS])) != np.count_nonzero(negative):
             return None
-        digits = digits - negative
+        digits -= negative
     most = int(digits.max())
     if digits.min() < 1 or most > _MAX_DIGITS or \
-            ((s[stops - digits] == 0) & (digits > 1)).any():
+            ((s.take(stops - digits) == 0) & (digits > 1)).any():
         return None
-    # right to left; reads left of a number (negative indices included)
-    # are masked out by digits > j
-    at = stops - 1
-    value = s[at].astype(np.int32 if most <= 9 else np.int64)
-    for j in range(1, most):
-        at -= 1
-        value += np.multiply(s[at] * (digits > j), 10 ** j, dtype=value.dtype)
+    value = _decimal(s, stops, digits, most)
     if negative is not None:
         value[negative] *= -1
     return value

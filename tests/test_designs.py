@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -353,6 +354,34 @@ def test_sorted_blocks_is_the_lexicographic_order(case):
     d = dz.BlockDesign.new(k=len(blocks[0]), group_size=g, index=1, blocks=blocks)
     order = np.lexsort(d.blocks.T[::-1])
     assert np.array_equal(d.sorted_blocks(), d.blocks[order])
+
+
+def test_sorted_blocks_peaks_at_its_output_order_and_keys(monkeypatch):
+    """sorted_blocks holds at most its output, the order and the two int64
+    key arrays that make it; its gathers, one per column, add no buffer."""
+    td = dz.td_from_field(5, 257)
+    blocks = len(td.blocks)
+    made = []
+
+    def order(cols, g):
+        out = lexicographic_order(cols, g)
+        made.append(tracemalloc.get_traced_memory())  # (the order and output, peak)
+        tracemalloc.reset_peak()
+        return out
+
+    lexicographic_order = dz._lexicographic_order
+    monkeypatch.setattr(dz, "_lexicographic_order", order)
+    tracemalloc.start()
+    try:
+        out = td.sorted_blocks()
+        gathers = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (held, peak), = made
+    assert peak < out.nbytes + 3 * 8 * blocks + (1 << 14)
+    assert held < out.nbytes + 8 * blocks + (1 << 14)
+    assert gathers < held + (1 << 14)  # "raise" mode buffers a column: 4 * blocks
+    assert np.array_equal(out, td.blocks[np.lexsort(td.blocks.T[::-1])])
 
 
 # -- hole structure ----------------------------------------------------------

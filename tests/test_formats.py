@@ -560,6 +560,134 @@ def test_grid_loads_of_bytes_agrees_with_the_text_reading(case, size):
             assert formats.grid_loads(data).cells.ravel().tolist() == want
 
 
+def reference_grid_fault(text, head, count, side):
+    """The fault grid_loads names in a grid whose head lines are valid,
+    read line by line: the lines first (blank lines between squares, rows
+    of side cells, nothing after them), then the first bad token."""
+    body = text[:-1] if text.endswith("\n") else text
+    lines = body.split("\n")[head:]
+    rows, at = [], 0
+    for t in range(count):
+        if t:
+            if at >= len(lines) or lines[at]:
+                return "expected a blank line between squares"
+            at += 1
+        for _ in range(side):
+            if at >= len(lines):
+                return "grid body ended early"
+            cells = lines[at].split(" ")
+            if len(cells) != side:
+                return f"row has {len(cells)} cells, expected {side}"
+            rows.append(cells)
+            at += 1
+    if at < len(lines):
+        return "trailing content after grid body"
+    for tok in (tok for row in rows for tok in row):
+        if tok != "." and not (re.fullmatch(r"[1-9][0-9]*", tok) and int(tok) <= side):
+            if re.fullmatch(r"[1-9][0-9]*", tok):
+                return f"symbol {tok} out of range 1..{side}"
+            return f"bad cell token {tok!r}"
+    return None
+
+
+# (text, head lines, squares, side) of valid grids
+VALID_GRIDS = [(formats.grid_dumps(dz.LatinSquare.from_array(
+    [[(i + j) % n for j in range(n)] for i in range(n)])), 1, 1, n) for n in (1, 2, 3, 5)] + [
+    (fixture_text("hmols_2_4.grid"), 2, 2, 8), (fixture_text("imols_6_2.grid"), 2, 2, 6)]
+
+
+@st.composite
+def faulty_grids(draw):
+    """A valid grid with one fault of its lines, and perhaps a bad token
+    before or after it; (text, head, count, side)."""
+    text, head, count, side = draw(st.sampled_from(VALID_GRIDS))
+    lines = text[:-1].split("\n")
+    blanks = [i for i in range(head, len(lines)) if not lines[i]]
+    rows = [i for i in range(head, len(lines)) if lines[i]]
+    how = draw(st.sampled_from(["drop cell", "add cell", "drop blank", "double blank",
+                                "trailing", "end early"]))
+    if how in ("drop blank", "double blank") and not blanks:
+        how = "trailing"
+    if how == "drop cell":
+        at = draw(st.sampled_from(rows))
+        toks = lines[at].split(" ")
+        del toks[draw(st.integers(0, len(toks) - 1))]
+        lines[at] = " ".join(toks)
+    elif how == "add cell":
+        at = draw(st.sampled_from(rows))
+        toks = lines[at].split(" ")
+        toks.insert(draw(st.integers(0, len(toks))), draw(st.sampled_from(["1", "."])))
+        lines[at] = " ".join(toks)
+    elif how == "drop blank":
+        at = draw(st.sampled_from(blanks))
+        del lines[at]
+    elif how == "double blank":
+        at = draw(st.sampled_from(blanks))
+        lines.insert(at, "")
+    elif how == "trailing":
+        at = len(lines)
+        lines.append(draw(st.sampled_from(["", "1", "x", " ", ". 1"])))
+    else:
+        at = draw(st.integers(head, len(lines) - 1))
+        del lines[at:]
+    if draw(st.booleans()):  # a bad token in a row before or after the fault
+        row = draw(st.sampled_from([i for i in range(head, len(lines)) if lines[i]] or [None]))
+        if row is not None:
+            toks = lines[row].split(" ")
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(st.sampled_from(
+                [tok for tok in BAD_TOKENS if " " not in tok]))
+            lines[row] = " ".join(toks)
+    ending = draw(st.sampled_from(["\n", ""]))
+    return "\n".join(lines) + ending, head, count, side
+
+
+@settings(max_examples=400, deadline=None)
+@given(faulty_grids(), st.integers(1, 64))
+def test_grid_structure_faults_agree_with_a_line_by_line_reader(case, size):
+    text, head, count, side = case
+    want = reference_grid_fault(text, head, count, side)
+    with pieces_of(size):
+        if want is None:
+            formats.grid_loads(text)  # no fault of the grammar: nothing to compare
+            return
+        with pytest.raises(MalformedInput) as got:
+            formats.grid_loads(text)
+    assert str(got.value) == want
+
+
+@pytest.mark.parametrize("size", [1, 64, 1 << 18])
+@pytest.mark.parametrize("token", ["1.", "1:", "1-", "1,", "1[", "1\t"])
+def test_a_symbol_with_a_byte_other_than_a_digit_is_a_bad_token(token, size):
+    """In a grid of order 25 each of these tokens would read as a symbol
+    up to 25 if its last byte's code (10 to 15) were taken for a digit."""
+    square = dz.LatinSquare.from_array([[(i + j) % 25 for j in range(25)] for i in range(25)])
+    text = _row_token(formats.grid_dumps(square), 7, 3, token)
+    with pieces_of(size), pytest.raises(MalformedInput, match=re.escape(f"bad cell token {token!r}")):
+        formats.grid_loads(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("latin 100000000000000000000000\n1\n", "row has 1 cells, expected 100000000000000000000000"),
+    ("latin 100000000000000000000000\n", "grid body ended early"),
+    ("latin 50000\n" + "1 " * 40000 + "1\n", "row has 40001 cells, expected 50000"),
+    ("latin 50000\n" + " " * 49999 + "\n", "grid body ended early"),
+    ("hmols 3 0 5\nholes 1\n\n", "expected a blank line between squares"),
+    ("hmols 2 1 1\nholes 1\n.\n.\n", "expected a blank line between squares"),
+])
+def test_a_body_too_short_for_its_header_names_its_fault(text, message):
+    """The lines are checked before the squares' buffer is allocated: a
+    header of 10^23 or 50000 rows with a short body is refused at once."""
+    with pytest.raises(MalformedInput, match=f"^{re.escape(message)}$"):
+        formats.grid_loads(text)
+
+
+def test_positions_are_int32_below_a_2_gib_piece():
+    """Piece-local positions are int32 while a piece's bytes can be
+    counted in one, and intp from a piece of 2^31 bytes on."""
+    assert formats._positions(2**31 - 1) is np.int32
+    assert formats._positions(2**31) is np.intp
+
+
 def test_printers_agree_across_piece_sizes():
     td = dz.td_from_field(4, 64)
     squares = td.sorted_blocks()[:, 2:].T.reshape(2, 64, 64)
