@@ -6,7 +6,8 @@ ITD(k,(n;h))) share one convention: symbols and points are 0-based
 integers internally and 1-based in the printed grid surface syntax,
 with -1 marking a blank cell.
 
-Verifiers count every pair exactly through one kernel, _count_pairs.
+Verifiers count every pair exactly through one kernel, _count_pairs,
+k holey or incomplete MOLS as the k + 2 columns of their design.
 Where a pair's expected counts are all 0 or 1, its keys clear a reused
 boolean table of the 1-cells: as many keys as 1-cells that leave none
 set hit each once and nothing else.  A pair's columns are read flat,
@@ -88,9 +89,13 @@ def holes_new(kind: str, holes, points: int) -> tuple:
 
 
 def _hole_of_array(holes, size: int) -> np.ndarray:
-    """Map point -> hole id (or -1 when the point is in no hole)."""
+    """Map point -> hole id (or -1 when the point is in no hole); MalformedInput
+    for a point outside 0..size-1 (as unsigned, a negative one is at least size)."""
+    cells = np.array(holes, dtype=np.intp)
+    if cells.size and cells.view(np.uintp).max() >= size:
+        raise MalformedInput(f"hole points leave 0..{size - 1}")
     hole_of = np.full(size, -1, dtype=np.int32)
-    hole_of[np.array(holes, dtype=np.intp).T] = np.arange(len(holes))
+    hole_of[cells.T] = np.arange(len(holes))
     return hole_of
 
 
@@ -112,8 +117,7 @@ def _exact_test(expected, blanks=0):
     n of pairs, (x, y), whose keys(x, y, out) do not hit each cell as often
     as `expected` says: counts their bincount and wrong the flat mask
     counts != expected, from one compare; nothing when every pair passes.
-    x and y are arrays of one size read flat: one that is not (a line of
-    a square) is copied flat for each test that reads it.
+    x and y are arrays of one size, read flat.
 
     keys maps equal slices of flat arrays x and y to their keys, made in
     out, an integer buffer of the slices' length, where it can: int32
@@ -179,19 +183,20 @@ def _exact_test(expected, blanks=0):
     return test
 
 
-def _count_pairs(v, cols, expected, keys=None, blanks=0) -> None:
+def _count_pairs(v, cols, expected, keys=None, blanks=0, pairs=None) -> None:
     """The one exact pair-counting kernel behind every verifier.
 
-    For each pair r < s of cols (m, N), test keys(cols[r], cols[s], out)
-    through _exact_test, by default cols[r] * expected.shape[-1] +
-    cols[s]; a pair that fails adds witnesses to v, (PAIR_MISSING, (r, s,
-    *cell, count)) in cell order and then PAIR_REPEATED likewise, its
-    cells taken from one scan of its mask of wrong counts.  The
-    columns are read in place, a piece at a time (a design's own buffer),
-    and a small object's pairs are tested in a few batches.
+    For each pair (r, s) of pairs, by default every r < s of cols, test
+    keys(cols[r], cols[s], out), by default cols[r] * expected.shape[-1] +
+    cols[s], through one _exact_test; a failed pair hands its witnesses
+    back in v, in pair order: (PAIR_MISSING, (r, s, *cell, count)) in cell
+    order, then PAIR_REPEATED likewise, from one scan of its mask of wrong
+    counts.  Columns are read in place, a piece at a time (a design's own
+    buffer), and a small object's pairs are tested in a few batches.
     """
     keys = keys or _scaled_sum(expected.shape[-1])
-    pairs = [(r, s) for r in range(len(cols)) for s in range(r + 1, len(cols))]
+    if pairs is None:
+        pairs = [(r, s) for r in range(len(cols)) for s in range(r + 1, len(cols))]
     flat = expected.ravel()
     for n, counts, wrong in _exact_test(expected, blanks)(
             [(cols[r], cols[s]) for r, s in pairs], keys):
@@ -224,15 +229,15 @@ def _report(violations) -> VerificationReport:
     return VerificationReport(valid=not violations, violations=tuple(violations))
 
 
-def _frozen_squares(squares, side: int) -> np.ndarray:
+def _checked_squares(squares, side: int) -> np.ndarray:
     """k squares of the given side over the symbols 0..side-1 and blanks,
-    frozen as int32; MalformedInput for any other shape or symbol."""
+    as an array; MalformedInput for any other shape or symbol."""
     arr = np.asarray(squares)
     if arr.ndim != 3 or arr.shape[1:] != (side, side):
         raise MalformedInput(f"expected (k, {side}, {side}) squares, got {arr.shape}")
     if arr.size and (arr.min() < BLANK or arr.max() >= side):
         raise MalformedInput("symbol out of range")
-    return gf.frozen(arr, np.int32)
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +256,8 @@ class LatinSquare:
         arr = np.asarray(cells)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise MalformedInput(f"latin square must be square, got {arr.shape}")
-        return LatinSquare(n=len(arr), cells=_frozen_squares(arr[None], len(arr))[0])
+        return LatinSquare(n=len(arr), cells=gf.frozen(
+            _checked_squares(arr[None], len(arr))[0], np.int32))
 
 
 def _duplicates(square: np.ndarray):
@@ -291,7 +297,7 @@ class HoleyLatinSquareSet:
 
     @staticmethod
     def from_arrays(h: int, n: int, holes, squares) -> "HoleyLatinSquareSet":
-        arr = _frozen_squares(squares, h * n)
+        arr = gf.frozen(_checked_squares(squares, h * n), np.int32)
         norm = holes_new(HOLE_UNIFORM, holes, h * n)
         if len(norm) != n:
             raise MalformedInput(f"expected {n} holes, got {len(norm)}")
@@ -317,44 +323,36 @@ def _square_witnesses(v, sq_idx, square, hole_of, same_hole):
 
 
 def _verify_squares(squares, hole_of) -> VerificationReport:
-    """Holey and incomplete MOLS: a square with its blanks on the same-hole
-    cells has no duplicate and no hole symbol exactly when its (symbol,
-    row) and (symbol, column) counts are 0 on those cells and 1 off them.
-    Keys are made over whole squares, a blank's below zero, while every
-    square has its blanks in place, else over the cells both squares fill."""
+    """Holey and incomplete MOLS as the k + 2 columns of their design: the
+    squares, then each cell's row and column, views of one arange(g).  A
+    square with its blanks in place has no duplicate and no hole symbol
+    exactly when its line pairs count as its square pairs do, a blank's key
+    below zero; a square with a blank misplaced is paired over filled cells."""
     g = len(hole_of)
-    # from_arrays checks the range, but the plain dataclass constructor does not
-    if squares.size and (squares.min() < BLANK or squares.max() >= g):
-        raise MalformedInput("symbol out of range")
-    v = []
+    # from_arrays checks shape and range, but the plain dataclass constructor does not
+    squares = _checked_squares(squares, g)
+    k = len(squares)
     same_hole = _same_hole(hole_of)
     expected = ~same_hole
     blanks = np.count_nonzero(same_hole)  # in a square with its blanks in place
-    scaled_sum = _scaled_sum(g)
-    cells = squares.reshape(len(squares), g * g)  # the squares read flat
-    exact = _exact_test(expected, blanks)
-    placed = [np.array_equal(square == BLANK, same_hole) for square in squares]
-    tested = [idx for idx, ok in enumerate(placed) if ok]
-    # expected is symmetric, so it holds the (symbol, line) counts too: the
-    # lines of the squares with their blanks in place are tested together.
-    # Each line's g^2 flat indices are made once while tests share batches,
-    # else read flat from a view for the one test that reads them
-    if 2 * g * g <= PIECE:
-        rows = np.arange(g, dtype=np.int32).repeat(g)  # each cell's row, then column
-        lines = rows, rows.reshape(g, g).T.ravel()
-    else:
-        column = np.broadcast_to(np.arange(g, dtype=np.int32), (g, g))  # each cell's column
-        lines = column.T, column
-    failed = {tested[n // 2] for n, *_ in exact([(cells[idx], line) for idx in tested
-                                                 for line in lines], scaled_sum)}
-    for idx, square in enumerate(squares):
-        if not placed[idx] or idx in failed:
-            _square_witnesses(v, idx, square, hole_of, same_hole)
+    placed = ((squares == BLANK) == same_hole).reshape(k, -1).all(1).tolist()
+    column = np.ndarray((g, g), np.int32, np.arange(g, dtype=np.int32), strides=(0, 4))
+    cols = [*squares, column.T, column]  # each cell's row, then its column
+    lines = [(idx, at) for idx in range(k) if placed[idx] for at in (k, k + 1)]
+    pairs = [(r, s) for r in range(k) for s in range(r + 1, k)]
+    w = []
     if all(placed):  # a cell blank in one square is blank in both: key -g - 1
-        _count_pairs(v, cells, expected, blanks=blanks)
+        _count_pairs(w, cols, expected, blanks=blanks, pairs=lines + pairs)
     else:
-        _count_pairs(v, cells, expected, keys=lambda x, y, out: scaled_sum(x, y, out)[
-            (x != BLANK) & (y != BLANK)])
+        _count_pairs(w, cols, expected, blanks=blanks, pairs=lines)
+        _count_pairs(w, cols, expected, keys=lambda x, y, out: _scaled_sum(g)(x, y, out)[
+            (x != BLANK) & (y != BLANK)], pairs=pairs)
+    failed = {r for _, (r, s, *_) in w if s >= k}  # the squares of failed line pairs
+    v = []
+    for idx in range(k):
+        if not placed[idx] or idx in failed:
+            _square_witnesses(v, idx, squares[idx], hole_of, same_hole)
+    v.extend(witness for witness in w if witness[1][1] < k)
     return _report(v)
 
 
@@ -379,7 +377,7 @@ class IncompleteMolsSet:
 
     @staticmethod
     def from_arrays(n: int, hole, squares) -> "IncompleteMolsSet":
-        arr = _frozen_squares(squares, n)
+        arr = gf.frozen(_checked_squares(squares, n), np.int32)
         hole = holes_new(HOLE_SINGLE, [hole], n)[0] if len(hole) else ()  # empty: none
         return IncompleteMolsSet(k=len(arr), n=n, hole=hole, squares=arr)
 
@@ -499,12 +497,13 @@ def verify_design(d: BlockDesign) -> VerificationReport:
     shapes consistent with the profile."""
     v = []
     g = d.group_size
+    if d.blocks.shape[1:] != (d.k,):  # as BlockDesign.new, not the plain constructor, checks
+        raise MalformedInput(f"blocks must be (B, {d.k}), got {d.blocks.shape}")
     # read as unsigned, a negative entry is 2^31 or more, so at least g
     entries = d.blocks.T.view(np.uint32)
     if entries.size and entries.max() >= g:
-        for b in np.unique(np.nonzero(entries >= g)[1]):
-            v.append((BLOCK_SHAPE, (int(b),)))
-        return _report(v)
+        return _report([(BLOCK_SHAPE, (b,))
+                        for b in np.unique(np.nonzero(entries >= g)[1]).tolist()])
     expected_count = expected_block_count(d)
     if len(d.blocks) != expected_count:
         v.append((COUNT_MISMATCH, (len(d.blocks), expected_count)))

@@ -104,6 +104,38 @@ def test_hmols_symbol_out_of_range_is_malformed(symbol):
         dz.verify_hmols(bad)
 
 
+def _td_2_3_as_k_3():
+    return dz.BlockDesign(k=3, group_size=3, index=1, hole_kind=dz.HOLE_NONE, holes=(),
+                          blocks=dz.td_from_field(2, 3).blocks)
+
+
+def _td_2_3_with_hole_point_9():
+    return dz.BlockDesign(k=2, group_size=3, index=1, hole_kind=dz.HOLE_SINGLE,
+                          holes=((0, 9),), blocks=dz.td_from_field(2, 3).blocks)
+
+
+@pytest.mark.parametrize("verify, make, message", [
+    (dz.verify_design, _td_2_3_as_k_3, r"blocks must be \(B, 3\), got \(9, 2\)"),
+    (dz.verify_design, _td_2_3_with_hole_point_9, "hole points leave 0..2"),
+    (dz.verify_hmols, lambda: dataclasses.replace(
+        hmols_pair_2_4(), squares=np.zeros((2, 4, 4), np.int32)), "squares, got"),
+    (dz.verify_hmols, lambda: dataclasses.replace(
+        hmols_pair_2_4(), squares=np.zeros((2, 8, 9), np.int32)), "squares, got"),
+    (dz.verify_hmols, lambda: dataclasses.replace(
+        hmols_pair_2_4(), squares=np.zeros((8, 8), np.int32)), "squares, got"),
+    (dz.verify_imols, lambda: dataclasses.replace(imols_pair_6_2(), hole=(0, 9)),
+     "hole points leave 0..5"),
+    (dz.verify_imols, lambda: dataclasses.replace(imols_pair_6_2(), hole=(0, -1)),
+     "hole points leave 0..5"),
+], ids=["blocks-2-of-3", "hole-point-9", "squares-2x4x4", "squares-2x8x9", "squares-8x8",
+        "imols-hole-9", "imols-hole-minus-1"])
+def test_verifiers_refuse_misused_dataclasses(verify, make, message):
+    # the plain dataclass constructors skip new and from_arrays, so the
+    # verifiers check the shapes and hole points they read
+    with pytest.raises(MalformedInput, match=message):
+        verify(make())
+
+
 # -- incomplete MOLS ---------------------------------------------------------
 
 def test_fixture_imols_6_2_valid():

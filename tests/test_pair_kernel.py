@@ -427,6 +427,7 @@ def test_a_valid_0_1_object_takes_no_bincount(monkeypatch):
                         lambda *a, **kw: calls.append(1) or bincount(*a, **kw))
     assert dz.verify_design(base_design("htd", 5, 5)).valid
     assert dz.verify_hmols(base_squares("unit_hole_7")).valid
+    assert dz.verify_imols(imols_pair_6_2()).valid
     assert cy.verify_rdm(base_family("13")).valid
     assert calls == []
 
@@ -471,6 +472,24 @@ def test_misplaced_blanks_are_tested_at_the_filtered_length(monkeypatch):
     # alone: (0, 1) and (0, 2) over the 41 cells both fill, each made once
     # more in full for its one bincount, and (1, 2) over 42
     assert tested == [([4 * 42], True), ([124, 41, 41, 41, 41, 42], False)]
+
+
+@pytest.mark.parametrize("squares", [hmols_pair_2_4, imols_pair_6_2])
+def test_squares_with_their_blanks_in_place_set_up_one_exact_test(monkeypatch, squares):
+    # the (square, row) and (square, column) pairs of both squares and the
+    # pair of squares: five pairs of the k + 2 columns, in one test of one batch
+    s = squares()
+    set_up, tested = [], []
+    exact_test = dz._exact_test
+
+    def spying(expected, blanks=0):
+        set_up.append(blanks)
+        test = exact_test(expected, blanks)
+        return lambda pairs, keys: tested.append(len(pairs)) or test(pairs, keys)
+    monkeypatch.setattr(dz, "_exact_test", spying)
+    verify = dz.verify_hmols if isinstance(s, dz.HoleyLatinSquareSet) else dz.verify_imols
+    assert verify(s).valid
+    assert set_up == [np.count_nonzero(s.squares[0] == BLANK)] and tested == [5]
 
 
 def _index_two(d):
