@@ -91,7 +91,13 @@ def holes_new(kind: str, holes, points: int) -> tuple:
 def _hole_of_array(holes, size: int) -> np.ndarray:
     """Map point -> hole id (or -1 when the point is in no hole); MalformedInput
     for a point outside 0..size-1 (as unsigned, a negative one is at least size)."""
-    cells = np.array(holes, dtype=np.intp)
+    try:  # rows of one size, of integers: a plain constructor does not check
+        cells = np.array(holes)
+    except ValueError:
+        cells = None
+    if cells is None or cells.size and (cells.ndim != 2 or cells.dtype.kind not in "iu"):
+        raise MalformedInput("holes must be integer rows of one size")
+    cells = cells.astype(np.intp, copy=False)
     if cells.size and cells.view(np.uintp).max() >= size:
         raise MalformedInput(f"hole points leave 0..{size - 1}")
     hole_of = np.full(size, -1, dtype=np.int32)
@@ -235,6 +241,8 @@ def _checked_squares(squares, side: int) -> np.ndarray:
     arr = np.asarray(squares)
     if arr.ndim != 3 or arr.shape[1:] != (side, side):
         raise MalformedInput(f"expected (k, {side}, {side}) squares, got {arr.shape}")
+    if arr.dtype.kind not in "iu":
+        raise MalformedInput(f"squares must hold integers, got {arr.dtype}")
     if arr.size and (arr.min() < BLANK or arr.max() >= side):
         raise MalformedInput("symbol out of range")
     return arr
@@ -329,8 +337,9 @@ def _verify_squares(squares, hole_of) -> VerificationReport:
     exactly when its line pairs count as its square pairs do, a blank's key
     below zero; a square with a blank misplaced is paired over filled cells."""
     g = len(hole_of)
-    # from_arrays checks shape and range, but the plain dataclass constructor does not
-    squares = _checked_squares(squares, g)
+    # from_arrays checks shape and range, but the plain dataclass constructor
+    # does not; the keys are int32 arithmetic, so squares in range are cast
+    squares = _checked_squares(squares, g).astype(np.int32, copy=False)
     k = len(squares)
     same_hole = _same_hole(hole_of)
     expected = ~same_hole
@@ -499,16 +508,22 @@ def verify_design(d: BlockDesign) -> VerificationReport:
     g = d.group_size
     if d.blocks.shape[1:] != (d.k,):  # as BlockDesign.new, not the plain constructor, checks
         raise MalformedInput(f"blocks must be (B, {d.k}), got {d.blocks.shape}")
-    # read as unsigned, a negative entry is 2^31 or more, so at least g
-    entries = d.blocks.T.view(np.uint32)
+    cols = d.blocks.T
+    if cols.dtype.kind not in "iu":
+        raise MalformedInput(f"block entries must be integers, got {cols.dtype}")
+    # read as unsigned, a negative entry is 2^31 or more, so at least g; an
+    # integer dtype other than new's int32 is read as int64, then cast
+    entries = cols.view(np.uint32) if cols.dtype == np.int32 else \
+        cols.astype(np.int64).view(np.uint64)
     if entries.size and entries.max() >= g:
         return _report([(BLOCK_SHAPE, (b,))
                         for b in np.unique(np.nonzero(entries >= g)[1]).tolist()])
+    cols = cols.astype(np.int32, copy=False)
     expected_count = expected_block_count(d)
     if len(d.blocks) != expected_count:
         v.append((COUNT_MISMATCH, (len(d.blocks), expected_count)))
     same = _same_hole(d.hole_of())
-    _count_pairs(v, d.blocks.T, np.where(same, 0, d.index) if d.index > 1 else ~same)
+    _count_pairs(v, cols, np.where(same, 0, d.index) if d.index > 1 else ~same)
     return _report(v)
 
 

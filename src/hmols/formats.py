@@ -7,10 +7,12 @@ printers emit a canonical form (sorted holes, lexicographically sorted
 blocks, fixed whitespace) so that parse-then-print is byte-identical.
 
 Design and grid files are read as bytes (a str is read as its UTF-8
-encoding): the readers scan the bytes directly, and only the part of a
-design file that is not its blocks goes to json.loads, decoded as UTF-8.
-Bytes that are not UTF-8 raise UnicodeDecodeError, as reading the file
-as text would.
+encoding), and the readers scan the bytes directly.  A design file in
+any JSON spelling, escapes included, goes through one scan that finds
+its blocks (_fast_design_doc); only the rest goes to json.loads, decoded
+as UTF-8, and json.loads of the whole text only names the fault of a
+file that is refused.  Bytes that are not UTF-8 raise UnicodeDecodeError,
+as reading the file as text would.
 
 Design and grid bodies are printed and parsed as arrays: each distinct
 value is formatted once and rows are assembled by table lookups, and the
@@ -396,10 +398,12 @@ def _design_pieces(d: BlockDesign):
 
 
 _WHITE = b" \t\n\r"  # JSON white space
-_MAX_DIGITS = 18  # longer numbers may not fit int64; json.loads takes those
-_BLOCKS_KEY = re.compile(rb'"blocks"[ \t\n\r]*:[ \t\n\r]*\[')
+# a longer number may not fit int64, and lies outside int32 in any case: a
+# design file that holds one is refused, its fault named by json.loads
+_MAX_DIGITS = 18
+_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"')  # a JSON string, escapes and all
+_COLON = re.compile(rb"[ \t\n\r]*:[ \t\n\r]*")  # after a key
 _GAP = re.compile(rb"[ \t\n\r]*(,?)")  # between two pieces of rows
-_SENTINEL = b'"\\u0000"'  # a JSON string no unescaped document can contain
 _INT32 = np.iinfo(np.int32)
 
 
@@ -452,90 +456,85 @@ def _int_matrix(body: bytes):
     return value
 
 
-def _blocks_span(data: bytes, at: int):
-    """(start, end) of the array after the "blocks" key at at: from its
-    "[" to past the last "]" before the next '"' or "}" (end is 0 when
-    there is none); None when no key and "[" start at at."""
-    key = _BLOCKS_KEY.match(data, at)
-    if key is None:
-        return None
-    start = key.end() - 1
+def _blocks_at(data: bytes, start: int):
+    """(start, end, blocks) when data[start:end] is a JSON array of rows of
+    int32 numbers, or empty, ending at the last "]" before the next '"'
+    (a top-level value of a JSON object is followed by a key or by its
+    end); blocks is its (B, k) view of one frozen (k, B) array.  Else None."""
     stop = data.find(b'"', start)
-    stop = len(data) if stop < 0 else stop
-    close = data.find(b"}", start, stop)
-    stop = close if close >= 0 else stop
-    return start, data.rfind(b"]", start, stop) + 1
-
-
-def _fast_design_doc(data: bytes):
-    """The design document with its "blocks" value parsed by _int_matrix
-    into the (B, k) view of one frozen int32 (k, B) array, or None when
-    the fast reading cannot prove it equals json.loads of the text, or an
-    entry does not fit in int32 (json.loads then reads the text, and
-    BlockDesign.new refuses that entry after the other fields are
-    checked).
-
-    The blocks array is cut out and replaced by a sentinel string that
-    only an escape can spell; the rest goes to json.loads.  A text
-    without backslashes whose top-level "blocks" then reads back as the
-    sentinel had the cut array exactly as that value.
-    """
-    at = data.find(b'"blocks"')
-    if at < 0 or b"\\" in data:
+    end = data.rfind(b"]", start, len(data) if stop < 0 else stop) + 1
+    if data[start:start + 1] != b"[" or not end:
         return None
-    # the last "blocks", found forward: searching bytes for a word is slow
-    # but a blocks array holds no '"', so the search skips it
-    while True:
-        span = _blocks_span(data, at)
-        later = data.find(b'"blocks"', max(at + 1, span[1]) if span else at + 1)
-        if later < 0:
-            break
-        at = later
-    if span is None:
-        return None
-    start, end = span
-    # every row of data[start + 1:end - 1] ends in a "]", and the first
-    # row's commas give the width: the blocks fill one frozen (width, rows)
-    # buffer, each piece of rows written transposed into its column slots
-    rows = _count(data, b"]", start + 1, end - 1) if end else 0
-    if rows == 0:
-        return None
+    # every row ends in a "]", and the first row's commas give the width:
+    # the blocks fill one frozen (width, rows) buffer, each piece of rows
+    # written transposed into its column slots
+    rows = _count(data, b"]", start + 1, end - 1)
     width = data.count(b",", start + 1, data.find(b"]", start + 1)) + 1
     try:
         blocks = gf.frozen_from(_block_columns(data, start, end, width),
                                 np.int32, (width, rows), axis=1)
     except _NotFast:
         return None
+    return start, end, blocks.T
+
+
+def _fast_design_doc(data: bytes):
+    """The design document with the value of its last top-level "blocks"
+    key read by _blocks_at, in any JSON spelling; None when that value is
+    no array _blocks_at reads or the text is no JSON, so that json.loads
+    of the whole text names the fault of a file refused (or reads rows of
+    no entries, [[]], which make no blocks).
+
+    The scan walks the JSON strings, each matched whole with its escapes,
+    and counts "{[" minus "}]" in the gaps between them to tell the
+    top-level keys; a key holding a backslash is decoded on its own.  A
+    blocks array read is skipped, so its rows are scanned once, and is cut
+    out for json.loads with "[]" in its place: any text that may follow
+    one array may follow any other, so the rest is JSON exactly when the
+    whole text is, and its "blocks" is the cut array.
+    """
+    depth, at, found = 0, 0, None
     try:
-        doc = json.loads(_str(data[:start] + _SENTINEL + data[end:]))
-    except (ValueError, RecursionError):
+        while (quote := data.find(b'"', at)) >= 0:
+            depth += sum(data.count(c, at, quote) for c in b"{[") - \
+                sum(data.count(c, at, quote) for c in b"}]")
+            key = _STRING.match(data, quote)
+            if key is None:
+                return None
+            at, key = key.end(), key.group()
+            colon = _COLON.match(data, at)
+            if depth == 1 and colon and (key == b'"blocks"' or b"\\" in key and
+                                         json.loads(_str(key)) == "blocks"):
+                found = _blocks_at(data, colon.end())
+                at = found[1] if found else at
+        if found is None:
+            return None
+        start, end, blocks = found
+        doc = json.loads(_str(data[:start] + b"[]" + data[end:]))
+    except (ValueError, RecursionError):  # from json.loads: the text is no JSON
         return None
-    if not isinstance(doc, dict) or doc.get("blocks") != "\0":
-        return None
-    doc["blocks"] = blocks.T
+    doc["blocks"] = blocks
     return doc
 
 
 class _NotFast(Exception):
-    """The fast reading of a design file cannot prove its blocks."""
+    """A blocks array is not read by _blocks_at."""
 
 
 def _block_columns(data: bytes, start: int, end: int, width: int):
     """The rows of the blocks array data[start:end], transposed, in
     pieces cut after a "]", each read as a matrix of its own; _NotFast
     when a piece is no matrix of width columns of int32 numbers.  A later
-    piece starts after the white space and "," that follow the cut, and
-    white space alone ends the rows."""
+    piece starts after the white space and "," that follow the cut; white
+    space alone holds no rows (an empty array, or after the last row)."""
     for a, b in _pieces(start + 1, end - 1,
                         cut=lambda at: data.find(b"]", at, end - 1) + 1 or end - 1):
-        if a > start + 1:
-            gap = _GAP.match(data, a, b)
-            if not gap.group(1):
-                if gap.end() == b:
-                    continue
-                raise _NotFast
-            a = gap.end()
-        part = _int_matrix(b"[" + data[a:b] + b"]")
+        gap = _GAP.match(data, a, b)
+        if gap.end() == b and not gap.group(1):
+            continue
+        if bool(gap.group(1)) != (a > start + 1):  # a "," comes before each later piece
+            raise _NotFast
+        part = _int_matrix(b"".join((b"[", memoryview(data)[gap.end():b], b"]")))
         if part is None or part.shape[1] != width or part.dtype != np.int32 and \
                 (part.min() < _INT32.min or part.max() > _INT32.max):
             raise _NotFast

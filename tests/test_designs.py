@@ -127,13 +127,55 @@ def _td_2_3_with_hole_point_9():
      "hole points leave 0..5"),
     (dz.verify_imols, lambda: dataclasses.replace(imols_pair_6_2(), hole=(0, -1)),
      "hole points leave 0..5"),
+    (dz.verify_hmols, lambda: dataclasses.replace(
+        hmols_pair_2_4(), holes=((0, 1), (2, 3), (4, 5), (6,))), "integer rows of one size"),
+    (dz.verify_hmols, lambda: dataclasses.replace(
+        hmols_pair_2_4(), holes=((0.5, 1), (2, 3), (4, 5), (6, 7))), "integer rows of one size"),
+    (dz.verify_hmols, lambda: dataclasses.replace(
+        hmols_pair_2_4(), holes=(0, 1, 2, 3, 4, 5, 6, 7)), "integer rows of one size"),
+    (dz.verify_imols, lambda: dataclasses.replace(imols_pair_6_2(), hole=(0.5, 1)),
+     "integer rows of one size"),
+    (dz.verify_design, lambda: dataclasses.replace(
+        dz.hmols_to_htd(hmols_pair_2_4()), holes=((0, 1), (2,))), "integer rows of one size"),
+    (dz.verify_hmols, lambda: dataclasses.replace(
+        hmols_pair_2_4(), squares=hmols_pair_2_4().squares.astype(float)),
+     "squares must hold integers, got float64"),
+    (dz.verify_imols, lambda: dataclasses.replace(
+        imols_pair_6_2(), squares=imols_pair_6_2().squares.astype(float)),
+     "squares must hold integers, got float64"),
+    (dz.verify_design, lambda: dataclasses.replace(
+        dz.hmols_to_htd(hmols_pair_2_4()), blocks=dz.hmols_to_htd(hmols_pair_2_4()).blocks
+        .astype(float)), "block entries must be integers, got float64"),
 ], ids=["blocks-2-of-3", "hole-point-9", "squares-2x4x4", "squares-2x8x9", "squares-8x8",
-        "imols-hole-9", "imols-hole-minus-1"])
+        "imols-hole-9", "imols-hole-minus-1", "ragged-holes", "float-holes", "flat-holes",
+        "imols-float-hole", "design-ragged-holes", "float-squares", "imols-float-squares",
+        "float-blocks"])
 def test_verifiers_refuse_misused_dataclasses(verify, make, message):
     # the plain dataclass constructors skip new and from_arrays, so the
     # verifiers check the shapes and hole points they read
     with pytest.raises(MalformedInput, match=message):
         verify(make())
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint32, np.int64,
+                                   np.uint64])
+def test_verify_design_reads_blocks_of_any_integer_dtype(dtype):
+    # a plain constructor's blocks need not be new's int32: their entries
+    # are read as numbers, not as the bits of an int32 view
+    htd = dz.hmols_to_htd(hmols_pair_2_4())
+    assert dz.verify_design(dataclasses.replace(htd, blocks=htd.blocks.astype(dtype))).valid
+    wide = htd.blocks.astype(np.int64)
+    wide[3, 2] = 2**32 + 1 if np.dtype(dtype).itemsize == 8 else np.iinfo(dtype).max
+    report = dz.verify_design(dataclasses.replace(htd, blocks=wide.astype(dtype)))
+    assert report.violations == ((dz.BLOCK_SHAPE, (3,)),)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.int64, np.uint64])
+def test_verify_imols_reads_squares_of_any_integer_dtype(dtype):
+    # two MOLS(5) with no hole have no blanks, so even unsigned squares hold them
+    squares = dz.td_from_field(4, 5).sorted_blocks()[:, 2:].T.reshape(2, 5, 5)
+    mols = dz.IncompleteMolsSet.from_arrays(n=5, hole=(), squares=squares)
+    assert dz.verify_imols(dataclasses.replace(mols, squares=squares.astype(dtype))).valid
 
 
 # -- incomplete MOLS ---------------------------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,6 +274,103 @@ def test_text_outside_the_blocks_keeps_the_fast_reading():
     doc = formats._fast_design_doc(data)
     assert doc is not None and doc["note"] == "caf\u00e9"
     assert np.array_equal(doc["blocks"], dz.td_from_field(3, 3).sorted_blocks())
+
+
+def spaces(draw) -> str:
+    return draw(st.text(" \t\n\r", max_size=2))
+
+
+def spell(draw, value) -> str:
+    """value as JSON text, drawn: any JSON white space around every token,
+    and each character of a string plain or escaped.  A tuple is an
+    object, given as its (key, value) pairs in order, repeats allowed."""
+    if isinstance(value, str):
+        forms = [[json.dumps(c, ensure_ascii=False)[1:-1], f"\\u{ord(c):04x}"] +
+                 (["\\/"] if c == "/" else []) for c in value]
+        return '"' + "".join(draw(st.sampled_from(f)) for f in forms) + '"'
+    if isinstance(value, tuple):
+        items = [spaces(draw) + spell(draw, k) + spaces(draw) + ":" + spaces(draw) +
+                 spell(draw, v) for k, v in value]
+    elif isinstance(value, list):
+        items = [spaces(draw) + spell(draw, v) for v in value]
+    else:
+        return json.dumps(value)
+    opens, closes = ("{", "}") if isinstance(value, tuple) else ("[", "]")
+    return opens + ",".join(item + spaces(draw) for item in items) + spaces(draw) + closes
+
+
+# fields a design file may carry besides its own: strings and objects that
+# hold "blocks": [[...]], and more top-level "blocks" keys, the last of
+# which is the file's blocks
+EXTRAS = [("note", 'a "blocks": [[5, 5]] / \\ café'),
+          ("x", (("blocks", [[3, 3]]),)),
+          ("y", [(("blocks", [[1, 2]]), ("blocks", "z")), "blocks", []]),
+          ("blocks", [[9, 9, 9]]), ("blocks", "\0"), ("blocks", (("a", [1]),)),
+          ("blocks", [])]
+
+
+@st.composite
+def respelled_design_texts(draw):
+    """A design file spelled any way: key order, white space, escapes and
+    extra fields drawn.  It is valid unless an extra "blocks" comes last."""
+    doc = json.loads(formats.design_dumps(draw(designs())))
+    if draw(st.booleans()):
+        doc["blocks"] = []
+    pairs = list(draw(st.permutations(sorted(doc.items()))))
+    for extra in draw(st.lists(st.sampled_from(EXTRAS), max_size=3)):
+        pairs.insert(draw(st.integers(0, len(pairs))), extra)
+    return spaces(draw) + spell(draw, tuple(pairs)) + spaces(draw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(respelled_design_texts())
+@example('{"\\u0062locks": [[0, 1]], "group_size": 2, "holes": [], "index": 1, '
+         '"k": 2, "kind": "\\u0054D"}')
+@example('{"blocks": [[0, 1]], "group_size": 2, "holes": [], "index": 1, '
+         '"k": 2, "kind": "TD", "n": "\\"\\/\\\\", "blocks": [\n]}')
+@example('{"blocks": [[0, 1]], "x": {"blocks": [[1, 1]]}, "group_size": 2, '
+         '"holes": [], "index": 1, "k": 2, "kind": "TD"}')
+@example('{"blocks": [[0, 1]], "group_size": 2, "holes": [], "index": 1, '
+         '"k": 2, "kind": "TD", "blocks": "z"}')
+@example('{"blocks": 5[0, 1]], "group_size": 2, "holes": [], "index": 1, '
+         '"k": 2, "kind": "TD"}')
+@example('{"blocks": [ ,[0, 1]], "group_size": 2, "holes": [], "index": 1, '
+         '"k": 2, "kind": "TD"}')
+def test_any_spelling_reads_the_same(text):
+    calls = []
+    loads = json.loads
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats.json, "loads", lambda s, *a, **kw: calls.append(s) or loads(s, *a, **kw))
+        got = outcome(formats.design_loads, text)
+    assert got == outcome(reference_design_loads, text)
+    if not isinstance(got[0], type):
+        # read by the scan: json.loads has the text without its blocks, never whole
+        assert all(arg is not text for arg in calls)
+        blocks_shape = got[6]
+        if blocks_shape[0]:  # "[]" put for blocks "[...]" makes a shorter text
+            assert all(len(arg) < len(text) for arg in calls)
+
+
+def test_a_design_read_in_any_spelling_peaks_under_three_times_its_size():
+    design = dz.td_from_field(5, 256)
+    plain = formats.design_dumps(design)
+    doc = json.loads(plain)
+    spellings = [json.dumps(doc), json.dumps(doc, indent=1),
+                 plain.replace('"kind": "TD"', '"kind": "\\u0054D"'),
+                 plain.replace('"blocks"', '"\\u0062locks"')]
+    for text in spellings:
+        data = text.encode()
+        tracemalloc.start()
+        try:
+            got = formats.design_loads(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got.blocks, design.sorted_blocks())
+        # the blocks (0.74 times the canonical text) and one piece's passes:
+        # 2.1 times the text measured canonical, 2.3 compact; json.loads of
+        # the whole text peaks at 7.5
+        assert peak < 3 * len(data), (text[:40], peak / len(data))
 
 
 def reference_int_matrix(body: str):
