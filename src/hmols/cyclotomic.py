@@ -96,10 +96,11 @@ def td_projection(h: int, d: int, k: int, cols=None) -> BlockDesign:
     cols = _check_cols(t, cols)
     if k != len(cols):
         raise MalformedInput("column selection does not match k")
-    # blocks a + rows for a = 0, 1, ..., h-1 in turn
-    blocks = t.field.add(np.arange(h)[:, None, None], t.entries[None, :, cols])
-    return BlockDesign.new(k=k, group_size=h, index=t.lam,
-                           blocks=blocks.reshape(-1, k))
+    # blocks a + rows for a = 0, 1, ..., h-1 in turn, each group's row written once
+    a = np.arange(h)[:, None]
+    blocks = gf.frozen_from((t.field.add(a, t.entries[:, c]).reshape(1, -1) for c in cols),
+                            np.int32, (k, h * t.size))
+    return BlockDesign.new(k=k, group_size=h, index=t.lam, blocks=blocks.T)
 
 
 # ---------------------------------------------------------------------------
@@ -573,17 +574,19 @@ def expand_td_to_htd(td: BlockDesign, q: int, seed: int = 0,
         phis[b] = _search_phi(fq, ctx, labels[b], k, q, rng, values, budget)
 
     c0 = np.flatnonzero(ctx.class_table == 0)
-    shifts = np.arange(q)
-    # point (b, a, c) of column r = (a * phi[b, r] + c) * h + block[b, r]
-    # over GF(q), gathered from table[c, y] = ((y + c) % q) * h; prime q,
-    # so plain mod
-    table = ((shifts[None, :] + shifts[:, None]) % q * h).astype(np.int32)
+    shifts = np.arange(q, dtype=np.int32)
+    # point (b, a, c) of column r = (y + c) * h + block[b, r] over GF(q) with
+    # y = a * phi[b, r]: row y of the symmetric table[y, c] = ((y + c) % q) * h
+    # (prime q, so plain mod), taken whole into the column's row, plus the point
+    table = (shifts[:, None] + shifts) % q * h
 
-    def column(r):
-        y = c0[None, :, None] * phis[:, r, None, None] % q
-        return (table[shifts, y] + blocks[:, r, None, None]).reshape(1, -1)
+    def column(row, r):
+        points = row.reshape(len(blocks), -1, q, copy=False)
+        np.take(table, c0 * phis[:, r, None] % q, axis=0, out=points, mode="clip")
+        points += blocks[:, r, None, None]
 
-    cols = gf.frozen_from(map(column, range(k)), np.int32, (k, count))
+    cols = gf.frozen_written(np.int32, (k, count),
+                             ((1, functools.partial(column, r=r)) for r in range(k)))
     out = BlockDesign.new(k=k, group_size=h * q, index=1, blocks=cols.T,
                           hole_kind=HOLE_UNIFORM, holes=np.arange(h * q).reshape(q, h))
     out_rep = verify_design(out)

@@ -27,8 +27,8 @@ A block design holds its blocks column-major: one frozen, C-ordered
 int32 buffer of shape (k, B), row i holding every block's point in
 group i.  BlockDesign.blocks is its (B, k) view, buffer.T, so a block is
 a row of it as ever; the pair counts read the buffer's rows in place.
-Readers, development and the compositions write it once, as int32,
-through gf.frozen_written, and BlockDesign.new adopts it as it is.
+Every builder writes it once, as int32, through gf.frozen_written or
+frozen_from, and BlockDesign.new adopts it as it is.
 
 Holes are disjoint, non-empty sets of points, checked by holes_new alone:
 kind none has no hole, single has one (an ITD; incomplete MOLS with an
@@ -438,7 +438,7 @@ class BlockDesign:
         if arr is None or arr.size and not np.can_cast(arr.dtype, np.int32) and \
                 not -2**31 <= arr.min() <= arr.max() < 2**31:
             raise MalformedInput("block entries must fit in 32-bit integers")
-        if arr.size == 0:
+        if arr.shape[:1] == (0,):  # no rows is no blocks; rows of no entries are refused
             arr = arr.reshape(0, k)
         if arr.ndim != 2 or arr.shape[1] != k:
             raise MalformedInput(f"blocks must be (B, {k}), got {arr.shape}")
@@ -533,9 +533,12 @@ def verify_design(d: BlockDesign) -> VerificationReport:
 
 def _cell_blocks(squares, hole_of) -> np.ndarray:
     """One block (row, column, each square's symbol) per cell off the
-    holes, as the (B, k) view of their columns."""
-    off_hole = ~_same_hole(hole_of)
-    return np.vstack([np.nonzero(off_hole), squares[:, off_hole]]).T
+    holes, as the (B, k) view of their columns, each written in its slot."""
+    g, cells = len(hole_of), np.flatnonzero(~_same_hole(hole_of))
+    flat = squares.reshape(len(squares), -1)  # verified: each symbol off the holes is a point
+    return gf.frozen_written(np.int32, (len(flat) + 2, len(cells)), (
+        (2, lambda lines: np.divmod(cells, g, out=tuple(lines))),
+        (len(flat), lambda rows: np.take(flat, cells, axis=1, out=rows, mode="clip")))).T
 
 
 def hmols_to_htd(s: HoleyLatinSquareSet) -> BlockDesign:
@@ -601,8 +604,9 @@ def td_from_field(k: int, q: int) -> BlockDesign:
     if k < 2:
         raise MalformedInput("need at least two groups")
     a, u = np.divmod(np.arange(q * q), q)
-    cols = [u if i == q else f.add(a, f.mul(u, i)) for i in range(k)]
-    return BlockDesign.new(k=k, group_size=q, index=1, blocks=np.stack(cols).T)
+    cols = gf.frozen_from(((u if i == q else f.add(a, f.mul(u, i)))[None] for i in range(k)),
+                          np.int32, (k, q * q))  # field elements, below q
+    return BlockDesign.new(k=k, group_size=q, index=1, blocks=cols.T)
 
 
 def unit_hole_htd(k: int, q: int) -> BlockDesign:
@@ -621,7 +625,7 @@ def unit_hole_htd(k: int, q: int) -> BlockDesign:
     cols = [x, y] + [f.add(f.mul(a, x), f.mul(f.sub(1, a), y))
                      for a in range(2, k)]  # the k-2 chosen values of a
     return BlockDesign.new(k=k, group_size=q, index=1,
-                           blocks=np.stack(cols).T,
+                           blocks=gf.frozen_from((c[None] for c in cols), np.int32, (k, len(x))).T,
                            hole_kind=HOLE_UNIFORM, holes=np.arange(q)[:, None])
 
 
@@ -631,9 +635,11 @@ def restrict_groups(d: BlockDesign, keep) -> BlockDesign:
     if len(keep) < 2 or len(set(keep)) != len(keep) or \
             any(not 0 <= i < d.k for i in keep):
         raise MalformedInput(f"bad group selection {keep} for k = {d.k}")
+    cols = d.blocks.T  # int32 from new, and any other dtype new range-checks
     return BlockDesign.new(k=len(keep), group_size=d.group_size, index=d.index,
-                           blocks=d.blocks.T[keep].T, hole_kind=d.hole_kind,
-                           holes=d.holes)
+                           blocks=gf.frozen_from((cols[i:i + 1] for i in keep), cols.dtype,
+                                                 (len(keep), len(d.blocks))).T,
+                           hole_kind=d.hole_kind, holes=d.holes)
 
 
 def relabel_points(d: BlockDesign, perms) -> BlockDesign:
@@ -645,8 +651,10 @@ def relabel_points(d: BlockDesign, perms) -> BlockDesign:
     if d.hole_kind != HOLE_NONE:
         raise MalformedInput("per-group relabeling needs a hole-free design")
     perms = np.asarray(perms, dtype=np.int64)
-    if perms.shape != (d.k, d.group_size):
+    if perms.shape != (d.k, d.group_size) or \
+            (np.sort(perms, axis=1) != np.arange(d.group_size)).any():
         raise MalformedInput("need one full permutation per group")
-    cols = perms[np.arange(d.k)[:, None], d.blocks.T]
-    return BlockDesign.new(k=d.k, group_size=d.group_size, index=d.index,
-                           blocks=cols.T)
+    cols = gf.frozen_written(np.int32, (d.k, len(d.blocks)), (  # permuted points fit int32
+        (1, lambda row, p=p, col=col: np.take(p, col, out=row[0]))
+        for p, col in zip(perms, d.blocks.T)))
+    return BlockDesign.new(k=d.k, group_size=d.group_size, index=d.index, blocks=cols.T)

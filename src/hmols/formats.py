@@ -483,7 +483,7 @@ def _fast_design_doc(data: bytes):
     key read by _blocks_at, in any JSON spelling; None when that value is
     no array _blocks_at reads or the text is no JSON, so that json.loads
     of the whole text names the fault of a file refused (or reads rows of
-    no entries, [[]], which make no blocks).
+    no entries, [[]], which BlockDesign.new refuses).
 
     The scan walks the JSON strings, each matched whole with its escapes,
     and counts "{[" minus "}]" in the gaps between them to tell the

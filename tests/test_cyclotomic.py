@@ -648,6 +648,35 @@ def test_expand_seed_draws_are_pinned(seed, digest):
     assert _digest(htd.blocks) == digest
 
 
+@pytest.mark.parametrize("td, q", [
+    (lambda: cy.td_projection(3, 2, 3), 193),  # lam = 3: HTD(3, 3^193)
+    # lam = 2, every block of TD(3, 7) twice: HTD(3, 7^97)
+    (lambda: dz.BlockDesign.new(k=3, group_size=7, index=2,
+                                blocks=np.tile(dz.td_from_field(3, 7).blocks, (2, 1))), 97)],
+    ids=["lam=3", "lam=2"])
+def test_expand_writes_each_column_in_place(td, q):
+    """Each column is whole rows of one q x q table taken into the
+    output's buffer: the traced peak is the output, that table, the index
+    vector and the verifier's tables, with no column built apart.  The
+    bound is counted from the shapes, not measured."""
+    td = td()
+    tracemalloc.start()
+    try:
+        out = cy.expand_td_to_htd(td, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    g = out.group_size
+    must_hold = (out.blocks.nbytes
+                 + 4 * q * q  # the int32 table
+                 + len(td.blocks) * (q - 1) // td.index * 8  # one column's row indices
+                 + 4 * g * g  # the verifier's 2 g^2 key table, its two g^2 masks
+                 + dz.PIECE * (4 + 8))  # and its int32 and intp key buffers
+    # numpy's buffers and Python objects fit in the last 256 KiB; building
+    # a column apart, then the sum, took two more columns
+    assert peak < must_hold + (256 << 10)
+
+
 def test_expand_congruence_guard():
     proj = cy.td_projection(2, 2, 3)
     with pytest.raises(MalformedInput, match="^q = 2 is not 1 mod 2$"):

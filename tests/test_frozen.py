@@ -20,7 +20,8 @@ from hmols import compose as cp
 from hmols import cyclotomic as cy
 from hmols import designs as dz
 from hmols import formats, gf
-from hmols.fixtures import fixture_path
+from hmols.errors import MalformedInput
+from hmols.fixtures import fixture_path, hmols_pair_2_4, imols_pair_6_2
 
 
 @functools.cache
@@ -114,6 +115,59 @@ def test_a_design_without_blocks_keeps_its_shape(blocks):
     assert d.blocks.shape == (0, 3) and d.blocks.dtype == np.int32
     with pytest.raises(ValueError):
         d.blocks.setflags(write=True)
+
+
+EMPTY_ROWS = b'{"blocks": [[], []], "group_size": 3, "holes": [], "index": 1, "k": 3, ' \
+    b'"kind": "TD"}'
+
+
+@pytest.mark.parametrize("read", [
+    lambda: formats.design_loads(EMPTY_ROWS),
+    lambda: dz.BlockDesign.new(k=3, group_size=3, index=1, blocks=[[], []]),
+    lambda: dz.BlockDesign.new(k=3, group_size=3, index=1,
+                               blocks=np.empty((2, 0), dtype=np.int32))],
+    ids=["design_loads", "new", "new-array"])
+def test_rows_of_no_entries_are_no_blocks_of_k_points(read):
+    with pytest.raises(MalformedInput, match=r"blocks must be \(B, 3\), got \(2, 0\)"):
+        read()
+
+
+# each public builder, and the inputs it is given, built beforehand
+BUILDERS = [
+    (dz.td_from_field, lambda: (4, 9)),
+    (dz.unit_hole_htd, lambda: (4, 7)),
+    (cy.td_projection, lambda: (3, 2, 4)),
+    (dz.restrict_groups, lambda: (dz.td_from_field(5, 7), [4, 0, 2])),
+    (dz.relabel_points, lambda: (dz.td_from_field(3, 5),
+                                 [np.random.default_rng(i).permutation(5) for i in range(3)])),
+    (dz.hmols_to_htd, lambda: (hmols_pair_2_4(),)),
+    (dz.imols_to_itd, lambda: (imols_pair_6_2(),)),
+    (cy.expand_td_to_htd, lambda: (cy.td_projection(2, 2, 3), 13))]
+
+
+@pytest.mark.parametrize("build, inputs", BUILDERS, ids=[b.__name__ for b, _ in BUILDERS])
+def test_every_built_design_adopts_its_one_int32_buffer(monkeypatch, build, inputs):
+    args, calls, new = inputs(), [], dz.BlockDesign.new
+
+    def recording(*a, **kwargs):
+        d = new(*a, **kwargs)
+        calls.append((kwargs["blocks"], d))
+        return d
+    monkeypatch.setattr(dz.BlockDesign, "new", staticmethod(recording))
+    out = build(*args)
+    assert len(calls) == 1 and calls[0][1] is out
+    blocks = calls[0][0]
+    assert gf._is_frozen(blocks.T, np.int32) and np.shares_memory(out.blocks, blocks)
+    assert dz.verify_design(out).valid
+
+
+def test_relabel_points_refuses_a_table_of_no_permutations():
+    td = dz.td_from_field(3, 3)
+    with pytest.raises(MalformedInput, match="one full permutation per group"):
+        dz.relabel_points(td, [[0, 1, 2], [0, 0, 2], [5, 1, 2]])
+    perms = [[2, 0, 1], [0, 1, 2], [1, 2, 0]]
+    out = dz.relabel_points(td, perms)
+    assert out.blocks.tolist() == [[p[x] for p, x in zip(perms, b)] for b in td.blocks.tolist()]
 
 
 def test_frozen_copies_once_and_keeps_dtype():
