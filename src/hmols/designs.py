@@ -20,15 +20,17 @@ batch that fails is tested again pair by pair.  Any other pair, or one
 that fails, has its keys made once in full and counted by one bincount;
 only a failed check is searched for witnesses, and then every violation
 is listed, for mutation tests and composition debugging.
-Objects are immutable, their arrays made by gf.frozen in the
-constructors; verification is pure.
+Objects are immutable and canonical however they are made: __post_init__,
+which the constructor, dataclasses.replace and the named builders all run,
+freezes their arrays as int32 (gf.frozen) and their holes (holes_new), or
+raises MalformedInput.  Verifiers read canonical objects; verification is pure.
 
 A block design holds its blocks column-major: one frozen, C-ordered
 int32 buffer of shape (k, B), row i holding every block's point in
 group i.  BlockDesign.blocks is its (B, k) view, buffer.T, so a block is
 a row of it as ever; the pair counts read the buffer's rows in place.
 Every builder writes it once, as int32, through gf.frozen_written or
-frozen_from, and BlockDesign.new adopts it as it is.
+frozen_from, and the design adopts it as it is.
 
 Holes are disjoint, non-empty sets of points, checked by holes_new alone:
 kind none has no hole, single has one (an ITD; incomplete MOLS with an
@@ -63,15 +65,22 @@ HOLE_UNIFORM = "uniform"
 HOLE_SINGLE = "single"
 
 
+def _array(a) -> np.ndarray:
+    """np.asarray(a), or for ragged rows a 0-d array, which no shape check passes."""
+    try:
+        return np.asarray(a)
+    except ValueError:
+        return np.asarray(None)
+
+
 def holes_new(kind: str, holes, points: int) -> tuple:
     """Holes of a kind on the points 0..points-1, given as one integer array
     of a row per hole, in the form .holes keeps; MalformedInput for an
     unknown kind or for holes that break its rules (module docstring)."""
-    try:  # ragged rows, an entry that is huge or not an integer, or no rows
-        cells = np.array(holes, dtype=np.int64)
-        count, size = cells.shape if cells.size else (len(cells), 0)
-    except (ValueError, OverflowError, TypeError):
-        raise MalformedInput("holes must be 64-bit integer rows of one size") from None
+    cells = _array(holes)  # no rows, or rows of one size of (up to 64-bit) integers
+    if cells.size and (cells.ndim != 2 or cells.dtype.kind not in "iu"):
+        raise MalformedInput("holes must be 64-bit integer rows of one size")
+    count, size = cells.shape if cells.size else (len(cells), 0)
     rules = {HOLE_NONE: count == 0, HOLE_SINGLE: count == 1,
              HOLE_UNIFORM: count * size == points}
     if kind not in rules:
@@ -81,7 +90,7 @@ def holes_new(kind: str, holes, points: int) -> tuple:
                              f"{kind!r} on {points} points")
     if not count:
         return ()
-    cells.sort(axis=1)
+    cells = np.sort(cells, axis=1)
     every = np.sort(cells, axis=None)
     if every[0] < 0 or every[-1] >= points or (every[1:] == every[:-1]).any():
         raise MalformedInput(f"hole points repeat or leave 0..{points - 1}")
@@ -89,26 +98,20 @@ def holes_new(kind: str, holes, points: int) -> tuple:
 
 
 def _hole_of_array(holes, size: int) -> np.ndarray:
-    """Map point -> hole id (or -1 when the point is in no hole); MalformedInput
-    for a point outside 0..size-1 (as unsigned, a negative one is at least size)."""
-    try:  # rows of one size, of integers: a plain constructor does not check
-        cells = np.array(holes)
-    except ValueError:
-        cells = None
-    if cells is None or cells.size and (cells.ndim != 2 or cells.dtype.kind not in "iu"):
-        raise MalformedInput("holes must be integer rows of one size")
-    cells = cells.astype(np.intp, copy=False)
-    if cells.size and cells.view(np.uintp).max() >= size:
-        raise MalformedInput(f"hole points leave 0..{size - 1}")
+    """Map point -> hole id, or -1 when the point is in no hole."""
     hole_of = np.full(size, -1, dtype=np.int32)
-    hole_of[cells.T] = np.arange(len(holes))
+    hole_of[np.array(holes, dtype=np.intp).T] = np.arange(len(holes))
     return hole_of
 
 
-def _same_hole(hole_of: np.ndarray) -> np.ndarray:
+def _same_hole(holes, size: int) -> np.ndarray:
     """(x, y) -> both points lie in one hole: the cells a valid object
-    leaves blank and the pairs a valid design never covers."""
-    return (hole_of[:, None] == hole_of[None, :]) & (hole_of >= 0)[:, None]
+    leaves blank and the pairs a valid design never covers, each hole's
+    h x h block written into a zeroed mask."""
+    same = np.zeros((size, size), dtype=bool)
+    cells = np.array(holes or [[]], dtype=np.intp)  # no holes: one hole of no points
+    same[cells[:, :, None], cells[:, None, :]] = True
+    return same
 
 
 def _scaled_sum(width: int):
@@ -235,17 +238,17 @@ def _report(violations) -> VerificationReport:
     return VerificationReport(valid=not violations, violations=tuple(violations))
 
 
-def _checked_squares(squares, side: int) -> np.ndarray:
+def _frozen_squares(squares, side: int) -> np.ndarray:
     """k squares of the given side over the symbols 0..side-1 and blanks,
-    as an array; MalformedInput for any other shape or symbol."""
-    arr = np.asarray(squares)
+    as a frozen int32 array; MalformedInput for any other shape or entry."""
+    arr = _array(squares)
     if arr.ndim != 3 or arr.shape[1:] != (side, side):
         raise MalformedInput(f"expected (k, {side}, {side}) squares, got {arr.shape}")
-    if arr.dtype.kind not in "iu":
+    if arr.size and arr.dtype.kind not in "iu":  # no squares hold no such entry
         raise MalformedInput(f"squares must hold integers, got {arr.dtype}")
     if arr.size and (arr.min() < BLANK or arr.max() >= side):
         raise MalformedInput("symbol out of range")
-    return arr
+    return gf.frozen(arr, np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +257,23 @@ def _checked_squares(squares, side: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LatinSquare:
-    """An n x n array over symbols 0..n-1, blanks allowed."""
+    """An n x n array over symbols 0..n-1, blanks allowed, n >= 1."""
 
-    n: int
     cells: np.ndarray
+
+    def __post_init__(self):
+        arr = _array(self.cells)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+            raise MalformedInput(f"latin square must be square, got {arr.shape}")
+        object.__setattr__(self, "cells", _frozen_squares(arr[None], len(arr))[0])
+
+    @property
+    def n(self) -> int:
+        return len(self.cells)
 
     @staticmethod
     def from_array(cells) -> "LatinSquare":
-        arr = np.asarray(cells)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise MalformedInput(f"latin square must be square, got {arr.shape}")
-        return LatinSquare(n=len(arr), cells=gf.frozen(
-            _checked_squares(arr[None], len(arr))[0], np.int32))
+        return LatinSquare(cells)
 
 
 def _duplicates(square: np.ndarray):
@@ -288,8 +296,19 @@ def verify_latin(sq: LatinSquare) -> VerificationReport:
 # holey MOLS
 # ---------------------------------------------------------------------------
 
+class _SquareSet:
+    """What the square sets share: k, their number, and hole_of()."""
+
+    @property
+    def k(self) -> int:
+        return len(self.squares)
+
+    def hole_of(self) -> np.ndarray:
+        return _hole_of_array(self.holes, self.squares.shape[-1])
+
+
 @dataclass(frozen=True)
-class HoleyLatinSquareSet:
+class HoleyLatinSquareSet(_SquareSet):
     """k squares of side h*n over a shared partition into n holes of size h.
 
     Every square is blank exactly on the union of H_t x H_t, symbols of a
@@ -297,22 +316,21 @@ class HoleyLatinSquareSet:
     pairwise orthogonal off the holes.
     """
 
-    k: int
     h: int
     n: int
     holes: tuple
     squares: np.ndarray  # (k, hn, hn)
 
+    def __post_init__(self):
+        object.__setattr__(self, "squares", _frozen_squares(self.squares, self.h * self.n))
+        holes = holes_new(HOLE_UNIFORM, self.holes, self.h * self.n)
+        if len(holes) != self.n:
+            raise MalformedInput(f"expected {self.n} holes, got {len(holes)}")
+        object.__setattr__(self, "holes", holes)
+
     @staticmethod
     def from_arrays(h: int, n: int, holes, squares) -> "HoleyLatinSquareSet":
-        arr = gf.frozen(_checked_squares(squares, h * n), np.int32)
-        norm = holes_new(HOLE_UNIFORM, holes, h * n)
-        if len(norm) != n:
-            raise MalformedInput(f"expected {n} holes, got {len(norm)}")
-        return HoleyLatinSquareSet(k=len(arr), h=h, n=n, holes=norm, squares=arr)
-
-    def hole_of(self) -> np.ndarray:
-        return _hole_of_array(self.holes, self.h * self.n)
+        return HoleyLatinSquareSet(h=h, n=n, holes=holes, squares=squares)
 
 
 def _square_witnesses(v, sq_idx, square, hole_of, same_hole):
@@ -330,18 +348,15 @@ def _square_witnesses(v, sq_idx, square, hole_of, same_hole):
         v.append((HOLE_SYMBOL, (sq_idx, int(i), int(j), int(s))))
 
 
-def _verify_squares(squares, hole_of) -> VerificationReport:
-    """Holey and incomplete MOLS as the k + 2 columns of their design: the
-    squares, then each cell's row and column, views of one arange(g).  A
-    square with its blanks in place has no duplicate and no hole symbol
-    exactly when its line pairs count as its square pairs do, a blank's key
-    below zero; a square with a blank misplaced is paired over filled cells."""
-    g = len(hole_of)
-    # from_arrays checks shape and range, but the plain dataclass constructor
-    # does not; the keys are int32 arithmetic, so squares in range are cast
-    squares = _checked_squares(squares, g).astype(np.int32, copy=False)
-    k = len(squares)
-    same_hole = _same_hole(hole_of)
+def verify_hmols(s: HoleyLatinSquareSet) -> VerificationReport:
+    """Exact check of holey (or incomplete) MOLS as the k + 2 columns of
+    their design: the squares, then each cell's row and column, views of
+    one arange(g).  A square with its blanks in place has no duplicate and
+    no hole symbol exactly when its line pairs count as its square pairs
+    do, a blank's key below zero; a square with a blank misplaced is
+    paired over filled cells."""
+    squares, k, g = s.squares, s.k, s.squares.shape[-1]
+    hole_of, same_hole = s.hole_of(), _same_hole(s.holes, g)
     expected = ~same_hole
     blanks = np.count_nonzero(same_hole)  # in a square with its blanks in place
     placed = ((squares == BLANK) == same_hole).reshape(k, -1).all(1).tolist()
@@ -365,37 +380,36 @@ def _verify_squares(squares, hole_of) -> VerificationReport:
     return _report(v)
 
 
-def verify_hmols(s: HoleyLatinSquareSet) -> VerificationReport:
-    """Exact check of the holey-MOLS conditions by counting all pairs."""
-    return _verify_squares(s.squares, s.hole_of())
-
-
 # ---------------------------------------------------------------------------
 # incomplete MOLS (single common hole)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class IncompleteMolsSet:
+class IncompleteMolsSet(_SquareSet):
     """k squares of order n with a single common hole H: cells H x H blank,
-    hole symbols absent from hole rows/columns, orthogonal off the hole."""
+    hole symbols absent from hole rows/columns, orthogonal off the hole;
+    an empty hole is no hole."""
 
-    k: int
     n: int
     hole: tuple
     squares: np.ndarray  # (k, n, n)
 
+    def __post_init__(self):
+        object.__setattr__(self, "squares", _frozen_squares(self.squares, self.n))
+        object.__setattr__(self, "hole", holes_new(HOLE_SINGLE, [self.hole], self.n)[0]
+                           if len(self.hole) else ())
+
+    @property
+    def holes(self) -> tuple:
+        """The hole as a tuple of holes, as the other objects keep them."""
+        return (self.hole,) if self.hole else ()
+
     @staticmethod
     def from_arrays(n: int, hole, squares) -> "IncompleteMolsSet":
-        arr = gf.frozen(_checked_squares(squares, n), np.int32)
-        hole = holes_new(HOLE_SINGLE, [hole], n)[0] if len(hole) else ()  # empty: none
-        return IncompleteMolsSet(k=len(arr), n=n, hole=hole, squares=arr)
-
-    def hole_of(self) -> np.ndarray:
-        return _hole_of_array((self.hole,), self.n)
+        return IncompleteMolsSet(n=n, hole=hole, squares=squares)
 
 
-def verify_imols(s: IncompleteMolsSet) -> VerificationReport:
-    return _verify_squares(s.squares, s.hole_of())
+verify_imols = verify_hmols  # one hole is a holey set's holes
 
 
 # ---------------------------------------------------------------------------
@@ -420,21 +434,16 @@ class BlockDesign:
     holes: tuple
     blocks: np.ndarray  # (B, k), the view .T of a frozen (k, B) buffer
 
-    @staticmethod
-    def new(k, group_size, index, blocks, hole_kind=HOLE_NONE, holes=()) -> "BlockDesign":
-        # an integer array is range-checked in its own dtype (int32 and
-        # narrower need no check), then frozen column-major: arr.T is
-        # copied once, or adopted as it is when it is a frozen int32 (k, B)
-        # buffer already, such as the design reader's
-        if isinstance(blocks, np.ndarray) and blocks.dtype.kind in "iu":
-            arr = blocks
-        else:
-            try:
-                arr = np.asarray(blocks, dtype=np.int64)
-            except OverflowError:
-                arr = None
-            except (ValueError, TypeError):  # ragged rows, or an entry not a number
-                raise MalformedInput(f"blocks must be rows of {k} integers") from None
+    def __post_init__(self):
+        # (B, k) rows of integers, range-checked in their own dtype; .T is
+        # copied once, or adopted when it is a frozen int32 buffer already
+        k, arr = self.k, _array(self.blocks)
+        if arr.size and arr.dtype.kind not in "iu":
+            if not all(type(x) is int for x in np.asarray(self.blocks, dtype=object).flat):
+                raise MalformedInput(f"block entries must be integers, got {arr.dtype}"
+                                     if arr.dtype.kind in "bfc" else
+                                     f"blocks must be rows of {k} integers")
+            arr = None  # Python integers, some beyond int64, that numpy read as floats or objects
         if arr is None or arr.size and not np.can_cast(arr.dtype, np.int32) and \
                 not -2**31 <= arr.min() <= arr.max() < 2**31:
             raise MalformedInput("block entries must fit in 32-bit integers")
@@ -444,15 +453,17 @@ class BlockDesign:
             raise MalformedInput(f"blocks must be (B, {k}), got {arr.shape}")
         if k < 2:
             raise MalformedInput("a block design needs at least two groups")
-        if group_size < 1 or index < 1:
-            raise MalformedInput(f"group size {group_size} and index {index} "
-                                 f"must be at least 1")
-        if group_size >= 2**31 or index >= 2**31:
-            raise MalformedInput(f"group size {group_size} and index {index} "
-                                 f"must be below 2^31")
-        return BlockDesign(k=k, group_size=group_size, index=index, hole_kind=hole_kind,
-                           holes=holes_new(hole_kind, holes, group_size),
-                           blocks=gf.frozen(arr.T, np.int32).T)
+        sizes = f"group size {self.group_size} and index {self.index}"
+        if self.group_size < 1 or self.index < 1:
+            raise MalformedInput(f"{sizes} must be at least 1")
+        if self.group_size >= 2**31 or self.index >= 2**31:
+            raise MalformedInput(f"{sizes} must be below 2^31")
+        object.__setattr__(self, "holes", holes_new(self.hole_kind, self.holes, self.group_size))
+        object.__setattr__(self, "blocks", gf.frozen(arr.T, np.int32).T)
+
+    @staticmethod
+    def new(k, group_size, index, blocks, hole_kind=HOLE_NONE, holes=()) -> "BlockDesign":
+        return BlockDesign(k, group_size, index, hole_kind, holes, blocks)
 
     @property
     def hole_size(self) -> int:
@@ -505,24 +516,15 @@ def verify_design(d: BlockDesign) -> VerificationReport:
     in exactly `index` blocks, same-hole pairs in none, block count and
     shapes consistent with the profile."""
     v = []
-    g = d.group_size
-    if d.blocks.shape[1:] != (d.k,):  # as BlockDesign.new, not the plain constructor, checks
-        raise MalformedInput(f"blocks must be (B, {d.k}), got {d.blocks.shape}")
-    cols = d.blocks.T
-    if cols.dtype.kind not in "iu":
-        raise MalformedInput(f"block entries must be integers, got {cols.dtype}")
-    # read as unsigned, a negative entry is 2^31 or more, so at least g; an
-    # integer dtype other than new's int32 is read as int64, then cast
-    entries = cols.view(np.uint32) if cols.dtype == np.int32 else \
-        cols.astype(np.int64).view(np.uint64)
+    g, cols = d.group_size, d.blocks.T
+    entries = cols.view(np.uint32)  # a negative entry is 2^31 or more, so at least g
     if entries.size and entries.max() >= g:
         return _report([(BLOCK_SHAPE, (b,))
                         for b in np.unique(np.nonzero(entries >= g)[1]).tolist()])
-    cols = cols.astype(np.int32, copy=False)
     expected_count = expected_block_count(d)
     if len(d.blocks) != expected_count:
         v.append((COUNT_MISMATCH, (len(d.blocks), expected_count)))
-    same = _same_hole(d.hole_of())
+    same = _same_hole(d.holes, g)
     _count_pairs(v, cols, np.where(same, 0, d.index) if d.index > 1 else ~same)
     return _report(v)
 
@@ -531,23 +533,24 @@ def verify_design(d: BlockDesign) -> VerificationReport:
 # HMOLS <-> HTD equivalence and relatives
 # ---------------------------------------------------------------------------
 
-def _cell_blocks(squares, hole_of) -> np.ndarray:
-    """One block (row, column, each square's symbol) per cell off the
-    holes, as the (B, k) view of their columns, each written in its slot."""
-    g, cells = len(hole_of), np.flatnonzero(~_same_hole(hole_of))
-    flat = squares.reshape(len(squares), -1)  # verified: each symbol off the holes is a point
-    return gf.frozen_written(np.int32, (len(flat) + 2, len(cells)), (
+def _cell_design(s, hole_kind: str) -> BlockDesign:
+    """The design of a verified square set: one block (row, column, each
+    square's symbol) per cell off the holes, each column written in its slot."""
+    g = s.squares.shape[-1]
+    cells = np.flatnonzero(~_same_hole(s.holes, g))
+    flat = s.squares.reshape(s.k, -1)  # verified: each symbol off the holes is a point
+    cols = gf.frozen_written(np.int32, (s.k + 2, len(cells)), (
         (2, lambda lines: np.divmod(cells, g, out=tuple(lines))),
-        (len(flat), lambda rows: np.take(flat, cells, axis=1, out=rows, mode="clip")))).T
+        (s.k, lambda rows: np.take(flat, cells, axis=1, out=rows, mode="clip"))))
+    return BlockDesign.new(k=s.k + 2, group_size=g, index=1, blocks=cols.T,
+                           hole_kind=hole_kind, holes=s.holes)
 
 
 def hmols_to_htd(s: HoleyLatinSquareSet) -> BlockDesign:
     """k HMOLS of type h^n to HTD(k+2, h^n): groups are rows, columns, and
     one group per square; one block per filled cell."""
     verify_hmols(s).require("HMOLS set")
-    return BlockDesign.new(k=s.k + 2, group_size=s.h * s.n, index=1,
-                           blocks=_cell_blocks(s.squares, s.hole_of()),
-                           hole_kind=HOLE_UNIFORM, holes=s.holes)
+    return _cell_design(s, HOLE_UNIFORM)
 
 
 def htd_to_hmols(d: BlockDesign) -> HoleyLatinSquareSet:
@@ -580,10 +583,7 @@ def imols_to_itd(s: IncompleteMolsSet) -> BlockDesign:
     """k incomplete MOLS with a common hole to ITD(k+2, (n; h)), read the
     same way as the holey conversion."""
     verify_imols(s).require("incomplete MOLS set")
-    return BlockDesign.new(k=s.k + 2, group_size=s.n, index=1,
-                           blocks=_cell_blocks(s.squares, s.hole_of()),
-                           hole_kind=HOLE_SINGLE if s.hole else HOLE_NONE,
-                           holes=[s.hole] if s.hole else [])
+    return _cell_design(s, HOLE_SINGLE if s.hole else HOLE_NONE)
 
 
 # ---------------------------------------------------------------------------
@@ -635,9 +635,8 @@ def restrict_groups(d: BlockDesign, keep) -> BlockDesign:
     if len(keep) < 2 or len(set(keep)) != len(keep) or \
             any(not 0 <= i < d.k for i in keep):
         raise MalformedInput(f"bad group selection {keep} for k = {d.k}")
-    cols = d.blocks.T  # int32 from new, and any other dtype new range-checks
     return BlockDesign.new(k=len(keep), group_size=d.group_size, index=d.index,
-                           blocks=gf.frozen_from((cols[i:i + 1] for i in keep), cols.dtype,
+                           blocks=gf.frozen_from((d.blocks.T[i:i + 1] for i in keep), np.int32,
                                                  (len(keep), len(d.blocks))).T,
                            hole_kind=d.hole_kind, holes=d.holes)
 
@@ -650,8 +649,8 @@ def relabel_points(d: BlockDesign, perms) -> BlockDesign:
     """
     if d.hole_kind != HOLE_NONE:
         raise MalformedInput("per-group relabeling needs a hole-free design")
-    perms = np.asarray(perms, dtype=np.int64)
-    if perms.shape != (d.k, d.group_size) or \
+    perms = _array(perms)
+    if perms.shape != (d.k, d.group_size) or perms.dtype.kind not in "iu" or \
             (np.sort(perms, axis=1) != np.arange(d.group_size)).any():
         raise MalformedInput("need one full permutation per group")
     cols = gf.frozen_written(np.int32, (d.k, len(d.blocks)), (  # permuted points fit int32

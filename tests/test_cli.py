@@ -723,7 +723,7 @@ def test_execute_writes_the_printed_design(tmp_path, capsys):
     assert run(["execute", str(plan_path), "--registry", reg_path,
                 "--budget", str(cy.DEFAULT_BUDGET), "--out", str(out)]) == 0
     design = pl.execute_plan(pl.PlanTree.from_json(plan_path.read_text()),
-                             pl.Registry.from_json(open(reg_path).read()),
+                             pl.Registry.from_json(Path(reg_path).read_text()),
                              seed=0, budget=cy.DEFAULT_BUDGET)
     assert out.read_bytes() == formats.design_dumps(design).encode()
 

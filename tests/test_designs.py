@@ -97,11 +97,13 @@ def test_random_single_cell_mutations_always_flagged():
 
 @pytest.mark.parametrize("symbol", [-2, 8])
 def test_hmols_symbol_out_of_range_is_malformed(symbol):
-    # dataclasses.replace skips from_arrays, so the verifier checks the range
+    # dataclasses.replace checks the range as from_arrays does
     pair = hmols_pair_2_4()
-    bad = dataclasses.replace(pair, squares=mutate_square(pair.squares, 0, 0, 2, symbol))
+    bad = mutate_square(pair.squares, 0, 0, 2, symbol)
     with pytest.raises(MalformedInput, match="symbol out of range"):
-        dz.verify_hmols(bad)
+        dataclasses.replace(pair, squares=bad)
+    with pytest.raises(MalformedInput, match="symbol out of range"):
+        dz.HoleyLatinSquareSet.from_arrays(h=2, n=4, holes=pair.holes, squares=bad)
 
 
 def _td_2_3_as_k_3():
@@ -114,60 +116,66 @@ def _td_2_3_with_hole_point_9():
                           holes=((0, 9),), blocks=dz.td_from_field(2, 3).blocks)
 
 
-@pytest.mark.parametrize("verify, make, message", [
-    (dz.verify_design, _td_2_3_as_k_3, r"blocks must be \(B, 3\), got \(9, 2\)"),
-    (dz.verify_design, _td_2_3_with_hole_point_9, "hole points leave 0..2"),
-    (dz.verify_hmols, lambda: dataclasses.replace(
+@pytest.mark.parametrize("make, message", [
+    (_td_2_3_as_k_3, r"blocks must be \(B, 3\), got \(9, 2\)"),
+    (_td_2_3_with_hole_point_9, r"hole points repeat or leave 0\.\.2"),
+    (lambda: dataclasses.replace(
         hmols_pair_2_4(), squares=np.zeros((2, 4, 4), np.int32)), "squares, got"),
-    (dz.verify_hmols, lambda: dataclasses.replace(
+    (lambda: dataclasses.replace(
         hmols_pair_2_4(), squares=np.zeros((2, 8, 9), np.int32)), "squares, got"),
-    (dz.verify_hmols, lambda: dataclasses.replace(
+    (lambda: dataclasses.replace(
         hmols_pair_2_4(), squares=np.zeros((8, 8), np.int32)), "squares, got"),
-    (dz.verify_imols, lambda: dataclasses.replace(imols_pair_6_2(), hole=(0, 9)),
-     "hole points leave 0..5"),
-    (dz.verify_imols, lambda: dataclasses.replace(imols_pair_6_2(), hole=(0, -1)),
-     "hole points leave 0..5"),
-    (dz.verify_hmols, lambda: dataclasses.replace(
+    (lambda: dataclasses.replace(imols_pair_6_2(), hole=(0, 9)),
+     r"hole points repeat or leave 0\.\.5"),
+    (lambda: dataclasses.replace(imols_pair_6_2(), hole=(0, -1)),
+     r"hole points repeat or leave 0\.\.5"),
+    (lambda: dataclasses.replace(
         hmols_pair_2_4(), holes=((0, 1), (2, 3), (4, 5), (6,))), "integer rows of one size"),
-    (dz.verify_hmols, lambda: dataclasses.replace(
+    (lambda: dataclasses.replace(
         hmols_pair_2_4(), holes=((0.5, 1), (2, 3), (4, 5), (6, 7))), "integer rows of one size"),
-    (dz.verify_hmols, lambda: dataclasses.replace(
+    (lambda: dataclasses.replace(
         hmols_pair_2_4(), holes=(0, 1, 2, 3, 4, 5, 6, 7)), "integer rows of one size"),
-    (dz.verify_imols, lambda: dataclasses.replace(imols_pair_6_2(), hole=(0.5, 1)),
+    (lambda: dataclasses.replace(imols_pair_6_2(), hole=(0.5, 1)),
      "integer rows of one size"),
-    (dz.verify_design, lambda: dataclasses.replace(
+    (lambda: dataclasses.replace(
         dz.hmols_to_htd(hmols_pair_2_4()), holes=((0, 1), (2,))), "integer rows of one size"),
-    (dz.verify_hmols, lambda: dataclasses.replace(
+    (lambda: dataclasses.replace(
         hmols_pair_2_4(), squares=hmols_pair_2_4().squares.astype(float)),
      "squares must hold integers, got float64"),
-    (dz.verify_imols, lambda: dataclasses.replace(
+    (lambda: dataclasses.replace(
         imols_pair_6_2(), squares=imols_pair_6_2().squares.astype(float)),
      "squares must hold integers, got float64"),
-    (dz.verify_design, lambda: dataclasses.replace(
+    (lambda: dataclasses.replace(
         dz.hmols_to_htd(hmols_pair_2_4()), blocks=dz.hmols_to_htd(hmols_pair_2_4()).blocks
         .astype(float)), "block entries must be integers, got float64"),
 ], ids=["blocks-2-of-3", "hole-point-9", "squares-2x4x4", "squares-2x8x9", "squares-8x8",
         "imols-hole-9", "imols-hole-minus-1", "ragged-holes", "float-holes", "flat-holes",
         "imols-float-hole", "design-ragged-holes", "float-squares", "imols-float-squares",
         "float-blocks"])
-def test_verifiers_refuse_misused_dataclasses(verify, make, message):
-    # the plain dataclass constructors skip new and from_arrays, so the
-    # verifiers check the shapes and hole points they read
+def test_verifiers_refuse_misused_dataclasses(make, message):
+    # the plain constructors and dataclasses.replace normalise as new and
+    # from_arrays do, so a misused field never reaches a verifier
     with pytest.raises(MalformedInput, match=message):
-        verify(make())
+        make()
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint32, np.int64,
                                    np.uint64])
 def test_verify_design_reads_blocks_of_any_integer_dtype(dtype):
-    # a plain constructor's blocks need not be new's int32: their entries
-    # are read as numbers, not as the bits of an int32 view
+    # blocks of any integer dtype are cast to one frozen int32 buffer when
+    # the design is made; an entry outside int32 is refused there
     htd = dz.hmols_to_htd(hmols_pair_2_4())
-    assert dz.verify_design(dataclasses.replace(htd, blocks=htd.blocks.astype(dtype))).valid
+    cast = dataclasses.replace(htd, blocks=htd.blocks.astype(dtype))
+    assert cast.blocks.dtype == np.int32 and not cast.blocks.flags.writeable
+    assert np.array_equal(cast.blocks, htd.blocks) and dz.verify_design(cast).valid
     wide = htd.blocks.astype(np.int64)
     wide[3, 2] = 2**32 + 1 if np.dtype(dtype).itemsize == 8 else np.iinfo(dtype).max
-    report = dz.verify_design(dataclasses.replace(htd, blocks=wide.astype(dtype)))
-    assert report.violations == ((dz.BLOCK_SHAPE, (3,)),)
+    if wide[3, 2] < 2**31:
+        report = dz.verify_design(dataclasses.replace(htd, blocks=wide.astype(dtype)))
+        assert report.violations == ((dz.BLOCK_SHAPE, (3,)),)
+    else:
+        with pytest.raises(MalformedInput, match="^block entries must fit in 32-bit integers$"):
+            dataclasses.replace(htd, blocks=wide.astype(dtype))
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.int64, np.uint64])
@@ -175,7 +183,56 @@ def test_verify_imols_reads_squares_of_any_integer_dtype(dtype):
     # two MOLS(5) with no hole have no blanks, so even unsigned squares hold them
     squares = dz.td_from_field(4, 5).sorted_blocks()[:, 2:].T.reshape(2, 5, 5)
     mols = dz.IncompleteMolsSet.from_arrays(n=5, hole=(), squares=squares)
-    assert dz.verify_imols(dataclasses.replace(mols, squares=squares.astype(dtype))).valid
+    cast = dataclasses.replace(mols, squares=squares.astype(dtype))
+    assert cast.squares.dtype == np.int32 and not cast.squares.flags.writeable
+    assert np.array_equal(cast.squares, squares) and dz.verify_imols(cast).valid
+
+
+def _htd_fields(**change):
+    htd = dz.hmols_to_htd(hmols_pair_2_4())
+    return {**{f.name: getattr(htd, f.name) for f in dataclasses.fields(htd)}, **change}
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: dz.BlockDesign.new(k=2, group_size=3, index=1,
+                                blocks=np.array([[0.5, 1.7], [2.9, 0.2]])),
+     "^block entries must be integers, got float64$"),
+    (lambda: dz.BlockDesign.new(k=2, group_size=3, index=1, blocks=[[0.5, 1.7], [2.9, 0.2]]),
+     "^block entries must be integers, got float64$"),
+    (lambda: dz.BlockDesign.new(k=2, group_size=3, index=1, blocks=[[0, 1.0]]),
+     "^block entries must be integers, got float64$"),
+    (lambda: dz.BlockDesign.new(k=2, group_size=3, index=1, blocks=[[True, False]]),
+     "^block entries must be integers, got bool$"),
+    (lambda: dz.BlockDesign(**_htd_fields(blocks=_htd_fields()["blocks"].astype(float))),
+     "^block entries must be integers, got float64$"),
+    (lambda: dz.BlockDesign(**_htd_fields(blocks=_htd_fields()["blocks"].astype(bool))),
+     "^block entries must be integers, got bool$"),
+    (lambda: dz.holes_new("single", [(0.5, 1)], 6), "^holes must be 64-bit integer rows"),
+    (lambda: dz.holes_new("single", [(True, False)], 6), "^holes must be 64-bit integer rows"),
+    (lambda: dz.holes_new("single", [(0, 2**70)], 6), "^holes must be 64-bit integer rows"),
+    (lambda: dz.BlockDesign.new(k=2, group_size=3, index=1, blocks=[],
+                                hole_kind="single", holes=[(0.0, 1.0)]),
+     "^holes must be 64-bit integer rows"),
+    (lambda: dz.IncompleteMolsSet.from_arrays(n=6, hole=[0.5, 1],
+                                              squares=imols_pair_6_2().squares),
+     "^holes must be 64-bit integer rows"),
+    (lambda: dz.HoleyLatinSquareSet.from_arrays(
+        h=2, n=4, holes=hmols_pair_2_4().holes, squares=hmols_pair_2_4().squares + 0.5),
+     "^squares must hold integers, got float64$"),
+    (lambda: dz.LatinSquare.from_array([[0.0, 1.0], [1.0, 0.0]]),
+     "^squares must hold integers, got float64$"),
+    (lambda: dz.LatinSquare.from_array([[False, True], [True, False]]),
+     "^squares must hold integers, got bool$"),
+    (lambda: dz.LatinSquare(cells=[[0, 1], [1]]), r"^latin square must be square, got \(\)$"),
+    (lambda: dz.IncompleteMolsSet(n=2, hole=(), squares=[[[0, 1], [1]]]),
+     r"^expected \(k, 2, 2\) squares, got \(\)$"),
+], ids=["float-array-blocks", "float-list-blocks", "one-float-entry", "bool-list-blocks",
+        "float-blocks-constructor", "bool-blocks-constructor", "float-hole", "bool-hole",
+        "huge-hole", "design-float-hole", "imols-float-hole", "float-squares",
+        "float-latin", "bool-latin", "ragged-latin", "ragged-squares"])
+def test_non_integer_entries_are_refused_not_truncated(make, message):
+    with pytest.raises(MalformedInput, match=message):
+        make()
 
 
 # -- incomplete MOLS ---------------------------------------------------------
@@ -206,9 +263,11 @@ def test_imols_blanked_entry_is_count_mismatch():
 
 def test_imols_symbol_out_of_range_is_malformed():
     pair = imols_pair_6_2()
-    bad = dataclasses.replace(pair, squares=mutate_square(pair.squares, 1, 3, 3, 6))
+    bad = mutate_square(pair.squares, 1, 3, 3, 6)
     with pytest.raises(MalformedInput, match="symbol out of range"):
-        dz.verify_imols(bad)
+        dataclasses.replace(pair, squares=bad)
+    with pytest.raises(MalformedInput, match="symbol out of range"):
+        dz.IncompleteMolsSet.from_arrays(n=6, hole=pair.hole, squares=bad)
 
 
 # -- block designs -----------------------------------------------------------
@@ -388,8 +447,9 @@ def test_ragged_and_huge_block_lists_rejected_as_before():
             dz.BlockDesign.new(k=2, group_size=2, index=1, blocks=blocks)
     with pytest.raises(MalformedInput, match=r"^blocks must be \(B, 2\), got \(\)$"):
         dz.BlockDesign.new(k=2, group_size=2, index=1, blocks=5)
-    with pytest.raises(MalformedInput, match="32-bit"):
-        dz.BlockDesign.new(k=2, group_size=2, index=1, blocks=[[0, 2**70]])
+    for huge in (2**70, 2**63):  # numpy reads [[0, 2**63]] as floats
+        with pytest.raises(MalformedInput, match="32-bit"):
+            dz.BlockDesign.new(k=2, group_size=2, index=1, blocks=[[0, huge]])
 
 
 def test_int32_extremes_load_and_fail_as_shapes():
@@ -575,3 +635,92 @@ def test_incomplete_square_set_hole_matches_the_scalar_reference(case):
     s = _refused_as_none(lambda: dz.IncompleteMolsSet.from_arrays(
         n=n, hole=hole, squares=np.full((1, n, n), dz.BLANK)))
     assert (s.hole if s else None) == (cell if ok else None)
+
+
+# -- one normalising path ----------------------------------------------------
+
+NAMED = {dz.BlockDesign: dz.BlockDesign.new,
+         dz.HoleyLatinSquareSet: dz.HoleyLatinSquareSet.from_arrays,
+         dz.IncompleteMolsSet: dz.IncompleteMolsSet.from_arrays,
+         dz.LatinSquare: dz.LatinSquare.from_array}
+
+SMALL_OBJECTS = [
+    lambda: dz.td_from_field(3, 4),
+    lambda: dz.td_from_field(2, 3),
+    lambda: dz.unit_hole_htd(3, 5),
+    lambda: dz.hmols_to_htd(hmols_pair_2_4()),
+    lambda: dz.imols_to_itd(imols_pair_6_2()),
+    lambda: dz.BlockDesign.new(k=3, group_size=2, index=2, blocks=[]),
+    hmols_pair_2_4,
+    imols_pair_6_2,
+    lambda: dz.IncompleteMolsSet.from_arrays(n=3, hole=(), squares=np.zeros((0, 3, 3), int)),
+    lambda: dz.LatinSquare.from_array((np.arange(4)[:, None] + np.arange(4)) % 4),
+]
+
+
+@st.composite
+def spelled_array(draw, a):
+    """a in a form the constructors accept, with False: a list, any integer
+    dtype that holds it, another memory order, a strided view; or with
+    True, as floats, which they refuse."""
+    signed = [np.int8, np.int16, np.int32, np.int64]
+    dtypes = signed + ([np.uint8, np.uint16, np.uint32, np.uint64] if a.min(initial=0) >= 0
+                       else [])
+    lists = ["list"] if a.size else []  # a list of no squares has no side
+    form = draw(st.sampled_from(lists + ["dtype", "fortran", "strided", "float"]))
+    if form == "list":
+        return a.tolist(), False
+    if form == "dtype":
+        return a.astype(draw(st.sampled_from(dtypes))), False
+    if form == "fortran":
+        return np.asfortranarray(a.astype(np.int64)), False
+    if form == "strided":
+        return np.repeat(a, 2, axis=0)[::2], False
+    return a.astype(float), a.size > 0
+
+
+@st.composite
+def spelled_holes(draw, holes):
+    """Holes reordered, each hole and the holes among themselves, as
+    tuples, lists or one integer array."""
+    rows = [draw(st.permutations(hole)) for hole in draw(st.permutations(holes))]
+    form = draw(st.sampled_from([tuple, list, np.array]))
+    return form(rows) if form is not tuple else tuple(map(tuple, rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SMALL_OBJECTS), st.data())
+def test_every_construction_path_gives_the_named_builders_object(make, data):
+    obj = make()
+    fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    spelled, refused = dict(fields), False
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            spelled[name], bad = data.draw(spelled_array(value), label=name)
+            refused |= bad
+        elif name == "holes":
+            spelled[name] = data.draw(spelled_holes(value), label=name)
+        elif name == "hole":
+            spelled[name] = data.draw(st.permutations(value), label=name)
+    paths = [lambda: NAMED[type(obj)](**spelled), lambda: type(obj)(**spelled),
+             lambda: dataclasses.replace(obj, **spelled)]
+    if refused:  # the same refusal on every path
+        messages = set()
+        for path in paths:
+            with pytest.raises(MalformedInput) as refusal:
+                path()
+            messages.add(str(refusal.value))
+        assert len(messages) == 1
+        return
+    for path in paths:
+        made = path()
+        assert type(made) is type(obj)
+        for name, value in fields.items():
+            got = getattr(made, name)
+            if isinstance(value, np.ndarray):
+                assert got.dtype == np.int32 and got.shape == value.shape
+                assert not got.flags.writeable and np.array_equal(got, value)
+                with pytest.raises(ValueError):
+                    got.setflags(write=True)
+            else:
+                assert got == value and type(got) is type(value)

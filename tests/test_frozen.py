@@ -165,6 +165,10 @@ def test_relabel_points_refuses_a_table_of_no_permutations():
     td = dz.td_from_field(3, 3)
     with pytest.raises(MalformedInput, match="one full permutation per group"):
         dz.relabel_points(td, [[0, 1, 2], [0, 0, 2], [5, 1, 2]])
+    for table in ([[0, 1, 2], [0.5, 1, 2], [0, 1, 2]],  # no float is truncated
+                  [[0, 1, 2], [0, 1], [0, 1, 2]]):
+        with pytest.raises(MalformedInput, match="one full permutation per group"):
+            dz.relabel_points(td, table)
     perms = [[2, 0, 1], [0, 1, 2], [1, 2, 0]]
     out = dz.relabel_points(td, perms)
     assert out.blocks.tolist() == [[p[x] for p, x in zip(perms, b)] for b in td.blocks.tolist()]
