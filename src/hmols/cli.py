@@ -149,7 +149,8 @@ def _cmd_project(args) -> int:
 
 def _cmd_cosets(args) -> int:
     t = cy.template(args.h, args.d)
-    cols = args.cols if args.cols else list(range(min(args.k or t.size, t.size)))
+    k = t.size if args.k is None else args.k
+    cols = args.cols if args.cols else list(range(min(k, t.size)))
     table = cy.allowed_cosets(t, cols)
     for i, j in itertools.combinations(range(t.h), 2):
         for r, s in itertools.combinations(range(len(cols)), 2):

@@ -6,18 +6,21 @@ design exists, with fixture, constructible-recipe, or external-table
 provenance); a constructible fact's recipe builds one plain design, and
 fixture, external-table and range (*-atleast) facts participate in plan
 arithmetic but are never built, so every executed plan is
-certificate-backed.  What each step needs, its registry facts and its
-children's goals, is stated once (_needs) and read by plan search,
-validation and execution alike.
+certificate-backed.
 
-Plan search is a bounded deterministic depth-first search: step kinds
-are tried in a fixed order and candidates in ascending order, so the
-first (lexicographically smallest) complete plan wins.
+Plan search proposes and _needs decides: _needs states once what each
+step needs (registry facts, the cyclotomic step's `recipe cyclotomic`
+among them, and its children's goals) for search, validation and
+execution alike.  Search is bounded, deterministic and depth-first, so
+the first (lexicographically smallest) complete plan wins.  Its limits,
+and the size bound below which it proposes no cyclotomic step, are
+policy only: a hand-written plan below that bound is still validated.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -191,7 +194,9 @@ class Registry:
         the other params equal, then the range facts of the kind with
         k' >= k, the middle params equal and the last at most the asked
         one, each sorted.  Wider designs imply narrower ones by group
-        restriction."""
+        restriction.  A query of any other kind is MalformedInput."""
+        if kind not in (TD, HTD, ITD):
+            raise MalformedInput(f"find answers TD, HTD and ITD queries, not {kind!r}")
         k, rest = params[0], tuple(params[1:])
         exact = sorted(key for key in self.facts if key[0] == kind
                        and key[1][0] >= k and key[1][1:] == rest)
@@ -282,7 +287,9 @@ def _needs(goal, step):
     """What a step needs to build its goal (h, n, k), an HTD(k+2, h^n): the
     (role, kind, params) of each registry fact it names, kind and params
     being the design that fact must supply, and {role: goal} of its
-    children.  MalformedInput when the step's arithmetic misses the goal."""
+    children.  A requirement with role None names no fact in the step: the
+    registry must hold (kind, params) itself.  MalformedInput when the
+    step does not fit the goal."""
     h, n, k = goal
     kind = step["kind"]
     if kind == STEP_FIXTURE:
@@ -297,7 +304,7 @@ def _needs(goal, step):
             raise MalformedInput(f"cyclotomic step needs prime q = n, got {q}")
         if lam != lambda_hk(h, k + 2) or (q - 1) % lam != 0:
             raise MalformedInput("cyclotomic index inconsistent with the goal")
-        return [], {}
+        return [(None, RECIPE, ("cyclotomic",))], {}
     if kind == STEP_DIAG:
         m, n2 = _ints(step, "m", "n2")
         if m * n2 != n:
@@ -317,6 +324,13 @@ def _needs(goal, step):
     raise MalformedInput(f"unknown step kind {kind!r}")
 
 
+def _supplying(reg, role, kind, params):
+    """The facts that meet one requirement: find's for a role, else the key."""
+    if role is None:
+        return [(kind, params)] if (kind, params) in reg.facts else []
+    return reg.find(kind, params)
+
+
 def validate_plan(tree: PlanTree, reg: Registry) -> None:
     """Re-check every node: its arithmetic, that each registry fact it
     names supplies the design its step needs, and its children's goals.
@@ -326,9 +340,10 @@ def validate_plan(tree: PlanTree, reg: Registry) -> None:
             raise MalformedInput("goal entries must be positive")
         facts, kids = _needs(tree.goal, tree.step)
         for role, kind, params in facts:
-            named = _fact_key(tree.step[role])
-            if named not in reg.find(kind, params):
-                raise MalformedInput(f"{role} {named} does not supply {kind}{params}")
+            named = (kind, params) if role is None else _fact_key(tree.step[role])
+            if named not in _supplying(reg, role, kind, params):
+                raise MalformedInput(f"{role} {named} does not supply {kind}{params}"
+                                     if role else f"the registry has no fact {named}")
         goals = {role: sub.goal for role, sub in tree.children.items()}
         if goals != kids:
             raise MalformedInput(f"children {goals}, but the step needs {kids}")
@@ -350,12 +365,9 @@ PLAN_WIDTH = 10_000  # candidate splits tried per step kind and node
 
 
 def plan_hmols(h: int, k: int, n: int, reg: Registry) -> PlanTree:
-    """Bounded deterministic search for a plan certifying N(h^n) >= k.
-
-    Steps are tried in the order fixture, trivial, cyclotomic, diagonal
-    product, Wilson composition; numeric candidates ascend.  NoPlan is
-    advisory: it only means nothing was found within the limits.
-    """
+    """Bounded deterministic search for a plan certifying N(h^n) >= k, the
+    steps tried in _proposals' order.  NoPlan is advisory: it only means
+    nothing was found within the limits."""
     if h < 1 or k < 1 or n < 1:
         raise MalformedInput("need h, k, n >= 1")
     tree = _search(h, k, n, reg, PLAN_DEPTH)
@@ -366,14 +378,17 @@ def plan_hmols(h: int, k: int, n: int, reg: Registry) -> PlanTree:
 
 
 def _fill(goal, step, reg, depth):
-    """The step completed with the first registry fact for each design it
-    needs and a plan for each child, or None when one is missing."""
-    facts, kids = _needs(goal, step)
+    """The step completed with the first fact for each design it needs and
+    a plan for each child; None when it does not fit or one is missing."""
+    try:
+        facts, kids = _needs(goal, step)
+    except MalformedInput:
+        return None
     for role, kind, params in facts:
-        hits = reg.find(kind, params)
-        if not hits:
+        if not (hits := _supplying(reg, role, kind, params)):
             return None
-        step[role] = [hits[0][0], list(hits[0][1])]
+        if role is not None:
+            step[role] = [hits[0][0], list(hits[0][1])]
     children = {}
     for role, (h, n, k) in kids.items():
         children[role] = _search(h, k, n, reg, depth - 1)
@@ -390,47 +405,33 @@ def _divisors(n):
 
 
 def _search(h, k, n, reg, depth):
-    goal = (h, n, k)
-    tree = _fill(goal, {"kind": STEP_FIXTURE}, reg, depth)
-    if tree is not None:
-        return tree
-    if n == 1:
-        return PlanTree(goal=goal, step={"kind": STEP_TRIVIAL})
-    if h >= 2 and (RECIPE, ("cyclotomic",)) in reg.facts and is_prime(n):
-        lam = lambda_hk(h, k + 2)
-        if (n - 1) % lam == 0 and n > lam ** ((k + 2) * (k + 1)):
-            return PlanTree(goal=goal,
-                            step={"kind": STEP_CYCLOTOMIC, "q": n, "lam": lam})
+    """The first proposed step that fits the goal, filled; None if none."""
+    trees = (_fill((h, n, k), step, reg, depth) for step in _proposals(h, k, n, reg, depth))
+    return next(filter(None, trees), None)
+
+
+def _proposals(h, k, n, reg, depth):
+    """Candidate steps for the goal in search order.  Only search policy
+    lives here; whether a step fits is _needs's to say."""
+    yield from ({"kind": STEP_FIXTURE}, {"kind": STEP_TRIVIAL})
+    if h >= 2:  # lambda(h, k) is defined for h >= 2
+        # Wilson's estimate: the search succeeds for q > lam^((k+2)(k+1));
+        # the power is built only when it has under twice n's bits
+        lam, e = lambda_hk(h, k + 2), (k + 2) * (k + 1)
+        if e * (lam.bit_length() - 1) < n.bit_length() and n > lam ** e:
+            yield {"kind": STEP_CYCLOTOMIC, "q": n, "lam": lam}
     if depth <= 0:
-        return None
-
+        return
     # diagonal product over divisor splits n = m * n2
-    tried = 0
-    for m in _divisors(n):
-        tried += 1
-        if tried > PLAN_WIDTH:
-            break
-        tree = _fill(goal, {"kind": STEP_DIAG, "m": m, "n2": n // m}, reg, depth)
-        if tree is not None:
-            return tree
-
+    yield from itertools.islice(({"kind": STEP_DIAG, "m": m, "n2": n // m}
+                                 for m in _divisors(n)), PLAN_WIDTH)
     # Wilson composition n = m*t + u with 0 <= u < t; m ranges over hole
     # sizes with a known incomplete ingredient
-    tried = 0
-    for hm_plus in sorted({p[1] for kind, p in reg.facts
-                           if kind == ITD and p[0] >= k + 2 and p[2] == h}):
-        m = (hm_plus - h) // h
-        if (hm_plus - h) % h != 0 or m < 1:
-            continue
-        for t in range(n // (m + 1) + 1, n // m + 1):
-            tried += 1
-            if tried > PLAN_WIDTH:
-                break
-            tree = _fill(goal, {"kind": STEP_WILSON, "m": m, "t": t, "u": n - m * t},
-                         reg, depth)
-            if tree is not None:
-                return tree
-    return None
+    ms = sorted({p[1] // h - 1 for kind, p in reg.facts if kind == ITD
+                 and p[0] >= k + 2 and p[2] == h and p[1] % h == 0 and p[1] >= 2 * h})
+    wilson = ({"kind": STEP_WILSON, "m": m, "t": t, "u": n - m * t}
+              for m in ms for t in range(n // (m + 1) + 1, n // m + 1))
+    yield from itertools.islice(wilson, PLAN_WIDTH)
 
 
 # ---------------------------------------------------------------------------
@@ -525,15 +526,13 @@ def _execute(p: PlanTree, reg: Registry, seed: int, budget: int) -> dz.BlockDesi
     h, n, k = p.goal
     facts, kids = _needs(p.goal, p.step)
     built = {role: _execute(p.children[role], reg, seed, budget) for role in kids}
-    groups = {role: params[0] for role, _, params in facts}
-
-    def fact(role):
-        return _resolve(reg, _fact_key(p.step[role]), groups[role])
-
     kind = p.step["kind"]
     try:
+        # each named fact on the groups its step needs
+        built.update((role, _resolve(reg, _fact_key(p.step[role]), params[0]))
+                     for role, _, params in facts if role is not None)
         if kind == STEP_FIXTURE:
-            d = fact("fact")
+            d = built["fact"]
             dz.verify_design(d).require("fixture")
         elif kind == STEP_TRIVIAL:
             d = dz.BlockDesign.new(k=k + 2, group_size=h, index=1, blocks=[],
@@ -542,11 +541,10 @@ def _execute(p: PlanTree, reg: Registry, seed: int, budget: int) -> dz.BlockDesi
             d = cy.expand_td_to_htd(_build_td_lambda(h, k + 2), n, seed=seed,
                                     budget=budget)
         elif kind == STEP_DIAG:
-            d = cp.diag_product(fact("unit_fact"), fact("td_fact"), built["diagonal"])
+            d = cp.diag_product(built["unit_fact"], built["td_fact"], built["diagonal"])
         else:
-            d = cp.wilson_compose(fact("t_fact"), built["layer"], fact("td_fact"),
-                                  fact("itd_fact") if p.step["u"] else None,
-                                  built.get("truncation"))
+            d = cp.wilson_compose(built["t_fact"], built["layer"], built["td_fact"],
+                                  built.get("itd_fact"), built.get("truncation"))
     except HmolsError as exc:
         raise type(exc)(f"subtree {p.goal} failed: {exc}") from exc
     if (d.k, d.hole_size, d.hole_count) != (k + 2, h, n):

@@ -91,6 +91,8 @@ def test_usage_error_exits_two(capsys):
     assert run(["bound", "nonsense", "1", "2"]) == 2
     assert run(["no-such-command"]) == 2
     assert run(["verify", "/no/such/file.grid"]) == 2
+    # --k 0 asks for no columns; it used to mean "not given" and print the table
+    assert run(["cosets", "2", "2", "--k", "0"]) == 2
 
 
 def test_template_output_matches_fixture(capsys):
@@ -461,6 +463,19 @@ def test_execute_broken_plan_exits_two(tmp_path, capsys, name):
     assert run(["execute", str(plan), "--registry", _cyclotomic_registry(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_execute_cyclotomic_plan_without_the_recipe_exits_two(tmp_path, capsys):
+    # it used to print "HTD(3,2^67): valid" and exit 0, though plan search
+    # never proposes the step on such a registry
+    plan, reg = tmp_path / "plan.json", tmp_path / "reg.json"
+    plan.write_text('{"goal": [2, 67, 1], "step": {"kind": "cyclotomic", '
+                    '"q": 67, "lam": 2}, "children": {}}')
+    reg.write_text("[]")
+    assert run(["execute", str(plan), "--registry", str(reg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: plan node (2, 67, 1): ")
 
 
 @pytest.mark.parametrize("text", ['[{"kind": "TD"}]', '{"a": 1}'])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -177,10 +178,10 @@ def test_registry_find_dispatches_on_kind():
 
 
 def scan_find(facts, kind, params):
-    """Registry.find's documented rule, one fact at a time: exact facts of
-    the kind with k' >= k and equal other params, then range facts of the
-    kind with k' >= k, equal middle params and last param at most the
-    asked one; each list sorted."""
+    """Registry.find's documented rule for a TD, HTD or ITD query, one fact
+    at a time: exact facts of the kind with k' >= k and equal other params,
+    then range facts of the kind with k' >= k, equal middle params and last
+    param at most the asked one; each list sorted."""
     ranged_kind = {pl.TD: pl.TD_ATLEAST, pl.HTD: pl.HTD_ATLEAST}.get(kind)
     exact, ranged = [], []
     for fact_kind, p in facts:
@@ -210,6 +211,20 @@ def test_registry_find_is_the_documented_scan(keys, query):
     for kind, params in keys:
         reg.add(kind, params, pl.EXTERNAL)
     assert reg.find(*query) == scan_find(list(reg.facts), *query)
+
+
+@pytest.mark.parametrize("kind, params", [
+    (pl.RECIPE, ("cyclotomic",)), (pl.TD_ATLEAST, (3, 5)), (pl.HTD_ATLEAST, (3, 1, 5)),
+    ("TDX", (3, 5)),
+])
+def test_registry_find_refuses_other_query_kinds(kind, params):
+    # a recipe query compared names by string order: ("zeta",) >= ("cyclotomic",)
+    reg = pl.Registry()
+    reg.add(pl.RECIPE, ("zeta",), pl.CONSTRUCTIBLE)
+    reg.add(pl.TD_ATLEAST, (3, 5), pl.EXTERNAL)
+    reg.add(pl.HTD_ATLEAST, (3, 1, 5), pl.EXTERNAL)
+    with pytest.raises(MalformedInput, match="find answers TD, HTD and ITD queries"):
+        reg.find(kind, params)
 
 
 FACT = {"kind": "TD", "params": [4, 5], "provenance": {"source": "fixture"}}
@@ -299,6 +314,99 @@ def test_plan_single_cyclotomic_leaf():
     reg.add(pl.RECIPE, ("cyclotomic",), pl.CONSTRUCTIBLE)
     tree = pl.plan_hmols(2, 1, 67, reg)
     assert tree.step == {"kind": pl.STEP_CYCLOTOMIC, "q": 67, "lam": 2}
+
+
+def field_registry():
+    """The HMOLS(2^4) fixture, TD(4, q) and HTD(3, 1^q) for the prime powers
+    3 <= q <= 128, ITD(3, (10; 2)) and the cyclotomic recipe, every fact
+    constructible."""
+    reg = pl.Registry()
+    reg.add(pl.HTD, (4, 2, 4), pl.CONSTRUCTIBLE,
+            recipe={"op": "fixture", "name": "hmols_2_4"})
+    for q in range(3, 129):
+        if len(pl.factor_prime_powers(q)) == 1:
+            reg.add(pl.TD, (4, q), pl.CONSTRUCTIBLE,
+                    recipe={"op": "td_from_field", "k": 4, "q": q})
+            reg.add(pl.HTD, (3, 1, q), pl.CONSTRUCTIBLE,
+                    recipe={"op": "unit_hole_htd", "k": 3, "q": q})
+    reg.add(pl.ITD, (3, 10, 2), pl.CONSTRUCTIBLE,
+            recipe={"op": "marked_product_itd", "k": 3, "q1": 5, "q2": 2})
+    reg.add(pl.RECIPE, ("cyclotomic",), pl.CONSTRUCTIBLE)
+    return reg
+
+
+def without_recipe(reg):
+    del reg.facts[(pl.RECIPE, ("cyclotomic",))]
+    return reg
+
+
+def plans_digest(reg, top=520):
+    """sha256 of the plans for HTD(3, 2^n), n = 1..top, a marker where none."""
+    digest = hashlib.sha256()
+    for n in range(1, top + 1):
+        try:
+            digest.update(pl.plan_hmols(2, 1, n, reg).to_json().encode())
+        except NoPlan:
+            digest.update(b"NoPlan\n")
+    return digest.hexdigest()
+
+
+def test_plans_up_to_520_are_pinned():
+    # every plan search finds for these goals, byte for byte, with and
+    # without the cyclotomic recipe
+    assert plans_digest(field_registry()) == \
+        "63111c26ef1c26102fd0182b0b717a8f9e387bedc7b24e34830609ae02947c50"
+    assert plans_digest(without_recipe(field_registry())) == \
+        "f86f0213c804e37320cdd9b5f99d729591f97e71b9571efecad3cabca8179994"
+
+
+def test_validate_refuses_a_cyclotomic_step_without_the_recipe():
+    # plan search never proposed it there, but execution used to build it
+    tree = pl.PlanTree(goal=(2, 67, 1), step={"kind": pl.STEP_CYCLOTOMIC, "q": 67, "lam": 2})
+    with pytest.raises(MalformedInput, match=r"^plan node \(2, 67, 1\): the registry "
+                                             r"has no fact \('recipe', \('cyclotomic',\)\)$"):
+        pl.validate_plan(tree, pl.Registry())
+    reg = pl.Registry()
+    reg.add(pl.RECIPE, ("zeta",), pl.CONSTRUCTIBLE)
+    with pytest.raises(MalformedInput, match=r"^plan node \(2, 67, 1\)"):
+        pl.execute_plan(tree, reg)
+    reg.add(pl.RECIPE, ("cyclotomic",), pl.CONSTRUCTIBLE)
+    pl.validate_plan(tree, reg)
+
+
+def plan_nodes(tree):
+    yield tree
+    for sub in tree.children.values():
+        yield from plan_nodes(sub)
+
+
+def test_plans_fail_without_the_recipe_exactly_when_they_hold_a_cyclotomic_node():
+    # the primes 67..200 plan cyclotomic nodes, the composites do not
+    reg = field_registry()
+    bare = without_recipe(field_registry())
+    seen = set()
+    for n in range(67, 201):
+        try:
+            tree = pl.plan_hmols(2, 1, n, reg)
+        except NoPlan:
+            continue
+        holds = any(node.step["kind"] == pl.STEP_CYCLOTOMIC for node in plan_nodes(tree))
+        seen.add((pl.is_prime(n), holds))
+        if holds:
+            with pytest.raises(MalformedInput, match=r"has no fact \('recipe'"):
+                pl.validate_plan(tree, bare)
+        else:
+            pl.validate_plan(tree, bare)
+    assert seen == {(True, True), (False, False)}
+
+
+def test_plan_with_many_squares_builds_no_huge_power():
+    # the Wilson bound lam^((k+2)(k+1)) is 65536^10000300002 here
+    reg = pl.Registry()
+    reg.add(pl.RECIPE, ("cyclotomic",), pl.CONSTRUCTIBLE)
+    for n in (67, 65537):
+        with pytest.raises(NoPlan):
+            pl.plan_hmols(2, 100_000, n, reg)
 
 
 def test_plan_empty_registry_is_noplan():
