@@ -75,9 +75,10 @@ def template(h: int, d: int) -> TemplateMatrix:
     f = gf.field_new(h)  # refuses an h that is not a prime power
     if d < 1:
         raise MalformedInput("dimension must be positive")
+    # by bit length first, so that h^d is built only when it is small
+    if d * (h.bit_length() - 1) > TEMPLATE_ROWS.bit_length() or h ** d > TEMPLATE_ROWS:
+        raise MalformedInput(f"template would have {h}^{d} rows (bound {TEMPLATE_ROWS})")
     size = h ** d
-    if size > TEMPLATE_ROWS:
-        raise MalformedInput(f"template would have {size} rows (bound {TEMPLATE_ROWS})")
     entries = np.zeros((size, size), dtype=np.int32)
     for c in np.array(list(itertools.product(range(h), repeat=d)), dtype=np.int32).T:
         entries = f.add(entries, f.mul(c[:, None], c[None, :]))

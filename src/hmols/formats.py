@@ -8,11 +8,16 @@ blocks, fixed whitespace) so that parse-then-print is byte-identical.
 
 Design and grid files are read as bytes (a str is read as its UTF-8
 encoding), and the readers scan the bytes directly.  A design file in
-any JSON spelling, escapes included, goes through one scan that finds
-its blocks (_fast_design_doc); only the rest goes to json.loads, decoded
-as UTF-8, and json.loads of the whole text only names the fault of a
-file that is refused.  Bytes that are not UTF-8 raise UnicodeDecodeError,
-as reading the file as text would.
+any JSON spelling, escapes included, goes through one scan that reads
+its blocks (_fast_design_doc), whether the file is read or refused:
+_int_matrix reads the rows piece by piece, and a piece it does not read
+is walked a row at a time by json's raw_decode, which names a syntax
+fault where json.loads of the whole text names it; the reader keeps the
+first fault of each kind, not the rows.  The rest of the file goes to
+json.loads, decoded as UTF-8.  The whole text goes to json.loads only
+when one of its strings is left open or the scan finds no top-level
+"blocks" key, and such a file is refused.  Bytes that are not UTF-8
+raise UnicodeDecodeError, as reading the file as text would.
 
 Design and grid bodies are printed and parsed as arrays: each distinct
 value is formatted once and rows are assembled by table lookups, and the
@@ -399,11 +404,12 @@ def _design_pieces(d: BlockDesign):
 
 _WHITE = b" \t\n\r"  # JSON white space
 # a longer number may not fit int64, and lies outside int32 in any case: a
-# design file that holds one is refused, its fault named by json.loads
+# design file that holds one is refused, its row read by json
 _MAX_DIGITS = 18
 _STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"')  # a JSON string, escapes and all
 _COLON = re.compile(rb"[ \t\n\r]*:[ \t\n\r]*")  # after a key
-_GAP = re.compile(rb"[ \t\n\r]*(,?)")  # between two pieces of rows
+_SEP = re.compile(rb"[ \t\n\r]*([,\]]?)")  # after a row: "," or, after the last, "]"
+_DECODER = json.JSONDecoder()
 _INT32 = np.iinfo(np.int32)
 
 
@@ -457,88 +463,208 @@ def _int_matrix(body: bytes):
 
 
 def _blocks_at(data: bytes, start: int):
-    """(start, end, blocks) when data[start:end] is a JSON array of rows of
-    int32 numbers, or empty, ending at the last "]" before the next '"'
-    (a top-level value of a JSON object is followed by a key or by its
-    end); blocks is its (B, k) view of one frozen (k, B) array.  Else None."""
+    """(end, blocks) for the value data[start:end] of a top-level "blocks"
+    key: blocks is the (B, k) view of one frozen (k, B) int32 array when
+    the value is an array of rows of int32 numbers of one width, or empty,
+    and the _Rows that holds its faults otherwise.  A syntax fault in it
+    raises _Fault, or json's own error.
+
+    Well-formed rows end at the last "]" before the next '"' (a top-level
+    value of a JSON object is followed by a key or by its end); every row
+    ends in a "]", and the first row's commas give the width, so that the
+    blocks fill one frozen (width, rows) buffer, each piece of rows written
+    transposed into its column slots.  Rows of that width need two bytes
+    an entry at the least; when the array has fewer, a row is short, and
+    no buffer is allocated.
+    """
+    rows = _Rows(data)
+    if data[start:start + 1] != b"[":  # no array: json reads the value
+        rows.lists = False
+        return rows.value(start, len(data))[1], rows
     stop = data.find(b'"', start)
-    end = data.rfind(b"]", start, len(data) if stop < 0 else stop) + 1
-    if data[start:start + 1] != b"[" or not end:
-        return None
-    # every row ends in a "]", and the first row's commas give the width:
-    # the blocks fill one frozen (width, rows) buffer, each piece of rows
-    # written transposed into its column slots
-    rows = _count(data, b"]", start + 1, end - 1)
+    close = max(start + 1, data.rfind(b"]", start, len(data) if stop < 0 else stop))
+    count = _count(data, b"]", start + 1, close)
     width = data.count(b",", start + 1, data.find(b"]", start + 1)) + 1
+    if 2 * count * width > close - start:
+        width = 0  # a row is short: no buffer, and nothing written
+    blocks = gf.frozen_written(np.int32, (width, count), [
+        (count, lambda out: rows.read(start, close, out))], axis=1)
+    return rows.end, blocks.T if rows.written == rows.count == count else rows
+
+
+class _Fault(ValueError):
+    """json's message for a syntax fault in a blocks array, and the byte
+    at which json.loads of the whole text finds it."""
+
+
+class _Rows:
+    """The rows of a blocks array as the scan reads them: how many, row 0's
+    width, how many went into the blocks buffer, where the array ends, and
+    the first fault of each kind that the reference reader names after the
+    field checks: a row that is no list of integers, a row of another
+    width than row 0's, an entry beyond int32."""
+
+    def __init__(self, data: bytes):
+        self.data, self.text, self.at, self.stop = data, "", 0, 0
+        self.count = self.width = self.written = self.end = 0
+        self.lists, self.ragged, self.wide = True, None, False
+
+    def add(self, width: int, wide: bool, rows: int = 1):
+        if not self.count:
+            self.width = width
+        elif width != self.width and self.ragged is None:
+            self.ragged = (f"design field 'blocks': row {self.count} has {width} "
+                           f"entries, row 0 has {self.width}")
+        self.wide |= wide
+        self.count += rows
+
+    def value(self, at: int, stop: int):
+        """The JSON value at data[at] and where it ends, by json's
+        raw_decode on data[at:stop] as latin-1 text, one character a byte,
+        so that json counts bytes; the text is decoded once for the rows
+        of a walk.  stop lies after a "]", so that a value json reads in
+        data[:stop] is the one it reads in the whole text; a fault, which
+        may lie in what is cut off, is looked for again in all the rest."""
+        if not self.at <= at < stop <= self.stop:
+            self.text = str(memoryview(self.data)[at:stop], "latin-1")
+            self.at, self.stop = at, stop
+        try:
+            value, end = _DECODER.raw_decode(self.text, at - self.at)
+        except json.JSONDecodeError as fault:
+            if self.stop < len(self.data):
+                return self.value(at, len(self.data))
+            raise _Fault(fault.msg, self.at + fault.pos) from None
+        return value, self.at + end
+
+    def read(self, start: int, close: int, out):
+        """Read the rows of the array that opens at data[start] in pieces
+        cut after a "]" up to close, each a matrix that _int_matrix reads,
+        and write them into out, a (width, rows) int32 buffer, until a
+        piece is none.  That piece is walked a row at a time, each row read
+        by value and the "," or "]" after it checked here, a fault in it
+        named by json (_named); then the pieces go on from where the walk
+        stopped, and a walk past close moves close to the last "]" before
+        the next '"'.  end is set to where the array ends."""
+        data, at, walk = self.data, start + 1, 0
+        while True:
+            if at >= walk:  # a piece of rows
+                if at > close:
+                    stop = data.find(b'"', at)
+                    close = max(at, data.rfind(b"]", at, len(data) if stop < 0 else stop))
+                walk = data.find(b"]", at + _PIECE, close) + 1 or close
+                part = _int_matrix(b"".join((b"[", memoryview(data)[at:walk], b"]")))
+                sep = _SEP.match(data, walk)
+                if part is not None and sep.group(1):
+                    wide = part.dtype != np.int32 and \
+                        (part.min() < _INT32.min or part.max() > _INT32.max)
+                    if self.written == self.count and not wide and part.shape[1] == len(out):
+                        np.copyto(out[:, self.written:self.written + len(part)], part.T,
+                                  casting="unsafe")
+                        self.written += len(part)
+                    self.add(part.shape[1], wide, len(part))
+                    at = sep.end()
+                    if sep.group(1) == b"]":
+                        break
+                    continue
+                stop = data.find(b"]", walk) + 1 or len(data)  # the text the walk decodes
+            sep = _SEP.match(data, at)
+            if sep.group(1) == b"]":  # no rows, or a "," before the "]"
+                if at > start + 1:
+                    raise _named(data, at - 1, sep.end())
+                at = sep.end()
+                break
+            row, at = self.value(sep.start(1), stop)
+            if type(row) is list and all(type(x) is int for x in row):
+                self.add(len(row), not all(_INT32.min <= x <= _INT32.max for x in row))
+            else:
+                self.lists, self.count = False, self.count + 1
+            sep = _SEP.match(data, at)
+            if not sep.group(1):
+                raise _named(data, at, sep.end() + 1)
+            at = sep.end()
+            if sep.group(1) == b"]":
+                break
+        self.end = at
+
+
+def _named(data: bytes, at: int, stop: int) -> _Fault:
+    """The fault json names in data[at:stop], what follows a row up to the
+    byte where a "," or "]" fails, as json.loads of "[0" and those bytes
+    raises it."""
     try:
-        blocks = gf.frozen_from(_block_columns(data, start, end, width),
-                                np.int32, (width, rows), axis=1)
-    except _NotFast:
+        json.loads("[0" + str(memoryview(data)[at:stop], "latin-1"))
+    except json.JSONDecodeError as fault:
+        return _Fault(fault.msg, at + fault.pos - 2)
+
+
+def _fault(data: bytes, msg: str, at: int) -> json.JSONDecodeError:
+    """The JSONDecodeError of json.loads of the whole text for msg at byte
+    at: its position counted in characters, its doc the text up to there,
+    from which its line and column are counted."""
+    head = str(memoryview(data)[:at], "utf-8", "surrogatepass")
+    return json.JSONDecodeError(msg, head, len(head))
+
+
+def _decoded(key: bytes):
+    """A key's string, or None for one that json refuses, whose fault the
+    json.loads of the rest of the text names."""
+    try:
+        return json.loads(_str(key))
+    except json.JSONDecodeError:
         return None
-    return start, end, blocks.T
 
 
 def _fast_design_doc(data: bytes):
     """The design document with the value of its last top-level "blocks"
-    key read by _blocks_at, in any JSON spelling; None when that value is
-    no array _blocks_at reads or the text is no JSON, so that json.loads
-    of the whole text names the fault of a file refused (or reads rows of
-    no entries, [[]], which BlockDesign.new refuses).
+    key read by _blocks_at, in any JSON spelling; None when a string of
+    the text is left open or the scan finds no such key, so that
+    json.loads of the whole text names the fault of the file, which is
+    refused.
 
     The scan walks the JSON strings, each matched whole with its escapes,
     and counts "{[" minus "}]" in the gaps between them to tell the
     top-level keys; a key holding a backslash is decoded on its own.  A
-    blocks array read is skipped, so its rows are scanned once, and is cut
-    out for json.loads with "[]" in its place: any text that may follow
-    one array may follow any other, so the rest is JSON exactly when the
-    whole text is, and its "blocks" is the cut array.
+    blocks value read is skipped, so its rows are scanned once, and is cut
+    out for json.loads with "[]" in its place: any text that may follow one
+    JSON value may follow any other, so the rest is JSON exactly when the
+    whole text is, and its "blocks" is the cut value.  A syntax fault is
+    named as json.loads of the whole text names it: the first before the
+    blocks, in them or after them.
     """
     depth, at, found = 0, 0, None
-    try:
-        while (quote := data.find(b'"', at)) >= 0:
-            depth += sum(data.count(c, at, quote) for c in b"{[") - \
-                sum(data.count(c, at, quote) for c in b"}]")
-            key = _STRING.match(data, quote)
-            if key is None:
-                return None
-            at, key = key.end(), key.group()
-            colon = _COLON.match(data, at)
-            if depth == 1 and colon and (key == b'"blocks"' or b"\\" in key and
-                                         json.loads(_str(key)) == "blocks"):
-                found = _blocks_at(data, colon.end())
-                at = found[1] if found else at
-        if found is None:
+    while (quote := data.find(b'"', at)) >= 0:
+        depth += sum(data.count(c, at, quote) for c in b"{[") - \
+            sum(data.count(c, at, quote) for c in b"}]")
+        key = _STRING.match(data, quote)
+        if key is None:
             return None
-        start, end, blocks = found
-        doc = json.loads(_str(data[:start] + b"[]" + data[end:]))
-    except (ValueError, RecursionError):  # from json.loads: the text is no JSON
+        at, key = key.end(), key.group()
+        colon = _COLON.match(data, at)
+        if depth == 1 and colon and (key == b'"blocks"' or b"\\" in key and
+                                     _decoded(key) == "blocks"):
+            start = colon.end()
+            try:
+                at, blocks = _blocks_at(data, start)
+            except (ValueError, RecursionError) as fault:  # from json, in the blocks
+                # its frames hold the blocks buffer: free it before the text is decoded
+                fault.__traceback__ = fault.__context__ = None
+                json.loads(_str(data[:start]) + "[]}")  # a fault before them comes first
+                raise _fault(data, *fault.args) if isinstance(fault, _Fault) else fault
+            found = start, at, blocks
+    if found is None:
         return None
+    start, end, blocks = found
+    head = _str(data[:start])
+    rest = head + "[]" + _str(data[end:])
+    try:
+        doc = json.loads(rest)
+    except json.JSONDecodeError as fault:
+        if fault.pos < len(head) + 2:
+            raise
+        past = len(rest[len(head) + 2:fault.pos].encode("utf-8", "surrogatepass"))
+        raise _fault(data, fault.msg, end + past) from None
     doc["blocks"] = blocks
     return doc
-
-
-class _NotFast(Exception):
-    """A blocks array is not read by _blocks_at."""
-
-
-def _block_columns(data: bytes, start: int, end: int, width: int):
-    """The rows of the blocks array data[start:end], transposed, in
-    pieces cut after a "]", each read as a matrix of its own; _NotFast
-    when a piece is no matrix of width columns of int32 numbers.  A later
-    piece starts after the white space and "," that follow the cut; white
-    space alone holds no rows (an empty array, or after the last row)."""
-    for a, b in _pieces(start + 1, end - 1,
-                        cut=lambda at: data.find(b"]", at, end - 1) + 1 or end - 1):
-        gap = _GAP.match(data, a, b)
-        if gap.end() == b and not gap.group(1):
-            continue
-        if bool(gap.group(1)) != (a > start + 1):  # a "," comes before each later piece
-            raise _NotFast
-        part = _int_matrix(b"".join((b"[", memoryview(data)[gap.end():b], b"]")))
-        if part is None or part.shape[1] != width or part.dtype != np.int32 and \
-                (part.min() < _INT32.min or part.max() > _INT32.max):
-            raise _NotFast
-        yield part.T
 
 
 def _is_int(x) -> bool:
@@ -557,7 +683,7 @@ def design_loads(text: str | bytes) -> BlockDesign:
     MalformedInput."""
     data = _utf8(text)
     doc = _fast_design_doc(data)
-    if doc is None:
+    if doc is None:  # refused: json.loads names the fault
         doc = json.loads(text if isinstance(text, str) else _str(data))
     if not isinstance(doc, dict):
         raise MalformedInput("a design file holds one JSON object")
@@ -570,17 +696,19 @@ def design_loads(text: str | bytes) -> BlockDesign:
     for key in ("k", "group_size", "index"):
         if not _is_int(doc[key]):
             raise MalformedInput(f"design field {key!r} is not an integer")
-    for key in ("blocks", "holes"):  # the fast reading's blocks are integers already
-        if not (isinstance(doc[key], np.ndarray) or _is_rows(doc[key])):
+    rows = doc["blocks"]  # a matrix, or the _Rows of a file refused
+    refused = isinstance(rows, _Rows)
+    for key, bad in (("blocks", refused and not rows.lists),
+                     ("holes", not _is_rows(doc["holes"]))):
+        if bad:
             raise MalformedInput(f"design field {key!r} is not a list of integer lists")
-    rows = doc["blocks"]
-    if isinstance(rows, list):  # the fast reading's blocks are a matrix already
-        for i, row in enumerate(rows):
-            if len(row) != len(rows[0]):
-                raise MalformedInput(f"design field 'blocks': row {i} has "
-                                     f"{len(row)} entries, row 0 has {len(rows[0])}")
+    if refused:  # then the ragged row, an entry beyond int32, and rows of no entries
+        for fault in (rows.ragged, rows.wide and "block entries must fit in 32-bit integers"):
+            if fault:
+                raise MalformedInput(fault)
+        rows = np.zeros((rows.count, 0), np.int32)
     return BlockDesign.new(k=doc["k"], group_size=doc["group_size"],
-                           index=doc["index"], blocks=doc["blocks"],
+                           index=doc["index"], blocks=rows,
                            hole_kind=_HOLES_BY_KIND[kind],
                            holes=doc["holes"])
 

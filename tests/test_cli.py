@@ -571,6 +571,26 @@ def _refused_in_a_small_child(*argv) -> str:
     return child.stderr
 
 
+def test_a_wide_first_row_is_refused_before_allocating(tmp_path):
+    # a first block of 2,000 entries, then 400,000 blocks [0]: a buffer
+    # sized by the first row's width and the count of "]" would take 3.2 GB
+    # of a 2.0 MB file, so the rows are walked to the short one instead
+    path = tmp_path / "wide.json"
+    path.write_text('{"blocks": [[' + ", ".join(["0"] * 2000) + "]" + ", [0]" * 400_000 +
+                    '], "group_size": 2, "holes": [], "index": 1, "k": 2, "kind": "TD"}')
+    assert _refused_in_a_small_child("verify", path) == \
+        "error: design field 'blocks': row 1 has 1 entries, row 0 has 2000\n"
+
+
+@pytest.mark.parametrize("argv", [("template", 2, 100_000_000), ("project", 2, 10**12, 3)])
+def test_a_template_over_the_bound_is_refused_at_once(argv):
+    # 2^(10^12) would take 125 GB to build, and 2^(10^8) 30,103,000 digits
+    # to print
+    h, d = argv[1:3]
+    assert _refused_in_a_small_child(*argv) == \
+        f"error: template would have {h}^{d} rows (bound 4096)\n"
+
+
 def test_oversized_recipe_is_refused_before_allocating(tmp_path):
     # td_from_field over GF(46309) would ask for 16 GiB
     plan, reg = _diag_plan_files(

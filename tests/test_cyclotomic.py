@@ -45,10 +45,14 @@ def test_template_2_1():
 
 
 def test_template_size_bound():
-    for build in (lambda: cy.template(2, 13), lambda: cy.td_projection(2, 13, 3)):
-        with pytest.raises(MalformedInput,
-                           match=r"^template would have 8192 rows \(bound 4096\)$"):
-            build()
+    # h^d is compared with the bound by bit length before it is built, and
+    # the refusal names h and d, not the power: 2^(10^8) has 30,103,000
+    # digits (2^(10^12), 125 GB, is tried in a child process in test_cli.py)
+    for h, d in [(2, 13), (2, 100_000_000), (3, 5000), (4096, 2)]:
+        for build in (lambda: cy.template(h, d), lambda: cy.td_projection(h, d, 3)):
+            with pytest.raises(MalformedInput,
+                               match=rf"^template would have {h}\^{d} rows \(bound 4096\)$"):
+                build()
 
 
 @pytest.mark.parametrize("h,d", all_prime_power_pairs(32))

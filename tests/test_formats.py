@@ -343,9 +343,10 @@ def test_any_spelling_reads_the_same(text):
         mp.setattr(formats.json, "loads", lambda s, *a, **kw: calls.append(s) or loads(s, *a, **kw))
         got = outcome(formats.design_loads, text)
     assert got == outcome(reference_design_loads, text)
+    # every text has a top-level "blocks" key the scan walks, so json.loads
+    # has the text without its blocks, never whole, refused or not
+    assert all(arg is not text for arg in calls)
     if not isinstance(got[0], type):
-        # read by the scan: json.loads has the text without its blocks, never whole
-        assert all(arg is not text for arg in calls)
         blocks_shape = got[6]
         if blocks_shape[0]:  # "[]" put for blocks "[...]" makes a shorter text
             assert all(len(arg) < len(text) for arg in calls)
@@ -355,22 +356,37 @@ def test_a_design_read_in_any_spelling_peaks_under_three_times_its_size():
     design = dz.td_from_field(5, 256)
     plain = formats.design_dumps(design)
     doc = json.loads(plain)
+    lines = plain.split("\n")  # the blocks are lines 2 to 65537
+    last, mid = lines.index(" ],") - 1, len(lines) // 2
     spellings = [json.dumps(doc), json.dumps(doc, indent=1),
                  plain.replace('"kind": "TD"', '"kind": "\\u0054D"'),
                  plain.replace('"blocks"', '"\\u0062locks"')]
-    for text in spellings:
+    # refused: a float in the first block, a ragged last row, ",," before the
+    # last row, and a true mid-file
+    refused = [{2: re.sub(r"\[\d+", "[0.5", lines[2], count=1)},
+               {last: lines[last][:lines[last].rindex(",")] + "]"},
+               {last - 1: lines[last - 1] + ","},
+               {mid: re.sub(r"\[\d+", "[true", lines[mid], count=1)}]
+    refused = ["\n".join(changed.get(i, line) for i, line in enumerate(lines))
+               for changed in refused]
+    for text in spellings + refused:
         data = text.encode()
         tracemalloc.start()
         try:
-            got = formats.design_loads(data)
+            got = outcome(formats.design_loads, data)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(got.blocks, design.sorted_blocks())
+        if text in spellings:
+            assert got[-1] == design.sorted_blocks().tobytes()
+        else:
+            assert got == outcome(reference_design_loads, text)
         # the blocks (0.74 times the canonical text) and one piece's passes:
-        # 2.1 times the text measured canonical, 2.3 compact; json.loads of
-        # the whole text peaks at 7.5
-        assert peak < 3 * len(data), (text[:40], peak / len(data))
+        # 2.1 times the text measured canonical, 2.3 compact; a refused text
+        # adds its blocks as latin-1 text from the first piece walked on, or
+        # the text up to a syntax fault; json.loads of the whole text peaks
+        # at 7.5
+        assert peak < 3 * len(data), (text[:40], got[:2], peak / len(data))
 
 
 def reference_int_matrix(body: str):
